@@ -29,12 +29,12 @@ pub struct DeviceMemory {
 }
 
 impl DeviceMemory {
-    /// Allocates an arena of `words` i32 slots, zero-initialised.
+    /// Allocates an arena of `words` i32 slots, zero-initialised. The words
+    /// come from a zeroed allocation, so pages no run ever touches are never
+    /// written (or made resident) by the host.
     pub fn new(words: usize) -> Self {
-        let mut v = Vec::with_capacity(words);
-        v.resize_with(words, || AtomicI32::new(0));
         DeviceMemory {
-            words: v,
+            words: zeroed_words(words),
             h2d_bytes: AtomicU64::new(0),
             d2h_bytes: AtomicU64::new(0),
             epoch: AtomicU64::new(0),
@@ -173,6 +173,32 @@ impl DeviceMemory {
     }
 }
 
+#[cfg(not(feature = "model-check"))]
+fn zeroed_words(n: usize) -> Vec<AtomicI32> {
+    let mut zeroed = std::mem::ManuallyDrop::new(vec![0i32; n]);
+    // SAFETY: `std`'s `AtomicI32` has the same size, alignment and bit
+    // validity as `i32`, so the buffer keeps its allocation layout and every
+    // zeroed word is a valid `AtomicI32`; `ManuallyDrop` gives up the
+    // original `Vec`'s ownership, so the buffer is owned (and freed) exactly
+    // once, by the returned `Vec`.
+    unsafe {
+        Vec::from_raw_parts(
+            zeroed.as_mut_ptr().cast::<AtomicI32>(),
+            zeroed.len(),
+            zeroed.capacity(),
+        )
+    }
+}
+
+/// Under `model-check`, `AtomicI32` is loom's instrumented type, not a bare
+/// word: construct each one.
+#[cfg(feature = "model-check")]
+fn zeroed_words(n: usize) -> Vec<AtomicI32> {
+    let mut v = Vec::with_capacity(n);
+    v.resize_with(n, || AtomicI32::new(0));
+    v
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,6 +225,22 @@ mod tests {
         assert_eq!(m.d2h_bytes(), 12);
         m.reset_counters();
         assert_eq!(m.h2d_bytes(), 0);
+    }
+
+    /// The default 64 M-word arena: zero wherever it is read, before and
+    /// after a far-end write, without the constructor having touched it.
+    #[cfg(not(feature = "model-check"))]
+    #[test]
+    fn large_arena_reads_zero_and_round_trips_at_the_far_end() {
+        let n = 64 << 20;
+        let m = DeviceMemory::new(n);
+        assert_eq!(m.len(), n);
+        for i in (0..n).step_by(n / 61).chain([0, n - 1]) {
+            assert_eq!(m.load(i), 0, "word {i}");
+        }
+        m.h2d(n - 3, &[7, -8, 9]);
+        assert_eq!(m.d2h(n - 4, 4), vec![0, 7, -8, 9]);
+        assert_eq!(m.load(n / 2), 0);
     }
 
     #[test]

@@ -1,8 +1,8 @@
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
-use gatspi_netlist::Netlist;
-use gatspi_sdf::{build_delay_lut, SdfFile, TripleSelect, NO_ARC};
+use gatspi_netlist::{CellType, GateId, Netlist};
+use gatspi_sdf::{build_delay_lut, delay_to_ticks, IoPath, SdfFile, TripleSelect, NO_ARC};
 
 use crate::{levelize, GraphError, LevelStats, Result};
 
@@ -70,7 +70,7 @@ impl Default for GraphOptions {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CircuitGraph {
     name: String,
     n_signals: usize,
@@ -153,70 +153,27 @@ impl CircuitGraph {
         // Delay LUTs.
         let mut lut_offsets = vec![0u32; n_pins];
         let mut delay_luts: Vec<i32> = Vec::new();
-        let mut fallback_rise = vec![options.default_delay.0; n_gates];
-        let mut fallback_fall = vec![options.default_delay.1; n_gates];
+        let mut fallback_rise = vec![0i32; n_gates];
+        let mut fallback_fall = vec![0i32; n_gates];
 
+        let binding = sdf.map(|f| SdfBinding::new(f, |_| true));
         for (gid, gate) in netlist.gates() {
             let g = gid.index();
             let cell = lib.cell(gate.cell());
-            let pin_names = cell.input_pins();
-            let iopaths: Vec<gatspi_sdf::IoPath> = match sdf {
-                Some(f) => f.iopaths_for(cell.name(), gate.name()).cloned().collect(),
-                None => Vec::new(),
-            };
-            // Validate that every IOPATH pin exists on the cell.
-            for p in &iopaths {
-                if cell.input_index(&p.input).is_none() {
-                    return Err(GraphError::SdfBinding {
-                        detail: format!(
-                            "IOPATH input `{}` not a pin of cell `{}` (instance `{}`)",
-                            p.input,
-                            cell.name(),
-                            gate.name()
-                        ),
-                    });
-                }
-                if p.output != cell.output_pin() {
-                    return Err(GraphError::SdfBinding {
-                        detail: format!(
-                            "IOPATH output `{}` is not `{}` on cell `{}`",
-                            p.output,
-                            cell.output_pin(),
-                            cell.name()
-                        ),
-                    });
-                }
-            }
             let base = fanin_offsets[g] as usize;
-            let mut gate_max: Option<(i32, i32)> = None;
+            let block = delay_luts.len();
+            let pin_len = lut_len(cell.num_inputs());
             for pin in 0..cell.num_inputs() {
-                let lut = build_delay_lut(pin_names, pin, &iopaths, options.select, scale)?;
-                lut_offsets[base + pin] = delay_luts.len() as u32;
-                // Track per-direction maxima for the fallback.
-                let ncols = lut.ncols();
-                for row in 0..4usize {
-                    for c in 0..ncols {
-                        let d = lut.data()[row * ncols + c];
-                        if d != NO_ARC {
-                            let e = gate_max.get_or_insert((-1, -1));
-                            if row % 2 == 0 {
-                                e.0 = e.0.max(d);
-                            } else {
-                                e.1 = e.1.max(d);
-                            }
-                        }
-                    }
-                }
-                delay_luts.extend_from_slice(lut.data());
+                lut_offsets[base + pin] = (block + pin * pin_len) as u32;
             }
-            if let Some((r, f)) = gate_max {
-                // A direction never annotated anywhere falls back to the
-                // other direction's maximum (or the default if negative).
-                let r = if r >= 0 { r } else { f };
-                let f = if f >= 0 { f } else { r };
-                fallback_rise[g] = if r >= 0 { r } else { options.default_delay.0 };
-                fallback_fall[g] = if f >= 0 { f } else { options.default_delay.1 };
-            }
+            (fallback_rise[g], fallback_fall[g]) = annotate_gate(
+                cell,
+                gate.name(),
+                binding.as_ref(),
+                options,
+                scale,
+                &mut delay_luts,
+            )?;
         }
 
         // Interconnect (wire) delays.
@@ -230,7 +187,6 @@ impl CircuitGraph {
                     pin_slot.insert((gate.name(), name.as_str()), base + pin);
                 }
             }
-            let to_ticks = |v: f64| (v * scale).round() as i32;
             for ic in &f.interconnects {
                 let Some(inst) = ic.to.instance.as_deref() else {
                     // Wire delay into a top-level output port: no gate
@@ -244,10 +200,10 @@ impl CircuitGraph {
                         detail: format!("INTERCONNECT target `{}/{}` not found", inst, ic.to.pin),
                     })?;
                 if let Some(v) = ic.rise.select(options.select) {
-                    net_delay_rise[slot] = to_ticks(v);
+                    net_delay_rise[slot] = delay_to_ticks(v, scale)?;
                 }
                 if let Some(v) = ic.fall.select(options.select) {
-                    net_delay_fall[slot] = to_ticks(v);
+                    net_delay_fall[slot] = delay_to_ticks(v, scale)?;
                 }
             }
         }
@@ -303,6 +259,66 @@ impl CircuitGraph {
             level_offsets,
             level_gates,
         })
+    }
+
+    /// Re-reads the IOPATH annotation of `gates` from `sdf` and overwrites
+    /// their delay-LUT blocks and fallback delays in place — what
+    /// [`CircuitGraph::build`] on the edited SDF would produce for those
+    /// gates, at the cost of those gates only. Everything else (topology,
+    /// levels, interconnect delays, every other gate's annotation) is kept,
+    /// so `netlist`, `options` and the rest of `sdf` must be the ones the
+    /// graph was built from.
+    ///
+    /// # Errors
+    ///
+    /// [`GraphError::SdfBinding`] / [`GraphError::Sdf`] as for
+    /// [`CircuitGraph::build`]; the graph is left unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `netlist` has a different gate count or a gate index is out
+    /// of range.
+    pub fn reannotate(
+        &mut self,
+        netlist: &Netlist,
+        sdf: &SdfFile,
+        gates: &[usize],
+        options: &GraphOptions,
+    ) -> Result<()> {
+        assert_eq!(
+            netlist.gate_count(),
+            self.n_gates(),
+            "netlist is not the one this graph was built from"
+        );
+        let lib = netlist.library();
+        let scale = options.scale.unwrap_or(sdf.timescale_ps);
+        let names: HashSet<&str> = gates.iter().map(|&g| self.gate_name(g)).collect();
+        let binding = SdfBinding::new(sdf, |inst| names.contains(inst));
+        // Annotate everything before touching the graph, so an error on any
+        // gate leaves every gate as it was.
+        let mut luts = Vec::new();
+        let mut annotated = Vec::with_capacity(gates.len());
+        for &g in gates {
+            let gate = netlist.gate(GateId::from_index(g));
+            let fallback = annotate_gate(
+                lib.cell(gate.cell()),
+                gate.name(),
+                Some(&binding),
+                options,
+                scale,
+                &mut luts,
+            )?;
+            annotated.push((g, luts.len(), fallback));
+        }
+        let mut src = 0;
+        for (g, end, (rise, fall)) in annotated {
+            let dst = self.delay_lut_base(g);
+            self.delay_luts[dst..dst + (end - src)].copy_from_slice(&luts[src..end]);
+            src = end;
+            self.fallback_rise[g] = rise;
+            self.fallback_fall[g] = fall;
+        }
+        Ok(())
     }
 
     /// Design name.
@@ -553,10 +569,142 @@ impl CircuitGraph {
     }
 }
 
+/// Entries in one pin's delay LUT for an `n_inputs`-input cell
+/// (`4 * 2^(n-1)`; 0 for a 0-input cell, which has no pins).
+fn lut_len(n_inputs: usize) -> usize {
+    if n_inputs == 0 {
+        0
+    } else {
+        4 << (n_inputs - 1)
+    }
+}
+
+/// Which `(CELL ...)` entries of an SDF file apply to which instance, built
+/// once per [`CircuitGraph::build`] / [`CircuitGraph::reannotate`] call so
+/// binding a gate costs its own entries, not a scan of the file. Lives for
+/// the call only: `SdfFile::cells` is a public field callers edit.
+///
+/// Only instances passing `wanted` are indexed — one pass over the file with
+/// no allocation per skipped cell, which is what keeps a one-gate
+/// `reannotate` far below a build.
+struct SdfBinding<'a> {
+    sdf: &'a SdfFile,
+    /// Cell indices per `INSTANCE` name, ascending.
+    by_instance: HashMap<&'a str, Vec<usize>>,
+    /// Indices of cells that apply to every instance (`INSTANCE *` or none),
+    /// ascending.
+    wildcard: Vec<usize>,
+}
+
+impl<'a> SdfBinding<'a> {
+    fn new(sdf: &'a SdfFile, wanted: impl Fn(&str) -> bool) -> Self {
+        let mut by_instance: HashMap<&str, Vec<usize>> = HashMap::new();
+        let mut wildcard = Vec::new();
+        for (i, cell) in sdf.cells.iter().enumerate() {
+            match cell.instance.as_deref() {
+                None | Some("*") => wildcard.push(i),
+                Some(inst) if wanted(inst) => by_instance.entry(inst).or_default().push(i),
+                Some(_) => {}
+            }
+        }
+        SdfBinding {
+            sdf,
+            by_instance,
+            wildcard,
+        }
+    }
+
+    /// All IOPATHs applying to instance `inst` of cell type `celltype` —
+    /// instance-specific entries plus wildcard entries, of that type or of
+    /// `CELLTYPE "*"` — in file order, because `build_delay_lut` lets later
+    /// statements override earlier ones.
+    fn iopaths_for(&self, celltype: &str, inst: &str) -> Vec<&'a IoPath> {
+        let mut cells: Vec<usize> = self
+            .by_instance
+            .get(inst)
+            .into_iter()
+            .flatten()
+            .chain(&self.wildcard)
+            .copied()
+            .filter(|&i| {
+                let t = &self.sdf.cells[i].celltype;
+                t == celltype || t == "*"
+            })
+            .collect();
+        cells.sort_unstable();
+        cells
+            .into_iter()
+            .flat_map(|i| &self.sdf.cells[i].iopaths)
+            .collect()
+    }
+}
+
+/// Annotates one gate: validates the IOPATHs bound to it, appends its pins'
+/// delay LUTs to `luts` back to back (pin order) and returns its fallback
+/// `(rise, fall)` delays. The single annotation body behind both
+/// [`CircuitGraph::build`] and [`CircuitGraph::reannotate`].
+fn annotate_gate(
+    cell: &CellType,
+    inst: &str,
+    binding: Option<&SdfBinding<'_>>,
+    options: &GraphOptions,
+    scale: f64,
+    luts: &mut Vec<i32>,
+) -> Result<(i32, i32)> {
+    let iopaths = binding.map_or_else(Vec::new, |b| b.iopaths_for(cell.name(), inst));
+    // Validate that every IOPATH pin exists on the cell.
+    for p in &iopaths {
+        if cell.input_index(&p.input).is_none() {
+            return Err(GraphError::SdfBinding {
+                detail: format!(
+                    "IOPATH input `{}` not a pin of cell `{}` (instance `{}`)",
+                    p.input,
+                    cell.name(),
+                    inst
+                ),
+            });
+        }
+        if p.output != cell.output_pin() {
+            return Err(GraphError::SdfBinding {
+                detail: format!(
+                    "IOPATH output `{}` is not `{}` on cell `{}`",
+                    p.output,
+                    cell.output_pin(),
+                    cell.name()
+                ),
+            });
+        }
+    }
+    // Per-direction maxima over every annotated arc, for the fallback.
+    let mut gate_max: Option<(i32, i32)> = None;
+    for pin in 0..cell.num_inputs() {
+        let lut = build_delay_lut(cell.input_pins(), pin, &iopaths, options.select, scale)?;
+        let ncols = lut.ncols();
+        for (i, &d) in lut.data().iter().enumerate() {
+            if d != NO_ARC {
+                let e = gate_max.get_or_insert((-1, -1));
+                if (i / ncols) % 2 == 0 {
+                    e.0 = e.0.max(d);
+                } else {
+                    e.1 = e.1.max(d);
+                }
+            }
+        }
+        luts.extend_from_slice(lut.data());
+    }
+    Ok(match gate_max {
+        // A direction never annotated anywhere falls back to the other
+        // direction's maximum.
+        Some((r, f)) => (if r >= 0 { r } else { f }, if f >= 0 { f } else { r }),
+        None => options.default_delay,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use gatspi_netlist::{CellLibrary, NetlistBuilder};
+    use gatspi_sdf::{DelayTriple, EdgeSpec, Interconnect, PortPath, SdfCell, SdfError};
 
     fn full_adder() -> Netlist {
         let mut b = NetlistBuilder::new("fa", CellLibrary::industry_mini());
@@ -670,6 +818,115 @@ mod tests {
         assert_eq!(g.net_delays(slot), (2, 3));
         // Unannotated pin of u_x2 keeps zero wire delay.
         assert_eq!(g.net_delays(slot + 1), (0, 0));
+    }
+
+    fn cell(celltype: &str, instance: Option<&str>, arcs: &[(&str, f64)]) -> SdfCell {
+        SdfCell {
+            celltype: celltype.into(),
+            instance: instance.map(Into::into),
+            iopaths: arcs
+                .iter()
+                .map(|&(pin, d)| IoPath {
+                    cond: None,
+                    edge: EdgeSpec::Both,
+                    input: pin.into(),
+                    output: "Y".into(),
+                    rise: DelayTriple::single(d),
+                    fall: DelayTriple::single(d),
+                })
+                .collect(),
+        }
+    }
+
+    fn one_nand(inst: &str) -> Netlist {
+        let mut b = NetlistBuilder::new("n", CellLibrary::industry_mini());
+        let a = b.add_input("a").unwrap();
+        let c = b.add_input("b").unwrap();
+        let y = b.add_output("y").unwrap();
+        b.add_gate(inst, "NAND2", &[a, c], y).unwrap();
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn binding_merges_wildcards_in_file_order() {
+        let mut f = SdfFile::new("d");
+        f.cells = vec![
+            cell("NAND2", None, &[("A", 1.0)]),
+            cell("NAND2", Some("u7"), &[("B", 9.0), ("A", 5.0)]),
+            cell("NAND2", Some("*"), &[("A", 7.0)]),
+            cell("INV", Some("u7"), &[("A", 4.0)]),
+            cell("*", None, &[("A", 3.0)]),
+        ];
+        let b = SdfBinding::new(&f, |_| true);
+        let delays = |celltype: &str, inst: &str| -> Vec<f64> {
+            b.iopaths_for(celltype, inst)
+                .iter()
+                .map(|p| p.rise.typ.unwrap())
+                .collect()
+        };
+        // Wildcards before *and* after the instance cell, interleaved by
+        // position in the file; the INV cell shares the name but not the type.
+        assert_eq!(delays("NAND2", "u7"), [1.0, 9.0, 5.0, 7.0, 3.0]);
+        assert_eq!(delays("NAND2", "u1"), [1.0, 7.0, 3.0]);
+        assert_eq!(delays("INV", "u7"), [4.0, 3.0]);
+        assert_eq!(delays("INV", "u1"), [3.0]);
+    }
+
+    #[test]
+    fn later_sdf_cell_overrides_earlier_one() {
+        let netlist = one_nand("u7");
+        let wild = cell("NAND2", None, &[("A", 1.0)]);
+        let inst = cell("NAND2", Some("u7"), &[("A", 5.0)]);
+        for (cells, expect) in [(vec![wild.clone(), inst.clone()], 5), (vec![inst, wild], 1)] {
+            let mut f = SdfFile::new("d");
+            f.cells = cells;
+            let g = CircuitGraph::build(&netlist, Some(&f), &GraphOptions::default()).unwrap();
+            assert_eq!(g.delay_lut(0, 0)[0], expect);
+        }
+    }
+
+    #[test]
+    fn out_of_range_interconnect_rejected() {
+        let netlist = one_nand("u7");
+        for bad in [-1.0, 1e300, f64::NAN] {
+            let mut f = SdfFile::new("d");
+            f.interconnects.push(Interconnect {
+                from: PortPath::parse("a"),
+                to: PortPath::parse("u7/A"),
+                rise: DelayTriple::single(2.0),
+                fall: DelayTriple::single(bad),
+            });
+            let err = CircuitGraph::build(&netlist, Some(&f), &GraphOptions::default());
+            assert!(
+                matches!(err, Err(GraphError::Sdf(SdfError::BadDelay { .. }))),
+                "INTERCONNECT fall delay {bad}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn reannotate_matches_rebuild() {
+        let netlist = full_adder();
+        let opts = GraphOptions::default();
+        let mut f = SdfFile::new("fa");
+        f.cells = vec![
+            cell("XOR2", None, &[("A", 10.0), ("B", 11.0)]),
+            cell("MAJ3", Some("u_maj"), &[("A", 20.0)]),
+        ];
+        let mut g = CircuitGraph::build(&netlist, Some(&f), &opts).unwrap();
+        f.cells[1].iopaths[0].rise = DelayTriple::single(44.0);
+        f.cells.push(cell("XOR2", Some("u_x2"), &[("B", 6.0)]));
+        g.reannotate(&netlist, &f, &[1, 2], &opts).unwrap();
+        assert_eq!(g.fallback_delay(2), (44, 20));
+        assert_eq!(g, CircuitGraph::build(&netlist, Some(&f), &opts).unwrap());
+
+        // A bad statement on the second listed gate leaves the first alone too.
+        let before = g.clone();
+        f.cells[1].iopaths[0].rise = DelayTriple::single(45.0);
+        f.cells.push(cell("XOR2", Some("u_x2"), &[("Q", 1.0)]));
+        let err = g.reannotate(&netlist, &f, &[2, 1], &opts);
+        assert!(matches!(err, Err(GraphError::SdfBinding { .. })));
+        assert_eq!(g, before);
     }
 
     #[test]

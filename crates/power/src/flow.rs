@@ -14,6 +14,7 @@
 //! technique that also saves the downsized cells' own energy. A static-
 //! timing guard keeps every slowdown within the clock period's slack.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -132,15 +133,14 @@ pub fn run_glitch_flow(
     let stats0 = classify(&waveforms, cycle_time, duration);
 
     // --- Fix: slow the worst glitch sources to absorb their pulses.
-    let (sdf_fixed, fixed_gates, fixed_ids) =
-        apply_slowdown_fixes(netlist, sdf, &graph0, &stats0, cycle_time, cfg);
+    let fixes = apply_slowdown_fixes(netlist, sdf, &graph0, &stats0, cycle_time, cfg);
+    let (fixed_gates, fixed_ids) = (fixes.names, fixes.ids);
 
     // --- Pass 2: incremental re-simulation of the fixed design. Only the
     // resized gates' transitive fan-out cone re-executes; every waveform
     // outside it is reused from pass 1's spill (the fixes change delays,
     // not topology, so out-of-cone activity is provably identical).
-    let graph1 =
-        Arc::new(CircuitGraph::build(netlist, Some(&sdf_fixed), &opts).expect("valid fixes"));
+    let graph1 = Arc::new(fixes.graph);
     let t1 = Instant::now();
     let sim1 = Session::new(Arc::clone(&graph1), cfg.sim.clone());
     let r1 = sim1.run_incremental(&r0, &fixed_ids, stimuli, duration, &run_opts)?;
@@ -188,12 +188,27 @@ fn toggles_of<'a>(r: &'a gatspi_core::SimResult, graph: &CircuitGraph) -> &'a [u
     r.toggle_counts_slice()
 }
 
-/// Clones `sdf`, scaling the arc delays of the `fixes` worst glitch-source
-/// gates by `cfg.slowdown` (cell downsizing). Every candidate is checked
-/// against a static-timing guard: if slowing it would push the critical
-/// path past `cfg.max_path_fraction · cycle_time`, the gate is skipped.
-/// Returns the patched SDF, the fixed instances' names, and their gate
-/// indices — the changed set the incremental re-simulation cones from.
+/// What the fix search settled on.
+struct SlowdownFixes {
+    /// `sdf` with every accepted fix applied.
+    sdf: SdfFile,
+    /// The graph of the fixed design (equal to a build from `sdf`).
+    graph: CircuitGraph,
+    /// Instance names of the fixed gates, in the order they were accepted.
+    names: Vec<String>,
+    /// Their gate indices — the changed set the incremental
+    /// re-simulation cones from.
+    ids: Vec<usize>,
+}
+
+/// Scales the arc delays of the `fixes` worst glitch-source gates by
+/// `cfg.slowdown` (cell downsizing). Every candidate is checked against a
+/// static-timing guard: if slowing it would push the critical path past
+/// `cfg.max_path_fraction · cycle_time`, the gate is skipped.
+///
+/// A candidate costs its own gate: its SDF triples are scaled in place and
+/// the one gate is re-annotated in a trial graph, then undone the same way
+/// if the guard rejects it.
 fn apply_slowdown_fixes(
     netlist: &Netlist,
     sdf: &SdfFile,
@@ -201,15 +216,26 @@ fn apply_slowdown_fixes(
     stats: &GlitchStats,
     cycle_time: SimTime,
     cfg: &FlowConfig,
-) -> (SdfFile, Vec<String>, Vec<usize>) {
+) -> SlowdownFixes {
     let budget = (f64::from(cycle_time) * cfg.max_path_fraction) as i64;
-    let mut patched = sdf.clone();
-    let mut fixed = Vec::new();
-    let mut fixed_ids = Vec::new();
-    let mut seen = std::collections::HashSet::new();
     let opts = GraphOptions::default();
+    let mut fixes = SlowdownFixes {
+        sdf: sdf.clone(),
+        graph: graph.clone(),
+        names: Vec::new(),
+        ids: Vec::new(),
+    };
+    // The search edits triples only, never the cell list, so cell indices
+    // stay valid throughout.
+    let mut cells_of: HashMap<&str, Vec<usize>> = HashMap::new();
+    for (i, cell) in sdf.cells.iter().enumerate() {
+        if let Some(inst) = cell.instance.as_deref() {
+            cells_of.entry(inst).or_default().push(i);
+        }
+    }
+    let mut seen = std::collections::HashSet::new();
     for (sig, _count) in stats.worst_signals() {
-        if fixed.len() >= cfg.fixes {
+        if fixes.names.len() >= cfg.fixes {
             break;
         }
         let Some(g) = graph.driver(gatspi_graph::SignalId(sig as u32)) else {
@@ -218,33 +244,41 @@ fn apply_slowdown_fixes(
         if !seen.insert(g) {
             continue;
         }
-        let gate = netlist.gate(gatspi_netlist::GateId::from_index(g));
-        // Scale this instance's IOPATH delays.
-        let mut candidate = patched.clone();
-        let mut touched = false;
-        for cell in &mut candidate.cells {
-            if cell.instance.as_deref() == Some(gate.name()) {
-                for p in &mut cell.iopaths {
-                    scale_triple(&mut p.rise, cfg.slowdown);
-                    scale_triple(&mut p.fall, cfg.slowdown);
-                }
-                touched = true;
+        let name = graph.gate_name(g);
+        let Some(cells) = cells_of.get(name) else {
+            continue;
+        };
+        // Scale this instance's IOPATH delays, keeping the originals.
+        let mut saved = Vec::new();
+        for &i in cells {
+            for p in &mut fixes.sdf.cells[i].iopaths {
+                saved.push((p.rise, p.fall));
+                scale_triple(&mut p.rise, cfg.slowdown);
+                scale_triple(&mut p.fall, cfg.slowdown);
             }
         }
-        if !touched {
-            continue;
-        }
-        // Timing guard: reject fixes that eat the cycle's settle margin.
-        let trial = CircuitGraph::build(netlist, Some(&candidate), &opts)
+        fixes
+            .graph
+            .reannotate(netlist, &fixes.sdf, &[g], &opts)
             .expect("patched SDF stays well-formed");
-        if crate::sta::max_arrivals(&trial).critical_path() > budget {
+        // Timing guard: reject fixes that eat the cycle's settle margin.
+        if crate::sta::max_arrivals(&fixes.graph).critical_path() > budget {
+            let mut saved = saved.into_iter();
+            for &i in cells {
+                for p in &mut fixes.sdf.cells[i].iopaths {
+                    (p.rise, p.fall) = saved.next().expect("one saved pair per arc");
+                }
+            }
+            fixes
+                .graph
+                .reannotate(netlist, &fixes.sdf, &[g], &opts)
+                .expect("restored SDF is the one that annotated before");
             continue;
         }
-        patched = candidate;
-        fixed.push(gate.name().to_string());
-        fixed_ids.push(g);
+        fixes.names.push(name.to_string());
+        fixes.ids.push(g);
     }
-    (patched, fixed, fixed_ids)
+    fixes
 }
 
 fn scale_triple(t: &mut DelayTriple, factor: f64) {
@@ -289,6 +323,151 @@ mod tests {
             },
         );
         (netlist, sdf)
+    }
+
+    /// The search as it was before `CircuitGraph::reannotate`: clone the SDF,
+    /// scan every cell and rebuild the whole graph per candidate. Kept as
+    /// the oracle the in-place search must reproduce exactly.
+    fn fixes_by_rebuild(
+        netlist: &Netlist,
+        sdf: &SdfFile,
+        graph: &CircuitGraph,
+        stats: &GlitchStats,
+        cycle_time: SimTime,
+        cfg: &FlowConfig,
+    ) -> (SdfFile, Vec<String>, Vec<usize>) {
+        let budget = (f64::from(cycle_time) * cfg.max_path_fraction) as i64;
+        let mut patched = sdf.clone();
+        let mut fixed = Vec::new();
+        let mut fixed_ids = Vec::new();
+        let mut seen = std::collections::HashSet::new();
+        let opts = GraphOptions::default();
+        for (sig, _count) in stats.worst_signals() {
+            if fixed.len() >= cfg.fixes {
+                break;
+            }
+            let Some(g) = graph.driver(gatspi_graph::SignalId(sig as u32)) else {
+                continue;
+            };
+            if !seen.insert(g) {
+                continue;
+            }
+            let gate = netlist.gate(gatspi_netlist::GateId::from_index(g));
+            let mut candidate = patched.clone();
+            let mut touched = false;
+            for cell in &mut candidate.cells {
+                if cell.instance.as_deref() == Some(gate.name()) {
+                    for p in &mut cell.iopaths {
+                        scale_triple(&mut p.rise, cfg.slowdown);
+                        scale_triple(&mut p.fall, cfg.slowdown);
+                    }
+                    touched = true;
+                }
+            }
+            if !touched {
+                continue;
+            }
+            let trial = CircuitGraph::build(netlist, Some(&candidate), &opts).unwrap();
+            if crate::sta::max_arrivals(&trial).critical_path() > budget {
+                continue;
+            }
+            patched = candidate;
+            fixed.push(gate.name().to_string());
+            fixed_ids.push(g);
+        }
+        (patched, fixed, fixed_ids)
+    }
+
+    /// Pass 1 of the flow: the design's graph and its glitch statistics.
+    fn analysed(netlist: &Netlist, sdf: &SdfFile, cycle: SimTime) -> (CircuitGraph, GlitchStats) {
+        let cycles = 40;
+        let duration = cycle * cycles;
+        let graph =
+            Arc::new(CircuitGraph::build(netlist, Some(sdf), &GraphOptions::default()).unwrap());
+        let stimuli = generate(
+            netlist.primary_inputs().len(),
+            &StimulusConfig::random(cycles as usize, cycle, 0.6, 21),
+        );
+        let r = Session::new(
+            Arc::clone(&graph),
+            SimConfig::small().with_window_align(cycle),
+        )
+        .run_with(
+            &stimuli,
+            duration,
+            &RunOptions::default().with_waveform_spill(),
+        )
+        .unwrap();
+        let waveforms: Vec<Waveform> = (0..graph.n_signals())
+            .map(|s| r.waveform(s).unwrap())
+            .collect();
+        (
+            CircuitGraph::clone(&graph),
+            classify(&waveforms, cycle, duration),
+        )
+    }
+
+    /// Runs both searches and requires identical outcomes; returns the
+    /// fixed gate ids.
+    fn assert_search_matches_oracle(
+        netlist: &Netlist,
+        sdf: &SdfFile,
+        graph: &CircuitGraph,
+        stats: &GlitchStats,
+        budget: i64,
+        fixes: usize,
+    ) -> Vec<usize> {
+        let cfg = FlowConfig {
+            fixes,
+            max_path_fraction: 1.0,
+            ..Default::default()
+        };
+        let budget = SimTime::try_from(budget).unwrap();
+        let got = apply_slowdown_fixes(netlist, sdf, graph, stats, budget, &cfg);
+        let (want_sdf, want_names, want_ids) =
+            fixes_by_rebuild(netlist, sdf, graph, stats, budget, &cfg);
+        assert_eq!(got.sdf.write(), want_sdf.write());
+        assert_eq!(got.names, want_names);
+        assert_eq!(got.ids, want_ids);
+        let rebuilt =
+            CircuitGraph::build(netlist, Some(&want_sdf), &GraphOptions::default()).unwrap();
+        assert!(got.graph == rebuilt, "trial graph differs from a rebuild");
+        got.ids
+    }
+
+    /// Checks the search against the oracle with no fixes, with a budget
+    /// nothing can exceed, and with one a few ticks over the critical path,
+    /// where some candidates are rejected and must be undone exactly.
+    /// Returns the `(tight, loose)` fixed ids.
+    fn check_search(netlist: &Netlist, sdf: &SdfFile, cycle: SimTime) -> (Vec<usize>, Vec<usize>) {
+        let (graph, stats) = analysed(netlist, sdf, cycle);
+        let critical = crate::sta::max_arrivals(&graph).critical_path();
+        let search = |budget, fixes| {
+            assert_search_matches_oracle(netlist, sdf, &graph, &stats, budget, fixes)
+        };
+        assert!(search(critical, 0).is_empty());
+        let loose = search(i64::from(i32::MAX), 6);
+        assert_eq!(loose.len(), 6);
+        let tight = search(critical + 6, 6);
+        assert_ne!(tight, loose, "the tight budget rejected nothing");
+        assert!(!tight.is_empty(), "the tight budget accepted nothing");
+        (tight, loose)
+    }
+
+    #[test]
+    fn in_place_search_matches_oracle_on_xor_chain() {
+        let (netlist, sdf) = glitchy_design();
+        check_search(&netlist, &sdf, 400);
+    }
+
+    #[test]
+    fn in_place_search_matches_oracle_on_mac() {
+        let netlist = gatspi_workloads::circuits::mac_datapath(8, 4);
+        let sdf = attach_sdf(&netlist, &SdfGenConfig::default());
+        let (tight, loose) = check_search(&netlist, &sdf, 1200);
+        // Off the critical path candidates keep being accepted on top of
+        // undone ones, so the tight list is not just a prefix.
+        assert!(!loose.starts_with(&tight), "{tight:?} vs {loose:?}");
     }
 
     #[test]

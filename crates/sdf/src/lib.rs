@@ -32,7 +32,7 @@ mod model;
 mod parser;
 
 pub use error::SdfError;
-pub use lut::{build_delay_lut, reduced_column_index, DelayLut, NO_ARC};
+pub use lut::{build_delay_lut, delay_to_ticks, reduced_column_index, DelayLut, NO_ARC};
 pub use model::{
     Cond, DelayTriple, EdgeSpec, Interconnect, IoPath, PortPath, SdfCell, SdfFile, TripleSelect,
 };

@@ -17,11 +17,28 @@
 //! the Fig. 4 example (default 8/6 everywhere, conditional 7/5 in the
 //! matching column).
 
+use std::borrow::Borrow;
+
 use crate::model::{EdgeSpec, IoPath, TripleSelect};
 use crate::{Result, SdfError};
 
 /// Sentinel for "no arc specified for this transition" (`∞` in Fig. 4).
 pub const NO_ARC: i32 = i32::MAX;
+
+/// Converts an SDF delay value to integer ticks (`value * scale`, rounded) —
+/// the one range check every delay entering a simulation graph goes through.
+///
+/// # Errors
+///
+/// [`SdfError::BadDelay`] if the scaled value is negative, NaN, or does not
+/// fit below [`NO_ARC`].
+pub fn delay_to_ticks(value: f64, scale: f64) -> Result<i32> {
+    let t = (value * scale).round();
+    if !(0.0..(NO_ARC as f64)).contains(&t) {
+        return Err(SdfError::BadDelay { value: t });
+    }
+    Ok(t as i32)
+}
 
 /// Removes the switching pin's bit from a full truth-table index, yielding
 /// the delay-LUT column index over the remaining pins.
@@ -127,8 +144,9 @@ impl DelayLut {
 ///
 /// * `pin_names` — all input pin names of the cell, in pin order.
 /// * `pin` — position of the switching pin the LUT is for.
-/// * `iopaths` — IOPATH statements whose `input` equals `pin_names[pin]`
-///   (others are ignored, so passing a cell's full list is fine).
+/// * `iopaths` — IOPATH statements (owned or borrowed) whose `input` equals
+///   `pin_names[pin]` (others are ignored, so passing a cell's full list is
+///   fine); later entries override earlier ones.
 /// * `select` — which `min:typ:max` corner to use.
 /// * `scale` — multiplier converting SDF units to integer ticks (e.g. the
 ///   file's `timescale_ps` when simulating in picoseconds).
@@ -141,10 +159,10 @@ impl DelayLut {
 ///   switching pin itself (the Fig. 4 column encoding has no slot for it).
 /// * [`SdfError::BadDelay`] if a scaled delay is negative or overflows.
 /// * [`SdfError::BadLut`] if `pin` is out of range.
-pub fn build_delay_lut(
+pub fn build_delay_lut<P: Borrow<IoPath>>(
     pin_names: &[String],
     pin: usize,
-    iopaths: &[IoPath],
+    iopaths: &[P],
     select: TripleSelect,
     scale: f64,
 ) -> Result<DelayLut> {
@@ -157,25 +175,19 @@ pub fn build_delay_lut(
     let ncols = 1usize << (n - 1);
     let mut data = vec![NO_ARC; 4 * ncols];
 
-    let to_ticks = |v: f64| -> Result<i32> {
-        let t = (v * scale).round();
-        if !(0.0..(NO_ARC as f64)).contains(&t) {
-            return Err(SdfError::BadDelay { value: t });
-        }
-        Ok(t as i32)
-    };
-
     // Stable two-phase application: unconditional defaults first, then
     // conditional refinements (file order within each phase).
     let relevant = |p: &&IoPath| p.input == pin_names[pin];
     let phases: [Vec<&IoPath>; 2] = [
         iopaths
             .iter()
+            .map(Borrow::borrow)
             .filter(relevant)
             .filter(|p| p.cond.is_none())
             .collect(),
         iopaths
             .iter()
+            .map(Borrow::borrow)
             .filter(relevant)
             .filter(|p| p.cond.is_some())
             .collect(),
@@ -227,7 +239,7 @@ pub fn build_delay_lut(
                 let Some(v) = triple.select(select) else {
                     continue; // `()` — leave NO_ARC / earlier value.
                 };
-                let ticks = to_ticks(v)?;
+                let ticks = delay_to_ticks(v, scale)?;
                 for &c in &cols {
                     data[row * ncols + c as usize] = ticks;
                 }
@@ -388,7 +400,7 @@ mod tests {
 
     #[test]
     fn pin_out_of_range_rejected() {
-        let err = build_delay_lut(&pins(&["A"]), 3, &[], TripleSelect::Typ, 1.0);
+        let err = build_delay_lut::<IoPath>(&pins(&["A"]), 3, &[], TripleSelect::Typ, 1.0);
         assert!(matches!(err, Err(SdfError::BadLut { .. })));
     }
 
@@ -425,7 +437,8 @@ mod tests {
 
     #[test]
     fn empty_iopaths_all_no_arc() {
-        let lut = build_delay_lut(&pins(&["A", "B"]), 0, &[], TripleSelect::Typ, 1.0).unwrap();
+        let lut =
+            build_delay_lut::<IoPath>(&pins(&["A", "B"]), 0, &[], TripleSelect::Typ, 1.0).unwrap();
         assert_eq!(lut.max_delay(), None);
         assert_eq!(lut.rise_fall_average(), (NO_ARC, NO_ARC));
         assert_eq!(lut.data().len(), 8);

@@ -280,25 +280,6 @@ impl SdfFile {
         let _ = writeln!(out, ")");
         out
     }
-
-    /// All IOPATHs applying to instance `inst` of cell type `celltype`:
-    /// instance-specific entries plus wildcard entries for the type.
-    pub fn iopaths_for<'a>(
-        &'a self,
-        celltype: &'a str,
-        inst: &'a str,
-    ) -> impl Iterator<Item = &'a IoPath> + 'a {
-        self.cells
-            .iter()
-            .filter(move |c| {
-                let inst_match = match &c.instance {
-                    None => true,
-                    Some(s) => s == "*" || s == inst,
-                };
-                inst_match && (c.celltype == celltype || c.celltype == "*")
-            })
-            .flat_map(|c| c.iopaths.iter())
-    }
 }
 
 #[cfg(test)]
@@ -354,37 +335,5 @@ mod tests {
         // Hierarchical instance paths keep everything before the last slash.
         let h = PortPath::parse("top/u2/A");
         assert_eq!(h.instance.as_deref(), Some("top/u2"));
-    }
-
-    #[test]
-    fn iopaths_for_wildcards() {
-        let mut f = SdfFile::new("d");
-        f.cells.push(SdfCell {
-            celltype: "NAND2".into(),
-            instance: None,
-            iopaths: vec![IoPath {
-                cond: None,
-                edge: EdgeSpec::Both,
-                input: "A".into(),
-                output: "Y".into(),
-                rise: DelayTriple::single(1.0),
-                fall: DelayTriple::single(2.0),
-            }],
-        });
-        f.cells.push(SdfCell {
-            celltype: "NAND2".into(),
-            instance: Some("u7".into()),
-            iopaths: vec![IoPath {
-                cond: None,
-                edge: EdgeSpec::Both,
-                input: "B".into(),
-                output: "Y".into(),
-                rise: DelayTriple::single(9.0),
-                fall: DelayTriple::single(9.0),
-            }],
-        });
-        assert_eq!(f.iopaths_for("NAND2", "u1").count(), 1);
-        assert_eq!(f.iopaths_for("NAND2", "u7").count(), 2);
-        assert_eq!(f.iopaths_for("INV", "u1").count(), 0);
     }
 }

@@ -3,7 +3,9 @@
 //! and pass the schema rules of [`gatspi_bench::artifact::validate`], the
 //! known targets must all be present, and per-target tolerance bands must
 //! hold (rates in `[0, 1]`, walls positive, fused launches not above
-//! unfused, and the speculative single-pass schedule at least
+//! unfused, the glitch flow's turnaround at least
+//! `TURNAROUND_SPEEDUP_FLOOR`× the event-driven baseline's, and the
+//! speculative single-pass schedule at least
 //! [`SPEC_SPEEDUP_FLOOR`]× faster than its pinned two-pass reference on
 //! `deep_pipeline_resim`). CI runs this next to `analyze` so a PR cannot
 //! silently regress or rot the artifacts.
@@ -17,6 +19,13 @@ use gatspi_bench::artifact::{self, Json};
 /// measured margin is well above this; the band only has to catch the
 /// optimization being lost, not track its exact size.
 const SPEC_SPEEDUP_FLOOR: f64 = 1.3;
+
+/// Lower bound on `BENCH_glitch_flow.json`'s `turnaround_speedup`
+/// (baseline seconds over GATSPI seconds for the flow's two re-simulations)
+/// — the paper's headline ratio. It slid from 2.96x to 1.05x across earlier
+/// PRs with no gate noticing; the refreshed artifact sits several times
+/// above this floor, which only has to catch the headline being lost again.
+const TURNAROUND_SPEEDUP_FLOOR: f64 = 2.0;
 
 /// Artifacts every checkout must carry — the cross-PR trajectory set.
 const REQUIRED_ARTIFACTS: &[&str] = &[
@@ -118,6 +127,7 @@ fn check_glitch_flow(name: &str, doc: &Json, errors: &mut Vec<String>) {
     };
     band("gates", 1.0, f64::MAX);
     band("gatspi_seconds", f64::MIN_POSITIVE, f64::MAX);
+    band("turnaround_speedup", TURNAROUND_SPEEDUP_FLOOR, f64::MAX);
     band("saving_pct", -100.0, 100.0);
     band("resim_wall_fused", f64::MIN_POSITIVE, f64::MAX);
     band("resim_wall_unfused", f64::MIN_POSITIVE, f64::MAX);
@@ -198,7 +208,7 @@ mod tests {
     fn bench_check_accepts_current_artifact_shapes() {
         let glitch = r#"{
             "target": "glitch_flow", "gates": 3840, "gatspi_seconds": 1.6,
-            "saving_pct": 4.28, "resim_wall_fused": 0.16,
+            "turnaround_speedup": 2.4, "saving_pct": 4.28, "resim_wall_fused": 0.16,
             "resim_wall_unfused": 0.17, "launches_fused": 22,
             "launches_unfused": 116, "speculative_hit_rate": 0.98,
             "overflow_repairs": 3, "predicted_waste_words": 120,
@@ -227,17 +237,19 @@ mod tests {
 
     #[test]
     fn bench_check_rejects_band_violations() {
-        // Hit rate above 1 and a negative wall are both out of band.
+        // Hit rate above 1, a negative wall and a headline speedup under
+        // the floor are all out of band.
         let glitch = r#"{
             "target": "glitch_flow", "gates": 3840, "gatspi_seconds": 0.0,
-            "saving_pct": 4.28, "resim_wall_fused": 0.16,
+            "turnaround_speedup": 1.05, "saving_pct": 4.28, "resim_wall_fused": 0.16,
             "resim_wall_unfused": 0.17, "launches_fused": 200,
             "launches_unfused": 116, "speculative_hit_rate": 1.5,
             "overflow_repairs": 3, "predicted_waste_words": 120,
             "oom_retries": -1
         }"#;
         let errs = check_artifact("g.json", glitch);
-        assert_eq!(errs.len(), 4, "{errs:?}");
+        assert_eq!(errs.len(), 5, "{errs:?}");
+        assert!(errs.iter().any(|e| e.contains("turnaround_speedup")));
         assert!(errs.iter().any(|e| e.contains("oom_retries")));
         assert!(errs.iter().any(|e| e.contains("speculative_hit_rate")));
         assert!(errs.iter().any(|e| e.contains("gatspi_seconds")));

@@ -21,7 +21,7 @@ use gatspi_workloads::stimuli::{generate, StimulusConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let netlist = mac_datapath(8, 8);
-    let sdf = attach_sdf(&netlist, &SdfGenConfig::default());
+    let mut sdf = attach_sdf(&netlist, &SdfGenConfig::default());
     let cycle = 1200;
     let cycles = 96usize;
     let duration = cycle * cycles as i32;
@@ -47,10 +47,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut by_level: Vec<usize> = (0..graph0.n_gates()).collect();
     by_level.sort_unstable_by_key(|&g| std::cmp::Reverse(graph0.gate_level(g)));
     let changed: Vec<usize> = by_level[..n_changed].to_vec();
-    let mut sdf_eco = sdf.clone();
+    // The edit touches the SDF in place and re-annotates only the resized
+    // gates in a copy of the graph: ECO cost follows the change, not the
+    // design (no second `CircuitGraph::build`).
     for &g in &changed {
         let name = netlist.gate(GateId::from_index(g)).name();
-        for cell in &mut sdf_eco.cells {
+        for cell in &mut sdf.cells {
             if cell.instance.as_deref() == Some(name) {
                 for p in &mut cell.iopaths {
                     for t in [&mut p.rise, &mut p.fall] {
@@ -63,7 +65,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
         }
     }
-    let graph1 = Arc::new(CircuitGraph::build(&netlist, Some(&sdf_eco), &opts)?);
+    let mut graph1 = CircuitGraph::clone(&graph0);
+    graph1.reannotate(&netlist, &sdf, &changed, &opts)?;
+    let graph1 = Arc::new(graph1);
 
     // --- Delta run: only the changed gates' cones re-execute; everything
     // else is reused from the baseline spill.
