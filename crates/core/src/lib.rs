@@ -57,16 +57,11 @@
 //! # Ok(())
 //! # }
 //! ```
-//!
-//! The pre-session one-shot API ([`Gatspi`], [`run_multi_gpu`]) remains as
-//! deprecated shims that delegate to the session and produce bit-identical
-//! results.
 
 #![deny(missing_docs)]
 
 pub mod audit;
 mod config;
-mod engine;
 mod error;
 mod kernel;
 mod multi;
@@ -79,12 +74,9 @@ pub mod sync;
 pub mod verify;
 
 pub use config::{RetryPolicy, SimConfig, SimFeatures, Speculation};
-pub use engine::Gatspi;
 pub use error::CoreError;
 pub use gatspi_gpu::FaultKind;
 pub use kernel::{simulate_gate, GateDesc, GateKernelInput, KernelMode, KernelOutput};
-#[allow(deprecated)]
-pub use multi::run_multi_gpu;
 pub use result::SimResult;
 pub use session::{PlanCacheStats, RunOptions, Session};
 pub use sink::{SaifSink, VcdSink, WaveformSink, WindowInfo};

@@ -18,7 +18,7 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
-use gatspi_gpu::{AppPhaseProfile, Device, DeviceMemory, KernelProfile, LaunchConfig, MultiGpu};
+use gatspi_gpu::{AppPhaseProfile, Device, DeviceMemory, DeviceSpec, KernelProfile, LaunchConfig};
 use gatspi_graph::CircuitGraph;
 use gatspi_sdf::NO_ARC;
 use gatspi_wave::saif::{SaifDocument, SaifRecord};
@@ -180,7 +180,7 @@ struct PlanCache {
     /// tick). The signature is an order-independent hash of the changed
     /// gate set; `ConePlan::changed` is compared on every hit, so a
     /// colliding set rebuilds instead of silently reusing the wrong plan.
-    cones: HashMap<(usize, usize, u64), (Arc<ConePlan>, u64)>,
+    cones: HashMap<(usize, usize, u64), (ConePlan, u64)>,
     /// Monotonic access counter stamping recency.
     tick: u64,
     hits: u64,
@@ -348,6 +348,122 @@ pub(crate) struct WindowBatch {
     /// Arena words reserved by speculative budgets beyond what the stored
     /// waveforms needed (hit slack plus abandoned overflow reservations).
     pub spec_waste_words: u64,
+}
+
+/// What one run feeds every segment it executes
+/// ([`Session::execute_segment`]): the run's window partition, the
+/// restructured stimulus per window, and — for an incremental run — the
+/// cone that selects the plan, the stimulus source and the drain filter.
+pub(crate) struct SegmentInputs<'a> {
+    pub windows: &'a [(SimTime, SimTime)],
+    /// Per window: every primary input's waveform (full run), or the cone
+    /// boundary's primary-input subset in boundary order (incremental run).
+    pub stims: &'a [Vec<Waveform>],
+    pub fuse_threshold: usize,
+    /// `Some` for an incremental run: segments execute the cone sub-plan on
+    /// [`BatchStimulus::Boundary`] and drain in-cone signals only.
+    pub cone: Option<ConeInputs<'a>>,
+}
+
+/// The incremental half of [`SegmentInputs`].
+pub(crate) struct ConeInputs<'a> {
+    signature: u64,
+    changed: &'a [bool],
+    cone: &'a Arc<ConeInfo>,
+    /// The previous run's sealed spill (gate-driven boundary stimulus).
+    spill: &'a SpillSink,
+}
+
+/// One run's totals, folded from every executed [`WindowBatch`]. Allocated
+/// once per run; [`RunTotals::absorb`] is the only place batch counters are
+/// summed and [`RunTotals::app_profile`] the only place an
+/// [`AppPhaseProfile`] is built, so every run path reports the same fields
+/// the same way.
+pub(crate) struct RunTotals {
+    pub tc: Vec<u64>,
+    pub t0: Vec<i64>,
+    pub t1: Vec<i64>,
+    pub profile: KernelProfile,
+    /// Batches absorbed so far — the run's memory-segment count.
+    pub segments: usize,
+    /// Fault-recovery counters, bumped from whichever thread retried.
+    pub telemetry: RetryTelemetry,
+    spec_threads: u64,
+    /// The summed per-batch counters, kept in the profile fields they are
+    /// reported as; [`RunTotals::app_profile`] fills in the rest.
+    counters: AppPhaseProfile,
+}
+
+impl RunTotals {
+    pub fn new(n_signals: usize, kernel_name: &str) -> Self {
+        RunTotals {
+            tc: vec![0; n_signals],
+            t0: vec![0; n_signals],
+            t1: vec![0; n_signals],
+            profile: KernelProfile::empty(kernel_name),
+            segments: 0,
+            telemetry: RetryTelemetry::new(),
+            spec_threads: 0,
+            counters: AppPhaseProfile::default(),
+        }
+    }
+
+    /// Folds one finished segment in: its batch, the D2H batches its drain
+    /// issued and the drain's measured seconds.
+    pub fn absorb(&mut self, batch: &WindowBatch, drained: u64, drain_s: f64) {
+        for s in 0..self.tc.len() {
+            self.tc[s] += batch.tc[s];
+            self.t0[s] += batch.t0[s];
+            self.t1[s] += batch.t1[s];
+        }
+        self.profile.accumulate(&batch.kernel_profile);
+        self.segments += 1;
+        self.spec_threads += batch.spec_threads;
+        let c = &mut self.counters;
+        c.launches += batch.launches;
+        c.fused_launches += batch.fused_launches;
+        c.dump_seconds += batch.dump_wait_seconds;
+        c.dump_stall_seconds += batch.dump_stall_seconds;
+        c.drain_seconds += drain_s;
+        c.d2h_batches += drained;
+        c.overflow_repairs += batch.spec_overflows;
+        c.predicted_waste_words += batch.spec_waste_words;
+    }
+
+    /// The run's application-phase profile. `devices` is how many devices
+    /// executed the run concurrently: their uploads and launch overheads
+    /// overlap, so both divide by it, while the sink drain walks the devices
+    /// one after another and the modeled readback does not. `h2d_bytes` /
+    /// `d2h_bytes` are the transfer counters summed over those devices;
+    /// modeled kernel time is `self.profile.modeled_seconds`.
+    pub fn app_profile(
+        &self,
+        spec: &DeviceSpec,
+        devices: usize,
+        h2d_bytes: u64,
+        d2h_bytes: u64,
+        restructure_seconds: f64,
+    ) -> AppPhaseProfile {
+        let (c, telemetry) = (&self.counters, &self.telemetry);
+        let devices = devices.max(1) as f64;
+        let sync_launch_seconds = c.launches as f64 / devices * spec.launch_overhead;
+        AppPhaseProfile {
+            h2d_seconds: h2d_bytes as f64 / (spec.pcie_bw * devices),
+            readback_seconds: d2h_bytes as f64 / spec.pcie_bw,
+            sync_launch_seconds,
+            kernel_seconds: (self.profile.modeled_seconds - sync_launch_seconds).max(0.0),
+            restructure_seconds,
+            h2d_bytes,
+            d2h_bytes,
+            speculative_hit_rate: spec_hit_rate(self.spec_threads, c.overflow_repairs),
+            faults_injected: telemetry.faults(),
+            segment_retries: telemetry.retries(),
+            failovers: telemetry.failovers(),
+            backoff_seconds: telemetry.backoff_seconds(),
+            oom_retries: telemetry.oom_retries(),
+            ..*c
+        }
+    }
 }
 
 impl Session {
@@ -532,7 +648,7 @@ impl Session {
         signature: u64,
         changed: &[bool],
         cone: &Arc<ConeInfo>,
-    ) -> Arc<ConePlan> {
+    ) -> Arc<LevelSchedule> {
         let key = (nw, fuse_threshold, signature);
         let mut cache = self.plans.lock().unwrap_or_else(|e| e.into_inner());
         cache.tick += 1;
@@ -540,10 +656,10 @@ impl Session {
         if let Some((p, stamp)) = cache.cones.get_mut(&key) {
             if p.changed == changed {
                 *stamp = tick;
-                let p = Arc::clone(p);
+                let schedule = Arc::clone(&p.schedule);
                 cache.cone_hits += 1;
-                self.apply_spec_seed(&p.schedule);
-                return p;
+                self.apply_spec_seed(&schedule);
+                return schedule;
             }
         }
         cache.cone_misses += 1;
@@ -566,12 +682,12 @@ impl Session {
             cone.n_gates,
             "cone sub-schedule covers exactly the cone gates"
         );
-        let p = Arc::new(ConePlan {
-            schedule,
+        let p = ConePlan {
+            schedule: Arc::clone(&schedule),
             cone: Arc::clone(cone),
             changed: changed.to_vec(),
-        });
-        cache.cones.insert(key, (Arc::clone(&p), tick));
+        };
+        cache.cones.insert(key, (p, tick));
         let cap = self.config.plan_cache_cap;
         if cap > 0 && cache.cones.len() > cap {
             let lru = cache
@@ -584,7 +700,7 @@ impl Session {
                 cache.evictions += 1;
             }
         }
-        p
+        schedule
     }
 
     /// Takes a scratch arena from the pool or allocates one. Selection is
@@ -766,8 +882,25 @@ impl Session {
         self.run_incremental_inner(prev, changed_gates, stimuli, duration, opts, Some(sink))
     }
 
+    /// The checks every run path makes before any device work.
+    pub(crate) fn check_run_inputs(&self, stimuli: &[Waveform], duration: SimTime) -> Result<()> {
+        let n_pis = self.graph.primary_inputs().len();
+        if stimuli.len() != n_pis {
+            return Err(CoreError::StimulusMismatch {
+                expected: n_pis,
+                got: stimuli.len(),
+            });
+        }
+        if duration < 0 {
+            return Err(CoreError::BadConfig {
+                detail: format!("duration must be non-negative, got {duration}"),
+            });
+        }
+        Ok(())
+    }
+
     /// The incremental engine: cone extraction, delta plan resolution,
-    /// boundary-stimulus batches, cone-filtered drain into a derived
+    /// boundary-stimulus segments with a cone-filtered drain into a derived
     /// spill, and the merge of recomputed activity over `prev`'s.
     fn run_incremental_inner(
         &self,
@@ -780,13 +913,6 @@ impl Session {
     ) -> Result<SimResult> {
         let t_app = Instant::now();
         let device = Arc::clone(&self.device);
-        let n_pis = self.graph.primary_inputs().len();
-        if stimuli.len() != n_pis {
-            return Err(CoreError::StimulusMismatch {
-                expected: n_pis,
-                got: stimuli.len(),
-            });
-        }
         let n_signals = self.graph.n_signals();
         let n_gates = self.graph.n_gates();
         let Some(prev_spill) = prev.spilled.as_ref() else {
@@ -812,6 +938,7 @@ impl Session {
                 ),
             });
         }
+        self.check_run_inputs(stimuli, duration)?;
         let mut changed = vec![false; n_gates];
         for &g in changed_gates {
             if g >= n_gates {
@@ -851,104 +978,29 @@ impl Session {
         let pi_stims = self.restructure(&boundary_pi_stims, &windows, device.workers());
         let restructure_seconds = t0.elapsed().as_secs_f64();
 
-        let mut tc = vec![0u64; n_signals];
-        let mut t0_acc = vec![0i64; n_signals];
-        let mut t1_acc = vec![0i64; n_signals];
-        let mut profile = KernelProfile::empty("resim_cone");
-        let mut launches = 0u64;
-        let mut fused_launches = 0u64;
-        let mut dump_wait = 0.0f64;
-        let mut dump_stall = 0.0f64;
-        let mut drain_seconds = 0.0f64;
-        let mut d2h_batches = 0u64;
-        let mut spec_threads = 0u64;
-        let mut spec_overflows = 0u64;
-        let mut spec_waste = 0u64;
+        let mut totals = RunTotals::new(n_signals, "resim_cone");
         // The result's spill derives from prev: shared frozen chunks,
         // every pointer carried over; only recomputed cone signals land in
         // the new tail. Always on — it is what makes chained incremental
         // runs (and out-of-cone waveform reads) work.
         let mut spill = SpillSink::derived(prev_spill);
-        let mut segments = 0usize;
-        let mut i = 0usize;
-        let mut chunk = opts
-            .segment_windows
-            .unwrap_or(windows.len())
-            .clamp(1, windows.len().max(1));
-        let telemetry = RetryTelemetry::new();
-        while i < windows.len() {
-            let end = (i + chunk).min(windows.len());
-            let plan = self.cone_plan(end - i, fuse_threshold, signature, &changed, &cone);
-            let scratch = self.acquire_scratch(&plan.schedule);
-            // One attempt = run the batch AND deliver it to the sinks: the
-            // drain reads everything back before feeding any sink, so a
-            // fault anywhere in the attempt leaves the sinks untouched and
-            // the segment re-runs whole — delivery stays exactly-once and
-            // bit-identical under retries.
-            let mut first_attempt = true;
-            let attempt = self.with_retry(0, &telemetry, || {
-                if !first_attempt {
-                    // A faulted attempt abandoned the batch mid-flight;
-                    // scrub its partial writes before re-running.
-                    scratch.reset((end - i) * n_signals);
-                }
-                first_attempt = false;
-                let batch = self.run_window_batch(
-                    &device,
-                    &plan.schedule,
-                    &scratch,
-                    &windows[i..end],
-                    BatchStimulus::Boundary {
-                        spill: prev_spill,
-                        boundary: &cone.boundary,
-                        pi_stims: &pi_stims[i..end],
-                        window_base: i,
-                    },
-                )?;
-                let mut sinks: Vec<&mut dyn WaveformSink> = vec![&mut spill];
-                if let Some(us) = user_sink.as_mut() {
-                    sinks.push(&mut **us);
-                }
-                let t_drain = Instant::now();
-                let drained = self.drain_segment(
-                    &device,
-                    &batch,
-                    segments,
-                    i,
-                    &[],
-                    Some(&cone.sigs),
-                    &mut sinks,
-                );
-                Ok((batch, drained, t_drain.elapsed().as_secs_f64()))
-            });
-            self.release_scratch(scratch);
-            match attempt {
-                Ok((batch, drained, drain_s)) => {
-                    for s in 0..n_signals {
-                        tc[s] += batch.tc[s];
-                        t0_acc[s] += batch.t0[s];
-                        t1_acc[s] += batch.t1[s];
-                    }
-                    profile.accumulate(&batch.kernel_profile);
-                    launches += batch.launches;
-                    fused_launches += batch.fused_launches;
-                    dump_wait += batch.dump_wait_seconds;
-                    dump_stall += batch.dump_stall_seconds;
-                    spec_threads += batch.spec_threads;
-                    spec_overflows += batch.spec_overflows;
-                    spec_waste += batch.spec_waste_words;
-                    d2h_batches += drained;
-                    drain_seconds += drain_s;
-                    segments += 1;
-                    i = end;
-                }
-                Err(CoreError::OutOfMemory { .. }) if chunk > 1 => {
-                    telemetry.oom_retry();
-                    chunk = chunk.div_ceil(2);
-                }
-                Err(e) => return Err(e),
-            }
+        let inputs = SegmentInputs {
+            windows: &windows,
+            stims: &pi_stims,
+            fuse_threshold,
+            cone: Some(ConeInputs {
+                signature,
+                changed: &changed,
+                cone: &cone,
+                spill: prev_spill,
+            }),
+        };
+        let mut sinks: Vec<&mut dyn WaveformSink> = vec![&mut spill];
+        if let Some(us) = user_sink.as_mut() {
+            sinks.push(&mut **us);
         }
+        let chunk = opts.segment_windows.unwrap_or(windows.len());
+        self.run_segments(&device, &inputs, chunk, &mut totals, &mut sinks, drop)?;
         spill.seal();
 
         // Merge: recomputed cone signals overwrite prev's activity;
@@ -956,61 +1008,42 @@ impl Session {
         // over untouched (same stimulus, same out-of-cone waveforms).
         let mut saif = prev.saif.clone();
         let mut toggle_counts = prev.toggle_counts.clone();
-        for s in 0..n_signals {
+        for (s, count) in toggle_counts.iter_mut().enumerate() {
             if !cone.sigs[s] {
                 continue;
             }
-            toggle_counts[s] = tc[s];
+            *count = totals.tc[s];
             let sid = gatspi_graph::SignalId(s as u32);
             saif.nets.insert(
                 self.graph.signal_name(sid).to_string(),
                 SaifRecord {
-                    t0: t0_acc[s],
-                    t1: t1_acc[s],
+                    t0: totals.t0[s],
+                    t1: totals.t1[s],
                     tx: 0,
-                    tc: tc[s],
+                    tc: totals.tc[s],
                     ig: 0,
                 },
             );
         }
 
-        let spec = device.spec();
         // The graph topology is already resident from the full run — the
         // delta run's H2D is just the boundary stimulus.
-        let h2d_bytes = device.memory().h2d_bytes();
-        let d2h_bytes = device.memory().d2h_bytes();
-        let sync_launch_seconds = launches as f64 * spec.launch_overhead;
-        let app_profile = AppPhaseProfile {
-            h2d_seconds: h2d_bytes as f64 / spec.pcie_bw,
-            readback_seconds: d2h_bytes as f64 / spec.pcie_bw,
-            sync_launch_seconds,
-            kernel_seconds: (profile.modeled_seconds - sync_launch_seconds).max(0.0),
+        let mem = device.memory();
+        let app_profile = totals.app_profile(
+            device.spec(),
+            1,
+            mem.h2d_bytes(),
+            mem.d2h_bytes(),
             restructure_seconds,
-            dump_seconds: dump_wait,
-            dump_stall_seconds: dump_stall,
-            drain_seconds,
-            d2h_batches,
-            launches,
-            fused_launches,
-            h2d_bytes,
-            d2h_bytes,
-            speculative_hit_rate: spec_hit_rate(spec_threads, spec_overflows),
-            overflow_repairs: spec_overflows,
-            predicted_waste_words: spec_waste,
-            faults_injected: telemetry.faults(),
-            segment_retries: telemetry.retries(),
-            failovers: 0,
-            backoff_seconds: telemetry.backoff_seconds(),
-            oom_retries: telemetry.oom_retries(),
-        };
+        );
         Ok(SimResult {
             saif,
-            kernel_profile: profile,
+            kernel_profile: totals.profile,
             app_profile,
             wall_seconds: t_app.elapsed().as_secs_f64(),
             toggle_counts,
             duration,
-            segments: segments.max(1),
+            segments: totals.segments.max(1),
             extraction: None,
             spilled: Some(spill),
         })
@@ -1030,62 +1063,16 @@ impl Session {
         duration: SimTime,
         threads: usize,
     ) -> Result<SimResult> {
-        self.run_cpu_with(stimuli, duration, threads, &RunOptions::default())
-    }
-
-    /// [`Session::run_cpu`] with explicit [`RunOptions`] (spill, forced
-    /// segmentation and fuse-threshold override work identically to
-    /// device runs).
-    ///
-    /// # Errors
-    ///
-    /// As [`Session::run`].
-    pub fn run_cpu_with(
-        &self,
-        stimuli: &[Waveform],
-        duration: SimTime,
-        threads: usize,
-        opts: &RunOptions,
-    ) -> Result<SimResult> {
         let device = Arc::new(Device::with_workers(
             self.config.device.clone(),
             self.config.memory_words,
             threads,
         ));
-        self.run_inner(&device, stimuli, duration, opts, None)
-    }
-
-    /// Full application run on an explicit device with default options.
-    ///
-    /// # Errors
-    ///
-    /// As [`Session::run`].
-    pub fn run_on_device(
-        &self,
-        device: Arc<Device>,
-        stimuli: &[Waveform],
-        duration: SimTime,
-    ) -> Result<SimResult> {
         self.run_inner(&device, stimuli, duration, &RunOptions::default(), None)
     }
 
-    /// [`Session::run_on_device`] with explicit [`RunOptions`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Session::run`].
-    pub fn run_on_device_with(
-        &self,
-        device: Arc<Device>,
-        stimuli: &[Waveform],
-        duration: SimTime,
-        opts: &RunOptions,
-    ) -> Result<SimResult> {
-        self.run_inner(&device, stimuli, duration, opts, None)
-    }
-
-    /// The engine proper: restructure, segment, execute batches against
-    /// cached plans, route outputs through the configured sinks.
+    /// The full-run engine: restructure, execute every segment against
+    /// cached plans with the configured sinks, assemble SAIF.
     fn run_inner(
         &self,
         device: &Arc<Device>,
@@ -1095,13 +1082,7 @@ impl Session {
         mut user_sink: Option<&mut dyn WaveformSink>,
     ) -> Result<SimResult> {
         let t_app = Instant::now();
-        let n_pis = self.graph.primary_inputs().len();
-        if stimuli.len() != n_pis {
-            return Err(CoreError::StimulusMismatch {
-                expected: n_pis,
-                got: stimuli.len(),
-            });
-        }
+        self.check_run_inputs(stimuli, duration)?;
         device.memory().reset_counters();
         // New arena generation: any earlier device-backed result on this
         // device now reports StaleExtraction instead of reading our data.
@@ -1114,161 +1095,67 @@ impl Session {
         let win_stims = self.restructure(stimuli, &windows, device.workers());
         let restructure_seconds = t0.elapsed().as_secs_f64();
 
-        // --- Adaptive segmentation over windows.
+        // --- Adaptive segmentation over windows. (The spill is drained
+        // even for runs that fit in one segment: its contract is a durable
+        // host copy that outlives later runs on this session's device.)
         let n_signals = self.graph.n_signals();
-        let mut tc = vec![0u64; n_signals];
-        let mut t0_acc = vec![0i64; n_signals];
-        let mut t1_acc = vec![0i64; n_signals];
-        let mut profile = KernelProfile::empty("resim");
-        let mut launches = 0u64;
-        let mut fused_launches = 0u64;
-        let mut dump_wait = 0.0f64;
-        let mut dump_stall = 0.0f64;
-        let mut drain_seconds = 0.0f64;
-        let mut d2h_batches = 0u64;
-        let mut spec_threads = 0u64;
-        let mut spec_overflows = 0u64;
-        let mut spec_waste = 0u64;
-        let mut extraction: Option<ExtractionState> = None;
+        let mut totals = RunTotals::new(n_signals, "resim");
         let mut spill = opts.spill_waveforms.then(|| SpillSink::new(n_signals));
-        let mut segments = 0usize;
-        let mut i = 0usize;
+        let inputs = SegmentInputs {
+            windows: &windows,
+            stims: &win_stims,
+            fuse_threshold,
+            cone: None,
+        };
+        let mut sinks: Vec<&mut dyn WaveformSink> = Vec::new();
+        if let Some(sp) = spill.as_mut() {
+            sinks.push(sp);
+        }
+        if let Some(us) = user_sink.as_mut() {
+            sinks.push(&mut **us);
+        }
         // Start from the caller's cap, or from the segment size that last
         // worked for this shape (skipping the OOM halving re-probe — and
         // its wasted stimulus uploads — on every repeat run).
-        let mut chunk = opts
+        let chunk = opts
             .segment_windows
             .or_else(|| self.segment_hint(windows.len(), fuse_threshold))
-            .unwrap_or(windows.len())
-            .clamp(1, windows.len());
-        let telemetry = RetryTelemetry::new();
-        while i < windows.len() {
-            let end = (i + chunk).min(windows.len());
-            let plan = self.plan(end - i, fuse_threshold);
-            let scratch = self.acquire_scratch(&plan);
-            // One attempt = run the batch AND route the finished segment
-            // through the active sinks before the arena is recycled. (The
-            // spill is drained even for runs that fit in one segment: its
-            // contract is a durable host copy that outlives later runs on
-            // this session's device.) The drain reads everything back
-            // before feeding any sink, so a fault anywhere in the attempt
-            // leaves the sinks untouched and the segment re-runs whole —
-            // delivery stays exactly-once and bit-identical under retries.
-            let mut first_attempt = true;
-            let attempt = self.with_retry(0, &telemetry, || {
-                if !first_attempt {
-                    // A faulted attempt abandoned the batch mid-flight;
-                    // scrub its partial writes before re-running.
-                    scratch.reset((end - i) * n_signals);
-                }
-                first_attempt = false;
-                let batch = self.run_window_batch(
-                    device,
-                    &plan,
-                    &scratch,
-                    &windows[i..end],
-                    BatchStimulus::Full(&win_stims[i..end]),
-                )?;
-                let mut sinks: Vec<&mut dyn WaveformSink> = Vec::new();
-                if let Some(sp) = spill.as_mut() {
-                    sinks.push(sp);
-                }
-                if let Some(us) = user_sink.as_mut() {
-                    sinks.push(&mut **us);
-                }
-                let mut drained = 0u64;
-                let mut drain_s = 0.0f64;
-                if !sinks.is_empty() {
-                    let t_drain = Instant::now();
-                    drained = self.drain_segment(
-                        device,
-                        &batch,
-                        segments,
-                        i,
-                        &win_stims[i..end],
-                        None,
-                        &mut sinks,
-                    );
-                    drain_s = t_drain.elapsed().as_secs_f64();
-                }
-                Ok((batch, drained, drain_s))
-            });
-            self.release_scratch(scratch);
-            match attempt {
-                Ok((batch, drained, drain_s)) => {
-                    for s in 0..n_signals {
-                        tc[s] += batch.tc[s];
-                        t0_acc[s] += batch.t0[s];
-                        t1_acc[s] += batch.t1[s];
-                    }
-                    profile.accumulate(&batch.kernel_profile);
-                    launches += batch.launches;
-                    fused_launches += batch.fused_launches;
-                    dump_wait += batch.dump_wait_seconds;
-                    dump_stall += batch.dump_stall_seconds;
-                    spec_threads += batch.spec_threads;
-                    spec_overflows += batch.spec_overflows;
-                    spec_waste += batch.spec_waste_words;
-                    d2h_batches += drained;
-                    drain_seconds += drain_s;
-                    extraction = Some(ExtractionState {
-                        device: Arc::clone(device),
-                        ptrs: batch.ptrs,
-                        windows: batch.windows,
-                        n_signals,
-                        epoch,
-                    });
-                    segments += 1;
-                    i = end;
-                }
-                Err(CoreError::OutOfMemory { .. }) if chunk > 1 => {
-                    telemetry.oom_retry();
-                    chunk = chunk.div_ceil(2);
-                }
-                Err(e) => return Err(e),
-            }
-        }
+            .unwrap_or(windows.len());
+        let mut extraction = None;
+        let chunk =
+            self.run_segments(device, &inputs, chunk, &mut totals, &mut sinks, |batch| {
+                extraction = Some(ExtractionState {
+                    device: Arc::clone(device),
+                    ptrs: batch.ptrs,
+                    windows: batch.windows,
+                    n_signals,
+                    epoch,
+                })
+            })?;
         if opts.segment_windows.is_none() && chunk < windows.len() {
             self.record_segment_hint(windows.len(), fuse_threshold, chunk);
         }
 
         // --- Assemble SAIF and result.
-        let (saif, toggle_counts) = self.assemble_saif(stimuli, duration, &tc, &t0_acc, &t1_acc);
-        let spec = device.spec();
-        let h2d_bytes = device.memory().h2d_bytes() + self.graph.device_bytes();
+        let (saif, toggle_counts) =
+            self.assemble_saif(stimuli, duration, &totals.tc, &totals.t0, &totals.t1);
         // D2H traffic is exactly the sink/spill waveform readback (the
         // SAIF scan and extraction read device memory in place).
-        let d2h_bytes = device.memory().d2h_bytes();
-        let sync_launch_seconds = launches as f64 * spec.launch_overhead;
-        let app_profile = AppPhaseProfile {
-            h2d_seconds: h2d_bytes as f64 / spec.pcie_bw,
-            readback_seconds: d2h_bytes as f64 / spec.pcie_bw,
-            sync_launch_seconds,
-            kernel_seconds: (profile.modeled_seconds - sync_launch_seconds).max(0.0),
+        let mem = device.memory();
+        let app_profile = totals.app_profile(
+            device.spec(),
+            1,
+            mem.h2d_bytes() + self.graph.device_bytes(),
+            mem.d2h_bytes(),
             restructure_seconds,
-            dump_seconds: dump_wait,
-            dump_stall_seconds: dump_stall,
-            drain_seconds,
-            d2h_batches,
-            launches,
-            fused_launches,
-            h2d_bytes,
-            d2h_bytes,
-            speculative_hit_rate: spec_hit_rate(spec_threads, spec_overflows),
-            overflow_repairs: spec_overflows,
-            predicted_waste_words: spec_waste,
-            faults_injected: telemetry.faults(),
-            segment_retries: telemetry.retries(),
-            failovers: 0,
-            backoff_seconds: telemetry.backoff_seconds(),
-            oom_retries: telemetry.oom_retries(),
-        };
+        );
         if let Some(sp) = spill.as_mut() {
             sp.seal();
         }
+        let segments = totals.segments;
         Ok(SimResult {
             saif,
-            kernel_profile: profile,
+            kernel_profile: totals.profile,
             app_profile,
             wall_seconds: t_app.elapsed().as_secs_f64(),
             toggle_counts,
@@ -1284,6 +1171,116 @@ impl Session {
             },
             spilled: spill,
         })
+    }
+
+    /// The window loop every single-device run shares: executes
+    /// `inputs.windows` in segments of at most `chunk` windows, halving the
+    /// segment size whenever one does not fit the device arena (the paper's
+    /// "compile the testbench into shorter segments" fallback). Every
+    /// finished segment is folded into `totals` and its batch then handed to
+    /// `finished` (a full run keeps the pointer table for device-resident
+    /// extraction; everything else is dropped there). Returns the segment
+    /// size the run settled on.
+    fn run_segments(
+        &self,
+        device: &Device,
+        inputs: &SegmentInputs<'_>,
+        chunk: usize,
+        totals: &mut RunTotals,
+        sinks: &mut [&mut dyn WaveformSink],
+        mut finished: impl FnMut(WindowBatch),
+    ) -> Result<usize> {
+        let n = inputs.windows.len();
+        let mut chunk = chunk.clamp(1, n.max(1));
+        let mut i = 0usize;
+        while i < n {
+            let end = (i + chunk).min(n);
+            let (telemetry, segment) = (&totals.telemetry, totals.segments);
+            match self.execute_segment(device, 0, telemetry, inputs, i..end, segment, sinks) {
+                Ok((batch, drained, drain_s)) => {
+                    totals.absorb(&batch, drained, drain_s);
+                    finished(batch);
+                    i = end;
+                }
+                Err(CoreError::OutOfMemory { .. }) if chunk > 1 => {
+                    totals.telemetry.oom_retry();
+                    chunk = chunk.div_ceil(2);
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(chunk)
+    }
+
+    /// Executes one memory segment — windows `range` of the run — on
+    /// `device`: resolves the plan, takes a scratch arena, and runs the
+    /// batch *and* its delivery to `sinks` as one retried attempt. The drain
+    /// reads everything back before feeding any sink, so a fault anywhere in
+    /// the attempt leaves the sinks untouched and the segment re-runs whole
+    /// — delivery stays exactly-once and bit-identical under retries.
+    /// Returns the batch, the D2H batches its drain issued and the drain's
+    /// measured seconds (both zero when `sinks` is empty).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn execute_segment(
+        &self,
+        device: &Device,
+        device_index: usize,
+        telemetry: &RetryTelemetry,
+        inputs: &SegmentInputs<'_>,
+        range: Range<usize>,
+        segment: usize,
+        sinks: &mut [&mut dyn WaveformSink],
+    ) -> Result<(WindowBatch, u64, f64)> {
+        let nw = range.len();
+        let cone = inputs.cone.as_ref();
+        let windows = &inputs.windows[range.clone()];
+        let stims = &inputs.stims[range.clone()];
+        // A cone-filtered drain never covers primary inputs, so it needs no
+        // stimulus windows.
+        let (plan, drain_stims, only) = match cone {
+            Some(c) => (
+                self.cone_plan(nw, inputs.fuse_threshold, c.signature, c.changed, c.cone),
+                &[][..],
+                Some(&c.cone.sigs[..]),
+            ),
+            None => (self.plan(nw, inputs.fuse_threshold), stims, None),
+        };
+        let scratch = self.acquire_scratch(&plan);
+        let mut first_attempt = true;
+        let attempt = self.with_retry(device_index, telemetry, || {
+            if !first_attempt {
+                // A faulted attempt abandoned the batch mid-flight;
+                // scrub its partial writes before re-running.
+                scratch.reset(nw * self.graph.n_signals());
+            }
+            first_attempt = false;
+            let stim = match cone {
+                Some(c) => BatchStimulus::Boundary {
+                    spill: c.spill,
+                    boundary: &c.cone.boundary,
+                    pi_stims: stims,
+                    window_base: range.start,
+                },
+                None => BatchStimulus::Full(stims),
+            };
+            let batch = self.run_window_batch(device, &plan, &scratch, windows, stim)?;
+            if sinks.is_empty() {
+                return Ok((batch, 0, 0.0));
+            }
+            let t_drain = Instant::now();
+            let drained = self.drain_segment(
+                device,
+                &batch,
+                segment,
+                range.start,
+                drain_stims,
+                only,
+                sinks,
+            );
+            Ok((batch, drained, t_drain.elapsed().as_secs_f64()))
+        });
+        self.release_scratch(scratch);
+        attempt
     }
 
     /// Splits `[0, duration)` into up to `slots` windows aligned to
@@ -2153,7 +2150,7 @@ impl Session {
     /// in the derived spill). When set, primary-input windows are skipped
     /// entirely, so `win_stims` may be empty.
     #[allow(clippy::too_many_arguments)]
-    fn drain_segment(
+    pub(crate) fn drain_segment(
         &self,
         device: &Device,
         batch: &WindowBatch,
@@ -2339,7 +2336,7 @@ fn panic_to_error(device: usize, payload: Box<dyn std::any::Any + Send>) -> Core
 /// Fault-recovery counters for one run, shared across the threads of a
 /// multi-GPU fleet; drained into [`AppPhaseProfile`] when the run ends.
 #[derive(Debug)]
-struct RetryTelemetry {
+pub(crate) struct RetryTelemetry {
     faults: AtomicU64,
     retries: AtomicU64,
     oom_retries: AtomicU64,
@@ -2348,7 +2345,7 @@ struct RetryTelemetry {
 }
 
 impl RetryTelemetry {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         RetryTelemetry {
             faults: AtomicU64::new(0),
             retries: AtomicU64::new(0),
@@ -2358,76 +2355,47 @@ impl RetryTelemetry {
         }
     }
 
-    fn fault(&self) {
+    pub(crate) fn fault(&self) {
         // relaxed-ok: pure statistics — incremented on whichever thread
         // observed the event, read after every worker joined.
         self.faults.fetch_add(1, Ordering::Relaxed);
     }
-    fn retry(&self) {
+    pub(crate) fn retry(&self) {
         // relaxed-ok: see `fault`.
         self.retries.fetch_add(1, Ordering::Relaxed);
     }
-    fn oom_retry(&self) {
+    pub(crate) fn oom_retry(&self) {
         // relaxed-ok: see `fault`.
         self.oom_retries.fetch_add(1, Ordering::Relaxed);
     }
-    fn failover(&self) {
+    pub(crate) fn failover(&self) {
         // relaxed-ok: see `fault`.
         self.failovers.fetch_add(1, Ordering::Relaxed);
     }
-    fn add_backoff(&self, seconds: f64) {
+    pub(crate) fn add_backoff(&self, seconds: f64) {
         // relaxed-ok: see `fault`.
         self.backoff_nanos
             .fetch_add((seconds * 1e9) as u64, Ordering::Relaxed);
     }
-    fn faults(&self) -> u64 {
+    pub(crate) fn faults(&self) -> u64 {
         // relaxed-ok: see `fault`.
         self.faults.load(Ordering::Relaxed)
     }
-    fn retries(&self) -> u64 {
+    pub(crate) fn retries(&self) -> u64 {
         // relaxed-ok: see `fault`.
         self.retries.load(Ordering::Relaxed)
     }
-    fn oom_retries(&self) -> u64 {
+    pub(crate) fn oom_retries(&self) -> u64 {
         // relaxed-ok: see `fault`.
         self.oom_retries.load(Ordering::Relaxed)
     }
-    fn failovers(&self) -> u64 {
+    pub(crate) fn failovers(&self) -> u64 {
         // relaxed-ok: see `fault`.
         self.failovers.load(Ordering::Relaxed)
     }
-    fn backoff_seconds(&self) -> f64 {
+    pub(crate) fn backoff_seconds(&self) -> f64 {
         // relaxed-ok: see `fault`.
         self.backoff_nanos.load(Ordering::Relaxed) as f64 * 1e-9
-    }
-}
-
-/// Failover work queue: the window sub-ranges a dead device left behind,
-/// claimed by survivor threads through a single atomic cursor. Each
-/// `claim` hands out a distinct range (or `None` once the queue is dry),
-/// so a range is re-executed by exactly one survivor — model test
-/// `failover_ranges_claimed_exactly_once` explores the handoff.
-struct ShardQueue {
-    /// Absolute `(start_window, count)` ranges, immutable once built.
-    ranges: Vec<(usize, usize)>,
-    /// Next unclaimed index.
-    next: AtomicUsize,
-}
-
-impl ShardQueue {
-    fn new(ranges: Vec<(usize, usize)>) -> Self {
-        ShardQueue {
-            ranges,
-            next: AtomicUsize::new(0),
-        }
-    }
-
-    fn claim(&self) -> Option<(usize, usize)> {
-        // relaxed-ok: the cursor only partitions immutable ranges among
-        // claimants — each fetch_add returns a unique index, and the
-        // ranges vector itself is published by the thread spawn.
-        let i = self.next.fetch_add(1, Ordering::Relaxed);
-        self.ranges.get(i).copied()
     }
 }
 
@@ -2441,7 +2409,7 @@ impl Session {
     /// sink feed), which is what makes a retried segment exactly-once for
     /// every sink — a faulted attempt has observable effects only on
     /// device byte counters and this telemetry.
-    fn with_retry<T>(
+    pub(crate) fn with_retry<T>(
         &self,
         device_index: usize,
         telemetry: &RetryTelemetry,
@@ -2471,83 +2439,6 @@ impl Session {
                     return Err(e);
                 }
                 other => return other,
-            }
-        }
-    }
-
-    /// Drains one finished multi-GPU shard batch through `sinks`, retrying
-    /// transient readback faults. A fault that survives the retries means
-    /// the batch's waveforms are stranded on a dead device and the whole
-    /// shard must re-run elsewhere — safe, because the drain feeds sinks
-    /// only after every readback completed, so no sink observed any of it.
-    #[allow(clippy::too_many_arguments)]
-    fn drain_shard(
-        &self,
-        device: &Device,
-        device_index: usize,
-        batch: &WindowBatch,
-        start: usize,
-        win_stims: &[Vec<Waveform>],
-        sinks: &mut [&mut dyn WaveformSink],
-        telemetry: &RetryTelemetry,
-    ) -> Result<u64> {
-        if sinks.is_empty() {
-            return Ok(0);
-        }
-        self.with_retry(device_index, telemetry, || {
-            Ok(self.drain_segment(
-                device,
-                batch,
-                device_index,
-                start,
-                win_stims,
-                None,
-                &mut *sinks,
-            ))
-        })
-    }
-
-    /// Replays a reorder buffer's windows `[from_window, ..)` to `sink` in
-    /// ascending (window, signal) order — the exact stream a fault-free
-    /// multi-GPU run would have produced from `from_window` on, with each
-    /// window's segment attributed to the shard that owned it.
-    fn replay_spill(
-        &self,
-        buf: &SpillSink,
-        shards: &[(usize, usize)],
-        from_window: usize,
-        sink: &mut dyn WaveformSink,
-    ) {
-        let n_signals = self.graph.n_signals();
-        let mut segment = 0usize;
-        for w in from_window..buf.windows.len() {
-            while {
-                let (s, c) = shards[segment];
-                c == 0 || w >= s + c
-            } {
-                segment += 1;
-            }
-            let (start, end) = buf.windows[w];
-            let info = WindowInfo {
-                window: w,
-                segment,
-                start,
-                end,
-            };
-            for s in 0..n_signals {
-                let ptr = buf.ptrs[w * n_signals + s];
-                if ptr == u64::MAX {
-                    continue;
-                }
-                // The spill stores each waveform's live words, terminated
-                // at its EOW — exactly what a direct drain would have let
-                // the sink read (ghost words past EOW are never decoded).
-                let raw = buf.slice_from(ptr);
-                let len = raw
-                    .iter()
-                    .position(|&x| x == EOW)
-                    .map_or(raw.len(), |e| e + 1);
-                sink.waveform(s, &info, &raw[..len]);
             }
         }
     }
@@ -3259,468 +3150,13 @@ fn saif_scan(mem: &DeviceMemory, ptr: u32, clip: SimTime) -> (u64, i64, i64) {
     (tc, t0, t1)
 }
 
-/// Runs the simulation across `gpus`, sharding windows evenly — the
-/// paper's cycle-parallel multi-GPU distribution (§5, Fig. 6).
-impl Session {
-    /// Runs the simulation across `gpus`: cycle parallelism is set to
-    /// `cycle_parallelism × n` and every device independently simulates
-    /// its share of windows (no inter-device communication — the known
-    /// sequential-element waveforms make windows fully independent, so
-    /// kernel time follows `t = t₁/n + ovr`).
-    ///
-    /// The launch plan is built **once** per distinct shard window count —
-    /// with even shards, exactly once for the whole run — and shared
-    /// read-only across the devices, instead of each shard re-walking the
-    /// graph.
-    ///
-    /// The merged result reports: modeled kernel time = slowest device
-    /// (they run concurrently), wall time = measured, SAIF/toggles = exact
-    /// sums. Without waveform spill, extraction is not supported on
-    /// multi-GPU results; see [`Session::run_multi_gpu_with`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Session::run`]; additionally propagates the first per-device
-    /// error.
-    pub fn run_multi_gpu(
-        &self,
-        gpus: &MultiGpu,
-        stimuli: &[Waveform],
-        duration: SimTime,
-    ) -> Result<SimResult> {
-        self.run_multi_gpu_with(gpus, stimuli, duration, &RunOptions::default())
-    }
-
-    /// [`Session::run_multi_gpu`] with explicit [`RunOptions`].
-    ///
-    /// [`RunOptions::spill_waveforms`] routes every shard's finished
-    /// batch through the host spill sink — shards cover contiguous window
-    /// ranges, so draining them in device order merges the windows in
-    /// time order — making [`SimResult::waveform`] work on multi-GPU
-    /// results exactly as on segmented single-device runs.
-    /// [`RunOptions::fuse_threshold`] overrides the launch-fusion
-    /// threshold; [`RunOptions::segment_windows`] is ignored (sharding
-    /// already fixes each device's window count).
-    ///
-    /// # Errors
-    ///
-    /// As [`Session::run_multi_gpu`].
-    pub fn run_multi_gpu_with(
-        &self,
-        gpus: &MultiGpu,
-        stimuli: &[Waveform],
-        duration: SimTime,
-        opts: &RunOptions,
-    ) -> Result<SimResult> {
-        self.run_multi_gpu_inner(gpus, stimuli, duration, opts, None)
-    }
-
-    /// Streaming multi-GPU run: every shard's finished waveforms are
-    /// drained through `sink` in device order — shards cover contiguous
-    /// window ranges, so the sink observes windows in ascending
-    /// absolute-time order, exactly like a segmented single-device
-    /// [`Session::run_streaming`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Session::run_multi_gpu`].
-    pub fn run_multi_gpu_streaming(
-        &self,
-        gpus: &MultiGpu,
-        stimuli: &[Waveform],
-        duration: SimTime,
-        opts: &RunOptions,
-        sink: &mut dyn WaveformSink,
-    ) -> Result<SimResult> {
-        self.run_multi_gpu_inner(gpus, stimuli, duration, opts, Some(sink))
-    }
-
-    /// The multi-GPU engine: shard, execute concurrently, merge in device
-    /// (= time) order, routing drained waveforms through the spill and/or
-    /// a caller sink.
-    fn run_multi_gpu_inner(
-        &self,
-        gpus: &MultiGpu,
-        stimuli: &[Waveform],
-        duration: SimTime,
-        opts: &RunOptions,
-        mut user_sink: Option<&mut dyn WaveformSink>,
-    ) -> Result<SimResult> {
-        let t_app = Instant::now();
-        let n_pis = self.graph.primary_inputs().len();
-        if stimuli.len() != n_pis {
-            return Err(CoreError::StimulusMismatch {
-                expected: n_pis,
-                got: stimuli.len(),
-            });
-        }
-        let slots = self.config.cycle_parallelism * gpus.len();
-        let windows = self.make_windows(duration, slots);
-        let shards = gatspi_gpu::shard_slots(windows.len(), gpus.len());
-
-        let t0 = Instant::now();
-        // Host-side restructuring is shared across devices; use the first
-        // device's worker pool as the host thread budget.
-        let win_stims = self.restructure(stimuli, &windows, gpus.device(0).workers());
-        let restructure_seconds = t0.elapsed().as_secs_f64();
-
-        // One plan per distinct shard size, resolved through the session
-        // cache *before* the devices fan out (deterministic build count,
-        // shared read-only across the fleet — failover re-execution hits
-        // the same cache entries).
-        let fuse_threshold = opts.fuse_threshold.unwrap_or(self.config.fuse_threshold);
-        for &(_, count) in &shards {
-            if count > 0 {
-                let _ = self.plan(count, fuse_threshold);
-            }
-        }
-
-        // Reset every device's transfer counters up front — including
-        // devices whose shard is empty this run, whose stale counters
-        // from a previous run on the same `MultiGpu` would otherwise
-        // leak into this run's h2d accounting.
-        for i in 0..gpus.len() {
-            gpus.device(i).memory().reset_counters();
-        }
-
-        let n_signals = self.graph.n_signals();
-
-        // Run each shard on its device concurrently. Each shard thread
-        // catches and retries its own device's faults (bounded by the
-        // session's `RetryPolicy`), so a fault never crosses a scope join
-        // as a raw panic: the outcome is either a finished batch or the
-        // structured error that survived the retries. The same closure
-        // re-executes redistributed sub-shards during failover rounds.
-        let telemetry = RetryTelemetry::new();
-        let run_shard = |device_index: usize, start: usize, count: usize| -> Result<WindowBatch> {
-            let plan = self.plan(count, fuse_threshold);
-            let device = gpus.device(device_index);
-            let scratch = self.acquire_scratch(&plan);
-            let mut first_attempt = true;
-            let r = self.with_retry(device_index, &telemetry, || {
-                if !first_attempt {
-                    // A faulted attempt abandoned the batch mid-flight;
-                    // scrub its partial writes before re-running.
-                    scratch.reset(count * n_signals);
-                }
-                first_attempt = false;
-                self.run_window_batch(
-                    device,
-                    &plan,
-                    &scratch,
-                    &windows[start..start + count],
-                    BatchStimulus::Full(&win_stims[start..start + count]),
-                )
-            });
-            self.release_scratch(scratch);
-            r
-        };
-        let mut outcomes: Vec<Option<Result<WindowBatch>>> = Vec::new();
-        outcomes.resize_with(gpus.len(), || None);
-        crate::sync::thread::scope(|s| {
-            for (slot, (i, &(start, count))) in outcomes.iter_mut().zip(shards.iter().enumerate()) {
-                let run_shard = &run_shard;
-                s.spawn(move |_| {
-                    *slot = (count > 0).then(|| run_shard(i, start, count));
-                });
-            }
-        })
-        // panic-ok: scope join — shard panics are caught per shard; only
-        // a panic outside every shard boundary reaches this join.
-        .expect("multi-gpu scope panicked");
-
-        // Merge — and drain every shard's batch through the active sinks
-        // in device order: shards cover contiguous window ranges, so this
-        // merges the windows in time order. A shard whose device failed
-        // permanently (or exhausted its retries) is queued for failover;
-        // from the first failure on, delivery is diverted away from the
-        // caller's streaming sink into a reorder buffer (failover shards
-        // finish out of window order), and the buffered tail is replayed
-        // to the caller in order at the end — the stream it observes stays
-        // identical to a fault-free run's.
-        let mut tc = vec![0u64; n_signals];
-        let mut t0_acc = vec![0i64; n_signals];
-        let mut t1_acc = vec![0i64; n_signals];
-        let mut profile = KernelProfile::empty("multi-resim");
-        let mut slowest = 0.0f64;
-        let mut launches = 0u64;
-        let mut fused_launches = 0u64;
-        let mut dump_stall = 0.0f64;
-        let mut drain_seconds = 0.0f64;
-        let mut d2h_batches = 0u64;
-        let mut spec_threads = 0u64;
-        let mut spec_overflows = 0u64;
-        let mut spec_waste = 0u64;
-        let mut spill = opts.spill_waveforms.then(|| SpillSink::new(n_signals));
-        let mut h2d_bytes = self.graph.device_bytes() * gpus.len() as u64;
-        let mut devices_used = 0usize;
-        let mut used = vec![false; gpus.len()];
-        let mut dead = vec![false; gpus.len()];
-        let mut pending: Vec<(usize, usize)> = Vec::new();
-        let mut fatal: Option<CoreError> = None;
-        let mut degraded = false;
-        // Windows [0, delivered_upto) were streamed to the caller's sink
-        // before the first failure; the degraded-mode replay resumes there.
-        let mut delivered_upto = 0usize;
-        // Reorder buffer for degraded mode when the run has no spill of
-        // its own (the spill doubles as the buffer otherwise — it accepts
-        // windows in any order).
-        let mut reorder: Option<SpillSink> = None;
-        for (i, o) in outcomes.into_iter().enumerate() {
-            let Some(o) = o else { continue };
-            let (start, count) = shards[i];
-            let batch = match o {
-                Ok(batch) => batch,
-                Err(e @ CoreError::DeviceFault { .. }) => {
-                    dead[i] = true;
-                    degraded = true;
-                    fatal = Some(e);
-                    pending.push((start, count));
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            let deliver_direct = !degraded && user_sink.is_some();
-            let mut sinks: Vec<&mut dyn WaveformSink> = Vec::new();
-            if degraded {
-                if let Some(sp) = spill.as_mut() {
-                    sinks.push(sp);
-                } else if user_sink.is_some() {
-                    sinks.push(reorder.get_or_insert_with(|| SpillSink::new(n_signals)));
-                }
-            } else {
-                if let Some(sp) = spill.as_mut() {
-                    sinks.push(sp);
-                }
-                if let Some(us) = user_sink.as_mut() {
-                    sinks.push(&mut **us);
-                }
-            }
-            let t_drain = Instant::now();
-            match self.drain_shard(
-                gpus.device(i),
-                i,
-                &batch,
-                start,
-                &win_stims[start..start + count],
-                &mut sinks,
-                &telemetry,
-            ) {
-                Ok(drained) => {
-                    drain_seconds += t_drain.elapsed().as_secs_f64();
-                    d2h_batches += drained;
-                    for s in 0..n_signals {
-                        tc[s] += batch.tc[s];
-                        t0_acc[s] += batch.t0[s];
-                        t1_acc[s] += batch.t1[s];
-                    }
-                    slowest = slowest.max(batch.kernel_profile.modeled_seconds);
-                    profile.accumulate(&batch.kernel_profile);
-                    launches += batch.launches;
-                    fused_launches += batch.fused_launches;
-                    dump_stall += batch.dump_stall_seconds;
-                    spec_threads += batch.spec_threads;
-                    spec_overflows += batch.spec_overflows;
-                    spec_waste += batch.spec_waste_words;
-                    if !used[i] {
-                        used[i] = true;
-                        devices_used += 1;
-                    }
-                    if deliver_direct {
-                        delivered_upto = start + count;
-                    }
-                }
-                Err(e @ CoreError::DeviceFault { .. }) => {
-                    // The batch's waveforms are stranded on the dead
-                    // device (nothing was accumulated or delivered);
-                    // re-run the whole shard elsewhere.
-                    dead[i] = true;
-                    degraded = true;
-                    fatal = Some(e);
-                    pending.push((start, count));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-
-        // Failover rounds: redistribute every lost shard across the
-        // survivors against the already-shared schedule. Each round either
-        // completes its sub-shards or kills at least one more device, so
-        // the loop terminates; with no survivors left, the run fails with
-        // the recorded fault.
-        while let Some((lost_start, lost_count)) = pending.pop() {
-            let survivors: Vec<usize> = (0..gpus.len()).filter(|&d| !dead[d]).collect();
-            if survivors.is_empty() {
-                // panic-ok: invariant — a device is marked dead only
-                // after its fault is recorded in `fatal`.
-                return Err(fatal.take().expect("a failover implies a recorded fault"));
-            }
-            telemetry.failover();
-            // One sub-shard per survivor at most: a batch must be drained
-            // before its device's arena can host another, so each device
-            // takes a single range per round, claimed through the queue.
-            let sub: Vec<(usize, usize)> = gatspi_gpu::shard_slots(lost_count, survivors.len())
-                .into_iter()
-                .filter(|&(_, c)| c > 0)
-                .map(|(s, c)| (lost_start + s, c))
-                .collect();
-            let queue = ShardQueue::new(sub);
-            let mut round: Vec<(usize, usize, usize, Result<WindowBatch>)> = Vec::new();
-            crate::sync::thread::scope(|s| {
-                let mut handles = Vec::with_capacity(survivors.len());
-                for &d in &survivors {
-                    let queue = &queue;
-                    let run_shard = &run_shard;
-                    handles.push(s.spawn(move |_| {
-                        queue
-                            .claim()
-                            .map(|(start, count)| (d, start, count, run_shard(d, start, count)))
-                    }));
-                }
-                // Explicit joins: a panic that somehow escapes a shard
-                // thread (a bug — run_shard catches faults) must surface
-                // with its payload, not a generic scope message.
-                for h in handles {
-                    match h.join() {
-                        Ok(Some(item)) => round.push(item),
-                        Ok(None) => {}
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    }
-                }
-            })
-            // panic-ok: scope join — re-raises a retry worker's panic.
-            .expect("failover scope panicked");
-            for (d, start, count, outcome) in round {
-                let batch = match outcome {
-                    Ok(batch) => batch,
-                    Err(e @ CoreError::DeviceFault { .. }) => {
-                        dead[d] = true;
-                        fatal = Some(e);
-                        pending.push((start, count));
-                        continue;
-                    }
-                    Err(e) => return Err(e),
-                };
-                let mut sinks: Vec<&mut dyn WaveformSink> = Vec::new();
-                if let Some(sp) = spill.as_mut() {
-                    sinks.push(sp);
-                } else if user_sink.is_some() {
-                    sinks.push(reorder.get_or_insert_with(|| SpillSink::new(n_signals)));
-                }
-                let t_drain = Instant::now();
-                match self.drain_shard(
-                    gpus.device(d),
-                    d,
-                    &batch,
-                    start,
-                    &win_stims[start..start + count],
-                    &mut sinks,
-                    &telemetry,
-                ) {
-                    Ok(drained) => {
-                        drain_seconds += t_drain.elapsed().as_secs_f64();
-                        d2h_batches += drained;
-                        for s in 0..n_signals {
-                            tc[s] += batch.tc[s];
-                            t0_acc[s] += batch.t0[s];
-                            t1_acc[s] += batch.t1[s];
-                        }
-                        slowest = slowest.max(batch.kernel_profile.modeled_seconds);
-                        profile.accumulate(&batch.kernel_profile);
-                        launches += batch.launches;
-                        fused_launches += batch.fused_launches;
-                        dump_stall += batch.dump_stall_seconds;
-                        spec_threads += batch.spec_threads;
-                        spec_overflows += batch.spec_overflows;
-                        spec_waste += batch.spec_waste_words;
-                        if !used[d] {
-                            used[d] = true;
-                            devices_used += 1;
-                        }
-                    }
-                    Err(e @ CoreError::DeviceFault { .. }) => {
-                        dead[d] = true;
-                        fatal = Some(e);
-                        pending.push((start, count));
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-
-        // Degraded-mode replay: hand the buffered tail to the caller's
-        // sink in ascending (window, signal) order — the exact stream a
-        // fault-free run would have produced from `delivered_upto` on.
-        if degraded {
-            if let Some(us) = user_sink.as_mut() {
-                if let Some(buf) = spill.as_mut().or(reorder.as_mut()) {
-                    // Seal first: buffered words are readable only from
-                    // frozen chunks (re-sealing at the end stays a no-op).
-                    buf.seal();
-                    self.replay_spill(buf, &shards, delivered_upto, &mut **us);
-                }
-            }
-        }
-        profile.modeled_seconds = slowest;
-        let mut d2h_bytes = 0u64;
-        for i in 0..gpus.len() {
-            h2d_bytes += gpus.device(i).memory().h2d_bytes();
-            d2h_bytes += gpus.device(i).memory().d2h_bytes();
-        }
-
-        let (saif, toggle_counts) = self.assemble_saif(stimuli, duration, &tc, &t0_acc, &t1_acc);
-        let spec = gpus.device(0).spec();
-        let sync_launch = (launches as f64 / devices_used.max(1) as f64) * spec.launch_overhead;
-        let app_profile = AppPhaseProfile {
-            h2d_seconds: h2d_bytes as f64 / (spec.pcie_bw * devices_used.max(1) as f64),
-            // Waveform readback happens only for spilled multi-GPU runs;
-            // the drain walks the devices one after another, so the
-            // modeled transfer does not divide by the device count.
-            readback_seconds: d2h_bytes as f64 / spec.pcie_bw,
-            sync_launch_seconds: sync_launch,
-            kernel_seconds: (slowest - sync_launch).max(0.0),
-            restructure_seconds,
-            dump_seconds: 0.0,
-            dump_stall_seconds: dump_stall,
-            drain_seconds,
-            d2h_batches,
-            launches,
-            fused_launches,
-            h2d_bytes,
-            d2h_bytes,
-            speculative_hit_rate: spec_hit_rate(spec_threads, spec_overflows),
-            overflow_repairs: spec_overflows,
-            predicted_waste_words: spec_waste,
-            faults_injected: telemetry.faults(),
-            segment_retries: telemetry.retries(),
-            failovers: telemetry.failovers(),
-            backoff_seconds: telemetry.backoff_seconds(),
-            oom_retries: telemetry.oom_retries(),
-        };
-        if let Some(sp) = spill.as_mut() {
-            sp.seal();
-        }
-        Ok(SimResult {
-            saif,
-            kernel_profile: profile,
-            app_profile,
-            wall_seconds: t_app.elapsed().as_secs_f64(),
-            toggle_counts,
-            duration,
-            segments: gpus.len(),
-            extraction: None,
-            spilled: spill,
-        })
-    }
-}
-
 /// Streaming file-format convenience entry points: run and write VCD/SAIF
 /// incrementally, with memory bounded per window — the paper's Fig. 2
 /// deliverables without ever materialising all waveforms.
 impl Session {
     /// Every signal's name, indexed by signal id (the format sinks' name
     /// table).
-    fn signal_names(&self) -> Vec<&str> {
+    pub(crate) fn signal_names(&self) -> Vec<&str> {
         (0..self.graph.n_signals())
             .map(|s| self.graph.signal_name(gatspi_graph::SignalId(s as u32)))
             .collect()
@@ -3767,46 +3203,6 @@ impl Session {
         let names: Vec<String> = self.signal_names().iter().map(|s| s.to_string()).collect();
         let mut sink = SaifSink::new(self.graph.name(), names);
         let result = self.run_streaming(stimuli, duration, opts, &mut sink)?;
-        Ok((result, sink.finish(duration)))
-    }
-
-    /// [`Session::run_to_vcd`] across multiple devices (via
-    /// [`Session::run_multi_gpu_streaming`]): shards drain in time order,
-    /// so the VCD is identical to a single-device run's.
-    ///
-    /// # Errors
-    ///
-    /// As [`Session::run_multi_gpu`]; writer failures surface as
-    /// [`CoreError::Io`].
-    pub fn run_multi_gpu_to_vcd<W: std::io::Write>(
-        &self,
-        gpus: &MultiGpu,
-        stimuli: &[Waveform],
-        duration: SimTime,
-        opts: &RunOptions,
-        out: W,
-    ) -> Result<(SimResult, W)> {
-        let names = self.signal_names();
-        let mut sink = VcdSink::new(out, self.graph.name(), &names)?;
-        let result = self.run_multi_gpu_streaming(gpus, stimuli, duration, opts, &mut sink)?;
-        Ok((result, sink.finish()?))
-    }
-
-    /// [`Session::run_to_saif`] across multiple devices.
-    ///
-    /// # Errors
-    ///
-    /// As [`Session::run_multi_gpu`].
-    pub fn run_multi_gpu_to_saif(
-        &self,
-        gpus: &MultiGpu,
-        stimuli: &[Waveform],
-        duration: SimTime,
-        opts: &RunOptions,
-    ) -> Result<(SimResult, SaifDocument)> {
-        let names: Vec<String> = self.signal_names().iter().map(|s| s.to_string()).collect();
-        let mut sink = SaifSink::new(self.graph.name(), names);
-        let result = self.run_multi_gpu_streaming(gpus, stimuli, duration, opts, &mut sink)?;
         Ok((result, sink.finish(duration)))
     }
 }
@@ -4582,6 +3978,83 @@ mod tests {
         assert_eq!(r.app_profile.predicted_waste_words, 0);
     }
 
+    /// `RunTotals` is the one place batches are summed and the one place an
+    /// `AppPhaseProfile` is spelled out: every counter of two synthetic
+    /// batches lands in the profile, divided across two devices where the
+    /// phase overlaps. (Powers of two throughout, so equality is exact.)
+    #[test]
+    fn run_totals_sum_batches_into_the_profile() {
+        let batch = |tc: [u64; 2], t0: [i64; 2], t1: [i64; 2], modeled: f64, k: u64| {
+            let mut kernel_profile = KernelProfile::empty("batch");
+            kernel_profile.modeled_seconds = modeled;
+            WindowBatch {
+                windows: vec![(0, 10)],
+                ptrs: vec![u32::MAX; 2],
+                lens: vec![0; 2],
+                tc: tc.to_vec(),
+                t0: t0.to_vec(),
+                t1: t1.to_vec(),
+                kernel_profile,
+                launches: 2 * k,
+                fused_launches: 1,
+                dump_wait_seconds: 0.25 * k as f64,
+                dump_stall_seconds: 0.125 * k as f64,
+                spec_threads: 8,
+                spec_overflows: 2,
+                spec_waste_words: 4 * k,
+            }
+        };
+        let mut totals = RunTotals::new(2, "sum");
+        totals.absorb(&batch([1, 2], [10, 20], [30, 40], 4.0, 3), 5, 1.0);
+        totals.absorb(&batch([3, 4], [1, 2], [3, 4], 2.0, 1), 7, 0.5);
+        assert_eq!(totals.tc, [4, 6]);
+        assert_eq!(totals.t0, [11, 22]);
+        assert_eq!(totals.t1, [33, 44]);
+        assert_eq!(totals.segments, 2);
+        assert_eq!(totals.profile.modeled_seconds, 6.0);
+
+        let telemetry = &totals.telemetry;
+        for _ in 0..3 {
+            telemetry.fault();
+        }
+        telemetry.retry();
+        telemetry.retry();
+        telemetry.oom_retry();
+        telemetry.failover();
+        telemetry.add_backoff(0.5);
+        let spec = DeviceSpec {
+            launch_overhead: 0.5,
+            pcie_bw: 1024.0,
+            ..DeviceSpec::v100()
+        };
+        assert_eq!(
+            totals.app_profile(&spec, 2, 4096, 2048, 0.0625),
+            AppPhaseProfile {
+                h2d_seconds: 2.0,
+                readback_seconds: 2.0,
+                sync_launch_seconds: 2.0,
+                kernel_seconds: 4.0,
+                restructure_seconds: 0.0625,
+                dump_seconds: 1.0,
+                dump_stall_seconds: 0.5,
+                drain_seconds: 1.5,
+                d2h_batches: 12,
+                launches: 8,
+                fused_launches: 2,
+                h2d_bytes: 4096,
+                d2h_bytes: 2048,
+                speculative_hit_rate: 0.75,
+                overflow_repairs: 4,
+                predicted_waste_words: 16,
+                faults_injected: 3,
+                segment_retries: 2,
+                failovers: 1,
+                backoff_seconds: 0.5,
+                oom_retries: 1,
+            }
+        );
+    }
+
     #[test]
     fn speculation_halves_unfused_launches() {
         let graph = inv_chain(3);
@@ -4861,39 +4334,6 @@ mod model_tests {
                 pipe.close();
             })
             .expect("model worker panicked");
-        });
-    }
-
-    /// The failover work handoff: survivor threads claiming a dead
-    /// device's sub-shards through [`ShardQueue`] must together execute
-    /// every queued range exactly once, in every interleaving — no range
-    /// dropped (windows silently missing from the merged result) and no
-    /// range claimed twice (double-counted toggles).
-    #[test]
-    fn failover_ranges_claimed_exactly_once() {
-        loom::model(|| {
-            let queue = std::sync::Arc::new(ShardQueue::new(vec![(0, 2), (2, 1), (3, 2)]));
-            let mut handles = Vec::new();
-            for _ in 0..2 {
-                let q = std::sync::Arc::clone(&queue);
-                handles.push(loom::thread::spawn(move || {
-                    let mut mine = Vec::new();
-                    while let Some(r) = q.claim() {
-                        mine.push(r);
-                    }
-                    mine
-                }));
-            }
-            let mut all: Vec<(usize, usize)> = handles
-                .into_iter()
-                .flat_map(|h| h.join().unwrap())
-                .collect();
-            all.sort_unstable();
-            assert_eq!(
-                all,
-                vec![(0, 2), (2, 1), (3, 2)],
-                "every range claimed exactly once"
-            );
         });
     }
 

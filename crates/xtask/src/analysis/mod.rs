@@ -35,10 +35,6 @@ pub struct AnalyzeOptions {
     /// Regenerate the baseline from the current findings instead of
     /// gating against it.
     pub update_baseline: bool,
-    /// Skip the plan-invariants pass (source passes only) — used by the
-    /// `lint-atomics` compatibility alias, which predates compiled-plan
-    /// checking and must stay cheap.
-    pub skip_plans: bool,
 }
 
 /// Lexes every workspace `.rs` file (fixtures excluded — they are
@@ -102,12 +98,10 @@ pub fn run_analyze(opts: &AnalyzeOptions) -> ExitCode {
         }
     };
     diags.extend(run_source_passes(&files, &manifest));
-    if !opts.skip_plans {
-        diags.extend(passes::plan_invariants::run(
-            &gatspi_workloads::suite::table2_suite(),
-            passes::plan_invariants::default_scale(),
-        ));
-    }
+    diags.extend(passes::plan_invariants::run(
+        &gatspi_workloads::suite::table2_suite(),
+        passes::plan_invariants::default_scale(),
+    ));
     diags.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.pass, a.rule).cmp(&(b.file.as_str(), b.line, b.pass, b.rule))
     });

@@ -6,7 +6,7 @@
 //! unfused, the glitch flow's turnaround at least
 //! `TURNAROUND_SPEEDUP_FLOOR`× the event-driven baseline's, and the
 //! speculative single-pass schedule at least
-//! [`SPEC_SPEEDUP_FLOOR`]× faster than its pinned two-pass reference on
+//! `SPEC_SPEEDUP_FLOOR`× faster than its pinned two-pass reference on
 //! `deep_pipeline_resim`). CI runs this next to `analyze` so a PR cannot
 //! silently regress or rot the artifacts.
 
@@ -151,7 +151,7 @@ fn check_glitch_flow(name: &str, doc: &Json, errors: &mut Vec<String>) {
 
 /// Structural and tolerance checks of the criterion-style kernel_micro
 /// artifact: every bench group present, and the speculative single-pass
-/// schedule at least [`SPEC_SPEEDUP_FLOOR`]× faster than the pinned
+/// schedule at least `SPEC_SPEEDUP_FLOOR`× faster than the pinned
 /// two-pass reference on the launch-bound deep pipeline.
 fn check_kernel_micro(name: &str, doc: &Json, errors: &mut Vec<String>) {
     let Some(Json::Arr(entries)) = doc.get("benchmarks") else {

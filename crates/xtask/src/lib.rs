@@ -33,15 +33,10 @@
 //! structural checker — the CI gate for "static analysis of compiled
 //! plans".
 //!
-//! # `lint-atomics`
-//!
-//! Thin compatibility alias: runs the source-level passes (the old lint's
-//! rules live on as the sync-facade pass) without the plan compile.
-//!
 //! # `bench-check`
 //!
 //! Validates the committed `BENCH_*.json` trajectory artifacts (see
-//! [`bench`]).
+//! [`mod@bench`]).
 
 pub mod analysis;
 pub mod bench;

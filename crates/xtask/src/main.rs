@@ -24,13 +24,6 @@ fn main() -> ExitCode {
             analysis::run_analyze(&opts)
         }
         Some("validate-plans") => analysis::run_validate_plans(),
-        // Compatibility alias for the pre-framework lint: the old rules
-        // live on as the sync-facade pass; run all source passes but skip
-        // the plan compile (which the alias's callers never asked for).
-        Some("lint-atomics") => analysis::run_analyze(&AnalyzeOptions {
-            skip_plans: true,
-            ..AnalyzeOptions::default()
-        }),
         Some("bench-check") => xtask::bench::bench_check(),
         _ => usage("missing or unknown task"),
     }
@@ -40,7 +33,7 @@ fn usage(why: &str) -> ExitCode {
     eprintln!("xtask: {why}");
     eprintln!(
         "usage: cargo run -p xtask -- <analyze [--json <path>] [--update-baseline] \
-         | validate-plans | lint-atomics | bench-check>"
+         | validate-plans | bench-check>"
     );
     ExitCode::from(2)
 }

@@ -135,21 +135,16 @@ fn sim(opts: &HashMap<String, String>) -> Result<(), Box<dyn std::error::Error>>
         .map(|s| s.parse())
         .transpose()?
         .unwrap_or(1);
-    if gpus > 1 && opts.contains_key("out-vcd") {
-        // Fail before simulating: multi-GPU results do not retain
-        // waveforms (only SAIF/toggles are merged across devices).
-        return Err("--out-vcd is not supported with --gpus > 1".into());
+    // Spill waveforms to host when a VCD dump was requested, so the dump
+    // also works if the run segments or spreads across devices.
+    let mut run_opts = RunOptions::default();
+    if opts.contains_key("out-vcd") {
+        run_opts = run_opts.with_waveform_spill();
     }
     let result = if gpus > 1 {
         let multi = MultiGpu::new(device, gpus, cfg.memory_words);
-        sim.run_multi_gpu(&multi, &stimuli, duration)?
+        sim.run_multi_gpu_with(&multi, &stimuli, duration, &run_opts)?
     } else {
-        // Spill waveforms to host when a VCD dump was requested, so the
-        // dump also works if the run segments.
-        let mut run_opts = RunOptions::default();
-        if opts.contains_key("out-vcd") {
-            run_opts = run_opts.with_waveform_spill();
-        }
         sim.run_with(&stimuli, duration, &run_opts)?
     };
 

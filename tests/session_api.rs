@@ -1,7 +1,6 @@
 //! Session-API acceptance tests: cached plans across segments and
 //! multi-GPU shards, host-spilled waveforms for segmented runs, streaming
-//! sinks, and bit-identical parity between the deprecated `Gatspi` shims
-//! and the session they delegate to.
+//! sinks, and identical profiles and typed errors across the run paths.
 
 use std::sync::Arc;
 
@@ -152,48 +151,79 @@ fn streaming_sink_observes_run_in_order() {
     }
 }
 
-/// The deprecated one-shot shims delegate to the session and produce
-/// bit-identical results.
+/// The run paths share one segment driver, so the same design must report
+/// the same profile whichever path executes it: a 1-device fleet is a
+/// single-device run, and a fleet reports the batches it executed — not
+/// the devices it was offered.
 #[test]
-#[allow(deprecated)]
-fn deprecated_shims_bit_match_session() {
-    use gatspi_core::{run_multi_gpu, Gatspi};
+fn single_device_and_one_gpu_fleet_report_identical_profiles() {
+    let b = bench(0.15);
+    let single = session(&b, 4)
+        .run(&b.stimuli, b.duration)
+        .expect("single run");
+    let one = MultiGpu::new(DeviceSpec::v100(), 1, SimConfig::small().memory_words);
+    let fleet = session(&b, 4)
+        .run_multi_gpu(&one, &b.stimuli, b.duration)
+        .expect("1-device fleet run");
+
+    assert!(single.saif.diff(&fleet.saif).is_empty());
+    assert_eq!(single.segments(), fleet.segments());
+    let (s, f) = (&single.app_profile, &fleet.app_profile);
+    assert_eq!(s.launches, f.launches);
+    assert_eq!(s.fused_launches, f.fused_launches);
+    assert_eq!(s.overflow_repairs, f.overflow_repairs);
+    assert_eq!(s.speculative_hit_rate, f.speculative_hit_rate);
+
+    // One window across four devices: three shards are empty, one batch runs.
+    let four = MultiGpu::new(DeviceSpec::v100(), 4, 1 << 20);
+    let sim = Session::new(
+        Arc::clone(&b.graph),
+        SimConfig::small()
+            .with_cycle_parallelism(1)
+            .with_window_align(b.duration),
+    );
+    let r = sim
+        .run_multi_gpu(&four, &b.stimuli, b.duration)
+        .expect("one-window fleet run");
+    assert_eq!(r.segments(), 1, "segments() counts executed batches");
+    assert!(single.saif.diff(&r.saif).is_empty());
+}
+
+/// A negative duration is a configuration error on every run path — a typed
+/// `CoreError`, never a panic out of SAIF assembly — and a zero duration is
+/// a valid run with nothing in it.
+#[test]
+fn negative_duration_is_a_typed_error_on_every_run_path() {
+    use gatspi_core::CoreError;
 
     let b = bench(0.15);
-    let cfg = SimConfig::small()
-        .with_cycle_parallelism(4)
-        .with_window_align(b.cycle_time);
-
-    let session = Session::new(Arc::clone(&b.graph), cfg.clone());
-    let via_session = session.run(&b.stimuli, b.duration).expect("session run");
-
-    let shim = Gatspi::new(Arc::clone(&b.graph), cfg);
-    let via_shim = shim.run(&b.stimuli, b.duration).expect("shim run");
-
-    assert!(via_session.saif.diff(&via_shim.saif).is_empty());
-    assert_eq!(via_session.total_toggles(), via_shim.total_toggles());
-    assert_eq!(via_session.segments(), via_shim.segments());
-    assert_eq!(
-        via_session.app_profile.launches,
-        via_shim.app_profile.launches
-    );
-    for s in (0..b.graph.n_signals()).step_by(7) {
-        assert_eq!(
-            via_session.waveform(s).expect("session waveform"),
-            via_shim.waveform(s).expect("shim waveform"),
-            "signal {s}"
-        );
-    }
-
-    // Multi-GPU shim parity.
+    let sim = session(&b, 4);
     let gpus = MultiGpu::new(DeviceSpec::v100(), 2, 1 << 20);
-    let m_session = session
-        .run_multi_gpu(&gpus, &b.stimuli, b.duration)
-        .expect("session multi");
-    let gpus2 = MultiGpu::new(DeviceSpec::v100(), 2, 1 << 20);
-    let m_shim = run_multi_gpu(&shim, &gpus2, &b.stimuli, b.duration).expect("shim multi");
-    assert!(m_session.saif.diff(&m_shim.saif).is_empty());
-    assert_eq!(m_session.total_toggles(), m_shim.total_toggles());
+    assert!(matches!(
+        sim.run(&b.stimuli, -5),
+        Err(CoreError::BadConfig { .. })
+    ));
+    assert!(matches!(
+        sim.run_multi_gpu(&gpus, &b.stimuli, -5),
+        Err(CoreError::BadConfig { .. })
+    ));
+    // An incremental run checks its duration against the previous result's
+    // first, so a negative one is a mismatch like any other.
+    let spilled = RunOptions::default().with_waveform_spill();
+    let prev = sim
+        .run_with(&b.stimuli, b.duration, &spilled)
+        .expect("spilled run");
+    assert!(matches!(
+        sim.run_incremental(&prev, &[0], &b.stimuli, -5, &spilled),
+        Err(CoreError::BadIncremental { .. })
+    ));
+
+    for r in [
+        sim.run(&b.stimuli, 0),
+        sim.run_multi_gpu(&gpus, &b.stimuli, 0),
+    ] {
+        assert_eq!(r.expect("zero-duration run").total_toggles(), 0);
+    }
 }
 
 /// Repeated stimuli against one session (the paper's re-simulation loop)
