@@ -244,9 +244,8 @@ impl Session {
         let shards = gatspi_gpu::shard_slots(windows.len(), gpus.len());
 
         let t0 = Instant::now();
-        // Host-side restructuring is shared across devices; use the first
-        // device's worker pool as the host thread budget.
-        let win_stims = self.restructure(stimuli, &windows, gpus.device(0).workers());
+        // Host-side restructuring is shared across devices.
+        let win_stims = self.restructure(stimuli, &windows);
         let restructure_seconds = t0.elapsed().as_secs_f64();
 
         // One plan per distinct shard size, resolved through the session

@@ -281,6 +281,8 @@ pub struct Session {
     /// count/base tables), so repeated segments and repeated runs stay off
     /// the allocator.
     scratch_pool: Mutex<Vec<BatchScratch>>,
+    /// The segment drain's host buffers, taken for the length of a drain.
+    drain_bufs: Mutex<DrainBuffers>,
     /// `(total windows, fuse_threshold)` → segment size that last worked,
     /// so repeat runs on a memory-constrained session start there instead
     /// of re-probing the OOM halving sequence (a starting point only: a
@@ -489,6 +491,7 @@ impl Session {
             pi_of,
             plans: Mutex::new(PlanCache::default()),
             scratch_pool: Mutex::new(Vec::new()),
+            drain_bufs: Mutex::new(DrainBuffers::default()),
             segment_hints: Mutex::new(HashMap::new()),
             spec_threads: AtomicU64::new(0),
             spec_overflows: AtomicU64::new(0),
@@ -975,7 +978,7 @@ impl Session {
             .filter(|&&s| self.pi_of[s as usize] != u32::MAX)
             .map(|&s| stimuli[self.pi_of[s as usize] as usize].clone())
             .collect();
-        let pi_stims = self.restructure(&boundary_pi_stims, &windows, device.workers());
+        let pi_stims = self.restructure(&boundary_pi_stims, &windows);
         let restructure_seconds = t0.elapsed().as_secs_f64();
 
         let mut totals = RunTotals::new(n_signals, "resim_cone");
@@ -1092,7 +1095,7 @@ impl Session {
 
         // --- Input restructuring (the dominant init cost in Table 5).
         let t0 = Instant::now();
-        let win_stims = self.restructure(stimuli, &windows, device.workers());
+        let win_stims = self.restructure(stimuli, &windows);
         let restructure_seconds = t0.elapsed().as_secs_f64();
 
         // --- Adaptive segmentation over windows. (The spill is drained
@@ -1302,42 +1305,22 @@ impl Session {
         out
     }
 
-    /// Cuts every stimulus into per-window re-based waveforms.
-    ///
-    /// Windows are independent, so the restructuring — the dominant init
-    /// cost in Table 5 — fans out across the device's host workers.
-    /// `workers` is the executing device's host-worker count, so the
-    /// "OpenMP-equivalent" CPU regime (`run_cpu`) restructures with the
-    /// same thread cap it simulates with.
+    /// Cuts every stimulus into per-window re-based waveforms. It runs on
+    /// the calling thread, which also frees the result: thousands of small
+    /// waveforms allocated on worker threads and freed here would seed this
+    /// thread's allocator cache with other arenas' chunks, and whatever
+    /// buffer next grew from one would keep a worker arena resident. At the
+    /// benchmark's stimulus sizes (≈ 0.5 M words, 1–3 ms) forking measured
+    /// no faster either.
     pub(crate) fn restructure(
         &self,
         stimuli: &[Waveform],
         windows: &[(SimTime, SimTime)],
-        workers: usize,
     ) -> Vec<Vec<Waveform>> {
-        let cut = |&(s, e): &(SimTime, SimTime)| -> Vec<Waveform> {
-            stimuli.iter().map(|w| w.window(s, e)).collect()
-        };
-        let workers = workers.min(windows.len());
-        if workers <= 1 || windows.len() * stimuli.len() < 64 {
-            return windows.iter().map(cut).collect();
-        }
-        let mut out: Vec<Vec<Waveform>> = Vec::new();
-        out.resize_with(windows.len(), Vec::new);
-        let chunk = windows.len().div_ceil(workers);
-        crate::sync::thread::scope(|s| {
-            for (win_chunk, out_chunk) in windows.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                s.spawn(move |_| {
-                    for (w, slot) in win_chunk.iter().zip(out_chunk) {
-                        *slot = cut(w);
-                    }
-                });
-            }
-        })
-        // panic-ok: scope join — re-raises a child worker's panic so it
-        // reaches the engine's audited unwind boundary.
-        .expect("restructure worker panicked");
-        out
+        windows
+            .iter()
+            .map(|&(s, e)| stimuli.iter().map(|w| w.window(s, e)).collect())
+            .collect()
     }
 
     /// Builds the SAIF document: primary inputs straight from the stimulus,
@@ -2120,7 +2103,59 @@ impl Session {
     }
 }
 
+/// Segments reading back fewer live words than this drain on the calling
+/// thread: forking costs more than the copy.
+const PARALLEL_DRAIN_MIN_WORDS: u32 = 1 << 16;
+
+/// One level's stored gate outputs in a segment's arena, as the drain
+/// reads them back: one transfer each.
+#[derive(Debug, Clone, Copy)]
+struct LevelRegion {
+    level: u32,
+    /// Device word range `[lo, hi)` from the level's first stored word to
+    /// its last, reservation slack in between included.
+    lo: u32,
+    hi: u32,
+    /// Offset of the level's first live word in [`DrainBuffers::data`].
+    dest: u32,
+}
+
+/// Host buffers of the segment drain, kept on the session so repeated
+/// segments and runs reuse them.
+#[derive(Debug, Default)]
+struct DrainBuffers {
+    regions: Vec<LevelRegion>,
+    /// `offs[window × n_signals + signal]`: offset of that waveform's words
+    /// in `data`, `u32::MAX` where the drain read nothing back.
+    offs: Vec<u32>,
+    /// The segment's live gate-output words, level by level; slack words
+    /// never land here.
+    data: Vec<i32>,
+    /// One bounce buffer per read-back worker, as large as the widest
+    /// level region met so far.
+    staging: Vec<Vec<i32>>,
+}
+
 impl Session {
+    /// `window × n_signals + signal` of every stored gate output of graph
+    /// level `level` that the drain delivers (`only`, when set, flags the
+    /// signals it covers).
+    fn stored_outputs<'a>(
+        &'a self,
+        batch: &'a WindowBatch,
+        only: Option<&'a [bool]>,
+        level: usize,
+    ) -> impl Iterator<Item = usize> + 'a {
+        let n_signals = self.graph.n_signals();
+        self.graph
+            .level_gates(level)
+            .iter()
+            .map(|&g| self.graph.gate_output(g as usize).index())
+            .filter(move |&s| only.is_none_or(|flags| flags[s]))
+            .flat_map(move |s| (0..batch.windows.len()).map(move |w| w * n_signals + s))
+            .filter(|&i| batch.ptrs[i] != u32::MAX)
+    }
+
     /// Streams one finished segment's waveforms to the active sinks
     /// (host spill and/or a caller-supplied sink) before the arena is
     /// recycled; returns the number of D2H batches issued. Gate outputs
@@ -2130,20 +2165,23 @@ impl Session {
     /// (byte-identical to the device copy), so the readback model only
     /// charges for data the host does not already hold.
     ///
-    /// Coalescing is **segment-global**: every stored allocation of the
-    /// whole batch is sorted by device pointer and pointer-adjacent
-    /// allocations — the next waveform starting where the previous ends,
-    /// allowing the single parity-pad word the even-aligned allocator may
-    /// leave — merge into one `mem.d2h` range each. The arena assigns
-    /// thread `gate × nw + window` of each level consecutive space, so a
-    /// level's outputs *across all windows* form one contiguous region and
-    /// the transfer count collapses to ≈ one batch per level (the old
-    /// per-window coalescing found adjacency only inside a window and
-    /// issued ≈ one transfer per waveform). Runs are read back in parallel
-    /// across the device's host workers into one segment buffer — bounded
-    /// by the device arena size, which the segment was sized to fit — and
-    /// the sinks are then fed in deterministic (window, ascending signal)
-    /// order, the exact call sequence of the old drain.
+    /// The arena holds a segment's gate outputs level after level — every
+    /// schedule advances one allocation cursor per graph level, a cone
+    /// sub-plan included — but inside a level no two waveforms need be
+    /// adjacent: a speculative reservation leaves slack behind the words
+    /// its thread stored. So the unit of transfer is the **level region**,
+    /// from the level's first delivered word to its last: one
+    /// [`DeviceMemory::d2h_into`] each, at most `graph.n_levels()` per
+    /// segment however many waveforms it stored. A region is read *through*
+    /// its slack into a bounce buffer no larger than the widest region, and
+    /// only the live words are copied on into the segment buffer —
+    /// `d2h_bytes` therefore counts the slack inside the regions, the
+    /// segment buffer does not hold it. Large segments split the regions
+    /// into contiguous shares of about equal live words, one per device
+    /// host worker; the cuts fall between regions, so the transfers (and
+    /// the fault-injection points they pass) are the same on every host.
+    /// The sinks are then fed in deterministic (window, ascending signal)
+    /// order. Every buffer involved lives on the session and is reused.
     ///
     /// `only` restricts the drain to flagged signals (an incremental run
     /// delivers in-cone waveforms only; out-of-cone entries stay untouched
@@ -2162,85 +2200,98 @@ impl Session {
     ) -> u64 {
         let n_signals = self.graph.n_signals();
         let mem = device.memory();
-        let nw = batch.windows.len();
+        // A concurrent drain (there is none today) would find empty
+        // buffers and allocate its own.
+        let mut bufs =
+            std::mem::take(&mut *self.drain_bufs.lock().unwrap_or_else(|e| e.into_inner()));
+        let DrainBuffers {
+            regions,
+            offs,
+            data,
+            staging,
+        } = &mut bufs;
 
-        // Every stored gate-output allocation of the whole segment:
-        // (device ptr, words, window × n_signals + signal).
-        let mut entries: Vec<(u32, u32, u32)> = Vec::new();
-        for w in 0..nw {
-            let row = w * n_signals;
-            for (s, &k) in self.pi_of.iter().enumerate() {
-                if k != u32::MAX {
-                    continue;
-                }
-                if let Some(flags) = only {
-                    if !flags[s] {
-                        continue;
-                    }
-                }
-                if batch.ptrs[row + s] != u32::MAX {
-                    entries.push((batch.ptrs[row + s], batch.lens[row + s], (row + s) as u32));
-                }
+        // Lay the segment buffer out level by level and find each level's
+        // device range.
+        regions.clear();
+        offs.clear();
+        offs.resize(batch.windows.len() * n_signals, u32::MAX);
+        let mut total = 0u32;
+        for level in 0..self.graph.n_levels() {
+            let dest = total;
+            let (mut lo, mut hi) = (u32::MAX, 0);
+            for i in self.stored_outputs(batch, only, level) {
+                offs[i] = total;
+                total += batch.lens[i];
+                lo = lo.min(batch.ptrs[i]);
+                hi = hi.max(batch.ptrs[i] + batch.lens[i]);
+            }
+            if lo != u32::MAX {
+                regions.push(LevelRegion {
+                    level: level as u32,
+                    lo,
+                    hi,
+                    dest,
+                });
             }
         }
-        entries.sort_unstable_by_key(|e| e.0);
-
-        // Coalesce into maximal pointer-adjacent runs; record every
-        // entry's offset into the concatenated segment buffer.
-        let mut offs = vec![u32::MAX; nw * n_signals];
-        let mut runs: Vec<(u32, u32, u32)> = Vec::new(); // (dev ptr, words, dest)
-        let mut dest = 0u32;
-        let mut i = 0usize;
-        while i < entries.len() {
-            let run_ptr = entries[i].0;
-            let mut end_ptr = run_ptr + entries[i].1;
-            let mut j = i + 1;
-            while j < entries.len() {
-                let (p, l, _) = entries[j];
-                debug_assert!(p >= end_ptr, "allocations are disjoint");
-                if p - end_ptr <= 1 {
-                    end_ptr = p + l;
-                    j += 1;
-                } else {
-                    break;
-                }
-            }
-            for &(p, _, idx) in &entries[i..j] {
-                offs[idx as usize] = dest + (p - run_ptr);
-            }
-            runs.push((run_ptr, end_ptr - run_ptr, dest));
-            dest += end_ptr - run_ptr;
-            i = j;
+        if data.len() < total as usize {
+            data.resize(total as usize, 0);
         }
 
-        // Read the runs back, fanning out across host workers for large
-        // segments (each worker fills a disjoint slice of the buffer).
-        let mut data = vec![0i32; dest as usize];
-        let workers = device.workers().min(runs.len());
-        if workers <= 1 || (dest as usize) < 1 << 16 {
-            for &(p, l, off) in &runs {
-                data[off as usize..(off + l) as usize]
-                    .copy_from_slice(&mem.d2h(p as usize, l as usize));
-            }
+        // One bounce buffer per worker, as wide as the widest region.
+        let workers = if total < PARALLEL_DRAIN_MIN_WORDS {
+            1
         } else {
-            let per = runs.len().div_ceil(workers);
+            device.workers().min(regions.len())
+        };
+        let widest = regions.iter().map(|r| (r.hi - r.lo) as usize).max();
+        let widest = widest.unwrap_or(0);
+        staging.resize_with(staging.len().max(workers), Vec::new);
+        for bounce in &mut staging[..workers] {
+            if bounce.len() < widest {
+                bounce.resize(widest, 0);
+            }
+        }
+        // Reads `regions` back — one transfer each into `bounce` — and
+        // copies every stored waveform's live words on to its place in
+        // `out`, the part of the segment buffer starting at offset `base`.
+        let offs = &offs[..];
+        let read = |regions: &[LevelRegion], base: u32, out: &mut [i32], bounce: &mut [i32]| {
+            for r in regions {
+                mem.d2h_into(r.lo as usize, &mut bounce[..(r.hi - r.lo) as usize]);
+                for i in self.stored_outputs(batch, only, r.level as usize) {
+                    let len = batch.lens[i] as usize;
+                    let from = (batch.ptrs[i] - r.lo) as usize;
+                    let to = (offs[i] - base) as usize;
+                    out[to..to + len].copy_from_slice(&bounce[from..from + len]);
+                }
+            }
+        };
+        if workers == 1 {
+            read(regions, 0, data, &mut staging[0]);
+        } else {
+            let read = &read;
             crate::sync::thread::scope(|scope| {
-                let mut rest: &mut [i32] = &mut data;
-                let mut consumed = 0u32;
+                let mut rest_regions = &regions[..];
+                let mut rest_data = &mut data[..total as usize];
+                let mut base = 0u32;
                 let mut handles = Vec::with_capacity(workers);
-                for chunk in runs.chunks(per) {
-                    let words: u32 = chunk.iter().map(|r| r.1).sum();
-                    let (mine, tail) = rest.split_at_mut(words as usize);
-                    rest = tail;
-                    let base = consumed;
-                    consumed += words;
-                    handles.push(scope.spawn(move |_| {
-                        for &(p, l, off) in chunk {
-                            let o = (off - base) as usize;
-                            mine[o..o + l as usize]
-                                .copy_from_slice(&mem.d2h(p as usize, l as usize));
-                        }
-                    }));
+                for (k, bounce) in staging.iter_mut().enumerate().take(workers) {
+                    // Worker `k` takes the regions starting below its word
+                    // quota (none, when one region outweighs a whole share).
+                    let quota = (u64::from(total) * (k as u64 + 1) / workers as u64) as u32;
+                    let n = rest_regions.partition_point(|r| r.dest < quota);
+                    let (mine, tail) = rest_regions.split_at(n);
+                    rest_regions = tail;
+                    let end = tail.first().map_or(total, |r| r.dest);
+                    let (out, tail) = rest_data.split_at_mut((end - base) as usize);
+                    rest_data = tail;
+                    let from = base;
+                    base = end;
+                    if !mine.is_empty() {
+                        handles.push(scope.spawn(move |_| read(mine, from, out, bounce)));
+                    }
                 }
                 // Join each worker explicitly so a transfer fault's typed
                 // panic payload survives to the segment boundary (the
@@ -2278,6 +2329,7 @@ impl Session {
                     debug_assert!(only.is_none(), "filtered drains never cover PIs");
                     win_stims[w][k as usize].raw()
                 } else {
+                    debug_assert_ne!(offs[row + s], u32::MAX, "a gate drives it");
                     let off = offs[row + s] as usize;
                     &data[off..off + batch.lens[row + s] as usize]
                 };
@@ -2286,7 +2338,9 @@ impl Session {
                 }
             }
         }
-        runs.len() as u64
+        let batches = regions.len() as u64;
+        *self.drain_bufs.lock().unwrap_or_else(|e| e.into_inner()) = bufs;
+        batches
     }
 }
 

@@ -160,7 +160,8 @@ pub enum FaultSite {
     /// Entry of `DeviceMemory::h2d` — models a failed device allocation or
     /// staging copy.
     Alloc,
-    /// Entry of `DeviceMemory::d2h` — models a failed readback.
+    /// Entry of `DeviceMemory::d2h_into` (and `d2h`, built on it) — models
+    /// a failed readback.
     Transfer,
     /// A slow-device stall: the launch call sleeps instead of failing.
     Stall,

@@ -132,23 +132,34 @@ impl DeviceMemory {
             .fetch_add(4 * src.len() as u64, Ordering::Relaxed);
     }
 
-    /// Device→host copy of `len` words starting at `offset`, with byte
-    /// accounting.
+    /// Device→host copy of `dst.len()` words starting at `offset` into
+    /// `dst`, with byte accounting: one transfer, no allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the source range is out of bounds.
+    pub fn d2h_into(&self, offset: usize, dst: &mut [i32]) {
+        #[cfg(feature = "fault-inject")]
+        self.fault_point(crate::fault::FaultSite::Transfer);
+        // panic-ok: documented bounds contract of this API.
+        assert!(offset + dst.len() <= self.words.len(), "d2h out of bounds");
+        for (d, w) in dst.iter_mut().zip(&self.words[offset..]) {
+            // relaxed-ok: see `load`.
+            *d = w.load(Ordering::Relaxed);
+        }
+        // relaxed-ok: monotonic telemetry counter, read only for reports.
+        self.d2h_bytes
+            .fetch_add(4 * dst.len() as u64, Ordering::Relaxed);
+    }
+
+    /// [`DeviceMemory::d2h_into`] a fresh vector of `len` words.
     ///
     /// # Panics
     ///
     /// Panics if the source range is out of bounds.
     pub fn d2h(&self, offset: usize, len: usize) -> Vec<i32> {
-        #[cfg(feature = "fault-inject")]
-        self.fault_point(crate::fault::FaultSite::Transfer);
-        // panic-ok: documented bounds contract of this API.
-        assert!(offset + len <= self.words.len(), "d2h out of bounds");
-        let out: Vec<i32> = (0..len)
-            // relaxed-ok: see `load`.
-            .map(|i| self.words[offset + i].load(Ordering::Relaxed))
-            .collect();
-        // relaxed-ok: monotonic telemetry counter, read only for reports.
-        self.d2h_bytes.fetch_add(4 * len as u64, Ordering::Relaxed);
+        let mut out = vec![0; len];
+        self.d2h_into(offset, &mut out);
         out
     }
 
@@ -223,6 +234,10 @@ mod tests {
         let back = m.d2h(4, 3);
         assert_eq!(back, vec![1, 2, 3]);
         assert_eq!(m.d2h_bytes(), 12);
+        let mut two = [0; 2];
+        m.d2h_into(5, &mut two);
+        assert_eq!(two, [2, 3]);
+        assert_eq!(m.d2h_bytes(), 20);
         m.reset_counters();
         assert_eq!(m.h2d_bytes(), 0);
     }

@@ -35,9 +35,9 @@ pub struct AppPhaseProfile {
     /// reported for visibility and excluded from
     /// [`AppPhaseProfile::total_seconds`].
     pub drain_seconds: f64,
-    /// Device→host readback batches the spill drain issued: adjacent
-    /// waveform allocations coalesce into one transfer, so this counts the
-    /// actual D2H ranges, not the (window, signal) waveforms moved.
+    /// Device→host readback batches the spill drain issued: one transfer
+    /// per level region of each segment, so this counts the actual D2H
+    /// ranges, not the (window, signal) waveforms moved.
     pub d2h_batches: u64,
     /// Number of kernel launches issued.
     pub launches: u64,

@@ -8,9 +8,7 @@
 //! stamps and `0id`/`1id` scalar changes. `x`/`z` values are coerced to 0
 //! (2-value simulation) and counted so callers can report the coercion.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
-use std::fmt::Write as _;
+use std::collections::BTreeMap;
 use std::io::Write as IoWrite;
 
 use crate::{Result, SimTime, WaveError, Waveform, WaveformBuilder};
@@ -54,80 +52,180 @@ pub fn write_with_timescale<'a>(
     timescale: &str,
 ) -> String {
     let waves: Vec<(&str, &Waveform)> = waves.into_iter().collect();
-    let ids: Vec<String> = (0..waves.len()).map(id_for).collect();
-    let mut out = String::new();
-    push_header(
-        &mut out,
-        design,
-        waves
-            .iter()
-            .map(|&(n, _)| n)
-            .zip(ids.iter().map(String::as_str)),
-        timescale,
-    );
+    let mut out = Vec::new();
+    push_header(&mut out, design, waves.iter().map(|&(n, _)| n), timescale);
 
-    // Merge all change points into a single time-ordered stream.
-    let mut events: BTreeMap<SimTime, Vec<(usize, bool)>> = BTreeMap::new();
-    for (i, (_, w)) in waves.iter().enumerate() {
-        for (t, v) in w.iter() {
-            events.entry(t).or_default().push((i, v));
+    // Format in slices of time holding about `WRITE_SLICE_CHANGES` changes
+    // each (exactly, for evenly spread changes), so the sort buffer stays
+    // small however long the document is.
+    let changes: usize = waves.iter().map(|(_, w)| w.toggle_count() + 1).sum();
+    let end = waves.iter().map(|(_, w)| w.last_time()).max();
+    let end = end.map_or(0, |t| t as u64 + 1);
+    let step = end.div_ceil(changes.div_ceil(WRITE_SLICE_CHANGES).max(1) as u64);
+    let mut formatter = ChangeFormatter::new(waves.len());
+    let mut keys = Vec::new();
+    let mut rest: Vec<_> = waves.iter().map(|(_, w)| w.iter().peekable()).collect();
+    let mut upto = 0;
+    while upto < end {
+        upto += step;
+        for (i, changes) in rest.iter_mut().enumerate() {
+            while let Some((t, v)) = changes.next_if(|&(t, _)| (t as u64) < upto) {
+                keys.push(pack_change(t, i as u32, v));
+            }
         }
+        formatter.format(&mut keys, &mut out);
+        keys.clear();
     }
-    let mut first = true;
-    for (t, changes) in events {
-        let _ = writeln!(out, "#{t}");
-        if first {
-            let _ = writeln!(out, "$dumpvars");
-        }
-        for (i, v) in changes {
-            let _ = writeln!(out, "{}{}", u8::from(v), ids[i]);
-        }
-        if first {
-            let _ = writeln!(out, "$end");
-            first = false;
-        }
-    }
-    out
+    // The header repeats the caller's `&str`s; everything else is ASCII.
+    String::from_utf8(out).expect("VCD text is UTF-8")
 }
 
 /// Emits the deterministic VCD header shared by [`write()`] and
 /// [`StreamWriter`]: version, timescale and one `design` scope declaring
-/// every signal. No `$date` line — the output depends only on the inputs,
-/// so equal runs produce byte-identical files.
+/// signal `i` of `names` under [`id_for`]`(i)`. No `$date` line — the
+/// output depends only on the inputs, so equal runs produce byte-identical
+/// files.
 fn push_header<'a>(
-    out: &mut String,
+    out: &mut Vec<u8>,
     design: &str,
-    vars: impl Iterator<Item = (&'a str, &'a str)>,
+    names: impl Iterator<Item = &'a str>,
     timescale: &str,
 ) {
+    // Writing into a `Vec<u8>` cannot fail.
     let _ = writeln!(out, "$version gatspi-wave $end");
     let _ = writeln!(out, "$timescale {timescale} $end");
     let _ = writeln!(out, "$scope module {design} $end");
-    for (name, id) in vars {
-        let _ = writeln!(out, "$var wire 1 {id} {name} $end");
+    for (i, name) in names.enumerate() {
+        let _ = writeln!(out, "$var wire 1 {} {name} $end", id_for(i));
     }
     let _ = writeln!(out, "$upscope $end");
     let _ = writeln!(out, "$enddefinitions $end");
 }
 
+/// Changes [`write()`] sorts and formats at a time.
+const WRITE_SLICE_CHANGES: usize = 1 << 16;
+
 /// `cur`-state sentinel for a signal that has not been dumped yet.
 const VAL_NONE: u8 = 2;
+
+/// One value change packed for sorting: time in the top 31 bits, signal
+/// index below it, value in bit 0 — so ascending `u64` order is the VCD
+/// body's `(time, signal)` order. `time` must be non-negative.
+fn pack_change(time: SimTime, signal: u32, value: bool) -> u64 {
+    debug_assert!(time >= 0, "packed times are non-negative");
+    (time as u64) << 33 | u64::from(signal) << 1 | u64::from(value)
+}
+
+/// Appends `n` in decimal.
+fn push_decimal(out: &mut Vec<u8>, mut n: u32) {
+    let mut digits = [0u8; 10];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
+/// The one VCD body formatter: orders a window's packed changes and
+/// appends them as `#t` blocks, carrying the `$dumpvars` and last-stamp
+/// state from window to window.
+#[derive(Debug)]
+struct ChangeFormatter {
+    /// Per-signal change line — a value placeholder, the id, a newline —
+    /// padded to eight bytes so it is copied as one word and then cut to
+    /// its length, which byte 7 holds (a line is at most seven bytes).
+    lines: Vec<[u8; 8]>,
+    /// Most recent `#time` stamp written.
+    last_time: Option<SimTime>,
+    /// The `$dumpvars` block has been written (it wraps the first change
+    /// block).
+    wrote_dumpvars: bool,
+}
+
+impl ChangeFormatter {
+    fn new(n_signals: usize) -> Self {
+        // A packed key holds a 32-bit signal index, whose id is at most
+        // five characters — the line template's room.
+        assert!(
+            u32::try_from(n_signals).is_ok(),
+            "a VCD stream declares at most 2^32 signals"
+        );
+        let lines = (0..n_signals)
+            .map(|i| {
+                let id = id_for(i);
+                let mut line = [0u8; 8];
+                line[1..=id.len()].copy_from_slice(id.as_bytes());
+                line[1 + id.len()] = b'\n';
+                line[7] = id.len() as u8 + 2;
+                line
+            })
+            .collect();
+        ChangeFormatter {
+            lines,
+            last_time: None,
+            wrote_dumpvars: false,
+        }
+    }
+
+    /// Sorts `keys` (see [`pack_change`]) and appends their change blocks
+    /// to `out`. A stamp equal to the previous window's last one is not
+    /// repeated; the `$dumpvars` block opened by the first stamp ever
+    /// written closes at the next stamp or at the end of its window.
+    fn format(&mut self, keys: &mut [u64], out: &mut Vec<u8>) {
+        keys.sort_unstable();
+        let mut dumpvars_open = false;
+        for &key in keys.iter() {
+            let t = (key >> 33) as SimTime;
+            if self.last_time != Some(t) {
+                if dumpvars_open {
+                    out.extend_from_slice(b"$end\n");
+                    dumpvars_open = false;
+                }
+                out.push(b'#');
+                push_decimal(out, t as u32);
+                out.push(b'\n');
+                if !self.wrote_dumpvars {
+                    out.extend_from_slice(b"$dumpvars\n");
+                    self.wrote_dumpvars = true;
+                    dumpvars_open = true;
+                }
+                self.last_time = Some(t);
+            }
+            let line = &self.lines[(key >> 1) as u32 as usize];
+            let at = out.len();
+            out.extend_from_slice(line);
+            out[at] = b'0' + (key & 1) as u8;
+            out.truncate(at + line[7] as usize);
+        }
+        if dumpvars_open {
+            out.extend_from_slice(b"$end\n");
+        }
+    }
+}
 
 /// Incremental VCD writer with memory bounded by one stimulus window.
 ///
 /// The whole-document [`write()`] needs every waveform in memory before the
 /// first byte leaves; `StreamWriter` instead accepts each signal's changes
 /// window by window — the unit a streaming simulation run produces — and
-/// emits one merged, time-ordered change block per window. Buffering is
-/// O(changes in the current window): when a call reports a new window
-/// start, the previous window's per-signal change lists are k-way merged
-/// (binary heap keyed on `(time, signal)`) and written out.
+/// emits one time-ordered change block per window. Buffering is O(changes
+/// in the current window): every change is one packed `u64` key (time,
+/// signal, value) pushed onto one reused list; when a call reports a new
+/// window start, the previous window's keys are sorted once and formatted
+/// into a reused byte buffer that leaves in a single `write_all`. It is the
+/// formatter [`write()`] uses, so both produce the same bytes for the same
+/// changes.
 ///
-/// Windows must arrive in ascending start order, each signal at most once
-/// per window, with window-local toggle times already clipped to the
-/// window. Values are stitched across window joins: a window whose initial
-/// value equals the signal's last written value emits no change, so the
-/// output parses back exactly as the concatenated waveform.
+/// Windows must arrive in ascending start order (checked), each signal at
+/// most once per window, with window-local toggle times already clipped to
+/// the window. Values are stitched across window joins: a window whose
+/// initial value equals the signal's last written value emits no change,
+/// so the output parses back exactly as the concatenated waveform.
 ///
 /// # Example
 ///
@@ -150,25 +248,21 @@ const VAL_NONE: u8 = 2;
 #[derive(Debug)]
 pub struct StreamWriter<W: IoWrite> {
     out: W,
-    ids: Vec<String>,
-    /// Last written value per signal (`0`, `1`, or [`VAL_NONE`]).
+    formatter: ChangeFormatter,
+    /// Last buffered value per signal (`0`, `1`, or [`VAL_NONE`]).
     cur: Vec<u8>,
-    /// Per-signal `(absolute time, value)` changes of the current window,
-    /// each list in ascending time order.
-    pending: Vec<Vec<(SimTime, bool)>>,
-    /// Signals with non-empty `pending` lists (so flushing a window costs
-    /// O(changes), not O(signals)).
-    touched: Vec<u32>,
-    /// Start time of the window currently buffering (`None` before the
-    /// first wave and right after a flush).
-    window_start: Option<SimTime>,
-    /// Most recent `#time` stamp written.
-    last_time: Option<SimTime>,
-    /// The `$dumpvars` block has been opened (it wraps the first change
-    /// block, like [`write()`]'s output).
-    wrote_dumpvars: bool,
-    dumpvars_open: bool,
+    /// Packed changes of the window currently buffering.
+    keys: Vec<u64>,
+    /// Formatted bytes of the window being flushed.
+    buf: Vec<u8>,
+    /// Start time of the window currently buffering; later windows may
+    /// not start before it.
+    window_start: SimTime,
     peak_pending: usize,
+}
+
+fn invalid_input(detail: &str) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidInput, detail)
 }
 
 impl<W: IoWrite> StreamWriter<W> {
@@ -193,26 +287,16 @@ impl<W: IoWrite> StreamWriter<W> {
         names: &[&str],
         timescale: &str,
     ) -> std::io::Result<Self> {
-        let ids: Vec<String> = (0..names.len()).map(id_for).collect();
-        let mut header = String::new();
-        push_header(
-            &mut header,
-            design,
-            names.iter().copied().zip(ids.iter().map(String::as_str)),
-            timescale,
-        );
-        out.write_all(header.as_bytes())?;
-        let n = names.len();
+        let mut buf = Vec::new();
+        push_header(&mut buf, design, names.iter().copied(), timescale);
+        out.write_all(&buf)?;
         Ok(StreamWriter {
             out,
-            ids,
-            cur: vec![VAL_NONE; n],
-            pending: vec![Vec::new(); n],
-            touched: Vec::new(),
-            window_start: None,
-            last_time: None,
-            wrote_dumpvars: false,
-            dumpvars_open: false,
+            formatter: ChangeFormatter::new(names.len()),
+            cur: vec![VAL_NONE; names.len()],
+            keys: Vec::new(),
+            buf,
+            window_start: 0,
             peak_pending: 0,
         })
     }
@@ -221,12 +305,15 @@ impl<W: IoWrite> StreamWriter<W> {
     /// (absolute time): `initial` is the signal's value at `start`, and
     /// `toggles` are the window-local times (strictly increasing, `> 0`,
     /// clipped to the window) at which it flips. A `start` differing from
-    /// the window currently buffering flushes that window first — windows
-    /// must therefore arrive in ascending order.
+    /// the window currently buffering flushes that window first.
     ///
     /// # Errors
     ///
-    /// Propagates writer errors from the flush.
+    /// [`std::io::ErrorKind::InvalidInput`] — with none of the call's
+    /// changes buffered — for a negative `start`, a `start` below an
+    /// earlier window's (the `#t` stamps would run backwards) or a toggle
+    /// time that is not positive or overflows [`SimTime`]; otherwise
+    /// propagates writer errors from the flush.
     ///
     /// # Panics
     ///
@@ -241,45 +328,37 @@ impl<W: IoWrite> StreamWriter<W> {
     where
         I: IntoIterator<Item = SimTime>,
     {
-        // A window start at or below the previous window's would emit
-        // non-monotonic `#t` stamps — corrupt VCD with no diagnostic.
-        // Catch the misuse at the source (same discipline as the
-        // toggle-positivity assert below).
-        match self.window_start {
-            Some(s) if s == start => {}
-            Some(s) => {
-                debug_assert!(start > s, "windows must arrive in ascending start order");
-                self.flush_window()?;
-                self.window_start = Some(start);
-            }
-            None => {
-                debug_assert!(
-                    self.last_time.is_none_or(|t| start >= t),
-                    "windows must arrive in ascending start order"
-                );
-                self.window_start = Some(start);
-            }
+        if start < 0 {
+            return Err(invalid_input("window start is negative"));
         }
-        let list = &mut self.pending[signal];
-        let was_empty = list.is_empty();
+        if start < self.window_start {
+            return Err(invalid_input(
+                "windows must arrive in ascending start order",
+            ));
+        }
+        if start != self.window_start {
+            self.flush_window()?;
+            self.window_start = start;
+        }
+        let mark = self.keys.len();
         // Window-join stitching: a change at the window start is emitted
         // only for a signal never dumped before (its time-0 entry, which
         // VCD readers take as the initial value) or whose value actually
         // differs — a window opening at the value the previous window
         // closed on writes nothing.
         if self.cur[signal] != u8::from(initial) {
-            list.push((start, initial));
+            self.keys.push(pack_change(start, signal as u32, initial));
         }
         let mut v = initial;
         for t in toggles {
-            debug_assert!(t > 0, "window-local toggle times are positive");
+            let Some(at) = start.checked_add(t).filter(|_| t > 0) else {
+                self.keys.truncate(mark);
+                return Err(invalid_input("toggle time is not a positive SimTime"));
+            };
             v = !v;
-            list.push((start + t, v));
+            self.keys.push(pack_change(at, signal as u32, v));
         }
         self.cur[signal] = u8::from(v);
-        if was_empty && !list.is_empty() {
-            self.touched.push(signal as u32);
-        }
         Ok(())
     }
 
@@ -301,59 +380,17 @@ impl<W: IoWrite> StreamWriter<W> {
         Ok(self.out)
     }
 
-    /// Writes the buffered window as time-ordered `#t` change blocks:
-    /// a k-way merge over the per-signal sorted change lists, ordered by
-    /// `(time, signal)` — deterministic and identical to [`write()`]'s
-    /// whole-document ordering.
+    /// Writes the buffered window as time-ordered `#t` change blocks, in
+    /// one call so a raw `File` writer still sees few large writes.
     fn flush_window(&mut self) -> std::io::Result<()> {
-        let total: usize = self
-            .touched
-            .iter()
-            .map(|&s| self.pending[s as usize].len())
-            .sum();
-        self.peak_pending = self.peak_pending.max(total);
-        self.window_start = None;
-        if total == 0 {
+        self.peak_pending = self.peak_pending.max(self.keys.len());
+        if self.keys.is_empty() {
             return Ok(());
         }
-        let mut heap: BinaryHeap<Reverse<(SimTime, u32, u32)>> =
-            BinaryHeap::with_capacity(self.touched.len());
-        for &s in &self.touched {
-            heap.push(Reverse((self.pending[s as usize][0].0, s, 0)));
-        }
-        // One formatted block per window, written in a single call so a
-        // raw `File` writer still sees few large writes.
-        let mut buf = String::new();
-        while let Some(Reverse((t, s, i))) = heap.pop() {
-            let list = &self.pending[s as usize];
-            let (_, v) = list[i as usize];
-            if self.last_time != Some(t) {
-                if self.dumpvars_open {
-                    buf.push_str("$end\n");
-                    self.dumpvars_open = false;
-                }
-                let _ = writeln!(buf, "#{t}");
-                if !self.wrote_dumpvars {
-                    buf.push_str("$dumpvars\n");
-                    self.wrote_dumpvars = true;
-                    self.dumpvars_open = true;
-                }
-                self.last_time = Some(t);
-            }
-            let _ = writeln!(buf, "{}{}", u8::from(v), self.ids[s as usize]);
-            if ((i + 1) as usize) < list.len() {
-                heap.push(Reverse((list[(i + 1) as usize].0, s, i + 1)));
-            }
-        }
-        if self.dumpvars_open {
-            buf.push_str("$end\n");
-            self.dumpvars_open = false;
-        }
-        for &s in &self.touched {
-            self.pending[s as usize].clear();
-        }
-        self.touched.clear();
-        self.out.write_all(buf.as_bytes())
+        self.buf.clear();
+        self.formatter.format(&mut self.keys, &mut self.buf);
+        self.keys.clear();
+        self.out.write_all(&self.buf)
     }
 }
 
@@ -705,6 +742,146 @@ mod tests {
         let doc = parse(&text).unwrap();
         assert_eq!(doc.signals["hi"], Waveform::constant(true));
         assert_eq!(doc.signals["lo"], Waveform::constant(false));
+    }
+
+    /// Streams `waves` window by window (`cuts` are the window ends), never
+    /// delivering the signals flagged in `skip`.
+    fn stream(waves: &[Waveform], cuts: &[SimTime], skip: &[bool]) -> (String, usize) {
+        let names: Vec<String> = (0..waves.len()).map(|i| format!("s{i}")).collect();
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        let mut sw = StreamWriter::new(Vec::new(), "top", &names).unwrap();
+        let mut start = 0;
+        for &end in cuts {
+            for (s, w) in waves.iter().enumerate().filter(|&(s, _)| !skip[s]) {
+                let win = w.window(start, end);
+                let toggles = win.iter().skip(1).map(|(t, _)| t);
+                sw.wave(s, start, win.initial_value(), toggles).unwrap();
+            }
+            start = end;
+        }
+        let peak = sw.peak_window_changes();
+        (String::from_utf8(sw.finish().unwrap()).unwrap(), peak)
+    }
+
+    /// Seeded differential test: whatever the signals and windows — equal
+    /// times on many signals, windows opening on an unchanged value, quiet
+    /// and never-delivered signals, windows without a change, one-signal
+    /// streams — the streamed text is byte-for-byte the whole-document
+    /// writer's and parses back to the waveforms.
+    #[test]
+    fn stream_writer_is_byte_identical_to_whole_document_writer() {
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        for case in 0..300 {
+            let n = if case % 10 == 0 {
+                1
+            } else {
+                1 + next(120) as usize
+            };
+            // Windows of uneven length; times drawn from a small range so
+            // signals share stamps and some windows stay empty.
+            let mut cuts: Vec<SimTime> = Vec::new();
+            for _ in 0..1 + next(6) {
+                cuts.push(cuts.last().copied().unwrap_or(0) + 1 + next(40) as SimTime);
+            }
+            let end = *cuts.last().unwrap();
+            let busy_until = 1 + next(end as u64) as SimTime;
+            let mut skip = vec![false; n];
+            let waves: Vec<Waveform> = (0..n)
+                .map(|s| {
+                    // Signal 0 is always delivered, so the stream is never
+                    // empty where the document is not.
+                    skip[s] = s > 0 && next(8) == 0;
+                    let mut toggles: Vec<SimTime> = (0..next(7))
+                        .map(|_| 1 + next(busy_until as u64) as SimTime)
+                        .filter(|&t| t < end)
+                        .collect();
+                    toggles.sort_unstable();
+                    toggles.dedup();
+                    if skip[s] {
+                        Waveform::constant(false)
+                    } else {
+                        Waveform::from_toggles(next(2) == 1, &toggles)
+                    }
+                })
+                .collect();
+
+            let (streamed, peak) = stream(&waves, &cuts, &skip);
+            let names: Vec<String> = (0..n).map(|i| format!("s{i}")).collect();
+            let whole = write("top", names.iter().map(String::as_str).zip(&waves));
+            // A never-delivered signal is declared but not dumped; the
+            // document writer dumps its constant 0 at time 0.
+            let expected: String = whole
+                .split_inclusive('\n')
+                .filter(|line| {
+                    let undumped = |s: usize| skip[s] && line[1..].trim_end() == id_for(s);
+                    !(line.starts_with('0') && (0..n).any(undumped))
+                })
+                .collect();
+            assert_eq!(streamed, expected, "case {case}");
+
+            let doc = parse(&streamed).unwrap();
+            for (s, w) in waves.iter().enumerate() {
+                assert_eq!(&doc.signals[&names[s]], w, "case {case} signal {s}");
+            }
+            let total: usize = waves.iter().map(|w| w.toggle_count() + 1).sum();
+            assert!(peak <= total, "case {case}: peak {peak} of {total}");
+        }
+    }
+
+    #[test]
+    fn write_slices_long_documents_without_changing_them() {
+        // More changes than one slice holds, bunched at the far end of a
+        // long quiet stretch: several slices, most of them empty.
+        let toggles: Vec<SimTime> = (0..WRITE_SLICE_CHANGES as SimTime)
+            .map(|i| 50_000_000 + i)
+            .collect();
+        let a = Waveform::from_toggles(true, &toggles);
+        let b = Waveform::from_toggles(false, &toggles[1..]);
+        let text = write("top", [("a", &a), ("b", &b)]);
+        assert_eq!(text.matches("$dumpvars").count(), 1);
+        assert_eq!(text.matches("$end\n").count(), 8, "the header's seven + 1");
+        let stamps: Vec<&str> = text.lines().filter(|l| l.starts_with('#')).collect();
+        assert_eq!(stamps.len(), toggles.len() + 1, "one stamp per time");
+        let doc = parse(&text).unwrap();
+        assert_eq!(doc.signals["a"], a);
+        assert_eq!(doc.signals["b"], b);
+    }
+
+    #[test]
+    fn stream_writer_rejects_what_its_keys_cannot_order() {
+        let kind = |r: std::io::Result<()>| r.unwrap_err().kind();
+        let mut sw = StreamWriter::new(Vec::new(), "top", &["a", "b"]).unwrap();
+        sw.wave(0, 0, false, [4]).unwrap();
+        sw.wave(0, 10, true, [3]).unwrap();
+        // An earlier window after a later one would stamp `#5` after `#13`.
+        assert_eq!(
+            kind(sw.wave(1, 0, false, [5])),
+            std::io::ErrorKind::InvalidInput
+        );
+        assert_eq!(
+            kind(sw.wave(1, -10, false, [15])),
+            std::io::ErrorKind::InvalidInput
+        );
+        // A bad toggle leaves nothing of its delivery behind.
+        assert_eq!(
+            kind(sw.wave(1, 10, true, [2, 0])),
+            std::io::ErrorKind::InvalidInput
+        );
+        assert_eq!(
+            kind(sw.wave(1, 10, true, [2, SimTime::MAX])),
+            std::io::ErrorKind::InvalidInput
+        );
+        sw.wave(1, 10, false, [6]).unwrap();
+        let text = String::from_utf8(sw.finish().unwrap()).unwrap();
+        let doc = parse(&text).unwrap();
+        assert_eq!(doc.signals["a"], Waveform::from_toggles(false, &[4, 13]));
+        assert_eq!(doc.signals["b"], Waveform::from_toggles(false, &[16]));
     }
 
     #[test]

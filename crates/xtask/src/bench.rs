@@ -4,7 +4,8 @@
 //! known targets must all be present, and per-target tolerance bands must
 //! hold (rates in `[0, 1]`, walls positive, fused launches not above
 //! unfused, the glitch flow's turnaround at least
-//! `TURNAROUND_SPEEDUP_FLOOR`× the event-driven baseline's, and the
+//! `TURNAROUND_SPEEDUP_FLOOR`× the event-driven baseline's, its spill drain
+//! within `D2H_BATCHES_CEILING` transfers, and the
 //! speculative single-pass schedule at least
 //! `SPEC_SPEEDUP_FLOOR`× faster than its pinned two-pass reference on
 //! `deep_pipeline_resim`). CI runs this next to `analyze` so a PR cannot
@@ -26,6 +27,13 @@ const SPEC_SPEEDUP_FLOOR: f64 = 1.3;
 /// PRs with no gate noticing; the refreshed artifact sits several times
 /// above this floor, which only has to catch the headline being lost again.
 const TURNAROUND_SPEEDUP_FLOOR: f64 = 2.0;
+
+/// Upper bound on `BENCH_glitch_flow.json`'s `d2h_batches`, the transfers
+/// the spilled run's drain issued: one per level region of the flow
+/// design's 58 levels, plus one, for its single segment. The count stood at
+/// 1, then at 104 076 (one per stored waveform) for five PRs with no gate
+/// noticing; it may follow the design's depth, never its waveform count.
+const D2H_BATCHES_CEILING: f64 = 59.0;
 
 /// Artifacts every checkout must carry — the cross-PR trajectory set.
 const REQUIRED_ARTIFACTS: &[&str] = &[
@@ -135,6 +143,7 @@ fn check_glitch_flow(name: &str, doc: &Json, errors: &mut Vec<String>) {
     band("overflow_repairs", 0.0, f64::MAX);
     band("predicted_waste_words", 0.0, f64::MAX);
     band("oom_retries", 0.0, f64::MAX);
+    band("d2h_batches", 1.0, D2H_BATCHES_CEILING);
     if let (Some(fused), Some(unfused)) = (
         num_field(doc, "launches_fused"),
         num_field(doc, "launches_unfused"),
@@ -212,7 +221,7 @@ mod tests {
             "resim_wall_unfused": 0.17, "launches_fused": 22,
             "launches_unfused": 116, "speculative_hit_rate": 0.98,
             "overflow_repairs": 3, "predicted_waste_words": 120,
-            "oom_retries": 0
+            "oom_retries": 0, "d2h_batches": 58
         }"#;
         assert_eq!(
             check_artifact("BENCH_glitch_flow.json", glitch),
@@ -237,18 +246,19 @@ mod tests {
 
     #[test]
     fn bench_check_rejects_band_violations() {
-        // Hit rate above 1, a negative wall and a headline speedup under
-        // the floor are all out of band.
+        // Hit rate above 1, a negative wall, a headline speedup under the
+        // floor and a transfer per waveform are all out of band.
         let glitch = r#"{
             "target": "glitch_flow", "gates": 3840, "gatspi_seconds": 0.0,
             "turnaround_speedup": 1.05, "saving_pct": 4.28, "resim_wall_fused": 0.16,
             "resim_wall_unfused": 0.17, "launches_fused": 200,
             "launches_unfused": 116, "speculative_hit_rate": 1.5,
             "overflow_repairs": 3, "predicted_waste_words": 120,
-            "oom_retries": -1
+            "oom_retries": -1, "d2h_batches": 104076
         }"#;
         let errs = check_artifact("g.json", glitch);
-        assert_eq!(errs.len(), 5, "{errs:?}");
+        assert_eq!(errs.len(), 6, "{errs:?}");
+        assert!(errs.iter().any(|e| e.contains("d2h_batches")));
         assert!(errs.iter().any(|e| e.contains("turnaround_speedup")));
         assert!(errs.iter().any(|e| e.contains("oom_retries")));
         assert!(errs.iter().any(|e| e.contains("speculative_hit_rate")));

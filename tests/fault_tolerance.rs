@@ -246,8 +246,15 @@ fn permanent_mid_run_device_loss_fails_over_bit_identical() {
         .run_multi_gpu_to_vcd(&gpus, &stimuli, duration, &opts, Vec::new())
         .unwrap();
 
-    // Device 1 uploads and launches its shard, then dies for good at its
-    // third readback — a permanent mid-run loss with work already done.
+    // A shard is read back one level region at a time, so device 1
+    // uploads and launches its shard, then dies for good at the third of
+    // its five readbacks — a permanent mid-run loss with work already done.
+    assert_eq!(graph.n_levels(), 5);
+    assert_eq!(
+        clean.app_profile.d2h_batches,
+        3 * 5,
+        "one per shard and level"
+    );
     let plan = FaultPlan::new().with_fault(FaultSite::Transfer, 2, true);
     let inj = arm(gpus.device(1), &plan, 1);
     let (degraded, degraded_vcd) = session

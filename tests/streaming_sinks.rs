@@ -298,6 +298,55 @@ fn vcd_sink_memory_bounded_by_one_window() {
     );
 }
 
+/// The drain reads a segment back one level region at a time, so its
+/// transfer count follows the design's depth, not the number of waveforms
+/// it stored — on a segmented spill run and on a streamed VCD run alike.
+#[test]
+fn drain_transfers_are_bounded_by_levels_per_segment() {
+    let graph = wide_graph(21);
+    let stimuli = generate(
+        graph.primary_inputs().len(),
+        &StimulusConfig::random(16, 400, 0.5, 31),
+    );
+    let duration = 16 * 400;
+    let session = Session::new(
+        Arc::clone(&graph),
+        SimConfig::small()
+            .with_cycle_parallelism(8)
+            .with_window_align(400),
+    );
+    let bound = |r: &SimResult| (r.segments() * (graph.n_levels() + 1)) as u64;
+
+    let opts = RunOptions::default()
+        .with_segment_windows(3)
+        .with_waveform_spill();
+    let spilled = session.run_with(&stimuli, duration, &opts).unwrap();
+    assert!(spilled.segments() > 1, "test must exercise segmentation");
+    let batches = spilled.app_profile.d2h_batches;
+    assert!(
+        (1..=bound(&spilled)).contains(&batches),
+        "spill run: {batches} transfers for {} segments of {} levels",
+        spilled.segments(),
+        graph.n_levels()
+    );
+
+    let names: Vec<String> = (0..graph.n_signals())
+        .map(|s| graph.signal_name(SignalId(s as u32)).to_string())
+        .collect();
+    let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
+    let mut sink = VcdSink::new(Vec::new(), graph.name(), &name_refs).unwrap();
+    let streamed = session
+        .run_streaming(&stimuli, duration, &RunOptions::default(), &mut sink)
+        .unwrap();
+    let batches = streamed.app_profile.d2h_batches;
+    assert!(
+        (1..=bound(&streamed)).contains(&batches),
+        "streamed run: {batches} transfers for {} segments of {} levels",
+        streamed.segments(),
+        graph.n_levels()
+    );
+}
+
 /// Writer failures mid-run surface as `CoreError::Io` from the
 /// convenience entry point rather than disappearing.
 #[test]
