@@ -92,28 +92,26 @@ fn main() {
         CircuitGraph::build(&netlist, Some(&sdf), &GraphOptions::default()).expect("graph"),
     );
     let duration = CYCLE_TIME * cycles as i32;
-    // One compiled session; the fuse threshold is a per-run option, so
-    // both schedules share the session's plan cache under separate keys.
-    let sim = Session::new(
-        Arc::clone(&graph),
-        SimConfig::default().with_window_align(CYCLE_TIME),
-    );
-    let measure = |threshold: usize| {
-        let opts = RunOptions::default().with_fuse_threshold(threshold);
+    // One compiled session per schedule: the fuse threshold is fixed when
+    // the session is built.
+    let cfg = SimConfig::default().with_window_align(CYCLE_TIME);
+    let sim = Session::new(Arc::clone(&graph), cfg.clone());
+    let unfused_sim = Session::new(Arc::clone(&graph), cfg.with_fuse_threshold(0));
+    let measure = |sim: &Session| {
         let reps = 3;
         let t0 = Instant::now();
         let mut profile = AppPhaseProfile::default();
         let mut segments = 0usize;
         for _ in 0..reps {
-            let r = sim.run_with(&stimuli, duration, &opts).expect("resim");
+            let r = sim.run(&stimuli, duration).expect("resim");
             profile = r.app_profile;
             segments = r.segments();
         }
         let wall = t0.elapsed().as_secs_f64() / f64::from(reps);
         (wall, profile, segments)
     };
-    let (wall_fused, prof_fused, segs_f) = measure(SimConfig::default().fuse_threshold);
-    let (wall_unfused, prof_unfused, segs_u) = measure(0);
+    let (wall_fused, prof_fused, segs_f) = measure(&sim);
+    let (wall_unfused, prof_unfused, segs_u) = measure(&unfused_sim);
     let (launches_fused, fused_groups) = (prof_fused.launches, prof_fused.fused_launches);
     let launches_unfused = prof_unfused.launches;
 

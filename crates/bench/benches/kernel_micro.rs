@@ -208,13 +208,12 @@ fn bench_deep_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
-/// The publish path itself: forced-serial pipeline (`pipeline_depth = 1`,
-/// every level's host publish completes before the next level launches)
-/// vs the overlapped default (`pipeline_depth = 2`). `narrow` is a deep
-/// chain of one-gate levels (fused launches; publish overlaps phases
-/// inside the launch), `wide` is shallow random logic with thousand-gate
-/// levels (classic two-launch path; folded store-pass publication plus
-/// publish fan-out across host workers).
+/// The publish path itself (each level's length sums and SAIF dump
+/// enqueue, run by the thread that finished the level): `narrow` is a
+/// deep chain of one-gate levels (fused launches; the leader worker
+/// publishes at store-phase boundaries), `wide` is shallow random logic
+/// with thousand-gate levels (classic two-launch path; the engine thread
+/// publishes after the launch join).
 fn bench_publish_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("publish_path");
 
@@ -252,38 +251,31 @@ fn bench_publish_path(c: &mut Criterion) {
     );
     let wide_duration = cycle * cycles as i32;
 
-    for (label, pipeline_depth) in [("serial", 1usize), ("overlap", 2)] {
-        let sim = Session::new(
-            Arc::clone(&narrow),
-            SimConfig::default()
-                .with_cycle_parallelism(4)
-                .with_window_align(100)
-                .with_pipeline_depth(pipeline_depth),
-        );
-        group.bench_with_input(
-            BenchmarkId::new(format!("narrow_{label}"), format!("levels{depth}")),
-            &(),
-            |bench, ()| {
-                bench.iter(|| {
-                    sim.run(&narrow_stim, narrow_duration)
-                        .unwrap()
-                        .total_toggles()
-                })
-            },
-        );
+    let sim = Session::new(
+        Arc::clone(&narrow),
+        SimConfig::default()
+            .with_cycle_parallelism(4)
+            .with_window_align(100),
+    );
+    group.bench_with_input(
+        BenchmarkId::new("narrow", format!("levels{depth}")),
+        &(),
+        |bench, ()| {
+            bench.iter(|| {
+                sim.run(&narrow_stim, narrow_duration)
+                    .unwrap()
+                    .total_toggles()
+            })
+        },
+    );
 
-        let sim = Session::new(
-            Arc::clone(&wide),
-            SimConfig::default()
-                .with_window_align(cycle)
-                .with_pipeline_depth(pipeline_depth),
-        );
-        group.bench_with_input(
-            BenchmarkId::new(format!("wide_{label}"), "levels4"),
-            &(),
-            |bench, ()| bench.iter(|| sim.run(&wide_stim, wide_duration).unwrap().total_toggles()),
-        );
-    }
+    let sim = Session::new(
+        Arc::clone(&wide),
+        SimConfig::default().with_window_align(cycle),
+    );
+    group.bench_with_input(BenchmarkId::new("wide", "levels4"), &(), |bench, ()| {
+        bench.iter(|| sim.run(&wide_stim, wide_duration).unwrap().total_toggles())
+    });
     group.finish();
 }
 

@@ -34,8 +34,8 @@
 //!   schedule exactly the cone's gates and the cone is closed under fanout;
 //! * launch groups partition the levels in order with consistent thread
 //!   sums; fused groups own two phases per level and **disjoint**, in-bound
-//!   scratch-column slabs (the invariant the overlapped publish path relies
-//!   on).
+//!   scratch-column slabs (the invariant the group's segmented scan and
+//!   per-level publish rely on).
 
 use crate::schedule::{ConeInfo, LevelSchedule};
 

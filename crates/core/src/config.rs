@@ -148,23 +148,7 @@ pub struct SimConfig {
     /// dominates per-level kernel time. `0` disables fusion (the paper's
     /// original two-launches-per-level schedule). Default 4096.
     pub fuse_threshold: usize,
-    /// Publish-pipeline depth. `2` (default) lets a ticketed level `L`'s
-    /// host publish work (per-signal length accounting and SAIF dump
-    /// enqueueing) overlap later levels' phases **inside a fused launch**
-    /// — every group level owns a disjoint slab range of the scratch
-    /// column, so any number of a group's publishes may be in flight; an
-    /// epoch fence at every launch-group boundary waits for outstanding
-    /// publishes before the next group's working-set sums feed the L2
-    /// model and the column is reused. On the classic two-launch path
-    /// each wide level is its own group, so that fence lands immediately
-    /// after the ticket — wide levels gain *parallel* publish (fanned out
-    /// across host workers, overlapping only the SAIF scanner), not
-    /// cross-launch overlap. `1` forces the fully serial pipeline (every
-    /// publish completes before the engine proceeds) — bit-identical
-    /// results; used by equivalence tests and as the bench baseline.
-    /// Values clamp to `1..=2`.
-    pub pipeline_depth: usize,
-    /// Upper bound on cached `(windows, fuse_threshold)` launch plans per
+    /// Upper bound on cached launch plans (one per window count) per
     /// session; least-recently-used plans are evicted beyond it (plans for
     /// odd tail-segment sizes are rarely reused). `0` means unbounded.
     /// Default 16.
@@ -194,7 +178,6 @@ impl Default for SimConfig {
             path_pulse_percent: 100,
             window_align: 1,
             fuse_threshold: 4096,
-            pipeline_depth: 2,
             plan_cache_cap: 16,
             speculation: Speculation::default(),
             retry: RetryPolicy::default(),
@@ -236,14 +219,6 @@ impl SimConfig {
         self
     }
 
-    /// Sets the publish-pipeline depth (builder style): `1` forces the
-    /// serial publish path, `2` (default) overlaps publish with the next
-    /// level's launches. Clamped to `1..=2`.
-    pub fn with_pipeline_depth(mut self, depth: usize) -> Self {
-        self.pipeline_depth = depth.clamp(1, 2);
-        self
-    }
-
     /// Sets the plan-cache capacity (builder style); `0` means unbounded.
     pub fn with_plan_cache_cap(mut self, cap: usize) -> Self {
         self.plan_cache_cap = cap;
@@ -279,7 +254,6 @@ mod tests {
         assert!(c.features.net_delay_filtering);
         assert!(c.features.full_sdf);
         assert_eq!(c.device.name, "V100");
-        assert_eq!(c.pipeline_depth, 2);
         assert_eq!(c.plan_cache_cap, 16);
         assert_eq!(c.speculation, Speculation::Auto);
         assert_eq!(SimConfig::small().speculation, Speculation::Auto);
@@ -295,18 +269,6 @@ mod tests {
         assert_eq!(p.delay_seconds(3), 0.004);
         assert_eq!(p.delay_seconds(30), 0.1, "capped at backoff_cap");
         assert_eq!(RetryPolicy::none().max_attempts, 1);
-    }
-
-    #[test]
-    fn pipeline_depth_clamps() {
-        assert_eq!(
-            SimConfig::default().with_pipeline_depth(0).pipeline_depth,
-            1
-        );
-        assert_eq!(
-            SimConfig::default().with_pipeline_depth(9).pipeline_depth,
-            2
-        );
     }
 
     #[test]

@@ -380,8 +380,6 @@ pub fn simulate_gate(
         }
         lane.ops(n as u64 + 2);
         let y = tt[col as usize] as u32;
-        #[cfg(feature = "ktrace")]
-        eprintln!("event ti={ti} switched={switched:b} col={col:b} y={y} out_val={out_val} prev_to={prev_to}");
 
         // --- Line 19: only a change of output value produces an edge.
         if y == out_val {
@@ -454,11 +452,6 @@ pub fn simulate_gate(
             i64::MIN
         };
         let cancel = to - prev_to < threshold && top_time > ti;
-        #[cfg(feature = "ktrace")]
-        eprintln!(
-            "  -> to={to} threshold={threshold} prev_to={prev_to} {}",
-            if cancel { "CANCEL" } else { "PUSH" }
-        );
         if cancel {
             extent -= 1;
             if storing {

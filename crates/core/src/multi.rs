@@ -3,12 +3,11 @@
 //!
 //! [`Session::run_multi_gpu`] shards the windows evenly across the fleet and
 //! runs every shard through the same `execute_segment` as a single-device
-//! run — same plan cache, same retry boundary, same overlapped publish
-//! pipeline — so the serial-vs-pipelined equivalence guarantees hold per
-//! device. What lives here is only what a fleet adds: the concurrent shard
-//! fan-out, the in-window-order drain and merge, and failover of a dead
-//! device's shards onto the survivors ([`ShardQueue`], the reorder buffer and
-//! its replay).
+//! run — same plan cache, same retry boundary, same level loop — so the
+//! single-device equivalence guarantees hold per device. What lives here
+//! is only what a fleet adds: the concurrent shard fan-out, the
+//! in-window-order drain and merge, and failover of a dead device's shards
+//! onto the survivors ([`ShardQueue`], the reorder buffer and its replay).
 
 use std::time::Instant;
 
@@ -132,9 +131,8 @@ impl Session {
     /// ranges, so draining them in device order merges the windows in
     /// time order — making [`SimResult::waveform`] work on multi-GPU
     /// results exactly as on segmented single-device runs.
-    /// [`RunOptions::fuse_threshold`] overrides the launch-fusion
-    /// threshold; [`RunOptions::segment_windows`] is ignored (sharding
-    /// already fixes each device's window count).
+    /// [`RunOptions::segment_windows`] is ignored (sharding already fixes
+    /// each device's window count).
     ///
     /// # Errors
     ///
@@ -252,10 +250,9 @@ impl Session {
         // cache *before* the devices fan out (deterministic build count,
         // shared read-only across the fleet — failover re-execution hits
         // the same cache entries).
-        let fuse_threshold = opts.fuse_threshold.unwrap_or(self.config().fuse_threshold);
         for &(_, count) in &shards {
             if count > 0 {
-                let _ = self.plan(count, fuse_threshold);
+                let _ = self.plan(count);
             }
         }
 
@@ -271,7 +268,6 @@ impl Session {
         let inputs = SegmentInputs {
             windows: &windows,
             stims: &win_stims,
-            fuse_threshold,
             cone: None,
         };
         let mut totals = RunTotals::new(n_signals, "multi-resim");

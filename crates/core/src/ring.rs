@@ -7,13 +7,13 @@
 //! and pops without touching the allocator.
 //!
 //! Concurrency contract: *multiple* producers, exactly one consumer. The
-//! pipelined executor's publish workers partition a level by gate range and
-//! enqueue their chunks concurrently through [`DumpRing::push_slice`],
-//! which reserves ring space **once per chunk** (one `fetch_add` on the
-//! reservation cursor) instead of once per message, writes its slots, and
-//! then commits in reservation order so the consumer only ever reads fully
-//! written slots. The single-message [`DumpRing::push`] is the degenerate
-//! one-element slice.
+//! engine publishes a level from one thread at a time (the engine thread,
+//! or a fused launch's leader worker), but the protocol does not rely on
+//! it: [`DumpRing::push_slice`] reserves ring space **once per chunk**
+//! (one `fetch_add` on the reservation cursor) instead of once per
+//! message, writes its slots, and then commits in reservation order so the
+//! consumer only ever reads fully written slots. The single-message
+//! [`DumpRing::push`] is the degenerate one-element slice.
 
 use crate::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
@@ -271,9 +271,8 @@ impl DumpRing {
 
 /// Wait strategy for an empty/full ring: yield for the first iterations
 /// (message gaps are usually short), then sleep in 50µs slices so a long
-/// wait costs near-zero CPU. Shared with the publish pipeline's ticket and
-/// fence waits in [`crate::session`].
-pub(crate) fn backoff(spins: &mut u32) {
+/// wait costs near-zero CPU.
+fn backoff(spins: &mut u32) {
     if *spins < 64 {
         *spins += 1;
         crate::sync::thread::yield_now();

@@ -27,9 +27,8 @@
 //!   prefix-sum-base columns in which every level of a fused group owns a
 //!   **disjoint contiguous slab range** ([`LevelDesc::col_off`]) — the
 //!   group's base assignment becomes one carry-chained segmented
-//!   prefix-sum over that slab, and the overlapped publish path (len-sum
-//!   accounting + SAIF dump enqueueing of level `L`) reads `L`'s range
-//!   while level `L + 1`'s count pass writes its own.
+//!   prefix-sum over that slab, and a level's host publish (len-sum
+//!   accounting + SAIF dump enqueueing) reads only its own range.
 
 use std::ops::Range;
 
@@ -50,9 +49,9 @@ pub(crate) struct LevelDesc {
     /// Offset of this level's count/base entries in the scratch column.
     /// Levels of a fused group occupy disjoint consecutive ranges of one
     /// contiguous slab (`col_off..col_off + threads`), so the group's
-    /// segmented prefix-sum scans one arena run and a level's publish can
-    /// proceed while later levels of the same group fill their own ranges.
-    /// Classic single-level groups start at 0.
+    /// segmented prefix-sum scans one arena run and no level of the group
+    /// writes entries another level's publish reads. Classic single-level
+    /// groups start at 0.
     pub col_off: u32,
 }
 
@@ -258,7 +257,7 @@ impl LevelSchedule {
     /// restricted to the gates of `cone` (a changed set plus its transitive
     /// fan-out, see [`ConeInfo`]). Levels are filtered to their in-cone
     /// gates with compacted thread tables; levels left empty disappear
-    /// entirely (no launch, no publish ticket), so the cone of a handful of
+    /// entirely (no launch, no host publish), so the cone of a handful of
     /// late-level resizes executes in a few launches regardless of the full
     /// design's depth. Relative level order is preserved, which keeps the
     /// dependency argument intact: every in-cone pin is either an earlier
@@ -414,11 +413,6 @@ impl LevelSchedule {
         &self.groups
     }
 
-    /// Number of levels (one publish ticket each, at most).
-    pub fn n_levels(&self) -> usize {
-        self.levels.len()
-    }
-
     /// Level descriptor.
     pub fn level(&self, l: usize) -> &LevelDesc {
         &self.levels[l]
@@ -475,13 +469,16 @@ impl LevelSchedule {
     }
 
     /// Input working set of level `l` in words, from the running per-signal
-    /// length sums (valid only behind a publish fence: the sums for a
-    /// signal settle when its level's publish ticket completes).
+    /// length sums (valid only at a launch-group top: a signal's sum
+    /// settles when its level is published, on the thread that finished
+    /// the level, before that level's launch returns or the engine moves
+    /// on to the next group).
     pub fn level_ws(&self, len_sum: &[AtomicU64], l: usize) -> u64 {
         self.level_pins(l)
             .iter()
-            // relaxed-ok: callers fence on the publish pipeline
-            // (`fence_all`) before reading the sums — see the doc above.
+            // relaxed-ok: called on the engine thread at a launch-group
+            // top; every earlier level's adds ran on that thread or behind
+            // the join of the launch that made them — see the doc above.
             .map(|&s| len_sum[s as usize].load(Ordering::Relaxed))
             .sum()
     }
@@ -499,9 +496,10 @@ impl LevelSchedule {
     }
 
     /// Messages the dump ring must hold so no level's publication ever
-    /// blocks on the SAIF scan: the widest single level (the publish worker
-    /// enqueues a whole level at a time) or the largest fused group
-    /// (published while the launch is still running), whichever is larger.
+    /// blocks on the SAIF scan: the widest single level (enqueued as a
+    /// whole right after its launch) or the largest fused group (published
+    /// level by level while the launch is still running), whichever is
+    /// larger.
     pub fn dump_backlog(&self) -> usize {
         self.max_level_threads.max(self.max_fused_msgs)
     }
@@ -515,9 +513,9 @@ impl LevelSchedule {
     /// hot path assumes instead of checking — flat-table shapes, level
     /// partitioning, baked descriptors and LUT offsets against the graph,
     /// topological consistency, launch-group coverage, and the fused-slab
-    /// disjointness the overlapped publish depends on. For cone
-    /// sub-schedules, also checks the cone is closed under fanout and its
-    /// boundary covers every out-of-cone pin. Returns one message per
+    /// disjointness the group's segmented scan and publish depend on. For
+    /// cone sub-schedules, also checks the cone is closed under fanout and
+    /// its boundary covers every out-of-cone pin. Returns one message per
     /// defect (empty = sound). This is `xtask validate-plans`' engine (via
     /// [`crate::audit`]) and the target of the mutation tests below.
     pub fn validate(&self, graph: &CircuitGraph, cone: Option<&ConeInfo>) -> Vec<String> {
@@ -822,8 +820,8 @@ impl LevelSchedule {
                     ));
                 }
             }
-            // Slab disjointness: the overlapped publish of level L reads
-            // its own col_off range while L+1's count pass writes its own.
+            // Slab disjointness: every level of a fused group scans and
+            // publishes its own col_off range of the one group slab.
             let mut slabs: Vec<(u32, u32)> = gr
                 .levels
                 .clone()
@@ -868,13 +866,10 @@ impl LevelSchedule {
 /// Per-batch scratch arena: every buffer the per-level hot loop touches,
 /// allocated once. Pointer/length tables are atomics because the *store
 /// pass itself* publishes them (each store thread writes its output's
-/// pointer and length — the pipelined executor's folded publication);
+/// pointer and length — folded publication);
 /// `outs`/`bases` form one column in which every level of a fused group
-/// owns a disjoint contiguous slab range ([`LevelDesc::col_off`]), so the
-/// overlapped host publish of level `L` reads its own range while level
-/// `L + 1`'s launches fill theirs — no column double-buffering and no
-/// parity fences (the group-boundary epoch fence in `session.rs` orders
-/// reuse across groups).
+/// owns a disjoint contiguous slab range ([`LevelDesc::col_off`]) — no
+/// column double-buffering; the launch join orders reuse across groups.
 #[derive(Debug)]
 pub(crate) struct BatchScratch {
     /// `ptrs[w * n_signals + s]`: word offset of signal `s`'s waveform in
@@ -883,8 +878,8 @@ pub(crate) struct BatchScratch {
     /// Stored length in words of the same waveform.
     pub lens: Vec<AtomicU32>,
     /// Running per-signal stored words across all windows of this batch
-    /// (the incremental working-set sums). Atomic because publish workers
-    /// for disjoint gate ranges accumulate concurrently.
+    /// (the incremental working-set sums). Atomic because a fused launch's
+    /// leader worker adds to them through the shared arena.
     pub len_sum: Vec<AtomicU64>,
     /// Count-pass packed outputs (one column of `stride` entries).
     outs: Vec<AtomicU64>,
@@ -1037,8 +1032,8 @@ impl BatchScratch {
 
 /// Host-side mutable state threaded through the per-level loop: the arena
 /// bump pointer. (The per-signal length sums live in
-/// [`BatchScratch::len_sum`] so the overlapped publish workers can
-/// accumulate them off the critical path; a fused group's bump carry lives
+/// [`BatchScratch::len_sum`] so a fused launch's leader can accumulate
+/// them at its phase boundaries; a fused group's bump carry lives
 /// in the group's segmented-prefix-sum assigner while its launch runs.)
 #[derive(Debug, Default)]
 pub(crate) struct HostState {
@@ -1154,7 +1149,7 @@ mod tests {
         }
         // Classic (unfused) levels all start at column 0.
         let s = LevelSchedule::build(&g, 4, 0);
-        assert!((0..s.n_levels()).all(|l| s.level(l).col_off == 0));
+        assert!(s.levels.iter().all(|ld| ld.col_off == 0));
     }
 
     #[test]
@@ -1273,7 +1268,7 @@ mod tests {
         assert_eq!(cone.n_gates, 0);
         assert!(cone.boundary.is_empty());
         let s = LevelSchedule::restrict(&g, 3, 0, &cone);
-        assert_eq!(s.n_levels(), 0);
+        assert_eq!(s.levels.len(), 0);
         assert_eq!(s.n_slots(), 0);
         assert!(s.groups().is_empty());
     }
@@ -1417,8 +1412,8 @@ mod tests {
         let g = chain_graph(10);
         let mut s = LevelSchedule::build(&g, 4, 12);
         assert!(s.groups[0].fused && s.groups[0].levels.len() == 3);
-        // Collapse level 1's slab onto level 0's: the overlapped publish
-        // would read bases level 1's count pass is clobbering.
+        // Collapse level 1's slab onto level 0's: the group's levels must
+        // each own their range of the slab.
         s.levels[1].col_off = 0;
         let defects = s.validate(&g, None);
         assert!(defects.iter().any(|d| d.contains("overlap")), "{defects:?}");

@@ -4,8 +4,7 @@
 //! re-simulating many stimuli fast. [`Session`] is that split made
 //! explicit: building one from `(CircuitGraph, SimConfig)` owns the
 //! simulated device and a keyed cache of [`LevelSchedule`] plans (one per
-//! window count and fuse threshold), plus a pool of [`BatchScratch`]
-//! arenas, so repeated runs — more segments of one stimulus, or entirely
+//! window count), plus a pool of [`BatchScratch`] arenas, so repeated runs — more segments of one stimulus, or entirely
 //! new stimuli — skip every piece of preparation that does not depend on
 //! the stimulus itself. Execution is driven by [`RunOptions`] and can
 //! stream every finished waveform through an output sink
@@ -26,10 +25,10 @@ use gatspi_wave::{SimTime, Waveform, EOW, INIT_ONE_MARKER};
 
 use crate::kernel::{simulate_gate, GateKernelInput, KernelMode, KernelOutput, MAX_KERNEL_PINS};
 use crate::result::ExtractionState;
-use crate::ring::{backoff, DumpMsg, DumpRing};
+use crate::ring::{DumpMsg, DumpRing};
 use crate::schedule::{BatchScratch, ConeInfo, HostState, LevelSchedule};
 use crate::sink::{SaifSink, SpillSink, VcdSink, WaveformSink, WindowInfo};
-use crate::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use crate::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use crate::{CoreError, Result, SimConfig, SimResult, Speculation};
 
 /// Levels with at least this many threads prefix-sum their count-pass
@@ -57,24 +56,7 @@ const SCRATCH_OVERSIZE_FACTOR: usize = 4;
 /// arena cannot serve tiny batches indefinitely.
 const SCRATCH_SHRINK_AFTER: u32 = 4;
 
-/// Levels narrower than this many (gate, window) threads publish *inline*
-/// on the issuing thread instead of through the pipeline worker: handing a
-/// handful of messages to another thread costs more in wake-up latency
-/// than the publish itself (the same reasoning as the device's inline
-/// launches). Inline publication is safe alongside an outstanding ticket —
-/// the dump ring is multi-producer and the length sums are atomic — except
-/// for the scratch-column parity guard handled at the issue site.
-const INLINE_PUBLISH_MAX: usize = 256;
-
-/// Levels with at least this many (gate, window) threads publish (len-sum
-/// accounting + dump enqueue) across multiple host workers partitioned by
-/// gate range; narrower levels publish on the single pipeline worker.
-const PARALLEL_PUBLISH_MIN: usize = 1 << 15;
-
-/// Upper bound on publish fan-out workers.
-const MAX_PUBLISH_WORKERS: usize = 32;
-
-/// Dump messages a publish worker accumulates before reserving ring space
+/// Dump messages [`publish_level`] accumulates before reserving ring space
 /// for the whole chunk at once (one reservation per chunk, not per
 /// message). Stack-resident, so publication stays allocation-free.
 const PUBLISH_CHUNK: usize = 128;
@@ -108,10 +90,6 @@ pub struct RunOptions {
     /// segmentation — useful for bounding per-segment arena footprint and
     /// for exercising segmented execution in tests.
     pub segment_windows: Option<usize>,
-    /// Launch-fusion threshold override for this run (`None` uses
-    /// [`SimConfig::fuse_threshold`]). Part of the plan-cache key, so runs
-    /// with different thresholds coexist without evicting each other.
-    pub fuse_threshold: Option<usize>,
 }
 
 impl RunOptions {
@@ -124,12 +102,6 @@ impl RunOptions {
     /// Caps windows per memory segment (builder style).
     pub fn with_segment_windows(mut self, nw: usize) -> Self {
         self.segment_windows = Some(nw.max(1));
-        self
-    }
-
-    /// Overrides the launch-fusion threshold for this run (builder style).
-    pub fn with_fuse_threshold(mut self, threshold: usize) -> Self {
-        self.fuse_threshold = Some(threshold);
         self
     }
 }
@@ -174,13 +146,13 @@ struct ConePlan {
 /// per map.
 #[derive(Debug, Default)]
 struct PlanCache {
-    /// `(nw, fuse_threshold)` → (plan, last-used tick).
-    map: HashMap<(usize, usize), (Arc<LevelSchedule>, u64)>,
-    /// `(nw, fuse_threshold, cone signature)` → (cone plan, last-used
-    /// tick). The signature is an order-independent hash of the changed
-    /// gate set; `ConePlan::changed` is compared on every hit, so a
-    /// colliding set rebuilds instead of silently reusing the wrong plan.
-    cones: HashMap<(usize, usize, u64), (ConePlan, u64)>,
+    /// `nw` → (plan, last-used tick).
+    map: HashMap<usize, (Arc<LevelSchedule>, u64)>,
+    /// `(nw, cone signature)` → (cone plan, last-used tick). The
+    /// signature is an order-independent hash of the changed gate set;
+    /// `ConePlan::changed` is compared on every hit, so a colliding set
+    /// rebuilds instead of silently reusing the wrong plan.
+    cones: HashMap<(usize, u64), (ConePlan, u64)>,
     /// Monotonic access counter stamping recency.
     tick: u64,
     hits: u64,
@@ -273,7 +245,7 @@ pub struct Session {
     /// input, else `u32::MAX` (used by the sink drain to feed PI windows
     /// from the host-resident stimulus instead of reading them back).
     pi_of: Vec<u32>,
-    /// Keyed plan cache: `(nw, fuse_threshold)` → schedule, LRU-bounded by
+    /// Keyed plan cache: `nw` → schedule, LRU-bounded by
     /// [`SimConfig::plan_cache_cap`]. Plans are device-independent, so
     /// multi-GPU shards and the CPU backend share them too.
     plans: Mutex<PlanCache>,
@@ -283,12 +255,12 @@ pub struct Session {
     scratch_pool: Mutex<Vec<BatchScratch>>,
     /// The segment drain's host buffers, taken for the length of a drain.
     drain_bufs: Mutex<DrainBuffers>,
-    /// `(total windows, fuse_threshold)` → segment size that last worked,
-    /// so repeat runs on a memory-constrained session start there instead
-    /// of re-probing the OOM halving sequence (a starting point only: a
-    /// denser stimulus still halves further, a sparser one merely
-    /// over-segments, both correct).
-    segment_hints: Mutex<HashMap<(usize, usize), usize>>,
+    /// Total windows → segment size that last worked, so repeat runs on a
+    /// memory-constrained session start there instead of re-probing the
+    /// OOM halving sequence (a starting point only: a denser stimulus
+    /// still halves further, a sparser one merely over-segments, both
+    /// correct).
+    segment_hints: Mutex<HashMap<usize, usize>>,
     /// Speculative store threads observed across every batch of this
     /// session (the [`Speculation::Auto`] monitor's sample).
     spec_threads: AtomicU64,
@@ -361,7 +333,6 @@ pub(crate) struct SegmentInputs<'a> {
     /// Per window: every primary input's waveform (full run), or the cone
     /// boundary's primary-input subset in boundary order (incremental run).
     pub stims: &'a [Vec<Waveform>],
-    pub fuse_threshold: usize,
     /// `Some` for an incremental run: segments execute the cone sub-plan on
     /// [`BatchStimulus::Boundary`] and drain in-cone signals only.
     pub cone: Option<ConeInputs<'a>>,
@@ -594,12 +565,11 @@ impl Session {
     /// [`SimConfig::plan_cache_cap`]: inserting past the cap evicts the
     /// least-recently-used plan (odd tail-segment sizes are rarely reused,
     /// and an unbounded cache would pin every one of them forever).
-    pub(crate) fn plan(&self, nw: usize, fuse_threshold: usize) -> Arc<LevelSchedule> {
-        let key = (nw, fuse_threshold);
+    pub(crate) fn plan(&self, nw: usize) -> Arc<LevelSchedule> {
         let mut cache = self.plans.lock().unwrap_or_else(|e| e.into_inner());
         cache.tick += 1;
         let tick = cache.tick;
-        if let Some((p, stamp)) = cache.map.get_mut(&key) {
+        if let Some((p, stamp)) = cache.map.get_mut(&nw) {
             *stamp = tick;
             let p = Arc::clone(p);
             cache.hits += 1;
@@ -607,9 +577,13 @@ impl Session {
             return p;
         }
         cache.misses += 1;
-        let p = Arc::new(LevelSchedule::build(&self.graph, nw, fuse_threshold));
+        let p = Arc::new(LevelSchedule::build(
+            &self.graph,
+            nw,
+            self.config.fuse_threshold,
+        ));
         self.apply_spec_seed(&p);
-        cache.map.insert(key, (Arc::clone(&p), tick));
+        cache.map.insert(nw, (Arc::clone(&p), tick));
         let cap = self.config.plan_cache_cap;
         if cap > 0 && cache.map.len() > cap {
             // The freshly inserted plan carries the newest stamp, so the
@@ -635,24 +609,23 @@ impl Session {
         cache
             .cones
             .iter()
-            .find(|(&(_, _, sig), (p, _))| sig == signature && p.changed == changed)
+            .find(|(&(_, sig), (p, _))| sig == signature && p.changed == changed)
             .map(|(_, (p, _))| Arc::clone(&p.cone))
     }
 
-    /// The cached cone sub-plan for `(nw, fuse_threshold, changed set)`,
-    /// restricting `cone` on first use. Same locking and LRU discipline as
+    /// The cached cone sub-plan for `(nw, changed set)`, restricting
+    /// `cone` on first use. Same locking and LRU discipline as
     /// [`Session::plan`]; the caller supplies the (window-independent) cone
     /// so a repeat incremental run with a different segment size reuses it
     /// without re-sweeping the graph.
     fn cone_plan(
         &self,
         nw: usize,
-        fuse_threshold: usize,
         signature: u64,
         changed: &[bool],
         cone: &Arc<ConeInfo>,
     ) -> Arc<LevelSchedule> {
-        let key = (nw, fuse_threshold, signature);
+        let key = (nw, signature);
         let mut cache = self.plans.lock().unwrap_or_else(|e| e.into_inner());
         cache.tick += 1;
         let tick = cache.tick;
@@ -669,14 +642,14 @@ impl Session {
         let schedule = Arc::new(LevelSchedule::restrict(
             &self.graph,
             nw,
-            fuse_threshold,
+            self.config.fuse_threshold,
             cone,
         ));
         // Warm the cone's extent history from the full plan cached for the
         // same shape (the history is indexed by gate id, so it transfers
         // verbatim): an incremental run then speculates from the full
         // run's observations instead of first-touch static bounds.
-        if let Some((full, _)) = cache.map.get(&(nw, fuse_threshold)) {
+        if let Some((full, _)) = cache.map.get(&nw) {
             schedule.predictor().seed_from(full.predictor());
         }
         self.apply_spec_seed(&schedule);
@@ -753,15 +726,15 @@ impl Session {
     }
 
     /// The segment size that last worked for this run shape, if any.
-    fn segment_hint(&self, total_windows: usize, fuse_threshold: usize) -> Option<usize> {
+    fn segment_hint(&self, total_windows: usize) -> Option<usize> {
         let hints = self.segment_hints.lock().unwrap_or_else(|e| e.into_inner());
-        hints.get(&(total_windows, fuse_threshold)).copied()
+        hints.get(&total_windows).copied()
     }
 
     /// Remembers the segment size a run settled on after OOM halving.
-    fn record_segment_hint(&self, total_windows: usize, fuse_threshold: usize, chunk: usize) {
+    fn record_segment_hint(&self, total_windows: usize, chunk: usize) {
         let mut hints = self.segment_hints.lock().unwrap_or_else(|e| e.into_inner());
-        hints.insert((total_windows, fuse_threshold), chunk);
+        hints.insert(total_windows, chunk);
     }
 
     /// Re-simulates the design with default [`RunOptions`]: `stimuli[k]`
@@ -954,7 +927,6 @@ impl Session {
 
         device.memory().reset_counters();
         device.memory().advance_epoch();
-        let fuse_threshold = opts.fuse_threshold.unwrap_or(self.config.fuse_threshold);
         let signature = cone_signature(&changed);
         // The cone is window-count independent: reuse it from any cached
         // plan for this changed set, else extract it once per call and
@@ -990,7 +962,6 @@ impl Session {
         let inputs = SegmentInputs {
             windows: &windows,
             stims: &pi_stims,
-            fuse_threshold,
             cone: Some(ConeInputs {
                 signature,
                 changed: &changed,
@@ -1091,7 +1062,6 @@ impl Session {
         // device now reports StaleExtraction instead of reading our data.
         let epoch = device.memory().advance_epoch();
         let windows = self.make_windows(duration, self.config.cycle_parallelism);
-        let fuse_threshold = opts.fuse_threshold.unwrap_or(self.config.fuse_threshold);
 
         // --- Input restructuring (the dominant init cost in Table 5).
         let t0 = Instant::now();
@@ -1107,7 +1077,6 @@ impl Session {
         let inputs = SegmentInputs {
             windows: &windows,
             stims: &win_stims,
-            fuse_threshold,
             cone: None,
         };
         let mut sinks: Vec<&mut dyn WaveformSink> = Vec::new();
@@ -1122,7 +1091,7 @@ impl Session {
         // its wasted stimulus uploads — on every repeat run).
         let chunk = opts
             .segment_windows
-            .or_else(|| self.segment_hint(windows.len(), fuse_threshold))
+            .or_else(|| self.segment_hint(windows.len()))
             .unwrap_or(windows.len());
         let mut extraction = None;
         let chunk =
@@ -1136,7 +1105,7 @@ impl Session {
                 })
             })?;
         if opts.segment_windows.is_none() && chunk < windows.len() {
-            self.record_segment_hint(windows.len(), fuse_threshold, chunk);
+            self.record_segment_hint(windows.len(), chunk);
         }
 
         // --- Assemble SAIF and result.
@@ -1242,11 +1211,11 @@ impl Session {
         // stimulus windows.
         let (plan, drain_stims, only) = match cone {
             Some(c) => (
-                self.cone_plan(nw, inputs.fuse_threshold, c.signature, c.changed, c.cone),
+                self.cone_plan(nw, c.signature, c.changed, c.cone),
                 &[][..],
                 Some(&c.cone.sigs[..]),
             ),
-            None => (self.plan(nw, inputs.fuse_threshold), stims, None),
+            None => (self.plan(nw), stims, None),
         };
         let scratch = self.acquire_scratch(&plan);
         let mut first_attempt = true;
@@ -1379,28 +1348,28 @@ impl Session {
     /// Simulates one batch of windows on `device` (one memory segment)
     /// against a prebuilt `plan`: uploads stimulus, runs the two-pass
     /// levelized schedule (fusing runs of small levels into single phased
-    /// launches) as an **overlapped pipeline**, and returns the
-    /// accumulators.
+    /// launches) with the SAIF scan overlapped on its own thread, and
+    /// returns the accumulators.
     ///
-    /// Pipeline structure (see the README's executor map):
+    /// Structure (see the README's executor map):
     ///
     /// * the store pass itself publishes every output's pointer and length
     ///   into the shared tables (folded publication — no host per-slot
     ///   store loop survives);
     /// * the remaining host publish work per level (per-signal length sums
-    ///   and SAIF dump enqueueing) is a *ticket* handed to a publish
-    ///   worker, which fans wide levels out across host workers
-    ///   partitioned by gate range and enqueues dump messages in
-    ///   ring-reserved chunks;
+    ///   and SAIF dump enqueueing, [`publish_level`]) runs on the thread
+    ///   that just finished the level — the engine thread after a classic
+    ///   launch, the leader worker at a fused launch's store/repair
+    ///   boundary — so the launch join / phase gate that settled the
+    ///   level's counts and bases also orders the publish that reads them,
+    ///   and the length sums feeding the next launch group's modeled
+    ///   working set are complete when the group top reads them;
     /// * every level of a fused group owns a disjoint slab range of the
-    ///   [`BatchScratch`] count/base column, so level `L`'s publish
-    ///   overlaps any number of later levels' phases without fencing
-    ///   ([`SimConfig::pipeline_depth`]` = 1` forces the serial pipeline);
-    ///   base assignment is one carry-chained segmented prefix-sum over
-    ///   the group slab ([`GroupAssigner`]);
-    /// * an epoch fence at every launch-group boundary waits for all
-    ///   outstanding tickets, so the length sums feeding the next group's
-    ///   modeled working set are consistent and the column can be reused.
+    ///   [`BatchScratch`] count/base column; base assignment is one
+    ///   carry-chained segmented prefix-sum over the group slab
+    ///   ([`GroupAssigner`]);
+    /// * the asynchronous SAIF scanner is the batch's only helper thread:
+    ///   it drains the dump ring while later levels simulate.
     ///
     /// The per-level loop is allocation-free: scratch buffers live in the
     /// caller-provided [`BatchScratch`] arena, working sets come from
@@ -1419,7 +1388,6 @@ impl Session {
         let nw = windows.len();
         debug_assert_eq!(schedule.nw, nw, "plan window count must match batch");
         let capacity = device.memory().len();
-        let depth = self.config.pipeline_depth.clamp(1, 2);
         let mut host = HostState::default();
 
         // Upload the stimulus: per (window, signal), one even-aligned slice
@@ -1504,7 +1472,6 @@ impl Session {
         // waiting on the scan — keeps the dumper overlap the async design
         // exists for.
         let ring = DumpRing::with_capacity(schedule.dump_backlog().max(8192));
-        let pipe = PublishPipeline::new(schedule.n_levels());
 
         let mut profile = KernelProfile::empty("resim");
         let mut launches = 0u64;
@@ -1540,37 +1507,13 @@ impl Session {
                 (tc, t0, t1)
             });
 
-            let pipe_ref = &pipe;
             let schedule_ref = schedule;
             let scratch_ref = scratch;
-            let publish_workers = device.workers();
-            // Publish worker: drains level tickets in issue order, doing
-            // each level's host publish (length sums + dump enqueue) off
-            // the launch critical path; wide levels fan out across host
-            // workers. Owns the ring's producer side: its exit — normal or
-            // unwinding — closes the ring so the dumper always terminates.
-            let publisher = scope.spawn(move |_| {
-                let _ring_closer = ring_ref.producer_guard();
-                let _gone = pipe_ref.worker_guard();
-                let mut next = 0usize;
-                while let Some(level) = pipe_ref.wait_ticket(next) {
-                    publish_level(
-                        schedule_ref,
-                        scratch_ref,
-                        level,
-                        windows,
-                        ring_ref,
-                        publish_workers,
-                    );
-                    pipe_ref.complete(next);
-                    next += 1;
-                }
-            });
-            // If the engine below unwinds (launch expect, bounds assert),
-            // this guard closes the ticket stream so the publisher exits,
-            // whose own guard then closes the ring so the dumper exits —
-            // the scope join propagates the panic instead of deadlocking.
-            let _pipe_closer = pipe.producer_guard();
+            // The engine owns the ring's producer side: dropping this guard
+            // — at the shutdown below, or unwinding out of this closure —
+            // closes the ring, so the dumper always terminates and the
+            // scope join propagates a panic instead of deadlocking.
+            let ring_closer = ring.producer_guard();
 
             // One kernel invocation: thread `tid` of `level`, first or
             // second pass. Two-pass mode runs count then store; speculative
@@ -1728,23 +1671,19 @@ impl Session {
 
             // The engine loop runs under `catch_unwind` so an injected (or
             // real) launch fault unwinds to *here*, still inside the scope:
-            // the dumper and publisher are then shut down and joined in
-            // order, and their own panic payloads (the root cause when a
-            // sink died) take priority over the engine's secondary panic.
+            // the dumper is then shut down and joined, and its own panic
+            // payload (the root cause when a sink died) takes priority over
+            // the engine's secondary panic.
             // unwind-ok: deferring boundary — the payload is re-raised
             // intact (resume_unwind below, after the joins) and classified
             // by `panic_to_error` at the segment boundary above this scope.
             let engine = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 'groups: for group in schedule.groups() {
-                    // Epoch fence: every issued ticket must complete before
-                    // this group's modeled working set reads the length sums
-                    // (and before its count pass reuses either scratch column).
-                    pipe.fence_all();
                     let first = group.levels.start;
                     if group.fused {
                         // --- Fused: one phased launch covers the whole run of
                         // levels; the leader worker does the prefix-sum at
-                        // count boundaries and issues the publish ticket at
+                        // count boundaries and the level's host publish at
                         // store boundaries. The launch config carries the
                         // working set visible at launch time (inputs already
                         // stored); each count-phase boundary then reports the
@@ -1835,38 +1774,18 @@ impl Session {
                                         }
                                     }
                                 } else {
-                                    if ld.threads < INLINE_PUBLISH_MAX {
-                                        // Store/repair phase done (ptrs/lens
-                                        // published by the kernel threads). A
-                                        // narrow level's remaining publish work
-                                        // is a handful of messages — run it
-                                        // right here rather than paying a
-                                        // cross-thread hand-off. Its slab
-                                        // range is its own, so no outstanding
-                                        // ticket can collide with it.
-                                        publish_level(
-                                            schedule_ref,
-                                            scratch_ref,
-                                            level,
-                                            windows,
-                                            ring_ref,
-                                            1,
-                                        );
-                                    } else {
-                                        // Hand the level's host publish to the
-                                        // pipeline. Disjoint slab ranges make
-                                        // any number of a group's publishes
-                                        // safe in flight, so the overlapped
-                                        // mode just issues and moves on — the
-                                        // group-boundary epoch fence catches
-                                        // up before the column is reused (the
-                                        // dump ring is sized for a whole
-                                        // group's backlog).
-                                        pipe_ref.issue(level);
-                                        if depth == 1 {
-                                            pipe_ref.fence_all();
-                                        }
-                                    }
+                                    // Store/repair phase done (ptrs/lens
+                                    // published by the kernel threads): the
+                                    // leader runs the level's remaining host
+                                    // publish right here, behind the phase
+                                    // gate that settled its counts and bases.
+                                    publish_level(
+                                        schedule_ref,
+                                        scratch_ref,
+                                        level,
+                                        windows,
+                                        ring_ref,
+                                    );
                                     if speculate && level + 1 < group.levels.end {
                                         // Reserve the next level's speculative
                                         // budgets now that this level's
@@ -2015,42 +1934,23 @@ impl Session {
 
                         // Pointers and lengths were published by the store
                         // launch itself; only the length sums and the dump
-                        // enqueue remain. Narrow levels (unfused schedules)
-                        // publish inline — the group-top fence guarantees no
-                        // ticket is outstanding here; wide levels ticket the
-                        // work so it spreads across workers and overlaps the
-                        // dumper until the next group's epoch fence.
-                        if threads < INLINE_PUBLISH_MAX {
-                            publish_level(schedule, scratch, first, windows, &ring, 1);
-                        } else {
-                            pipe.issue(first);
-                            if depth == 1 {
-                                pipe.fence_all();
-                            }
-                        }
+                        // enqueue remain, behind the launch join.
+                        publish_level(schedule, scratch, first, windows, &ring);
                     }
                 }
             }));
 
-            // Shutdown: end the ticket stream, let the publisher drain the
-            // outstanding publishes (its guard closes the ring on exit),
-            // then account the tail of the SAIF scan as dump wait. Joins
-            // are explicit so each helper's own panic payload survives —
-            // the scope's auto-join would replace it with a generic
-            // message, and payload *types* are how the segment boundary
-            // classifies faults.
-            pipe.close();
-            let publisher_exit = publisher.join();
-            // Publisher exit closed the ring; from here the clock measures
-            // only the SAIF scanner's drain tail (the dump-wait telemetry
-            // must not absorb publish time — publish has its own overlap
-            // accounting via the ticket fences).
+            // Shutdown: every level is published, so close the ring and
+            // account the tail of the SAIF scan as dump wait (the clock
+            // starts after the last publish, so it times only the scanner).
+            // The join is explicit so the dumper's own panic payload
+            // survives — the scope's auto-join would replace it with a
+            // generic message, and payload *types* are how the segment
+            // boundary classifies faults.
+            drop(ring_closer);
             let t_wait = Instant::now();
             let dumper_exit = dumper.join();
             dump_wait = t_wait.elapsed().as_secs_f64();
-            if let Err(payload) = publisher_exit {
-                std::panic::resume_unwind(payload);
-            }
             let acc = match dumper_exit {
                 Ok(acc) => acc,
                 // A dead SAIF scanner is the root cause of whatever the
@@ -2498,229 +2398,56 @@ impl Session {
     }
 }
 
-/// The level-publish pipeline: the engine thread (or the fused launch's
-/// leader worker) *issues* one ticket per finished level; a dedicated
-/// publish worker drains them in order, each ticket covering the level's
-/// host publish work — per-signal length-sum accounting and SAIF dump
-/// enqueueing. Levels of a fused group read disjoint slab ranges of the
-/// scratch column, so any number of a group's tickets may be in flight;
-/// the epoch fence at every group boundary waits for full consistency
-/// before length sums feed the L2 model and the column is reused.
-///
-/// Single issuer, single worker; both sides are lock-free (the issue/
-/// complete cursors pair release stores with acquire loads, the same
-/// discipline as the dump ring).
-struct PublishPipeline {
-    /// Level index per ticket slot, written before `issued` advances.
-    tickets: Vec<AtomicUsize>,
-    /// Tickets issued so far.
-    issued: AtomicUsize,
-    /// Tickets whose publish work has completed.
-    completed: AtomicUsize,
-    /// No further tickets will be issued.
-    closed: AtomicBool,
-    /// Set when the publish worker exits (normally or by panic); lets a
-    /// fence fail loudly instead of waiting forever.
-    worker_gone: AtomicBool,
-}
-
-/// RAII marker held by the publish worker; flags the pipeline on drop —
-/// including unwinding out of a panicking publish.
-struct PublishWorkerGuard<'a>(&'a PublishPipeline);
-
-impl Drop for PublishWorkerGuard<'_> {
-    fn drop(&mut self) {
-        self.0.worker_gone.store(true, Ordering::Release);
-    }
-}
-
-/// RAII closer for the issuing side: ends the ticket stream on drop so the
-/// publish worker terminates even when the engine unwinds mid-batch.
-struct PublishProducerGuard<'a>(&'a PublishPipeline);
-
-impl Drop for PublishProducerGuard<'_> {
-    fn drop(&mut self) {
-        self.0.close();
-    }
-}
-
-impl PublishPipeline {
-    /// A pipeline able to carry one ticket per level.
-    fn new(n_levels: usize) -> Self {
-        let mut tickets = Vec::with_capacity(n_levels);
-        tickets.resize_with(n_levels, || AtomicUsize::new(0));
-        PublishPipeline {
-            tickets,
-            issued: AtomicUsize::new(0),
-            completed: AtomicUsize::new(0),
-            closed: AtomicBool::new(false),
-            worker_gone: AtomicBool::new(false),
-        }
-    }
-
-    /// Registers the publish worker; keep the guard alive for the whole
-    /// drain loop.
-    fn worker_guard(&self) -> PublishWorkerGuard<'_> {
-        PublishWorkerGuard(self)
-    }
-
-    /// RAII closer for the issuing side (see [`PublishProducerGuard`]).
-    fn producer_guard(&self) -> PublishProducerGuard<'_> {
-        PublishProducerGuard(self)
-    }
-
-    /// Issues the publish ticket for `level`. Single issuer at a time —
-    /// the engine thread between launches or the fused launch's leader at
-    /// a phase boundary; those hand-offs are ordered by launch joins and
-    /// barriers, exactly like the scratch tables themselves.
-    fn issue(&self, level: usize) {
-        // relaxed-ok: single issuer at a time (see doc above) reading its
-        // own cursor; successive issuers are ordered by launch joins.
-        let k = self.issued.load(Ordering::Relaxed);
-        // relaxed-ok: the ticket slot is published to the worker by the
-        // `issued` Release store below (model test
-        // `publish_tickets_never_skip_or_tear`).
-        self.tickets[k].store(level, Ordering::Relaxed);
-        self.issued.store(k + 1, Ordering::Release);
-    }
-
-    /// Worker side: blocks until ticket `next` is issued (returning its
-    /// level) or the stream ends (`None`).
-    fn wait_ticket(&self, next: usize) -> Option<usize> {
-        let mut spins = 0u32;
-        loop {
-            if self.issued.load(Ordering::Acquire) > next {
-                // relaxed-ok: the Acquire load above synchronized with the
-                // issuer's Release store, which happens-after this slot's
-                // write.
-                return Some(self.tickets[next].load(Ordering::Relaxed));
-            }
-            if self.closed.load(Ordering::Acquire) && self.issued.load(Ordering::Acquire) <= next {
-                return None;
-            }
-            backoff(&mut spins);
-        }
-    }
-
-    /// Worker side: marks ticket `next` complete (its length sums and dump
-    /// messages are now visible behind an acquire fence).
-    fn complete(&self, next: usize) {
-        self.completed.store(next + 1, Ordering::Release);
-    }
-
-    /// Blocks until at least `target` tickets completed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the publish worker terminated with the target
-    /// unreachable — propagating beats deadlocking the engine.
-    fn fence(&self, target: usize) {
-        let mut spins = 0u32;
-        while self.completed.load(Ordering::Acquire) < target {
-            assert!(
-                !self.worker_gone.load(Ordering::Acquire),
-                "publish worker terminated with tickets outstanding"
-            );
-            backoff(&mut spins);
-        }
-    }
-
-    /// Epoch fence: every issued ticket has completed; the per-signal
-    /// length sums are fully consistent.
-    fn fence_all(&self) {
-        // relaxed-ok: called on the issuing side, reading its own cursor.
-        self.fence(self.issued.load(Ordering::Relaxed));
-    }
-
-    /// Ends the ticket stream; `wait_ticket` returns `None` once the
-    /// issued tickets drain.
-    fn close(&self) {
-        self.closed.store(true, Ordering::Release);
-    }
-}
-
-/// Publishes one finished level on the pipeline worker: advances the
-/// running per-signal length sums and streams every (gate, window)
+/// Publishes one finished level on the thread that finished it: advances
+/// the running per-signal length sums and streams every (gate, window)
 /// waveform to the SAIF dumper ring in reserved chunks. Output pointers
 /// and lengths were already published by the store pass itself (folded
 /// publication), so this is the *entire* remaining host cost of a level.
-/// Wide levels partition their gate range across host workers — each gate
-/// appears in exactly one range and owns its output signal, so the length
-/// sums need no cross-worker coordination beyond the relaxed atomic add.
-/// Allocation-free: chunk buffers live on the worker stacks.
+/// Allocation-free: the chunk buffer lives on the caller's stack.
 fn publish_level(
     schedule: &LevelSchedule,
     scratch: &BatchScratch,
     level: usize,
     windows: &[(SimTime, SimTime)],
     ring: &DumpRing,
-    workers: usize,
 ) {
     let ld = schedule.level(level);
     let nw = windows.len();
     let n_gates = (ld.gate_hi - ld.gate_lo) as usize;
-    if n_gates == 0 {
-        return;
-    }
     let (lo, hi) = (ld.col_off as usize, ld.col_off as usize + ld.threads);
     let outs = &scratch.outs()[lo..hi];
     let bases = &scratch.bases()[lo..hi];
-    let publish_gates = |gates: Range<usize>| {
-        let mut chunk = [DumpMsg::EMPTY; PUBLISH_CHUNK];
-        let mut n = 0usize;
-        for gi in gates {
-            let sig = schedule.out_sig(ld.gate_lo as usize + gi);
-            let mut sum = 0u64;
-            for (w, &(ws, we)) in windows.iter().enumerate() {
-                let tid = gi * nw + w;
-                // relaxed-ok: the level's counts/bases settled before its
-                // publish ticket was issued; the ticket's Release/Acquire
-                // pair carries them here.
-                let words = KernelOutput::unpack_words(outs[tid].load(Ordering::Relaxed));
-                sum += u64::from(words);
-                chunk[n] = DumpMsg {
-                    signal: sig as u32,
-                    // relaxed-ok: see above.
-                    ptr: bases[tid].load(Ordering::Relaxed),
-                    clip: we - ws,
-                };
-                n += 1;
-                if n == PUBLISH_CHUNK {
-                    ring.push_slice(&chunk);
-                    n = 0;
-                }
+    let mut chunk = [DumpMsg::EMPTY; PUBLISH_CHUNK];
+    let mut n = 0usize;
+    for gi in 0..n_gates {
+        let sig = schedule.out_sig(ld.gate_lo as usize + gi);
+        let mut sum = 0u64;
+        for (w, &(ws, we)) in windows.iter().enumerate() {
+            let tid = gi * nw + w;
+            // relaxed-ok: the level's counts/bases settled behind the
+            // launch join (classic) or the store/repair phase gate (fused)
+            // this call runs after — the edge `assign_bases` and
+            // `advance_scan` rely on at the same program points.
+            let words = KernelOutput::unpack_words(outs[tid].load(Ordering::Relaxed));
+            sum += u64::from(words);
+            chunk[n] = DumpMsg {
+                signal: sig as u32,
+                // relaxed-ok: see above.
+                ptr: bases[tid].load(Ordering::Relaxed),
+                clip: we - ws,
+            };
+            n += 1;
+            if n == PUBLISH_CHUNK {
+                ring.push_slice(&chunk);
+                n = 0;
             }
-            // relaxed-ok: commutative add; readers fence on the ticket's
-            // completion (`PublishPipeline::fence`) before consuming sums.
-            scratch.len_sum[sig].fetch_add(sum, Ordering::Relaxed);
         }
-        ring.push_slice(&chunk[..n]);
-    };
-    if ld.threads >= PARALLEL_PUBLISH_MIN && workers > 1 {
-        // Scale fan-out to the work: one worker per half-threshold of
-        // messages, so a level just over the bar spawns 2 threads, not
-        // the full complement (spawn/teardown is the dominant cost for
-        // borderline levels).
-        let workers = workers
-            .min(MAX_PUBLISH_WORKERS)
-            .min(ld.threads / (PARALLEL_PUBLISH_MIN / 2))
-            .min(n_gates)
-            .max(2);
-        let per = n_gates.div_ceil(workers);
-        let publish_gates = &publish_gates;
-        crate::sync::thread::scope(|s| {
-            let mut lo = 0usize;
-            while lo < n_gates {
-                let hi = (lo + per).min(n_gates);
-                s.spawn(move |_| publish_gates(lo..hi));
-                lo = hi;
-            }
-        })
-        // panic-ok: scope join — re-raises a fan-out worker's panic.
-        .expect("publish fan-out worker panicked");
-    } else {
-        publish_gates(0..n_gates);
+        // relaxed-ok: one thread publishes at a time, and each gate owns its
+        // output signal; the sums are read at a launch-group top or after
+        // the batch, ordered after this add by the launch join.
+        scratch.len_sum[sig].fetch_add(sum, Ordering::Relaxed);
     }
+    ring.push_slice(&chunk[..n]);
 }
 
 /// The group-batched base assigner: one segmented prefix-sum per fused
@@ -3685,20 +3412,20 @@ mod tests {
             Arc::clone(&graph),
             SimConfig::small().with_plan_cache_cap(2),
         );
-        let _ = sim.plan(1, 0);
-        let _ = sim.plan(2, 0);
-        let _ = sim.plan(1, 0); // touch nw=1 so nw=2 becomes the LRU
-        let _ = sim.plan(3, 0); // exceeds the cap: evicts nw=2
+        let _ = sim.plan(1);
+        let _ = sim.plan(2);
+        let _ = sim.plan(1); // touch nw=1 so nw=2 becomes the LRU
+        let _ = sim.plan(3); // exceeds the cap: evicts nw=2
         let stats = sim.plan_cache_stats();
         assert_eq!(stats.cached, 2);
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.misses, 3);
         assert_eq!(stats.hits, 1);
         // The recently used nw=1 survived...
-        let _ = sim.plan(1, 0);
+        let _ = sim.plan(1);
         assert_eq!(sim.plan_cache_stats().hits, 2);
         // ...while the evicted nw=2 must rebuild.
-        let _ = sim.plan(2, 0);
+        let _ = sim.plan(2);
         assert_eq!(sim.plan_cache_stats().misses, 4);
     }
 
@@ -3710,7 +3437,7 @@ mod tests {
             SimConfig::small().with_plan_cache_cap(0),
         );
         for nw in 1..=24 {
-            let _ = sim.plan(nw, 0);
+            let _ = sim.plan(nw);
         }
         let stats = sim.plan_cache_stats();
         assert_eq!(stats.cached, 24);
@@ -3720,9 +3447,12 @@ mod tests {
     #[test]
     fn scratch_pool_serves_best_fit_not_first_fit() {
         let graph = inv_chain(4);
-        let sim = Session::new(Arc::clone(&graph), SimConfig::small());
-        let big_plan = sim.plan(32, 0);
-        let small_plan = sim.plan(2, 0);
+        let sim = Session::new(
+            Arc::clone(&graph),
+            SimConfig::small().with_fuse_threshold(0),
+        );
+        let big_plan = sim.plan(32);
+        let small_plan = sim.plan(2);
         let big = sim.acquire_scratch(&big_plan);
         let small = sim.acquire_scratch(&small_plan);
         let (big_cap, small_cap) = (big.ptr_capacity(), small.ptr_capacity());
@@ -3738,9 +3468,12 @@ mod tests {
     #[test]
     fn scratch_pool_shrinks_persistently_oversized_arena() {
         let graph = inv_chain(4);
-        let sim = Session::new(Arc::clone(&graph), SimConfig::small());
-        let big_plan = sim.plan(32, 0);
-        let tiny_plan = sim.plan(1, 0);
+        let sim = Session::new(
+            Arc::clone(&graph),
+            SimConfig::small().with_fuse_threshold(0),
+        );
+        let big_plan = sim.plan(32);
+        let tiny_plan = sim.plan(1);
         let big = sim.acquire_scratch(&big_plan);
         let big_cap = big.ptr_capacity();
         sim.release_scratch(big);
@@ -4254,22 +3987,6 @@ mod tests {
     }
 
     #[test]
-    fn fuse_threshold_override_is_cached_separately() {
-        let graph = inv_chain(3);
-        let sim = Session::new(Arc::clone(&graph), SimConfig::small());
-        let stim = vec![Waveform::from_toggles(false, &[10, 20, 30])];
-        let fused = sim.run(&stim, 100).unwrap();
-        let unfused = sim
-            .run_with(&stim, 100, &RunOptions::default().with_fuse_threshold(0))
-            .unwrap();
-        assert_eq!(fused.app_profile.fused_launches, 1);
-        assert_eq!(unfused.app_profile.fused_launches, 0);
-        assert!(fused.saif.diff(&unfused.saif).is_empty());
-        // Two distinct plan keys, no eviction.
-        assert_eq!(sim.plan_cache_stats().cached, 2);
-    }
-
-    #[test]
     fn fused_oom_surfaces_and_segments() {
         // Tiny arena + fusion: the OOM raised inside a fused launch's
         // phase callback must abort cleanly and trigger segmentation.
@@ -4354,70 +4071,6 @@ mod tests {
 #[cfg(all(test, feature = "model-check"))]
 mod model_tests {
     use super::*;
-
-    /// The overlapped-publish hand-off: the worker must never observe a
-    /// ticket slot before the issuer's `issued` Release store publishes it,
-    /// and must drain every ticket in issue order without skipping a
-    /// level. Weakening `issued.store(.., Release)` in
-    /// [`PublishPipeline::issue`] to `Relaxed` fails this test (the worker
-    /// reads a stale ticket slot).
-    #[test]
-    fn publish_tickets_never_skip_or_tear() {
-        loom::model(|| {
-            let pipe = PublishPipeline::new(2);
-            crate::sync::thread::scope(|s| {
-                let p = &pipe;
-                s.spawn(move |_| {
-                    let _guard = p.worker_guard();
-                    let mut next = 0usize;
-                    while let Some(level) = p.wait_ticket(next) {
-                        assert_eq!(
-                            level,
-                            [7, 9][next],
-                            "ticket read before its slot was published"
-                        );
-                        p.complete(next);
-                        next += 1;
-                    }
-                    assert_eq!(next, 2, "a ticket was skipped");
-                });
-                pipe.issue(7);
-                pipe.fence(1);
-                pipe.issue(9);
-                pipe.fence_all();
-                pipe.close();
-            })
-            .expect("model worker panicked");
-        });
-    }
-
-    /// A fence observing a dead worker must panic instead of spinning
-    /// forever — in every interleaving of the worker's death.
-    #[test]
-    fn fence_fails_loudly_when_worker_dies() {
-        loom::model(|| {
-            let pipe = PublishPipeline::new(1);
-            pipe.issue(0);
-            crate::sync::thread::scope(|s| {
-                let p = &pipe;
-                s.spawn(move |_| {
-                    // Worker takes its guard and dies without completing.
-                    let _guard = p.worker_guard();
-                });
-                let fenced = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    p.fence_all();
-                }));
-                // Either the fence saw the death and panicked, or the
-                // worker had not died yet and... it can never complete, so
-                // the fence must have panicked.
-                assert!(
-                    fenced.is_err(),
-                    "fence must not return with tickets outstanding"
-                );
-            })
-            .expect("model worker panicked");
-        });
-    }
 
     /// The carry-chained prefix-sum fan-out: chunk workers writing bases
     /// with Relaxed stores, synchronized only by the scope spawn/join

@@ -204,13 +204,13 @@ impl Device {
     /// pass writes each output's pointer/length this way — folded
     /// publication), provided no thread of the same phase reads a slot a
     /// peer writes; later phases read them behind the barrier. Likewise,
-    /// `on_phase_end` may hand work to host threads *outside* the launch
-    /// (the engine's overlapped publish tickets): the callback runs
-    /// exactly once per phase on one thread (the last worker arriving at
-    /// the phase's end — not necessarily the same thread each phase), so a
-    /// release-store there is a sound hand-off point, but any such
-    /// external work that later phases depend on must be fenced by the
-    /// callback itself before it returns.
+    /// `on_phase_end` may do host work between phases (the engine's
+    /// prefix-sum at count boundaries, its level publish at store
+    /// boundaries): the callback runs exactly once per phase on one thread
+    /// (the last worker arriving at the phase's end — not necessarily the
+    /// same thread each phase), after every thread of the phase and before
+    /// any thread of the next, so it reads what the phase wrote and later
+    /// phases read what it writes.
     pub fn launch_phased<F, G>(
         &self,
         name: &str,

@@ -288,7 +288,7 @@ mod tests {
         assert!(rules(&inline).is_empty());
         let annotated = format!(
             "{REGISTRY}fn f() {{\n    // unwind-ok: payload re-raised after the \
-             publisher joins, classified by the caller\n    \
+             dumper joins, classified by the caller\n    \
              let r = catch_unwind(w);\n}}\n"
         );
         assert!(rules(&annotated).is_empty());

@@ -234,7 +234,7 @@ mod tests {
                 {"id": "deep_pipeline_resim/fused/d", "mean_ns": 2.0e6},
                 {"id": "deep_pipeline_resim/unfused/d", "mean_ns": 2.0e6},
                 {"id": "deep_pipeline_resim/unfused_twopass/d", "mean_ns": 3.2e6},
-                {"id": "publish_path/narrow_serial/l", "mean_ns": 1.7e6},
+                {"id": "publish_path/narrow/l", "mean_ns": 1.7e6},
                 {"id": "phase_driver/cursor_driver/w", "mean_ns": 9.0e5}
             ]
         }"#;
@@ -272,7 +272,7 @@ mod tests {
                 {"id": "single_pass/spec_hit/16", "mean_ns": 300.0},
                 {"id": "deep_pipeline_resim/unfused/d", "mean_ns": 3.0e6},
                 {"id": "deep_pipeline_resim/unfused_twopass/d", "mean_ns": 3.2e6},
-                {"id": "publish_path/narrow_serial/l", "mean_ns": 1.7e6}
+                {"id": "publish_path/narrow/l", "mean_ns": 1.7e6}
             ]
         }"#;
         let errs = check_artifact("m.json", micro);

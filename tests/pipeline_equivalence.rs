@@ -1,11 +1,11 @@
-//! Pipelined-executor equivalence: the overlapped publish pipeline
-//! (`pipeline_depth = 2`, the default — folded store-pass publication,
-//! slab-partitioned scratch columns, publish worker overlapping later
-//! levels' launches) must produce **bit-identical** results to a forced
-//! serial run (`pipeline_depth = 1`) and to the event-driven reference —
-//! across plain windowed runs, segmented runs, streaming sinks,
-//! multi-GPU sharding (with and without spill) and the pooled
-//! chase-the-cursor phase driver.
+//! Level-loop equivalence: the engine's one execution path — folded
+//! store-pass publication, slab-partitioned scratch columns, each level
+//! published by the thread that finished it — must produce results
+//! **bit-identical** to the event-driven reference across plain windowed
+//! runs, segmented runs, streaming sinks, multi-GPU sharding (with and
+//! without spill) and the pooled chase-the-cursor phase driver; and the
+//! speculative single-pass schedule must match the two-pass one on every
+//! one of those paths.
 
 use std::sync::Arc;
 
@@ -15,15 +15,15 @@ use gatspi_core::{
 use gatspi_gpu::{DeviceSpec, MultiGpu};
 use gatspi_graph::{CircuitGraph, GraphOptions};
 use gatspi_netlist::{CellLibrary, NetlistBuilder};
-use gatspi_refsim::{EventSimulator, RefConfig};
-use gatspi_wave::Waveform;
+use gatspi_refsim::{EventSimulator, RefConfig, RefResult};
+use gatspi_wave::{split_raw, SimTime, Waveform, EOW};
 use gatspi_workloads::circuits::{random_logic, RandomLogicConfig};
 use gatspi_workloads::sdfgen::{attach_sdf, SdfGenConfig};
 use gatspi_workloads::stimuli::{generate, StimulusConfig};
 use proptest::prelude::*;
 
 /// Deep, narrow chain: thousands of one-gate levels exercise the fused
-/// (phased-launch) pipeline where the overlap happens inside one launch.
+/// (phased-launch) path, published at its store/repair phase boundaries.
 fn deep_chain(depth: usize) -> Arc<CircuitGraph> {
     let mut b = NetlistBuilder::new("deep", CellLibrary::industry_mini());
     let mut prev = b.add_input("a").unwrap();
@@ -37,7 +37,7 @@ fn deep_chain(depth: usize) -> Arc<CircuitGraph> {
 }
 
 /// Wide random logic with SDF delays: multi-gate levels exercise the
-/// classic two-launch path with parallel publish.
+/// classic two-launch path, published after the launch join.
 fn wide_graph(seed: u64) -> Arc<CircuitGraph> {
     let netlist = random_logic(&RandomLogicConfig {
         gates: 300,
@@ -59,13 +59,84 @@ fn wide_graph(seed: u64) -> Arc<CircuitGraph> {
 fn assert_bit_identical(a: &SimResult, b: &SimResult, what: &str) {
     assert!(
         a.saif.diff(&b.saif).is_empty(),
-        "{what}: SAIF diverged between serial and pipelined runs"
+        "{what}: SAIF diverged between the two runs"
     );
     assert_eq!(
         a.toggle_counts_slice(),
         b.toggle_counts_slice(),
         "{what}: toggle counts diverged"
     );
+}
+
+/// The event-driven reference run, with every signal's waveform recorded.
+fn refsim(graph: &CircuitGraph, stimuli: &[Waveform], duration: SimTime) -> RefResult {
+    EventSimulator::new(graph, RefConfig::default())
+        .run(stimuli, duration)
+        .unwrap()
+}
+
+/// The event-driven reference under the engine's windowed semantics, for
+/// designs whose logic has not settled where the windows cut (a toggle
+/// still in flight down a deep chain is lost at the cut, by design):
+/// every window simulated on its own from the stimulus cut to it,
+/// activity summed, waveforms stitched with toggles past a window's end
+/// dropped.
+fn windowed_refsim(
+    graph: &CircuitGraph,
+    stimuli: &[Waveform],
+    windows: &[(SimTime, SimTime)],
+) -> RefResult {
+    let mut acc: Option<RefResult> = None;
+    for &(start, end) in windows {
+        let cut: Vec<Waveform> = stimuli.iter().map(|w| w.window(start, end)).collect();
+        let mut r = refsim(graph, &cut, end - start);
+        for w in r.waveforms.as_mut().expect("recorded") {
+            *w = w.window(0, end - start);
+        }
+        let Some(acc) = acc.as_mut() else {
+            acc = Some(r);
+            continue;
+        };
+        acc.saif.duration += r.saif.duration;
+        for (name, rec) in &r.saif.nets {
+            let sum = acc.saif.nets.get_mut(name).expect("same net set");
+            sum.t0 += rec.t0;
+            sum.t1 += rec.t1;
+            sum.tc += rec.tc;
+        }
+        for (sum, n) in acc.toggle_counts.iter_mut().zip(&r.toggle_counts) {
+            *sum += n;
+        }
+        let waves = acc.waveforms.as_mut().expect("recorded");
+        for (whole, w) in waves
+            .iter_mut()
+            .zip(r.waveforms.as_ref().expect("recorded"))
+        {
+            *whole = whole.concat(w, start);
+        }
+    }
+    acc.expect("at least one window")
+}
+
+fn assert_matches_refsim(ours: &SimResult, r: &RefResult, what: &str) {
+    assert!(
+        ours.saif.diff(&r.saif).is_empty(),
+        "{what}: SAIF diverged from refsim"
+    );
+    assert_eq!(
+        ours.toggle_counts_slice(),
+        &r.toggle_counts[..],
+        "{what}: toggle counts diverged from refsim"
+    );
+}
+
+/// Every signal's full waveform, edge for edge (`ours` must be spilled or
+/// still device-backed).
+fn assert_waveforms_match_refsim(ours: &SimResult, r: &RefResult, what: &str) {
+    let ref_waves = r.waveforms.as_ref().expect("recorded");
+    for (s, expected) in ref_waves.iter().enumerate() {
+        assert_eq!(&ours.waveform(s).unwrap(), expected, "{what}: signal {s}");
+    }
 }
 
 #[test]
@@ -77,26 +148,20 @@ fn deep_fused_chain_serial_matches_overlapped() {
     let cfg = SimConfig::small()
         .with_cycle_parallelism(4)
         .with_window_align(100);
-    let run = |depth: usize| {
-        Session::new(Arc::clone(&graph), cfg.clone().with_pipeline_depth(depth))
-            .run_with(
-                &stim,
-                duration,
-                &RunOptions::default().with_waveform_spill(),
-            )
-            .unwrap()
-    };
-    let serial = run(1);
-    let overlapped = run(2);
-    assert_bit_identical(&serial, &overlapped, "deep fused chain");
+    let ours = Session::new(Arc::clone(&graph), cfg)
+        .run_with(
+            &stim,
+            duration,
+            &RunOptions::default().with_waveform_spill(),
+        )
+        .unwrap();
+    // 10 000 ticks over 4 slots aligned to 100: four 2 500-tick windows,
+    // cut while toggles are still travelling down the 600-gate chain.
+    let windows: Vec<_> = (0..4).map(|k| (k * 2500, (k + 1) * 2500)).collect();
+    let r = windowed_refsim(&graph, &stim, &windows);
+    assert_matches_refsim(&ours, &r, "deep fused chain");
     // Bit-identical waveforms too, via the durable spill copies.
-    for s in 0..graph.n_signals() {
-        assert_eq!(
-            serial.waveform(s).unwrap(),
-            overlapped.waveform(s).unwrap(),
-            "signal {s}"
-        );
-    }
+    assert_waveforms_match_refsim(&ours, &r, "deep fused chain");
 }
 
 #[test]
@@ -110,29 +175,11 @@ fn wide_levels_serial_matches_overlapped_and_refsim() {
     let cfg = SimConfig::small()
         .with_cycle_parallelism(8)
         .with_window_align(400);
-    let run = |depth: usize| {
-        Session::new(Arc::clone(&graph), cfg.clone().with_pipeline_depth(depth))
-            .run(&stimuli, duration)
-            .unwrap()
-    };
-    let serial = run(1);
-    let overlapped = run(2);
-    assert_bit_identical(&serial, &overlapped, "wide levels");
-
-    // And both agree with the event-driven reference.
-    let r = EventSimulator::new(
-        &graph,
-        RefConfig {
-            record_waveforms: false,
-            ..RefConfig::default()
-        },
-    )
-    .run(&stimuli, duration)
-    .unwrap();
-    assert!(
-        overlapped.saif.diff(&r.saif).is_empty(),
-        "pipelined run diverged from refsim"
-    );
+    let ours = Session::new(Arc::clone(&graph), cfg)
+        .run(&stimuli, duration)
+        .unwrap();
+    let r = refsim(&graph, &stimuli, duration);
+    assert_matches_refsim(&ours, &r, "wide levels");
 }
 
 #[test]
@@ -143,41 +190,33 @@ fn segmented_run_serial_matches_overlapped() {
     let cfg = SimConfig::small()
         .with_cycle_parallelism(16)
         .with_window_align(10);
-    let run = |depth: usize| {
-        Session::new(Arc::clone(&graph), cfg.clone().with_pipeline_depth(depth))
-            .run_with(
-                &stim,
-                1500,
-                &RunOptions::default()
-                    .with_segment_windows(4)
-                    .with_waveform_spill(),
-            )
-            .unwrap()
-    };
-    let serial = run(1);
-    let overlapped = run(2);
-    assert!(serial.segments() > 1, "test must exercise segmentation");
-    assert_eq!(serial.segments(), overlapped.segments());
-    assert_bit_identical(&serial, &overlapped, "segmented run");
-    for s in 0..graph.n_signals() {
-        assert_eq!(
-            serial.waveform(s).unwrap(),
-            overlapped.waveform(s).unwrap(),
-            "signal {s} across segments"
-        );
-    }
+    let ours = Session::new(Arc::clone(&graph), cfg)
+        .run_with(
+            &stim,
+            1500,
+            &RunOptions::default()
+                .with_segment_windows(4)
+                .with_waveform_spill(),
+        )
+        .unwrap();
+    assert!(ours.segments() > 1, "test must exercise segmentation");
+    // 1 500 ticks over 16 slots aligned to 10: fifteen 100-tick windows.
+    let windows: Vec<_> = (0..15).map(|k| (k * 100, (k + 1) * 100)).collect();
+    let r = windowed_refsim(&graph, &stim, &windows);
+    assert_matches_refsim(&ours, &r, "segmented run");
+    assert_waveforms_match_refsim(&ours, &r, "segmented run, across segments");
 }
 
-/// Records every sink delivery so two runs can be compared call-for-call.
+/// Records every sink delivery so two runs can be compared call-for-call
+/// and one run window-for-window against refsim.
 #[derive(Default)]
 struct Recorder {
-    calls: Vec<(usize, usize, usize, Vec<i32>)>,
+    calls: Vec<(usize, WindowInfo, Vec<i32>)>,
 }
 
 impl WaveformSink for Recorder {
     fn waveform(&mut self, signal: usize, info: &WindowInfo, raw: &[i32]) {
-        self.calls
-            .push((signal, info.window, info.segment, raw.to_vec()));
+        self.calls.push((signal, *info, raw.to_vec()));
     }
 }
 
@@ -192,34 +231,45 @@ fn streaming_sink_serial_matches_overlapped() {
     let cfg = SimConfig::small()
         .with_cycle_parallelism(8)
         .with_window_align(400);
-    let run = |depth: usize| {
-        let mut sink = Recorder::default();
-        let r = Session::new(Arc::clone(&graph), cfg.clone().with_pipeline_depth(depth))
-            .run_streaming(
-                &stimuli,
-                duration,
-                &RunOptions::default().with_segment_windows(3),
-                &mut sink,
-            )
-            .unwrap();
-        (r, sink)
-    };
-    let (serial, serial_sink) = run(1);
-    let (overlapped, overlapped_sink) = run(2);
-    assert_bit_identical(&serial, &overlapped, "streaming run");
-    assert!(!serial_sink.calls.is_empty());
-    assert_eq!(
-        serial_sink.calls, overlapped_sink.calls,
-        "sink must see identical (signal, window, segment, raw) sequences"
-    );
+    let mut sink = Recorder::default();
+    let ours = Session::new(Arc::clone(&graph), cfg)
+        .run_streaming(
+            &stimuli,
+            duration,
+            &RunOptions::default().with_segment_windows(3),
+            &mut sink,
+        )
+        .unwrap();
+    let r = refsim(&graph, &stimuli, duration);
+    assert_matches_refsim(&ours, &r, "streaming run");
+    assert!(!sink.calls.is_empty());
+    // Every delivery is refsim's waveform of that signal cut to that
+    // window: same value at the window start, same toggles inside it
+    // (spillover past the window end is the consumer's to clip).
+    let ref_waves = r.waveforms.as_ref().expect("recorded");
+    for (signal, info, raw) in &sink.calls {
+        let (initial, tail) = split_raw(raw);
+        let toggles: Vec<SimTime> = tail
+            .iter()
+            .copied()
+            .take_while(|&t| t != EOW && t < info.end - info.start)
+            .collect();
+        assert_eq!(
+            Waveform::from_toggles(initial, &toggles),
+            ref_waves[*signal].window(info.start, info.end),
+            "signal {signal}, window {}",
+            info.window
+        );
+    }
 }
 
 /// A fused group wide enough to engage the pooled phase driver (widest
 /// phase ≥ the device's inline threshold, so the chase-the-cursor worker
 /// protocol — not the serial fast path — runs the phases): the whole
-/// design forced into one phased launch by a large fuse-threshold
-/// override must stay bit-identical across pipeline depths and match the
-/// event-driven reference, including via the durable spill copies.
+/// design forced into one phased launch by a large fuse threshold, so
+/// thousand-thread levels are published by the launch's leader worker at
+/// its phase boundaries. Must match the event-driven reference, including
+/// every waveform via the durable spill copies.
 #[test]
 fn wide_fused_group_pooled_driver_matches_serial_and_refsim() {
     let netlist = random_logic(&RandomLogicConfig {
@@ -237,52 +287,30 @@ fn wide_fused_group_pooled_driver_matches_serial_and_refsim() {
     let duration = 8 * 400;
     let cfg = SimConfig::small()
         .with_cycle_parallelism(8)
-        .with_window_align(400);
-    let opts = RunOptions::default()
-        .with_fuse_threshold(1 << 20)
-        .with_waveform_spill();
+        .with_window_align(400)
+        .with_fuse_threshold(1 << 20);
     // An explicit 4-worker device: the pooled driver (and the parallel
     // spill drain) must engage even when the test host has few cores.
-    let run = |depth: usize| {
-        let sim_cfg = cfg.clone().with_pipeline_depth(depth);
-        let device = Arc::new(gatspi_gpu::Device::with_workers(
-            sim_cfg.device.clone(),
-            sim_cfg.memory_words,
-            4,
-        ));
-        Session::with_device(Arc::clone(&graph), sim_cfg, device)
-            .run_with(&stimuli, duration, &opts)
-            .unwrap()
-    };
-    let serial = run(1);
-    let overlapped = run(2);
+    let device = Arc::new(gatspi_gpu::Device::with_workers(
+        cfg.device.clone(),
+        cfg.memory_words,
+        4,
+    ));
+    let ours = Session::with_device(Arc::clone(&graph), cfg, device)
+        .run_with(
+            &stimuli,
+            duration,
+            &RunOptions::default().with_waveform_spill(),
+        )
+        .unwrap();
     assert_eq!(
-        serial.app_profile.launches, serial.app_profile.fused_launches,
+        ours.app_profile.launches, ours.app_profile.fused_launches,
         "every launch must be a fused phased launch"
     );
-    assert!(serial.app_profile.fused_launches >= 1);
-    assert_bit_identical(&serial, &overlapped, "wide fused group");
-    for s in 0..graph.n_signals() {
-        assert_eq!(
-            serial.waveform(s).unwrap(),
-            overlapped.waveform(s).unwrap(),
-            "signal {s}"
-        );
-    }
-
-    let r = EventSimulator::new(
-        &graph,
-        RefConfig {
-            record_waveforms: false,
-            ..RefConfig::default()
-        },
-    )
-    .run(&stimuli, duration)
-    .unwrap();
-    assert!(
-        overlapped.saif.diff(&r.saif).is_empty(),
-        "pooled phase driver diverged from refsim"
-    );
+    assert!(ours.app_profile.fused_launches >= 1);
+    let r = refsim(&graph, &stimuli, duration);
+    assert_matches_refsim(&ours, &r, "wide fused group");
+    assert_waveforms_match_refsim(&ours, &r, "wide fused group");
 }
 
 #[test]
@@ -296,21 +324,18 @@ fn multi_gpu_serial_matches_overlapped() {
     let cfg = SimConfig::small()
         .with_cycle_parallelism(4)
         .with_window_align(400);
-    let run = |depth: usize| {
-        let gpus = MultiGpu::new(DeviceSpec::v100(), 2, 1 << 18);
-        Session::new(Arc::clone(&graph), cfg.clone().with_pipeline_depth(depth))
-            .run_multi_gpu(&gpus, &stimuli, duration)
-            .unwrap()
-    };
-    let serial = run(1);
-    let overlapped = run(2);
-    assert_bit_identical(&serial, &overlapped, "multi-GPU run");
+    let gpus = MultiGpu::new(DeviceSpec::v100(), 2, 1 << 18);
+    let ours = Session::new(Arc::clone(&graph), cfg)
+        .run_multi_gpu(&gpus, &stimuli, duration)
+        .unwrap();
+    let r = refsim(&graph, &stimuli, duration);
+    assert_matches_refsim(&ours, &r, "multi-GPU run");
 }
 
 /// Multi-GPU runs with waveform spill: each shard's batch is routed
 /// through the spill sink and the windows merge in time order, so
 /// `waveform()` works on multi-GPU results and matches a single-device
-/// spilled run bit for bit — in both pipeline modes.
+/// spilled run — and the event-driven reference — bit for bit.
 #[test]
 fn multi_gpu_spill_extracts_waveforms() {
     let graph = wide_graph(43);
@@ -338,27 +363,28 @@ fn multi_gpu_spill_extracts_waveforms() {
             &RunOptions::default().with_waveform_spill(),
         )
         .unwrap();
-    for depth in [1usize, 2] {
-        let gpus = MultiGpu::new(DeviceSpec::v100(), 2, 1 << 18);
-        let multi = Session::new(Arc::clone(&graph), cfg.clone().with_pipeline_depth(depth))
-            .run_multi_gpu_with(
-                &gpus,
-                &stimuli,
-                duration,
-                &RunOptions::default().with_waveform_spill(),
-            )
-            .unwrap();
-        assert!(multi.app_profile.d2h_bytes > 0, "spill read waveforms back");
-        assert!(multi.app_profile.d2h_batches > 0);
-        assert!(multi.app_profile.readback_seconds > 0.0);
-        for s in 0..graph.n_signals() {
-            assert_eq!(
-                multi.waveform(s).unwrap(),
-                single.waveform(s).unwrap(),
-                "signal {s} (pipeline depth {depth})"
-            );
-        }
+    let gpus = MultiGpu::new(DeviceSpec::v100(), 2, 1 << 18);
+    let multi = Session::new(Arc::clone(&graph), cfg)
+        .run_multi_gpu_with(
+            &gpus,
+            &stimuli,
+            duration,
+            &RunOptions::default().with_waveform_spill(),
+        )
+        .unwrap();
+    assert!(multi.app_profile.d2h_bytes > 0, "spill read waveforms back");
+    assert!(multi.app_profile.d2h_batches > 0);
+    assert!(multi.app_profile.readback_seconds > 0.0);
+    for s in 0..graph.n_signals() {
+        assert_eq!(
+            multi.waveform(s).unwrap(),
+            single.waveform(s).unwrap(),
+            "signal {s}"
+        );
     }
+    let r = refsim(&graph, &stimuli, duration);
+    assert_matches_refsim(&multi, &r, "multi-GPU spill");
+    assert_waveforms_match_refsim(&multi, &r, "multi-GPU spill");
 }
 
 // --- Speculative single-pass vs two-pass ("simulate twice") equivalence.
@@ -490,7 +516,7 @@ fn speculative_matches_two_pass_through_streaming_sink() {
     assert!(!two_pass_sink.calls.is_empty());
     assert_eq!(
         two_pass_sink.calls, spec_sink.calls,
-        "sink must see identical (signal, window, segment, raw) sequences"
+        "sink must see identical (signal, window, raw) sequences"
     );
 }
 
@@ -610,9 +636,9 @@ proptest! {
         .. ProptestConfig::default()
     })]
 
-    /// Random design + random delays + random stimulus: the overlapped
-    /// pipeline must stay bit-identical to the forced-serial pipeline and
-    /// to the event-driven reference.
+    /// Random design + random delays + random stimulus: the engine must
+    /// stay bit-identical to the two-pass reference schedule and to the
+    /// event-driven reference.
     #[test]
     fn pipelined_executor_bit_identical_on_random_designs(
         seed in 0u64..5000,
@@ -649,18 +675,11 @@ proptest! {
             .with_cycle_parallelism(parallelism)
             .with_window_align(cycle)
             .with_fuse_threshold(fuse);
-        let run = |pd: usize| {
-            Session::new(Arc::clone(&graph), cfg.clone().with_pipeline_depth(pd))
-                .run(&stimuli, duration)
-                .unwrap()
-        };
-        let serial = run(1);
-        let overlapped = run(2);
-        prop_assert!(serial.saif.diff(&overlapped.saif).is_empty(),
-            "serial vs overlapped SAIF diverged");
-        prop_assert_eq!(serial.toggle_counts_slice(), overlapped.toggle_counts_slice());
+        let ours = Session::new(Arc::clone(&graph), cfg.clone())
+            .run(&stimuli, duration)
+            .unwrap();
 
-        // The runs above speculate (Auto default); the two-pass reference
+        // The run above speculates (Auto default); the two-pass reference
         // schedule must agree bit for bit.
         let two_pass = Session::new(
             Arc::clone(&graph),
@@ -668,9 +687,9 @@ proptest! {
         )
         .run(&stimuli, duration)
         .unwrap();
-        prop_assert!(two_pass.saif.diff(&overlapped.saif).is_empty(),
+        prop_assert!(two_pass.saif.diff(&ours.saif).is_empty(),
             "speculative vs two-pass SAIF diverged");
-        prop_assert_eq!(two_pass.toggle_counts_slice(), overlapped.toggle_counts_slice());
+        prop_assert_eq!(two_pass.toggle_counts_slice(), ours.toggle_counts_slice());
 
         let r = EventSimulator::new(&graph, RefConfig {
             record_waveforms: false,
@@ -678,7 +697,8 @@ proptest! {
         })
         .run(&stimuli, duration)
         .unwrap();
-        prop_assert!(overlapped.saif.diff(&r.saif).is_empty(),
-            "pipelined run diverged from refsim");
+        prop_assert!(ours.saif.diff(&r.saif).is_empty(),
+            "engine run diverged from refsim");
+        prop_assert_eq!(ours.toggle_counts_slice(), &r.toggle_counts[..]);
     }
 }
