@@ -9,7 +9,6 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gatspi_core::{
     simulate_gate, GateDesc, GateKernelInput, KernelMode, Session, SimConfig, SimFeatures,
-    Speculation,
 };
 use gatspi_gpu::{DeviceMemory, LaneCounters};
 use gatspi_graph::{CircuitGraph, GraphOptions};
@@ -103,10 +102,11 @@ fn bench_kernel(c: &mut Criterion) {
     group.finish();
 }
 
-/// Per-gate cost of the speculative single-pass protocol vs the two-pass
-/// reference: a hit (reservation fits, one invocation total), a miss (the
-/// speculative pass degrades to counting and a Store repair re-runs the
-/// gate), and the unconditional Count + Store pair speculation replaces.
+/// Per-gate cost of the speculative single-pass protocol: a hit
+/// (reservation fits, one invocation total), a miss (the speculative pass
+/// degrades to counting and a Store repair re-runs the gate), and the
+/// unconditional Count + Store pair ("simulate twice") — the cost a miss
+/// must not exceed and a hit must beat, both gated by `bench-check`.
 fn bench_single_pass(c: &mut Criterion) {
     let mut group = c.benchmark_group("single_pass");
     for toggles in [16usize, 256] {
@@ -150,11 +150,8 @@ fn bench_single_pass(c: &mut Criterion) {
 
 /// Deep, narrow pipeline with dense activity: thousands of one-gate
 /// levels, each re-walking a ~100-toggle waveform, so Algorithm 1 kernel
-/// work dominates — the regime where retiring the count pass pays.
-/// `fused` runs the default fused-level schedule; `unfused` pins the
-/// paper's original two-launches-per-level schedule; the `_twopass`
-/// variants are the simulate-twice reference `bench-check` holds the
-/// speculative default against.
+/// work dominates. `fused` runs the default fused-level schedule;
+/// `unfused` pins one launch per level.
 fn bench_deep_pipeline(c: &mut Criterion) {
     let depth = 3000usize;
     let mut b = NetlistBuilder::new("deep", CellLibrary::industry_mini());
@@ -173,30 +170,16 @@ fn bench_deep_pipeline(c: &mut Criterion) {
     let duration = 10_000;
 
     let mut group = c.benchmark_group("deep_pipeline_resim");
-    // `fused`/`unfused` run the shipping default (speculative single-pass,
-    // `Speculation::Auto`); the `_twopass` variants pin `Speculation::Off`
-    // as the paper's simulate-twice reference at the same schedule shape.
-    for (label, threshold, spec) in [
-        (
-            "fused",
-            SimConfig::default().fuse_threshold,
-            Speculation::Auto,
-        ),
-        ("unfused", 0, Speculation::Auto),
-        (
-            "fused_twopass",
-            SimConfig::default().fuse_threshold,
-            Speculation::Off,
-        ),
-        ("unfused_twopass", 0, Speculation::Off),
+    for (label, threshold) in [
+        ("fused", SimConfig::default().fuse_threshold),
+        ("unfused", 0),
     ] {
         let sim = Session::new(
             Arc::clone(&graph),
             SimConfig::default()
                 .with_cycle_parallelism(4)
                 .with_window_align(100)
-                .with_fuse_threshold(threshold)
-                .with_speculation(spec),
+                .with_fuse_threshold(threshold),
         );
         let launches = sim.run(&stimuli, duration).unwrap().app_profile.launches;
         group.bench_with_input(
@@ -211,9 +194,9 @@ fn bench_deep_pipeline(c: &mut Criterion) {
 /// The publish path itself (each level's length sums and SAIF dump
 /// enqueue, run by the thread that finished the level): `narrow` is a
 /// deep chain of one-gate levels (fused launches; the leader worker
-/// publishes at store-phase boundaries), `wide` is shallow random logic
-/// with thousand-gate levels (classic two-launch path; the engine thread
-/// publishes after the launch join).
+/// publishes at repair-phase boundaries), `wide` is shallow random logic
+/// with thousand-gate levels (classic one-launch-per-level path; the
+/// engine thread publishes after the launch join).
 fn bench_publish_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("publish_path");
 
@@ -340,45 +323,6 @@ fn bench_phase_driver(c: &mut Criterion) {
                     }
                 });
                 boundaries.load(Ordering::Relaxed)
-            })
-        },
-    );
-
-    // Classic (non-fused) two-pass launch: the pooled driver runs both
-    // passes of one level inside a single `launch_phased` dispatch, vs the
-    // original protocol of two independent `launch` calls with a full pool
-    // spin-up and tear-down each.
-    let level_threads = 8192usize;
-    group.bench_with_input(
-        BenchmarkId::new("classic_two_pass_pooled", format!("threads{level_threads}")),
-        &(),
-        |b, ()| {
-            b.iter(|| {
-                let bases = AtomicU64::new(0);
-                dev.launch_two_pass(
-                    "pd_classic",
-                    &LaunchConfig::for_threads(level_threads),
-                    |_store, _tid, _lane| {},
-                    || {
-                        bases.fetch_add(1, Ordering::Relaxed);
-                        Some(0)
-                    },
-                );
-                bases.load(Ordering::Relaxed)
-            })
-        },
-    );
-    group.bench_with_input(
-        BenchmarkId::new("classic_two_pass_split", format!("threads{level_threads}")),
-        &(),
-        |b, ()| {
-            b.iter(|| {
-                let bases = AtomicU64::new(0);
-                let cfg = LaunchConfig::for_threads(level_threads);
-                dev.launch("pd_classic_count", &cfg, |_tid, _lane| {});
-                bases.fetch_add(1, Ordering::Relaxed);
-                dev.launch("pd_classic_store", &cfg, |_tid, _lane| {});
-                bases.load(Ordering::Relaxed)
             })
         },
     );

@@ -1,5 +1,5 @@
 //! Table 3: GATSPI vs its "OpenMP-equivalent" CPU implementation — the
-//! identical two-pass algorithm executed by plain host threads.
+//! identical level schedule executed by plain host threads.
 
 use gatspi_bench::{gatspi_config, gatspi_session, print_table, secs, speedup};
 use gatspi_workloads::suite::representative_suite;

@@ -21,39 +21,6 @@ impl Default for SimFeatures {
     }
 }
 
-/// Output-allocation strategy for the store pass — whether the engine runs
-/// the paper's Fig. 5 "simulate twice" schedule or a speculative single
-/// pass with exact repair.
-///
-/// * [`Speculation::Off`] — every `(gate, window)` runs the kernel twice:
-///   a count pass sizes the output, a prefix sum assigns arena offsets,
-///   and a store pass writes. Always correct, never repairs, ~2× kernel
-///   work. This is the reference the equivalence suite pins against.
-/// * [`Speculation::On`] — a single speculative pass writes each output
-///   into a budget predicted from the plan's per-gate extent history
-///   (first-touch gates use the sound static bound Σ published input
-///   lengths, so a first run never overflows). Gates whose true size
-///   exceeds their reservation degrade to counting and are re-run by a
-///   narrow exact count+store repair launch after the level — results are
-///   bit-identical to `Off` by construction, whatever the hit rate.
-/// * [`Speculation::Auto`] (default) — `On`, but the session monitors the
-///   observed overflow rate and permanently falls back to two-pass for the
-///   rest of the session once more than ~5% of a meaningful sample of
-///   speculative threads overflowed — workloads whose window-to-window
-///   activity varies too much to predict pay for mispredicted budgets
-///   (wasted arena words + repair launches) without saving kernel work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Speculation {
-    /// Always two-pass (count + store) — the paper's Fig. 5 schedule.
-    Off,
-    /// Always speculative single-pass with exact repair.
-    On,
-    /// Speculative until the observed overflow rate exceeds the threshold,
-    /// then two-pass for the rest of the session.
-    #[default]
-    Auto,
-}
-
 /// Bounded-retry policy for transient device faults.
 ///
 /// When a segment's execution dies with a *transient* fault
@@ -143,24 +110,17 @@ pub struct SimConfig {
     pub window_align: SimTime,
     /// Launch fusion threshold: consecutive levels whose *combined* thread
     /// count (gates × windows) does not exceed this execute inside a single
-    /// phased kernel launch, paying one launch overhead instead of two per
-    /// level — the win on deep, narrow designs where launch overhead
-    /// dominates per-level kernel time. `0` disables fusion (the paper's
-    /// original two-launches-per-level schedule). Default 4096.
+    /// phased kernel launch, paying one launch overhead for the whole run of
+    /// levels instead of one per level — the win on deep, narrow designs
+    /// where launch overhead dominates per-level kernel time. `0` disables
+    /// fusion: every level is one speculative store launch, plus a narrow
+    /// repair launch where a reservation overflowed. Default 4096.
     pub fuse_threshold: usize,
     /// Upper bound on cached launch plans (one per window count) per
     /// session; least-recently-used plans are evicted beyond it (plans for
     /// odd tail-segment sizes are rarely reused). `0` means unbounded.
     /// Default 16.
     pub plan_cache_cap: usize,
-    /// Output-allocation strategy: the paper's two-pass "simulate twice"
-    /// schedule ([`Speculation::Off`]) or speculative single-pass with
-    /// exact repair ([`Speculation::On`] / [`Speculation::Auto`]). Both
-    /// produce bit-identical waveforms and SAIF; speculation trades the
-    /// unconditional second kernel pass for occasional narrow repair
-    /// launches plus some predicted-budget slack in the arena. Default
-    /// [`Speculation::Auto`].
-    pub speculation: Speculation,
     /// Bounded retry with exponential backoff for transient device faults;
     /// see [`RetryPolicy`]. Default: 3 attempts, 1 ms base, ×2 per retry.
     pub retry: RetryPolicy,
@@ -179,7 +139,6 @@ impl Default for SimConfig {
             window_align: 1,
             fuse_threshold: 4096,
             plan_cache_cap: 16,
-            speculation: Speculation::default(),
             retry: RetryPolicy::default(),
         }
     }
@@ -225,13 +184,6 @@ impl SimConfig {
         self
     }
 
-    /// Sets the output-allocation strategy (builder style); see
-    /// [`Speculation`].
-    pub fn with_speculation(mut self, speculation: Speculation) -> Self {
-        self.speculation = speculation;
-        self
-    }
-
     /// Sets the transient-fault retry policy (builder style); see
     /// [`RetryPolicy`].
     pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
@@ -255,8 +207,6 @@ mod tests {
         assert!(c.features.full_sdf);
         assert_eq!(c.device.name, "V100");
         assert_eq!(c.plan_cache_cap, 16);
-        assert_eq!(c.speculation, Speculation::Auto);
-        assert_eq!(SimConfig::small().speculation, Speculation::Auto);
         assert_eq!(c.retry, RetryPolicy::default());
         assert_eq!(c.retry.max_attempts, 3);
     }

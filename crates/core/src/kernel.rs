@@ -5,15 +5,20 @@
 //! and emitting the output waveform. The same routine runs in three modes:
 //!
 //! * [`KernelMode::Count`] — computes the output's toggle count and maximum
-//!   write extent without storing anything; the engine prefix-sums the
-//!   extents to assign every output waveform its arena offset;
+//!   write extent without storing anything, which sizes the output's
+//!   arena space exactly;
 //! * [`KernelMode::Store`] — repeats the identical computation, writing the
 //!   waveform at the pre-assigned offset (together with `Count`, the
 //!   "simulate twice" strategy of Fig. 5);
 //! * [`KernelMode::Speculative`] — single-pass: stores like `Store` inside
 //!   a pre-reserved budget and degrades to `Count` past it, so a correct
-//!   prediction retires the count pass entirely and a wrong one loses
+//!   prediction is the thread's only invocation and a wrong one loses
 //!   nothing but the reservation (see the mode's docs).
+//!
+//! The engine runs every thread as `Speculative` and re-runs only the
+//! overflowed ones as `Store` into exact space, so a miss costs count +
+//! store — Fig. 5's simulate-twice is the engine's miss path. `Count` on
+//! its own is what the per-gate micro-benchmarks time against.
 //!
 //! The store pass is also the *publication* point: the engine's store
 //! thread takes `(out_base, KernelOutput::words())` — the same pair this
@@ -120,7 +125,7 @@ impl KernelOutput {
     pub const MAX_PACKED_EXTENT: u32 = 0x7FFF_FFFF;
 
     /// Packs this result into the per-thread count word the engine's
-    /// count pass stores (toggles in bits 0..32, max extent in 32..63,
+    /// speculative pass stores (toggles in bits 0..32, max extent in 32..63,
     /// initial-one flag in bit 63). The canonical codec — every consumer
     /// of the packed layout goes through this pair.
     ///
@@ -481,9 +486,9 @@ pub fn simulate_gate(
     // with EOW too. Readers stop at the first EOW either way, but the pad
     // makes the stored bytes a pure function of the inputs — cancelled
     // ghost slots and never-touched arena words would otherwise leak
-    // whatever the previous batch left at the address, and the
-    // speculative allocator places waveforms at different addresses than
-    // the two-pass prefix-sum, which must not be observable.
+    // whatever the previous batch left at the address, and a waveform's
+    // address depends on the predictor's history (a hit lands in its
+    // reservation, a repair in fresh space), which must not be observable.
     if storing && po + 1 < limit {
         mem.store(po + 1, EOW);
         lane.scattered_store();

@@ -12,14 +12,13 @@
 //! * multiple-simultaneous-input (MSI) switching resolution,
 //! * inertial pulse filtering on both gates (`PATHPULSEPERCENT`) and
 //!   interconnect,
-//! * the two-pass "simulate twice" strategy (Fig. 5): a counting pass sizes
-//!   every output waveform, a host prefix-sum assigns arena offsets, and a
-//!   storing pass writes the final waveforms — no dynamic allocation and no
-//!   calibration runs,
-//! * speculative single-pass allocation with exact repair
-//!   ([`Speculation`], default `Auto`): predicted per-gate budgets retire
-//!   the count pass on repeat windows, with overflowing gates re-run by a
-//!   narrow repair launch — bit-identical to the two-pass schedule,
+//! * speculative single-pass output allocation with exact repair, the
+//!   engine's one schedule: every output is stored once into a reservation
+//!   predicted from the plan's per-gate extent history; a thread whose
+//!   waveform outgrows it degrades to exact counting and is re-run as a
+//!   store into exact space — the paper's "simulate twice" strategy
+//!   (Fig. 5) survives as that miss path, so there is still no dynamic
+//!   allocation and no calibration run,
 //! * cycle parallelism: the stimulus is cut into independent windows that
 //!   simulate concurrently, one logical GPU thread per (gate, window),
 //! * multi-GPU distribution of cycle parallelism (`t = t₁/n + ovr`),
@@ -73,7 +72,7 @@ mod sink;
 pub mod sync;
 pub mod verify;
 
-pub use config::{RetryPolicy, SimConfig, SimFeatures, Speculation};
+pub use config::{RetryPolicy, SimConfig, SimFeatures};
 pub use error::CoreError;
 pub use gatspi_gpu::FaultKind;
 pub use kernel::{simulate_gate, GateDesc, GateKernelInput, KernelMode, KernelOutput};

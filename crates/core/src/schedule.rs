@@ -19,16 +19,16 @@
 //! * launch fusion groups: maximal runs of consecutive levels whose
 //!   combined thread count does not exceed
 //!   [`SimConfig::fuse_threshold`](crate::SimConfig::fuse_threshold),
-//!   executed as one phased launch (count/store phases per level behind
+//!   executed as one phased launch (store/repair phases per level behind
 //!   the device's internal phase hand-off) — one launch overhead instead
-//!   of two per level;
+//!   of one per level;
 //! * a persistent scratch arena ([`BatchScratch`]) replacing all per-level
-//!   allocations: atomic pointer/length tables, plus count-output and
-//!   prefix-sum-base columns in which every level of a fused group owns a
-//!   **disjoint contiguous slab range** ([`LevelDesc::col_off`]) — the
-//!   group's base assignment becomes one carry-chained segmented
-//!   prefix-sum over that slab, and a level's host publish (len-sum
-//!   accounting + SAIF dump enqueueing) reads only its own range.
+//!   allocations: atomic pointer/length tables, plus count-output, base
+//!   and reservation-cap columns in which every level of a fused group
+//!   owns a **disjoint contiguous slab range** ([`LevelDesc::col_off`]) —
+//!   the group's output allocation is one arena cursor carried across
+//!   those ranges, and a level's host publish (len-sum accounting + SAIF
+//!   dump enqueueing) reads only its own range.
 
 use std::ops::Range;
 
@@ -48,9 +48,8 @@ pub(crate) struct LevelDesc {
     pub threads: usize,
     /// Offset of this level's count/base entries in the scratch column.
     /// Levels of a fused group occupy disjoint consecutive ranges of one
-    /// contiguous slab (`col_off..col_off + threads`), so the group's
-    /// segmented prefix-sum scans one arena run and no level of the group
-    /// writes entries another level's publish reads. Classic single-level
+    /// contiguous slab (`col_off..col_off + threads`), so no level of the
+    /// group writes entries another level's publish reads. Classic single-level
     /// groups start at 0.
     pub col_off: u32,
 }
@@ -62,8 +61,9 @@ pub(crate) struct LaunchGroup {
     pub levels: Range<usize>,
     /// Combined logical threads across the covered levels.
     pub threads: usize,
-    /// `true` ⇒ one phased launch (count + store phases per level);
-    /// `false` ⇒ the classic two launches for a single wide level.
+    /// `true` ⇒ one phased launch (store + repair phases per level);
+    /// `false` ⇒ a single wide level on its own launch (plus a narrow
+    /// repair launch if a reservation overflowed).
     pub fused: bool,
     /// Range into [`LevelSchedule::phase_threads`] for the phased launch.
     pub phases: Range<usize>,
@@ -229,7 +229,8 @@ pub(crate) struct LevelSchedule {
     /// reuses this cached plan (see [`ExtentPredictor`]).
     predictor: ExtentPredictor,
     /// Flat per-phase thread counts; a fused group's phased launch uses
-    /// `phase_threads[group.phases]` (two phases per level: count, store).
+    /// `phase_threads[group.phases]` (two phases per level: speculative
+    /// store, repair).
     phase_threads: Vec<usize>,
     /// Widest single level's thread count.
     max_level_threads: usize,
@@ -253,7 +254,7 @@ impl LevelSchedule {
         Self::assemble(graph, gates, level_counts, nw, fuse_threshold)
     }
 
-    /// Builds a *cone sub-schedule*: the same levelized two-pass plan, but
+    /// Builds a *cone sub-schedule*: the same levelized plan, but
     /// restricted to the gates of `cone` (a changed set plus its transitive
     /// fan-out, see [`ConeInfo`]). Levels are filtered to their in-cone
     /// gates with compacted thread tables; levels left empty disappear
@@ -336,9 +337,9 @@ impl LevelSchedule {
 
         // Greedy fusion: extend a run while the combined thread count stays
         // under the threshold. A single level at or above the threshold
-        // keeps the classic two-launch schedule (wide levels amortise their
-        // launch overhead; fusing them would only serialize the host
-        // prefix-sum behind a worker barrier).
+        // keeps a launch of its own (wide levels amortise their launch
+        // overhead; fusing them would only serialize the host boundary
+        // work behind a worker barrier).
         let mut groups = Vec::new();
         let mut phase_threads = Vec::new();
         let mut start = 0usize;
@@ -370,8 +371,8 @@ impl LevelSchedule {
                 // contiguous slab of the scratch column.
                 ld.col_off = slab_off;
                 slab_off += ld.threads as u32;
-                phase_threads.push(ld.threads); // count pass
-                phase_threads.push(ld.threads); // store pass
+                phase_threads.push(ld.threads); // speculative store pass
+                phase_threads.push(ld.threads); // repair pass
             }
             groups.push(LaunchGroup {
                 levels: start..end,
@@ -881,9 +882,11 @@ pub(crate) struct BatchScratch {
     /// (the incremental working-set sums). Atomic because a fused launch's
     /// leader worker adds to them through the shared arena.
     pub len_sum: Vec<AtomicU64>,
-    /// Count-pass packed outputs (one column of `stride` entries).
+    /// True packed outputs of the speculative pass (one column of `stride`
+    /// entries).
     outs: Vec<AtomicU64>,
-    /// Prefix-summed arena bases (one column of `stride` entries).
+    /// Assigned arena bases — the reservation's, then the exact repair
+    /// space's for an overflowed thread (one column of `stride` entries).
     bases: Vec<AtomicU32>,
     /// Speculative reservation sizes in words (one column of `stride`
     /// entries, same slab layout as `outs`/`bases`): written by the budget
@@ -948,7 +951,7 @@ impl BatchScratch {
         &self.outs
     }
 
-    /// The prefix-sum base column; same layout as [`BatchScratch::outs`].
+    /// The arena-base column; same layout as [`BatchScratch::outs`].
     #[inline]
     pub fn bases(&self) -> &[AtomicU32] {
         &self.bases
@@ -1002,8 +1005,8 @@ impl BatchScratch {
 
     /// Re-initializes the first `ptrs` pointer/length entries and the
     /// per-signal length sums for a new batch (`outs`/`bases` need no
-    /// reset: every level writes its entries in the count pass before
-    /// anything reads them).
+    /// reset: every level's budget assignment and speculative pass write
+    /// its entries before anything reads them).
     pub fn reset(&self, ptrs: usize) {
         for p in &self.ptrs[..ptrs] {
             // relaxed-ok: reset runs on the engine thread between batches,
@@ -1033,8 +1036,8 @@ impl BatchScratch {
 /// Host-side mutable state threaded through the per-level loop: the arena
 /// bump pointer. (The per-signal length sums live in
 /// [`BatchScratch::len_sum`] so a fused launch's leader can accumulate
-/// them at its phase boundaries; a fused group's bump carry lives
-/// in the group's segmented-prefix-sum assigner while its launch runs.)
+/// them at its phase boundaries; a launch group's bump carry lives in
+/// its output-space assigner while its launch runs.)
 #[derive(Debug, Default)]
 pub(crate) struct HostState {
     /// Next free arena word (kept even-aligned for output waveforms).

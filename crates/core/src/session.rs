@@ -28,19 +28,8 @@ use crate::result::ExtractionState;
 use crate::ring::{DumpMsg, DumpRing};
 use crate::schedule::{BatchScratch, ConeInfo, HostState, LevelSchedule};
 use crate::sink::{SaifSink, SpillSink, VcdSink, WaveformSink, WindowInfo};
-use crate::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use crate::{CoreError, Result, SimConfig, SimResult, Speculation};
-
-/// Levels with at least this many threads prefix-sum their count-pass
-/// outputs across host workers; smaller levels scan serially. The serial
-/// scan is one load+add per thread (~1 ns), so forking only pays once the
-/// scan itself reaches milliseconds — set high enough that the two
-/// fork/join rounds (tens of µs each) are noise against the scan saved.
-const PARALLEL_PREFIX_MIN: usize = 1 << 21;
-
-/// Upper bound on prefix-sum workers (bounds the stack-resident partial-sum
-/// arrays so the hot path stays allocation-free).
-const MAX_PREFIX_WORKERS: usize = 64;
+use crate::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use crate::{CoreError, Result, SimConfig, SimResult};
 
 /// Scratch arenas kept in the session pool (one per concurrently executing
 /// device is plenty; anything beyond bounds idle memory).
@@ -60,17 +49,6 @@ const SCRATCH_SHRINK_AFTER: u32 = 4;
 /// for the whole chunk at once (one reservation per chunk, not per
 /// message). Stack-resident, so publication stays allocation-free.
 const PUBLISH_CHUNK: usize = 128;
-
-/// Minimum speculative-thread sample before [`Speculation::Auto`] may
-/// disable speculation — a handful of early overflows on a small level
-/// must not condemn the whole session to two-pass execution.
-const SPEC_AUTO_MIN_SAMPLE: u64 = 1024;
-
-/// [`Speculation::Auto`] disables speculation once
-/// `overflows × SPEC_AUTO_RATE_DIV > threads` — i.e. an observed overflow
-/// rate above 5%. Past that, the mispredicted budgets (wasted arena words
-/// plus repair launches) outweigh the retired count passes.
-const SPEC_AUTO_RATE_DIV: u64 = 20;
 
 /// Execution options for one run of a compiled [`Session`].
 #[derive(Debug, Clone, Default)]
@@ -261,14 +239,6 @@ pub struct Session {
     /// still halves further, a sparser one merely over-segments, both
     /// correct).
     segment_hints: Mutex<HashMap<usize, usize>>,
-    /// Speculative store threads observed across every batch of this
-    /// session (the [`Speculation::Auto`] monitor's sample).
-    spec_threads: AtomicU64,
-    /// How many of those threads overflowed their reservation.
-    spec_overflows: AtomicU64,
-    /// Latched once [`Speculation::Auto`] trips its overflow-rate
-    /// threshold; every later batch runs the two-pass schedule.
-    spec_disabled: AtomicBool,
     /// Test/bench hook ([`Session::seed_extent_history`]): when nonzero,
     /// every plan fetch re-seeds the plan's extent predictor with this
     /// many words per gate.
@@ -314,7 +284,7 @@ pub(crate) struct WindowBatch {
     pub fused_launches: u64,
     pub dump_wait_seconds: f64,
     pub dump_stall_seconds: f64,
-    /// Store threads executed speculatively (0 when speculation was off).
+    /// Store threads executed speculatively.
     pub spec_threads: u64,
     /// Speculative threads whose reservation overflowed and were re-run by
     /// a repair pass.
@@ -464,44 +434,7 @@ impl Session {
             scratch_pool: Mutex::new(Vec::new()),
             drain_bufs: Mutex::new(DrainBuffers::default()),
             segment_hints: Mutex::new(HashMap::new()),
-            spec_threads: AtomicU64::new(0),
-            spec_overflows: AtomicU64::new(0),
-            spec_disabled: AtomicBool::new(false),
             spec_seed: AtomicU32::new(0),
-        }
-    }
-
-    /// Whether the next batch should run the speculative single-pass
-    /// schedule (see [`Speculation`]).
-    fn speculation_active(&self) -> bool {
-        match self.config.speculation {
-            Speculation::Off => false,
-            Speculation::On => true,
-            // relaxed-ok: advisory latch — a stale read only delays the
-            // two-pass fallback by one batch; results are bit-identical
-            // either way.
-            Speculation::Auto => !self.spec_disabled.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Feeds one batch's speculation outcome into the session monitor and
-    /// applies the [`Speculation::Auto`] fallback once the observed
-    /// overflow rate crosses the threshold on a meaningful sample.
-    fn note_speculation(&self, threads: u64, overflows: u64) {
-        if threads == 0 {
-            return;
-        }
-        // relaxed-ok: commutative monitor counters; nothing is published
-        // through them (the latch below is itself advisory).
-        let t = self.spec_threads.fetch_add(threads, Ordering::Relaxed) + threads;
-        // relaxed-ok: see above.
-        let o = self.spec_overflows.fetch_add(overflows, Ordering::Relaxed) + overflows;
-        if self.config.speculation == Speculation::Auto
-            && t >= SPEC_AUTO_MIN_SAMPLE
-            && o.saturating_mul(SPEC_AUTO_RATE_DIV) > t
-        {
-            // relaxed-ok: advisory latch (see `speculation_active`).
-            self.spec_disabled.store(true, Ordering::Relaxed);
         }
     }
 
@@ -509,7 +442,7 @@ impl Session {
     /// per-gate extent history with `words` words per gate (`0` clears the
     /// hook). Deliberately tiny seeds force the overflow-repair path on
     /// every gate; the equivalence suite uses this to prove the repair
-    /// pass alone reproduces the two-pass output bit-for-bit.
+    /// pass alone reproduces the event-driven reference bit-for-bit.
     #[doc(hidden)]
     pub fn seed_extent_history(&self, words: u32) {
         // relaxed-ok: hook set on the caller's thread before runs; plan
@@ -1346,9 +1279,9 @@ impl Session {
     }
 
     /// Simulates one batch of windows on `device` (one memory segment)
-    /// against a prebuilt `plan`: uploads stimulus, runs the two-pass
-    /// levelized schedule (fusing runs of small levels into single phased
-    /// launches) with the SAIF scan overlapped on its own thread, and
+    /// against a prebuilt `plan`: uploads stimulus, runs the levelized
+    /// speculative-store schedule (fusing runs of small levels into single
+    /// phased launches) with the SAIF scan overlapped on its own thread, and
     /// returns the accumulators.
     ///
     /// Structure (see the README's executor map):
@@ -1364,10 +1297,12 @@ impl Session {
     ///   level's counts and bases also orders the publish that reads them,
     ///   and the length sums feeding the next launch group's modeled
     ///   working set are complete when the group top reads them;
-    /// * every level of a fused group owns a disjoint slab range of the
-    ///   [`BatchScratch`] count/base column; base assignment is one
-    ///   carry-chained segmented prefix-sum over the group slab
-    ///   ([`GroupAssigner`]);
+    /// * every level reserves a predicted budget per output before its one
+    ///   store pass and scans for overflows after it; only overflowed
+    ///   threads run again, as an exact store ([`GroupAssigner`] carries
+    ///   the arena cursor through both steps, level after level — every
+    ///   level of a fused group owns a disjoint slab range of the
+    ///   [`BatchScratch`] count/base/cap columns);
     /// * the asynchronous SAIF scanner is the batch's only helper thread:
     ///   it drains the dump ring while later levels simulate.
     ///
@@ -1478,9 +1413,6 @@ impl Session {
         let mut fused_launches = 0u64;
         let mut level_err: Option<CoreError> = None;
         let mut dump_wait = 0.0f64;
-        // Speculative single-pass mode (see [`Speculation`]): decided per
-        // batch so the Auto fallback latch takes effect between segments.
-        let speculate = self.speculation_active();
         let mut tally = SpecTally::default();
         // Reusable repair worklist (classic path): columns whose
         // speculative reservation overflowed.
@@ -1515,16 +1447,15 @@ impl Session {
             // scope join propagates a panic instead of deadlocking.
             let ring_closer = ring.producer_guard();
 
-            // One kernel invocation: thread `tid` of `level`, first or
-            // second pass. Two-pass mode runs count then store; speculative
-            // mode runs the speculative store then the (mostly no-op)
-            // repair pass. All lookups index the schedule's dense tables —
+            // One kernel invocation: thread `tid` of `level`, in the
+            // speculative store pass or the (mostly no-op) repair pass.
+            // All lookups index the schedule's dense tables —
             // the baked [`GateDesc`] row plus schedule-local delay slices,
             // no per-event graph indirection; the level's count/base/cap
             // entries live in its own slab range of the scratch column
             // (`col_off` — fused groups stack their levels contiguously,
             // so no two in-flight levels share entries).
-            let exec = |level: usize, tid: usize, second: bool, lane: &mut _| {
+            let exec = |level: usize, tid: usize, repair: bool, lane: &mut _| {
                 let ld = schedule_ref.level(level);
                 let col = ld.col_off as usize + tid;
                 let gi = tid / nw;
@@ -1569,103 +1500,82 @@ impl Session {
                     // relaxed-ok: see above.
                     scratch_ref.lens[w * n_signals + sig].store(out.words(), Ordering::Relaxed);
                 };
-                if speculate {
-                    if second {
-                        // Repair pass: a hit already stored and published
-                        // in the speculative pass — nothing to do. An
-                        // overflow re-runs an exact store at the base the
-                        // post-level scan re-allocated for it.
-                        // relaxed-ok: the speculative pass's true packed
-                        // output, behind the phase gate / launch join.
-                        let packed = scratch_ref.outs()[col].load(Ordering::Relaxed);
-                        // relaxed-ok: written by the budget assigner before
-                        // the speculative pass, same boundary.
-                        let cap = scratch_ref.caps()[col].load(Ordering::Relaxed);
-                        if KernelOutput::unpack_words(packed) <= cap {
-                            return;
-                        }
-                        // relaxed-ok: the exact repair base was assigned by
-                        // the scan at the boundary preceding this pass.
-                        let out_base = scratch_ref.bases()[col].load(Ordering::Relaxed) as usize;
-                        let out = simulate_gate(&input, KernelMode::Store { out_base }, lane);
-                        publish(&out, out_base);
-                    } else {
-                        // Speculative pass: store inside the pre-assigned
-                        // reservation; on overflow the kernel degrades to
-                        // exact counting without touching a word outside
-                        // it. The true packed output always lands in the
-                        // count column — the scan and the repair pass read
-                        // it there.
-                        // relaxed-ok: budget assigned before this pass
-                        // (host side or the preceding phase boundary).
-                        let out_base = scratch_ref.bases()[col].load(Ordering::Relaxed) as usize;
-                        // relaxed-ok: see above.
-                        let cap = scratch_ref.caps()[col].load(Ordering::Relaxed);
-                        let out = simulate_gate(
-                            &input,
-                            KernelMode::Speculative {
-                                out_base,
-                                cap: cap as usize,
-                            },
-                            lane,
-                        );
-                        // relaxed-ok: each thread writes only its own
-                        // column entry; the scan reads it behind the phase
-                        // gate / launch join.
-                        scratch_ref.outs()[col].store(out.pack(), Ordering::Relaxed);
-                        let words = out.words();
-                        let words_even = words + (words & 1);
-                        // The thread feeds the extent predictor itself
-                        // (monotone fetch_max — see `ExtentPredictor`), so
-                        // the post-level host scan touches no per-column
-                        // state at all on the hit path.
-                        schedule_ref
-                            .predictor()
-                            .observe(schedule_ref.gate(slot), words_even);
-                        if words <= cap {
-                            publish(&out, out_base);
-                            // Saturating: a test-hook cap may be odd,
-                            // letting the padded size exceed a hit's cap
-                            // by the parity word. Exact predictions (the
-                            // steady state) skip the RMW entirely.
-                            let slack = u64::from(cap).saturating_sub(u64::from(words_even));
-                            if slack != 0 {
-                                // relaxed-ok: telemetry accumulator,
-                                // drained on the engine thread after the
-                                // batch.
-                                scratch_ref.spec_waste.fetch_add(slack, Ordering::Relaxed);
-                            }
-                        } else {
-                            // relaxed-ok: the cursor only hands each
-                            // overflowing thread a unique slot (threads ≤
-                            // column stride); the launch join / phase gate
-                            // publishes the slot writes to the scan.
-                            let i = scratch_ref.ovf_len.fetch_add(1, Ordering::Relaxed);
-                            debug_assert!(i < scratch_ref.ovf.len());
-                            // relaxed-ok: see above.
-                            scratch_ref.ovf[i].store(col as u32, Ordering::Relaxed);
-                        }
+                if repair {
+                    // Repair pass: a hit already stored and published in
+                    // the speculative pass — nothing to do. An overflow
+                    // re-runs an exact store at the base the post-level
+                    // scan re-allocated for it.
+                    // relaxed-ok: the speculative pass's true packed
+                    // output, behind the phase gate / launch join.
+                    let packed = scratch_ref.outs()[col].load(Ordering::Relaxed);
+                    // relaxed-ok: written by the budget assigner before
+                    // the speculative pass, same boundary.
+                    let cap = scratch_ref.caps()[col].load(Ordering::Relaxed);
+                    if KernelOutput::unpack_words(packed) <= cap {
+                        return;
                     }
-                } else if second {
-                    // relaxed-ok: the base was assigned at the count/store
-                    // boundary (launch join or phase gate) that precedes
-                    // this store thread.
+                    // relaxed-ok: the exact repair base was assigned by
+                    // the scan at the boundary preceding this pass.
                     let out_base = scratch_ref.bases()[col].load(Ordering::Relaxed) as usize;
                     let out = simulate_gate(&input, KernelMode::Store { out_base }, lane);
-                    debug_assert_eq!(
-                        out.pack(),
-                        // relaxed-ok: written by this level's own count
-                        // pass, behind the same boundary.
-                        scratch_ref.outs()[col].load(Ordering::Relaxed),
-                        "count and store passes diverged"
-                    );
+                    debug_assert_eq!(out.pack(), packed, "speculative and repair passes diverged");
                     publish(&out, out_base);
                 } else {
-                    let out = simulate_gate(&input, KernelMode::Count, lane);
-                    // relaxed-ok: each count thread writes only its own
-                    // column entry; the prefix-sum reads it behind the
-                    // count/store boundary.
+                    // Speculative pass: store inside the pre-assigned
+                    // reservation; on overflow the kernel degrades to
+                    // exact counting without touching a word outside
+                    // it. The true packed output always lands in the
+                    // count column — the scan and the repair pass read
+                    // it there.
+                    // relaxed-ok: budget assigned before this pass
+                    // (host side or the preceding phase boundary).
+                    let out_base = scratch_ref.bases()[col].load(Ordering::Relaxed) as usize;
+                    // relaxed-ok: see above.
+                    let cap = scratch_ref.caps()[col].load(Ordering::Relaxed);
+                    let out = simulate_gate(
+                        &input,
+                        KernelMode::Speculative {
+                            out_base,
+                            cap: cap as usize,
+                        },
+                        lane,
+                    );
+                    // relaxed-ok: each thread writes only its own
+                    // column entry; the scan reads it behind the phase
+                    // gate / launch join.
                     scratch_ref.outs()[col].store(out.pack(), Ordering::Relaxed);
+                    let words = out.words();
+                    let words_even = words + (words & 1);
+                    // The thread feeds the extent predictor itself
+                    // (monotone fetch_max — see `ExtentPredictor`), so
+                    // the post-level host scan touches no per-column
+                    // state at all on the hit path.
+                    schedule_ref
+                        .predictor()
+                        .observe(schedule_ref.gate(slot), words_even);
+                    if words <= cap {
+                        publish(&out, out_base);
+                        // Saturating: a test-hook cap may be odd,
+                        // letting the padded size exceed a hit's cap
+                        // by the parity word. Exact predictions (the
+                        // steady state) skip the RMW entirely.
+                        let slack = u64::from(cap).saturating_sub(u64::from(words_even));
+                        if slack != 0 {
+                            // relaxed-ok: telemetry accumulator,
+                            // drained on the engine thread after the
+                            // batch.
+                            scratch_ref.spec_waste.fetch_add(slack, Ordering::Relaxed);
+                        }
+                    } else {
+                        // relaxed-ok: the cursor only hands each
+                        // overflowing thread a unique slot (threads ≤
+                        // column stride); the launch join / phase gate
+                        // publishes the slot writes to the scan.
+                        let i = scratch_ref.ovf_len.fetch_add(1, Ordering::Relaxed);
+                        debug_assert!(i < scratch_ref.ovf.len());
+                        // relaxed-ok: see above.
+                        scratch_ref.ovf[i].store(col as u32, Ordering::Relaxed);
+                    }
                 }
             };
 
@@ -1678,52 +1588,35 @@ impl Session {
             // intact (resume_unwind below, after the joins) and classified
             // by `panic_to_error` at the segment boundary above this scope.
             let engine = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                'groups: for group in schedule.groups() {
+                for group in schedule.groups() {
                     let first = group.levels.start;
                     if group.fused {
                         // --- Fused: one phased launch covers the whole run of
-                        // levels; the leader worker does the prefix-sum at
-                        // count boundaries and the level's host publish at
-                        // store boundaries. The launch config carries the
+                        // levels, two phases per level — the speculative store
+                        // and its repair. The leader worker scans for overflows
+                        // at store boundaries and runs the level's host publish
+                        // at repair boundaries. The launch config carries the
                         // working set visible at launch time (inputs already
-                        // stored); each count-phase boundary then reports the
-                        // words the level's outputs just allocated, so the L2
-                        // model sees the full footprint — launch-time inputs
-                        // plus every waveform produced inside the group.
+                        // stored plus the first level's reservations); each
+                        // boundary then reports the words it just allocated, so
+                        // the L2 model sees the full footprint — launch-time
+                        // inputs plus every waveform produced inside the group.
                         let ws: u64 = group
                             .levels
                             .clone()
                             .map(|l| schedule.level_ws(&scratch.len_sum, l))
                             .sum();
-                        // Group-batched base assignment: one carry-chained
-                        // segmented prefix-sum over the group's contiguous
-                        // count slab, advanced a level segment per count
-                        // boundary (a level's counts exist only after the
-                        // previous level's store phase, so the scan cannot run
-                        // ahead of the launch). OOM is detected per level with
-                        // the carry left at the last successful level — error
-                        // semantics and `host.bump` stay bit-identical to the
-                        // per-level serial assignment this replaces.
-                        //
-                        // Speculative mode drives the same carry differently:
+                        // One arena carry chained across the group's levels:
                         // the first level's budgets are reserved host-side
                         // before the launch, later levels' at the preceding
                         // repair boundary (their static fallback bound reads
-                        // the lengths that boundary published); even phase
-                        // boundaries run the overflow scan instead of the
-                        // prefix-sum.
-                        let mut assign = GroupAssigner::new(host.bump, capacity, device.workers());
+                        // the lengths that boundary published). OOM is detected
+                        // per level with the carry left at the last successful
+                        // step.
+                        let mut assign = GroupAssigner::new(host.bump, capacity);
                         let mut group_oom: Option<CoreError> = None;
-                        let mut spec_ws = 0u64;
-                        if speculate {
-                            match assign.advance_budgets(schedule, scratch, first, n_signals) {
-                                Ok(words) => spec_ws = words,
-                                Err(e) => {
-                                    level_err = Some(e);
-                                    break 'groups;
-                                }
-                            }
-                        }
+                        let spec_ws =
+                            assign.advance_budgets(schedule, scratch, first, n_signals)?;
                         let cfg = LaunchConfig {
                             threads: group.threads,
                             threads_per_block: self.config.threads_per_block,
@@ -1731,54 +1624,29 @@ impl Session {
                             working_set_bytes: 4 * (ws + spec_ws),
                         };
                         let p = device.launch_phased(
-                            if speculate {
-                                "resim_fused_spec"
-                            } else {
-                                "resim_fused"
-                            },
+                            "resim_fused",
                             &cfg,
                             schedule.phases(group),
                             |phase, tid, lane| exec(first + phase / 2, tid, phase % 2 == 1, lane),
                             |phase| {
                                 let level = first + phase / 2;
-                                let ld = schedule_ref.level(level);
-                                let (lo, hi) =
-                                    (ld.col_off as usize, ld.col_off as usize + ld.threads);
-                                if phase % 2 == 0 {
-                                    let advanced = if speculate {
-                                        // Speculative pass done: scan for
-                                        // overflows, re-allocating their exact
-                                        // space for the repair phase.
-                                        assign.advance_scan(
-                                            schedule_ref,
-                                            scratch_ref,
-                                            level,
-                                            &mut overflow_cols,
-                                            &mut tally,
-                                        )
-                                    } else {
-                                        assign.advance(
-                                            &scratch_ref.outs()[lo..hi],
-                                            &scratch_ref.bases()[lo..hi],
-                                        )
-                                    };
-                                    match advanced {
-                                        // Output growth of this level, in
-                                        // bytes: the incremental working-set
-                                        // update (the L2 model sees the full
-                                        // in-launch footprint).
-                                        Ok(new_words) => Some(4 * new_words),
-                                        Err(e) => {
-                                            group_oom = Some(e);
-                                            None
-                                        }
-                                    }
+                                let advanced = if phase % 2 == 0 {
+                                    // Speculative pass done: scan for
+                                    // overflows, re-allocating their exact
+                                    // space for the repair phase.
+                                    assign.advance_scan(
+                                        schedule_ref,
+                                        scratch_ref,
+                                        level,
+                                        &mut overflow_cols,
+                                        &mut tally,
+                                    )
                                 } else {
-                                    // Store/repair phase done (ptrs/lens
-                                    // published by the kernel threads): the
-                                    // leader runs the level's remaining host
-                                    // publish right here, behind the phase
-                                    // gate that settled its counts and bases.
+                                    // Repair phase done (ptrs/lens published
+                                    // by the kernel threads): the leader runs
+                                    // the level's remaining host publish right
+                                    // here, behind the phase gate that settled
+                                    // its counts and bases.
                                     publish_level(
                                         schedule_ref,
                                         scratch_ref,
@@ -1786,25 +1654,30 @@ impl Session {
                                         windows,
                                         ring_ref,
                                     );
-                                    if speculate && level + 1 < group.levels.end {
+                                    if level + 1 < group.levels.end {
                                         // Reserve the next level's speculative
                                         // budgets now that this level's
                                         // lengths are final (the first-touch
                                         // static bound reads them).
-                                        match assign.advance_budgets(
+                                        assign.advance_budgets(
                                             schedule_ref,
                                             scratch_ref,
                                             level + 1,
                                             n_signals,
-                                        ) {
-                                            Ok(words) => Some(4 * words),
-                                            Err(e) => {
-                                                group_oom = Some(e);
-                                                None
-                                            }
-                                        }
+                                        )
                                     } else {
-                                        Some(0)
+                                        Ok(0)
+                                    }
+                                };
+                                match advanced {
+                                    // Words this boundary allocated, in
+                                    // bytes: the incremental working-set
+                                    // update (the L2 model sees the full
+                                    // in-launch footprint).
+                                    Ok(new_words) => Some(4 * new_words),
+                                    Err(e) => {
+                                        group_oom = Some(e);
+                                        None
                                     }
                                 }
                             },
@@ -1814,123 +1687,57 @@ impl Session {
                         launches += 1;
                         fused_launches += 1;
                         if let Some(e) = group_oom {
-                            level_err = Some(e);
-                            break 'groups;
+                            return Err(e);
                         }
                     } else {
-                        // --- One wide level on its own launch(es). Two-pass
-                        // mode drives the classic count+store schedule on the
-                        // pooled phase machinery: one worker scope serves both
-                        // passes (the old path spawned and joined a fresh
-                        // scope per pass), while the model still charges the
-                        // two real kernel launches. Speculative mode replaces
-                        // them with one speculative store launch plus — only
-                        // when some reservation overflowed — a narrow exact
-                        // repair launch over just the overflowed threads.
+                        // --- One wide level on its own launch(es): one
+                        // speculative store launch plus — only when some
+                        // reservation overflowed — a narrow exact repair
+                        // launch over just the overflowed threads.
                         let threads = schedule.level(first).threads;
                         if threads == 0 {
                             continue;
                         }
                         let ws_in = schedule.level_ws(&scratch.len_sum, first);
-                        let bump0 = host.bump;
-                        let mut new_bump = bump0;
-                        let mut classic_oom: Option<CoreError> = None;
-                        if speculate {
-                            let mut assign = GroupAssigner::new(bump0, capacity, device.workers());
-                            match assign.advance_budgets(schedule, scratch, first, n_signals) {
-                                Ok(reserved) => {
-                                    let cfg = LaunchConfig {
-                                        threads,
-                                        threads_per_block: self.config.threads_per_block,
-                                        regs_per_thread: self.config.regs_per_thread,
-                                        working_set_bytes: 4 * (ws_in + reserved),
-                                    };
-                                    let p = device.launch("resim_spec", &cfg, |tid, lane| {
-                                        exec(first, tid, false, lane)
-                                    });
-                                    profile.accumulate(&p);
-                                    launches += 1;
-                                    match assign.advance_scan(
-                                        schedule,
-                                        scratch,
-                                        first,
-                                        &mut overflow_cols,
-                                        &mut tally,
-                                    ) {
-                                        Ok(realloc) => {
-                                            if !overflow_cols.is_empty() {
-                                                // The speculative pass left
-                                                // every overflow's true packed
-                                                // count in the count column,
-                                                // so the repair is store-only
-                                                // — no second count pass.
-                                                let rcfg = LaunchConfig {
-                                                    threads: overflow_cols.len(),
-                                                    threads_per_block: self
-                                                        .config
-                                                        .threads_per_block,
-                                                    regs_per_thread: self.config.regs_per_thread,
-                                                    working_set_bytes: 4 * (ws_in + realloc),
-                                                };
-                                                let cols = &overflow_cols;
-                                                let p = device.launch(
-                                                    "resim_repair",
-                                                    &rcfg,
-                                                    |j, lane| exec(first, cols[j], true, lane),
-                                                );
-                                                profile.accumulate(&p);
-                                                launches += 1;
-                                            }
-                                            new_bump = assign.bump();
-                                        }
-                                        Err(e) => classic_oom = Some(e),
-                                    }
-                                }
-                                Err(e) => classic_oom = Some(e),
-                            }
-                        } else {
-                            let cfg = LaunchConfig {
-                                threads,
+                        let mut assign = GroupAssigner::new(host.bump, capacity);
+                        let reserved =
+                            assign.advance_budgets(schedule, scratch, first, n_signals)?;
+                        let cfg = LaunchConfig {
+                            threads,
+                            threads_per_block: self.config.threads_per_block,
+                            regs_per_thread: self.config.regs_per_thread,
+                            working_set_bytes: 4 * (ws_in + reserved),
+                        };
+                        let p = device.launch("resim_spec", &cfg, |tid, lane| {
+                            exec(first, tid, false, lane)
+                        });
+                        profile.accumulate(&p);
+                        launches += 1;
+                        let realloc = assign.advance_scan(
+                            schedule,
+                            scratch,
+                            first,
+                            &mut overflow_cols,
+                            &mut tally,
+                        )?;
+                        if !overflow_cols.is_empty() {
+                            // The speculative pass left every overflow's true
+                            // packed count in the count column, so the repair
+                            // is store-only — no second count pass.
+                            let rcfg = LaunchConfig {
+                                threads: overflow_cols.len(),
                                 threads_per_block: self.config.threads_per_block,
                                 regs_per_thread: self.config.regs_per_thread,
-                                working_set_bytes: 4 * ws_in,
+                                working_set_bytes: 4 * (ws_in + realloc),
                             };
-                            // Host boundary between the passes: prefix-sum
-                            // allocation of output waveforms, parallelized
-                            // across device workers for wide levels (classic
-                            // levels own the column from offset 0). OOM aborts
-                            // the store pass with `host.bump` untouched —
-                            // identical semantics to the old separate-launch
-                            // path.
-                            let p = device.launch_two_pass(
-                                "resim_classic",
-                                &cfg,
-                                |store, tid, lane| exec(first, tid, store, lane),
-                                || match assign_bases(
-                                    &scratch_ref.outs()[..threads],
-                                    &scratch_ref.bases()[..threads],
-                                    bump0,
-                                    capacity,
-                                    device.workers(),
-                                ) {
-                                    Ok((bump, new_words)) => {
-                                        new_bump = bump;
-                                        Some(4 * new_words)
-                                    }
-                                    Err(e) => {
-                                        classic_oom = Some(e);
-                                        None
-                                    }
-                                },
-                            );
+                            let cols = &overflow_cols;
+                            let p = device.launch("resim_repair", &rcfg, |j, lane| {
+                                exec(first, cols[j], true, lane)
+                            });
                             profile.accumulate(&p);
-                            launches += 2;
+                            launches += 1;
                         }
-                        host.bump = new_bump;
-                        if let Some(e) = classic_oom {
-                            level_err = Some(e);
-                            break 'groups;
-                        }
+                        host.bump = assign.bump();
 
                         // Pointers and lengths were published by the store
                         // launch itself; only the length sums and the dump
@@ -1938,6 +1745,7 @@ impl Session {
                         publish_level(schedule, scratch, first, windows, &ring);
                     }
                 }
+                Ok::<(), CoreError>(())
             }));
 
             // Shutdown: every level is published, so close the ring and
@@ -1962,8 +1770,9 @@ impl Session {
                     detail: format!("SAIF scan panicked: {}", payload_text(payload.as_ref())),
                 }),
             };
-            if let Err(payload) = engine {
-                std::panic::resume_unwind(payload);
+            match engine {
+                Ok(levels) => level_err = levels.err(),
+                Err(payload) => std::panic::resume_unwind(payload),
             }
             acc
         })
@@ -1980,10 +1789,6 @@ impl Session {
         if let Some(e) = level_err {
             return Err(e);
         }
-        // Feed the Auto fallback latch before the batch result leaves the
-        // session — every run path (plain, incremental, multi-GPU shard)
-        // funnels through here.
-        self.note_speculation(tally.threads, tally.overflows);
         Ok(WindowBatch {
             windows: windows.to_vec(),
             ptrs: scratch.ptrs_snapshot(nw * n_signals),
@@ -2426,8 +2231,8 @@ fn publish_level(
             let tid = gi * nw + w;
             // relaxed-ok: the level's counts/bases settled behind the
             // launch join (classic) or the store/repair phase gate (fused)
-            // this call runs after — the edge `assign_bases` and
-            // `advance_scan` rely on at the same program points.
+            // this call runs after — the edge `advance_scan` relies on at
+            // the same program points.
             let words = KernelOutput::unpack_words(outs[tid].load(Ordering::Relaxed));
             sum += u64::from(words);
             chunk[n] = DumpMsg {
@@ -2450,116 +2255,9 @@ fn publish_level(
     ring.push_slice(&chunk[..n]);
 }
 
-/// The group-batched base assigner: one segmented prefix-sum per fused
-/// group, scanning the group's contiguous count slab with the arena carry
-/// chained across level segments.
-///
-/// A fused group's levels stack their count columns into one slab
-/// ([`LevelDesc::col_off`](crate::schedule::LevelDesc)), but the scan
-/// cannot run over the whole slab at once — level `L + 1`'s counts exist
-/// only after level `L`'s store phase — so the assigner advances one
-/// segment per count-phase boundary, carrying the bump cursor. Each
-/// segment fans out across host workers when wide enough
-/// ([`assign_bases`]); OOM is detected per level and leaves the carry at
-/// the last successful level, so error semantics and the resulting bump
-/// are bit-identical to running [`assign_bases_serial`] per level (the
-/// property test `grouped_assignment_matches_per_level_serial` pins this).
-struct GroupAssigner {
-    /// The carry: next free arena word after the segments scanned so far.
-    bump: usize,
-    capacity: usize,
-    workers: usize,
-}
-
-impl GroupAssigner {
-    /// Starts a group scan at arena cursor `bump`.
-    fn new(bump: usize, capacity: usize, workers: usize) -> Self {
-        GroupAssigner {
-            bump,
-            capacity,
-            workers,
-        }
-    }
-
-    /// Scans the next level segment of the slab, assigning its bases and
-    /// advancing the carry; returns the words the segment allocated.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::OutOfMemory`] if the segment's outputs exceed the
-    /// arena; the carry keeps its pre-segment value.
-    fn advance(&mut self, outs: &[AtomicU64], bases: &[AtomicU32]) -> Result<u64> {
-        let (new_bump, words) = assign_bases(outs, bases, self.bump, self.capacity, self.workers)?;
-        self.bump = new_bump;
-        Ok(words)
-    }
-
-    /// The carry after the segments scanned so far.
-    fn bump(&self) -> usize {
-        self.bump
-    }
-
-    /// Speculative counterpart of [`GroupAssigner::advance`]'s *first*
-    /// half: reserves a predicted budget for every thread of `level`
-    /// **before** its speculative pass runs, advancing the carry; returns
-    /// the words reserved. See [`assign_budgets`].
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::OutOfMemory`]; the carry keeps its pre-level value.
-    fn advance_budgets(
-        &mut self,
-        schedule: &LevelSchedule,
-        scratch: &BatchScratch,
-        level: usize,
-        n_signals: usize,
-    ) -> Result<u64> {
-        let (new_bump, words) = assign_budgets(
-            schedule,
-            scratch,
-            level,
-            n_signals,
-            self.bump,
-            self.capacity,
-        )?;
-        self.bump = new_bump;
-        Ok(words)
-    }
-
-    /// Speculative counterpart of [`GroupAssigner::advance`]'s *second*
-    /// half: scans `level`'s true packed outputs after its speculative
-    /// pass, re-allocating exact space for overflowed threads and feeding
-    /// the extent predictor, advancing the carry; returns the words the
-    /// overflow re-allocations added. See [`scan_speculative_level`].
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::OutOfMemory`]; the carry keeps its pre-scan value.
-    fn advance_scan(
-        &mut self,
-        schedule: &LevelSchedule,
-        scratch: &BatchScratch,
-        level: usize,
-        overflow_cols: &mut Vec<usize>,
-        tally: &mut SpecTally,
-    ) -> Result<u64> {
-        let (new_bump, words) = scan_speculative_level(
-            schedule,
-            scratch,
-            level,
-            self.bump,
-            self.capacity,
-            overflow_cols,
-            tally,
-        )?;
-        self.bump = new_bump;
-        Ok(words)
-    }
-}
-
 /// Running speculation telemetry for one window batch: the raw counters
 /// behind `AppPhaseProfile::{speculative_hit_rate, overflow_repairs,
-/// predicted_waste_words}` and the Auto fallback latch.
+/// predicted_waste_words}`.
 #[derive(Debug, Default)]
 struct SpecTally {
     /// Speculative store threads executed.
@@ -2573,8 +2271,8 @@ struct SpecTally {
 }
 
 /// Speculative hit rate from the accumulated counters:
-/// `(threads − overflows) / threads`, `0.0` for a run that never
-/// speculated.
+/// `(threads − overflows) / threads`, `0.0` for a run with no store
+/// threads.
 fn spec_hit_rate(threads: u64, overflows: u64) -> f64 {
     if threads == 0 {
         0.0
@@ -2583,125 +2281,157 @@ fn spec_hit_rate(threads: u64, overflows: u64) -> f64 {
     }
 }
 
-/// Assigns every thread of `level` a speculative output reservation before
-/// its single store pass runs: the plan's per-gate extent history where the
-/// gate has one ([`ExtentPredictor::predict`]), else the sound static bound
-/// — marker + initial entry + EOW + one edge per stored input word
-/// (`4 + Σ published input lengths`; a gate's output toggles at most once
-/// per input edge, so a first-touch gate can never overflow). Budgets are
-/// even-aligned like every arena allocation; bases and caps land in the
-/// level's scratch slab for the kernel threads and the post-level scan.
+/// The output-space assigner of one launch group: the arena cursor carried
+/// across the group's levels, advanced twice per level — a predicted
+/// reservation for every thread before the level's speculative store pass
+/// ([`GroupAssigner::advance_budgets`]), exact space for the threads that
+/// overflowed after it ([`GroupAssigner::advance_scan`]).
 ///
-/// # Errors
-///
-/// [`CoreError::OutOfMemory`] if the reservations exceed the arena (the
-/// caller segments and retries exactly like a count-pass OOM).
-fn assign_budgets(
-    schedule: &LevelSchedule,
-    scratch: &BatchScratch,
-    level: usize,
-    n_signals: usize,
+/// A fused group's levels stack their count/base/cap columns into one slab
+/// ([`LevelDesc::col_off`](crate::schedule::LevelDesc)), but level `L + 1`'s
+/// budgets can only be reserved after level `L`'s repair phase (the
+/// first-touch bound reads the lengths it published), so the assigner
+/// advances one step per phase boundary. OOM is detected per step and
+/// leaves the carry at the last successful one.
+struct GroupAssigner {
+    /// The carry: next free arena word after the steps taken so far.
     bump: usize,
     capacity: usize,
-) -> Result<(usize, u64)> {
-    let ld = schedule.level(level);
-    let nw = schedule.nw;
-    let predictor = schedule.predictor();
-    // relaxed-ok: boundary reset — the launch join / phase gate that
-    // follows this assignment orders it against the kernel threads'
-    // overflow-cursor bumps.
-    scratch.ovf_len.store(0, Ordering::Relaxed);
-    let mut cursor = bump;
-    let mut col = ld.col_off as usize;
-    // One predictor read per gate, shared by its windows — the per-thread
-    // loop below then only branches on the cached value.
-    for gi in 0..ld.threads / nw {
-        let slot = ld.gate_lo as usize + gi;
-        let predicted = predictor.predict(schedule.gate(slot));
-        for w in 0..nw {
-            let words = match predicted {
-                Some(words) => words as usize,
-                None => {
-                    let edges: usize = schedule
-                        .pins_of(slot)
-                        .iter()
-                        .map(|&sig| {
-                            // relaxed-ok: input lengths were published by
-                            // lower levels behind the launch join / phase
-                            // gate that precedes this boundary (same
-                            // ordering as the kernel's own input reads).
-                            scratch.lens[w * n_signals + sig as usize].load(Ordering::Relaxed)
-                                as usize
-                        })
-                        .sum();
-                    4 + edges
-                }
-            };
-            let words_even = words + (words & 1);
-            if cursor + words_even > capacity {
-                return Err(CoreError::OutOfMemory {
-                    requested: cursor + words_even,
-                    capacity,
-                });
-            }
-            // relaxed-ok: runs at a launch/phase boundary — the join/gate
-            // orders these writes against the speculative pass that reads
-            // them.
-            scratch.bases()[col].store(cursor as u32, Ordering::Relaxed);
-            // relaxed-ok: see above.
-            scratch.caps()[col].store(words_even as u32, Ordering::Relaxed);
-            cursor += words_even;
-            col += 1;
-        }
-    }
-    Ok((cursor, (cursor - bump) as u64))
 }
 
-/// Post-level overflow scan of a speculative pass. The kernel threads did
-/// the per-column work themselves — feeding the extent predictor,
-/// accumulating hit slack into [`BatchScratch::spec_waste`], and recording
-/// overflowed columns through the [`BatchScratch::ovf_len`] cursor — so
-/// this scan is O(overflows), not O(columns): on the common all-hit level
-/// it only bumps the thread tally. For each recorded overflow it
-/// re-allocates exact even-aligned space — appending `col` to
-/// `overflow_cols` so the classic path can launch a narrow repair — and
-/// counts the whole abandoned reservation as waste. Recorded columns are
-/// sorted first: the recording order depends on thread interleaving, and
-/// repairs must allocate in column order for the arena layout to stay
-/// deterministic.
-///
-/// # Errors
-///
-/// [`CoreError::OutOfMemory`] if an overflow re-allocation exceeds the
-/// arena.
-#[allow(clippy::too_many_arguments)]
-fn scan_speculative_level(
-    schedule: &LevelSchedule,
-    scratch: &BatchScratch,
-    level: usize,
-    bump: usize,
-    capacity: usize,
-    overflow_cols: &mut Vec<usize>,
-    tally: &mut SpecTally,
-) -> Result<(usize, u64)> {
-    let ld = schedule.level(level);
-    let mut cursor = bump;
-    overflow_cols.clear();
-    // relaxed-ok: the cursor and its slots were written by the kernel
-    // threads before the launch join / phase gate that precedes this scan.
-    let n = scratch.ovf_len.load(Ordering::Relaxed);
-    if n != 0 {
-        let mut cols: Vec<usize> = scratch.ovf[..n]
-            .iter()
-            // relaxed-ok: see above.
-            .map(|s| s.load(Ordering::Relaxed) as usize)
-            .collect();
-        cols.sort_unstable();
-        for col in cols {
+impl GroupAssigner {
+    /// Starts a group at arena cursor `bump`.
+    fn new(bump: usize, capacity: usize) -> Self {
+        GroupAssigner { bump, capacity }
+    }
+
+    /// The carry after the steps taken so far.
+    fn bump(&self) -> usize {
+        self.bump
+    }
+
+    /// Assigns every thread of `level` a speculative output reservation
+    /// before its single store pass runs, advancing the carry; returns the
+    /// words reserved. A thread's budget is the plan's per-gate extent
+    /// history where the gate has one ([`ExtentPredictor::predict`]), else
+    /// the sound static bound — marker + initial entry + EOW + one edge per
+    /// stored input word (`4 + Σ published input lengths`; a gate's output
+    /// toggles at most once per input edge, so a first-touch gate can never
+    /// overflow). Budgets are even-aligned like every arena allocation;
+    /// bases and caps land in the level's scratch slab for the kernel
+    /// threads and the post-level scan.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::OutOfMemory`] if the reservations exceed the arena (the
+    /// caller segments and retries); the carry keeps its pre-level value.
+    fn advance_budgets(
+        &mut self,
+        schedule: &LevelSchedule,
+        scratch: &BatchScratch,
+        level: usize,
+        n_signals: usize,
+    ) -> Result<u64> {
+        let ld = schedule.level(level);
+        let nw = schedule.nw;
+        let predictor = schedule.predictor();
+        // relaxed-ok: boundary reset — the launch join / phase gate that
+        // follows this assignment orders it against the kernel threads'
+        // overflow-cursor bumps.
+        scratch.ovf_len.store(0, Ordering::Relaxed);
+        let mut cursor = self.bump;
+        let mut col = ld.col_off as usize;
+        // One predictor read per gate, shared by its windows — the
+        // per-thread loop below then only branches on the cached value.
+        for gi in 0..ld.threads / nw {
+            let slot = ld.gate_lo as usize + gi;
+            let predicted = predictor.predict(schedule.gate(slot));
+            for w in 0..nw {
+                let words = match predicted {
+                    Some(words) => words as usize,
+                    None => {
+                        let edges: usize = schedule
+                            .pins_of(slot)
+                            .iter()
+                            .map(|&sig| {
+                                // relaxed-ok: input lengths were published
+                                // by lower levels behind the launch join /
+                                // phase gate that precedes this boundary
+                                // (same ordering as the kernel's own input
+                                // reads).
+                                scratch.lens[w * n_signals + sig as usize].load(Ordering::Relaxed)
+                                    as usize
+                            })
+                            .sum();
+                        4 + edges
+                    }
+                };
+                let words_even = words + (words & 1);
+                if cursor + words_even > self.capacity {
+                    return Err(CoreError::OutOfMemory {
+                        requested: cursor + words_even,
+                        capacity: self.capacity,
+                    });
+                }
+                // relaxed-ok: runs at a launch/phase boundary — the
+                // join/gate orders these writes against the speculative
+                // pass that reads them.
+                scratch.bases()[col].store(cursor as u32, Ordering::Relaxed);
+                // relaxed-ok: see above.
+                scratch.caps()[col].store(words_even as u32, Ordering::Relaxed);
+                cursor += words_even;
+                col += 1;
+            }
+        }
+        let words = (cursor - self.bump) as u64;
+        self.bump = cursor;
+        Ok(words)
+    }
+
+    /// Post-level overflow scan of `level`'s speculative pass, advancing
+    /// the carry; returns the words the overflow re-allocations added. The
+    /// kernel threads did the per-column work themselves — feeding the
+    /// extent predictor, accumulating hit slack into
+    /// [`BatchScratch::spec_waste`], and recording overflowed columns
+    /// through the [`BatchScratch::ovf_len`] cursor — so this scan is
+    /// O(overflows), not O(columns): on the common all-hit level it only
+    /// bumps the thread tally. The recorded columns are copied into
+    /// `overflow_cols` (so the classic path can launch a narrow repair)
+    /// and sorted — the recording order depends on thread interleaving,
+    /// and repairs must allocate in column order for the arena layout to
+    /// stay deterministic. Each then gets exact even-aligned space, and its
+    /// whole abandoned reservation counts as waste.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::OutOfMemory`] if an overflow re-allocation exceeds the
+    /// arena; the carry keeps its pre-scan value.
+    fn advance_scan(
+        &mut self,
+        schedule: &LevelSchedule,
+        scratch: &BatchScratch,
+        level: usize,
+        overflow_cols: &mut Vec<usize>,
+        tally: &mut SpecTally,
+    ) -> Result<u64> {
+        let mut cursor = self.bump;
+        overflow_cols.clear();
+        // relaxed-ok: the cursor and its slots were written by the kernel
+        // threads before the launch join / phase gate that precedes this
+        // scan.
+        let n = scratch.ovf_len.load(Ordering::Relaxed);
+        overflow_cols.extend(
+            scratch.ovf[..n]
+                .iter()
+                // relaxed-ok: see above.
+                .map(|s| s.load(Ordering::Relaxed) as usize),
+        );
+        overflow_cols.sort_unstable();
+        for &col in overflow_cols.iter() {
             // relaxed-ok: stored by the overflowing thread before the
             // join/gate; see above.
             let packed = scratch.outs()[col].load(Ordering::Relaxed);
-            // relaxed-ok: written by `assign_budgets` at the boundary
+            // relaxed-ok: written by `advance_budgets` at the boundary
             // before the pass.
             let cap = scratch.caps()[col].load(Ordering::Relaxed);
             let words_even = KernelOutput::unpack_words_even(packed);
@@ -2709,145 +2439,22 @@ fn scan_speculative_level(
             // The whole reservation is abandoned: the exact waveform gets
             // fresh space so hits' already-published pointers stay put.
             tally.waste_words += u64::from(cap);
-            if cursor + words_even > capacity {
+            if cursor + words_even > self.capacity {
                 return Err(CoreError::OutOfMemory {
                     requested: cursor + words_even,
-                    capacity,
+                    capacity: self.capacity,
                 });
             }
             // relaxed-ok: the repair pass reads this base behind the next
             // launch join / phase gate.
             scratch.bases()[col].store(cursor as u32, Ordering::Relaxed);
             cursor += words_even;
-            overflow_cols.push(col);
         }
+        tally.threads += schedule.level(level).threads as u64;
+        let words = (cursor - self.bump) as u64;
+        self.bump = cursor;
+        Ok(words)
     }
-    tally.threads += ld.threads as u64;
-    Ok((cursor, (cursor - bump) as u64))
-}
-
-/// Serial prefix-sum of the count-pass outputs: assigns every thread its
-/// even-aligned arena base.
-///
-/// # Errors
-///
-/// [`CoreError::OutOfMemory`] if the level's outputs exceed the arena.
-fn assign_bases_serial(
-    outs: &[AtomicU64],
-    bases: &[AtomicU32],
-    bump: usize,
-    capacity: usize,
-) -> Result<(usize, u64)> {
-    let mut cursor = bump;
-    for (out, base) in outs.iter().zip(bases) {
-        // relaxed-ok: runs at the count/store boundary (engine thread or
-        // phase leader) — the launch join / phase gate orders it against
-        // the count pass before and the store pass after.
-        let words_even = KernelOutput::unpack_words_even(out.load(Ordering::Relaxed));
-        if cursor + words_even > capacity {
-            return Err(CoreError::OutOfMemory {
-                requested: cursor + words_even,
-                capacity,
-            });
-        }
-        // relaxed-ok: see above.
-        base.store(cursor as u32, Ordering::Relaxed);
-        cursor += words_even;
-    }
-    Ok((cursor, (cursor - bump) as u64))
-}
-
-/// Prefix-sum of the count-pass outputs, chunked across host workers for
-/// wide levels: per-chunk sums in parallel, a serial scan over the chunk
-/// totals (at most [`MAX_PREFIX_WORKERS`] entries, on the stack), then
-/// parallel base assignment.
-///
-/// # Errors
-///
-/// As [`assign_bases_serial`].
-fn assign_bases(
-    outs: &[AtomicU64],
-    bases: &[AtomicU32],
-    bump: usize,
-    capacity: usize,
-    workers: usize,
-) -> Result<(usize, u64)> {
-    assign_bases_bounded(outs, bases, bump, capacity, workers, PARALLEL_PREFIX_MIN)
-}
-
-/// [`assign_bases`] with an explicit parallel threshold: the production
-/// entry point pins it to [`PARALLEL_PREFIX_MIN`]; the model tests lower it
-/// so the fan-out path is explorable at model scale (a few entries).
-fn assign_bases_bounded(
-    outs: &[AtomicU64],
-    bases: &[AtomicU32],
-    bump: usize,
-    capacity: usize,
-    workers: usize,
-    parallel_min: usize,
-) -> Result<(usize, u64)> {
-    let threads = outs.len();
-    if threads < parallel_min || workers <= 1 {
-        return assign_bases_serial(outs, bases, bump, capacity);
-    }
-    let workers = workers.min(MAX_PREFIX_WORKERS).min(threads);
-    let chunk = threads.div_ceil(workers);
-
-    let mut sums = [0u64; MAX_PREFIX_WORKERS];
-    crate::sync::thread::scope(|s| {
-        for (outs_chunk, sum) in outs.chunks(chunk).zip(sums.iter_mut()) {
-            s.spawn(move |_| {
-                *sum = outs_chunk
-                    .iter()
-                    // relaxed-ok: the scope spawn/join brackets this read
-                    // between the count pass and the store pass.
-                    .map(|o| KernelOutput::unpack_words_even(o.load(Ordering::Relaxed)) as u64)
-                    .sum();
-            });
-        }
-    })
-    // panic-ok: scope join — re-raises a prefix-sum worker's panic.
-    .expect("prefix-sum worker panicked");
-
-    let total: u64 = sums.iter().sum();
-    if bump as u64 + total > capacity as u64 {
-        // Out of memory: re-run the serial scan so the error's requested
-        // value (the first overflowing prefix) and the partially assigned
-        // bases are bit-identical to the serial path — the parallel and
-        // serial assignments must be indistinguishable to callers, OOM
-        // included. The extra O(n) walk only happens on the error path.
-        return assign_bases_serial(outs, bases, bump, capacity);
-    }
-
-    // Exclusive scan over chunk totals, then parallel assignment.
-    let mut offsets = [0u64; MAX_PREFIX_WORKERS];
-    let mut running = bump as u64;
-    for (o, s) in offsets.iter_mut().zip(sums) {
-        *o = running;
-        running += s;
-    }
-    crate::sync::thread::scope(|s| {
-        for ((outs_chunk, bases_chunk), &start) in outs
-            .chunks(chunk)
-            .zip(bases.chunks(chunk))
-            .zip(offsets.iter())
-        {
-            s.spawn(move |_| {
-                let mut cursor = start;
-                for (o, b) in outs_chunk.iter().zip(bases_chunk) {
-                    // relaxed-ok: scope spawn/join brackets these writes
-                    // between the count pass and the store pass.
-                    b.store(cursor as u32, Ordering::Relaxed);
-                    // relaxed-ok: see above.
-                    cursor += KernelOutput::unpack_words_even(o.load(Ordering::Relaxed)) as u64;
-                }
-            });
-        }
-    })
-    // panic-ok: scope join — re-raises a prefix-assign worker's panic.
-    .expect("prefix-assign worker panicked");
-
-    Ok((bump + total as usize, total))
 }
 
 /// Precomputes the collapsed average (rise, fall) delay for every pin slot
@@ -3516,165 +3123,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_prefix_sum_matches_serial() {
-        let threads = PARALLEL_PREFIX_MIN + 3;
-        let outs: Vec<AtomicU64> = (0..threads)
-            .map(|i| {
-                AtomicU64::new(
-                    KernelOutput {
-                        toggles: (i % 5) as u32,
-                        max_extent: (i % 7) as u32,
-                        initial_one: i % 2 == 0,
-                    }
-                    .pack(),
-                )
-            })
-            .collect();
-        let mk = || -> Vec<AtomicU32> { (0..threads).map(|_| AtomicU32::new(0)).collect() };
-        let (serial_bases, parallel_bases) = (mk(), mk());
-        let cap = usize::MAX;
-        let (bump_s, words_s) = assign_bases_serial(&outs, &serial_bases, 10, cap).unwrap();
-        let (bump_p, words_p) = assign_bases(&outs, &parallel_bases, 10, cap, 4).unwrap();
-        assert_eq!(bump_s, bump_p);
-        assert_eq!(words_s, words_p);
-        for (a, b) in serial_bases.iter().zip(&parallel_bases) {
-            assert_eq!(a.load(Ordering::Relaxed), b.load(Ordering::Relaxed));
-        }
-        // OOM from the parallel path is bit-identical to the serial one:
-        // same first-overflowing-prefix error and the same partially
-        // assigned bases.
-        let serial_err = assign_bases_serial(&outs, &serial_bases, 0, 1000);
-        let parallel_err = assign_bases(&outs, &parallel_bases, 0, 1000, 4);
-        match (serial_err, parallel_err) {
-            (
-                Err(CoreError::OutOfMemory {
-                    requested: r1,
-                    capacity: c1,
-                }),
-                Err(CoreError::OutOfMemory {
-                    requested: r2,
-                    capacity: c2,
-                }),
-            ) => {
-                assert_eq!(r1, r2, "same first overflowing prefix");
-                assert_eq!(c1, c2);
-            }
-            other => panic!("both paths must report OOM: {other:?}"),
-        }
-        for (a, b) in serial_bases.iter().zip(&parallel_bases) {
-            assert_eq!(a.load(Ordering::Relaxed), b.load(Ordering::Relaxed));
-        }
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig {
-            cases: 48,
-            .. proptest::prelude::ProptestConfig::default()
-        })]
-
-        /// The group-batched segmented prefix-sum ([`GroupAssigner`] over a
-        /// contiguous slab) must match running [`assign_bases_serial`]
-        /// level by level — carry (bump), per-level words and every
-        /// assigned base bit-for-bit — including an OOM at an interior
-        /// level of the fused group, where both must fail with the same
-        /// error on the same level and leave the same carry behind.
-        #[test]
-        fn grouped_assignment_matches_per_level_serial(
-            seed in 0u64..100_000,
-            n_levels in 1usize..9,
-            width in 1usize..50,
-            workers in 1usize..8,
-            tight_sel in 0usize..3,
-        ) {
-            use proptest::prelude::{prop_assert, prop_assert_eq};
-            let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(0xA5A5);
-            let mut next = move || {
-                rng ^= rng << 13;
-                rng ^= rng >> 7;
-                rng ^= rng << 17;
-                rng
-            };
-            // Random fused group: per-level segment sizes stacked into one
-            // contiguous slab of packed count-pass outputs.
-            let sizes: Vec<usize> = (0..n_levels).map(|_| 1 + next() as usize % width).collect();
-            let total: usize = sizes.iter().sum();
-            let outs: Vec<AtomicU64> = (0..total)
-                .map(|_| {
-                    AtomicU64::new(
-                        KernelOutput {
-                            toggles: (next() % 6) as u32,
-                            max_extent: (next() % 7) as u32,
-                            initial_one: next() % 2 == 0,
-                        }
-                        .pack(),
-                    )
-                })
-                .collect();
-            let total_words: u64 = outs
-                .iter()
-                .map(|o| KernelOutput::unpack_words_even(o.load(Ordering::Relaxed)) as u64)
-                .sum();
-            let bump0 = 16usize;
-            // tight_sel 0: roomy arena (no OOM); otherwise a capacity cut
-            // somewhere inside the group's allocation, so OOM can land at
-            // any level, including interior ones.
-            let capacity = if tight_sel == 0 {
-                usize::MAX / 2
-            } else {
-                bump0 + (next() % (total_words + 1)) as usize
-            };
-            let mk = |n: usize| -> Vec<AtomicU32> {
-                (0..n).map(|_| AtomicU32::new(u32::MAX)).collect()
-            };
-            let (ref_bases, grp_bases) = (mk(total), mk(total));
-
-            let mut grouped = GroupAssigner::new(bump0, capacity, workers);
-            let mut ref_bump = bump0;
-            let mut off = 0usize;
-            for (l, &sz) in sizes.iter().enumerate() {
-                let seg = off..off + sz;
-                let reference = assign_bases_serial(
-                    &outs[seg.clone()],
-                    &ref_bases[seg.clone()],
-                    ref_bump,
-                    capacity,
-                );
-                let got = grouped.advance(&outs[seg.clone()], &grp_bases[seg.clone()]);
-                match (reference, got) {
-                    (Ok((new_bump, ref_words)), Ok(grp_words)) => {
-                        prop_assert_eq!(ref_words, grp_words, "level {} words", l);
-                        ref_bump = new_bump;
-                        prop_assert_eq!(ref_bump, grouped.bump(), "level {} carry", l);
-                        for k in seg {
-                            prop_assert_eq!(
-                                ref_bases[k].load(Ordering::Relaxed),
-                                grp_bases[k].load(Ordering::Relaxed),
-                                "base {} of level {}", k, l
-                            );
-                        }
-                    }
-                    (
-                        Err(CoreError::OutOfMemory { requested: r1, capacity: c1 }),
-                        Err(CoreError::OutOfMemory { requested: r2, capacity: c2 }),
-                    ) => {
-                        // Same failure, same carry left behind (the fused
-                        // launch aborts here, exactly like the per-level
-                        // serial path did).
-                        prop_assert_eq!(r1, r2, "level {} OOM request", l);
-                        prop_assert_eq!(c1, c2);
-                        prop_assert_eq!(ref_bump, grouped.bump(), "carry after OOM");
-                        break;
-                    }
-                    (a, b) => {
-                        prop_assert!(false, "level {l} diverged: ref {a:?} vs grouped {b:?}");
-                    }
-                }
-                off += sz;
-            }
-        }
-    }
-
-    #[test]
     fn oom_halving_retry_converges_geometrically() {
         // 16 windows with an arena sized so the full batch and the
         // half-batch both overflow but quarter-batches fit: the retry loop
@@ -3744,25 +3192,24 @@ mod tests {
     #[test]
     fn app_profile_populated() {
         let graph = inv_chain(3);
-        // Fusion and speculation disabled: the paper's original schedule,
-        // 2 launches per level (3 levels), one segment.
+        // Fusion disabled: one launch per level (3 levels), one segment.
         let sim = Session::new(
             Arc::clone(&graph),
-            SimConfig::small()
-                .with_fuse_threshold(0)
-                .with_speculation(Speculation::Off),
+            SimConfig::small().with_fuse_threshold(0),
         );
         let stim = vec![Waveform::from_toggles(false, &[10, 20, 30])];
         let r = sim.run(&stim, 100).unwrap();
         assert!(r.app_profile.h2d_bytes > 0);
-        assert_eq!(r.app_profile.launches, 6);
+        assert_eq!(r.app_profile.launches, 3);
         assert_eq!(r.app_profile.fused_launches, 0);
         assert!(r.app_profile.h2d_seconds > 0.0);
         assert!(r.kernel_profile.modeled_seconds > 0.0);
         assert!(r.wall_seconds > 0.0);
-        assert_eq!(r.app_profile.speculative_hit_rate, 0.0);
+        assert_eq!(r.app_profile.speculative_hit_rate, 1.0);
         assert_eq!(r.app_profile.overflow_repairs, 0);
-        assert_eq!(r.app_profile.predicted_waste_words, 0);
+        // A cold predictor reserves the static bound, wider than the
+        // stored waveforms.
+        assert!(r.app_profile.predicted_waste_words > 0);
     }
 
     /// `RunTotals` is the one place batches are summed and the one place an
@@ -3846,8 +3293,8 @@ mod tests {
     fn speculation_halves_unfused_launches() {
         let graph = inv_chain(3);
         // Speculative single pass on the unfused schedule: 1 launch per
-        // level instead of 2 — the first-touch static bound is sound, so
-        // no repair launches appear even on a cold predictor.
+        // level, not count + store — the first-touch static bound is
+        // sound, so no repair launches appear even on a cold predictor.
         let sim = Session::new(
             Arc::clone(&graph),
             SimConfig::small().with_fuse_threshold(0),
@@ -3857,111 +3304,68 @@ mod tests {
         assert_eq!(r.app_profile.launches, 3);
         assert_eq!(r.app_profile.overflow_repairs, 0);
         assert_eq!(r.app_profile.speculative_hit_rate, 1.0);
-
-        // Bit-identical to the two-pass reference, with identical arena
-        // semantics visible through the SAIF document.
-        let off = Session::new(
-            graph,
-            SimConfig::small()
-                .with_fuse_threshold(0)
-                .with_speculation(Speculation::Off),
-        )
-        .run(&stim, 100)
-        .unwrap();
-        assert!(r.saif.diff(&off.saif).is_empty());
-        assert!(
-            r.app_profile.sync_launch_seconds < off.app_profile.sync_launch_seconds,
-            "halved launch count must shrink modeled launch overhead"
+        assert_eq!(
+            r.app_profile.sync_launch_seconds,
+            3.0 * sim.device().spec().launch_overhead,
+            "one modeled launch overhead per level"
         );
+
+        // The warm run stores into observed extents instead of the static
+        // bound: same launches, same SAIF, no more slack than before.
+        let warm = sim.run(&stim, 100).unwrap();
+        assert_eq!(warm.app_profile.launches, 3);
+        assert_eq!(warm.app_profile.overflow_repairs, 0);
+        assert!(r.saif.diff(&warm.saif).is_empty());
+        assert!(warm.app_profile.predicted_waste_words <= r.app_profile.predicted_waste_words);
     }
 
     #[test]
     fn forced_overflow_repairs_exactly() {
         let graph = inv_chain(3);
         let stim = vec![Waveform::from_toggles(false, &[10, 20, 30, 40, 50])];
-        // Reference: two-pass.
-        let off = Session::new(
-            Arc::clone(&graph),
-            SimConfig::small()
-                .with_fuse_threshold(0)
-                .with_speculation(Speculation::Off),
-        )
-        .run(&stim, 100)
-        .unwrap();
-        // Speculative run with the extent history poisoned to a 2-word
-        // budget — far below any stored waveform here — so *every* gate
-        // overflows and the entire output is produced by repair launches.
         let sim = Session::new(
             Arc::clone(&graph),
-            SimConfig::small()
-                .with_fuse_threshold(0)
-                .with_speculation(Speculation::On),
+            SimConfig::small().with_fuse_threshold(0),
         );
+        // Expected output: the un-poisoned run, every thread a hit.
+        let hit = sim.run(&stim, 100).unwrap();
+        assert_eq!(hit.app_profile.overflow_repairs, 0);
+        // Same session with the extent history poisoned to a 2-word
+        // budget — far below any stored waveform here — so *every* gate
+        // overflows and the entire output is produced by repair launches.
         sim.seed_extent_history(2);
         let r = sim.run(&stim, 100).unwrap();
         assert!(
             r.app_profile.overflow_repairs > 0,
             "tiny budgets must overflow"
         );
+        assert!(
+            r.app_profile.launches > hit.app_profile.launches,
+            "overflowed levels need a repair launch"
+        );
         // Windows that saw no toggles still fit 2 words, so the rate is
         // not 0 — but every toggling window must have missed.
         assert!(r.app_profile.speculative_hit_rate < 1.0);
         assert!(r.app_profile.predicted_waste_words > 0);
         assert!(
-            r.saif.diff(&off.saif).is_empty(),
-            "repair alone must reproduce the exact two-pass output"
+            r.saif.diff(&hit.saif).is_empty(),
+            "repair alone must reproduce the hit path's output"
         );
-        assert_eq!(r.total_toggles(), off.total_toggles());
+        assert_eq!(r.total_toggles(), hit.total_toggles());
     }
 
     #[test]
     fn forced_overflow_on_fused_schedule_repairs_exactly() {
         let graph = inv_chain(3);
         let stim = vec![Waveform::from_toggles(false, &[10, 20, 30, 40, 50])];
-        let off = Session::new(
-            Arc::clone(&graph),
-            SimConfig::small().with_speculation(Speculation::Off),
-        )
-        .run(&stim, 100)
-        .unwrap();
-        let sim = Session::new(
-            Arc::clone(&graph),
-            SimConfig::small().with_speculation(Speculation::On),
-        );
+        let sim = Session::new(Arc::clone(&graph), SimConfig::small());
+        let hit = sim.run(&stim, 100).unwrap();
+        assert_eq!(hit.app_profile.overflow_repairs, 0);
         sim.seed_extent_history(2);
         let r = sim.run(&stim, 100).unwrap();
         assert_eq!(r.app_profile.fused_launches, 1);
         assert!(r.app_profile.overflow_repairs > 0);
-        assert!(r.saif.diff(&off.saif).is_empty());
-    }
-
-    #[test]
-    fn auto_latch_falls_back_after_sustained_overflow() {
-        let sim = Session::new(inv_chain(1), SimConfig::small());
-        assert!(sim.speculation_active(), "Auto starts speculative");
-        // Below the minimum sample: the latch must not trip even at 100%
-        // overflow rate.
-        sim.note_speculation(SPEC_AUTO_MIN_SAMPLE - 1, SPEC_AUTO_MIN_SAMPLE - 1);
-        assert!(sim.speculation_active());
-        // Cross the sample floor with an overflow rate past the threshold.
-        sim.note_speculation(1, 1);
-        assert!(!sim.speculation_active(), "latch trips past ~5% overflow");
-        // The latch is permanent for the session.
-        sim.note_speculation(1 << 20, 0);
-        assert!(!sim.speculation_active());
-
-        // A healthy hit rate never trips it.
-        let healthy = Session::new(inv_chain(1), SimConfig::small());
-        healthy.note_speculation(100_000, 100_000 / SPEC_AUTO_RATE_DIV);
-        assert!(healthy.speculation_active(), "5% exactly is within budget");
-
-        // Explicit On ignores the latch machinery entirely.
-        let pinned = Session::new(
-            inv_chain(1),
-            SimConfig::small().with_speculation(Speculation::On),
-        );
-        pinned.note_speculation(1 << 20, 1 << 20);
-        assert!(pinned.speculation_active());
+        assert!(r.saif.diff(&hit.saif).is_empty());
     }
 
     #[test]
@@ -4071,43 +3475,6 @@ mod tests {
 #[cfg(all(test, feature = "model-check"))]
 mod model_tests {
     use super::*;
-
-    /// The carry-chained prefix-sum fan-out: chunk workers writing bases
-    /// with Relaxed stores, synchronized only by the scope spawn/join
-    /// edges, must equal the serial scan bit-for-bit in every
-    /// interleaving.
-    #[test]
-    fn parallel_carry_chain_matches_serial_prefix_sum() {
-        loom::model(|| {
-            let outs: Vec<AtomicU64> = (0..4)
-                .map(|i| {
-                    AtomicU64::new(
-                        KernelOutput {
-                            toggles: (i % 3) as u32,
-                            max_extent: (i % 2) as u32,
-                            initial_one: i % 2 == 1,
-                        }
-                        .pack(),
-                    )
-                })
-                .collect();
-            let mk = || -> Vec<AtomicU32> { (0..4).map(|_| AtomicU32::new(0)).collect() };
-            let (serial_bases, parallel_bases) = (mk(), mk());
-            let (bump_s, words_s) =
-                assign_bases_serial(&outs, &serial_bases, 6, usize::MAX).unwrap();
-            let (bump_p, words_p) =
-                assign_bases_bounded(&outs, &parallel_bases, 6, usize::MAX, 2, 2).unwrap();
-            assert_eq!(bump_s, bump_p, "carry diverged");
-            assert_eq!(words_s, words_p);
-            for (a, b) in serial_bases.iter().zip(&parallel_bases) {
-                assert_eq!(
-                    a.load(Ordering::Relaxed),
-                    b.load(Ordering::Relaxed),
-                    "assigned base diverged from the serial prefix sum"
-                );
-            }
-        });
-    }
 
     /// The speculative extent predictor under concurrent observers
     /// (repair scans of different shards/launches share one table):

@@ -32,7 +32,7 @@
 //!   [`WindowInfo::start`] to re-base) and possibly spilling past the
 //!   window end (consumers must clip to `[0, end - start)`);
 //! * an [`EOW`] terminator. Slots past it may hold stale transient values
-//!   from the count/store passes — always stop at `EOW`.
+//!   from the store pass — always stop at `EOW`.
 //!
 //! # Window-join semantics
 //!
@@ -187,9 +187,10 @@ impl WaveformSink for SpillSink {
             self.tail.push(EOW); // parity pad, never read
         }
         let base = (self.chunks.len() as u64) << SPILL_OFFSET_BITS | self.tail.len() as u64;
-        // `raw` is the stored upper bound (count-pass sizing); the live
-        // waveform ends at its EOW and any ghost words past it are dead —
-        // drop them so the long-lived spill holds only readable words.
+        // `raw` is the stored upper bound (the kernel's max-extent
+        // sizing); the live waveform ends at its EOW and any ghost words
+        // past it are dead — drop them so the long-lived spill holds only
+        // readable words.
         let live = raw
             .iter()
             .position(|&w| w == EOW)

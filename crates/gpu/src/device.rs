@@ -186,7 +186,7 @@ impl Device {
     /// chase-the-cursor protocol (arrive-counter + phase gate, one atomic
     /// round-trip per phase instead of two full barrier rounds). Between
     /// phases, `on_phase_end(p)` runs exactly once (host-side serial work
-    /// such as a prefix-sum); returning `None`
+    /// such as an allocation scan); returning `None`
     /// aborts the remaining phases, `Some(bytes)` continues and grows the
     /// launch's modeled working set by `bytes` — this is how a fused batch
     /// of dependent levels reports the output waveforms it allocates
@@ -195,7 +195,7 @@ impl Device {
     ///
     /// This is the launch-fusion primitive: a run of small dependent levels
     /// executes as one launch (one modeled launch overhead, one
-    /// `KernelProfile`) instead of one launch per pass per level. Kernel
+    /// `KernelProfile`) instead of one launch per level. Kernel
     /// code must write disjoint memory regions per (phase, thread), and
     /// cross-phase visibility is guaranteed by the barrier.
     ///
@@ -205,7 +205,7 @@ impl Device {
     /// publication), provided no thread of the same phase reads a slot a
     /// peer writes; later phases read them behind the barrier. Likewise,
     /// `on_phase_end` may do host work between phases (the engine's
-    /// prefix-sum at count boundaries, its level publish at store
+    /// overflow scan at store boundaries, its level publish at repair
     /// boundaries): the callback runs exactly once per phase on one thread
     /// (the last worker arriving at the phase's end — not necessarily the
     /// same thread each phase), after every thread of the phase and before
@@ -422,45 +422,6 @@ impl Device {
         };
         model_launch(&self.spec, &model_cfg, counters.snapshot(), wall, name)
     }
-
-    /// The classic two-pass schedule (count launch, host prefix-sum, store
-    /// launch) driven on the *pooled* phase machinery: both passes execute
-    /// as phases of one [`Device::launch_phased`] call, so one worker scope
-    /// serves the whole level instead of being spawned and joined once per
-    /// pass. `f(store, tid, lane)` runs every thread of the count pass
-    /// (`store == false`) and then of the store pass (`store == true`);
-    /// `between()` runs exactly once at the pass boundary — the host
-    /// prefix-sum — and returns the store pass's working-set growth in
-    /// bytes, or `None` to abort the store pass (allocation failure).
-    ///
-    /// The returned profile models **two** kernel launches: on real
-    /// hardware the passes are separate launches (the host must read the
-    /// count results between them), and only the host-side worker pool is
-    /// shared. `launch_phased` models a single launch overhead, so this
-    /// wrapper adds the second one to the modeled time.
-    pub fn launch_two_pass<F, G>(
-        &self,
-        name: &str,
-        cfg: &LaunchConfig,
-        f: F,
-        mut between: G,
-    ) -> KernelProfile
-    where
-        F: Fn(bool, usize, &mut LaneCounters) + Sync,
-        G: FnMut() -> Option<u64> + Send,
-    {
-        let phases = [cfg.threads, cfg.threads];
-        let mut p = self.launch_phased(
-            name,
-            cfg,
-            &phases,
-            |phase, tid, lane| f(phase == 1, tid, lane),
-            |phase| if phase == 0 { between() } else { Some(0) },
-        );
-        p.modeled_seconds += self.spec.launch_overhead;
-        p.elapsed_cycles = (p.modeled_seconds * self.spec.clock_hz) as u64;
-        p
-    }
 }
 
 #[cfg(test)]
@@ -663,68 +624,6 @@ mod tests {
         );
         assert!(p.modeled_seconds >= dev.spec().launch_overhead);
         assert!(p.modeled_seconds < 2.0 * dev.spec().launch_overhead);
-    }
-
-    #[test]
-    fn two_pass_launch_runs_both_passes_and_models_two_overheads() {
-        // Orderings: the launch's phase gate (Release store / Acquire loads,
-        // proven by the model test `phase_boundary_is_a_barrier`) is the
-        // synchronization edge these counters actually ride, so none of
-        // them needs SeqCst; Release on the writes and Acquire on the
-        // cross-thread reads documents each counter's intended reads-from
-        // relation on its own.
-        let dev = Device::with_workers(DeviceSpec::v100(), 0, 2);
-        let count = AtomicU64::new(0);
-        let store = AtomicU64::new(0);
-        let boundary = AtomicU64::new(0);
-        let p = dev.launch_two_pass(
-            "two",
-            &LaunchConfig::for_threads(8),
-            |is_store, _tid, lane| {
-                lane.ops(1);
-                if is_store {
-                    // The prefix-sum boundary ran before any store thread.
-                    assert_eq!(boundary.load(Ordering::Acquire), 1);
-                    store.fetch_add(1, Ordering::Release);
-                } else {
-                    count.fetch_add(1, Ordering::Release);
-                }
-            },
-            || {
-                assert_eq!(count.load(Ordering::Acquire), 8, "count pass done");
-                boundary.fetch_add(1, Ordering::Release);
-                Some(0)
-            },
-        );
-        // After the launch returns the worker scope has joined; Acquire is
-        // already stronger than the joins require.
-        assert_eq!(count.load(Ordering::Acquire), 8);
-        assert_eq!(store.load(Ordering::Acquire), 8);
-        assert_eq!(boundary.load(Ordering::Acquire), 1);
-        // Two real kernel launches are modeled even though one pooled
-        // worker scope drove both passes.
-        assert!(p.modeled_seconds >= 2.0 * dev.spec().launch_overhead);
-        assert!(p.modeled_seconds < 3.0 * dev.spec().launch_overhead);
-    }
-
-    #[test]
-    fn two_pass_launch_aborts_store_on_none() {
-        let dev = Device::with_workers(DeviceSpec::v100(), 0, 2);
-        let store = AtomicU64::new(0);
-        dev.launch_two_pass(
-            "abort",
-            &LaunchConfig::for_threads(8),
-            |is_store, _tid, _lane| {
-                if is_store {
-                    // Release/Acquire (not SeqCst): the scope join already
-                    // orders this against the final read; see the ordering
-                    // note on the two-pass test above.
-                    store.fetch_add(1, Ordering::Release);
-                }
-            },
-            || None,
-        );
-        assert_eq!(store.load(Ordering::Acquire), 0, "store pass skipped");
     }
 
     #[test]

@@ -154,8 +154,7 @@ impl DeviceHealth {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum FaultSite {
-    /// Entry of `Device::launch` / `Device::launch_phased` (and everything
-    /// layered on them, e.g. `launch_two_pass`).
+    /// Entry of `Device::launch` / `Device::launch_phased`.
     Launch,
     /// Entry of `DeviceMemory::h2d` — models a failed device allocation or
     /// staging copy.

@@ -6,8 +6,8 @@ use crate::sync::atomic::{AtomicI32, AtomicU64, Ordering};
 /// threads (and the asynchronous SAIF dumper) can share the buffer safely;
 /// on x86-64 relaxed atomic loads/stores compile to plain `mov`s, so the
 /// functional cost is negligible. Correctness of concurrent access follows
-/// from the simulator's two-pass design: every thread writes only its own
-/// pre-assigned output region.
+/// from the simulator's allocate-before-store design: every thread writes
+/// only its own pre-assigned output region.
 ///
 /// Host↔device transfers are explicit ([`DeviceMemory::h2d`],
 /// [`DeviceMemory::d2h`]) and accounted in bytes, so the engine can model

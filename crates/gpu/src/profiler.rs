@@ -42,22 +42,23 @@ pub struct AppPhaseProfile {
     /// Number of kernel launches issued.
     pub launches: u64,
     /// How many of those launches were fused multi-level phased launches
-    /// (each replaces two launches per covered level).
+    /// (each replaces one launch per covered level).
     pub fused_launches: u64,
     /// Bytes moved host→device.
     pub h2d_bytes: u64,
     /// Bytes read back device→host (waveform spill / streaming sinks).
     pub d2h_bytes: u64,
     /// Fraction of speculative store threads whose reservation fit the
-    /// true output (`0.0` when the run never speculated). A hit retires
-    /// that thread's count pass entirely.
+    /// true output (`0.0` when the run had no store threads). A hit is
+    /// the thread's only kernel invocation; a miss costs count + store.
     pub speculative_hit_rate: f64,
     /// Speculative threads that overflowed their reservation and were
-    /// re-run by an exact count+store repair launch.
+    /// re-run as an exact store by a repair pass (the overflowed
+    /// speculative pass already counted).
     pub overflow_repairs: u64,
     /// Arena words reserved by speculative budgets beyond what the stored
-    /// waveforms actually needed (the prediction slack paid for skipping
-    /// the count pass).
+    /// waveforms actually needed (the prediction slack paid for storing
+    /// in one pass).
     pub predicted_waste_words: u64,
     /// Device faults observed during the run (injected or real): every
     /// transient fault that triggered a retry plus every fault that killed

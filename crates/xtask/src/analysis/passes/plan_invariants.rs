@@ -26,7 +26,7 @@ pub fn default_scale() -> f64 {
 }
 
 /// Window counts and fusion thresholds exercised per design: the classic
-/// two-pass shape (fusion off) and a threshold that actually fuses the
+/// one-launch-per-level shape (fusion off) and a threshold that actually fuses the
 /// small levels of every scaled-down design.
 const PLAN_SHAPES: &[(usize, usize)] = &[(4, 0), (4, 4096)];
 

@@ -5,21 +5,27 @@
 //! hold (rates in `[0, 1]`, walls positive, fused launches not above
 //! unfused, the glitch flow's turnaround at least
 //! `TURNAROUND_SPEEDUP_FLOOR`× the event-driven baseline's, its spill drain
-//! within `D2H_BATCHES_CEILING` transfers, and the
-//! speculative single-pass schedule at least
-//! `SPEC_SPEEDUP_FLOOR`× faster than its pinned two-pass reference on
-//! `deep_pipeline_resim`). CI runs this next to `analyze` so a PR cannot
-//! silently regress or rot the artifacts.
+//! within `D2H_BATCHES_CEILING` transfers, and `single_pass`'s kernel-level
+//! witnesses of the speculative store: a hit at least
+//! `SPEC_SPEEDUP_FLOOR`× cheaper than count + store, a miss at most
+//! `SPEC_REPAIR_CEILING`× count + store). CI runs this next to `analyze`
+//! so a PR cannot silently regress or rot the artifacts.
 
 use std::process::ExitCode;
 
 use gatspi_bench::artifact::{self, Json};
 
-/// Lower bound on the `deep_pipeline_resim` two-pass / speculative wall
-/// ratio (the launch-bound regime the single-pass protocol targets). The
-/// measured margin is well above this; the band only has to catch the
-/// optimization being lost, not track its exact size.
+/// Lower bound on `single_pass/two_pass/256 ÷ single_pass/spec_hit/256`:
+/// what a speculative hit saves over running the kernel twice (count, then
+/// store). The measured margin is well above this; the band only has to
+/// catch the optimization being lost, not track its exact size.
 const SPEC_SPEEDUP_FLOOR: f64 = 1.3;
+
+/// Upper bound on `single_pass/spec_repair/256 ÷ single_pass/two_pass/256`:
+/// a speculative miss (overflowed pass degrading to a count, plus the store
+/// repair) may cost no more than count + store, give or take noise. This is
+/// why the engine needs no fallback schedule for badly predicted runs.
+const SPEC_REPAIR_CEILING: f64 = 1.25;
 
 /// Lower bound on `BENCH_glitch_flow.json`'s `turnaround_speedup`
 /// (baseline seconds over GATSPI seconds for the flow's two re-simulations)
@@ -159,9 +165,9 @@ fn check_glitch_flow(name: &str, doc: &Json, errors: &mut Vec<String>) {
 }
 
 /// Structural and tolerance checks of the criterion-style kernel_micro
-/// artifact: every bench group present, and the speculative single-pass
-/// schedule at least `SPEC_SPEEDUP_FLOOR`× faster than the pinned
-/// two-pass reference on the launch-bound deep pipeline.
+/// artifact: every bench group present, a speculative hit at least
+/// `SPEC_SPEEDUP_FLOOR`× cheaper than count + store, and a speculative
+/// miss at most `SPEC_REPAIR_CEILING`× count + store.
 fn check_kernel_micro(name: &str, doc: &Json, errors: &mut Vec<String>) {
     let Some(Json::Arr(entries)) = doc.get("benchmarks") else {
         errors.push(format!("{name}: missing benchmarks array"));
@@ -189,22 +195,29 @@ fn check_kernel_micro(name: &str, doc: &Json, errors: &mut Vec<String>) {
             errors.push(format!("{name}: no benchmarks in group {group}"));
         }
     }
-    // `unfused/` (trailing slash) does not match `unfused_twopass/...`.
     match (
-        mean_of("deep_pipeline_resim/unfused/"),
-        mean_of("deep_pipeline_resim/unfused_twopass/"),
+        mean_of("single_pass/spec_hit/256"),
+        mean_of("single_pass/spec_repair/256"),
+        mean_of("single_pass/two_pass/256"),
     ) {
-        (Some(spec), Some(two_pass)) => {
-            let ratio = two_pass / spec;
-            if ratio < SPEC_SPEEDUP_FLOOR {
+        (Some(hit), Some(repair), Some(two_pass)) => {
+            let speedup = two_pass / hit;
+            if speedup < SPEC_SPEEDUP_FLOOR {
                 errors.push(format!(
-                    "{name}: deep_pipeline_resim speculative speedup {ratio:.3}x \
+                    "{name}: single_pass speculative-hit speedup {speedup:.3}x \
                      below the {SPEC_SPEEDUP_FLOOR}x floor"
+                ));
+            }
+            let miss = repair / two_pass;
+            if miss > SPEC_REPAIR_CEILING {
+                errors.push(format!(
+                    "{name}: single_pass speculative-miss cost {miss:.3}x count + store, \
+                     above the {SPEC_REPAIR_CEILING}x ceiling"
                 ));
             }
         }
         _ => errors.push(format!(
-            "{name}: missing deep_pipeline_resim unfused/unfused_twopass pair"
+            "{name}: missing single_pass spec_hit/spec_repair/two_pass at 256 toggles"
         )),
     }
 }
@@ -230,10 +243,11 @@ mod tests {
         let micro = r#"{
             "target": "kernel_micro", "unit": "ns_per_iter", "benchmarks": [
                 {"id": "algorithm1_kernel/INV_count/16", "mean_ns": 273.0},
-                {"id": "single_pass/spec_hit/16", "mean_ns": 300.0},
+                {"id": "single_pass/spec_hit/256", "mean_ns": 4800.0},
+                {"id": "single_pass/spec_repair/256", "mean_ns": 9500.0},
+                {"id": "single_pass/two_pass/256", "mean_ns": 15300.0},
                 {"id": "deep_pipeline_resim/fused/d", "mean_ns": 2.0e6},
                 {"id": "deep_pipeline_resim/unfused/d", "mean_ns": 2.0e6},
-                {"id": "deep_pipeline_resim/unfused_twopass/d", "mean_ns": 3.2e6},
                 {"id": "publish_path/narrow/l", "mean_ns": 1.7e6},
                 {"id": "phase_driver/cursor_driver/w", "mean_ns": 9.0e5}
             ]
@@ -264,20 +278,26 @@ mod tests {
         assert!(errs.iter().any(|e| e.contains("speculative_hit_rate")));
         assert!(errs.iter().any(|e| e.contains("gatspi_seconds")));
         assert!(errs.iter().any(|e| e.contains("launches_fused")));
-        // A speculative speedup below the floor trips the tolerance band;
-        // so do a missing group and a non-positive measurement.
+        // A speculative hit too close to count + store and a miss too far
+        // above it trip the tolerance bands; so do a missing group and a
+        // non-positive measurement.
         let micro = r#"{
             "target": "kernel_micro", "unit": "ns_per_iter", "benchmarks": [
                 {"id": "algorithm1_kernel/INV_count/16", "mean_ns": 0.0},
-                {"id": "single_pass/spec_hit/16", "mean_ns": 300.0},
+                {"id": "single_pass/spec_hit/256", "mean_ns": 14000.0},
+                {"id": "single_pass/spec_repair/256", "mean_ns": 20000.0},
+                {"id": "single_pass/two_pass/256", "mean_ns": 15300.0},
                 {"id": "deep_pipeline_resim/unfused/d", "mean_ns": 3.0e6},
-                {"id": "deep_pipeline_resim/unfused_twopass/d", "mean_ns": 3.2e6},
                 {"id": "publish_path/narrow/l", "mean_ns": 1.7e6}
             ]
         }"#;
         let errs = check_artifact("m.json", micro);
         assert!(
             errs.iter().any(|e| e.contains("below the 1.3x floor")),
+            "{errs:?}"
+        );
+        assert!(
+            errs.iter().any(|e| e.contains("above the 1.25x ceiling")),
             "{errs:?}"
         );
         assert!(errs.iter().any(|e| e.contains("phase_driver/")), "{errs:?}");

@@ -68,8 +68,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
     let duration = 500;
 
-    // 3. Compile a re-simulation session (two-pass, cycle-parallel
-    //    windows), then execute. The session caches its launch schedule,
+    // 3. Compile a re-simulation session (cycle-parallel windows),
+    //    then execute. The session caches its launch schedule,
     //    so re-simulating more stimuli against the same graph skips all
     //    preparation.
     let session = Session::new(

@@ -3,15 +3,13 @@
 //! published by the thread that finished it — must produce results
 //! **bit-identical** to the event-driven reference across plain windowed
 //! runs, segmented runs, streaming sinks, multi-GPU sharding (with and
-//! without spill) and the pooled chase-the-cursor phase driver; and the
-//! speculative single-pass schedule must match the two-pass one on every
-//! one of those paths.
+//! without spill) and the pooled chase-the-cursor phase driver — on the
+//! speculative store's hit path and, with the extent history poisoned, on
+//! its overflow-repair path.
 
 use std::sync::Arc;
 
-use gatspi_core::{
-    RunOptions, Session, SimConfig, SimResult, Speculation, WaveformSink, WindowInfo,
-};
+use gatspi_core::{RunOptions, Session, SimConfig, SimResult, WaveformSink, WindowInfo};
 use gatspi_gpu::{DeviceSpec, MultiGpu};
 use gatspi_graph::{CircuitGraph, GraphOptions};
 use gatspi_netlist::{CellLibrary, NetlistBuilder};
@@ -37,7 +35,7 @@ fn deep_chain(depth: usize) -> Arc<CircuitGraph> {
 }
 
 /// Wide random logic with SDF delays: multi-gate levels exercise the
-/// classic two-launch path, published after the launch join.
+/// classic one-launch-per-level path, published after the launch join.
 fn wide_graph(seed: u64) -> Arc<CircuitGraph> {
     let netlist = random_logic(&RandomLogicConfig {
         gates: 300,
@@ -162,6 +160,10 @@ fn deep_fused_chain_serial_matches_overlapped() {
     assert_matches_refsim(&ours, &r, "deep fused chain");
     // Bit-identical waveforms too, via the durable spill copies.
     assert_waveforms_match_refsim(&ours, &r, "deep fused chain");
+    assert!(
+        ours.app_profile.speculative_hit_rate > 0.0,
+        "the speculative path must actually have run"
+    );
 }
 
 #[test]
@@ -387,47 +389,9 @@ fn multi_gpu_spill_extracts_waveforms() {
     assert_waveforms_match_refsim(&multi, &r, "multi-GPU spill");
 }
 
-// --- Speculative single-pass vs two-pass ("simulate twice") equivalence.
-//
-// `Speculation::Off` is the paper's Fig. 5 reference schedule; `On`/`Auto`
-// replace the unconditional count pass with predicted reservations plus
-// exact repair. The two allocation strategies must be bit-identical on
-// every execution path.
-
-#[test]
-fn speculative_matches_two_pass_on_deep_fused_chain() {
-    let graph = deep_chain(600);
-    let toggles: Vec<i32> = (1..12).map(|i| i * 700).collect();
-    let stim = vec![Waveform::from_toggles(false, &toggles)];
-    let duration = 10_000;
-    let cfg = SimConfig::small()
-        .with_cycle_parallelism(4)
-        .with_window_align(100);
-    let run = |spec: Speculation| {
-        Session::new(Arc::clone(&graph), cfg.clone().with_speculation(spec))
-            .run_with(
-                &stim,
-                duration,
-                &RunOptions::default().with_waveform_spill(),
-            )
-            .unwrap()
-    };
-    let two_pass = run(Speculation::Off);
-    let spec = run(Speculation::Auto);
-    assert_bit_identical(&two_pass, &spec, "deep fused chain (speculation)");
-    for s in 0..graph.n_signals() {
-        assert_eq!(
-            two_pass.waveform(s).unwrap(),
-            spec.waveform(s).unwrap(),
-            "signal {s}"
-        );
-    }
-    assert!(
-        spec.app_profile.speculative_hit_rate > 0.0,
-        "the speculative path must actually have run"
-    );
-    assert_eq!(two_pass.app_profile.speculative_hit_rate, 0.0);
-}
+// --- The speculative store on scenarios of its own: unfused wide levels,
+// a warm incremental rerun, and the overflow-repair path. (Its fused,
+// segmented, streaming and multi-GPU runs are the tests above.)
 
 #[test]
 fn speculative_matches_two_pass_on_wide_classic_levels() {
@@ -441,105 +405,16 @@ fn speculative_matches_two_pass_on_wide_classic_levels() {
         .with_cycle_parallelism(8)
         .with_window_align(400)
         .with_fuse_threshold(0);
-    let run = |spec: Speculation| {
-        Session::new(Arc::clone(&graph), cfg.clone().with_speculation(spec))
-            .run(&stimuli, duration)
-            .unwrap()
-    };
-    let two_pass = run(Speculation::Off);
-    let spec = run(Speculation::On);
-    assert_bit_identical(&two_pass, &spec, "wide classic levels (speculation)");
-    assert!(
-        spec.app_profile.launches < two_pass.app_profile.launches,
-        "a well-predicted single pass must launch less than simulate-twice"
-    );
-}
-
-#[test]
-fn speculative_matches_two_pass_under_segmentation() {
-    let graph = deep_chain(40);
-    let toggles: Vec<i32> = (1..150).map(|i| i * 10 + 5).collect();
-    let stim = vec![Waveform::from_toggles(false, &toggles)];
-    let cfg = SimConfig::small()
-        .with_cycle_parallelism(16)
-        .with_window_align(10);
-    let run = |spec: Speculation| {
-        Session::new(Arc::clone(&graph), cfg.clone().with_speculation(spec))
-            .run_with(
-                &stim,
-                1500,
-                &RunOptions::default()
-                    .with_segment_windows(4)
-                    .with_waveform_spill(),
-            )
-            .unwrap()
-    };
-    let two_pass = run(Speculation::Off);
-    let spec = run(Speculation::Auto);
-    assert!(two_pass.segments() > 1, "test must exercise segmentation");
-    assert_bit_identical(&two_pass, &spec, "segmented run (speculation)");
-    for s in 0..graph.n_signals() {
-        assert_eq!(
-            two_pass.waveform(s).unwrap(),
-            spec.waveform(s).unwrap(),
-            "signal {s} across segments"
-        );
-    }
-}
-
-#[test]
-fn speculative_matches_two_pass_through_streaming_sink() {
-    let graph = wide_graph(13);
-    let stimuli = generate(
-        graph.primary_inputs().len(),
-        &StimulusConfig::random(16, 400, 0.5, 23),
-    );
-    let duration = 16 * 400;
-    let cfg = SimConfig::small()
-        .with_cycle_parallelism(8)
-        .with_window_align(400);
-    let run = |spec: Speculation| {
-        let mut sink = Recorder::default();
-        let r = Session::new(Arc::clone(&graph), cfg.clone().with_speculation(spec))
-            .run_streaming(
-                &stimuli,
-                duration,
-                &RunOptions::default().with_segment_windows(3),
-                &mut sink,
-            )
-            .unwrap();
-        (r, sink)
-    };
-    let (two_pass, two_pass_sink) = run(Speculation::Off);
-    let (spec, spec_sink) = run(Speculation::Auto);
-    assert_bit_identical(&two_pass, &spec, "streaming run (speculation)");
-    assert!(!two_pass_sink.calls.is_empty());
+    let ours = Session::new(Arc::clone(&graph), cfg)
+        .run(&stimuli, duration)
+        .unwrap();
+    let r = refsim(&graph, &stimuli, duration);
+    assert_matches_refsim(&ours, &r, "wide classic levels");
     assert_eq!(
-        two_pass_sink.calls, spec_sink.calls,
-        "sink must see identical (signal, window, raw) sequences"
+        ours.app_profile.launches as usize,
+        graph.n_levels(),
+        "a well-predicted single pass launches once per level"
     );
-}
-
-#[test]
-fn speculative_matches_two_pass_on_multi_gpu() {
-    let graph = wide_graph(29);
-    let stimuli = generate(
-        graph.primary_inputs().len(),
-        &StimulusConfig::random(16, 400, 0.35, 31),
-    );
-    let duration = 16 * 400;
-    let cfg = SimConfig::small()
-        .with_cycle_parallelism(4)
-        .with_window_align(400);
-    let run = |spec: Speculation| {
-        let gpus = MultiGpu::new(DeviceSpec::v100(), 2, 1 << 18);
-        Session::new(Arc::clone(&graph), cfg.clone().with_speculation(spec))
-            .run_multi_gpu(&gpus, &stimuli, duration)
-            .unwrap()
-    };
-    let two_pass = run(Speculation::Off);
-    let spec = run(Speculation::Auto);
-    assert_bit_identical(&two_pass, &spec, "multi-GPU run (speculation)");
 }
 
 #[test]
@@ -554,32 +429,24 @@ fn speculative_matches_two_pass_on_incremental_rerun() {
         .with_cycle_parallelism(4)
         .with_window_align(400);
     let changed = vec![5usize, 40];
-    let run = |spec: Speculation| {
-        let sim = Session::new(Arc::clone(&graph), cfg.clone().with_speculation(spec));
-        let opts = RunOptions::default().with_waveform_spill();
-        // The full run populates the session's extent history; the cone
-        // sub-plan seeds from it, so the delta run speculates warm.
-        let full = sim.run_with(&stimuli, duration, &opts).unwrap();
-        sim.run_incremental(&full, &changed, &stimuli, duration, &opts)
-            .unwrap()
-    };
-    let two_pass = run(Speculation::Off);
-    let spec = run(Speculation::Auto);
-    assert_bit_identical(&two_pass, &spec, "incremental rerun (speculation)");
-    for s in 0..graph.n_signals() {
-        assert_eq!(
-            two_pass.waveform(s).unwrap(),
-            spec.waveform(s).unwrap(),
-            "signal {s} after the delta run"
-        );
-    }
+    let sim = Session::new(Arc::clone(&graph), cfg);
+    let opts = RunOptions::default().with_waveform_spill();
+    // The full run populates the session's extent history; the cone
+    // sub-plan seeds from it, so the delta run speculates warm.
+    let full = sim.run_with(&stimuli, duration, &opts).unwrap();
+    let delta = sim
+        .run_incremental(&full, &changed, &stimuli, duration, &opts)
+        .unwrap();
+    let r = refsim(&graph, &stimuli, duration);
+    assert_matches_refsim(&delta, &r, "incremental rerun");
+    assert_waveforms_match_refsim(&delta, &r, "incremental rerun, after the delta run");
 }
 
 /// Poisoned extent history — a 2-word budget for every gate — forces an
 /// overflow on essentially every toggling (gate, window) thread, so the
 /// final output is produced almost entirely by the exact repair launches.
-/// The result must still be bit-identical to simulate-twice: repair alone
-/// reproduces the reference output.
+/// The result must still be bit-identical to the reference: repair alone
+/// reproduces it.
 #[test]
 fn forced_overflow_repair_reproduces_two_pass_exactly() {
     let graph = wide_graph(67);
@@ -588,27 +455,15 @@ fn forced_overflow_repair_reproduces_two_pass_exactly() {
         &StimulusConfig::random(16, 400, 0.5, 73),
     );
     let duration = 16 * 400;
+    let r = refsim(&graph, &stimuli, duration);
     for fuse in [0usize, 4096] {
         let cfg = SimConfig::small()
             .with_cycle_parallelism(8)
             .with_window_align(400)
             .with_fuse_threshold(fuse);
-        let two_pass = Session::new(
-            Arc::clone(&graph),
-            cfg.clone().with_speculation(Speculation::Off),
-        )
-        .run_with(
-            &stimuli,
-            duration,
-            &RunOptions::default().with_waveform_spill(),
-        )
-        .unwrap();
-        let sim = Session::new(
-            Arc::clone(&graph),
-            cfg.clone().with_speculation(Speculation::On),
-        );
+        let sim = Session::new(Arc::clone(&graph), cfg);
         sim.seed_extent_history(2);
-        let spec = sim
+        let ours = sim
             .run_with(
                 &stimuli,
                 duration,
@@ -616,18 +471,42 @@ fn forced_overflow_repair_reproduces_two_pass_exactly() {
             )
             .unwrap();
         assert!(
-            spec.app_profile.overflow_repairs > 0,
+            ours.app_profile.overflow_repairs > 0,
             "fuse {fuse}: tiny seeded budgets must overflow"
         );
-        assert_bit_identical(&two_pass, &spec, "forced overflow");
-        for s in 0..graph.n_signals() {
-            assert_eq!(
-                two_pass.waveform(s).unwrap(),
-                spec.waveform(s).unwrap(),
-                "fuse {fuse}: signal {s} from repair"
-            );
-        }
+        assert_matches_refsim(&ours, &r, &format!("forced overflow, fuse {fuse}"));
+        assert_waveforms_match_refsim(&ours, &r, &format!("fuse {fuse}, from repair"));
     }
+}
+
+/// A mispredicted run costs its repairs once: the overflowing threads feed
+/// their true extents to the predictor, so the same stimulus run again on
+/// the same session is all hits — one launch per level, no repair.
+#[test]
+fn overflow_heals_after_one_run() {
+    let graph = wide_graph(7);
+    let stimuli = generate(
+        graph.primary_inputs().len(),
+        &StimulusConfig::random(24, 400, 0.4, 11),
+    );
+    let duration = 24 * 400;
+    let cfg = SimConfig::small()
+        .with_cycle_parallelism(8)
+        .with_window_align(400)
+        .with_fuse_threshold(0);
+    let sim = Session::new(Arc::clone(&graph), cfg);
+    sim.seed_extent_history(2);
+    let poisoned = sim.run(&stimuli, duration).unwrap();
+    assert!(poisoned.app_profile.overflow_repairs > 0);
+    assert!(poisoned.app_profile.launches as usize > graph.n_levels());
+    sim.seed_extent_history(0);
+    let healed = sim.run(&stimuli, duration).unwrap();
+    assert_eq!(healed.app_profile.overflow_repairs, 0);
+    assert_eq!(healed.app_profile.speculative_hit_rate, 1.0);
+    assert_eq!(healed.app_profile.launches as usize, graph.n_levels());
+    assert_bit_identical(&poisoned, &healed, "poisoned vs healed run");
+    let r = refsim(&graph, &stimuli, duration);
+    assert_matches_refsim(&healed, &r, "healed run");
 }
 
 proptest! {
@@ -637,8 +516,7 @@ proptest! {
     })]
 
     /// Random design + random delays + random stimulus: the engine must
-    /// stay bit-identical to the two-pass reference schedule and to the
-    /// event-driven reference.
+    /// stay bit-identical to the event-driven reference.
     #[test]
     fn pipelined_executor_bit_identical_on_random_designs(
         seed in 0u64..5000,
@@ -675,21 +553,9 @@ proptest! {
             .with_cycle_parallelism(parallelism)
             .with_window_align(cycle)
             .with_fuse_threshold(fuse);
-        let ours = Session::new(Arc::clone(&graph), cfg.clone())
+        let ours = Session::new(Arc::clone(&graph), cfg)
             .run(&stimuli, duration)
             .unwrap();
-
-        // The run above speculates (Auto default); the two-pass reference
-        // schedule must agree bit for bit.
-        let two_pass = Session::new(
-            Arc::clone(&graph),
-            cfg.clone().with_speculation(Speculation::Off),
-        )
-        .run(&stimuli, duration)
-        .unwrap();
-        prop_assert!(two_pass.saif.diff(&ours.saif).is_empty(),
-            "speculative vs two-pass SAIF diverged");
-        prop_assert_eq!(two_pass.toggle_counts_slice(), ours.toggle_counts_slice());
 
         let r = EventSimulator::new(&graph, RefConfig {
             record_waveforms: false,
