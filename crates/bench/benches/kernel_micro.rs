@@ -191,8 +191,8 @@ fn bench_deep_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
-/// The publish path itself (each level's length sums and SAIF dump
-/// enqueue, run by the thread that finished the level): `narrow` is a
+/// The publish path itself (each level's length, SAIF and slack folds,
+/// run by the thread that finished the level): `narrow` is a
 /// deep chain of one-gate levels (fused launches; the leader worker
 /// publishes at repair-phase boundaries), `wide` is shallow random logic
 /// with thousand-gate levels (classic one-launch-per-level path; the

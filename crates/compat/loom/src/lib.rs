@@ -198,7 +198,7 @@ mod tests {
         );
     }
 
-    /// Miniature of the `DumpRing` commit protocol: producer fills a slot,
+    /// Miniature of a reserve/commit ring protocol: producer fills a slot,
     /// then publishes it by advancing `tail`. With a `Release` publish the
     /// consumer can never observe an uncommitted slot.
     fn mini_ring(commit: Ordering) {

@@ -69,12 +69,6 @@ pub enum CoreError {
         /// permanently gone.
         retryable: bool,
     },
-    /// A streaming output consumer (e.g. the SAIF scan) died mid-run: the
-    /// run fails with this error instead of unwinding the process.
-    SinkClosed {
-        /// Human-readable detail.
-        detail: String,
-    },
 }
 
 impl From<std::io::Error> for CoreError {
@@ -126,9 +120,6 @@ impl fmt::Display for CoreError {
                     "permanent"
                 }
             ),
-            CoreError::SinkClosed { detail } => {
-                write!(f, "streaming output consumer died: {detail}")
-            }
         }
     }
 }

@@ -23,10 +23,11 @@
 //! The store pass is also the *publication* point: the engine's store
 //! thread takes `(out_base, KernelOutput::words())` — the same pair this
 //! routine computes — and writes the output's pointer/length slots in the
-//! shared batch tables itself, so no host-side per-slot store loop runs
-//! after the launch. Levelization guarantees the writes are race-free: a
-//! level's input signals are driven strictly below it, so no thread of one
-//! launch reads the slots its peers publish.
+//! shared batch tables itself, then scans the words it just stored for the
+//! window's SAIF record, so no host-side per-slot loop and no separate SAIF
+//! reader runs after the launch. Levelization guarantees the writes are
+//! race-free: a level's input signals are driven strictly below it, so no
+//! thread of one launch reads the slots its peers publish.
 //!
 //! Semantics implemented exactly as Algorithm 1:
 //!
@@ -35,7 +36,10 @@
 //! * **lines 8–13**: next-event selection across pins with per-edge
 //!   interconnect delays and inertial filtering of pulses narrower than the
 //!   wire delay (lines 11–12; disabled by
-//!   [`SimFeatures::net_delay_filtering`](crate::SimFeatures) = false);
+//!   [`SimFeatures::net_delay_filtering`](crate::SimFeatures) = false).
+//!   A pin's next arrival depends only on its own pointer, so it is kept
+//!   in a per-pin *arrival register*: computed once on entry and recomputed
+//!   only for the pins an MSI step consumed;
 //! * **lines 14–18**: multiple-simultaneous-input (MSI) resolution — every
 //!   pin arriving at the chosen timestamp is consumed before a single
 //!   evaluation;
@@ -324,64 +328,61 @@ pub fn simulate_gate(
         (0usize, 0usize)
     };
 
-    let mut last_ti: i64 = 0;
-    let mut arrival = [EOW64; MAX_KERNEL_PINS];
-
-    loop {
-        // --- Lines 8–13: next arrival across pins (with wire delays and
-        // interconnect inertial filtering).
-        let mut ti = EOW64;
-        for i in 0..n {
-            loop {
+    // --- Lines 8–13: pin `i`'s next arrival — its next edge plus the wire
+    // delay, skipping pulses narrower than that delay (`+= 2` keeps the
+    // parity). It depends on the pin's own pointer alone, which is what
+    // makes the per-pin arrival registers below exact.
+    let next_arrival = |i: usize, p: &mut u32, lane: &mut LaneCounters| -> i64 {
+        loop {
+            lane.scattered_load();
+            let t1 = mem.load(*p as usize + 1);
+            if t1 == EOW {
+                return EOW64;
+            }
+            let (dr, df) = input.net_delays[i];
+            let nd = if *p & 1 == 1 { df } else { dr };
+            if input.features.net_delay_filtering {
                 lane.scattered_load();
-                let t1 = mem.load(p[i] as usize + 1);
-                if t1 == EOW {
-                    arrival[i] = EOW64;
-                    break;
+                let t2 = mem.load(*p as usize + 2);
+                if t2 != EOW && i64::from(t2) - i64::from(t1) < i64::from(nd) {
+                    // Pulse narrower than the wire delay: both edges die.
+                    *p += 2;
+                    lane.ops(2);
+                    continue;
                 }
-                let cur = p[i] & 1;
-                let (dr, df) = input.net_delays[i];
-                let nd = if cur == 1 { df } else { dr };
-                if input.features.net_delay_filtering {
-                    lane.scattered_load();
-                    let t2 = mem.load(p[i] as usize + 2);
-                    if t2 != EOW && i64::from(t2) - i64::from(t1) < i64::from(nd) {
-                        // Pulse narrower than the wire delay: both edges die.
-                        p[i] += 2;
-                        lane.ops(2);
-                        continue;
-                    }
-                }
-                arrival[i] = i64::from(t1) + i64::from(nd);
-                if arrival[i] < ti {
-                    ti = arrival[i];
-                }
-                lane.ops(4);
-                break;
             }
-            if arrival[i] != EOW64 && arrival[i] < ti {
-                ti = arrival[i];
-            }
+            lane.ops(4);
+            return i64::from(t1) + i64::from(nd);
         }
-        if ti == EOW64 {
-            break;
-        }
+    };
+    let mut arrival = [EOW64; MAX_KERNEL_PINS];
+    // The earliest register: the next event's timestamp.
+    let mut next_ti = EOW64;
+    for i in 0..n {
+        arrival[i] = next_arrival(i, &mut p[i], lane);
+        next_ti = next_ti.min(arrival[i]);
+    }
+    let mut last_ti: i64 = 0;
+
+    while next_ti != EOW64 {
         // Without interconnect filtering, rise/fall-asymmetric wire delays
         // can reorder arrivals; monotonize so output timestamps stay sorted.
-        if ti < last_ti {
-            ti = last_ti;
-        }
+        let ti = next_ti.max(last_ti);
         last_ti = ti;
 
-        // --- Lines 14–18: MSI resolution — consume every pin arriving now.
+        // --- Lines 14–18: MSI resolution — consume every pin arriving now
+        // (arrival < ti only in the monotonized no-filter case); the same
+        // pass over the registers finds the following event.
         let mut switched = 0u32;
+        next_ti = EOW64;
         for i in 0..n {
-            if arrival[i] == ti || (arrival[i] < ti && arrival[i] != EOW64) {
-                // (arrival < ti only in the monotonized no-filter case)
+            if arrival[i] <= ti {
                 p[i] += 1;
                 col ^= 1 << i;
                 switched |= 1 << i;
+                arrival[i] = next_arrival(i, &mut p[i], lane);
             }
+            next_ti = next_ti.min(arrival[i]);
         }
         lane.ops(n as u64 + 2);
         let y = tt[col as usize] as u32;
@@ -784,6 +785,66 @@ mod tests {
         };
         let out2 = run(&graph, &mem, &[ra.offset], features, 100);
         assert_eq!(out2.toggle_count(), 3);
+    }
+
+    #[test]
+    fn idle_pin_keeps_its_filtered_arrival_while_another_pin_switches() {
+        const SDF: &str = r#"(DELAYFILE
+  (CELL (CELLTYPE "XOR2") (INSTANCE u)
+    (DELAY (ABSOLUTE (IOPATH A Y (1) (1)) (IOPATH B Y (1) (1)))))
+  (CELL (CELLTYPE "__wire__") (INSTANCE *)
+    (DELAY (ABSOLUTE (INTERCONNECT i0 u/A (8) (8)))))
+)"#;
+        // A's pulse 150..153 is narrower than its 8-tick wire: both edges
+        // die on entry and A's register holds 300 + 8 = 308 while B's three
+        // early edges are consumed one event at a time around it.
+        let a = Waveform::from_toggles(false, &[150, 153, 300]);
+        let b = Waveform::from_toggles(false, &[100, 200, 250, 400]);
+        let (g, mem, ptrs) = single_gate("XOR2", &[a, b], Some(SDF));
+        let y = run_default(&g, &mem, &ptrs);
+        // y = A ^ B: B rises 100 → 101; B falls 200 → 201; B rises 250 →
+        // 251; A rises (arrives 308) → 309; B falls 400 → 401.
+        assert_eq!(y.raw(), &[0, 101, 201, 251, 309, 401, EOW]);
+    }
+
+    #[test]
+    fn asymmetric_wire_without_filtering_monotonizes_arrivals() {
+        const SDF: &str = r#"(DELAYFILE
+  (CELL (CELLTYPE "XOR2") (INSTANCE u)
+    (DELAY (ABSOLUTE (IOPATH A Y (1) (1)) (IOPATH B Y (1) (1)))))
+  (CELL (CELLTYPE "__wire__") (INSTANCE *)
+    (DELAY (ABSOLUTE (INTERCONNECT i0 u/A (10) (2)))))
+)"#;
+        // A rises at 100 (arrives 110) and falls at 105 (arrives 107,
+        // *before* its rise): the fall is consumed at the monotonized 110.
+        let a = Waveform::from_toggles(false, &[100, 105, 200]);
+        let b = Waveform::from_toggles(false, &[108]);
+        let (g, mem, ptrs) = single_gate("XOR2", &[a, b], Some(SDF));
+        let features = SimFeatures {
+            net_delay_filtering: false,
+            ..SimFeatures::default()
+        };
+        let y = run(&g, &mem, &ptrs, features, 100);
+        // B rises 108 → y rises 109. A's rise at 110 → y falls 111; A's
+        // fall, held to 110 → y rises 111 again, a zero-width pulse that
+        // cancels the fall. A's rise at 200 arrives 210 → y falls 211.
+        assert_eq!(y.raw(), &[0, 109, 211, EOW]);
+    }
+
+    #[test]
+    fn aoi22_three_pins_arriving_together_evaluate_once() {
+        // Pins (A1, A2, B1, B2), Y = !((A1 & A2) | (B1 & B2)), unit delays.
+        let a1 = Waveform::from_toggles(false, &[100, 300]);
+        let a2 = Waveform::from_toggles(false, &[100, 200, 300]);
+        let b1 = Waveform::from_toggles(true, &[100, 300]);
+        let b2 = Waveform::constant(true);
+        let (g, mem, ptrs) = single_gate("AOI22", &[a1, a2, b1, b2], None);
+        let y = run_default(&g, &mem, &ptrs);
+        // Initially B1 & B2 holds Y at 0. At 100 A1, A2 rise and B1 falls
+        // together: A1 & A2 takes over, Y stays 0 (consumed one pin at a
+        // time, B1 first would glitch Y high). A2 falls at 200 → Y rises
+        // 201. At 300 A1 falls, A2 rises, B1 rises: B1 & B2 → Y falls 301.
+        assert_eq!(y.raw(), &[0, 201, 301, EOW]);
     }
 
     #[test]

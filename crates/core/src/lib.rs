@@ -23,7 +23,10 @@
 //!   simulate concurrently, one logical GPU thread per (gate, window),
 //! * multi-GPU distribution of cycle parallelism (`t = t₁/n + ovr`),
 //! * an "OpenMP-equivalent" CPU backend for the paper's Table 3 comparison,
-//! * asynchronous SAIF dumping overlapped with kernel execution.
+//! * SAIF accumulated by the storing threads themselves: each thread scans
+//!   the window it just wrote for its toggle count and time at 1, and the
+//!   level publish folds those per signal — no second pass over the stored
+//!   words, no helper thread.
 //!
 //! # Quickstart
 //!
@@ -65,7 +68,6 @@ mod error;
 mod kernel;
 mod multi;
 mod result;
-mod ring;
 mod schedule;
 mod session;
 mod sink;

@@ -23,12 +23,12 @@
 //!   the device's internal phase hand-off) — one launch overhead instead
 //!   of one per level;
 //! * a persistent scratch arena ([`BatchScratch`]) replacing all per-level
-//!   allocations: atomic pointer/length tables, plus count-output, base
-//!   and reservation-cap columns in which every level of a fused group
-//!   owns a **disjoint contiguous slab range** ([`LevelDesc::col_off`]) —
-//!   the group's output allocation is one arena cursor carried across
-//!   those ranges, and a level's host publish (len-sum accounting + SAIF
-//!   dump enqueueing) reads only its own range.
+//!   allocations: signal-major atomic pointer/length tables ([`slot`]),
+//!   plus count-output, base, reservation-cap and SAIF-record columns in
+//!   which every level of a fused group owns a **disjoint contiguous slab
+//!   range** ([`LevelDesc::col_off`]) — the group's output allocation is
+//!   one arena cursor carried across those ranges, and a level's host
+//!   publish (length, SAIF and slack folds) reads only its own range.
 
 use std::ops::Range;
 
@@ -232,11 +232,6 @@ pub(crate) struct LevelSchedule {
     /// `phase_threads[group.phases]` (two phases per level: speculative
     /// store, repair).
     phase_threads: Vec<usize>,
-    /// Widest single level's thread count.
-    max_level_threads: usize,
-    /// Largest fused group's gate-slot count × windows (sizes the publish
-    /// backlog a fused launch can produce before the ring drains).
-    max_fused_msgs: usize,
     /// Entries the scratch count/base column must hold: the widest single
     /// level or the largest fused group's whole slab, whichever is bigger.
     col_entries: usize,
@@ -384,7 +379,7 @@ impl LevelSchedule {
         }
 
         let max_level_threads = levels.iter().map(|ld| ld.threads).max().unwrap_or(0);
-        let max_fused_msgs = groups
+        let max_slab = groups
             .iter()
             .filter(|g| g.fused)
             .map(|g| g.threads)
@@ -403,9 +398,7 @@ impl LevelSchedule {
             pin_net_delays,
             predictor: ExtentPredictor::new(graph.n_gates()),
             phase_threads,
-            max_level_threads,
-            max_fused_msgs,
-            col_entries: max_level_threads.max(max_fused_msgs),
+            col_entries: max_level_threads.max(max_slab),
         }
     }
 
@@ -494,15 +487,6 @@ impl LevelSchedule {
     /// contiguous slab, whichever is bigger.
     pub fn col_entries(&self) -> usize {
         self.col_entries
-    }
-
-    /// Messages the dump ring must hold so no level's publication ever
-    /// blocks on the SAIF scan: the widest single level (enqueued as a
-    /// whole right after its launch) or the largest fused group (published
-    /// level by level while the launch is still running), whichever is
-    /// larger.
-    pub fn dump_backlog(&self) -> usize {
-        self.max_level_threads.max(self.max_fused_msgs)
     }
 
     /// Total gate slots across all levels.
@@ -864,17 +848,27 @@ impl LevelSchedule {
     }
 }
 
+/// Index of signal `sig`'s window-`w` entry in the signal-major
+/// [`BatchScratch::ptrs`] / [`BatchScratch::lens`] tables of an `nw`-window
+/// batch: a gate's windows read their inputs and publish their output in
+/// adjacent words. Every index of those tables goes through here.
+#[inline]
+pub(crate) fn slot(nw: usize, sig: usize, w: usize) -> usize {
+    sig * nw + w
+}
+
 /// Per-batch scratch arena: every buffer the per-level hot loop touches,
 /// allocated once. Pointer/length tables are atomics because the *store
 /// pass itself* publishes them (each store thread writes its output's
 /// pointer and length — folded publication);
-/// `outs`/`bases` form one column in which every level of a fused group
-/// owns a disjoint contiguous slab range ([`LevelDesc::col_off`]) — no
-/// column double-buffering; the launch join orders reuse across groups.
+/// `outs`/`bases`/`caps`/`saif` form one column in which every level of a
+/// fused group owns a disjoint contiguous slab range
+/// ([`LevelDesc::col_off`]) — no column double-buffering; the launch join
+/// orders reuse across groups.
 #[derive(Debug)]
 pub(crate) struct BatchScratch {
-    /// `ptrs[w * n_signals + s]`: word offset of signal `s`'s waveform in
-    /// window `w`, `u32::MAX` if absent.
+    /// `ptrs[slot(nw, s, w)]`: word offset of signal `s`'s waveform in
+    /// window `w`, `u32::MAX` if absent (signal-major, see [`slot`]).
     pub ptrs: Vec<AtomicU32>,
     /// Stored length in words of the same waveform.
     pub lens: Vec<AtomicU32>,
@@ -890,9 +884,14 @@ pub(crate) struct BatchScratch {
     bases: Vec<AtomicU32>,
     /// Speculative reservation sizes in words (one column of `stride`
     /// entries, same slab layout as `outs`/`bases`): written by the budget
-    /// assigner before a speculative launch, read by its threads and the
-    /// overflow scan. Needs no reset — always written before read.
+    /// assigner before a speculative launch, read by its threads, the
+    /// overflow scan and the level publish. Needs no reset — always written
+    /// before read.
     caps: Vec<AtomicU32>,
+    /// The window's clipped SAIF record, `(toggles << 32) | t1`, written by
+    /// the thread that stored the waveform (same layout as `outs`; `t0` is
+    /// the window length minus `t1`).
+    saif: Vec<AtomicU64>,
     /// Overflowed column indices of the current speculative level,
     /// recorded by the kernel threads themselves (`ovf_len` cursor +
     /// slot array) so the post-level host scan is O(overflows), not
@@ -900,10 +899,6 @@ pub(crate) struct BatchScratch {
     pub ovf: Vec<AtomicU32>,
     /// Number of valid entries in [`BatchScratch::ovf`].
     pub ovf_len: AtomicUsize,
-    /// Reservation words speculative *hit* threads did not use, batch
-    /// accumulated by the kernel threads (abandoned overflow reservations
-    /// are added host-side by the scan). Drained into the batch tally.
-    pub spec_waste: AtomicU64,
     /// Entries in the `outs`/`bases` column (≥ the widest level's threads
     /// and ≥ the largest fused group's slab).
     stride: usize,
@@ -915,30 +910,24 @@ pub(crate) struct BatchScratch {
 
 impl BatchScratch {
     fn new(n_signals: usize, nw: usize, col_entries: usize) -> Self {
+        let column = || (0..col_entries).map(|_| AtomicU32::new(0)).collect();
+        let wide = || (0..col_entries).map(|_| AtomicU64::new(0)).collect();
         let mut ptrs = Vec::with_capacity(nw * n_signals);
         ptrs.resize_with(nw * n_signals, || AtomicU32::new(u32::MAX));
         let mut lens = Vec::with_capacity(nw * n_signals);
         lens.resize_with(nw * n_signals, || AtomicU32::new(0));
         let mut len_sum = Vec::with_capacity(n_signals);
         len_sum.resize_with(n_signals, || AtomicU64::new(0));
-        let mut outs = Vec::with_capacity(col_entries);
-        outs.resize_with(col_entries, || AtomicU64::new(0));
-        let mut bases = Vec::with_capacity(col_entries);
-        bases.resize_with(col_entries, || AtomicU32::new(0));
-        let mut caps = Vec::with_capacity(col_entries);
-        caps.resize_with(col_entries, || AtomicU32::new(0));
-        let mut ovf = Vec::with_capacity(col_entries);
-        ovf.resize_with(col_entries, || AtomicU32::new(0));
         BatchScratch {
             ptrs,
             lens,
             len_sum,
-            outs,
-            bases,
-            caps,
-            ovf,
+            outs: wide(),
+            bases: column(),
+            caps: column(),
+            saif: wide(),
+            ovf: column(),
             ovf_len: AtomicUsize::new(0),
-            spec_waste: AtomicU64::new(0),
             stride: col_entries,
             oversize_uses: 0,
         }
@@ -964,6 +953,12 @@ impl BatchScratch {
         &self.caps
     }
 
+    /// The per-thread SAIF column; same layout as [`BatchScratch::outs`].
+    #[inline]
+    pub fn saif(&self) -> &[AtomicU64] {
+        &self.saif
+    }
+
     /// Entries in the `outs`/`bases` column.
     pub fn stride(&self) -> usize {
         self.stride
@@ -974,27 +969,28 @@ impl BatchScratch {
         self.ptrs.len()
     }
 
-    /// Snapshot of the first `n` pointer-table entries (for waveform
-    /// extraction; `n = nw × n_signals` of the batch that used this
-    /// scratch, which may be smaller than the arena when it is reused
-    /// from the session pool).
-    pub fn ptrs_snapshot(&self, n: usize) -> Vec<u32> {
-        self.ptrs[..n]
-            .iter()
+    /// Window-major copy (`w * n_signals + s`) of the signal-major `table`
+    /// for an `nw`-window batch — the layout waveform extraction and the
+    /// drain read. The arena may be larger than the batch when it is reused
+    /// from the session pool.
+    fn window_major(table: &[AtomicU32], nw: usize, n_signals: usize) -> Vec<u32> {
+        (0..nw * n_signals)
             // relaxed-ok: snapshots run on the engine thread after every
             // launch of the batch has joined.
-            .map(|p| p.load(Ordering::Relaxed))
+            .map(|i| table[slot(nw, i % n_signals, i / n_signals)].load(Ordering::Relaxed))
             .collect()
     }
 
-    /// Snapshot of the first `n` length-table entries (word counts per
+    /// Window-major snapshot of the pointer table (see
+    /// [`BatchScratch::window_major`]).
+    pub fn ptrs_snapshot(&self, nw: usize, n_signals: usize) -> Vec<u32> {
+        Self::window_major(&self.ptrs, nw, n_signals)
+    }
+
+    /// Window-major snapshot of the length table (word counts per
     /// (window, signal) waveform — what the host-spill sink reads back).
-    pub fn lens_snapshot(&self, n: usize) -> Vec<u32> {
-        self.lens[..n]
-            .iter()
-            // relaxed-ok: see `ptrs_snapshot`.
-            .map(|l| l.load(Ordering::Relaxed))
-            .collect()
+    pub fn lens_snapshot(&self, nw: usize, n_signals: usize) -> Vec<u32> {
+        Self::window_major(&self.lens, nw, n_signals)
     }
 
     /// Whether this arena is large enough for a batch needing `ptrs`
@@ -1004,9 +1000,9 @@ impl BatchScratch {
     }
 
     /// Re-initializes the first `ptrs` pointer/length entries and the
-    /// per-signal length sums for a new batch (`outs`/`bases` need no
-    /// reset: every level's budget assignment and speculative pass write
-    /// its entries before anything reads them).
+    /// per-signal length sums for a new batch (the columns need no reset:
+    /// every level's budget assignment and store pass write its entries
+    /// before anything reads them).
     pub fn reset(&self, ptrs: usize) {
         for p in &self.ptrs[..ptrs] {
             // relaxed-ok: reset runs on the engine thread between batches,
@@ -1021,15 +1017,12 @@ impl BatchScratch {
             // relaxed-ok: see above.
             s.store(0, Ordering::Relaxed);
         }
-        // Clear the speculation cursors too: a batch that was abandoned by
-        // a fault isolated at the segment boundary can leave both non-zero
-        // (the normal path drains them), and a poisoned cursor would leak
-        // phantom overflow columns or waste words into the next batch that
-        // reuses this arena.
+        // Clear the overflow cursor too: a batch that was abandoned by a
+        // fault isolated at the segment boundary can leave it non-zero, and
+        // a poisoned cursor would leak phantom overflow columns into the
+        // next batch that reuses this arena.
         // relaxed-ok: see above.
         self.ovf_len.store(0, Ordering::Relaxed);
-        // relaxed-ok: see above.
-        self.spec_waste.store(0, Ordering::Relaxed);
     }
 }
 

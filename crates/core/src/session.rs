@@ -25,8 +25,7 @@ use gatspi_wave::{SimTime, Waveform, EOW, INIT_ONE_MARKER};
 
 use crate::kernel::{simulate_gate, GateKernelInput, KernelMode, KernelOutput, MAX_KERNEL_PINS};
 use crate::result::ExtractionState;
-use crate::ring::{DumpMsg, DumpRing};
-use crate::schedule::{BatchScratch, ConeInfo, HostState, LevelSchedule};
+use crate::schedule::{slot, BatchScratch, ConeInfo, HostState, LevelSchedule};
 use crate::sink::{SaifSink, SpillSink, VcdSink, WaveformSink, WindowInfo};
 use crate::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use crate::{CoreError, Result, SimConfig, SimResult};
@@ -44,11 +43,6 @@ const SCRATCH_OVERSIZE_FACTOR: usize = 4;
 /// arena and allocates one sized for the batch at hand, so one worst-case
 /// arena cannot serve tiny batches indefinitely.
 const SCRATCH_SHRINK_AFTER: u32 = 4;
-
-/// Dump messages [`publish_level`] accumulates before reserving ring space
-/// for the whole chunk at once (one reservation per chunk, not per
-/// message). Stack-resident, so publication stays allocation-free.
-const PUBLISH_CHUNK: usize = 128;
 
 /// Execution options for one run of a compiled [`Session`].
 #[derive(Debug, Clone, Default)]
@@ -167,12 +161,11 @@ fn cone_signature(changed: &[bool]) -> u64 {
 /// # Fault tolerance
 ///
 /// A session is **never poisoned by a failed run**. Every segment executes
-/// under a panic guard at the segment boundary: a device fault, a dead
-/// sink, or a stray worker panic surfaces as a structured
-/// [`CoreError`](crate::CoreError) (`DeviceFault` / `SinkClosed`) from the
-/// `run*` call, and the scratch pool, plan cache and dump machinery remain
-/// reusable — the next run on the same session reproduces a fresh
-/// session's output bit for bit. Transient device faults are retried per
+/// under a panic guard at the segment boundary: a device fault or a stray
+/// worker panic surfaces as a structured
+/// [`CoreError::DeviceFault`](crate::CoreError) from the `run*` call, and
+/// the scratch pool and plan cache remain reusable — the next run on the
+/// same session reproduces a fresh session's output bit for bit. Transient device faults are retried per
 /// segment under [`SimConfig::with_retry_policy`] (see
 /// [`RetryPolicy`](crate::RetryPolicy)) *before* any sink delivery, so
 /// streamed and post-hoc outputs stay identical to a fault-free run;
@@ -282,8 +275,6 @@ pub(crate) struct WindowBatch {
     pub kernel_profile: KernelProfile,
     pub launches: u64,
     pub fused_launches: u64,
-    pub dump_wait_seconds: f64,
-    pub dump_stall_seconds: f64,
     /// Store threads executed speculatively.
     pub spec_threads: u64,
     /// Speculative threads whose reservation overflowed and were re-run by
@@ -365,8 +356,6 @@ impl RunTotals {
         let c = &mut self.counters;
         c.launches += batch.launches;
         c.fused_launches += batch.fused_launches;
-        c.dump_seconds += batch.dump_wait_seconds;
-        c.dump_stall_seconds += batch.dump_stall_seconds;
         c.drain_seconds += drain_s;
         c.d2h_batches += drained;
         c.overflow_repairs += batch.spec_overflows;
@@ -1045,7 +1034,8 @@ impl Session {
         let (saif, toggle_counts) =
             self.assemble_saif(stimuli, duration, &totals.tc, &totals.t0, &totals.t1);
         // D2H traffic is exactly the sink/spill waveform readback (the
-        // SAIF scan and extraction read device memory in place).
+        // storing threads' SAIF scans and extraction read device memory
+        // in place).
         let mem = device.memory();
         let app_profile = totals.app_profile(
             device.spec(),
@@ -1281,35 +1271,34 @@ impl Session {
     /// Simulates one batch of windows on `device` (one memory segment)
     /// against a prebuilt `plan`: uploads stimulus, runs the levelized
     /// speculative-store schedule (fusing runs of small levels into single
-    /// phased launches) with the SAIF scan overlapped on its own thread, and
-    /// returns the accumulators.
+    /// phased launches), and returns the accumulators. It starts no thread
+    /// of its own — the launches' workers are the only ones.
     ///
-    /// Structure (see the README's executor map):
+    /// Structure (see the README's kernel pipeline):
     ///
-    /// * the store pass itself publishes every output's pointer and length
-    ///   into the shared tables (folded publication — no host per-slot
-    ///   store loop survives);
-    /// * the remaining host publish work per level (per-signal length sums
-    ///   and SAIF dump enqueueing, [`publish_level`]) runs on the thread
-    ///   that just finished the level — the engine thread after a classic
-    ///   launch, the leader worker at a fused launch's store/repair
+    /// * the storing thread itself (a speculative hit, or the repair of an
+    ///   overflow) publishes its output's pointer and length into the
+    ///   signal-major shared tables and scans the words it just stored for
+    ///   the window's SAIF record (folded publication — no host per-slot
+    ///   loop and no second reader of the stored words);
+    /// * the remaining host publish work per level ([`publish_level`]: the
+    ///   per-signal length sums, SAIF sums and hit slack) runs on the
+    ///   thread that just finished the level — the engine thread after a
+    ///   classic launch, the leader worker at a fused launch's store/repair
     ///   boundary — so the launch join / phase gate that settled the
-    ///   level's counts and bases also orders the publish that reads them,
-    ///   and the length sums feeding the next launch group's modeled
-    ///   working set are complete when the group top reads them;
+    ///   level's columns also orders the publish that reads them, and the
+    ///   length sums feeding the next launch group's modeled working set
+    ///   are complete when the group top reads them;
     /// * every level reserves a predicted budget per output before its one
     ///   store pass and scans for overflows after it; only overflowed
     ///   threads run again, as an exact store ([`GroupAssigner`] carries
     ///   the arena cursor through both steps, level after level — every
     ///   level of a fused group owns a disjoint slab range of the
-    ///   [`BatchScratch`] count/base/cap columns);
-    /// * the asynchronous SAIF scanner is the batch's only helper thread:
-    ///   it drains the dump ring while later levels simulate.
+    ///   [`BatchScratch`] count/base/cap/SAIF columns).
     ///
     /// The per-level loop is allocation-free: scratch buffers live in the
-    /// caller-provided [`BatchScratch`] arena, working sets come from
-    /// running per-signal sums, and dump messages travel through a
-    /// preallocated ring.
+    /// caller-provided [`BatchScratch`] arena and working sets come from
+    /// running per-signal sums.
     pub(crate) fn run_window_batch(
         &self,
         device: &Device,
@@ -1342,9 +1331,9 @@ impl Session {
             // launch of this batch; the launch's thread spawns (and the
             // phase gate, for fused groups) publish these slots to kernel
             // threads.
-            scratch.ptrs[w * n_signals + s].store(base as u32, Ordering::Relaxed);
+            scratch.ptrs[slot(nw, s, w)].store(base as u32, Ordering::Relaxed);
             // relaxed-ok: see above.
-            scratch.lens[w * n_signals + s].store(words as u32, Ordering::Relaxed);
+            scratch.lens[slot(nw, s, w)].store(words as u32, Ordering::Relaxed);
             // relaxed-ok: see above.
             scratch.len_sum[s].fetch_add(words as u64, Ordering::Relaxed);
             host.bump = base + words;
@@ -1403,404 +1392,293 @@ impl Session {
         let features = self.config.features;
         let ppp = self.config.path_pulse_percent;
         let avg_delays = &self.avg_delays;
-        // Sized so a full level (or fused group) can publish without
-        // waiting on the scan — keeps the dumper overlap the async design
-        // exists for.
-        let ring = DumpRing::with_capacity(schedule.dump_backlog().max(8192));
+        let mem: &DeviceMemory = device.memory();
 
         let mut profile = KernelProfile::empty("resim");
         let mut launches = 0u64;
         let mut fused_launches = 0u64;
-        let mut level_err: Option<CoreError> = None;
-        let mut dump_wait = 0.0f64;
         let mut tally = SpecTally::default();
+        let mut saif = SaifSums::new(n_signals);
         // Reusable repair worklist (classic path): columns whose
         // speculative reservation overflowed.
         let mut overflow_cols: Vec<usize> = Vec::new();
 
-        let (tc, t0_acc, t1_acc) = crate::sync::thread::scope(|scope| {
-            // Asynchronous SAIF dumper: scans finished waveforms while
-            // later levels are still simulating.
-            let mem: &DeviceMemory = device.memory();
-            let ring_ref = &ring;
-            let dumper = scope.spawn(move |_| {
-                // Guard: if this thread dies (saif_scan panic), a full
-                // ring's push fails loudly instead of spinning forever.
-                let _guard = ring_ref.consumer_guard();
-                let mut tc = vec![0u64; n_signals];
-                let mut t0 = vec![0i64; n_signals];
-                let mut t1 = vec![0i64; n_signals];
-                while let Some(msg) = ring_ref.pop() {
-                    let (c, d0, d1) = saif_scan(mem, msg.ptr, msg.clip);
-                    tc[msg.signal as usize] += c;
-                    t0[msg.signal as usize] += d0;
-                    t1[msg.signal as usize] += d1;
+        // One kernel invocation: thread `tid` of `level`, in the
+        // speculative store pass or the (mostly no-op) repair pass. All
+        // lookups index the schedule's dense tables — the baked
+        // [`GateDesc`] row plus schedule-local delay slices, no per-event
+        // graph indirection; the level's count/base/cap/SAIF entries live
+        // in its own slab range of the scratch columns (`col_off` — fused
+        // groups stack their levels contiguously, so no two in-flight
+        // levels share entries).
+        let exec = |level: usize, tid: usize, repair: bool, lane: &mut _| {
+            let ld = schedule.level(level);
+            let col = ld.col_off as usize + tid;
+            let gi = tid / nw;
+            let w = tid % nw;
+            let gate_slot = ld.gate_lo as usize + gi;
+            let pins = schedule.pins_of(gate_slot);
+            let mut in_ptrs = [0u32; MAX_KERNEL_PINS];
+            for (k, &sig) in pins.iter().enumerate() {
+                // relaxed-ok: input pointers were published by a lower
+                // level's store pass behind the launch join (or the fused
+                // phase gate, model test `phase_boundary_is_a_barrier`);
+                // levelization keeps same-level threads off each other's
+                // slots.
+                in_ptrs[k] = scratch.ptrs[slot(nw, sig as usize, w)].load(Ordering::Relaxed);
+            }
+            let desc = schedule.desc(gate_slot);
+            let pin_base = desc.pin_base as usize;
+            let input = GateKernelInput {
+                desc,
+                tts: graph.truth_tables_flat(),
+                luts: graph.delay_luts_flat(),
+                net_delays: schedule.net_delays_of(gate_slot),
+                mem,
+                in_ptrs: &in_ptrs[..pins.len()],
+                features,
+                ppp,
+                avg_delays: &avg_delays[pin_base..pin_base + pins.len()],
+            };
+            // Folded publication: the storing thread publishes its own
+            // output's pointer and length and scans the words it just
+            // stored for the window's SAIF record, so no host loop over
+            // (gate, window) slots and no second reader of the stored words
+            // runs after the launch. Levelization makes this race-free —
+            // level L inputs are driven strictly below L, so no thread of
+            // this launch reads the slots its peers write.
+            let publish = |out: &KernelOutput, out_base: usize| {
+                let i = slot(nw, schedule.out_sig(gate_slot), w);
+                // relaxed-ok: folded publication — each storing thread
+                // writes only its own output's slots; higher levels read
+                // them behind the launch join / phase gate.
+                scratch.ptrs[i].store(out_base as u32, Ordering::Relaxed);
+                // relaxed-ok: see above.
+                scratch.lens[i].store(out.words(), Ordering::Relaxed);
+                let (ws, we) = windows[w];
+                let (tc, t1) = saif_scan(mem, out_base, we - ws);
+                // relaxed-ok: each thread writes only its own column
+                // entry; the level publish reads it behind the launch join
+                // / phase gate.
+                scratch.saif()[col].store((tc << 32) | t1, Ordering::Relaxed);
+            };
+            if repair {
+                // Repair pass: a hit already stored and published in the
+                // speculative pass — nothing to do. An overflow re-runs an
+                // exact store at the base the post-level scan re-allocated
+                // for it.
+                // relaxed-ok: the speculative pass's true packed output,
+                // behind the phase gate / launch join.
+                let packed = scratch.outs()[col].load(Ordering::Relaxed);
+                // relaxed-ok: written by the budget assigner before the
+                // speculative pass, same boundary.
+                let cap = scratch.caps()[col].load(Ordering::Relaxed);
+                if KernelOutput::unpack_words(packed) <= cap {
+                    return;
                 }
-                (tc, t0, t1)
-            });
-
-            let schedule_ref = schedule;
-            let scratch_ref = scratch;
-            // The engine owns the ring's producer side: dropping this guard
-            // — at the shutdown below, or unwinding out of this closure —
-            // closes the ring, so the dumper always terminates and the
-            // scope join propagates a panic instead of deadlocking.
-            let ring_closer = ring.producer_guard();
-
-            // One kernel invocation: thread `tid` of `level`, in the
-            // speculative store pass or the (mostly no-op) repair pass.
-            // All lookups index the schedule's dense tables —
-            // the baked [`GateDesc`] row plus schedule-local delay slices,
-            // no per-event graph indirection; the level's count/base/cap
-            // entries live in its own slab range of the scratch column
-            // (`col_off` — fused groups stack their levels contiguously,
-            // so no two in-flight levels share entries).
-            let exec = |level: usize, tid: usize, repair: bool, lane: &mut _| {
-                let ld = schedule_ref.level(level);
-                let col = ld.col_off as usize + tid;
-                let gi = tid / nw;
-                let w = tid % nw;
-                let slot = ld.gate_lo as usize + gi;
-                let pins = schedule_ref.pins_of(slot);
-                let mut in_ptrs = [0u32; MAX_KERNEL_PINS];
-                for (k, &sig) in pins.iter().enumerate() {
-                    // relaxed-ok: input pointers were published by a lower
-                    // level's store pass behind the launch join (or the
-                    // fused phase gate, model test
-                    // `phase_boundary_is_a_barrier`); levelization keeps
-                    // same-level threads off each other's slots.
-                    in_ptrs[k] =
-                        scratch_ref.ptrs[w * n_signals + sig as usize].load(Ordering::Relaxed);
-                }
-                let desc = schedule_ref.desc(slot);
-                let pin_base = desc.pin_base as usize;
-                let input = GateKernelInput {
-                    desc,
-                    tts: graph.truth_tables_flat(),
-                    luts: graph.delay_luts_flat(),
-                    net_delays: schedule_ref.net_delays_of(slot),
-                    mem,
-                    in_ptrs: &in_ptrs[..pins.len()],
-                    features,
-                    ppp,
-                    avg_delays: &avg_delays[pin_base..pin_base + pins.len()],
-                };
-                // Folded publication: the storing thread publishes its own
-                // output's pointer and length, so no host loop over
-                // (gate, window) slots runs after the launch. Levelization
-                // makes this race-free — level L inputs are driven strictly
-                // below L, so no thread of this launch reads the slots its
-                // peers write.
-                let publish = |out: &KernelOutput, out_base: usize| {
-                    let sig = schedule_ref.out_sig(slot);
-                    // relaxed-ok: folded publication — each storing thread
-                    // writes only its own output's slots; higher levels
-                    // read them behind the launch join / phase gate.
-                    scratch_ref.ptrs[w * n_signals + sig].store(out_base as u32, Ordering::Relaxed);
-                    // relaxed-ok: see above.
-                    scratch_ref.lens[w * n_signals + sig].store(out.words(), Ordering::Relaxed);
-                };
-                if repair {
-                    // Repair pass: a hit already stored and published in
-                    // the speculative pass — nothing to do. An overflow
-                    // re-runs an exact store at the base the post-level
-                    // scan re-allocated for it.
-                    // relaxed-ok: the speculative pass's true packed
-                    // output, behind the phase gate / launch join.
-                    let packed = scratch_ref.outs()[col].load(Ordering::Relaxed);
-                    // relaxed-ok: written by the budget assigner before
-                    // the speculative pass, same boundary.
-                    let cap = scratch_ref.caps()[col].load(Ordering::Relaxed);
-                    if KernelOutput::unpack_words(packed) <= cap {
-                        return;
-                    }
-                    // relaxed-ok: the exact repair base was assigned by
-                    // the scan at the boundary preceding this pass.
-                    let out_base = scratch_ref.bases()[col].load(Ordering::Relaxed) as usize;
-                    let out = simulate_gate(&input, KernelMode::Store { out_base }, lane);
-                    debug_assert_eq!(out.pack(), packed, "speculative and repair passes diverged");
+                // relaxed-ok: the exact repair base was assigned by the scan
+                // at the boundary preceding this pass.
+                let out_base = scratch.bases()[col].load(Ordering::Relaxed) as usize;
+                let out = simulate_gate(&input, KernelMode::Store { out_base }, lane);
+                debug_assert_eq!(out.pack(), packed, "speculative and repair passes diverged");
+                publish(&out, out_base);
+            } else {
+                // Speculative pass: store inside the pre-assigned
+                // reservation; on overflow the kernel degrades to exact
+                // counting without touching a word outside it. The true
+                // packed output always lands in the count column — the
+                // scan, the repair pass and the level publish read it there.
+                // relaxed-ok: budget assigned before this pass (host side
+                // or the preceding phase boundary).
+                let out_base = scratch.bases()[col].load(Ordering::Relaxed) as usize;
+                // relaxed-ok: see above.
+                let cap = scratch.caps()[col].load(Ordering::Relaxed);
+                let out = simulate_gate(
+                    &input,
+                    KernelMode::Speculative {
+                        out_base,
+                        cap: cap as usize,
+                    },
+                    lane,
+                );
+                // relaxed-ok: each thread writes only its own column entry;
+                // the scan reads it behind the phase gate / launch join.
+                scratch.outs()[col].store(out.pack(), Ordering::Relaxed);
+                let words = out.words();
+                // The thread feeds the extent predictor itself (monotone
+                // fetch_max — see `ExtentPredictor`), so the post-level host
+                // scan touches no per-column state at all on the hit path.
+                schedule
+                    .predictor()
+                    .observe(schedule.gate(gate_slot), words + (words & 1));
+                if words <= cap {
                     publish(&out, out_base);
                 } else {
-                    // Speculative pass: store inside the pre-assigned
-                    // reservation; on overflow the kernel degrades to
-                    // exact counting without touching a word outside
-                    // it. The true packed output always lands in the
-                    // count column — the scan and the repair pass read
-                    // it there.
-                    // relaxed-ok: budget assigned before this pass
-                    // (host side or the preceding phase boundary).
-                    let out_base = scratch_ref.bases()[col].load(Ordering::Relaxed) as usize;
+                    // relaxed-ok: the cursor only hands each overflowing
+                    // thread a unique slot (threads ≤ column stride); the
+                    // launch join / phase gate publishes the slot writes to
+                    // the scan.
+                    let i = scratch.ovf_len.fetch_add(1, Ordering::Relaxed);
+                    debug_assert!(i < scratch.ovf.len());
                     // relaxed-ok: see above.
-                    let cap = scratch_ref.caps()[col].load(Ordering::Relaxed);
-                    let out = simulate_gate(
-                        &input,
-                        KernelMode::Speculative {
-                            out_base,
-                            cap: cap as usize,
-                        },
-                        lane,
-                    );
-                    // relaxed-ok: each thread writes only its own
-                    // column entry; the scan reads it behind the phase
-                    // gate / launch join.
-                    scratch_ref.outs()[col].store(out.pack(), Ordering::Relaxed);
-                    let words = out.words();
-                    let words_even = words + (words & 1);
-                    // The thread feeds the extent predictor itself
-                    // (monotone fetch_max — see `ExtentPredictor`), so
-                    // the post-level host scan touches no per-column
-                    // state at all on the hit path.
-                    schedule_ref
-                        .predictor()
-                        .observe(schedule_ref.gate(slot), words_even);
-                    if words <= cap {
-                        publish(&out, out_base);
-                        // Saturating: a test-hook cap may be odd,
-                        // letting the padded size exceed a hit's cap
-                        // by the parity word. Exact predictions (the
-                        // steady state) skip the RMW entirely.
-                        let slack = u64::from(cap).saturating_sub(u64::from(words_even));
-                        if slack != 0 {
-                            // relaxed-ok: telemetry accumulator,
-                            // drained on the engine thread after the
-                            // batch.
-                            scratch_ref.spec_waste.fetch_add(slack, Ordering::Relaxed);
-                        }
-                    } else {
-                        // relaxed-ok: the cursor only hands each
-                        // overflowing thread a unique slot (threads ≤
-                        // column stride); the launch join / phase gate
-                        // publishes the slot writes to the scan.
-                        let i = scratch_ref.ovf_len.fetch_add(1, Ordering::Relaxed);
-                        debug_assert!(i < scratch_ref.ovf.len());
-                        // relaxed-ok: see above.
-                        scratch_ref.ovf[i].store(col as u32, Ordering::Relaxed);
-                    }
+                    scratch.ovf[i].store(col as u32, Ordering::Relaxed);
                 }
-            };
-
-            // The engine loop runs under `catch_unwind` so an injected (or
-            // real) launch fault unwinds to *here*, still inside the scope:
-            // the dumper is then shut down and joined, and its own panic
-            // payload (the root cause when a sink died) takes priority over
-            // the engine's secondary panic.
-            // unwind-ok: deferring boundary — the payload is re-raised
-            // intact (resume_unwind below, after the joins) and classified
-            // by `panic_to_error` at the segment boundary above this scope.
-            let engine = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                for group in schedule.groups() {
-                    let first = group.levels.start;
-                    if group.fused {
-                        // --- Fused: one phased launch covers the whole run of
-                        // levels, two phases per level — the speculative store
-                        // and its repair. The leader worker scans for overflows
-                        // at store boundaries and runs the level's host publish
-                        // at repair boundaries. The launch config carries the
-                        // working set visible at launch time (inputs already
-                        // stored plus the first level's reservations); each
-                        // boundary then reports the words it just allocated, so
-                        // the L2 model sees the full footprint — launch-time
-                        // inputs plus every waveform produced inside the group.
-                        let ws: u64 = group
-                            .levels
-                            .clone()
-                            .map(|l| schedule.level_ws(&scratch.len_sum, l))
-                            .sum();
-                        // One arena carry chained across the group's levels:
-                        // the first level's budgets are reserved host-side
-                        // before the launch, later levels' at the preceding
-                        // repair boundary (their static fallback bound reads
-                        // the lengths that boundary published). OOM is detected
-                        // per level with the carry left at the last successful
-                        // step.
-                        let mut assign = GroupAssigner::new(host.bump, capacity);
-                        let mut group_oom: Option<CoreError> = None;
-                        let spec_ws =
-                            assign.advance_budgets(schedule, scratch, first, n_signals)?;
-                        let cfg = LaunchConfig {
-                            threads: group.threads,
-                            threads_per_block: self.config.threads_per_block,
-                            regs_per_thread: self.config.regs_per_thread,
-                            working_set_bytes: 4 * (ws + spec_ws),
-                        };
-                        let p = device.launch_phased(
-                            "resim_fused",
-                            &cfg,
-                            schedule.phases(group),
-                            |phase, tid, lane| exec(first + phase / 2, tid, phase % 2 == 1, lane),
-                            |phase| {
-                                let level = first + phase / 2;
-                                let advanced = if phase % 2 == 0 {
-                                    // Speculative pass done: scan for
-                                    // overflows, re-allocating their exact
-                                    // space for the repair phase.
-                                    assign.advance_scan(
-                                        schedule_ref,
-                                        scratch_ref,
-                                        level,
-                                        &mut overflow_cols,
-                                        &mut tally,
-                                    )
-                                } else {
-                                    // Repair phase done (ptrs/lens published
-                                    // by the kernel threads): the leader runs
-                                    // the level's remaining host publish right
-                                    // here, behind the phase gate that settled
-                                    // its counts and bases.
-                                    publish_level(
-                                        schedule_ref,
-                                        scratch_ref,
-                                        level,
-                                        windows,
-                                        ring_ref,
-                                    );
-                                    if level + 1 < group.levels.end {
-                                        // Reserve the next level's speculative
-                                        // budgets now that this level's
-                                        // lengths are final (the first-touch
-                                        // static bound reads them).
-                                        assign.advance_budgets(
-                                            schedule_ref,
-                                            scratch_ref,
-                                            level + 1,
-                                            n_signals,
-                                        )
-                                    } else {
-                                        Ok(0)
-                                    }
-                                };
-                                match advanced {
-                                    // Words this boundary allocated, in
-                                    // bytes: the incremental working-set
-                                    // update (the L2 model sees the full
-                                    // in-launch footprint).
-                                    Ok(new_words) => Some(4 * new_words),
-                                    Err(e) => {
-                                        group_oom = Some(e);
-                                        None
-                                    }
-                                }
-                            },
-                        );
-                        host.bump = assign.bump();
-                        profile.accumulate(&p);
-                        launches += 1;
-                        fused_launches += 1;
-                        if let Some(e) = group_oom {
-                            return Err(e);
-                        }
-                    } else {
-                        // --- One wide level on its own launch(es): one
-                        // speculative store launch plus — only when some
-                        // reservation overflowed — a narrow exact repair
-                        // launch over just the overflowed threads.
-                        let threads = schedule.level(first).threads;
-                        if threads == 0 {
-                            continue;
-                        }
-                        let ws_in = schedule.level_ws(&scratch.len_sum, first);
-                        let mut assign = GroupAssigner::new(host.bump, capacity);
-                        let reserved =
-                            assign.advance_budgets(schedule, scratch, first, n_signals)?;
-                        let cfg = LaunchConfig {
-                            threads,
-                            threads_per_block: self.config.threads_per_block,
-                            regs_per_thread: self.config.regs_per_thread,
-                            working_set_bytes: 4 * (ws_in + reserved),
-                        };
-                        let p = device.launch("resim_spec", &cfg, |tid, lane| {
-                            exec(first, tid, false, lane)
-                        });
-                        profile.accumulate(&p);
-                        launches += 1;
-                        let realloc = assign.advance_scan(
-                            schedule,
-                            scratch,
-                            first,
-                            &mut overflow_cols,
-                            &mut tally,
-                        )?;
-                        if !overflow_cols.is_empty() {
-                            // The speculative pass left every overflow's true
-                            // packed count in the count column, so the repair
-                            // is store-only — no second count pass.
-                            let rcfg = LaunchConfig {
-                                threads: overflow_cols.len(),
-                                threads_per_block: self.config.threads_per_block,
-                                regs_per_thread: self.config.regs_per_thread,
-                                working_set_bytes: 4 * (ws_in + realloc),
-                            };
-                            let cols = &overflow_cols;
-                            let p = device.launch("resim_repair", &rcfg, |j, lane| {
-                                exec(first, cols[j], true, lane)
-                            });
-                            profile.accumulate(&p);
-                            launches += 1;
-                        }
-                        host.bump = assign.bump();
-
-                        // Pointers and lengths were published by the store
-                        // launch itself; only the length sums and the dump
-                        // enqueue remain, behind the launch join.
-                        publish_level(schedule, scratch, first, windows, &ring);
-                    }
-                }
-                Ok::<(), CoreError>(())
-            }));
-
-            // Shutdown: every level is published, so close the ring and
-            // account the tail of the SAIF scan as dump wait (the clock
-            // starts after the last publish, so it times only the scanner).
-            // The join is explicit so the dumper's own panic payload
-            // survives — the scope's auto-join would replace it with a
-            // generic message, and payload *types* are how the segment
-            // boundary classifies faults.
-            drop(ring_closer);
-            let t_wait = Instant::now();
-            let dumper_exit = dumper.join();
-            dump_wait = t_wait.elapsed().as_secs_f64();
-            let acc = match dumper_exit {
-                Ok(acc) => acc,
-                // A dead SAIF scanner is the root cause of whatever the
-                // engine tripped over (typically a full-ring push);
-                // surface it as the sink failure it is.
-                // panic-ok: typed payload, registered in the unwind
-                // manifest and classified at the engine boundary.
-                Err(payload) => std::panic::panic_any(crate::ring::SinkClosedPanic {
-                    detail: format!("SAIF scan panicked: {}", payload_text(payload.as_ref())),
-                }),
-            };
-            match engine {
-                Ok(levels) => level_err = levels.err(),
-                Err(payload) => std::panic::resume_unwind(payload),
             }
-            acc
-        })
-        // panic-ok: scope join — re-raises a worker panic (typed
-        // payloads included) to the caller's audited boundary.
-        .expect("simulation scope panicked");
+        };
 
-        // The kernel threads accumulated hit slack in the scratch; drain
-        // it even on the error path (scratch is pooled, so it must leave
-        // zeroed) and fold it into the batch tally next to the
-        // abandoned-reservation waste the overflow scan counted.
-        // relaxed-ok: the simulation scope joined every worker above.
-        tally.waste_words += scratch.spec_waste.swap(0, Ordering::Relaxed);
-        if let Some(e) = level_err {
-            return Err(e);
+        for group in schedule.groups() {
+            let first = group.levels.start;
+            if group.fused {
+                // --- Fused: one phased launch covers the whole run of
+                // levels, two phases per level — the speculative store and
+                // its repair. The leader worker scans for overflows at store
+                // boundaries and runs the level's host publish at repair
+                // boundaries. The launch config carries the working set
+                // visible at launch time (inputs already stored plus the
+                // first level's reservations); each boundary then reports
+                // the words it just allocated, so the L2 model sees the full
+                // footprint — launch-time inputs plus every waveform
+                // produced inside the group.
+                let ws: u64 = group
+                    .levels
+                    .clone()
+                    .map(|l| schedule.level_ws(&scratch.len_sum, l))
+                    .sum();
+                // One arena carry chained across the group's levels: the
+                // first level's budgets are reserved host-side before the
+                // launch, later levels' at the preceding repair boundary
+                // (their static fallback bound reads the lengths that
+                // boundary published). OOM is detected per level with the
+                // carry left at the last successful step.
+                let mut assign = GroupAssigner::new(host.bump, capacity);
+                let mut group_oom: Option<CoreError> = None;
+                let spec_ws = assign.advance_budgets(schedule, scratch, first)?;
+                let cfg = LaunchConfig {
+                    threads: group.threads,
+                    threads_per_block: self.config.threads_per_block,
+                    regs_per_thread: self.config.regs_per_thread,
+                    working_set_bytes: 4 * (ws + spec_ws),
+                };
+                let p = device.launch_phased(
+                    "resim_fused",
+                    &cfg,
+                    schedule.phases(group),
+                    |phase, tid, lane| exec(first + phase / 2, tid, phase % 2 == 1, lane),
+                    |phase| {
+                        let level = first + phase / 2;
+                        let advanced = if phase % 2 == 0 {
+                            // Speculative pass done: scan for overflows,
+                            // re-allocating their exact space for the
+                            // repair phase.
+                            assign.advance_scan(
+                                schedule,
+                                scratch,
+                                level,
+                                &mut overflow_cols,
+                                &mut tally,
+                            )
+                        } else {
+                            // Repair phase done (ptrs/lens/SAIF records
+                            // published by the kernel threads): the leader
+                            // runs the level's remaining host publish right
+                            // here, behind the phase gate that settled its
+                            // counts and bases.
+                            publish_level(schedule, scratch, level, windows, &mut saif, &mut tally);
+                            if level + 1 < group.levels.end {
+                                // Reserve the next level's speculative
+                                // budgets now that this level's lengths are
+                                // final (the first-touch static bound reads
+                                // them).
+                                assign.advance_budgets(schedule, scratch, level + 1)
+                            } else {
+                                Ok(0)
+                            }
+                        };
+                        match advanced {
+                            // Words this boundary allocated, in bytes: the
+                            // incremental working-set update (the L2 model
+                            // sees the full in-launch footprint).
+                            Ok(new_words) => Some(4 * new_words),
+                            Err(e) => {
+                                group_oom = Some(e);
+                                None
+                            }
+                        }
+                    },
+                );
+                host.bump = assign.bump();
+                profile.accumulate(&p);
+                launches += 1;
+                fused_launches += 1;
+                if let Some(e) = group_oom {
+                    return Err(e);
+                }
+            } else {
+                // --- One wide level on its own launch(es): one speculative
+                // store launch plus — only when some reservation overflowed
+                // — a narrow exact repair launch over just the overflowed
+                // threads.
+                let threads = schedule.level(first).threads;
+                if threads == 0 {
+                    continue;
+                }
+                let ws_in = schedule.level_ws(&scratch.len_sum, first);
+                let mut assign = GroupAssigner::new(host.bump, capacity);
+                let reserved = assign.advance_budgets(schedule, scratch, first)?;
+                let cfg = LaunchConfig {
+                    threads,
+                    threads_per_block: self.config.threads_per_block,
+                    regs_per_thread: self.config.regs_per_thread,
+                    working_set_bytes: 4 * (ws_in + reserved),
+                };
+                let p = device.launch("resim_spec", &cfg, |tid, lane| {
+                    exec(first, tid, false, lane)
+                });
+                profile.accumulate(&p);
+                launches += 1;
+                let realloc = assign.advance_scan(
+                    schedule,
+                    scratch,
+                    first,
+                    &mut overflow_cols,
+                    &mut tally,
+                )?;
+                if !overflow_cols.is_empty() {
+                    // The speculative pass left every overflow's true packed
+                    // count in the count column, so the repair is
+                    // store-only — no second count pass.
+                    let rcfg = LaunchConfig {
+                        threads: overflow_cols.len(),
+                        threads_per_block: self.config.threads_per_block,
+                        regs_per_thread: self.config.regs_per_thread,
+                        working_set_bytes: 4 * (ws_in + realloc),
+                    };
+                    let cols = &overflow_cols;
+                    let p = device.launch("resim_repair", &rcfg, |j, lane| {
+                        exec(first, cols[j], true, lane)
+                    });
+                    profile.accumulate(&p);
+                    launches += 1;
+                }
+                host.bump = assign.bump();
+
+                // Pointers, lengths and SAIF records were published by the
+                // store launch itself; only the per-signal folds remain,
+                // behind the launch join.
+                publish_level(schedule, scratch, first, windows, &mut saif, &mut tally);
+            }
         }
+
         Ok(WindowBatch {
             windows: windows.to_vec(),
-            ptrs: scratch.ptrs_snapshot(nw * n_signals),
-            lens: scratch.lens_snapshot(nw * n_signals),
-            tc,
-            t0: t0_acc,
-            t1: t1_acc,
+            ptrs: scratch.ptrs_snapshot(nw, n_signals),
+            lens: scratch.lens_snapshot(nw, n_signals),
+            tc: saif.tc,
+            t0: saif.t0,
+            t1: saif.t1,
             kernel_profile: profile,
             launches,
             fused_launches,
-            dump_wait_seconds: dump_wait,
-            dump_stall_seconds: ring.producer_stall_seconds(),
             spec_threads: tally.threads,
             spec_overflows: tally.overflows,
             spec_waste_words: tally.waste_words,
@@ -2059,10 +1937,9 @@ fn payload_text(payload: &(dyn std::any::Any + Send)) -> &str {
 }
 
 /// Classifies a panic caught at the segment boundary into the structured
-/// error the retry/failover machinery dispatches on. Typed payloads carry
-/// their own classification ([`gatspi_gpu::DeviceFaultPanic`] from the
-/// fault choke points, [`crate::ring::SinkClosedPanic`] from a dump ring
-/// whose consumer died); anything else is an engine/worker bug — a
+/// error the retry/failover machinery dispatches on. A typed
+/// [`gatspi_gpu::DeviceFaultPanic`] from the fault choke points carries its
+/// own classification; anything else is an engine/worker bug — a
 /// non-retryable worker fault on `device`.
 fn panic_to_error(device: usize, payload: Box<dyn std::any::Any + Send>) -> CoreError {
     let payload = match payload.downcast::<gatspi_gpu::DeviceFaultPanic>() {
@@ -2073,10 +1950,6 @@ fn panic_to_error(device: usize, payload: Box<dyn std::any::Any + Send>) -> Core
                 retryable: p.retryable,
             }
         }
-        Err(p) => p,
-    };
-    let payload = match payload.downcast::<crate::ring::SinkClosedPanic>() {
-        Ok(p) => return CoreError::SinkClosed { detail: p.detail },
         Err(p) => p,
     };
     // The message would otherwise be lost to the structured error; log it
@@ -2203,56 +2076,78 @@ impl Session {
     }
 }
 
-/// Publishes one finished level on the thread that finished it: advances
-/// the running per-signal length sums and streams every (gate, window)
-/// waveform to the SAIF dumper ring in reserved chunks. Output pointers
-/// and lengths were already published by the store pass itself (folded
-/// publication), so this is the *entire* remaining host cost of a level.
-/// Allocation-free: the chunk buffer lives on the caller's stack.
+/// Per-signal SAIF sums of one window batch — toggle count, time at 0 and
+/// time at 1 over the batch's windows — folded level by level by
+/// [`publish_level`].
+struct SaifSums {
+    tc: Vec<u64>,
+    t0: Vec<i64>,
+    t1: Vec<i64>,
+}
+
+impl SaifSums {
+    fn new(n_signals: usize) -> Self {
+        SaifSums {
+            tc: vec![0; n_signals],
+            t0: vec![0; n_signals],
+            t1: vec![0; n_signals],
+        }
+    }
+}
+
+/// Publishes one finished level on the thread that finished it. Output
+/// pointers, lengths and per-window SAIF records were already published by
+/// the storing threads (folded publication); this pass folds them per
+/// signal: the running length sums, the batch's SAIF sums (a window's `t0`
+/// is its length minus `t1`, since its spans sum to the clip), and the
+/// reservation words speculative hits left unused into `tally`.
 fn publish_level(
     schedule: &LevelSchedule,
     scratch: &BatchScratch,
     level: usize,
     windows: &[(SimTime, SimTime)],
-    ring: &DumpRing,
+    saif: &mut SaifSums,
+    tally: &mut SpecTally,
 ) {
     let ld = schedule.level(level);
     let nw = windows.len();
     let n_gates = (ld.gate_hi - ld.gate_lo) as usize;
-    let (lo, hi) = (ld.col_off as usize, ld.col_off as usize + ld.threads);
-    let outs = &scratch.outs()[lo..hi];
-    let bases = &scratch.bases()[lo..hi];
-    let mut chunk = [DumpMsg::EMPTY; PUBLISH_CHUNK];
-    let mut n = 0usize;
+    let cols = ld.col_off as usize..ld.col_off as usize + ld.threads;
+    let outs = &scratch.outs()[cols.clone()];
+    let caps = &scratch.caps()[cols.clone()];
+    let records = &scratch.saif()[cols];
     for gi in 0..n_gates {
         let sig = schedule.out_sig(ld.gate_lo as usize + gi);
         let mut sum = 0u64;
         for (w, &(ws, we)) in windows.iter().enumerate() {
             let tid = gi * nw + w;
-            // relaxed-ok: the level's counts/bases settled behind the
-            // launch join (classic) or the store/repair phase gate (fused)
-            // this call runs after — the edge `advance_scan` relies on at
-            // the same program points.
+            // relaxed-ok: the level's columns settled behind the launch
+            // join (classic) or the store/repair phase gate (fused) this
+            // call runs after — the edge `advance_scan` relies on at the
+            // same program points.
             let words = KernelOutput::unpack_words(outs[tid].load(Ordering::Relaxed));
             sum += u64::from(words);
-            chunk[n] = DumpMsg {
-                signal: sig as u32,
-                // relaxed-ok: see above.
-                ptr: bases[tid].load(Ordering::Relaxed),
-                clip: we - ws,
-            };
-            n += 1;
-            if n == PUBLISH_CHUNK {
-                ring.push_slice(&chunk);
-                n = 0;
+            // relaxed-ok: see above.
+            let cap = caps[tid].load(Ordering::Relaxed);
+            if words <= cap {
+                // Hit slack (an overflow's whole reservation was counted
+                // by the scan). Saturating: a test-hook cap may be odd,
+                // letting the padded size exceed a hit's cap by the parity
+                // word.
+                tally.waste_words += u64::from(cap.saturating_sub(words + (words & 1)));
             }
+            // relaxed-ok: see above.
+            let record = records[tid].load(Ordering::Relaxed);
+            let t1 = i64::from(record as u32);
+            saif.tc[sig] += record >> 32;
+            saif.t1[sig] += t1;
+            saif.t0[sig] += i64::from(we - ws) - t1;
         }
         // relaxed-ok: one thread publishes at a time, and each gate owns its
         // output signal; the sums are read at a launch-group top or after
         // the batch, ordered after this add by the launch join.
         scratch.len_sum[sig].fetch_add(sum, Ordering::Relaxed);
     }
-    ring.push_slice(&chunk[..n]);
 }
 
 /// Running speculation telemetry for one window batch: the raw counters
@@ -2330,7 +2225,6 @@ impl GroupAssigner {
         schedule: &LevelSchedule,
         scratch: &BatchScratch,
         level: usize,
-        n_signals: usize,
     ) -> Result<u64> {
         let ld = schedule.level(level);
         let nw = schedule.nw;
@@ -2344,14 +2238,14 @@ impl GroupAssigner {
         // One predictor read per gate, shared by its windows — the
         // per-thread loop below then only branches on the cached value.
         for gi in 0..ld.threads / nw {
-            let slot = ld.gate_lo as usize + gi;
-            let predicted = predictor.predict(schedule.gate(slot));
+            let gate_slot = ld.gate_lo as usize + gi;
+            let predicted = predictor.predict(schedule.gate(gate_slot));
             for w in 0..nw {
                 let words = match predicted {
                     Some(words) => words as usize,
                     None => {
                         let edges: usize = schedule
-                            .pins_of(slot)
+                            .pins_of(gate_slot)
                             .iter()
                             .map(|&sig| {
                                 // relaxed-ok: input lengths were published
@@ -2359,7 +2253,7 @@ impl GroupAssigner {
                                 // phase gate that precedes this boundary
                                 // (same ordering as the kernel's own input
                                 // reads).
-                                scratch.lens[w * n_signals + sig as usize].load(Ordering::Relaxed)
+                                scratch.lens[slot(nw, sig as usize, w)].load(Ordering::Relaxed)
                                     as usize
                             })
                             .sum();
@@ -2391,11 +2285,11 @@ impl GroupAssigner {
     /// Post-level overflow scan of `level`'s speculative pass, advancing
     /// the carry; returns the words the overflow re-allocations added. The
     /// kernel threads did the per-column work themselves — feeding the
-    /// extent predictor, accumulating hit slack into
-    /// [`BatchScratch::spec_waste`], and recording overflowed columns
-    /// through the [`BatchScratch::ovf_len`] cursor — so this scan is
-    /// O(overflows), not O(columns): on the common all-hit level it only
-    /// bumps the thread tally. The recorded columns are copied into
+    /// extent predictor and recording overflowed columns through the
+    /// [`BatchScratch::ovf_len`] cursor — so this scan is O(overflows), not
+    /// O(columns): on the common all-hit level it only bumps the thread
+    /// tally (hit slack is summed by [`publish_level`], which reads every
+    /// column anyway). The recorded columns are copied into
     /// `overflow_cols` (so the classic path can launch a narrow repair)
     /// and sorted — the recording order depends on thread interleaving,
     /// and repairs must allocate in column order for the arena layout to
@@ -2494,48 +2388,38 @@ fn compute_avg_delays(graph: &CircuitGraph) -> Vec<(i32, i32)> {
     out
 }
 
-/// Scans a stored waveform computing `(toggle count, time at 0, time at 1)`
-/// clipped to `[0, clip)` — the SAIF record of one window, read directly
-/// from device memory without materialising the waveform.
-fn saif_scan(mem: &DeviceMemory, ptr: u32, clip: SimTime) -> (u64, i64, i64) {
-    let mut idx = ptr as usize;
-    let mut first = mem.load(idx);
-    if first == INIT_ONE_MARKER {
+/// Scans the waveform stored at `ptr` for its window's SAIF record clipped
+/// to `[0, clip)`: `(toggle count, time at 1)` — the time at 0 is `clip`
+/// minus the latter, because the spans sum to the clip. Run by the thread
+/// that just stored the words.
+fn saif_scan(mem: &DeviceMemory, ptr: usize, clip: SimTime) -> (u64, u64) {
+    let mut idx = ptr;
+    if mem.load(idx) == INIT_ONE_MARKER {
         idx += 1;
-        first = mem.load(idx);
     }
-    debug_assert_eq!(first, 0);
+    debug_assert_eq!(mem.load(idx), 0);
     let mut val = idx % 2 == 1;
-    let mut tc = 0u64;
-    let mut t0 = 0i64;
-    let mut t1 = 0i64;
+    let (mut tc, mut t1) = (0u64, 0i64);
     let mut prev = 0i64;
-    let clip64 = i64::from(clip);
+    let clip = i64::from(clip);
     loop {
         idx += 1;
         let t = mem.load(idx);
-        if t == EOW || i64::from(t) >= clip64 {
+        if t == EOW || i64::from(t) >= clip {
             break;
         }
-        let span = i64::from(t) - prev;
         if val {
-            t1 += span;
-        } else {
-            t0 += span;
+            t1 += i64::from(t) - prev;
         }
         prev = i64::from(t);
         val = idx % 2 == 1;
         tc += 1;
     }
-    let tail = clip64 - prev;
-    if tail > 0 {
-        if val {
-            t1 += tail;
-        } else {
-            t0 += tail;
-        }
+    if val {
+        t1 += clip - prev;
     }
-    (tc, t0, t1)
+    debug_assert!((0..=i64::from(u32::MAX)).contains(&t1));
+    (tc, t1 as u64)
 }
 
 /// Streaming file-format convenience entry points: run and write VCD/SAIF
@@ -2614,8 +2498,8 @@ mod tests {
     }
 
     /// Segment-boundary panic classification: typed device-fault payloads
-    /// and dead-sink panics surface as structured errors; anything else is
-    /// an isolated worker fault — never a process abort.
+    /// surface as structured errors; anything else is an isolated worker
+    /// fault — never a process abort.
     #[test]
     fn segment_boundary_panics_classify_by_payload() {
         let e = panic_to_error(
@@ -2634,16 +2518,6 @@ mod tests {
                 retryable: true
             }
         ));
-        let e = panic_to_error(
-            0,
-            Box::new(crate::ring::SinkClosedPanic {
-                detail: "SAIF scan died".into(),
-            }),
-        );
-        match e {
-            CoreError::SinkClosed { detail } => assert!(detail.contains("SAIF scan died")),
-            other => panic!("expected SinkClosed, got {other:?}"),
-        }
         let e = panic_to_error(1, Box::new("boom".to_string()));
         assert!(matches!(
             e,
@@ -2653,27 +2527,6 @@ mod tests {
                 retryable: false
             }
         ));
-    }
-
-    /// `with_retry` converts a dead-sink panic from inside an attempt into
-    /// the structured [`CoreError::SinkClosed`] — without consuming retry
-    /// budget — and the session stays fully usable afterwards.
-    #[test]
-    fn with_retry_surfaces_sink_closed_and_stays_usable() {
-        let sim = Session::new(inv_chain(2), SimConfig::small());
-        let telemetry = RetryTelemetry::new();
-        let err = sim
-            .with_retry(0, &telemetry, || -> Result<()> {
-                std::panic::panic_any(crate::ring::SinkClosedPanic {
-                    detail: "consumer gone".into(),
-                })
-            })
-            .unwrap_err();
-        assert!(matches!(err, CoreError::SinkClosed { .. }));
-        assert_eq!(telemetry.retries(), 0, "a closed sink is not retryable");
-        assert_eq!(telemetry.faults(), 0, "a closed sink is not a device fault");
-        let stim = vec![Waveform::from_toggles(false, &[5, 11])];
-        sim.run(&stim, 40).unwrap();
     }
 
     #[test]
@@ -3231,8 +3084,6 @@ mod tests {
                 kernel_profile,
                 launches: 2 * k,
                 fused_launches: 1,
-                dump_wait_seconds: 0.25 * k as f64,
-                dump_stall_seconds: 0.125 * k as f64,
                 spec_threads: 8,
                 spec_overflows: 2,
                 spec_waste_words: 4 * k,
@@ -3269,8 +3120,8 @@ mod tests {
                 sync_launch_seconds: 2.0,
                 kernel_seconds: 4.0,
                 restructure_seconds: 0.0625,
-                dump_seconds: 1.0,
-                dump_stall_seconds: 0.5,
+                dump_seconds: 0.0,
+                dump_stall_seconds: 0.0,
                 drain_seconds: 1.5,
                 d2h_batches: 12,
                 launches: 8,

@@ -3,7 +3,7 @@ use crate::sync::atomic::{AtomicI32, AtomicU64, Ordering};
 /// Simulated GPU global memory: a pre-allocated flat `i32` word arena.
 ///
 /// Words are stored as relaxed atomics so that concurrently running kernel
-/// threads (and the asynchronous SAIF dumper) can share the buffer safely;
+/// threads can share the buffer safely;
 /// on x86-64 relaxed atomic loads/stores compile to plain `mov`s, so the
 /// functional cost is negligible. Correctness of concurrent access follows
 /// from the simulator's allocate-before-store design: every thread writes

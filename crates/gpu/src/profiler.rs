@@ -20,13 +20,14 @@ pub struct AppPhaseProfile {
     /// Host-side preprocessing (waveform restructuring for cycle
     /// parallelism), measured.
     pub restructure_seconds: f64,
-    /// Result collection + SAIF dump, measured.
+    /// Always `0.0`: there is no asynchronous SAIF dump stage to wait for —
+    /// the storing kernel threads scan their own windows and the level
+    /// publish folds the records. Kept so existing readers of the field
+    /// keep compiling.
     pub dump_seconds: f64,
-    /// Seconds the simulation hot path spent stalled on a full SAIF dump
-    /// ring waiting for the asynchronous scanner to drain it (measured).
-    /// This time overlaps the other phases (the producer stalls *inside*
-    /// launch bookkeeping), so it is reported as a visibility signal for
-    /// dump-bound runs and excluded from [`AppPhaseProfile::total_seconds`].
+    /// Always `0.0`, for the same reason as
+    /// [`AppPhaseProfile::dump_seconds`]: nothing can stall on a SAIF dump.
+    /// Excluded from [`AppPhaseProfile::total_seconds`].
     pub dump_stall_seconds: f64,
     /// Measured host seconds spent draining finished segments to the
     /// waveform sinks (spill/streaming readback + sink dispatch). The

@@ -12,12 +12,12 @@ fn swallows_typed_payloads() -> u32 {
     }
 }
 
-fn partial_boundary() -> u32 {
+fn wrong_payload_boundary() -> u32 {
     let r = std::panic::catch_unwind(|| work()); //~ missing-downcast
     match r {
         Ok(v) => v,
         Err(p) => {
-            if p.downcast_ref::<DeviceFaultPanic>().is_some() {
+            if p.downcast_ref::<StrayPanic>().is_some() {
                 return 1;
             }
             0

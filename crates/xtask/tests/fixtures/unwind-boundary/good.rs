@@ -20,9 +20,6 @@ fn inline_total() -> u32 {
             if p.downcast_ref::<DeviceFaultPanic>().is_some() {
                 return 1;
             }
-            if p.downcast_ref::<SinkClosedPanic>().is_some() {
-                return 2;
-            }
             0
         }
     }

@@ -125,46 +125,55 @@ fn application_profile_structure() {
 }
 
 /// Engines also agree under ablated features and relaxed pulse filtering,
-/// when configured identically (Table 7's "No Net Delay" column).
+/// when configured identically (Table 7's "No Net Delay" column) — on the
+/// default SDF and on one with meaningful wire delays on most pins, where
+/// interconnect filtering actually fires.
 #[test]
 fn ablation_configs_stay_equivalent() {
     let design = int_adder_array(8, 2);
-    let sdf = attach_sdf(&design, &SdfGenConfig::default());
-    let graph =
-        Arc::new(CircuitGraph::build(&design, Some(&sdf), &GraphOptions::default()).unwrap());
-    let cycle = 400;
-    let stimuli = generate(
-        graph.primary_inputs().len(),
-        &StimulusConfig::random(80, cycle, 0.7, 17),
-    );
-    let duration = cycle * 80;
-
-    for (net_filter, ppp) in [(false, 100u32), (true, 40), (false, 0)] {
-        let cfg = SimConfig {
-            features: gatspi_core::SimFeatures {
-                net_delay_filtering: net_filter,
-                full_sdf: true,
-            },
-            path_pulse_percent: ppp,
-            ..SimConfig::small().with_window_align(cycle)
-        };
-        let g = Session::new(Arc::clone(&graph), cfg)
-            .run(&stimuli, duration)
-            .expect("gatspi");
-        let r = EventSimulator::new(
-            &graph,
-            RefConfig {
-                net_delay_filtering: net_filter,
-                path_pulse_percent: ppp,
-                record_waveforms: false,
-            },
-        )
-        .run(&stimuli, duration)
-        .expect("ref");
-        assert!(
-            g.saif.diff(&r.saif).is_empty(),
-            "diverged at net_filter={net_filter} ppp={ppp}"
+    let wired = SdfGenConfig {
+        interconnect_probability: 0.9,
+        max_net_delay: 6,
+        ..SdfGenConfig::default()
+    };
+    for (sdf_name, sdf_cfg) in [("default", SdfGenConfig::default()), ("wired", wired)] {
+        let sdf = attach_sdf(&design, &sdf_cfg);
+        let graph =
+            Arc::new(CircuitGraph::build(&design, Some(&sdf), &GraphOptions::default()).unwrap());
+        let cycle = 400;
+        let stimuli = generate(
+            graph.primary_inputs().len(),
+            &StimulusConfig::random(80, cycle, 0.7, 17),
         );
+        let duration = cycle * 80;
+
+        for (net_filter, ppp) in [(false, 100u32), (true, 40), (false, 0), (true, 100)] {
+            let cfg = SimConfig {
+                features: gatspi_core::SimFeatures {
+                    net_delay_filtering: net_filter,
+                    full_sdf: true,
+                },
+                path_pulse_percent: ppp,
+                ..SimConfig::small().with_window_align(cycle)
+            };
+            let g = Session::new(Arc::clone(&graph), cfg)
+                .run(&stimuli, duration)
+                .expect("gatspi");
+            let r = EventSimulator::new(
+                &graph,
+                RefConfig {
+                    net_delay_filtering: net_filter,
+                    path_pulse_percent: ppp,
+                    record_waveforms: false,
+                },
+            )
+            .run(&stimuli, duration)
+            .expect("ref");
+            assert!(
+                g.saif.diff(&r.saif).is_empty(),
+                "diverged on the {sdf_name} SDF at net_filter={net_filter} ppp={ppp}"
+            );
+        }
     }
 }
 

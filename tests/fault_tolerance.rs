@@ -5,7 +5,7 @@
 //! incremental and multi-GPU runs and compared bit-for-bit against
 //! fault-free baselines; permanent device loss mid-run exercises
 //! multi-GPU shard failover; and a faulted session must stay usable
-//! (un-poisoned scratch pool, plan cache and dump machinery).
+//! (un-poisoned scratch pool and plan cache).
 //!
 //! Run with `cargo test --features fault-inject`. The rotating-seed test
 //! honours `GATSPI_CHAOS_SEED` so CI can sweep fresh schedules while
@@ -314,8 +314,8 @@ fn multi_gpu_with_no_survivors_reports_the_fault() {
 
 /// A fault that defeats the retry budget fails the run with a structured
 /// error — and leaves the session fully usable: the next run reproduces a
-/// fresh session's output bit-for-bit (scratch pool, plan cache and dump
-/// machinery are un-poisoned).
+/// fresh session's output bit-for-bit (scratch pool and plan cache are
+/// un-poisoned).
 #[test]
 fn session_survives_faulted_runs_unpoisoned() {
     let (graph, stimuli, duration) = workload(7);
