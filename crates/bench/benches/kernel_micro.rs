@@ -289,7 +289,7 @@ fn bench_phase_driver(c: &mut Criterion) {
                     "pd_wide",
                     &LaunchConfig::for_threads(n_phases * 8192),
                     &wide,
-                    |_p, _tid, _lane| {},
+                    |_p, _threads, _lane| {},
                     |_p| {
                         boundaries.fetch_add(1, Ordering::Relaxed);
                         Some(0)
@@ -340,7 +340,7 @@ fn bench_phase_driver(c: &mut Criterion) {
                     "pd_narrow",
                     &LaunchConfig::for_threads(512 * 64),
                     &narrow,
-                    |_p, _tid, _lane| {},
+                    |_p, _threads, _lane| {},
                     |_p| {
                         boundaries.fetch_add(1, Ordering::Relaxed);
                         Some(0)

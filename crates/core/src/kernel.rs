@@ -29,6 +29,18 @@
 //! race-free: a level's input signals are driven strictly below it, so no
 //! thread of one launch reads the slots its peers publish.
 //!
+//! The engine calls this routine once per (gate, window) from a *block*
+//! callback: a block walks its threads gate by gate, so everything a
+//! gate's windows share — descriptor, pin and delay slices, the rows of
+//! the pointer table — is fetched once per gate, not once per window.
+//! [`simulate_gate`] itself dispatches on the fan-in to one generic body
+//! whose pin registers are `[_; N]` arrays: 0–4-input gates get an exact
+//! instance with compile-time pin loops, wider gates share the
+//! [`MAX_KERNEL_PINS`] instance with a run-time pin count. Every pin loop
+//! indexes the registers by its loop counter only — in an exact instance
+//! the loops unroll and the registers stay registers — and the lane
+//! counters live in a local until the call returns.
+//!
 //! Semantics implemented exactly as Algorithm 1:
 //!
 //! * **lines 3–6**: initial-value resolution via the `-1` marker and the
@@ -247,21 +259,45 @@ pub struct GateKernelInput<'a> {
 ///
 /// Panics if the gate has more than `MAX_KERNEL_PINS` inputs or if
 /// `in_ptrs` does not match the gate's fan-in count.
+pub fn simulate_gate(
+    input: &GateKernelInput<'_>,
+    mode: KernelMode,
+    lane: &mut LaneCounters,
+) -> KernelOutput {
+    match input.desc.fanin {
+        0 => simulate::<0>(input, mode, lane),
+        1 => simulate::<1>(input, mode, lane),
+        2 => simulate::<2>(input, mode, lane),
+        3 => simulate::<3>(input, mode, lane),
+        4 => simulate::<4>(input, mode, lane),
+        _ => simulate::<MAX_KERNEL_PINS>(input, mode, lane),
+    }
+}
+
+/// Algorithm 1 for a gate of exactly `N` pins, or — in the
+/// `MAX_KERNEL_PINS` instance — of at most `N`, counted at run time.
 // Indexed pin loops mirror the CUDA kernel's per-lane register arrays;
 // iterator adapters would obscure the correspondence with Algorithm 1.
 #[allow(clippy::needless_range_loop)]
-pub fn simulate_gate(
+fn simulate<const N: usize>(
     input: &GateKernelInput<'_>,
     mode: KernelMode,
     lane: &mut LaneCounters,
 ) -> KernelOutput {
     let mem = input.mem;
     let desc = input.desc;
-    let n = desc.fanin as usize;
-    assert!(n <= MAX_KERNEL_PINS, "gate exceeds MAX_KERNEL_PINS");
+    let n = if N == MAX_KERNEL_PINS {
+        desc.fanin as usize
+    } else {
+        N
+    };
+    assert!(n <= N, "gate exceeds MAX_KERNEL_PINS");
     assert_eq!(input.in_ptrs.len(), n, "pointer count mismatch");
-    debug_assert_eq!(input.net_delays.len(), n, "net-delay count mismatch");
+    let mut wire = [(0i32, 0i32); N];
+    wire[..n].copy_from_slice(input.net_delays);
     let tt = &input.tts[desc.tt_base as usize..desc.tt_base as usize + (1usize << n)];
+    // Counted in a local, added to `lane` once at return.
+    let mut c = LaneCounters::default();
 
     // One decode serves all three modes: `storing` selects the write path,
     // and `limit` is the first word index writes must not reach — unbounded
@@ -277,21 +313,19 @@ pub fn simulate_gate(
     };
 
     // --- Lines 3–6: initial values. Pointer parity encodes the value.
-    let mut p = [0u32; MAX_KERNEL_PINS];
+    let mut p = [0u32; N];
+    let mut col = 0u32;
     for i in 0..n {
         let mut ptr = input.in_ptrs[i];
-        lane.scattered_load();
+        c.scattered_load();
         if mem.load(ptr as usize) == INIT_ONE_MARKER {
             ptr += 1;
         }
         p[i] = ptr;
-    }
-    let mut col = 0u32;
-    for (i, ptr) in p.iter().enumerate().take(n) {
         col |= (ptr & 1) << i;
     }
     let mut out_val = tt[col as usize] as u32;
-    lane.ops(n as u64 + 2);
+    c.ops(n as u64 + 2);
 
     let initial_one = out_val == 1;
     let mut extent = 0u32; // live edges beyond the initial entry
@@ -310,17 +344,17 @@ pub fn simulate_gate(
         if initial_one {
             if out_base < limit {
                 mem.store(out_base, INIT_ONE_MARKER);
-                lane.scattered_store();
+                c.scattered_store();
             }
             if out_base + 1 < limit {
                 mem.store(out_base + 1, 0);
-                lane.scattered_store();
+                c.scattered_store();
             }
             (out_base + 1, out_base + 1)
         } else {
             if out_base < limit {
                 mem.store(out_base, 0);
-                lane.scattered_store();
+                c.scattered_store();
             }
             (out_base, out_base)
         }
@@ -332,34 +366,34 @@ pub fn simulate_gate(
     // delay, skipping pulses narrower than that delay (`+= 2` keeps the
     // parity). It depends on the pin's own pointer alone, which is what
     // makes the per-pin arrival registers below exact.
-    let next_arrival = |i: usize, p: &mut u32, lane: &mut LaneCounters| -> i64 {
+    let next_arrival = |i: usize, p: &mut u32, c: &mut LaneCounters| -> i64 {
         loop {
-            lane.scattered_load();
+            c.scattered_load();
             let t1 = mem.load(*p as usize + 1);
             if t1 == EOW {
                 return EOW64;
             }
-            let (dr, df) = input.net_delays[i];
+            let (dr, df) = wire[i];
             let nd = if *p & 1 == 1 { df } else { dr };
             if input.features.net_delay_filtering {
-                lane.scattered_load();
+                c.scattered_load();
                 let t2 = mem.load(*p as usize + 2);
                 if t2 != EOW && i64::from(t2) - i64::from(t1) < i64::from(nd) {
                     // Pulse narrower than the wire delay: both edges die.
                     *p += 2;
-                    lane.ops(2);
+                    c.ops(2);
                     continue;
                 }
             }
-            lane.ops(4);
+            c.ops(4);
             return i64::from(t1) + i64::from(nd);
         }
     };
-    let mut arrival = [EOW64; MAX_KERNEL_PINS];
+    let mut arrival = [EOW64; N];
     // The earliest register: the next event's timestamp.
     let mut next_ti = EOW64;
     for i in 0..n {
-        arrival[i] = next_arrival(i, &mut p[i], lane);
+        arrival[i] = next_arrival(i, &mut p[i], &mut c);
         next_ti = next_ti.min(arrival[i]);
     }
     let mut last_ti: i64 = 0;
@@ -380,11 +414,11 @@ pub fn simulate_gate(
                 p[i] += 1;
                 col ^= 1 << i;
                 switched |= 1 << i;
-                arrival[i] = next_arrival(i, &mut p[i], lane);
+                arrival[i] = next_arrival(i, &mut p[i], &mut c);
             }
             next_ti = next_ti.min(arrival[i]);
         }
-        lane.ops(n as u64 + 2);
+        c.ops(n as u64 + 2);
         let y = tt[col as usize] as u32;
 
         // --- Line 19: only a change of output value produces an edge.
@@ -406,7 +440,7 @@ pub fn simulate_gate(
                 let input_rising = p[i] & 1 == 1;
                 let output_rising = y == 1;
                 let row = 2 * usize::from(!input_rising) + usize::from(!output_rising);
-                lane.scattered_load();
+                c.scattered_load();
                 input.luts[lut_base + row * ncols + rcol]
             } else {
                 let (ar, af) = input.avg_delays[i];
@@ -427,7 +461,7 @@ pub fn simulate_gate(
                 i64::from(desc.fb_fall)
             };
         }
-        lane.ops(4);
+        c.ops(4);
 
         // --- Lines 20–25: output edge with inertial (PATHPULSEPERCENT)
         // filtering and ghost-timestamp semantics.
@@ -474,7 +508,7 @@ pub fn simulate_gate(
                 debug_assert!(po > po_min);
                 if po < limit {
                     mem.store(po, to as i32);
-                    lane.scattered_store();
+                    c.scattered_store();
                 }
             }
         }
@@ -492,18 +526,19 @@ pub fn simulate_gate(
     // reservation, a repair in fresh space), which must not be observable.
     if storing && po + 1 < limit {
         mem.store(po + 1, EOW);
-        lane.scattered_store();
+        c.scattered_store();
         let published_end =
             out_base + u32::from(initial_one) as usize + 1 + max_extent as usize + 1;
         for p in (po + 2)..published_end.min(limit) {
             mem.store(p, EOW);
-            lane.scattered_store();
+            c.scattered_store();
         }
     } else {
         // Count pass — or an overflowed speculative reservation, which the
         // repair launch rewrites — writes one TC word per thread.
-        lane.scattered_store();
+        c.scattered_store();
     }
+    *lane += c;
 
     KernelOutput {
         toggles: extent,
@@ -961,6 +996,49 @@ mod tests {
         assert!(lane.loads > 0);
         assert!(lane.instructions > 0);
         assert!(lane.stores > 0); // the TC write
+    }
+
+    #[test]
+    fn lane_counters_are_pinned_on_a_multi_pin_gate() {
+        // Conditional arcs, a wire that filters narrow pulses, MSI and an
+        // overflowing reservation on a 4-pin gate: the modeled profile is
+        // built from these counts, so how the kernel tallies them must not
+        // move them.
+        const SDF: &str = r#"(DELAYFILE
+  (CELL (CELLTYPE "AOI22") (INSTANCE u)
+    (DELAY (ABSOLUTE
+      (IOPATH A1 Y (3) (4)) (IOPATH A2 Y (2) (5)) (IOPATH B1 Y (6) (2))
+      (COND A1===1'b1 (IOPATH B2 Y (1) (7))))))
+  (CELL (CELLTYPE "__wire__") (INSTANCE *)
+    (DELAY (ABSOLUTE (INTERCONNECT i0 u/A1 (4) (4)))))
+)"#;
+        let a1 = Waveform::from_toggles(false, &[10, 12, 30, 50, 51, 70, 90]);
+        let a2 = Waveform::from_toggles(true, &[20, 30, 60, 61, 80]);
+        let b1 = Waveform::from_toggles(false, &[15, 30, 45, 46, 47, 85]);
+        let b2 = Waveform::from_toggles(true, &[25, 40, 55, 75, 95]);
+        let (g, mem, ptrs) = single_gate("AOI22", &[a1, a2, b1, b2], Some(SDF));
+        let ctx = Ctx::new(&g, vec![(0, 0); 4]);
+        let input = ctx.input(&g, &mem, &ptrs, SimFeatures::default(), 100);
+        let counts: Vec<(u64, u64, u64, u64)> = [
+            KernelMode::Count,
+            KernelMode::Store { out_base: 6000 },
+            KernelMode::Speculative {
+                out_base: 7000,
+                cap: 4,
+            },
+        ]
+        .into_iter()
+        .map(|mode| {
+            let mut lane = LaneCounters::default();
+            simulate_gate(&input, mode, &mut lane);
+            (lane.loads, lane.stores, lane.uncoalesced, lane.instructions)
+        })
+        .collect();
+        // (loads, stores, uncoalesced, instructions) per mode.
+        assert_eq!(
+            counts,
+            [(58, 1, 59, 226), (58, 9, 67, 226), (58, 5, 63, 226)]
+        );
     }
 
     #[test]

@@ -24,11 +24,11 @@
 //!   of one per level;
 //! * a persistent scratch arena ([`BatchScratch`]) replacing all per-level
 //!   allocations: signal-major atomic pointer/length tables ([`slot`]),
-//!   plus count-output, base, reservation-cap and SAIF-record columns in
-//!   which every level of a fused group owns a **disjoint contiguous slab
-//!   range** ([`LevelDesc::col_off`]) — the group's output allocation is
-//!   one arena cursor carried across those ranges, and a level's host
-//!   publish (length, SAIF and slack folds) reads only its own range.
+//!   plus count-output, base and reservation-cap columns in which every
+//!   level of a fused group owns a **disjoint contiguous slab range**
+//!   ([`LevelDesc::col_off`]) — the group's output allocation is one arena
+//!   cursor carried across those ranges — and the per-signal length and
+//!   SAIF sums the storing threads add to.
 
 use std::ops::Range;
 
@@ -49,8 +49,8 @@ pub(crate) struct LevelDesc {
     /// Offset of this level's count/base entries in the scratch column.
     /// Levels of a fused group occupy disjoint consecutive ranges of one
     /// contiguous slab (`col_off..col_off + threads`), so no level of the
-    /// group writes entries another level's publish reads. Classic single-level
-    /// groups start at 0.
+    /// group writes entries another level's threads read. Classic
+    /// single-level groups start at 0.
     pub col_off: u32,
 }
 
@@ -253,7 +253,7 @@ impl LevelSchedule {
     /// restricted to the gates of `cone` (a changed set plus its transitive
     /// fan-out, see [`ConeInfo`]). Levels are filtered to their in-cone
     /// gates with compacted thread tables; levels left empty disappear
-    /// entirely (no launch, no host publish), so the cone of a handful of
+    /// entirely (no launch), so the cone of a handful of
     /// late-level resizes executes in a few launches regardless of the full
     /// design's depth. Relative level order is preserved, which keeps the
     /// dependency argument intact: every in-cone pin is either an earlier
@@ -464,9 +464,8 @@ impl LevelSchedule {
 
     /// Input working set of level `l` in words, from the running per-signal
     /// length sums (valid only at a launch-group top: a signal's sum
-    /// settles when its level is published, on the thread that finished
-    /// the level, before that level's launch returns or the engine moves
-    /// on to the next group).
+    /// settles when its level's store pass ends, before that level's launch
+    /// returns).
     pub fn level_ws(&self, len_sum: &[AtomicU64], l: usize) -> u64 {
         self.level_pins(l)
             .iter()
@@ -498,7 +497,7 @@ impl LevelSchedule {
     /// hot path assumes instead of checking — flat-table shapes, level
     /// partitioning, baked descriptors and LUT offsets against the graph,
     /// topological consistency, launch-group coverage, and the fused-slab
-    /// disjointness the group's segmented scan and publish depend on. For
+    /// disjointness the group's scan and repair depend on. For
     /// cone sub-schedules, also checks the cone is closed under fanout and
     /// its boundary covers every out-of-cone pin. Returns one message per
     /// defect (empty = sound). This is `xtask validate-plans`' engine (via
@@ -805,8 +804,8 @@ impl LevelSchedule {
                     ));
                 }
             }
-            // Slab disjointness: every level of a fused group scans and
-            // publishes its own col_off range of the one group slab.
+            // Slab disjointness: every level of a fused group stores into
+            // and scans its own col_off range of the one group slab.
             let mut slabs: Vec<(u32, u32)> = gr
                 .levels
                 .clone()
@@ -860,9 +859,9 @@ pub(crate) fn slot(nw: usize, sig: usize, w: usize) -> usize {
 /// Per-batch scratch arena: every buffer the per-level hot loop touches,
 /// allocated once. Pointer/length tables are atomics because the *store
 /// pass itself* publishes them (each store thread writes its output's
-/// pointer and length — folded publication);
-/// `outs`/`bases`/`caps`/`saif` form one column in which every level of a
-/// fused group owns a disjoint contiguous slab range
+/// pointer and length — folded publication), and so are the per-signal
+/// sums it adds to; `outs`/`bases`/`caps` form one column in which every
+/// level of a fused group owns a disjoint contiguous slab range
 /// ([`LevelDesc::col_off`]) — no column double-buffering; the launch join
 /// orders reuse across groups.
 #[derive(Debug)]
@@ -873,25 +872,28 @@ pub(crate) struct BatchScratch {
     /// Stored length in words of the same waveform.
     pub lens: Vec<AtomicU32>,
     /// Running per-signal stored words across all windows of this batch
-    /// (the incremental working-set sums). Atomic because a fused launch's
-    /// leader worker adds to them through the shared arena.
+    /// (the incremental working-set sums), added to by the storing threads.
     pub len_sum: Vec<AtomicU64>,
+    /// Per-signal SAIF toggle count over the batch's windows, added to by
+    /// the storing threads.
+    pub tc: Vec<AtomicU64>,
+    /// Per-signal SAIF time at 1 over the batch's windows (time at 0 is
+    /// the windows' total length minus this), added to likewise.
+    pub t1: Vec<AtomicU64>,
+    /// Reservation words the batch's speculative hits left unused.
+    pub waste: AtomicU64,
     /// True packed outputs of the speculative pass (one column of `stride`
-    /// entries).
-    outs: Vec<AtomicU64>,
+    /// entries; a level's entries live at `[col_off..col_off + threads]`).
+    pub outs: Vec<AtomicU64>,
     /// Assigned arena bases — the reservation's, then the exact repair
     /// space's for an overflowed thread (one column of `stride` entries).
-    bases: Vec<AtomicU32>,
+    pub bases: Vec<AtomicU32>,
     /// Speculative reservation sizes in words (one column of `stride`
     /// entries, same slab layout as `outs`/`bases`): written by the budget
     /// assigner before a speculative launch, read by its threads, the
-    /// overflow scan and the level publish. Needs no reset — always written
+    /// overflow scan and the repair pass. Needs no reset — always written
     /// before read.
-    caps: Vec<AtomicU32>,
-    /// The window's clipped SAIF record, `(toggles << 32) | t1`, written by
-    /// the thread that stored the waveform (same layout as `outs`; `t0` is
-    /// the window length minus `t1`).
-    saif: Vec<AtomicU64>,
+    pub caps: Vec<AtomicU32>,
     /// Overflowed column indices of the current speculative level,
     /// recorded by the kernel threads themselves (`ovf_len` cursor +
     /// slot array) so the post-level host scan is O(overflows), not
@@ -911,52 +913,26 @@ pub(crate) struct BatchScratch {
 impl BatchScratch {
     fn new(n_signals: usize, nw: usize, col_entries: usize) -> Self {
         let column = || (0..col_entries).map(|_| AtomicU32::new(0)).collect();
-        let wide = || (0..col_entries).map(|_| AtomicU64::new(0)).collect();
         let mut ptrs = Vec::with_capacity(nw * n_signals);
         ptrs.resize_with(nw * n_signals, || AtomicU32::new(u32::MAX));
         let mut lens = Vec::with_capacity(nw * n_signals);
         lens.resize_with(nw * n_signals, || AtomicU32::new(0));
-        let mut len_sum = Vec::with_capacity(n_signals);
-        len_sum.resize_with(n_signals, || AtomicU64::new(0));
+        let per_signal = || (0..n_signals).map(|_| AtomicU64::new(0)).collect();
         BatchScratch {
             ptrs,
             lens,
-            len_sum,
-            outs: wide(),
+            len_sum: per_signal(),
+            tc: per_signal(),
+            t1: per_signal(),
+            waste: AtomicU64::new(0),
+            outs: (0..col_entries).map(|_| AtomicU64::new(0)).collect(),
             bases: column(),
             caps: column(),
-            saif: wide(),
             ovf: column(),
             ovf_len: AtomicUsize::new(0),
             stride: col_entries,
             oversize_uses: 0,
         }
-    }
-
-    /// The count-output column; a level's entries live at
-    /// `[col_off..col_off + threads]`.
-    #[inline]
-    pub fn outs(&self) -> &[AtomicU64] {
-        &self.outs
-    }
-
-    /// The arena-base column; same layout as [`BatchScratch::outs`].
-    #[inline]
-    pub fn bases(&self) -> &[AtomicU32] {
-        &self.bases
-    }
-
-    /// The speculative reservation-cap column; same layout as
-    /// [`BatchScratch::outs`].
-    #[inline]
-    pub fn caps(&self) -> &[AtomicU32] {
-        &self.caps
-    }
-
-    /// The per-thread SAIF column; same layout as [`BatchScratch::outs`].
-    #[inline]
-    pub fn saif(&self) -> &[AtomicU64] {
-        &self.saif
     }
 
     /// Entries in the `outs`/`bases` column.
@@ -974,11 +950,15 @@ impl BatchScratch {
     /// drain read. The arena may be larger than the batch when it is reused
     /// from the session pool.
     fn window_major(table: &[AtomicU32], nw: usize, n_signals: usize) -> Vec<u32> {
-        (0..nw * n_signals)
-            // relaxed-ok: snapshots run on the engine thread after every
-            // launch of the batch has joined.
-            .map(|i| table[slot(nw, i % n_signals, i / n_signals)].load(Ordering::Relaxed))
-            .collect()
+        let mut out = vec![0; nw * n_signals];
+        for s in 0..n_signals {
+            for w in 0..nw {
+                // relaxed-ok: snapshots run on the engine thread after every
+                // launch of the batch has joined.
+                out[w * n_signals + s] = table[slot(nw, s, w)].load(Ordering::Relaxed);
+            }
+        }
+        out
     }
 
     /// Window-major snapshot of the pointer table (see
@@ -1000,7 +980,7 @@ impl BatchScratch {
     }
 
     /// Re-initializes the first `ptrs` pointer/length entries and the
-    /// per-signal length sums for a new batch (the columns need no reset:
+    /// per-signal and per-batch sums for a new batch (the columns need no reset:
     /// every level's budget assignment and store pass write its entries
     /// before anything reads them).
     pub fn reset(&self, ptrs: usize) {
@@ -1013,10 +993,12 @@ impl BatchScratch {
             // relaxed-ok: see above.
             l.store(0, Ordering::Relaxed);
         }
-        for s in &self.len_sum {
+        for s in self.len_sum.iter().chain(&self.tc).chain(&self.t1) {
             // relaxed-ok: see above.
             s.store(0, Ordering::Relaxed);
         }
+        // relaxed-ok: see above.
+        self.waste.store(0, Ordering::Relaxed);
         // Clear the overflow cursor too: a batch that was abandoned by a
         // fault isolated at the segment boundary can leave it non-zero, and
         // a poisoned cursor would leak phantom overflow columns into the
@@ -1028,9 +1010,9 @@ impl BatchScratch {
 
 /// Host-side mutable state threaded through the per-level loop: the arena
 /// bump pointer. (The per-signal length sums live in
-/// [`BatchScratch::len_sum`] so a fused launch's leader can accumulate
-/// them at its phase boundaries; a launch group's bump carry lives in
-/// its output-space assigner while its launch runs.)
+/// [`BatchScratch::len_sum`] so the storing threads can add to them; a
+/// launch group's bump carry lives in its output-space assigner while its
+/// launch runs.)
 #[derive(Debug, Default)]
 pub(crate) struct HostState {
     /// Next free arena word (kept even-aligned for output waveforms).
@@ -1167,9 +1149,9 @@ mod tests {
         let s = LevelSchedule::build(&g, 6, 0);
         let scratch = s.new_scratch(g.n_signals());
         assert_eq!(scratch.stride(), 6);
-        assert_eq!(scratch.outs().len(), 6);
-        assert_eq!(scratch.bases().len(), 6);
-        assert_eq!(scratch.caps().len(), 6);
+        assert_eq!(scratch.outs.len(), 6);
+        assert_eq!(scratch.bases.len(), 6);
+        assert_eq!(scratch.caps.len(), 6);
         assert_eq!(scratch.ptr_capacity(), 6 * g.n_signals());
         assert_eq!(scratch.len_sum.len(), g.n_signals());
         assert!(scratch

@@ -17,8 +17,10 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
-use gatspi_gpu::{AppPhaseProfile, Device, DeviceMemory, DeviceSpec, KernelProfile, LaunchConfig};
-use gatspi_graph::CircuitGraph;
+use gatspi_gpu::{
+    AppPhaseProfile, Device, DeviceMemory, DeviceSpec, KernelProfile, LaneCounters, LaunchConfig,
+};
+use gatspi_graph::{CircuitGraph, SignalId};
 use gatspi_sdf::NO_ARC;
 use gatspi_wave::saif::{SaifDocument, SaifRecord};
 use gatspi_wave::{SimTime, Waveform, EOW, INIT_ONE_MARKER};
@@ -216,6 +218,10 @@ pub struct Session {
     /// input, else `u32::MAX` (used by the sink drain to feed PI windows
     /// from the host-resident stimulus instead of reading them back).
     pi_of: Vec<u32>,
+    /// The signals the SAIF document lists (primary inputs and driven
+    /// signals), sorted by name, so a document's net map is built from
+    /// already-sorted input.
+    saif_order: Vec<u32>,
     /// Keyed plan cache: `nw` → schedule, LRU-bounded by
     /// [`SimConfig::plan_cache_cap`]. Plans are device-independent, so
     /// multi-GPU shards and the CPU backend share them too.
@@ -413,12 +419,17 @@ impl Session {
         for (k, &pi) in graph.primary_inputs().iter().enumerate() {
             pi_of[pi.index()] = k as u32;
         }
+        let mut saif_order: Vec<u32> = (0..graph.n_signals() as u32)
+            .filter(|&s| pi_of[s as usize] != u32::MAX || graph.driver(SignalId(s)).is_some())
+            .collect();
+        saif_order.sort_unstable_by_key(|&s| graph.signal_name(SignalId(s)));
         Session {
             graph,
             config,
             device,
             avg_delays,
             pi_of,
+            saif_order,
             plans: Mutex::new(PlanCache::default()),
             scratch_pool: Mutex::new(Vec::new()),
             drain_bufs: Mutex::new(DrainBuffers::default()),
@@ -909,7 +920,7 @@ impl Session {
                 continue;
             }
             *count = totals.tc[s];
-            let sid = gatspi_graph::SignalId(s as u32);
+            let sid = SignalId(s as u32);
             saif.nets.insert(
                 self.graph.signal_name(sid).to_string(),
                 SaifRecord {
@@ -1228,43 +1239,41 @@ impl Session {
         let graph = &self.graph;
         let mut toggle_counts = vec![0u64; graph.n_signals()];
         let mut doc = SaifDocument::new(graph.name(), i64::from(duration));
-        for (k, &pi) in graph.primary_inputs().iter().enumerate() {
-            let w = &stimuli[k];
-            let (d0, d1) = w.durations(duration);
-            // Clip TC like T0/T1: stimulus toggles past `duration` are
-            // outside the run (the windows never simulate them) and must
-            // not count — and the streaming SAIF sink, which only ever
-            // sees in-window toggles, stays equal to this document.
-            let tc = w.toggle_count_clipped(duration) as u64;
-            toggle_counts[pi.index()] = tc;
-            doc.nets.insert(
-                graph.signal_name(pi).to_string(),
-                SaifRecord {
-                    t0: d0,
-                    t1: d1,
-                    tx: 0,
-                    tc,
-                    ig: 0,
-                },
-            );
-        }
-        for s in 0..graph.n_signals() {
-            let sid = gatspi_graph::SignalId(s as u32);
-            if graph.driver(sid).is_none() {
-                continue;
-            }
-            toggle_counts[s] = tc[s];
-            doc.nets.insert(
-                graph.signal_name(sid).to_string(),
-                SaifRecord {
-                    t0: t0[s],
-                    t1: t1[s],
-                    tx: 0,
-                    tc: tc[s],
-                    ig: 0,
-                },
-            );
-        }
+        doc.nets = self
+            .saif_order
+            .iter()
+            .map(|&sid| {
+                let s = sid as usize;
+                let record = match self.pi_of[s] {
+                    u32::MAX => SaifRecord {
+                        t0: t0[s],
+                        t1: t1[s],
+                        tx: 0,
+                        tc: tc[s],
+                        ig: 0,
+                    },
+                    k => {
+                        let w = &stimuli[k as usize];
+                        let (t0, t1) = w.durations(duration);
+                        // Clip TC like T0/T1: stimulus toggles past
+                        // `duration` are outside the run (the windows never
+                        // simulate them) and must not count — and the
+                        // streaming SAIF sink, which only ever sees
+                        // in-window toggles, stays equal to this document.
+                        let tc = w.toggle_count_clipped(duration) as u64;
+                        SaifRecord {
+                            t0,
+                            t1,
+                            tx: 0,
+                            tc,
+                            ig: 0,
+                        }
+                    }
+                };
+                toggle_counts[s] = record.tc;
+                (graph.signal_name(SignalId(sid)).to_string(), record)
+            })
+            .collect();
         (doc, toggle_counts)
     }
 
@@ -1276,25 +1285,25 @@ impl Session {
     ///
     /// Structure (see the README's kernel pipeline):
     ///
+    /// * one kernel call runs a block of consecutive (gate, window)
+    ///   threads, gate by gate, fetching what a gate's windows share once;
     /// * the storing thread itself (a speculative hit, or the repair of an
     ///   overflow) publishes its output's pointer and length into the
     ///   signal-major shared tables and scans the words it just stored for
     ///   the window's SAIF record (folded publication — no host per-slot
     ///   loop and no second reader of the stored words);
-    /// * the remaining host publish work per level ([`publish_level`]: the
-    ///   per-signal length sums, SAIF sums and hit slack) runs on the
-    ///   thread that just finished the level — the engine thread after a
-    ///   classic launch, the leader worker at a fused launch's store/repair
-    ///   boundary — so the launch join / phase gate that settled the
-    ///   level's columns also orders the publish that reads them, and the
-    ///   length sums feeding the next launch group's modeled working set
-    ///   are complete when the group top reads them;
+    /// * the level publish is folded into the same pass: each gate piece of
+    ///   a block adds its stored words, its SAIF records and (per block)
+    ///   its reservation slack to per-signal and per-batch atomics, so no
+    ///   host pass over a level's columns runs at all, and the length sums
+    ///   feeding the next launch group's modeled working set are complete
+    ///   behind the launch join / phase gate that ends the level;
     /// * every level reserves a predicted budget per output before its one
     ///   store pass and scans for overflows after it; only overflowed
     ///   threads run again, as an exact store ([`GroupAssigner`] carries
     ///   the arena cursor through both steps, level after level — every
     ///   level of a fused group owns a disjoint slab range of the
-    ///   [`BatchScratch`] count/base/cap/SAIF columns).
+    ///   [`BatchScratch`] count/base/cap columns).
     ///
     /// The per-level loop is allocation-free: scratch buffers live in the
     /// caller-provided [`BatchScratch`] arena and working sets come from
@@ -1398,132 +1407,180 @@ impl Session {
         let mut launches = 0u64;
         let mut fused_launches = 0u64;
         let mut tally = SpecTally::default();
-        let mut saif = SaifSums::new(n_signals);
         // Reusable repair worklist (classic path): columns whose
         // speculative reservation overflowed.
         let mut overflow_cols: Vec<usize> = Vec::new();
 
-        // One kernel invocation: thread `tid` of `level`, in the
-        // speculative store pass or the (mostly no-op) repair pass. All
-        // lookups index the schedule's dense tables — the baked
-        // [`GateDesc`] row plus schedule-local delay slices, no per-event
-        // graph indirection; the level's count/base/cap/SAIF entries live
-        // in its own slab range of the scratch columns (`col_off` — fused
-        // groups stack their levels contiguously, so no two in-flight
-        // levels share entries).
-        let exec = |level: usize, tid: usize, repair: bool, lane: &mut _| {
-            let ld = schedule.level(level);
-            let col = ld.col_off as usize + tid;
-            let gi = tid / nw;
-            let w = tid % nw;
-            let gate_slot = ld.gate_lo as usize + gi;
+        // The gate-invariant half of a kernel invocation, fetched once per
+        // gate a block touches: the baked [`GateDesc`] row, the gate's pin
+        // and delay slices, the flat pools, the `nw`-entry rows of the
+        // signal-major pointer table its pins read, and its output signal.
+        let gate_ctx = |gate_slot: usize| {
             let pins = schedule.pins_of(gate_slot);
-            let mut in_ptrs = [0u32; MAX_KERNEL_PINS];
-            for (k, &sig) in pins.iter().enumerate() {
-                // relaxed-ok: input pointers were published by a lower
-                // level's store pass behind the launch join (or the fused
-                // phase gate, model test `phase_boundary_is_a_barrier`);
-                // levelization keeps same-level threads off each other's
-                // slots.
-                in_ptrs[k] = scratch.ptrs[slot(nw, sig as usize, w)].load(Ordering::Relaxed);
-            }
             let desc = schedule.desc(gate_slot);
             let pin_base = desc.pin_base as usize;
+            let mut rows: [&[AtomicU32]; MAX_KERNEL_PINS] = [&[]; MAX_KERNEL_PINS];
+            for (row, &sig) in rows.iter_mut().zip(pins) {
+                *row = &scratch.ptrs[slot(nw, sig as usize, 0)..][..nw];
+            }
             let input = GateKernelInput {
                 desc,
                 tts: graph.truth_tables_flat(),
                 luts: graph.delay_luts_flat(),
                 net_delays: schedule.net_delays_of(gate_slot),
                 mem,
-                in_ptrs: &in_ptrs[..pins.len()],
+                in_ptrs: &[],
                 features,
                 ppp,
                 avg_delays: &avg_delays[pin_base..pin_base + pins.len()],
             };
-            // Folded publication: the storing thread publishes its own
-            // output's pointer and length and scans the words it just
-            // stored for the window's SAIF record, so no host loop over
-            // (gate, window) slots and no second reader of the stored words
-            // runs after the launch. Levelization makes this race-free —
-            // level L inputs are driven strictly below L, so no thread of
-            // this launch reads the slots its peers write.
-            let publish = |out: &KernelOutput, out_base: usize| {
-                let i = slot(nw, schedule.out_sig(gate_slot), w);
-                // relaxed-ok: folded publication — each storing thread
-                // writes only its own output's slots; higher levels read
-                // them behind the launch join / phase gate.
-                scratch.ptrs[i].store(out_base as u32, Ordering::Relaxed);
-                // relaxed-ok: see above.
-                scratch.lens[i].store(out.words(), Ordering::Relaxed);
-                let (ws, we) = windows[w];
-                let (tc, t1) = saif_scan(mem, out_base, we - ws);
-                // relaxed-ok: each thread writes only its own column
-                // entry; the level publish reads it behind the launch join
-                // / phase gate.
-                scratch.saif()[col].store((tc << 32) | t1, Ordering::Relaxed);
+            (input, rows, schedule.out_sig(gate_slot))
+        };
+        // One (gate, window) invocation — the per-window half: the input
+        // pointers, then the kernel.
+        let kernel = |ctx: &(GateKernelInput<'_>, [&[AtomicU32]; MAX_KERNEL_PINS], usize),
+                      w: usize,
+                      mode: KernelMode,
+                      lane: &mut LaneCounters| {
+            let (input, rows, _) = ctx;
+            let n = input.desc.fanin as usize;
+            let mut in_ptrs = [0u32; MAX_KERNEL_PINS];
+            for (ptr, row) in in_ptrs.iter_mut().zip(&rows[..n]) {
+                // relaxed-ok: input pointers were published by a lower
+                // level's store pass behind the launch join (or the fused
+                // phase gate, model test `phase_boundary_is_a_barrier`);
+                // levelization keeps same-level threads off each other's
+                // slots.
+                *ptr = row[w].load(Ordering::Relaxed);
+            }
+            let input = GateKernelInput {
+                in_ptrs: &in_ptrs[..n],
+                ..*input
             };
-            if repair {
-                // Repair pass: a hit already stored and published in the
-                // speculative pass — nothing to do. An overflow re-runs an
-                // exact store at the base the post-level scan re-allocated
-                // for it.
-                // relaxed-ok: the speculative pass's true packed output,
-                // behind the phase gate / launch join.
-                let packed = scratch.outs()[col].load(Ordering::Relaxed);
-                // relaxed-ok: written by the budget assigner before the
-                // speculative pass, same boundary.
-                let cap = scratch.caps()[col].load(Ordering::Relaxed);
-                if KernelOutput::unpack_words(packed) <= cap {
-                    return;
-                }
-                // relaxed-ok: the exact repair base was assigned by the scan
-                // at the boundary preceding this pass.
-                let out_base = scratch.bases()[col].load(Ordering::Relaxed) as usize;
-                let out = simulate_gate(&input, KernelMode::Store { out_base }, lane);
-                debug_assert_eq!(out.pack(), packed, "speculative and repair passes diverged");
-                publish(&out, out_base);
-            } else {
-                // Speculative pass: store inside the pre-assigned
-                // reservation; on overflow the kernel degrades to exact
-                // counting without touching a word outside it. The true
-                // packed output always lands in the count column — the
-                // scan, the repair pass and the level publish read it there.
-                // relaxed-ok: budget assigned before this pass (host side
-                // or the preceding phase boundary).
-                let out_base = scratch.bases()[col].load(Ordering::Relaxed) as usize;
-                // relaxed-ok: see above.
-                let cap = scratch.caps()[col].load(Ordering::Relaxed);
-                let out = simulate_gate(
-                    &input,
-                    KernelMode::Speculative {
+            simulate_gate(&input, mode, lane)
+        };
+        // Folded publication: the storing thread publishes its own output's
+        // pointer and length and scans the words it just stored for the
+        // window's SAIF record `(tc, t1)`, so no host loop over (gate,
+        // window) slots and no second reader of the stored words runs after
+        // the launch.
+        let publish = |sig: usize, w: usize, out: &KernelOutput, out_base: usize| {
+            let i = slot(nw, sig, w);
+            // relaxed-ok: each storing thread writes only its own output's
+            // slots; higher levels read them behind the launch join / phase
+            // gate.
+            scratch.ptrs[i].store(out_base as u32, Ordering::Relaxed);
+            // relaxed-ok: see above.
+            scratch.lens[i].store(out.words(), Ordering::Relaxed);
+            let (ws, we) = windows[w];
+            saif_scan(mem, out_base, we - ws)
+        };
+        // Per-signal SAIF sums. A block may split a gate's windows with
+        // another block, so these are adds, never stores.
+        let add_saif = |sig: usize, (tc, t1): (u64, u64)| {
+            // relaxed-ok: commutative sums read after the batch's last
+            // launch joined.
+            scratch.tc[sig].fetch_add(tc, Ordering::Relaxed);
+            // relaxed-ok: see above.
+            scratch.t1[sig].fetch_add(t1, Ordering::Relaxed);
+        };
+
+        // The speculative store pass over one block of `level`'s threads,
+        // gate by gate (thread `gi * nw + w` is gate `gi`, window `w`):
+        // store inside the pre-assigned reservation; on overflow the kernel
+        // degrades to exact counting without touching a word outside it.
+        // The true packed output always lands in the count column, where the
+        // scan and the repair pass read it. Each gate piece also folds the
+        // level publish: its stored words into the length sum, its hits'
+        // SAIF records, its maximum size into the extent predictor; the
+        // block's hit slack goes into one waste counter.
+        let spec = |level: usize, threads: Range<usize>, lane: &mut LaneCounters| {
+            let ld = schedule.level(level);
+            let mut slack = 0u64;
+            let mut tid = threads.start;
+            while tid < threads.end {
+                let gi = tid / nw;
+                let first_col = ld.col_off as usize + gi * nw;
+                let w_end = nw.min(threads.end - gi * nw);
+                let gate_slot = ld.gate_lo as usize + gi;
+                let ctx = gate_ctx(gate_slot);
+                let sig = ctx.2;
+                let (mut words_sum, mut max_words, mut saif) = (0u64, 0u32, (0u64, 0u64));
+                for w in tid - gi * nw..w_end {
+                    let col = first_col + w;
+                    // relaxed-ok: budget assigned before this pass (host
+                    // side or the preceding phase boundary).
+                    let out_base = scratch.bases[col].load(Ordering::Relaxed) as usize;
+                    // relaxed-ok: see above.
+                    let cap = scratch.caps[col].load(Ordering::Relaxed);
+                    let mode = KernelMode::Speculative {
                         out_base,
                         cap: cap as usize,
-                    },
-                    lane,
-                );
-                // relaxed-ok: each thread writes only its own column entry;
-                // the scan reads it behind the phase gate / launch join.
-                scratch.outs()[col].store(out.pack(), Ordering::Relaxed);
-                let words = out.words();
-                // The thread feeds the extent predictor itself (monotone
-                // fetch_max — see `ExtentPredictor`), so the post-level host
-                // scan touches no per-column state at all on the hit path.
+                    };
+                    let out = kernel(&ctx, w, mode, lane);
+                    // relaxed-ok: each thread writes only its own column
+                    // entry; the scan reads it behind the phase gate /
+                    // launch join.
+                    scratch.outs[col].store(out.pack(), Ordering::Relaxed);
+                    let words = out.words();
+                    words_sum += u64::from(words);
+                    max_words = max_words.max(words + (words & 1));
+                    if words <= cap {
+                        // Saturating: a test-hook cap may be odd, letting the
+                        // padded size exceed a hit's cap by the parity word.
+                        slack += u64::from(cap.saturating_sub(words + (words & 1)));
+                        let (tc, t1) = publish(sig, w, &out, out_base);
+                        saif = (saif.0 + tc, saif.1 + t1);
+                    } else {
+                        // relaxed-ok: the cursor only hands each overflowing
+                        // thread a unique slot (threads ≤ column stride); the
+                        // launch join / phase gate publishes the slot writes
+                        // to the scan.
+                        let i = scratch.ovf_len.fetch_add(1, Ordering::Relaxed);
+                        debug_assert!(i < scratch.ovf.len());
+                        // relaxed-ok: see above.
+                        scratch.ovf[i].store(col as u32, Ordering::Relaxed);
+                    }
+                }
                 schedule
                     .predictor()
-                    .observe(schedule.gate(gate_slot), words + (words & 1));
-                if words <= cap {
-                    publish(&out, out_base);
-                } else {
-                    // relaxed-ok: the cursor only hands each overflowing
-                    // thread a unique slot (threads ≤ column stride); the
-                    // launch join / phase gate publishes the slot writes to
-                    // the scan.
-                    let i = scratch.ovf_len.fetch_add(1, Ordering::Relaxed);
-                    debug_assert!(i < scratch.ovf.len());
-                    // relaxed-ok: see above.
-                    scratch.ovf[i].store(col as u32, Ordering::Relaxed);
-                }
+                    .observe(schedule.gate(gate_slot), max_words);
+                // relaxed-ok: a commutative sum, read at a later launch-group
+                // top or after the batch, behind this launch's join.
+                scratch.len_sum[sig].fetch_add(words_sum, Ordering::Relaxed);
+                add_saif(sig, saif);
+                tid = gi * nw + w_end;
             }
+            // relaxed-ok: a commutative sum read after the batch's last
+            // launch joined.
+            scratch.waste.fetch_add(slack, Ordering::Relaxed);
+        };
+        // The repair of thread `local` of `level`: a hit already stored and
+        // published in the speculative pass — nothing to do. An overflow
+        // re-runs an exact store at the base the post-level scan
+        // re-allocated for it and adds its own SAIF record (its words were
+        // summed by the speculative pass).
+        let repair = |level: usize, local: usize, lane: &mut LaneCounters| {
+            let ld = schedule.level(level);
+            let col = ld.col_off as usize + local;
+            // relaxed-ok: the speculative pass's true packed output, behind
+            // the phase gate / launch join.
+            let packed = scratch.outs[col].load(Ordering::Relaxed);
+            // relaxed-ok: written by the budget assigner before the
+            // speculative pass, same boundary.
+            let cap = scratch.caps[col].load(Ordering::Relaxed);
+            if KernelOutput::unpack_words(packed) <= cap {
+                return;
+            }
+            let gate_slot = ld.gate_lo as usize + local / nw;
+            let ctx = gate_ctx(gate_slot);
+            // relaxed-ok: the exact repair base was assigned by the scan at
+            // the boundary preceding this pass.
+            let out_base = scratch.bases[col].load(Ordering::Relaxed) as usize;
+            let w = local % nw;
+            let out = kernel(&ctx, w, KernelMode::Store { out_base }, lane);
+            debug_assert_eq!(out.pack(), packed, "speculative and repair passes diverged");
+            add_saif(ctx.2, publish(ctx.2, w, &out, out_base));
         };
 
         for group in schedule.groups() {
@@ -1563,7 +1620,14 @@ impl Session {
                     "resim_fused",
                     &cfg,
                     schedule.phases(group),
-                    |phase, tid, lane| exec(first + phase / 2, tid, phase % 2 == 1, lane),
+                    |phase, threads, lane| {
+                        let level = first + phase / 2;
+                        if phase % 2 == 0 {
+                            spec(level, threads, lane);
+                        } else {
+                            threads.for_each(|local| repair(level, local, lane));
+                        }
+                    },
                     |phase| {
                         let level = first + phase / 2;
                         let advanced = if phase % 2 == 0 {
@@ -1577,22 +1641,15 @@ impl Session {
                                 &mut overflow_cols,
                                 &mut tally,
                             )
+                        } else if level + 1 < group.levels.end {
+                            // Repair phase done — the level is published by
+                            // its own threads: reserve the next level's
+                            // speculative budgets now that this level's
+                            // lengths are final (the first-touch static bound
+                            // reads them).
+                            assign.advance_budgets(schedule, scratch, level + 1)
                         } else {
-                            // Repair phase done (ptrs/lens/SAIF records
-                            // published by the kernel threads): the leader
-                            // runs the level's remaining host publish right
-                            // here, behind the phase gate that settled its
-                            // counts and bases.
-                            publish_level(schedule, scratch, level, windows, &mut saif, &mut tally);
-                            if level + 1 < group.levels.end {
-                                // Reserve the next level's speculative
-                                // budgets now that this level's lengths are
-                                // final (the first-touch static bound reads
-                                // them).
-                                assign.advance_budgets(schedule, scratch, level + 1)
-                            } else {
-                                Ok(0)
-                            }
+                            Ok(0)
                         };
                         match advanced {
                             // Words this boundary allocated, in bytes: the
@@ -1631,8 +1688,8 @@ impl Session {
                     regs_per_thread: self.config.regs_per_thread,
                     working_set_bytes: 4 * (ws_in + reserved),
                 };
-                let p = device.launch("resim_spec", &cfg, |tid, lane| {
-                    exec(first, tid, false, lane)
+                let p = device.launch("resim_spec", &cfg, |threads, lane| {
+                    spec(first, threads, lane)
                 });
                 profile.accumulate(&p);
                 launches += 1;
@@ -1654,28 +1711,36 @@ impl Session {
                         working_set_bytes: 4 * (ws_in + realloc),
                     };
                     let cols = &overflow_cols;
-                    let p = device.launch("resim_repair", &rcfg, |j, lane| {
-                        exec(first, cols[j], true, lane)
+                    let p = device.launch("resim_repair", &rcfg, |threads, lane| {
+                        threads.for_each(|j| repair(first, cols[j], lane))
                     });
                     profile.accumulate(&p);
                     launches += 1;
                 }
                 host.bump = assign.bump();
-
-                // Pointers, lengths and SAIF records were published by the
-                // store launch itself; only the per-signal folds remain,
-                // behind the launch join.
-                publish_level(schedule, scratch, first, windows, &mut saif, &mut tally);
             }
         }
+
+        // The batch's SAIF sums, folded by the storing threads. Every
+        // scheduled gate ran every window and a window's spans sum to its
+        // length, so an output's T0 is the batch's window total minus T1.
+        let span: i64 = windows.iter().map(|&(ws, we)| i64::from(we - ws)).sum();
+        // relaxed-ok: read after every launch of the batch has joined.
+        let sum = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let t1: Vec<i64> = scratch.t1.iter().map(|a| sum(a) as i64).collect();
+        let mut t0 = vec![0; n_signals];
+        for s in (0..schedule.n_slots()).map(|g| schedule.out_sig(g)) {
+            t0[s] = span - t1[s];
+        }
+        tally.waste_words += sum(&scratch.waste);
 
         Ok(WindowBatch {
             windows: windows.to_vec(),
             ptrs: scratch.ptrs_snapshot(nw, n_signals),
             lens: scratch.lens_snapshot(nw, n_signals),
-            tc: saif.tc,
-            t0: saif.t0,
-            t1: saif.t1,
+            tc: scratch.tc.iter().map(sum).collect(),
+            t0,
+            t1,
             kernel_profile: profile,
             launches,
             fused_launches,
@@ -2076,80 +2141,6 @@ impl Session {
     }
 }
 
-/// Per-signal SAIF sums of one window batch — toggle count, time at 0 and
-/// time at 1 over the batch's windows — folded level by level by
-/// [`publish_level`].
-struct SaifSums {
-    tc: Vec<u64>,
-    t0: Vec<i64>,
-    t1: Vec<i64>,
-}
-
-impl SaifSums {
-    fn new(n_signals: usize) -> Self {
-        SaifSums {
-            tc: vec![0; n_signals],
-            t0: vec![0; n_signals],
-            t1: vec![0; n_signals],
-        }
-    }
-}
-
-/// Publishes one finished level on the thread that finished it. Output
-/// pointers, lengths and per-window SAIF records were already published by
-/// the storing threads (folded publication); this pass folds them per
-/// signal: the running length sums, the batch's SAIF sums (a window's `t0`
-/// is its length minus `t1`, since its spans sum to the clip), and the
-/// reservation words speculative hits left unused into `tally`.
-fn publish_level(
-    schedule: &LevelSchedule,
-    scratch: &BatchScratch,
-    level: usize,
-    windows: &[(SimTime, SimTime)],
-    saif: &mut SaifSums,
-    tally: &mut SpecTally,
-) {
-    let ld = schedule.level(level);
-    let nw = windows.len();
-    let n_gates = (ld.gate_hi - ld.gate_lo) as usize;
-    let cols = ld.col_off as usize..ld.col_off as usize + ld.threads;
-    let outs = &scratch.outs()[cols.clone()];
-    let caps = &scratch.caps()[cols.clone()];
-    let records = &scratch.saif()[cols];
-    for gi in 0..n_gates {
-        let sig = schedule.out_sig(ld.gate_lo as usize + gi);
-        let mut sum = 0u64;
-        for (w, &(ws, we)) in windows.iter().enumerate() {
-            let tid = gi * nw + w;
-            // relaxed-ok: the level's columns settled behind the launch
-            // join (classic) or the store/repair phase gate (fused) this
-            // call runs after — the edge `advance_scan` relies on at the
-            // same program points.
-            let words = KernelOutput::unpack_words(outs[tid].load(Ordering::Relaxed));
-            sum += u64::from(words);
-            // relaxed-ok: see above.
-            let cap = caps[tid].load(Ordering::Relaxed);
-            if words <= cap {
-                // Hit slack (an overflow's whole reservation was counted
-                // by the scan). Saturating: a test-hook cap may be odd,
-                // letting the padded size exceed a hit's cap by the parity
-                // word.
-                tally.waste_words += u64::from(cap.saturating_sub(words + (words & 1)));
-            }
-            // relaxed-ok: see above.
-            let record = records[tid].load(Ordering::Relaxed);
-            let t1 = i64::from(record as u32);
-            saif.tc[sig] += record >> 32;
-            saif.t1[sig] += t1;
-            saif.t0[sig] += i64::from(we - ws) - t1;
-        }
-        // relaxed-ok: one thread publishes at a time, and each gate owns its
-        // output signal; the sums are read at a launch-group top or after
-        // the batch, ordered after this add by the launch join.
-        scratch.len_sum[sig].fetch_add(sum, Ordering::Relaxed);
-    }
-}
-
 /// Running speculation telemetry for one window batch: the raw counters
 /// behind `AppPhaseProfile::{speculative_hit_rate, overflow_repairs,
 /// predicted_waste_words}`.
@@ -2270,9 +2261,9 @@ impl GroupAssigner {
                 // relaxed-ok: runs at a launch/phase boundary — the
                 // join/gate orders these writes against the speculative
                 // pass that reads them.
-                scratch.bases()[col].store(cursor as u32, Ordering::Relaxed);
+                scratch.bases[col].store(cursor as u32, Ordering::Relaxed);
                 // relaxed-ok: see above.
-                scratch.caps()[col].store(words_even as u32, Ordering::Relaxed);
+                scratch.caps[col].store(words_even as u32, Ordering::Relaxed);
                 cursor += words_even;
                 col += 1;
             }
@@ -2288,8 +2279,8 @@ impl GroupAssigner {
     /// extent predictor and recording overflowed columns through the
     /// [`BatchScratch::ovf_len`] cursor — so this scan is O(overflows), not
     /// O(columns): on the common all-hit level it only bumps the thread
-    /// tally (hit slack is summed by [`publish_level`], which reads every
-    /// column anyway). The recorded columns are copied into
+    /// tally (the storing threads sum hit slack into
+    /// [`BatchScratch::waste`]). The recorded columns are copied into
     /// `overflow_cols` (so the classic path can launch a narrow repair)
     /// and sorted — the recording order depends on thread interleaving,
     /// and repairs must allocate in column order for the arena layout to
@@ -2324,10 +2315,10 @@ impl GroupAssigner {
         for &col in overflow_cols.iter() {
             // relaxed-ok: stored by the overflowing thread before the
             // join/gate; see above.
-            let packed = scratch.outs()[col].load(Ordering::Relaxed);
+            let packed = scratch.outs[col].load(Ordering::Relaxed);
             // relaxed-ok: written by `advance_budgets` at the boundary
             // before the pass.
-            let cap = scratch.caps()[col].load(Ordering::Relaxed);
+            let cap = scratch.caps[col].load(Ordering::Relaxed);
             let words_even = KernelOutput::unpack_words_even(packed);
             tally.overflows += 1;
             // The whole reservation is abandoned: the exact waveform gets
@@ -2341,7 +2332,7 @@ impl GroupAssigner {
             }
             // relaxed-ok: the repair pass reads this base behind the next
             // launch join / phase gate.
-            scratch.bases()[col].store(cursor as u32, Ordering::Relaxed);
+            scratch.bases[col].store(cursor as u32, Ordering::Relaxed);
             cursor += words_even;
         }
         tally.threads += schedule.level(level).threads as u64;
@@ -2430,7 +2421,7 @@ impl Session {
     /// table).
     pub(crate) fn signal_names(&self) -> Vec<&str> {
         (0..self.graph.n_signals())
-            .map(|s| self.graph.signal_name(gatspi_graph::SignalId(s as u32)))
+            .map(|s| self.graph.signal_name(SignalId(s as u32)))
             .collect()
     }
 

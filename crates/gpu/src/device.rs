@@ -1,3 +1,4 @@
+use std::ops::Range;
 use std::panic::AssertUnwindSafe;
 
 use crate::sync::Mutex;
@@ -20,12 +21,14 @@ use crate::{DeviceMemory, DeviceSpec, KernelCounters, KernelProfile, LaneCounter
 /// let dev = Device::new(DeviceSpec::v100(), 1024);
 /// dev.memory().h2d(0, &[1, 2, 3, 4]);
 /// let cfg = LaunchConfig::for_threads(4);
-/// let profile = dev.launch("double", &cfg, |tid, lane| {
-///     let v = dev.memory().load(tid);
-///     dev.memory().store(tid, v * 2);
-///     lane.scattered_load();
-///     lane.scattered_store();
-///     lane.ops(2);
+/// let profile = dev.launch("double", &cfg, |threads, lane| {
+///     for tid in threads {
+///         let v = dev.memory().load(tid);
+///         dev.memory().store(tid, v * 2);
+///         lane.scattered_load();
+///         lane.scattered_store();
+///         lane.ops(2);
+///     }
 /// });
 /// assert_eq!(dev.memory().d2h(0, 4), vec![2, 4, 6, 8]);
 /// assert!(profile.modeled_seconds > 0.0);
@@ -55,6 +58,11 @@ fn spin_wait(spins: &mut u32) {
         crate::sync::thread::sleep(std::time::Duration::from_micros(50));
     }
     *spins = spins.saturating_add(1);
+}
+
+/// Thread range of block `b` in a launch of `n` threads, `block` per block.
+fn block_range(b: usize, block: usize, n: usize) -> Range<usize> {
+    b * block..((b + 1) * block).min(n)
 }
 
 impl Device {
@@ -115,17 +123,23 @@ impl Device {
         self.memory.fault_injector()
     }
 
-    /// Launches a kernel: `f(thread_id, lane_counters)` is invoked once per
-    /// logical thread in `0..cfg.threads`. Threads are grouped into blocks
-    /// of `cfg.threads_per_block`; blocks are the scheduling unit across
-    /// host workers (like blocks across SMs). Returns the launch's
+    /// Launches a kernel over logical threads `0..cfg.threads`, grouped
+    /// into blocks of `cfg.threads_per_block`: `f(threads, lane_counters)`
+    /// is invoked once per *block* with the block's thread range, and runs
+    /// every thread of it. A block is the unit that lands on one SM, and
+    /// here the unit of scheduling across host workers, so a kernel can
+    /// hoist whatever its threads share out of the per-thread loop. The
+    /// ranges partition `0..cfg.threads` (only the last block may be
+    /// short); workers may run them in any order. Returns the launch's
     /// measured-plus-modeled [`KernelProfile`].
     ///
     /// Kernel code must write disjoint memory regions per thread (GATSPI
-    /// guarantees this by pre-assigning output waveform pointers).
+    /// guarantees this by pre-assigning output waveform pointers); anything
+    /// a block folds across threads that another block may share must be
+    /// an atomic read-modify-write.
     pub fn launch<F>(&self, name: &str, cfg: &LaunchConfig, f: F) -> KernelProfile
     where
-        F: Fn(usize, &mut LaneCounters) + Sync,
+        F: Fn(Range<usize>, &mut LaneCounters) + Sync,
     {
         #[cfg(feature = "fault-inject")]
         self.memory.fault_point(crate::fault::FaultSite::Launch);
@@ -139,8 +153,8 @@ impl Device {
         // and a real GPU absorbs these in its fixed launch overhead.
         if n_blocks <= 1 || n < INLINE_LAUNCH_THREADS || self.workers == 1 {
             let mut lane = LaneCounters::default();
-            for t in 0..n {
-                f(t, &mut lane);
+            for b in 0..n_blocks {
+                f(block_range(b, block, n), &mut lane);
             }
             counters.merge(&lane);
         } else {
@@ -158,11 +172,7 @@ impl Device {
                             if b >= n_blocks {
                                 break;
                             }
-                            let start = b * block;
-                            let end = (start + block).min(n);
-                            for t in start..end {
-                                f(t, &mut lane);
-                            }
+                            f(block_range(b, block, n), &mut lane);
                         }
                         counters.merge(&lane);
                     });
@@ -178,9 +188,11 @@ impl Device {
     }
 
     /// Launches a *phased* kernel: `phases[p]` logical threads execute
-    /// `f(p, tid, lane)` for phase `p`, with an internal synchronization
-    /// point between phases — every thread of phase `p` completes before
-    /// any thread of phase `p + 1` starts. All-narrow phase lists take a
+    /// phase `p`, one `f(p, threads, lane)` call per block of
+    /// `cfg.threads_per_block` as in [`Device::launch`], with an internal
+    /// synchronization point between phases — every thread of phase `p`
+    /// completes before any thread of phase `p + 1` starts. All-narrow
+    /// phase lists take a
     /// specialized serial fast path on the calling thread; wide launches
     /// run on a persistent per-launch worker pool driven by a
     /// chase-the-cursor protocol (arrive-counter + phase gate, one atomic
@@ -201,12 +213,13 @@ impl Device {
     ///
     /// **Publication contract.** Phase threads may additionally publish
     /// per-thread results into shared *atomic* tables (the engine's store
-    /// pass writes each output's pointer/length this way — folded
-    /// publication), provided no thread of the same phase reads a slot a
-    /// peer writes; later phases read them behind the barrier. Likewise,
-    /// `on_phase_end` may do host work between phases (the engine's
-    /// overflow scan at store boundaries, its level publish at repair
-    /// boundaries): the callback runs exactly once per phase on one thread
+    /// pass writes each output's pointer/length this way, and adds its
+    /// per-signal sums — folded publication), provided no thread of the
+    /// same phase reads a slot a peer writes; later phases read them behind
+    /// the barrier. Likewise, `on_phase_end` may do host work between
+    /// phases (the engine's overflow scan at store boundaries, the next
+    /// level's reservations at repair boundaries): the callback runs
+    /// exactly once per phase on one thread
     /// (the last worker arriving at the phase's end — not necessarily the
     /// same thread each phase), after every thread of the phase and before
     /// any thread of the next, so it reads what the phase wrote and later
@@ -220,7 +233,7 @@ impl Device {
         on_phase_end: G,
     ) -> KernelProfile
     where
-        F: Fn(usize, usize, &mut LaneCounters) + Sync,
+        F: Fn(usize, Range<usize>, &mut LaneCounters) + Sync,
         G: FnMut(usize) -> Option<u64> + Send,
     {
         self.launch_phased_impl(name, cfg, phases, f, on_phase_end, false)
@@ -241,7 +254,7 @@ impl Device {
         on_phase_end: G,
     ) -> KernelProfile
     where
-        F: Fn(usize, usize, &mut LaneCounters) + Sync,
+        F: Fn(usize, Range<usize>, &mut LaneCounters) + Sync,
         G: FnMut(usize) -> Option<u64> + Send,
     {
         self.launch_phased_impl(name, cfg, phases, f, on_phase_end, true)
@@ -257,7 +270,7 @@ impl Device {
         force_pool: bool,
     ) -> KernelProfile
     where
-        F: Fn(usize, usize, &mut LaneCounters) + Sync,
+        F: Fn(usize, Range<usize>, &mut LaneCounters) + Sync,
         G: FnMut(usize) -> Option<u64> + Send,
     {
         #[cfg(feature = "fault-inject")]
@@ -279,8 +292,8 @@ impl Device {
         if !force_pool && (widest < INLINE_LAUNCH_THREADS || self.workers == 1) {
             let mut lane = LaneCounters::default();
             for (p, &n) in phases.iter().enumerate() {
-                for t in 0..n {
-                    f(p, t, &mut lane);
+                for b in 0..n.div_ceil(block) {
+                    f(p, block_range(b, block, n), &mut lane);
                 }
                 match on_phase_end(p) {
                     Some(bytes) => {
@@ -348,11 +361,7 @@ impl Device {
                                     if b >= n_blocks {
                                         break;
                                     }
-                                    let start = b * block;
-                                    let end = (start + block).min(n);
-                                    for t in start..end {
-                                        f(p, t, &mut lane);
-                                    }
+                                    f(p, block_range(b, block, n), &mut lane);
                                 }));
                                 if let Err(payload) = run {
                                     record_panic(payload);
@@ -434,22 +443,60 @@ mod tests {
         let dev = Device::with_workers(DeviceSpec::v100(), 0, 4);
         let hits = AtomicU64::new(0);
         let cfg = LaunchConfig::for_threads(10_000);
-        dev.launch("count", &cfg, |_tid, _lane| {
-            hits.fetch_add(1, Ordering::Relaxed);
+        dev.launch("count", &cfg, |threads, _lane| {
+            hits.fetch_add(threads.len() as u64, Ordering::Relaxed);
         });
         assert_eq!(hits.load(Ordering::Relaxed), 10_000);
     }
 
     #[test]
     fn thread_ids_cover_range() {
+        // Each callback gets one whole block of the launch (the last one
+        // short), and the blocks partition `0..n`: for `launch`, for the
+        // phased serial fast path and for the pooled phased driver.
         let dev = Device::with_workers(DeviceSpec::v100(), 0, 3);
-        let n = 5000usize;
-        let seen: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        let cfg = LaunchConfig::for_threads(n);
-        dev.launch("cover", &cfg, |tid, _| {
-            seen[tid].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(seen.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+        let block = 384usize;
+        let cfg = |threads| LaunchConfig {
+            threads,
+            threads_per_block: block as u32,
+            ..Default::default()
+        };
+        let assert_partition = |n: usize, seen: Mutex<Vec<Range<usize>>>| {
+            let mut seen = seen.into_inner().unwrap();
+            seen.sort_by_key(|r| r.start);
+            let blocks: Vec<_> = (0..n.div_ceil(block))
+                .map(|b| b * block..((b + 1) * block).min(n))
+                .collect();
+            assert_eq!(seen, blocks, "{n} threads");
+        };
+        let record = |seen: &Mutex<Vec<Range<usize>>>, threads: Range<usize>| {
+            seen.lock().unwrap().push(threads);
+        };
+
+        let (wide, narrow) = (5000usize, 1000usize);
+        let seen = Mutex::new(Vec::new());
+        dev.launch("cover", &cfg(wide), |threads, _| record(&seen, threads));
+        assert_partition(wide, seen);
+
+        let seen = Mutex::new(Vec::new());
+        dev.launch_phased(
+            "cover-serial",
+            &cfg(narrow),
+            &[narrow],
+            |_, threads, _| record(&seen, threads),
+            |_| Some(0),
+        );
+        assert_partition(narrow, seen);
+
+        let seen = Mutex::new(Vec::new());
+        dev.launch_phased_pooled(
+            "cover-pooled",
+            &cfg(narrow),
+            &[narrow],
+            |_, threads, _| record(&seen, threads),
+            |_| Some(0),
+        );
+        assert_partition(narrow, seen);
     }
 
     #[test]
@@ -460,9 +507,11 @@ mod tests {
             working_set_bytes: 1 << 20,
             ..Default::default()
         };
-        let p = dev.launch("c", &cfg, |_tid, lane| {
-            lane.scattered_load();
-            lane.ops(3);
+        let p = dev.launch("c", &cfg, |threads, lane| {
+            for _ in threads {
+                lane.scattered_load();
+                lane.ops(3);
+            }
         });
         assert_eq!(p.accesses, 6000);
         assert_eq!(p.instructions, 18_000);
@@ -490,11 +539,13 @@ mod tests {
             "phased",
             &LaunchConfig::for_threads(2 * n),
             &[n, n],
-            |phase, tid, _lane| {
-                if phase == 0 {
-                    dev.memory().store(tid, tid as i32 + 1);
-                } else {
-                    assert_eq!(dev.memory().load(tid), tid as i32 + 1, "phase-0 write lost");
+            |phase, threads, _lane| {
+                for tid in threads {
+                    if phase == 0 {
+                        dev.memory().store(tid, tid as i32 + 1);
+                    } else {
+                        assert_eq!(dev.memory().load(tid), tid as i32 + 1, "phase-0 write lost");
+                    }
                 }
             },
             |phase| {
@@ -519,9 +570,9 @@ mod tests {
             "abort",
             &LaunchConfig::for_threads(30),
             &[10, 10, 10],
-            |phase, _tid, _| {
+            |phase, threads, _| {
                 assert!(phase < 2, "phase 2 must not run");
-                ran.fetch_add(1, Ordering::Relaxed);
+                ran.fetch_add(threads.len() as u64, Ordering::Relaxed);
             },
             |phase| (phase == 0).then_some(0),
         );
@@ -543,9 +594,11 @@ mod tests {
                     ..Default::default()
                 },
                 &[4, 4],
-                |_, _, lane| {
-                    lane.scattered_load();
-                    lane.ops(1);
+                |_, threads, lane| {
+                    for _ in threads {
+                        lane.scattered_load();
+                        lane.ops(1);
+                    }
                 },
                 |_| Some(growth),
             )
@@ -571,8 +624,8 @@ mod tests {
                 "boom",
                 &LaunchConfig::for_threads(16_384),
                 &[8192, 8192],
-                |phase, tid, _| {
-                    assert!(!(phase == 0 && tid == 1234), "kernel bug");
+                |phase, threads, _| {
+                    assert!(!(phase == 0 && threads.contains(&1234)), "kernel bug");
                 },
                 |_| Some(0),
             )
@@ -593,9 +646,9 @@ mod tests {
                 "boundary-boom",
                 &LaunchConfig::for_threads(3 * 8192),
                 &[8192, 8192, 8192],
-                |phase, _tid, _| {
+                |phase, threads, _| {
                     assert!(phase < 2, "phase after the panicking boundary must not run");
-                    ran.fetch_add(1, Ordering::Relaxed);
+                    ran.fetch_add(threads.len() as u64, Ordering::Relaxed);
                 },
                 |phase| {
                     assert!(phase == 0, "boundary bug");
@@ -619,7 +672,7 @@ mod tests {
             "one",
             &LaunchConfig::for_threads(8),
             &[4, 4],
-            |_, _, lane| lane.ops(1),
+            |_, threads, lane| lane.ops(threads.len() as u64),
             |_| Some(0),
         );
         assert!(p.modeled_seconds >= dev.spec().launch_overhead);
@@ -658,7 +711,7 @@ mod model_tests {
                 "model-barrier",
                 &LaunchConfig::for_threads(2),
                 &[1, 1],
-                |phase, _tid, _lane| {
+                |phase, _threads, _lane| {
                     if phase == 0 {
                         // relaxed-ok: the phase gate is the ordering under
                         // test — this payload must ride it unaided.

@@ -88,6 +88,17 @@ impl LaneCounters {
     }
 }
 
+impl std::ops::AddAssign for LaneCounters {
+    /// Folds counters a kernel kept in a local into the lane's.
+    #[inline]
+    fn add_assign(&mut self, other: LaneCounters) {
+        self.loads += other.loads;
+        self.stores += other.stores;
+        self.uncoalesced += other.uncoalesced;
+        self.instructions += other.instructions;
+    }
+}
+
 /// Whole-launch counters (atomic so workers can merge concurrently).
 #[derive(Debug, Default)]
 pub struct KernelCounters {

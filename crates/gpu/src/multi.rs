@@ -130,7 +130,9 @@ mod tests {
         let mg = MultiGpu::new(DeviceSpec::v100(), 2, 128);
         let p = mg.run_sharded(|i, dev| {
             dev.memory().store(0, i as i32 + 1);
-            dev.launch("w", &Cfg::for_threads(64), |_t, lane| lane.ops(1))
+            dev.launch("w", &Cfg::for_threads(64), |threads, lane| {
+                lane.ops(threads.len() as u64)
+            })
         });
         assert_eq!(mg.device(0).memory().load(0), 1);
         assert_eq!(mg.device(1).memory().load(0), 2);
@@ -142,16 +144,20 @@ mod tests {
         let mg = MultiGpu::new(DeviceSpec::v100(), 2, 0);
         let p = mg.run_sharded(|i, dev| {
             let threads = if i == 0 { 64 } else { 50_000 };
-            dev.launch("w", &Cfg::for_threads(threads), |_t, lane| {
-                lane.scattered_load();
-                lane.ops(100)
+            dev.launch("w", &Cfg::for_threads(threads), |threads, lane| {
+                for _ in threads {
+                    lane.scattered_load();
+                    lane.ops(100)
+                }
             })
         });
         let solo = mg
             .device(1)
-            .launch("w", &Cfg::for_threads(50_000), |_t, lane| {
-                lane.scattered_load();
-                lane.ops(100)
+            .launch("w", &Cfg::for_threads(50_000), |threads, lane| {
+                for _ in threads {
+                    lane.scattered_load();
+                    lane.ops(100)
+                }
             });
         // Combined time tracks the big shard, not the sum.
         assert!(p.modeled_seconds <= solo.modeled_seconds * 1.5);

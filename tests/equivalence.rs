@@ -8,9 +8,14 @@
 use std::sync::Arc;
 
 use gatspi_core::verify::spot_check_waveforms;
-use gatspi_core::{Session, SimConfig};
+use gatspi_core::{RunOptions, Session, SimConfig};
 use gatspi_gpu::{DeviceSpec, MultiGpu};
+use gatspi_graph::{CircuitGraph, GraphOptions};
+use gatspi_netlist::{CellLibrary, NetlistBuilder};
 use gatspi_refsim::{EventSimulator, RefConfig};
+use gatspi_sdf::{DelayTriple, Interconnect, PortPath};
+use gatspi_wave::{SimTime, Waveform};
+use gatspi_workloads::sdfgen::{attach_sdf, SdfGenConfig};
 use gatspi_workloads::suite::{table2_suite, BuiltBenchmark};
 
 fn gatspi(b: &BuiltBenchmark, parallelism: usize) -> gatspi_core::SimResult {
@@ -212,4 +217,121 @@ fn parallel_baseline_matches() {
     )
     .expect("parallel baseline");
     assert!(serial.saif.diff(&par.saif).is_empty());
+}
+
+/// Dense seeded stimulus with narrow pulses: every input toggles 1–7 ticks
+/// after its previous edge.
+fn dense_pulses(n_inputs: usize, duration: SimTime, seed: u64) -> Vec<Waveform> {
+    let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut next = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    (0..n_inputs)
+        .map(|_| {
+            let initial = next() & 1 == 1;
+            let mut times = Vec::new();
+            let mut t = next() % 7;
+            loop {
+                t += 1 + next() % 7;
+                if t >= duration as u64 {
+                    break;
+                }
+                times.push(t as SimTime);
+            }
+            Waveform::from_toggles(initial, &times)
+        })
+        .collect()
+}
+
+/// Every cell of the library as a single-gate design against the
+/// event-driven reference over one window: dense narrow pulses, a
+/// conditional IOPATH and a wire on every pin wide enough to filter some
+/// of them. The cells span fan-ins 0–4 and 6, so every fan-in-specialised
+/// kernel body runs, and MUX4's six pins run the generic
+/// `MAX_KERNEL_PINS` one.
+#[test]
+fn every_library_cell_matches_refsim() {
+    let lib = CellLibrary::industry_mini();
+    let duration: SimTime = 600;
+    let mut arities = std::collections::BTreeSet::new();
+    let mut conds = 0usize;
+    for (_, cell) in lib.iter() {
+        let n = cell.num_inputs();
+        arities.insert(n);
+        for seed in 0..3u64 {
+            let mut b = NetlistBuilder::new("one", lib.clone());
+            let ins: Vec<_> = (0..n)
+                .map(|k| b.add_input(&format!("i{k}")).unwrap())
+                .collect();
+            let y = b.add_output("y").unwrap();
+            b.add_gate("u", cell.name(), &ins, y).unwrap();
+            let netlist = b.finish().unwrap();
+            let mut sdf = attach_sdf(
+                &netlist,
+                &SdfGenConfig {
+                    cond_probability: 1.0,
+                    max_net_delay: 0,
+                    seed: seed ^ 0xA11,
+                    ..SdfGenConfig::default()
+                },
+            );
+            conds += sdf
+                .cells
+                .iter()
+                .flat_map(|c| &c.iopaths)
+                .filter(|p| p.cond.is_some())
+                .count();
+            for (k, pin) in cell.input_pins().iter().enumerate() {
+                sdf.interconnects.push(Interconnect {
+                    from: PortPath {
+                        instance: None,
+                        pin: format!("i{k}"),
+                    },
+                    to: PortPath {
+                        instance: Some("u".into()),
+                        pin: pin.clone(),
+                    },
+                    rise: DelayTriple::single(f64::from(2 + (k as u32 + 1) % 4)),
+                    fall: DelayTriple::single(f64::from(2 + (k as u32 + 2) % 5)),
+                });
+            }
+            let graph = Arc::new(
+                CircuitGraph::build(&netlist, Some(&sdf), &GraphOptions::default()).unwrap(),
+            );
+            let stimuli = dense_pulses(n, duration, seed + 1);
+            let cfg = SimConfig::small().with_cycle_parallelism(1);
+            let ours = Session::new(Arc::clone(&graph), cfg)
+                .run_with(
+                    &stimuli,
+                    duration,
+                    &RunOptions::default().with_waveform_spill(),
+                )
+                .expect("run");
+            let r = EventSimulator::new(&graph, RefConfig::default())
+                .run(&stimuli, duration)
+                .expect("reference run");
+            let what = format!("{} (seed {seed})", cell.name());
+            let diffs = ours.saif.diff(&r.saif);
+            assert!(
+                diffs.is_empty(),
+                "{what}: SAIF diverged from refsim, first: {:?}",
+                diffs.first()
+            );
+            // Edges refsim records past the end of the run are outside it.
+            for (s, expected) in r.waveforms.as_ref().expect("recorded").iter().enumerate() {
+                let expected = expected.window(0, duration);
+                assert_eq!(ours.waveform(s).unwrap(), expected, "{what}: signal {s}");
+            }
+        }
+    }
+    // Fan-ins 0–4 each take their own specialised body, MUX4's six pins
+    // the generic one.
+    assert!(
+        (0..=4).all(|n| arities.contains(&n)) && arities.last() == Some(&6),
+        "fan-ins covered: {arities:?}"
+    );
+    assert!(conds > 0, "no conditional arc was generated");
 }

@@ -35,12 +35,18 @@ fn deep_chain(depth: usize) -> Arc<CircuitGraph> {
 }
 
 /// Wide random logic with SDF delays: multi-gate levels exercise the
-/// classic one-launch-per-level path, published after the launch join.
+/// classic one-launch-per-level path.
 fn wide_graph(seed: u64) -> Arc<CircuitGraph> {
+    sdf_logic(300, 16, 5, seed)
+}
+
+/// Random logic of `gates` gates over `inputs` inputs and `depth` levels,
+/// annotated with generated SDF (conditional arcs and wires included).
+fn sdf_logic(gates: usize, inputs: usize, depth: usize, seed: u64) -> Arc<CircuitGraph> {
     let netlist = random_logic(&RandomLogicConfig {
-        gates: 300,
-        inputs: 16,
-        depth: 5,
+        gates,
+        inputs,
+        depth,
         output_fraction: 0.1,
         seed,
     });
@@ -166,22 +172,56 @@ fn deep_fused_chain_serial_matches_overlapped() {
     );
 }
 
+/// Wide levels against refsim with 7 windows per batch on a 4-worker
+/// device. 7 does not divide the 512 threads of a block, so blocks split
+/// gates between them, and levels of ~750 gates are wide enough to run
+/// those blocks on the worker pool — on classic one-launch-per-level
+/// levels and on one fused group, each on the speculative hit path and
+/// with the extent history poisoned, so the repairs of split gates fold
+/// their SAIF records too.
 #[test]
 fn wide_levels_serial_matches_overlapped_and_refsim() {
-    let graph = wide_graph(7);
+    let graph = sdf_logic(3000, 32, 4, 7);
     let stimuli = generate(
         graph.primary_inputs().len(),
-        &StimulusConfig::random(24, 400, 0.4, 11),
+        &StimulusConfig::random(28, 400, 0.4, 11),
     );
-    let duration = 24 * 400;
-    let cfg = SimConfig::small()
-        .with_cycle_parallelism(8)
-        .with_window_align(400);
-    let ours = Session::new(Arc::clone(&graph), cfg)
-        .run(&stimuli, duration)
-        .unwrap();
+    let duration = 28 * 400;
+    // Wider than the device's 4096-thread inline threshold.
+    assert!((0..graph.n_levels()).any(|l| 7 * graph.level_gates(l).len() > 4096));
     let r = refsim(&graph, &stimuli, duration);
-    assert_matches_refsim(&ours, &r, "wide levels");
+    for fuse_threshold in [0, 1 << 20] {
+        let mut cfg = SimConfig::small()
+            .with_cycle_parallelism(7)
+            .with_window_align(400)
+            .with_fuse_threshold(fuse_threshold);
+        cfg.memory_words = 1 << 23;
+        assert_eq!(cfg.threads_per_block, 512);
+        let device = Arc::new(gatspi_gpu::Device::with_workers(
+            cfg.device.clone(),
+            cfg.memory_words,
+            4,
+        ));
+        let sim = Session::with_device(Arc::clone(&graph), cfg, device);
+        for history in [0, 2] {
+            sim.seed_extent_history(history);
+            let ours = sim.run(&stimuli, duration).unwrap();
+            let what = format!("wide levels, fuse threshold {fuse_threshold}, history {history}");
+            assert_eq!(ours.segments(), 1, "{what}: one 7-window batch");
+            assert_eq!(
+                ours.app_profile.fused_launches > 0,
+                fuse_threshold > 0,
+                "{what}: launch kind"
+            );
+            if history > 0 {
+                assert!(
+                    ours.app_profile.overflow_repairs > 0,
+                    "{what}: no repair ran"
+                );
+            }
+            assert_matches_refsim(&ours, &r, &what);
+        }
+    }
 }
 
 #[test]
