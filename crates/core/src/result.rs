@@ -2,7 +2,7 @@ use std::sync::Arc;
 
 use gatspi_gpu::{AppPhaseProfile, Device, KernelProfile};
 use gatspi_wave::saif::SaifDocument;
-use gatspi_wave::{SimTime, Waveform, WaveformBuilder, EOW, INIT_ONE_MARKER};
+use gatspi_wave::{SimTime, Waveform, EOW, INIT_ONE_MARKER};
 
 use crate::sink::SpillSink;
 use crate::{CoreError, Result};
@@ -99,7 +99,8 @@ impl SimResult {
 
     /// Reconstructs the full waveform of a signal by stitching its
     /// per-window waveforms (re-based to absolute time, clipped at window
-    /// boundaries).
+    /// boundaries): [`SimResult::for_each_toggle`] collected into a
+    /// [`Waveform`].
     ///
     /// Runs that enabled
     /// [`RunOptions::spill_waveforms`](crate::RunOptions::spill_waveforms)
@@ -117,41 +118,69 @@ impl SimResult {
     ///   arena under a device-backed (non-spilled) result.
     /// * [`CoreError::NoSuchSignal`] for out-of-range indices.
     pub fn waveform(&self, signal: usize) -> Result<Waveform> {
+        // The run's toggle count is the stitched waveform's.
+        let tc = self.toggle_counts.get(signal).map_or(0, |&n| n as usize);
+        let mut toggles = Vec::with_capacity(tc);
+        let initial = self.for_each_toggle(signal, |t| toggles.push(t))?;
+        Ok(Waveform::from_toggles(initial, &toggles))
+    }
+
+    /// Calls `f` with every toggle time of the signal's stitched waveform
+    /// (the one [`SimResult::waveform`] returns), strictly ascending and
+    /// positive, and returns its initial value. Each stored word is read
+    /// once, in order, and nothing is allocated — the pass for consumers
+    /// that fold a waveform rather than keep it.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use std::sync::Arc;
+    /// use gatspi_core::{RunOptions, Session, SimConfig};
+    /// use gatspi_graph::{CircuitGraph, GraphOptions};
+    /// use gatspi_netlist::{CellLibrary, NetlistBuilder};
+    /// use gatspi_wave::Waveform;
+    ///
+    /// # fn main() -> gatspi_core::Result<()> {
+    /// let mut b = NetlistBuilder::new("inv", CellLibrary::industry_mini());
+    /// let a = b.add_input("a").unwrap();
+    /// let y = b.add_output("y").unwrap();
+    /// b.add_gate("u0", "INV", &[a], y).unwrap();
+    /// let graph = CircuitGraph::build(&b.finish().unwrap(), None, &GraphOptions::default())
+    ///     .unwrap();
+    /// let y = graph.gate_output(0).index();
+    /// let stimulus = [Waveform::from_toggles(false, &[100, 300])];
+    /// let r = Session::new(Arc::new(graph), SimConfig::small())
+    ///     .run_with(&stimulus, 400, &RunOptions::default().with_waveform_spill())?;
+    ///
+    /// let mut toggles = Vec::new();
+    /// let initial = r.for_each_toggle(y, |t| toggles.push(t))?;
+    /// assert_eq!(Waveform::from_toggles(initial, &toggles), r.waveform(y)?);
+    /// assert_eq!(toggles.len() as u64, r.toggle_count(y));
+    /// # Ok(())
+    /// # }
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// As [`SimResult::waveform`]. A device-backed result that turns out
+    /// stale after the pass may already have fed `f` words of the newer
+    /// run; the error says to discard them.
+    pub fn for_each_toggle(&self, signal: usize, f: impl FnMut(SimTime)) -> Result<bool> {
         if let Some(ext) = &self.extraction {
             ext.check_live()?;
-            if signal >= ext.n_signals {
-                return Err(CoreError::NoSuchSignal { index: signal });
-            }
-            let mem = ext.device.memory();
-            let ptr_of = |w: usize| {
-                let p = ext.ptrs[w * ext.n_signals + signal];
-                (p != u32::MAX).then_some(p as usize)
-            };
-            let wave = stitch_windows(&ext.windows, &ptr_of, &|idx| mem.load(idx));
+            let initial = stitch(ext, signal, f)?;
             // Re-check after reading: a run racing on another thread could
-            // have recycled the arena mid-stitch; fail rather than return
+            // have recycled the arena mid-stitch; fail rather than report
             // words mixed from two runs.
             ext.check_live()?;
-            return Ok(wave);
+            return Ok(initial);
         }
-        if let Some(spill) = &self.spilled {
-            if signal >= spill.n_signals {
-                return Err(CoreError::NoSuchSignal { index: signal });
-            }
-            let ptr_of = |w: usize| {
-                let p = spill.ptrs[w * spill.n_signals + signal];
-                (p != u64::MAX).then_some(p as usize)
-            };
-            // Encoded spill pointers advance within their chunk under +1,
-            // and their low bit is the in-chunk offset's parity — exactly
-            // what the stitcher's index arithmetic needs.
-            return Ok(stitch_windows(&spill.windows, &ptr_of, &|idx| {
-                spill.word(idx as u64)
-            }));
+        match &self.spilled {
+            Some(spill) => stitch(spill, signal, f),
+            None => Err(CoreError::Segmented {
+                segments: self.segments,
+            }),
         }
-        Err(CoreError::Segmented {
-            segments: self.segments,
-        })
     }
 
     /// Convenience: the waveforms of several signals.
@@ -175,93 +204,127 @@ impl SimResult {
     pub fn raw_window(&self, signal: usize, window: usize) -> Result<Vec<i32>> {
         if let Some(ext) = &self.extraction {
             ext.check_live()?;
-            if signal >= ext.n_signals || window >= ext.windows.len() {
-                return Err(CoreError::NoSuchSignal { index: signal });
-            }
-            let mem = ext.device.memory();
-            let p = ext.ptrs[window * ext.n_signals + signal];
-            let raw = read_raw((p != u32::MAX).then_some(p as usize), &|idx| mem.load(idx));
-            // Re-check after reading (see `waveform`).
+            let raw = read_raw(ext, signal, window)?;
+            // Re-check after reading (see `for_each_toggle`).
             ext.check_live()?;
             return Ok(raw);
         }
-        if let Some(spill) = &self.spilled {
-            if signal >= spill.n_signals || window >= spill.windows.len() {
-                return Err(CoreError::NoSuchSignal { index: signal });
-            }
-            let p = spill.ptrs[window * spill.n_signals + signal];
-            return Ok(read_raw((p != u64::MAX).then_some(p as usize), &|idx| {
-                spill.word(idx as u64)
-            }));
+        match &self.spilled {
+            Some(spill) => read_raw(spill, signal, window),
+            None => Err(CoreError::Segmented {
+                segments: self.segments,
+            }),
         }
-        Err(CoreError::Segmented {
-            segments: self.segments,
-        })
+    }
+}
+
+/// Where a finished run's waveform words live: device memory or the host
+/// spill. Both keep waveform bases even and advance a base by one per
+/// word, so a word's value is its index's parity in either store.
+trait WordStore {
+    fn windows(&self) -> &[(SimTime, SimTime)];
+    fn n_signals(&self) -> usize;
+    /// Base of `signal`'s waveform in `window`; `None` when absent
+    /// (floating signal).
+    fn base(&self, window: usize, signal: usize) -> Option<usize>;
+    /// The words from `base` on: the waveform up to its EOW, then
+    /// whatever follows it.
+    fn words(&self, base: usize) -> impl Iterator<Item = i32> + '_;
+}
+
+impl WordStore for ExtractionState {
+    fn windows(&self) -> &[(SimTime, SimTime)] {
+        &self.windows
+    }
+    fn n_signals(&self) -> usize {
+        self.n_signals
+    }
+    fn base(&self, window: usize, signal: usize) -> Option<usize> {
+        let p = self.ptrs[window * self.n_signals + signal];
+        (p != u32::MAX).then_some(p as usize)
+    }
+    fn words(&self, base: usize) -> impl Iterator<Item = i32> + '_ {
+        let mem = self.device.memory();
+        (base..).map(|idx| mem.load(idx))
+    }
+}
+
+impl WordStore for SpillSink {
+    fn windows(&self) -> &[(SimTime, SimTime)] {
+        &self.windows
+    }
+    fn n_signals(&self) -> usize {
+        self.n_signals
+    }
+    fn base(&self, window: usize, signal: usize) -> Option<usize> {
+        // An encoded pointer's low bit is its even in-chunk offset's.
+        let p = self.ptrs[window * self.n_signals + signal];
+        (p != u64::MAX).then_some(p as usize)
+    }
+    fn words(&self, base: usize) -> impl Iterator<Item = i32> + '_ {
+        self.slice_from(base as u64).iter().copied()
     }
 }
 
 /// Reads one stored waveform up to and including the EOW terminator.
-fn read_raw(ptr: Option<usize>, load: &dyn Fn(usize) -> i32) -> Vec<i32> {
-    let Some(mut idx) = ptr else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    loop {
-        let w = load(idx);
-        out.push(w);
-        if w == EOW {
-            return out;
-        }
-        idx += 1;
+fn read_raw(store: &impl WordStore, signal: usize, window: usize) -> Result<Vec<i32>> {
+    if signal >= store.n_signals() || window >= store.windows().len() {
+        return Err(CoreError::NoSuchSignal { index: signal });
     }
+    let Some(base) = store.base(window, signal) else {
+        return Ok(Vec::new());
+    };
+    let mut raw: Vec<i32> = store.words(base).take_while(|&w| w != EOW).collect();
+    raw.push(EOW);
+    Ok(raw)
 }
 
-/// Stitches a signal's per-window waveforms into one absolute-time
-/// waveform. `ptr_of(window)` resolves the window's waveform base (`None`
-/// for absent/floating), and `load` reads words (device memory or the
-/// host spill — both keep waveform bases even, so the parity encoding of
-/// values by word index holds in either store).
-fn stitch_windows(
-    windows: &[(SimTime, SimTime)],
-    ptr_of: &dyn Fn(usize) -> Option<usize>,
-    load: &dyn Fn(usize) -> i32,
-) -> Waveform {
-    let mut builder: Option<WaveformBuilder> = None;
-    for (w, &(start, end)) in windows.iter().enumerate() {
-        let Some(ptr) = ptr_of(w) else {
-            // Floating signal: constant 0.
-            return Waveform::constant(false);
-        };
-        let mut idx = ptr;
-        let mut first = load(idx);
-        if first == INIT_ONE_MARKER {
+/// The one window-join rule: feeds `f` a signal's toggles window by
+/// window, re-based to absolute time, and returns its initial value. A
+/// window opening at a different value than the stitched waveform holds
+/// toggles at its start; words at or past the window's length are
+/// spillover the next window re-derives from its own initial value. A
+/// signal absent from any window is floating: constant 0.
+fn stitch(store: &impl WordStore, signal: usize, mut f: impl FnMut(SimTime)) -> Result<bool> {
+    if signal >= store.n_signals() {
+        return Err(CoreError::NoSuchSignal { index: signal });
+    }
+    let windows = store.windows();
+    let bases = (0..windows.len()).map(|w| store.base(w, signal));
+    if bases.clone().any(|b| b.is_none()) {
+        return Ok(false);
+    }
+    let mut initial = None;
+    // The stitched value and last toggle: a toggle is only emitted where
+    // the value changes at a strictly later time.
+    let (mut value, mut last) = (false, 0);
+    for (base, &(start, end)) in bases.flatten().zip(windows) {
+        let mut words = store.words(base);
+        let mut idx = base;
+        if words.next() == Some(INIT_ONE_MARKER) {
             idx += 1;
-            first = load(idx);
+            words.next(); // the time-0 entry
         }
-        debug_assert_eq!(first, 0, "window waveform starts at time 0");
-        let initial = idx % 2 == 1;
-        let b = builder.get_or_insert_with(|| WaveformBuilder::new(initial));
-        if start > 0 {
-            // Align the stitched value with this window's initial value.
-            let _ = b.set_value(start, initial);
+        let opening = idx % 2 == 1;
+        if initial.is_none() {
+            (initial, value) = (Some(opening), opening);
+        } else if opening != value && start > last {
+            f(start);
+            (value, last) = (opening, start);
         }
         let wlen = end - start;
-        loop {
+        for t in words {
             idx += 1;
-            let t = load(idx);
-            if t == EOW {
-                break;
-            }
+            // EOW is `SimTime::MAX`, never below `wlen`.
             if t >= wlen {
-                // Spillover past the window boundary: the next window
-                // re-derives state from its own initial values.
                 break;
             }
-            let v = idx % 2 == 1;
-            let _ = b.set_value(start + t, v);
+            let (at, v) = (start + t, idx % 2 == 1);
+            if v != value && at > last {
+                f(at);
+                (value, last) = (v, at);
+            }
         }
     }
-    builder
-        .map(WaveformBuilder::finish)
-        .unwrap_or_else(|| Waveform::constant(false))
+    Ok(initial.unwrap_or(false))
 }

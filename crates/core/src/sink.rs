@@ -158,15 +158,6 @@ impl SpillSink {
         let chunk = &self.chunks[(ptr >> SPILL_OFFSET_BITS) as usize];
         &chunk[(ptr & SPILL_OFFSET_MASK) as usize..]
     }
-
-    /// One stored word at encoded pointer `ptr`. Adding `k` to an encoded
-    /// pointer advances `k` words within its chunk (the chunk index lives
-    /// above [`SPILL_OFFSET_BITS`], and no chunk grows near that bound), so
-    /// sequential readers can use plain pointer arithmetic — and the
-    /// offset's low bit keeps the parity encoding of values by word index.
-    pub fn word(&self, ptr: u64) -> i32 {
-        self.chunks[(ptr >> SPILL_OFFSET_BITS) as usize][(ptr & SPILL_OFFSET_MASK) as usize]
-    }
 }
 
 impl WaveformSink for SpillSink {

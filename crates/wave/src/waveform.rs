@@ -55,6 +55,7 @@ impl Waveform {
     /// reach [`EOW`]. Use [`WaveformBuilder`] for a fallible interface.
     pub fn from_toggles(initial: bool, toggles: &[SimTime]) -> Self {
         let mut b = WaveformBuilder::new(initial);
+        b.data.reserve_exact(toggles.len() + 1);
         for &t in toggles {
             b.toggle(t).expect("toggle times must be increasing");
         }

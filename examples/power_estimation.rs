@@ -9,9 +9,8 @@ use std::sync::Arc;
 
 use gatspi_core::{RunOptions, Session, SimConfig};
 use gatspi_graph::{CircuitGraph, GraphOptions};
-use gatspi_power::glitch::classify;
+use gatspi_power::glitch::classify_result;
 use gatspi_power::PowerModel;
-use gatspi_wave::Waveform;
 use gatspi_workloads::circuits::int_adder_array;
 use gatspi_workloads::sdfgen::{attach_sdf, SdfGenConfig};
 use gatspi_workloads::stimuli::{generate, StimulusConfig};
@@ -72,10 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Glitch attribution: carry chains glitch under skewed arrivals.
-    let waveforms: Vec<Waveform> = (0..graph.n_signals())
-        .map(|s| result.waveform(s))
-        .collect::<gatspi_core::Result<_>>()?;
-    let stats = classify(&waveforms, cycle, duration);
+    let stats = classify_result(&result, cycle, duration)?;
     println!(
         "glitch analysis: {} functional vs {} glitch toggles ({:.1}% of switching is glitch)",
         stats.total_functional(),

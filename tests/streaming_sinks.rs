@@ -113,6 +113,61 @@ fn serial_streaming_vcd_and_saif_match_posthoc() {
     assert_eq!(saif, r2.saif, "streaming SAIF != engine SAIF");
 }
 
+/// A filtered sink listing its signals out of order hands the writer
+/// each window's calls out of signal order; the VCD must still be the
+/// whole-document writer's, byte for byte.
+#[test]
+fn permuted_filtered_vcd_is_byte_identical_to_the_document_writer() {
+    let graph = wide_graph(21);
+    let stimuli = generate(
+        graph.primary_inputs().len(),
+        &StimulusConfig::random(12, 400, 0.5, 3),
+    );
+    let duration = 12 * 400;
+    let session = Session::new(
+        Arc::clone(&graph),
+        SimConfig::small()
+            .with_cycle_parallelism(6)
+            .with_window_align(400),
+    );
+    // Every stored signal, odd ones descending after even ones ascending.
+    let stored = |&s: &usize| {
+        let sid = SignalId(s as u32);
+        graph.primary_inputs().contains(&sid) || graph.driver(sid).is_some()
+    };
+    let (even, odd): (Vec<usize>, Vec<usize>) = (0..graph.n_signals())
+        .filter(stored)
+        .partition(|s| s % 2 == 0);
+    let listed: Vec<(usize, &str)> = even
+        .into_iter()
+        .chain(odd.into_iter().rev())
+        .map(|s| (s, graph.signal_name(SignalId(s as u32))))
+        .collect();
+    let mut sink = VcdSink::filtered(
+        Vec::new(),
+        graph.name(),
+        graph.n_signals(),
+        &listed,
+        vcd::DEFAULT_TIMESCALE,
+    )
+    .unwrap();
+    let result = session
+        .run_streaming(
+            &stimuli,
+            duration,
+            &RunOptions::default().with_waveform_spill(),
+            &mut sink,
+        )
+        .unwrap();
+    let streamed = String::from_utf8(sink.finish().unwrap()).unwrap();
+    let waves: Vec<Waveform> = listed
+        .iter()
+        .map(|&(s, _)| result.waveform(s).unwrap())
+        .collect();
+    let whole = vcd::write(graph.name(), listed.iter().map(|&(_, n)| n).zip(&waves));
+    assert_eq!(streamed, whole);
+}
+
 #[test]
 fn segmented_streaming_matches_posthoc() {
     let graph = wide_graph(13);
