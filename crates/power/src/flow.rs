@@ -25,7 +25,7 @@ use gatspi_refsim::{EventSimulator, RefConfig};
 use gatspi_sdf::{DelayTriple, SdfFile};
 use gatspi_wave::{SimTime, Waveform};
 
-use crate::glitch::{classify_result, GlitchStats};
+use crate::glitch::{classify, GlitchStats};
 use crate::{PowerModel, PowerReport};
 
 /// Flow configuration.
@@ -127,7 +127,10 @@ pub fn run_glitch_flow(
         &areas,
         i64::from(duration),
     );
-    let stats0 = classify_result(&r0, cycle_time, duration)?;
+    let waveforms: Vec<Waveform> = (0..graph0.n_signals())
+        .map(|s| r0.waveform(s))
+        .collect::<gatspi_core::Result<_>>()?;
+    let stats0 = classify(&waveforms, cycle_time, duration);
 
     // --- Fix: slow the worst glitch sources to absorb their pulses.
     let fixes = apply_slowdown_fixes(netlist, sdf, &graph0, &stats0, cycle_time, cfg);
@@ -148,7 +151,10 @@ pub fn run_glitch_flow(
         &areas,
         i64::from(duration),
     );
-    let stats1 = classify_result(&r1, cycle_time, duration)?;
+    let waveforms1: Vec<Waveform> = (0..graph1.n_signals())
+        .map(|s| r1.waveform(s))
+        .collect::<gatspi_core::Result<_>>()?;
+    let stats1 = classify(&waveforms1, cycle_time, duration);
 
     // --- Baseline turnaround (two event-driven runs), if requested.
     let baseline_seconds = cfg.compare_baseline.then(|| {
@@ -392,9 +398,12 @@ mod tests {
             &RunOptions::default().with_waveform_spill(),
         )
         .unwrap();
+        let waveforms: Vec<Waveform> = (0..graph.n_signals())
+            .map(|s| r.waveform(s).unwrap())
+            .collect();
         (
             CircuitGraph::clone(&graph),
-            classify_result(&r, cycle, duration).unwrap(),
+            classify(&waveforms, cycle, duration),
         )
     }
 

@@ -62,11 +62,13 @@ impl GlitchStats {
 /// toggle inside it, so a cycle with `k` toggles makes `k mod 2`
 /// functional transitions and `k − k mod 2` glitches — a parity count,
 /// one pass over each waveform's toggles with no value lookups. There
-/// are `max(duration / cycle_time, 1)` cycles; the last one also absorbs
-/// the partial tail `[⌊duration / cycle_time⌋ · cycle_time, duration)`
-/// when `cycle_time` does not divide `duration`. Toggles at or after
-/// `duration` are not counted, so a non-positive `duration` classifies
-/// nothing: every count is 0.
+/// are `n = max(duration / cycle_time, 1)` cycles. When `cycle_time`
+/// does not divide `duration`, the last cycle also absorbs the partial
+/// tail `[n · cycle_time, duration)`, but it settles at its whole-cycle
+/// end `n · cycle_time − 1`: each toggle in the tail is one of its
+/// glitches. A run shorter than one cycle is one cycle settling at
+/// `duration − 1`. Toggles at or after `duration` are not counted, so a
+/// non-positive `duration` classifies nothing: every count is 0.
 ///
 /// # Panics
 ///
@@ -122,12 +124,15 @@ pub fn classify_result(
 /// toggles are counted per cycle, and a cycle's count is split by parity
 /// when the next cycle with a toggle opens. Quiet cycles cost nothing.
 struct CycleFold {
+    /// Where the last cycle settles: the end of the whole cycles, or
+    /// `duration` if the run is shorter than one cycle.
+    settle: SimTime,
     duration: SimTime,
-    cycle_time: SimTime,
-    /// Start of the last cycle, which runs to `duration`.
-    last_start: SimTime,
+    /// Cycle arithmetic is in `i64`, so stepping past the last cycle
+    /// cannot overflow.
+    cycle_time: i64,
     /// End of the cycle being counted (0 before the first toggle).
-    cycle_end: SimTime,
+    cycle_end: i64,
     toggles: u64,
     functional: u64,
     glitch: u64,
@@ -137,9 +142,9 @@ impl CycleFold {
     fn new(cycle_time: SimTime, duration: SimTime) -> Self {
         let n_cycles = (duration / cycle_time).max(1);
         CycleFold {
+            settle: (n_cycles * cycle_time).min(duration),
             duration,
-            cycle_time,
-            last_start: (n_cycles - 1) * cycle_time,
+            cycle_time: i64::from(cycle_time),
             cycle_end: 0,
             toggles: 0,
             functional: 0,
@@ -148,30 +153,33 @@ impl CycleFold {
     }
 
     fn toggle(&mut self, t: SimTime) {
-        if t >= self.duration {
+        if t >= self.settle {
+            // The partial tail, after the last cycle settled.
+            self.glitch += u64::from(t < self.duration);
             return;
         }
-        if t >= self.cycle_end {
-            self.close_cycle();
-            self.cycle_end = if t >= self.last_start {
-                SimTime::MAX
-            } else {
-                (t / self.cycle_time + 1) * self.cycle_time
-            };
-        }
-        self.toggles += 1;
-    }
-
-    fn close_cycle(&mut self) {
-        self.functional += self.toggles & 1;
-        self.glitch += self.toggles & !1;
-        self.toggles = 0;
+        // Whether a toggle opens a cycle depends on the data, so this
+        // is written as selects, not branches. The new cycle usually
+        // ends one cycle on; only a jump over quiet cycles divides.
+        let t = i64::from(t);
+        let open = t >= self.cycle_end;
+        let closed = if open { self.toggles } else { 0 };
+        self.functional += closed & 1;
+        self.glitch += closed & !1;
+        self.toggles = if open { 1 } else { self.toggles + 1 };
+        let next = self.cycle_end + self.cycle_time;
+        let next = if t >= next {
+            (t / self.cycle_time + 1) * self.cycle_time
+        } else {
+            next
+        };
+        self.cycle_end = if open { next } else { self.cycle_end };
     }
 
     /// `(functional, glitch)` over the whole run.
-    fn finish(mut self) -> (u64, u64) {
-        self.close_cycle();
-        (self.functional, self.glitch)
+    fn finish(self) -> (u64, u64) {
+        let k = self.toggles;
+        (self.functional + (k & 1), self.glitch + (k & !1))
     }
 }
 
@@ -191,7 +199,9 @@ mod tests {
     /// oracle: per cycle, count the toggles inside it, and call one of
     /// them functional when the value at the cycle's last tick differs
     /// from the value at the previous cycle's. The last cycle absorbs the
-    /// partial tail, so its last tick is `duration − 1`.
+    /// partial tail's toggles but settles at its whole-cycle end. Only
+    /// the early return for a non-positive `duration` is new; the rest
+    /// panicked there.
     fn classify_by_value(
         waveforms: &[Waveform],
         cycle_time: SimTime,
@@ -216,15 +226,12 @@ mod tests {
                 toggles_in_cycle[c] += 1;
             }
             for c in 0..n_cycles {
-                let end = if c == n_cycles - 1 {
-                    duration - 1
-                } else {
-                    (c + 1) * cycle_time - 1
-                };
+                let end = ((c + 1) * cycle_time - 1).min(duration - 1);
                 let end_val = w.value_at(end);
                 let functional = u64::from(end_val != boundary_val);
+                let total = toggles_in_cycle[c as usize];
                 stats.functional[s] += functional;
-                stats.glitch[s] += toggles_in_cycle[c as usize] - functional;
+                stats.glitch[s] += total.saturating_sub(functional);
                 boundary_val = end_val;
             }
         }
@@ -291,12 +298,16 @@ mod tests {
     }
 
     #[test]
-    fn partial_last_cycle_settles_at_the_end_of_the_run() {
-        // 250 ticks of 100-tick cycles: the last cycle is [100, 250), and
-        // a lone toggle in its tail is its functional transition.
+    fn partial_tail_toggles_are_glitches_of_the_last_cycle() {
+        // 250 ticks of 100-tick cycles: the last cycle counts [100, 250)
+        // but settles at 199, so a lone toggle in the tail is a glitch,
+        // and one before the tail is still the cycle's functional one.
         let w = Waveform::from_toggles(false, &[210]);
         let s = classify(&[w], 100, 250);
-        assert_eq!((s.functional[0], s.glitch[0]), (1, 0));
+        assert_eq!((s.functional[0], s.glitch[0]), (0, 1));
+        let w = Waveform::from_toggles(false, &[150, 210, 220]);
+        let s = classify(&[w], 100, 250);
+        assert_eq!((s.functional[0], s.glitch[0]), (1, 2));
     }
 
     /// Classification straight from `r` equals `classify` over its

@@ -67,16 +67,13 @@ pub fn write_with_timescale<'a>(
     let mut rest: Vec<_> = waves.iter().map(|(_, w)| w.iter().peekable()).collect();
     let mut upto = 0;
     while upto < end {
-        // Below `end`, so a `SimTime`.
-        let base = upto as SimTime;
         upto += step;
         for (i, changes) in rest.iter_mut().enumerate() {
             while let Some((t, v)) = changes.next_if(|&(t, _)| (t as u64) < upto) {
-                keys.push(pack_change(t - base, i as u32, v));
+                keys.push(pack_change(t, i as u32, v));
             }
         }
-        // Signals in index order, each one's times ascending.
-        formatter.format(base, &mut keys, true, &mut out);
+        formatter.format(&mut keys, &mut out);
         keys.clear();
     }
     // The header repeats the caller's `&str`s; everything else is ASCII.
@@ -89,25 +86,12 @@ const WRITE_SLICE_CHANGES: usize = 1 << 16;
 /// `cur`-state sentinel for a signal that has not been dumped yet.
 const VAL_NONE: u8 = 2;
 
-/// Where a packed change's time starts: bit 33, the fourth radix digit.
-const TIME_SHIFT: u32 = 33;
-/// Width of one radix digit of a packed change.
-const DIGIT_BITS: u32 = 11;
-/// Digits of a 64-bit key.
-const DIGITS: u32 = u64::BITS.div_ceil(DIGIT_BITS);
-const RADIX: usize = 1 << DIGIT_BITS;
-
-/// One value change packed for sorting: its time relative to the base of
-/// the window being formatted in the top 31 bits, signal index below it,
-/// value in bit 0 — so ascending `u64` order is the VCD body's
-/// `(time, signal)` order. `rel_time` must be non-negative.
-fn pack_change(rel_time: SimTime, signal: u32, value: bool) -> u64 {
-    debug_assert!(rel_time >= 0, "packed times are non-negative");
-    (rel_time as u64) << TIME_SHIFT | u64::from(signal) << 1 | u64::from(value)
-}
-
-fn digit(key: u64, d: u32) -> usize {
-    (key >> (d * DIGIT_BITS)) as usize & (RADIX - 1)
+/// One value change packed for sorting: time in the top 31 bits, signal
+/// index below it, value in bit 0 — so ascending `u64` order is the VCD
+/// body's `(time, signal)` order. `time` must be non-negative.
+fn pack_change(time: SimTime, signal: u32, value: bool) -> u64 {
+    debug_assert!(time >= 0, "packed times are non-negative");
+    (time as u64) << 33 | u64::from(signal) << 1 | u64::from(value)
 }
 
 /// Signal `i`'s printable short identifier (VCD id chars are `!`..=`~`)
@@ -155,9 +139,6 @@ struct ChangeFormatter {
     /// The `$dumpvars` block has been written (it wraps the first change
     /// block).
     wrote_dumpvars: bool,
-    /// The radix sort's second buffer and its per-digit histograms.
-    scratch: Vec<u64>,
-    counts: Vec<usize>,
 }
 
 impl ChangeFormatter {
@@ -182,8 +163,6 @@ impl ChangeFormatter {
             lines,
             last_time: None,
             wrote_dumpvars: false,
-            scratch: Vec::new(),
-            counts: Vec::new(),
         }
     }
 
@@ -212,31 +191,15 @@ impl ChangeFormatter {
         let _ = writeln!(out, "$enddefinitions $end");
     }
 
-    /// Sorts `keys` (see [`pack_change`], times relative to `base`) and
-    /// appends their change blocks to `out`. A stamp equal to the
-    /// previous window's last one is not repeated; the `$dumpvars` block
-    /// opened by the first stamp ever written closes at the next stamp or
-    /// at the end of its window.
-    ///
-    /// `signal_ordered` promises that equal times arrived in ascending
-    /// signal order, and no `(time, signal)` twice; then only the time
-    /// digits need sorting.
-    fn format(
-        &mut self,
-        base: SimTime,
-        keys: &mut Vec<u64>,
-        signal_ordered: bool,
-        out: &mut Vec<u8>,
-    ) {
-        self.sort(keys, signal_ordered);
-        self.emit(base, keys, out);
-    }
-
-    /// Appends the change blocks of `keys`, already in ascending order.
-    fn emit(&mut self, base: SimTime, keys: &[u64], out: &mut Vec<u8>) {
+    /// Sorts `keys` (see [`pack_change`]) and appends their change blocks
+    /// to `out`. A stamp equal to the previous window's last one is not
+    /// repeated; the `$dumpvars` block opened by the first stamp ever
+    /// written closes at the next stamp or at the end of its window.
+    fn format(&mut self, keys: &mut [u64], out: &mut Vec<u8>) {
+        keys.sort_unstable();
         let mut dumpvars_open = false;
         for &key in keys.iter() {
-            let t = base + (key >> TIME_SHIFT) as SimTime;
+            let t = (key >> 33) as SimTime;
             if self.last_time != Some(t) {
                 if dumpvars_open {
                     out.extend_from_slice(b"$end\n");
@@ -262,48 +225,6 @@ impl ChangeFormatter {
             out.extend_from_slice(b"$end\n");
         }
     }
-
-    /// Sorts `keys` ascending by LSD radix: one stable counting pass per
-    /// 11-bit digit in which the keys differ. Stable passes keep equal
-    /// digits in arrival order, so when `signal_ordered` the passes start
-    /// at the first time digit — arrival order already is the order of
-    /// the lower digits among equal times. Either way the result is the
-    /// keys' total order.
-    fn sort(&mut self, keys: &mut Vec<u64>, signal_ordered: bool) {
-        let Some(&first) = keys.first() else {
-            return;
-        };
-        let low = if signal_ordered {
-            TIME_SHIFT / DIGIT_BITS
-        } else {
-            0
-        };
-        let counts = &mut self.counts;
-        counts.clear();
-        counts.resize(DIGITS as usize * RADIX, 0);
-        for &key in keys.iter() {
-            for d in low..DIGITS {
-                counts[d as usize * RADIX + digit(key, d)] += 1;
-            }
-        }
-        self.scratch.resize(keys.len(), 0);
-        for d in low..DIGITS {
-            let count = &mut counts[d as usize * RADIX..][..RADIX];
-            if count[digit(first, d)] == keys.len() {
-                continue; // every key has this digit
-            }
-            let mut at = 0;
-            for c in count.iter_mut() {
-                (*c, at) = (at, at + *c);
-            }
-            for &key in keys.iter() {
-                let slot = &mut count[digit(key, d)];
-                self.scratch[*slot] = key;
-                *slot += 1;
-            }
-            std::mem::swap(keys, &mut self.scratch);
-        }
-    }
 }
 
 /// Incremental VCD writer with memory bounded by one stimulus window.
@@ -312,14 +233,12 @@ impl ChangeFormatter {
 /// first byte leaves; `StreamWriter` instead accepts each signal's changes
 /// window by window — the unit a streaming simulation run produces — and
 /// emits one time-ordered change block per window. Buffering is O(changes
-/// in the current window): every change is one packed `u64` key (time
-/// relative to the window start, signal, value) pushed onto one reused
-/// list; when a call reports a new window start, the previous window's
-/// keys are radix-sorted once — on their time digits alone when the
-/// window's calls arrived in ascending signal order, as a simulation
-/// run's drain delivers them — and formatted into a reused byte buffer
-/// that leaves in a single `write_all`. It is the formatter [`write()`]
-/// uses, so both produce the same bytes for the same changes.
+/// in the current window): every change is one packed `u64` key (time,
+/// signal, value) pushed onto one reused list; when a call reports a new
+/// window start, the previous window's keys are sorted once and formatted
+/// into a reused byte buffer that leaves in a single `write_all`. It is the
+/// formatter [`write()`] uses, so both produce the same bytes for the same
+/// changes.
 ///
 /// Windows must arrive in ascending start order (checked), each signal at
 /// most once per window, with window-local toggle times already clipped to
@@ -355,14 +274,9 @@ pub struct StreamWriter<W: IoWrite> {
     keys: Vec<u64>,
     /// Formatted bytes of the window being flushed.
     buf: Vec<u8>,
-    /// Start time of the window currently buffering — the base of its
-    /// keys' times; later windows may not start before it.
+    /// Start time of the window currently buffering; later windows may
+    /// not start before it.
     window_start: SimTime,
-    /// The window's calls so far came in ascending signal order, each
-    /// with ascending toggles (see [`ChangeFormatter::format`]).
-    signal_ordered: bool,
-    /// The smallest signal that keeps the window's calls ascending.
-    next_signal: usize,
     peak_pending: usize,
 }
 
@@ -403,8 +317,6 @@ impl<W: IoWrite> StreamWriter<W> {
             keys: Vec::new(),
             buf,
             window_start: 0,
-            signal_ordered: true,
-            next_signal: 0,
             peak_pending: 0,
         })
     }
@@ -455,24 +367,18 @@ impl<W: IoWrite> StreamWriter<W> {
         // differs — a window opening at the value the previous window
         // closed on writes nothing.
         if self.cur[signal] != u8::from(initial) {
-            self.keys.push(pack_change(0, signal as u32, initial));
+            self.keys.push(pack_change(start, signal as u32, initial));
         }
-        // `start + t` is a `SimTime` exactly up to here.
-        let latest = SimTime::MAX - start;
-        let (mut v, mut prev, mut ascending) = (initial, 0, true);
+        let mut v = initial;
         for t in toggles {
-            if t <= 0 || t > latest {
+            let Some(at) = start.checked_add(t).filter(|_| t > 0) else {
                 self.keys.truncate(mark);
                 return Err(invalid_input("toggle time is not a positive SimTime"));
-            }
+            };
             v = !v;
-            ascending &= t > prev;
-            prev = t;
-            self.keys.push(pack_change(t, signal as u32, v));
+            self.keys.push(pack_change(at, signal as u32, v));
         }
         self.cur[signal] = u8::from(v);
-        self.signal_ordered &= ascending && signal >= self.next_signal;
-        self.next_signal = signal + 1;
         Ok(())
     }
 
@@ -498,18 +404,11 @@ impl<W: IoWrite> StreamWriter<W> {
     /// one call so a raw `File` writer still sees few large writes.
     fn flush_window(&mut self) -> std::io::Result<()> {
         self.peak_pending = self.peak_pending.max(self.keys.len());
-        let signal_ordered = std::mem::replace(&mut self.signal_ordered, true);
-        self.next_signal = 0;
         if self.keys.is_empty() {
             return Ok(());
         }
         self.buf.clear();
-        self.formatter.format(
-            self.window_start,
-            &mut self.keys,
-            signal_ordered,
-            &mut self.buf,
-        );
+        self.formatter.format(&mut self.keys, &mut self.buf);
         self.keys.clear();
         self.out.write_all(&self.buf)
     }
@@ -993,178 +892,6 @@ mod tests {
         let doc = parse(&text).unwrap();
         assert_eq!(doc.signals["a"], Waveform::from_toggles(false, &[4, 13]));
         assert_eq!(doc.signals["b"], Waveform::from_toggles(false, &[16]));
-    }
-
-    /// The ordering the radix sort replaced, kept as its oracle: a
-    /// stream writer whose changes are packed at absolute time and whose
-    /// windows are ordered by `sort_unstable`.
-    struct Reference {
-        formatter: ChangeFormatter,
-        cur: Vec<u8>,
-        start: SimTime,
-        keys: Vec<u64>,
-        out: Vec<u8>,
-    }
-
-    impl Reference {
-        fn new(names: &[&str]) -> Self {
-            let formatter = ChangeFormatter::new(names.len());
-            let mut out = Vec::new();
-            formatter.push_header(&mut out, "top", names.iter().copied(), DEFAULT_TIMESCALE);
-            Reference {
-                formatter,
-                cur: vec![VAL_NONE; names.len()],
-                start: 0,
-                keys: Vec::new(),
-                out,
-            }
-        }
-
-        fn wave(&mut self, signal: usize, start: SimTime, initial: bool, toggles: &[SimTime]) {
-            if start != self.start {
-                self.flush();
-                self.start = start;
-            }
-            if self.cur[signal] != u8::from(initial) {
-                self.keys.push(pack_change(start, signal as u32, initial));
-            }
-            let mut v = initial;
-            for &t in toggles {
-                v = !v;
-                self.keys.push(pack_change(start + t, signal as u32, v));
-            }
-            self.cur[signal] = u8::from(v);
-        }
-
-        fn flush(&mut self) {
-            self.keys.sort_unstable();
-            self.formatter.emit(0, &self.keys, &mut self.out);
-            self.keys.clear();
-        }
-
-        fn finish(mut self) -> String {
-            self.flush();
-            String::from_utf8(self.out).unwrap()
-        }
-    }
-
-    /// One `StreamWriter::wave` call: signal, window start, initial
-    /// value, window-local toggles.
-    type Call = (usize, SimTime, bool, Vec<SimTime>);
-
-    /// Streams `calls` and requires the reference's bytes.
-    fn assert_matches_reference(n: usize, calls: &[Call], what: &str) {
-        let names: Vec<String> = (0..n).map(|i| format!("s{i}")).collect();
-        let names: Vec<&str> = names.iter().map(String::as_str).collect();
-        let mut sw = StreamWriter::new(Vec::new(), "top", &names).unwrap();
-        let mut reference = Reference::new(&names);
-        for (signal, start, initial, toggles) in calls {
-            sw.wave(*signal, *start, *initial, toggles.iter().copied())
-                .unwrap();
-            reference.wave(*signal, *start, *initial, toggles);
-        }
-        let streamed = String::from_utf8(sw.finish().unwrap()).unwrap();
-        assert_eq!(streamed, reference.finish(), "{what}");
-    }
-
-    /// Seeded differential test against the reference: signals delivered
-    /// in ascending, descending and shuffled order, sometimes twice in a
-    /// window; windows narrow (many equal times) and wider than 2²² ticks
-    /// (three time digits); quiet signals, empty windows and changes at a
-    /// window's first tick.
-    #[test]
-    fn radix_order_is_byte_identical_to_the_sort_unstable_reference() {
-        let mut rng = 0x2545_F491_4F6C_DD1Du64;
-        let mut next = move |n: u64| {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            rng % n
-        };
-        for case in 0..240 {
-            let n = 1 + next(60) as usize;
-            let width = if case % 3 == 0 {
-                (1 << 22) + next(1 << 24) as SimTime
-            } else {
-                2 + next(40) as SimTime
-            };
-            let order = case % 4;
-            let mut calls = Vec::new();
-            let mut start = next(3) as SimTime * width;
-            for _ in 0..1 + next(5) {
-                let mut signals: Vec<usize> = (0..n).filter(|_| next(6) != 0).collect();
-                match order {
-                    1 => signals.reverse(),
-                    2 => {
-                        for i in (1..signals.len()).rev() {
-                            signals.swap(i, next(i as u64 + 1) as usize);
-                        }
-                    }
-                    3 if !signals.is_empty() => signals.push(signals[0]),
-                    _ => {}
-                }
-                for s in signals {
-                    // Half anywhere in the window, half on a coarse grid
-                    // that signals share.
-                    let last = width as u64 - 1;
-                    let mut toggles: Vec<SimTime> = (0..next(6))
-                        .map(|_| match next(2) {
-                            0 => 1 + next(last) as SimTime,
-                            _ => 1 + (next(64) * 1021 % last) as SimTime,
-                        })
-                        .collect();
-                    if width > 1 << 22 && next(2) == 0 {
-                        toggles.push(width - 1);
-                    }
-                    toggles.sort_unstable();
-                    toggles.dedup();
-                    calls.push((s, start, next(2) == 1, toggles));
-                }
-                start += width;
-            }
-            assert_matches_reference(n, &calls, &format!("case {case}"));
-        }
-    }
-
-    #[test]
-    fn single_change_empty_and_descending_windows_match_the_reference() {
-        let calls: Vec<Call> = vec![
-            // One change: signal 2's initial value, at relative time 0.
-            (2, 0, true, vec![]),
-            // Empty: nothing differs from what was written.
-            (2, 10, true, vec![]),
-            // Descending calls with equal times, one at the window's
-            // first tick.
-            (2, 20, false, vec![3, 5]),
-            (1, 20, true, vec![3]),
-            (0, 20, false, vec![5]),
-            // Far out: window-relative times need three digits.
-            (1, 1 << 23, false, vec![1, (1 << 22) + 7, (1 << 23) - 1]),
-            (0, 1 << 23, true, vec![(1 << 22) + 7]),
-        ];
-        assert_matches_reference(3, &calls, "hand-picked windows");
-    }
-
-    #[test]
-    fn write_over_many_slices_matches_the_reference() {
-        // Three slices' worth of changes, spread over a long run with
-        // many equal times across signals.
-        let waves: Vec<Waveform> = (0..5)
-            .map(|s: SimTime| {
-                let toggles: Vec<SimTime> = (1..=WRITE_SLICE_CHANGES as SimTime * 3 / 5)
-                    .map(|i| i * 37 + s * (i % 2))
-                    .collect();
-                Waveform::from_toggles(s % 2 == 0, &toggles)
-            })
-            .collect();
-        let names = ["a", "b", "c", "d", "e"];
-        let text = write("top", names.iter().copied().zip(&waves));
-        let mut reference = Reference::new(&names);
-        for (s, w) in waves.iter().enumerate() {
-            let toggles: Vec<SimTime> = w.iter().skip(1).map(|(t, _)| t).collect();
-            reference.wave(s, 0, w.initial_value(), &toggles);
-        }
-        assert_eq!(text, reference.finish());
     }
 
     #[test]
