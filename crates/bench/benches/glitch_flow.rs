@@ -1,7 +1,8 @@
 //! §4 glitch-optimization flow: re-simulate, fix glitch sources, re-simulate,
-//! confirm the power saving and the turnaround speedup. Also records the
-//! launch-fusion effect on the same design and emits the machine-readable
-//! `BENCH_glitch_flow.json` artifact for cross-PR comparison.
+//! confirm the power saving and the turnaround speedup. Also records a full
+//! re-simulation, the spill drain and an incremental re-simulation of the
+//! same design, and emits the machine-readable `BENCH_glitch_flow.json`
+//! artifact for cross-PR comparison.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -85,35 +86,26 @@ fn main() {
         &rows,
     );
 
-    // --- Launch fusion on the same design: measured wall and per-segment
-    // launches, fused (default) vs the original two-launches-per-level
-    // schedule.
+    // --- A full re-simulation of the same design: measured wall and
+    // launches (one per level, plus a repair launch per overflowed level).
     let graph = Arc::new(
         CircuitGraph::build(&netlist, Some(&sdf), &GraphOptions::default()).expect("graph"),
     );
     let duration = CYCLE_TIME * cycles as i32;
-    // One compiled session per schedule: the fuse threshold is fixed when
-    // the session is built.
-    let cfg = SimConfig::default().with_window_align(CYCLE_TIME);
-    let sim = Session::new(Arc::clone(&graph), cfg.clone());
-    let unfused_sim = Session::new(Arc::clone(&graph), cfg.with_fuse_threshold(0));
-    let measure = |sim: &Session| {
-        let reps = 3;
-        let t0 = Instant::now();
-        let mut profile = AppPhaseProfile::default();
-        let mut segments = 0usize;
-        for _ in 0..reps {
-            let r = sim.run(&stimuli, duration).expect("resim");
-            profile = r.app_profile;
-            segments = r.segments();
-        }
-        let wall = t0.elapsed().as_secs_f64() / f64::from(reps);
-        (wall, profile, segments)
-    };
-    let (wall_fused, prof_fused, segs_f) = measure(&sim);
-    let (wall_unfused, prof_unfused, segs_u) = measure(&unfused_sim);
-    let (launches_fused, fused_groups) = (prof_fused.launches, prof_fused.fused_launches);
-    let launches_unfused = prof_unfused.launches;
+    let sim = Session::new(
+        Arc::clone(&graph),
+        SimConfig::default().with_window_align(CYCLE_TIME),
+    );
+    let reps = 3;
+    let t0 = Instant::now();
+    let mut profile = AppPhaseProfile::default();
+    let mut segments = 0usize;
+    for _ in 0..reps {
+        let r = sim.run(&stimuli, duration).expect("resim");
+        profile = r.app_profile;
+        segments = r.segments();
+    }
+    let resim_wall = t0.elapsed().as_secs_f64() / f64::from(reps);
 
     // --- Parallel spill drain on the same design: measured drain wall,
     // coalesced D2H batches and bytes of one spilled run (the glitch flow
@@ -147,7 +139,6 @@ fn main() {
     by_level.sort_unstable_by_key(|&g| std::cmp::Reverse(graph.gate_level(g)));
     let changed: Vec<usize> = by_level[..n_changed].to_vec();
     let spill_opts = RunOptions::default().with_waveform_spill();
-    let reps = 3;
     let t0 = Instant::now();
     for _ in 0..reps {
         sim.run_incremental(&spill_run, &changed, &stimuli, duration, &spill_opts)
@@ -161,10 +152,10 @@ fn main() {
         &[
             vec!["changed gates".into(), n_changed.to_string()],
             vec!["incremental wall".into(), secs(incremental_wall)],
-            vec!["full fused wall".into(), secs(wall_fused)],
+            vec!["full wall".into(), secs(resim_wall)],
             vec![
                 "incremental speedup".into(),
-                speedup(wall_fused / incremental_wall),
+                speedup(resim_wall / incremental_wall),
             ],
             vec![
                 "plan cache (hits/misses)".into(),
@@ -177,44 +168,35 @@ fn main() {
         ],
     );
     print_table(
-        "Launch fusion (same design)",
-        &["Schedule", "wall", "launches", "segments"],
-        &[
-            vec![
-                "fused".into(),
-                secs(wall_fused),
-                launches_fused.to_string(),
-                segs_f.to_string(),
-            ],
-            vec![
-                "unfused".into(),
-                secs(wall_unfused),
-                launches_unfused.to_string(),
-                segs_u.to_string(),
-            ],
-        ],
+        "Full re-simulation (same design)",
+        &["wall", "launches", "segments"],
+        &[vec![
+            secs(resim_wall),
+            profile.launches.to_string(),
+            segments.to_string(),
+        ]],
     );
     print_table(
-        "Speculative single-pass (fused run)",
+        "Speculative single-pass (full run)",
         &["Metric", "Value"],
         &[
             vec![
                 "speculative hit rate".into(),
-                format!("{:.2}%", prof_fused.speculative_hit_rate * 100.0),
+                format!("{:.2}%", profile.speculative_hit_rate * 100.0),
             ],
             vec![
                 "overflow repairs".into(),
-                prof_fused.overflow_repairs.to_string(),
+                profile.overflow_repairs.to_string(),
             ],
             vec![
                 "predicted waste (words)".into(),
-                prof_fused.predicted_waste_words.to_string(),
+                profile.predicted_waste_words.to_string(),
             ],
         ],
     );
 
     let json = format!(
-        "{{\n  \"target\": \"glitch_flow\",\n  \"gates\": {},\n  \"gatspi_seconds\": {:.6},\n  \"baseline_seconds\": {},\n  \"turnaround_speedup\": {},\n  \"saving_pct\": {:.4},\n  \"glitch_toggles_before\": {},\n  \"glitch_toggles_after\": {},\n  \"resim_wall_fused\": {:.6},\n  \"resim_wall_unfused\": {:.6},\n  \"launches_fused\": {},\n  \"launches_unfused\": {},\n  \"fused_groups\": {},\n  \"drain_seconds\": {:.6},\n  \"d2h_batches\": {},\n  \"spill_d2h_bytes\": {},\n  \"incremental_resim_wall\": {:.6},\n  \"incremental_speedup\": {:.3},\n  \"incremental_changed_gates\": {},\n  \"plan_cache_hits\": {},\n  \"plan_cache_misses\": {},\n  \"plan_cache_evictions\": {},\n  \"cone_plan_hits\": {},\n  \"cone_plan_misses\": {},\n  \"speculative_hit_rate\": {:.4},\n  \"overflow_repairs\": {},\n  \"predicted_waste_words\": {},\n  \"oom_retries\": {}\n}}\n",
+        "{{\n  \"target\": \"glitch_flow\",\n  \"gates\": {},\n  \"gatspi_seconds\": {:.6},\n  \"baseline_seconds\": {},\n  \"turnaround_speedup\": {},\n  \"saving_pct\": {:.4},\n  \"glitch_toggles_before\": {},\n  \"glitch_toggles_after\": {},\n  \"resim_wall\": {:.6},\n  \"launches\": {},\n  \"drain_seconds\": {:.6},\n  \"d2h_batches\": {},\n  \"spill_d2h_bytes\": {},\n  \"incremental_resim_wall\": {:.6},\n  \"incremental_speedup\": {:.3},\n  \"incremental_changed_gates\": {},\n  \"plan_cache_hits\": {},\n  \"plan_cache_misses\": {},\n  \"plan_cache_evictions\": {},\n  \"cone_plan_hits\": {},\n  \"cone_plan_misses\": {},\n  \"speculative_hit_rate\": {:.4},\n  \"overflow_repairs\": {},\n  \"predicted_waste_words\": {},\n  \"oom_retries\": {}\n}}\n",
         netlist.gate_count(),
         report.gatspi_seconds,
         report
@@ -228,26 +210,23 @@ fn main() {
         report.saving_pct,
         report.glitch_before.1,
         report.glitch_after.1,
-        wall_fused,
-        wall_unfused,
-        launches_fused,
-        launches_unfused,
-        fused_groups,
+        resim_wall,
+        profile.launches,
         drain_seconds,
         d2h_batches,
         spill_d2h_bytes,
         incremental_wall,
-        wall_fused / incremental_wall,
+        resim_wall / incremental_wall,
         n_changed,
         cache.hits,
         cache.misses,
         cache.evictions,
         cache.cone_hits,
         cache.cone_misses,
-        prof_fused.speculative_hit_rate,
-        prof_fused.overflow_repairs,
-        prof_fused.predicted_waste_words,
-        prof_fused.oom_retries + spill_run.app_profile.oom_retries,
+        profile.speculative_hit_rate,
+        profile.overflow_repairs,
+        profile.predicted_waste_words,
+        profile.oom_retries + spill_run.app_profile.oom_retries,
     );
     write_bench_artifact("glitch_flow", &json);
 }

@@ -150,8 +150,8 @@ fn bench_single_pass(c: &mut Criterion) {
 
 /// Deep, narrow pipeline with dense activity: thousands of one-gate
 /// levels, each re-walking a ~100-toggle waveform, so Algorithm 1 kernel
-/// work dominates. `fused` runs the default fused-level schedule;
-/// `unfused` pins one launch per level.
+/// work dominates — and, at one launch per level, the witness of per-launch
+/// overhead.
 fn bench_deep_pipeline(c: &mut Criterion) {
     let depth = 3000usize;
     let mut b = NetlistBuilder::new("deep", CellLibrary::industry_mini());
@@ -170,33 +170,25 @@ fn bench_deep_pipeline(c: &mut Criterion) {
     let duration = 10_000;
 
     let mut group = c.benchmark_group("deep_pipeline_resim");
-    for (label, threshold) in [
-        ("fused", SimConfig::default().fuse_threshold),
-        ("unfused", 0),
-    ] {
-        let sim = Session::new(
-            Arc::clone(&graph),
-            SimConfig::default()
-                .with_cycle_parallelism(4)
-                .with_window_align(100)
-                .with_fuse_threshold(threshold),
-        );
-        let launches = sim.run(&stimuli, duration).unwrap().app_profile.launches;
-        group.bench_with_input(
-            BenchmarkId::new(label, format!("depth{depth}_launches{launches}")),
-            &(),
-            |bench, ()| bench.iter(|| sim.run(&stimuli, duration).unwrap().total_toggles()),
-        );
-    }
+    let sim = Session::new(
+        Arc::clone(&graph),
+        SimConfig::default()
+            .with_cycle_parallelism(4)
+            .with_window_align(100),
+    );
+    let launches = sim.run(&stimuli, duration).unwrap().app_profile.launches;
+    group.bench_with_input(
+        BenchmarkId::new("per_level", format!("depth{depth}_launches{launches}")),
+        &(),
+        |bench, ()| bench.iter(|| sim.run(&stimuli, duration).unwrap().total_toggles()),
+    );
     group.finish();
 }
 
 /// The publish path itself (each level's length, SAIF and slack folds,
-/// run by the thread that finished the level): `narrow` is a
-/// deep chain of one-gate levels (fused launches; the leader worker
-/// publishes at repair-phase boundaries), `wide` is shallow random logic
-/// with thousand-gate levels (classic one-launch-per-level path; the
-/// engine thread publishes after the launch join).
+/// run by the storing kernel threads): `narrow` is a deep chain of
+/// one-gate levels (launches run inline), `wide` is shallow random logic
+/// with thousand-gate levels (launches on the worker pool).
 fn bench_publish_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("publish_path");
 
@@ -262,100 +254,9 @@ fn bench_publish_path(c: &mut Criterion) {
     group.finish();
 }
 
-/// The phased-launch driver itself, isolated from kernel work: per-phase
-/// overhead of the pooled chase-the-cursor protocol on wide fused groups,
-/// a reference loop using two full `Barrier` rounds per phase at the same
-/// worker count (the protocol the cursor driver replaced — sync cost
-/// only), and the all-narrow serial fast path.
-fn bench_phase_driver(c: &mut Criterion) {
-    use gatspi_gpu::sync::atomic::{AtomicU64, Ordering};
-    use gatspi_gpu::{Device, DeviceSpec, LaunchConfig};
-    use std::sync::Barrier;
-
-    let mut group = c.benchmark_group("phase_driver");
-    let dev = Device::new(DeviceSpec::v100(), 0);
-    let workers = dev.workers();
-    let n_phases = 32usize;
-
-    // Wide fused group: 32 phases × 8192 threads engage the worker pool.
-    let wide = vec![8192usize; n_phases];
-    group.bench_with_input(
-        BenchmarkId::new("cursor_driver", format!("wide{n_phases}x8192_w{workers}")),
-        &(),
-        |b, ()| {
-            b.iter(|| {
-                let boundaries = AtomicU64::new(0);
-                dev.launch_phased(
-                    "pd_wide",
-                    &LaunchConfig::for_threads(n_phases * 8192),
-                    &wide,
-                    |_p, _threads, _lane| {},
-                    |_p| {
-                        boundaries.fetch_add(1, Ordering::Relaxed);
-                        Some(0)
-                    },
-                );
-                boundaries.load(Ordering::Relaxed)
-            })
-        },
-    );
-
-    // Reference: the same phase count synchronized with two full Barrier
-    // rounds per phase across the same workers — the pre-cursor protocol's
-    // synchronization cost, with no kernel work at all.
-    group.bench_with_input(
-        BenchmarkId::new("barrier_reference", format!("sync{n_phases}_w{workers}")),
-        &(),
-        |b, ()| {
-            b.iter(|| {
-                let barrier = Barrier::new(workers);
-                let boundaries = AtomicU64::new(0);
-                std::thread::scope(|s| {
-                    for _ in 0..workers {
-                        s.spawn(|| {
-                            for _p in 0..n_phases {
-                                if barrier.wait().is_leader() {
-                                    boundaries.fetch_add(1, Ordering::Relaxed);
-                                }
-                                barrier.wait();
-                            }
-                        });
-                    }
-                });
-                boundaries.load(Ordering::Relaxed)
-            })
-        },
-    );
-
-    // All-narrow fused group: 512 phases × 64 threads take the serial
-    // fast path (no pool, no cross-worker hand-off at all).
-    let narrow = vec![64usize; 512];
-    group.bench_with_input(
-        BenchmarkId::new("serial_fast_path", "narrow512x64"),
-        &(),
-        |b, ()| {
-            b.iter(|| {
-                let boundaries = AtomicU64::new(0);
-                dev.launch_phased(
-                    "pd_narrow",
-                    &LaunchConfig::for_threads(512 * 64),
-                    &narrow,
-                    |_p, _threads, _lane| {},
-                    |_p| {
-                        boundaries.fetch_add(1, Ordering::Relaxed);
-                        Some(0)
-                    },
-                );
-                boundaries.load(Ordering::Relaxed)
-            })
-        },
-    );
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2));
-    targets = bench_kernel, bench_single_pass, bench_deep_pipeline, bench_publish_path, bench_phase_driver
+    targets = bench_kernel, bench_single_pass, bench_deep_pipeline, bench_publish_path
 }
 criterion_main!(benches);

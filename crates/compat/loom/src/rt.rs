@@ -998,7 +998,7 @@ pub(crate) fn cell_access(tag: &AtomicU64, write: bool) {
 ///
 /// Otherwise it parks until some store wakes it ([`wake_yielded`]). Scoping
 /// the check to recent reads (not everything the thread ever read) is what
-/// lets a phase-gate spinner park even while unrelated locations it touched
+/// lets a spinner on a gate flag park even while unrelated locations it touched
 /// earlier (block cursors, arrival counters) still hold stores it will
 /// never re-read. Both escape clauses are bounded by the finite store count,
 /// so yields cannot stay runnable forever.

@@ -2,7 +2,7 @@
 //!
 //! The engine's launch schedules ([`schedule`](crate) internals) bake every
 //! per-batch decision — level partitioning, gate descriptors, pin tables,
-//! fusion groups, scratch-column slabs — into flat arrays the kernels index
+//! the scratch-column width — into flat arrays the kernels index
 //! without checking. That makes plan-compile bugs silent until a kernel
 //! reads garbage, which is exactly the failure class a simulator cannot
 //! afford: a wrong LUT offset produces plausible-but-wrong delays, not a
@@ -11,8 +11,7 @@
 //! This module exposes the schedule's structural checker to tooling without
 //! exposing the schedule types themselves: [`validate_full_plan`] and
 //! [`validate_cone_plan`] compile a plan exactly the way
-//! [`Session`](crate::Session) would (same builder, same fusion threshold
-//! semantics) and return one human-readable message per violated invariant.
+//! [`Session`](crate::Session) would (same builder) and return one human-readable message per violated invariant.
 //! `cargo run -p xtask -- validate-plans` runs them over every workloads
 //! suite entry in CI; the mutation tests in the schedule module pin down
 //! that each invariant class actually fires.
@@ -31,27 +30,17 @@
 //!   earlier level, or — for cone plans only — is supplied by the cone's
 //!   boundary stimulus;
 //! * coverage: full plans schedule every gate exactly once; cone plans
-//!   schedule exactly the cone's gates and the cone is closed under fanout;
-//! * launch groups partition the levels in order with consistent thread
-//!   sums; fused groups own two phases per level and **disjoint**, in-bound
-//!   scratch-column slabs (the invariant the group's segmented scan and
-//!   per-level publish rely on).
+//!   schedule exactly the cone's gates and the cone is closed under fanout.
 
 use crate::schedule::{ConeInfo, LevelSchedule};
 
 use gatspi_graph::CircuitGraph;
 
-/// Compiles the full-graph launch plan for `windows` concurrent windows at
-/// the given fusion threshold (`0` disables fusion, matching
-/// [`SimConfig::fuse_threshold`](crate::SimConfig)) and audits it. Returns
-/// one message per structural defect; an empty vector means the plan upholds
-/// every invariant listed in the [module docs](self).
-pub fn validate_full_plan(
-    graph: &CircuitGraph,
-    windows: usize,
-    fuse_threshold: usize,
-) -> Vec<String> {
-    let plan = LevelSchedule::build(graph, windows.max(1), fuse_threshold);
+/// Compiles the full-graph launch plan for `windows` concurrent windows and
+/// audits it. Returns one message per structural defect; an empty vector
+/// means the plan upholds every invariant listed in the [module docs](self).
+pub fn validate_full_plan(graph: &CircuitGraph, windows: usize) -> Vec<String> {
+    let plan = LevelSchedule::build(graph, windows.max(1));
     plan.validate(graph, None)
 }
 
@@ -62,12 +51,7 @@ pub fn validate_full_plan(
 ///
 /// A `changed` slice of the wrong length is reported as a defect rather
 /// than panicking, so audit tooling can feed it untrusted inputs.
-pub fn validate_cone_plan(
-    graph: &CircuitGraph,
-    windows: usize,
-    fuse_threshold: usize,
-    changed: &[bool],
-) -> Vec<String> {
+pub fn validate_cone_plan(graph: &CircuitGraph, windows: usize, changed: &[bool]) -> Vec<String> {
     if changed.len() != graph.n_gates() {
         return vec![format!(
             "changed-gate flags cover {} gates, graph has {}",
@@ -76,7 +60,7 @@ pub fn validate_cone_plan(
         )];
     }
     let cone = ConeInfo::of(graph, changed);
-    let plan = LevelSchedule::restrict(graph, windows.max(1), fuse_threshold, &cone);
+    let plan = LevelSchedule::restrict(graph, windows.max(1), &cone);
     plan.validate(graph, Some(&cone))
 }
 
@@ -101,19 +85,14 @@ mod tests {
     #[test]
     fn wrappers_audit_clean_plans() {
         let g = chain(8);
-        assert_eq!(validate_full_plan(&g, 4, 0), Vec::<String>::new());
-        assert_eq!(validate_full_plan(&g, 4, 4096), Vec::<String>::new());
+        assert_eq!(validate_full_plan(&g, 4), Vec::<String>::new());
         let mut changed = vec![false; g.n_gates()];
         changed[5] = true;
-        assert_eq!(validate_cone_plan(&g, 4, 0, &changed), Vec::<String>::new());
-        assert_eq!(
-            validate_cone_plan(&g, 4, 4096, &changed),
-            Vec::<String>::new()
-        );
+        assert_eq!(validate_cone_plan(&g, 4, &changed), Vec::<String>::new());
         // An all-false changed set yields an empty (and vacuously sound)
         // cone plan rather than an error.
         assert_eq!(
-            validate_cone_plan(&g, 4, 0, &vec![false; g.n_gates()]),
+            validate_cone_plan(&g, 4, &vec![false; g.n_gates()]),
             Vec::<String>::new()
         );
     }
@@ -121,7 +100,7 @@ mod tests {
     #[test]
     fn wrapper_reports_bad_changed_length_instead_of_panicking() {
         let g = chain(4);
-        let defects = validate_cone_plan(&g, 2, 0, &[true]);
+        let defects = validate_cone_plan(&g, 2, &[true]);
         assert_eq!(defects.len(), 1);
         assert!(defects[0].contains("changed-gate flags"), "{defects:?}");
     }

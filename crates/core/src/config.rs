@@ -108,14 +108,6 @@ pub struct SimConfig {
     /// (set it to the testbench clock period so windows cut at cycle
     /// boundaries where combinational logic has settled). Default 1.
     pub window_align: SimTime,
-    /// Launch fusion threshold: consecutive levels whose *combined* thread
-    /// count (gates × windows) does not exceed this execute inside a single
-    /// phased kernel launch, paying one launch overhead for the whole run of
-    /// levels instead of one per level — the win on deep, narrow designs
-    /// where launch overhead dominates per-level kernel time. `0` disables
-    /// fusion: every level is one speculative store launch, plus a narrow
-    /// repair launch where a reservation overflowed. Default 4096.
-    pub fuse_threshold: usize,
     /// Upper bound on cached launch plans (one per window count) per
     /// session; least-recently-used plans are evicted beyond it (plans for
     /// odd tail-segment sizes are rarely reused). `0` means unbounded.
@@ -137,7 +129,6 @@ impl Default for SimConfig {
             features: SimFeatures::default(),
             path_pulse_percent: 100,
             window_align: 1,
-            fuse_threshold: 4096,
             plan_cache_cap: 16,
             retry: RetryPolicy::default(),
         }
@@ -168,13 +159,6 @@ impl SimConfig {
     /// Sets the device spec (builder style).
     pub fn with_device(mut self, device: DeviceSpec) -> Self {
         self.device = device;
-        self
-    }
-
-    /// Sets the launch-fusion threshold (builder style); `0` disables
-    /// fusion.
-    pub fn with_fuse_threshold(mut self, threshold: usize) -> Self {
-        self.fuse_threshold = threshold;
         self
     }
 

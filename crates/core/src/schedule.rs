@@ -16,21 +16,14 @@
 //! * per-level working-set sizes computed incrementally from the running
 //!   per-signal length sums ([`BatchScratch::len_sum`]) — `O(level pins)`
 //!   instead of `O(gates × fanin × windows)`;
-//! * launch fusion groups: maximal runs of consecutive levels whose
-//!   combined thread count does not exceed
-//!   [`SimConfig::fuse_threshold`](crate::SimConfig::fuse_threshold),
-//!   executed as one phased launch (store/repair phases per level behind
-//!   the device's internal phase hand-off) — one launch overhead instead
-//!   of one per level;
 //! * a persistent scratch arena ([`BatchScratch`]) replacing all per-level
 //!   allocations: signal-major atomic pointer/length tables ([`slot`]),
-//!   plus count-output, base and reservation-cap columns in which every
-//!   level of a fused group owns a **disjoint contiguous slab range**
-//!   ([`LevelDesc::col_off`]) — the group's output allocation is one arena
-//!   cursor carried across those ranges — and the per-signal length and
-//!   SAIF sums the storing threads add to.
-
-use std::ops::Range;
+//!   plus count-output, base and reservation-cap columns as wide as the
+//!   widest level, which every level reuses from entry 0, and the
+//!   per-signal length and SAIF sums the storing threads add to.
+//!
+//! Every level is its own launch, as in the paper: one speculative store
+//! launch, plus a narrow repair launch when a reservation overflowed.
 
 use crate::kernel::GateDesc;
 use crate::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -46,27 +39,6 @@ pub(crate) struct LevelDesc {
     pub gate_hi: u32,
     /// Logical threads: gates in level × windows.
     pub threads: usize,
-    /// Offset of this level's count/base entries in the scratch column.
-    /// Levels of a fused group occupy disjoint consecutive ranges of one
-    /// contiguous slab (`col_off..col_off + threads`), so no level of the
-    /// group writes entries another level's threads read. Classic
-    /// single-level groups start at 0.
-    pub col_off: u32,
-}
-
-/// A maximal run of consecutive levels dispatched by one launch decision.
-#[derive(Debug, Clone)]
-pub(crate) struct LaunchGroup {
-    /// Level indices covered.
-    pub levels: Range<usize>,
-    /// Combined logical threads across the covered levels.
-    pub threads: usize,
-    /// `true` ⇒ one phased launch (store + repair phases per level);
-    /// `false` ⇒ a single wide level on its own launch (plus a narrow
-    /// repair launch if a reservation overflowed).
-    pub fused: bool,
-    /// Range into [`LevelSchedule::phase_threads`] for the phased launch.
-    pub phases: Range<usize>,
 }
 
 /// The affected region of an incremental re-simulation: a changed gate set
@@ -208,7 +180,6 @@ pub(crate) struct LevelSchedule {
     /// Windows simulated concurrently in this batch.
     pub nw: usize,
     levels: Vec<LevelDesc>,
-    groups: Vec<LaunchGroup>,
     /// Gate id per gate slot, (level, gate id) order.
     gates: Vec<u32>,
     /// Baked kernel descriptor per gate slot (truth-table base, LUT
@@ -228,25 +199,20 @@ pub(crate) struct LevelSchedule {
     /// Per-gate speculative extent history shared by every batch that
     /// reuses this cached plan (see [`ExtentPredictor`]).
     predictor: ExtentPredictor,
-    /// Flat per-phase thread counts; a fused group's phased launch uses
-    /// `phase_threads[group.phases]` (two phases per level: speculative
-    /// store, repair).
-    phase_threads: Vec<usize>,
-    /// Entries the scratch count/base column must hold: the widest single
-    /// level or the largest fused group's whole slab, whichever is bigger.
+    /// Entries the scratch count/base column must hold: the widest level's
+    /// threads.
     col_entries: usize,
 }
 
 impl LevelSchedule {
-    /// Builds the schedule for `nw` concurrent windows with the given
-    /// fusion threshold (`0` disables fusion).
-    pub fn build(graph: &CircuitGraph, nw: usize, fuse_threshold: usize) -> Self {
+    /// Builds the schedule for `nw` concurrent windows.
+    pub fn build(graph: &CircuitGraph, nw: usize) -> Self {
         let level_offsets = graph.level_offsets();
         let gates = graph.level_gates_flat().to_vec();
         let level_counts: Vec<u32> = (0..graph.n_levels())
             .map(|l| level_offsets[l + 1] - level_offsets[l])
             .collect();
-        Self::assemble(graph, gates, level_counts, nw, fuse_threshold)
+        Self::assemble(graph, gates, level_counts, nw)
     }
 
     /// Builds a *cone sub-schedule*: the same levelized plan, but
@@ -258,12 +224,7 @@ impl LevelSchedule {
     /// design's depth. Relative level order is preserved, which keeps the
     /// dependency argument intact: every in-cone pin is either an earlier
     /// in-cone output or a boundary signal uploaded before the batch runs.
-    pub fn restrict(
-        graph: &CircuitGraph,
-        nw: usize,
-        fuse_threshold: usize,
-        cone: &ConeInfo,
-    ) -> Self {
+    pub fn restrict(graph: &CircuitGraph, nw: usize, cone: &ConeInfo) -> Self {
         let mut gates = Vec::with_capacity(cone.n_gates);
         let mut level_counts = Vec::new();
         for l in 0..graph.n_levels() {
@@ -279,21 +240,13 @@ impl LevelSchedule {
                 level_counts.push((gates.len() - lo) as u32);
             }
         }
-        Self::assemble(graph, gates, level_counts, nw, fuse_threshold)
+        Self::assemble(graph, gates, level_counts, nw)
     }
 
     /// Shared tail of [`LevelSchedule::build`]/[`LevelSchedule::restrict`]:
     /// flattens the per-slot tables for `gates` (level-ordered, with
-    /// `level_counts[l]` consecutive slots per level) and runs the greedy
-    /// launch-fusion pass.
-    fn assemble(
-        graph: &CircuitGraph,
-        gates: Vec<u32>,
-        level_counts: Vec<u32>,
-        nw: usize,
-        fuse_threshold: usize,
-    ) -> Self {
-        let n_levels = level_counts.len();
+    /// `level_counts[l]` consecutive slots per level).
+    fn assemble(graph: &CircuitGraph, gates: Vec<u32>, level_counts: Vec<u32>, nw: usize) -> Self {
         let fanin_offsets = graph.fanin_offsets();
         let fanin_signals = graph.fanin_signals_flat();
         let gate_outputs = graph.gate_outputs_flat();
@@ -316,80 +269,23 @@ impl LevelSchedule {
         }
 
         let mut lo = 0u32;
-        let mut levels: Vec<LevelDesc> = level_counts
+        let levels: Vec<LevelDesc> = level_counts
             .iter()
             .map(|&n| {
                 let ld = LevelDesc {
                     gate_lo: lo,
                     gate_hi: lo + n,
                     threads: n as usize * nw,
-                    col_off: 0,
                 };
                 lo += n;
                 ld
             })
             .collect();
-
-        // Greedy fusion: extend a run while the combined thread count stays
-        // under the threshold. A single level at or above the threshold
-        // keeps a launch of its own (wide levels amortise their launch
-        // overhead; fusing them would only serialize the host boundary
-        // work behind a worker barrier).
-        let mut groups = Vec::new();
-        let mut phase_threads = Vec::new();
-        let mut start = 0usize;
-        while start < n_levels {
-            let first = levels[start].threads;
-            if fuse_threshold == 0 || first >= fuse_threshold {
-                groups.push(LaunchGroup {
-                    levels: start..start + 1,
-                    threads: first,
-                    fused: false,
-                    phases: 0..0,
-                });
-                start += 1;
-                continue;
-            }
-            let mut end = start + 1;
-            let mut cum = first;
-            while end < n_levels
-                && levels[end].threads < fuse_threshold
-                && cum + levels[end].threads <= fuse_threshold
-            {
-                cum += levels[end].threads;
-                end += 1;
-            }
-            let phase_lo = phase_threads.len();
-            let mut slab_off = 0u32;
-            for ld in &mut levels[start..end] {
-                // Consecutive levels of the group stack into one
-                // contiguous slab of the scratch column.
-                ld.col_off = slab_off;
-                slab_off += ld.threads as u32;
-                phase_threads.push(ld.threads); // speculative store pass
-                phase_threads.push(ld.threads); // repair pass
-            }
-            groups.push(LaunchGroup {
-                levels: start..end,
-                threads: cum,
-                fused: true,
-                phases: phase_lo..phase_threads.len(),
-            });
-            start = end;
-        }
-
-        let max_level_threads = levels.iter().map(|ld| ld.threads).max().unwrap_or(0);
-        let max_slab = groups
-            .iter()
-            .filter(|g| g.fused)
-            .map(|g| g.threads)
-            .max()
-            .unwrap_or(0);
+        let col_entries = levels.iter().map(|ld| ld.threads).max().unwrap_or(0);
 
         LevelSchedule {
             nw,
             levels,
-            groups,
             gates,
             descs,
             out_sigs,
@@ -397,24 +293,18 @@ impl LevelSchedule {
             pin_sigs,
             pin_net_delays,
             predictor: ExtentPredictor::new(graph.n_gates()),
-            phase_threads,
-            col_entries: max_level_threads.max(max_slab),
+            col_entries,
         }
     }
 
-    /// The launch groups in dependency order.
-    pub fn groups(&self) -> &[LaunchGroup] {
-        &self.groups
+    /// Number of levels, each one launch, in dependency order.
+    pub fn n_levels(&self) -> usize {
+        self.levels.len()
     }
 
     /// Level descriptor.
     pub fn level(&self, l: usize) -> &LevelDesc {
         &self.levels[l]
-    }
-
-    /// Per-phase thread counts of a fused group.
-    pub fn phases(&self, group: &LaunchGroup) -> &[usize] {
-        &self.phase_threads[group.phases.clone()]
     }
 
     /// Gate id of a gate slot.
@@ -463,15 +353,16 @@ impl LevelSchedule {
     }
 
     /// Input working set of level `l` in words, from the running per-signal
-    /// length sums (valid only at a launch-group top: a signal's sum
+    /// length sums (valid only before level `l`'s launch: a signal's sum
     /// settles when its level's store pass ends, before that level's launch
     /// returns).
     pub fn level_ws(&self, len_sum: &[AtomicU64], l: usize) -> u64 {
         self.level_pins(l)
             .iter()
-            // relaxed-ok: called on the engine thread at a launch-group
-            // top; every earlier level's adds ran on that thread or behind
-            // the join of the launch that made them — see the doc above.
+            // relaxed-ok: called on the engine thread before the level's
+            // launch; every earlier level's adds ran on that thread or
+            // behind the join of the launch that made them — see the doc
+            // above.
             .map(|&s| len_sum[s as usize].load(Ordering::Relaxed))
             .sum()
     }
@@ -482,8 +373,7 @@ impl LevelSchedule {
     }
 
     /// Entries the scratch count/base column must hold for this schedule:
-    /// the widest single level's threads or the largest fused group's
-    /// contiguous slab, whichever is bigger.
+    /// the widest level's threads.
     pub fn col_entries(&self) -> usize {
         self.col_entries
     }
@@ -496,9 +386,7 @@ impl LevelSchedule {
     /// Structural checker of a compiled plan: verifies every invariant the
     /// hot path assumes instead of checking — flat-table shapes, level
     /// partitioning, baked descriptors and LUT offsets against the graph,
-    /// topological consistency, launch-group coverage, and the fused-slab
-    /// disjointness the group's scan and repair depend on. For
-    /// cone sub-schedules, also checks the cone is closed under fanout and
+    /// and topological consistency. For cone sub-schedules, also checks the cone is closed under fanout and
     /// its boundary covers every out-of-cone pin. Returns one message per
     /// defect (empty = sound). This is `xtask validate-plans`' engine (via
     /// [`crate::audit`]) and the target of the mutation tests below.
@@ -730,119 +618,6 @@ impl LevelSchedule {
             }
         }
 
-        // Launch groups: an in-order partition of the levels; fused groups
-        // own two phases per level and disjoint, in-bounds col_off slabs.
-        let mut next_level = 0usize;
-        let mut next_phase = 0usize;
-        for (gi, gr) in self.groups.iter().enumerate() {
-            if gr.levels.start != next_level || gr.levels.end <= gr.levels.start {
-                defects.push(format!(
-                    "group {gi}: level range {:?} does not continue the partition at {next_level}",
-                    gr.levels
-                ));
-                next_level = gr.levels.end.max(next_level);
-                continue;
-            }
-            next_level = gr.levels.end;
-            let threads: usize = gr
-                .levels
-                .clone()
-                .filter_map(|l| self.levels.get(l).map(|ld| ld.threads))
-                .sum();
-            if gr.threads != threads {
-                defects.push(format!(
-                    "group {gi}: {} threads recorded, {threads} across its levels",
-                    gr.threads
-                ));
-            }
-            if !gr.fused {
-                if gr.levels.len() != 1 {
-                    defects.push(format!(
-                        "group {gi}: classic (unfused) group spans {} levels",
-                        gr.levels.len()
-                    ));
-                }
-                if !gr.phases.is_empty() {
-                    defects.push(format!(
-                        "group {gi}: classic group owns phases {:?}",
-                        gr.phases
-                    ));
-                }
-                for l in gr.levels.clone() {
-                    if let Some(ld) = self.levels.get(l) {
-                        if ld.col_off != 0 {
-                            defects.push(format!(
-                                "group {gi}: classic level {l} starts its column at {} (want 0)",
-                                ld.col_off
-                            ));
-                        }
-                    }
-                }
-                continue;
-            }
-            if gr.phases.start != next_phase || gr.phases.len() != 2 * gr.levels.len() {
-                defects.push(format!(
-                    "group {gi}: phase range {:?} for {} levels (want 2 per level from \
-                     {next_phase})",
-                    gr.phases,
-                    gr.levels.len()
-                ));
-            }
-            next_phase = gr.phases.end.max(next_phase);
-            for (k, l) in gr.levels.clone().enumerate() {
-                let (Some(ld), Some(&pc), Some(&ps)) = (
-                    self.levels.get(l),
-                    self.phase_threads.get(gr.phases.start + 2 * k),
-                    self.phase_threads.get(gr.phases.start + 2 * k + 1),
-                ) else {
-                    continue;
-                };
-                if pc != ld.threads || ps != ld.threads {
-                    defects.push(format!(
-                        "group {gi}: level {l}'s phases run {pc}/{ps} threads, level has {}",
-                        ld.threads
-                    ));
-                }
-            }
-            // Slab disjointness: every level of a fused group stores into
-            // and scans its own col_off range of the one group slab.
-            let mut slabs: Vec<(u32, u32)> = gr
-                .levels
-                .clone()
-                .filter_map(|l| self.levels.get(l))
-                .map(|ld| (ld.col_off, ld.col_off + ld.threads as u32))
-                .collect();
-            slabs.sort_unstable();
-            for w in slabs.windows(2) {
-                if w[1].0 < w[0].1 {
-                    defects.push(format!(
-                        "group {gi}: col_off slabs {}..{} and {}..{} overlap",
-                        w[0].0, w[0].1, w[1].0, w[1].1
-                    ));
-                }
-            }
-            if let Some(&(_, end)) = slabs.last() {
-                if end as usize > self.col_entries {
-                    defects.push(format!(
-                        "group {gi}: slab ends at {end}, past the scratch column \
-                         ({} entries)",
-                        self.col_entries
-                    ));
-                }
-            }
-        }
-        if next_level != self.levels.len() {
-            defects.push(format!(
-                "groups cover {next_level} of {} levels",
-                self.levels.len()
-            ));
-        }
-        if next_phase != self.phase_threads.len() {
-            defects.push(format!(
-                "fused groups use {next_phase} of {} phase entries",
-                self.phase_threads.len()
-            ));
-        }
         defects
     }
 }
@@ -860,10 +635,9 @@ pub(crate) fn slot(nw: usize, sig: usize, w: usize) -> usize {
 /// allocated once. Pointer/length tables are atomics because the *store
 /// pass itself* publishes them (each store thread writes its output's
 /// pointer and length — folded publication), and so are the per-signal
-/// sums it adds to; `outs`/`bases`/`caps` form one column in which every
-/// level of a fused group owns a disjoint contiguous slab range
-/// ([`LevelDesc::col_off`]) — no column double-buffering; the launch join
-/// orders reuse across groups.
+/// sums it adds to; `outs`/`bases`/`caps` form one column every level
+/// reuses from entry 0 — no column double-buffering; the launch join
+/// orders reuse across levels.
 #[derive(Debug)]
 pub(crate) struct BatchScratch {
     /// `ptrs[slot(nw, s, w)]`: word offset of signal `s`'s waveform in
@@ -883,13 +657,13 @@ pub(crate) struct BatchScratch {
     /// Reservation words the batch's speculative hits left unused.
     pub waste: AtomicU64,
     /// True packed outputs of the speculative pass (one column of `stride`
-    /// entries; a level's entries live at `[col_off..col_off + threads]`).
+    /// entries; a level's entries live at `[0..threads]`).
     pub outs: Vec<AtomicU64>,
     /// Assigned arena bases — the reservation's, then the exact repair
     /// space's for an overflowed thread (one column of `stride` entries).
     pub bases: Vec<AtomicU32>,
     /// Speculative reservation sizes in words (one column of `stride`
-    /// entries, same slab layout as `outs`/`bases`): written by the budget
+    /// entries, same layout as `outs`/`bases`): written by the budget
     /// assigner before a speculative launch, read by its threads, the
     /// overflow scan and the repair pass. Needs no reset — always written
     /// before read.
@@ -901,8 +675,7 @@ pub(crate) struct BatchScratch {
     pub ovf: Vec<AtomicU32>,
     /// Number of valid entries in [`BatchScratch::ovf`].
     pub ovf_len: AtomicUsize,
-    /// Entries in the `outs`/`bases` column (≥ the widest level's threads
-    /// and ≥ the largest fused group's slab).
+    /// Entries in the `outs`/`bases` column (≥ the widest level's threads).
     stride: usize,
     /// Consecutive acquisitions this arena served while grossly oversized
     /// for the requested batch (the pool's shrink heuristic; see
@@ -1008,17 +781,6 @@ impl BatchScratch {
     }
 }
 
-/// Host-side mutable state threaded through the per-level loop: the arena
-/// bump pointer. (The per-signal length sums live in
-/// [`BatchScratch::len_sum`] so the storing threads can add to them; a
-/// launch group's bump carry lives in its output-space assigner while its
-/// launch runs.)
-#[derive(Debug, Default)]
-pub(crate) struct HostState {
-    /// Next free arena word (kept even-aligned for output waveforms).
-    pub bump: usize,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1041,7 +803,7 @@ mod tests {
     #[test]
     fn tables_mirror_graph() {
         let g = chain_graph(5);
-        let s = LevelSchedule::build(&g, 3, 0);
+        let s = LevelSchedule::build(&g, 3);
         assert_eq!(s.levels.len(), 5);
         for l in 0..5 {
             let ld = s.level(l);
@@ -1063,7 +825,7 @@ mod tests {
     #[test]
     fn predictor_is_monotone_and_seedable() {
         let g = chain_graph(3);
-        let s = LevelSchedule::build(&g, 2, 0);
+        let s = LevelSchedule::build(&g, 2);
         let p = s.predictor();
         assert_eq!(p.predict(1), None, "first touch");
         p.observe(1, 6);
@@ -1075,7 +837,7 @@ mod tests {
         let mut changed = vec![false; g.n_gates()];
         changed[1] = true;
         let cone = ConeInfo::of(&g, &changed);
-        let sub = LevelSchedule::restrict(&g, 2, 0, &cone);
+        let sub = LevelSchedule::restrict(&g, 2, &cone);
         assert_eq!(sub.predictor().predict(1), None);
         sub.predictor().seed_from(p);
         assert_eq!(sub.predictor().predict(1), Some(10));
@@ -1087,66 +849,9 @@ mod tests {
     }
 
     #[test]
-    fn threshold_zero_disables_fusion() {
-        let g = chain_graph(4);
-        let s = LevelSchedule::build(&g, 8, 0);
-        assert_eq!(s.groups().len(), 4);
-        assert!(s.groups().iter().all(|gr| !gr.fused));
-    }
-
-    #[test]
-    fn small_levels_fuse_up_to_threshold() {
-        let g = chain_graph(10);
-        // 1 gate × 4 windows = 4 threads per level; threshold 12 → groups
-        // of 3 levels.
-        let s = LevelSchedule::build(&g, 4, 12);
-        let sizes: Vec<usize> = s.groups().iter().map(|gr| gr.levels.len()).collect();
-        assert_eq!(sizes, vec![3, 3, 3, 1]);
-        for gr in s.groups() {
-            assert!(gr.fused);
-            assert_eq!(s.phases(gr).len(), 2 * gr.levels.len());
-            assert!(gr.threads <= 12);
-        }
-    }
-
-    #[test]
-    fn fused_group_levels_get_disjoint_contiguous_slabs() {
-        let g = chain_graph(10);
-        let s = LevelSchedule::build(&g, 4, 12);
-        for gr in s.groups() {
-            // Within a group the levels stack contiguously from 0; the
-            // whole slab fits the scratch column.
-            let mut expect = 0u32;
-            for l in gr.levels.clone() {
-                let ld = s.level(l);
-                assert_eq!(ld.col_off, expect, "level {l} slab offset");
-                expect += ld.threads as u32;
-            }
-            assert_eq!(expect as usize, gr.threads);
-            assert!(gr.threads <= s.col_entries());
-        }
-        // Classic (unfused) levels all start at column 0.
-        let s = LevelSchedule::build(&g, 4, 0);
-        assert!(s.levels.iter().all(|ld| ld.col_off == 0));
-    }
-
-    #[test]
-    fn wide_level_stays_classic() {
-        let g = chain_graph(3);
-        // 1 gate × 32 windows = 32 threads ≥ threshold 32 → classic.
-        let s = LevelSchedule::build(&g, 32, 32);
-        assert!(s.groups().iter().all(|gr| !gr.fused));
-        // Raising the threshold fuses everything into one group.
-        let s = LevelSchedule::build(&g, 32, 128);
-        assert_eq!(s.groups().len(), 1);
-        assert!(s.groups()[0].fused);
-        assert_eq!(s.groups()[0].threads, 96);
-    }
-
-    #[test]
-    fn scratch_sized_for_widest_level_or_largest_slab() {
+    fn scratch_sized_for_widest_level() {
         let g = chain_graph(2);
-        let s = LevelSchedule::build(&g, 6, 0);
+        let s = LevelSchedule::build(&g, 6);
         let scratch = s.new_scratch(g.n_signals());
         assert_eq!(scratch.stride(), 6);
         assert_eq!(scratch.outs.len(), 6);
@@ -1158,17 +863,12 @@ mod tests {
             .ptrs
             .iter()
             .all(|p| p.load(Ordering::Relaxed) == u32::MAX));
-        // A fused schedule sizes the column for the largest group slab,
-        // which exceeds any single level.
-        let fused = LevelSchedule::build(&g, 6, 100);
-        assert_eq!(fused.col_entries(), 12, "2 levels × 6 threads slab");
-        assert_eq!(fused.new_scratch(g.n_signals()).stride(), 12);
     }
 
     #[test]
     fn reset_clears_len_sums() {
         let g = chain_graph(2);
-        let s = LevelSchedule::build(&g, 2, 0);
+        let s = LevelSchedule::build(&g, 2);
         let scratch = s.new_scratch(g.n_signals());
         scratch.len_sum[0].store(99, Ordering::Relaxed);
         scratch.ptrs[0].store(5, Ordering::Relaxed);
@@ -1245,10 +945,9 @@ mod tests {
         let cone = ConeInfo::of(&g, &vec![false; g.n_gates()]);
         assert_eq!(cone.n_gates, 0);
         assert!(cone.boundary.is_empty());
-        let s = LevelSchedule::restrict(&g, 3, 0, &cone);
+        let s = LevelSchedule::restrict(&g, 3, &cone);
         assert_eq!(s.levels.len(), 0);
         assert_eq!(s.n_slots(), 0);
-        assert!(s.groups().is_empty());
     }
 
     proptest::proptest! {
@@ -1324,7 +1023,7 @@ mod tests {
 
             // The restricted schedule enumerates exactly the in-cone gates,
             // in relative level order.
-            let sub = LevelSchedule::restrict(&g, 2, 0, &cone);
+            let sub = LevelSchedule::restrict(&g, 2, &cone);
             let mut listed: Vec<usize> = (0..sub.n_slots()).map(|s| sub.gate(s)).collect();
             prop_assert_eq!(sub.n_slots(), cone.n_gates);
             let mut last_level = 0u32;
@@ -1344,7 +1043,7 @@ mod tests {
     #[test]
     fn incremental_ws_matches_direct_sum() {
         let g = chain_graph(3);
-        let s = LevelSchedule::build(&g, 2, 0);
+        let s = LevelSchedule::build(&g, 2);
         let scratch = s.new_scratch(g.n_signals());
         // Signal 0 (the PI) has 5 words in each of 2 windows.
         scratch.len_sum[0].store(10, Ordering::Relaxed);
@@ -1368,39 +1067,21 @@ mod tests {
     #[test]
     fn validate_accepts_built_plans() {
         let g = chain_graph(10);
-        for (nw, fuse) in [(1, 0), (4, 0), (4, 12), (32, 128)] {
-            let s = LevelSchedule::build(&g, nw, fuse);
-            assert_eq!(
-                s.validate(&g, None),
-                Vec::<String>::new(),
-                "nw={nw} fuse={fuse}"
-            );
+        for nw in [1, 4, 32] {
+            let s = LevelSchedule::build(&g, nw);
+            assert_eq!(s.validate(&g, None), Vec::<String>::new(), "nw={nw}");
         }
         let mut changed = vec![false; g.n_gates()];
         changed[4] = true;
         let cone = ConeInfo::of(&g, &changed);
-        for (nw, fuse) in [(4, 0), (4, 12)] {
-            let s = LevelSchedule::restrict(&g, nw, fuse, &cone);
-            assert_eq!(s.validate(&g, Some(&cone)), Vec::<String>::new());
-        }
-    }
-
-    #[test]
-    fn validate_flags_overlapping_fused_slabs() {
-        let g = chain_graph(10);
-        let mut s = LevelSchedule::build(&g, 4, 12);
-        assert!(s.groups[0].fused && s.groups[0].levels.len() == 3);
-        // Collapse level 1's slab onto level 0's: the group's levels must
-        // each own their range of the slab.
-        s.levels[1].col_off = 0;
-        let defects = s.validate(&g, None);
-        assert!(defects.iter().any(|d| d.contains("overlap")), "{defects:?}");
+        let s = LevelSchedule::restrict(&g, 4, &cone);
+        assert_eq!(s.validate(&g, Some(&cone)), Vec::<String>::new());
     }
 
     #[test]
     fn validate_flags_level_order_violation() {
         let g = chain_graph(3);
-        let mut s = LevelSchedule::build(&g, 1, 0);
+        let mut s = LevelSchedule::build(&g, 1);
         // Swap slots 0 and 1 wholesale (gates, descs, outputs, pins — the
         // INV pin CSR is uniform, so the tables stay self-consistent): the
         // plan now runs gate 1 before its producer.
@@ -1419,14 +1100,14 @@ mod tests {
     #[test]
     fn validate_flags_corrupted_descriptor_and_duplicate_gate() {
         let g = chain_graph(3);
-        let mut s = LevelSchedule::build(&g, 2, 0);
+        let mut s = LevelSchedule::build(&g, 2);
         s.descs[0].tt_base += 1;
         let defects = s.validate(&g, None);
         assert!(
             defects.iter().any(|d| d.contains("descriptor disagrees")),
             "{defects:?}"
         );
-        let mut s = LevelSchedule::build(&g, 2, 0);
+        let mut s = LevelSchedule::build(&g, 2);
         s.gates[1] = s.gates[0];
         let defects = s.validate(&g, None);
         assert!(
@@ -1457,7 +1138,7 @@ mod tests {
             boundary: g.gate_fanin(2).to_vec(),
             n_gates: 1,
         };
-        let s = LevelSchedule::restrict(&g, 2, 0, &cone);
+        let s = LevelSchedule::restrict(&g, 2, &cone);
         let defects = s.validate(&g, Some(&cone));
         assert!(
             defects
@@ -1476,14 +1157,14 @@ mod tests {
         // Drop the boundary: the cone's first gate now reads a signal no
         // stimulus supplies.
         cone.boundary.clear();
-        let s = LevelSchedule::restrict(&g, 2, 0, &cone);
+        let s = LevelSchedule::restrict(&g, 2, &cone);
         let defects = s.validate(&g, Some(&cone));
         assert!(
             defects.iter().any(|d| d.contains("boundary stimulus")),
             "{defects:?}"
         );
         // Gross shape damage short-circuits with a table-shape defect.
-        let mut s = LevelSchedule::build(&g, 2, 0);
+        let mut s = LevelSchedule::build(&g, 2);
         s.out_sigs.pop();
         let defects = s.validate(&g, None);
         assert_eq!(defects.len(), 1, "{defects:?}");

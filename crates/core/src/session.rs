@@ -27,7 +27,7 @@ use gatspi_wave::{SimTime, Waveform, EOW, INIT_ONE_MARKER};
 
 use crate::kernel::{simulate_gate, GateKernelInput, KernelMode, KernelOutput, MAX_KERNEL_PINS};
 use crate::result::ExtractionState;
-use crate::schedule::{slot, BatchScratch, ConeInfo, HostState, LevelSchedule};
+use crate::schedule::{slot, BatchScratch, ConeInfo, LevelSchedule};
 use crate::sink::{SaifSink, SpillSink, VcdSink, WaveformSink, WindowInfo};
 use crate::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use crate::{CoreError, Result, SimConfig, SimResult};
@@ -103,7 +103,7 @@ pub struct PlanCacheStats {
 }
 
 /// A cached incremental-run plan: the cone sub-schedule for one
-/// `(window count, fuse threshold, changed set)` key, plus the cone it was
+/// `(window count, changed set)` key, plus the cone it was
 /// restricted to (`changed` verifies the signature against hash collisions).
 #[derive(Debug)]
 struct ConePlan {
@@ -280,7 +280,6 @@ pub(crate) struct WindowBatch {
     pub t1: Vec<i64>,
     pub kernel_profile: KernelProfile,
     pub launches: u64,
-    pub fused_launches: u64,
     /// Store threads executed speculatively.
     pub spec_threads: u64,
     /// Speculative threads whose reservation overflowed and were re-run by
@@ -361,7 +360,6 @@ impl RunTotals {
         self.spec_threads += batch.spec_threads;
         let c = &mut self.counters;
         c.launches += batch.launches;
-        c.fused_launches += batch.fused_launches;
         c.drain_seconds += drain_s;
         c.d2h_batches += drained;
         c.overflow_repairs += batch.spec_overflows;
@@ -510,11 +508,7 @@ impl Session {
             return p;
         }
         cache.misses += 1;
-        let p = Arc::new(LevelSchedule::build(
-            &self.graph,
-            nw,
-            self.config.fuse_threshold,
-        ));
+        let p = Arc::new(LevelSchedule::build(&self.graph, nw));
         self.apply_spec_seed(&p);
         cache.map.insert(nw, (Arc::clone(&p), tick));
         let cap = self.config.plan_cache_cap;
@@ -572,12 +566,7 @@ impl Session {
             }
         }
         cache.cone_misses += 1;
-        let schedule = Arc::new(LevelSchedule::restrict(
-            &self.graph,
-            nw,
-            self.config.fuse_threshold,
-            cone,
-        ));
+        let schedule = Arc::new(LevelSchedule::restrict(&self.graph, nw, cone));
         // Warm the cone's extent history from the full plan cached for the
         // same shape (the history is indexed by gate id, so it transfers
         // verbatim): an incremental run then speculates from the full
@@ -1279,9 +1268,9 @@ impl Session {
 
     /// Simulates one batch of windows on `device` (one memory segment)
     /// against a prebuilt `plan`: uploads stimulus, runs the levelized
-    /// speculative-store schedule (fusing runs of small levels into single
-    /// phased launches), and returns the accumulators. It starts no thread
-    /// of its own — the launches' workers are the only ones.
+    /// speculative-store schedule one level at a time, and returns the
+    /// accumulators. It starts no thread of its own — the launches'
+    /// workers are the only ones.
     ///
     /// Structure (see the README's kernel pipeline):
     ///
@@ -1296,14 +1285,14 @@ impl Session {
     ///   a block adds its stored words, its SAIF records and (per block)
     ///   its reservation slack to per-signal and per-batch atomics, so no
     ///   host pass over a level's columns runs at all, and the length sums
-    ///   feeding the next launch group's modeled working set are complete
-    ///   behind the launch join / phase gate that ends the level;
-    /// * every level reserves a predicted budget per output before its one
-    ///   store pass and scans for overflows after it; only overflowed
-    ///   threads run again, as an exact store ([`GroupAssigner`] carries
-    ///   the arena cursor through both steps, level after level — every
-    ///   level of a fused group owns a disjoint slab range of the
-    ///   [`BatchScratch`] count/base/cap columns).
+    ///   feeding the next level's modeled working set are complete behind
+    ///   the launch join that ends the level;
+    /// * every level is one speculative store launch: a predicted budget
+    ///   per output is reserved before it and overflows are scanned after
+    ///   it; only overflowed threads run again, in a narrow exact-store
+    ///   repair launch ([`HostState`] carries the arena cursor through both
+    ///   steps, level after level; every level reuses the [`BatchScratch`]
+    ///   count/base/cap columns from entry 0).
     ///
     /// The per-level loop is allocation-free: scratch buffers live in the
     /// caller-provided [`BatchScratch`] arena and working sets come from
@@ -1320,8 +1309,10 @@ impl Session {
         let n_signals = graph.n_signals();
         let nw = windows.len();
         debug_assert_eq!(schedule.nw, nw, "plan window count must match batch");
-        let capacity = device.memory().len();
-        let mut host = HostState::default();
+        let mut host = HostState {
+            bump: 0,
+            capacity: device.memory().len(),
+        };
 
         // Upload the stimulus: per (window, signal), one even-aligned slice
         // of raw device words (even bases keep the word-index parity
@@ -1329,17 +1320,16 @@ impl Session {
         let mut upload = |w: usize, s: usize, raw: &[i32]| -> Result<()> {
             let words = raw.len();
             let base = host.bump + (host.bump & 1);
-            if base + words > capacity {
+            if base + words > host.capacity {
                 return Err(CoreError::OutOfMemory {
                     requested: base + words,
-                    capacity,
+                    capacity: host.capacity,
                 });
             }
             device.memory().h2d(base, raw);
             // relaxed-ok: the upload runs on the engine thread before any
-            // launch of this batch; the launch's thread spawns (and the
-            // phase gate, for fused groups) publish these slots to kernel
-            // threads.
+            // launch of this batch; the launch's thread spawns publish these
+            // slots to kernel threads.
             scratch.ptrs[slot(nw, s, w)].store(base as u32, Ordering::Relaxed);
             // relaxed-ok: see above.
             scratch.lens[slot(nw, s, w)].store(words as u32, Ordering::Relaxed);
@@ -1405,10 +1395,9 @@ impl Session {
 
         let mut profile = KernelProfile::empty("resim");
         let mut launches = 0u64;
-        let mut fused_launches = 0u64;
         let mut tally = SpecTally::default();
-        // Reusable repair worklist (classic path): columns whose
-        // speculative reservation overflowed.
+        // Reusable repair worklist: columns whose speculative reservation
+        // overflowed.
         let mut overflow_cols: Vec<usize> = Vec::new();
 
         // The gate-invariant half of a kernel invocation, fetched once per
@@ -1447,10 +1436,8 @@ impl Session {
             let mut in_ptrs = [0u32; MAX_KERNEL_PINS];
             for (ptr, row) in in_ptrs.iter_mut().zip(&rows[..n]) {
                 // relaxed-ok: input pointers were published by a lower
-                // level's store pass behind the launch join (or the fused
-                // phase gate, model test `phase_boundary_is_a_barrier`);
-                // levelization keeps same-level threads off each other's
-                // slots.
+                // level's store pass behind the launch join; levelization
+                // keeps same-level threads off each other's slots.
                 *ptr = row[w].load(Ordering::Relaxed);
             }
             let input = GateKernelInput {
@@ -1467,8 +1454,7 @@ impl Session {
         let publish = |sig: usize, w: usize, out: &KernelOutput, out_base: usize| {
             let i = slot(nw, sig, w);
             // relaxed-ok: each storing thread writes only its own output's
-            // slots; higher levels read them behind the launch join / phase
-            // gate.
+            // slots; higher levels read them behind the launch join.
             scratch.ptrs[i].store(out_base as u32, Ordering::Relaxed);
             // relaxed-ok: see above.
             scratch.lens[i].store(out.words(), Ordering::Relaxed);
@@ -1500,16 +1486,15 @@ impl Session {
             let mut tid = threads.start;
             while tid < threads.end {
                 let gi = tid / nw;
-                let first_col = ld.col_off as usize + gi * nw;
                 let w_end = nw.min(threads.end - gi * nw);
                 let gate_slot = ld.gate_lo as usize + gi;
                 let ctx = gate_ctx(gate_slot);
                 let sig = ctx.2;
                 let (mut words_sum, mut max_words, mut saif) = (0u64, 0u32, (0u64, 0u64));
                 for w in tid - gi * nw..w_end {
-                    let col = first_col + w;
-                    // relaxed-ok: budget assigned before this pass (host
-                    // side or the preceding phase boundary).
+                    let col = gi * nw + w;
+                    // relaxed-ok: budget assigned host-side before this
+                    // launch.
                     let out_base = scratch.bases[col].load(Ordering::Relaxed) as usize;
                     // relaxed-ok: see above.
                     let cap = scratch.caps[col].load(Ordering::Relaxed);
@@ -1519,8 +1504,7 @@ impl Session {
                     };
                     let out = kernel(&ctx, w, mode, lane);
                     // relaxed-ok: each thread writes only its own column
-                    // entry; the scan reads it behind the phase gate /
-                    // launch join.
+                    // entry; the scan reads it behind the launch join.
                     scratch.outs[col].store(out.pack(), Ordering::Relaxed);
                     let words = out.words();
                     words_sum += u64::from(words);
@@ -1534,8 +1518,7 @@ impl Session {
                     } else {
                         // relaxed-ok: the cursor only hands each overflowing
                         // thread a unique slot (threads ≤ column stride); the
-                        // launch join / phase gate publishes the slot writes
-                        // to the scan.
+                        // launch join publishes the slot writes to the scan.
                         let i = scratch.ovf_len.fetch_add(1, Ordering::Relaxed);
                         debug_assert!(i < scratch.ovf.len());
                         // relaxed-ok: see above.
@@ -1545,8 +1528,8 @@ impl Session {
                 schedule
                     .predictor()
                     .observe(schedule.gate(gate_slot), max_words);
-                // relaxed-ok: a commutative sum, read at a later launch-group
-                // top or after the batch, behind this launch's join.
+                // relaxed-ok: a commutative sum, read before a later level's
+                // launch or after the batch, behind this launch's join.
                 scratch.len_sum[sig].fetch_add(words_sum, Ordering::Relaxed);
                 add_saif(sig, saif);
                 tid = gi * nw + w_end;
@@ -1555,16 +1538,15 @@ impl Session {
             // launch joined.
             scratch.waste.fetch_add(slack, Ordering::Relaxed);
         };
-        // The repair of thread `local` of `level`: a hit already stored and
+        // The repair of thread `col` of `level`: a hit already stored and
         // published in the speculative pass — nothing to do. An overflow
         // re-runs an exact store at the base the post-level scan
         // re-allocated for it and adds its own SAIF record (its words were
         // summed by the speculative pass).
-        let repair = |level: usize, local: usize, lane: &mut LaneCounters| {
+        let repair = |level: usize, col: usize, lane: &mut LaneCounters| {
             let ld = schedule.level(level);
-            let col = ld.col_off as usize + local;
             // relaxed-ok: the speculative pass's true packed output, behind
-            // the phase gate / launch join.
+            // the launch join.
             let packed = scratch.outs[col].load(Ordering::Relaxed);
             // relaxed-ok: written by the budget assigner before the
             // speculative pass, same boundary.
@@ -1572,152 +1554,53 @@ impl Session {
             if KernelOutput::unpack_words(packed) <= cap {
                 return;
             }
-            let gate_slot = ld.gate_lo as usize + local / nw;
+            let gate_slot = ld.gate_lo as usize + col / nw;
             let ctx = gate_ctx(gate_slot);
-            // relaxed-ok: the exact repair base was assigned by the scan at
-            // the boundary preceding this pass.
+            // relaxed-ok: the exact repair base was assigned by the scan
+            // before this launch.
             let out_base = scratch.bases[col].load(Ordering::Relaxed) as usize;
-            let w = local % nw;
+            let w = col % nw;
             let out = kernel(&ctx, w, KernelMode::Store { out_base }, lane);
             debug_assert_eq!(out.pack(), packed, "speculative and repair passes diverged");
             add_saif(ctx.2, publish(ctx.2, w, &out, out_base));
         };
 
-        for group in schedule.groups() {
-            let first = group.levels.start;
-            if group.fused {
-                // --- Fused: one phased launch covers the whole run of
-                // levels, two phases per level — the speculative store and
-                // its repair. The leader worker scans for overflows at store
-                // boundaries and runs the level's host publish at repair
-                // boundaries. The launch config carries the working set
-                // visible at launch time (inputs already stored plus the
-                // first level's reservations); each boundary then reports
-                // the words it just allocated, so the L2 model sees the full
-                // footprint — launch-time inputs plus every waveform
-                // produced inside the group.
-                let ws: u64 = group
-                    .levels
-                    .clone()
-                    .map(|l| schedule.level_ws(&scratch.len_sum, l))
-                    .sum();
-                // One arena carry chained across the group's levels: the
-                // first level's budgets are reserved host-side before the
-                // launch, later levels' at the preceding repair boundary
-                // (their static fallback bound reads the lengths that
-                // boundary published). OOM is detected per level with the
-                // carry left at the last successful step.
-                let mut assign = GroupAssigner::new(host.bump, capacity);
-                let mut group_oom: Option<CoreError> = None;
-                let spec_ws = assign.advance_budgets(schedule, scratch, first)?;
-                let cfg = LaunchConfig {
-                    threads: group.threads,
+        // One speculative store launch per level plus — only when some
+        // reservation overflowed — a narrow exact repair launch over just
+        // the overflowed threads.
+        for level in 0..schedule.n_levels() {
+            let threads = schedule.level(level).threads;
+            let ws_in = schedule.level_ws(&scratch.len_sum, level);
+            let reserved = host.advance_budgets(schedule, scratch, level)?;
+            let cfg = LaunchConfig {
+                threads,
+                threads_per_block: self.config.threads_per_block,
+                regs_per_thread: self.config.regs_per_thread,
+                working_set_bytes: 4 * (ws_in + reserved),
+            };
+            let p = device.launch("resim_spec", &cfg, |threads, lane| {
+                spec(level, threads, lane)
+            });
+            profile.accumulate(&p);
+            launches += 1;
+            let realloc =
+                host.advance_scan(schedule, scratch, level, &mut overflow_cols, &mut tally)?;
+            if !overflow_cols.is_empty() {
+                // The speculative pass left every overflow's true packed
+                // count in the count column, so the repair is store-only —
+                // no second count pass.
+                let rcfg = LaunchConfig {
+                    threads: overflow_cols.len(),
                     threads_per_block: self.config.threads_per_block,
                     regs_per_thread: self.config.regs_per_thread,
-                    working_set_bytes: 4 * (ws + spec_ws),
+                    working_set_bytes: 4 * (ws_in + realloc),
                 };
-                let p = device.launch_phased(
-                    "resim_fused",
-                    &cfg,
-                    schedule.phases(group),
-                    |phase, threads, lane| {
-                        let level = first + phase / 2;
-                        if phase % 2 == 0 {
-                            spec(level, threads, lane);
-                        } else {
-                            threads.for_each(|local| repair(level, local, lane));
-                        }
-                    },
-                    |phase| {
-                        let level = first + phase / 2;
-                        let advanced = if phase % 2 == 0 {
-                            // Speculative pass done: scan for overflows,
-                            // re-allocating their exact space for the
-                            // repair phase.
-                            assign.advance_scan(
-                                schedule,
-                                scratch,
-                                level,
-                                &mut overflow_cols,
-                                &mut tally,
-                            )
-                        } else if level + 1 < group.levels.end {
-                            // Repair phase done — the level is published by
-                            // its own threads: reserve the next level's
-                            // speculative budgets now that this level's
-                            // lengths are final (the first-touch static bound
-                            // reads them).
-                            assign.advance_budgets(schedule, scratch, level + 1)
-                        } else {
-                            Ok(0)
-                        };
-                        match advanced {
-                            // Words this boundary allocated, in bytes: the
-                            // incremental working-set update (the L2 model
-                            // sees the full in-launch footprint).
-                            Ok(new_words) => Some(4 * new_words),
-                            Err(e) => {
-                                group_oom = Some(e);
-                                None
-                            }
-                        }
-                    },
-                );
-                host.bump = assign.bump();
-                profile.accumulate(&p);
-                launches += 1;
-                fused_launches += 1;
-                if let Some(e) = group_oom {
-                    return Err(e);
-                }
-            } else {
-                // --- One wide level on its own launch(es): one speculative
-                // store launch plus — only when some reservation overflowed
-                // — a narrow exact repair launch over just the overflowed
-                // threads.
-                let threads = schedule.level(first).threads;
-                if threads == 0 {
-                    continue;
-                }
-                let ws_in = schedule.level_ws(&scratch.len_sum, first);
-                let mut assign = GroupAssigner::new(host.bump, capacity);
-                let reserved = assign.advance_budgets(schedule, scratch, first)?;
-                let cfg = LaunchConfig {
-                    threads,
-                    threads_per_block: self.config.threads_per_block,
-                    regs_per_thread: self.config.regs_per_thread,
-                    working_set_bytes: 4 * (ws_in + reserved),
-                };
-                let p = device.launch("resim_spec", &cfg, |threads, lane| {
-                    spec(first, threads, lane)
+                let cols = &overflow_cols;
+                let p = device.launch("resim_repair", &rcfg, |threads, lane| {
+                    threads.for_each(|j| repair(level, cols[j], lane))
                 });
                 profile.accumulate(&p);
                 launches += 1;
-                let realloc = assign.advance_scan(
-                    schedule,
-                    scratch,
-                    first,
-                    &mut overflow_cols,
-                    &mut tally,
-                )?;
-                if !overflow_cols.is_empty() {
-                    // The speculative pass left every overflow's true packed
-                    // count in the count column, so the repair is
-                    // store-only — no second count pass.
-                    let rcfg = LaunchConfig {
-                        threads: overflow_cols.len(),
-                        threads_per_block: self.config.threads_per_block,
-                        regs_per_thread: self.config.regs_per_thread,
-                        working_set_bytes: 4 * (ws_in + realloc),
-                    };
-                    let cols = &overflow_cols;
-                    let p = device.launch("resim_repair", &rcfg, |threads, lane| {
-                        threads.for_each(|j| repair(first, cols[j], lane))
-                    });
-                    profile.accumulate(&p);
-                    launches += 1;
-                }
-                host.bump = assign.bump();
             }
         }
 
@@ -1743,7 +1626,6 @@ impl Session {
             t1,
             kernel_profile: profile,
             launches,
-            fused_launches,
             spec_threads: tally.threads,
             spec_overflows: tally.overflows,
             spec_waste_words: tally.waste_words,
@@ -2167,50 +2049,37 @@ fn spec_hit_rate(threads: u64, overflows: u64) -> f64 {
     }
 }
 
-/// The output-space assigner of one launch group: the arena cursor carried
-/// across the group's levels, advanced twice per level — a predicted
-/// reservation for every thread before the level's speculative store pass
-/// ([`GroupAssigner::advance_budgets`]), exact space for the threads that
-/// overflowed after it ([`GroupAssigner::advance_scan`]).
-///
-/// A fused group's levels stack their count/base/cap columns into one slab
-/// ([`LevelDesc::col_off`](crate::schedule::LevelDesc)), but level `L + 1`'s
-/// budgets can only be reserved after level `L`'s repair phase (the
-/// first-touch bound reads the lengths it published), so the assigner
-/// advances one step per phase boundary. OOM is detected per step and
-/// leaves the carry at the last successful one.
-struct GroupAssigner {
-    /// The carry: next free arena word after the steps taken so far.
+/// Host-side state of one window batch: the arena bump pointer, advanced
+/// by the stimulus upload and then twice per level — a predicted
+/// reservation for every thread before the level's speculative store
+/// launch ([`HostState::advance_budgets`]), exact space for the threads
+/// that overflowed after it ([`HostState::advance_scan`]). OOM is detected
+/// per step and leaves the bump at the last successful one. (The
+/// per-signal length sums live in [`BatchScratch::len_sum`] so the storing
+/// threads can add to them.)
+struct HostState {
+    /// Next free arena word (kept even-aligned for output waveforms).
     bump: usize,
+    /// The device arena's size in words.
     capacity: usize,
 }
 
-impl GroupAssigner {
-    /// Starts a group at arena cursor `bump`.
-    fn new(bump: usize, capacity: usize) -> Self {
-        GroupAssigner { bump, capacity }
-    }
-
-    /// The carry after the steps taken so far.
-    fn bump(&self) -> usize {
-        self.bump
-    }
-
+impl HostState {
     /// Assigns every thread of `level` a speculative output reservation
-    /// before its single store pass runs, advancing the carry; returns the
+    /// before its single store pass runs, advancing the bump; returns the
     /// words reserved. A thread's budget is the plan's per-gate extent
     /// history where the gate has one ([`ExtentPredictor::predict`]), else
     /// the sound static bound — marker + initial entry + EOW + one edge per
     /// stored input word (`4 + Σ published input lengths`; a gate's output
     /// toggles at most once per input edge, so a first-touch gate can never
     /// overflow). Budgets are even-aligned like every arena allocation;
-    /// bases and caps land in the level's scratch slab for the kernel
-    /// threads and the post-level scan.
+    /// bases and caps land in the scratch columns for the kernel threads
+    /// and the post-level scan.
     ///
     /// # Errors
     ///
     /// [`CoreError::OutOfMemory`] if the reservations exceed the arena (the
-    /// caller segments and retries); the carry keeps its pre-level value.
+    /// caller segments and retries); the bump keeps its pre-level value.
     fn advance_budgets(
         &mut self,
         schedule: &LevelSchedule,
@@ -2220,12 +2089,12 @@ impl GroupAssigner {
         let ld = schedule.level(level);
         let nw = schedule.nw;
         let predictor = schedule.predictor();
-        // relaxed-ok: boundary reset — the launch join / phase gate that
-        // follows this assignment orders it against the kernel threads'
-        // overflow-cursor bumps.
+        // relaxed-ok: boundary reset — the launch that follows this
+        // assignment orders it against the kernel threads' overflow-cursor
+        // bumps.
         scratch.ovf_len.store(0, Ordering::Relaxed);
         let mut cursor = self.bump;
-        let mut col = ld.col_off as usize;
+        let mut col = 0;
         // One predictor read per gate, shared by its windows — the
         // per-thread loop below then only branches on the cached value.
         for gi in 0..ld.threads / nw {
@@ -2240,10 +2109,9 @@ impl GroupAssigner {
                             .iter()
                             .map(|&sig| {
                                 // relaxed-ok: input lengths were published
-                                // by lower levels behind the launch join /
-                                // phase gate that precedes this boundary
-                                // (same ordering as the kernel's own input
-                                // reads).
+                                // by lower levels behind the launch join
+                                // that precedes this assignment (same
+                                // ordering as the kernel's own input reads).
                                 scratch.lens[slot(nw, sig as usize, w)].load(Ordering::Relaxed)
                                     as usize
                             })
@@ -2258,9 +2126,9 @@ impl GroupAssigner {
                         capacity: self.capacity,
                     });
                 }
-                // relaxed-ok: runs at a launch/phase boundary — the
-                // join/gate orders these writes against the speculative
-                // pass that reads them.
+                // relaxed-ok: runs between launches — the next launch
+                // orders these writes against the speculative pass that
+                // reads them.
                 scratch.bases[col].store(cursor as u32, Ordering::Relaxed);
                 // relaxed-ok: see above.
                 scratch.caps[col].store(words_even as u32, Ordering::Relaxed);
@@ -2274,15 +2142,14 @@ impl GroupAssigner {
     }
 
     /// Post-level overflow scan of `level`'s speculative pass, advancing
-    /// the carry; returns the words the overflow re-allocations added. The
+    /// the bump; returns the words the overflow re-allocations added. The
     /// kernel threads did the per-column work themselves — feeding the
     /// extent predictor and recording overflowed columns through the
     /// [`BatchScratch::ovf_len`] cursor — so this scan is O(overflows), not
     /// O(columns): on the common all-hit level it only bumps the thread
     /// tally (the storing threads sum hit slack into
     /// [`BatchScratch::waste`]). The recorded columns are copied into
-    /// `overflow_cols` (so the classic path can launch a narrow repair)
-    /// and sorted — the recording order depends on thread interleaving,
+    /// `overflow_cols` (the narrow repair launch's worklist) and sorted — the recording order depends on thread interleaving,
     /// and repairs must allocate in column order for the arena layout to
     /// stay deterministic. Each then gets exact even-aligned space, and its
     /// whole abandoned reservation counts as waste.
@@ -2290,7 +2157,7 @@ impl GroupAssigner {
     /// # Errors
     ///
     /// [`CoreError::OutOfMemory`] if an overflow re-allocation exceeds the
-    /// arena; the carry keeps its pre-scan value.
+    /// arena; the bump keeps its pre-scan value.
     fn advance_scan(
         &mut self,
         schedule: &LevelSchedule,
@@ -2302,8 +2169,7 @@ impl GroupAssigner {
         let mut cursor = self.bump;
         overflow_cols.clear();
         // relaxed-ok: the cursor and its slots were written by the kernel
-        // threads before the launch join / phase gate that precedes this
-        // scan.
+        // threads before the launch join that precedes this scan.
         let n = scratch.ovf_len.load(Ordering::Relaxed);
         overflow_cols.extend(
             scratch.ovf[..n]
@@ -2314,10 +2180,9 @@ impl GroupAssigner {
         overflow_cols.sort_unstable();
         for &col in overflow_cols.iter() {
             // relaxed-ok: stored by the overflowing thread before the
-            // join/gate; see above.
+            // join; see above.
             let packed = scratch.outs[col].load(Ordering::Relaxed);
-            // relaxed-ok: written by `advance_budgets` at the boundary
-            // before the pass.
+            // relaxed-ok: written by `advance_budgets` before the launch.
             let cap = scratch.caps[col].load(Ordering::Relaxed);
             let words_even = KernelOutput::unpack_words_even(packed);
             tally.overflows += 1;
@@ -2330,8 +2195,8 @@ impl GroupAssigner {
                     capacity: self.capacity,
                 });
             }
-            // relaxed-ok: the repair pass reads this base behind the next
-            // launch join / phase gate.
+            // relaxed-ok: the repair launch reads this base; its thread
+            // spawns order the write before the read.
             scratch.bases[col].store(cursor as u32, Ordering::Relaxed);
             cursor += words_even;
         }
@@ -2898,10 +2763,7 @@ mod tests {
     #[test]
     fn scratch_pool_serves_best_fit_not_first_fit() {
         let graph = inv_chain(4);
-        let sim = Session::new(
-            Arc::clone(&graph),
-            SimConfig::small().with_fuse_threshold(0),
-        );
+        let sim = Session::new(Arc::clone(&graph), SimConfig::small());
         let big_plan = sim.plan(32);
         let small_plan = sim.plan(2);
         let big = sim.acquire_scratch(&big_plan);
@@ -2919,10 +2781,7 @@ mod tests {
     #[test]
     fn scratch_pool_shrinks_persistently_oversized_arena() {
         let graph = inv_chain(4);
-        let sim = Session::new(
-            Arc::clone(&graph),
-            SimConfig::small().with_fuse_threshold(0),
-        );
+        let sim = Session::new(Arc::clone(&graph), SimConfig::small());
         let big_plan = sim.plan(32);
         let tiny_plan = sim.plan(1);
         let big = sim.acquire_scratch(&big_plan);
@@ -3036,11 +2895,8 @@ mod tests {
     #[test]
     fn app_profile_populated() {
         let graph = inv_chain(3);
-        // Fusion disabled: one launch per level (3 levels), one segment.
-        let sim = Session::new(
-            Arc::clone(&graph),
-            SimConfig::small().with_fuse_threshold(0),
-        );
+        // One launch per level (3 levels), one segment.
+        let sim = Session::new(Arc::clone(&graph), SimConfig::small());
         let stim = vec![Waveform::from_toggles(false, &[10, 20, 30])];
         let r = sim.run(&stim, 100).unwrap();
         assert!(r.app_profile.h2d_bytes > 0);
@@ -3074,7 +2930,6 @@ mod tests {
                 t1: t1.to_vec(),
                 kernel_profile,
                 launches: 2 * k,
-                fused_launches: 1,
                 spec_threads: 8,
                 spec_overflows: 2,
                 spec_waste_words: 4 * k,
@@ -3116,7 +2971,7 @@ mod tests {
                 drain_seconds: 1.5,
                 d2h_batches: 12,
                 launches: 8,
-                fused_launches: 2,
+                fused_launches: 0,
                 h2d_bytes: 4096,
                 d2h_bytes: 2048,
                 speculative_hit_rate: 0.75,
@@ -3134,13 +2989,9 @@ mod tests {
     #[test]
     fn speculation_halves_unfused_launches() {
         let graph = inv_chain(3);
-        // Speculative single pass on the unfused schedule: 1 launch per
-        // level, not count + store — the first-touch static bound is
+        // Speculative single pass: 1 launch per level, not count + store — the first-touch static bound is
         // sound, so no repair launches appear even on a cold predictor.
-        let sim = Session::new(
-            Arc::clone(&graph),
-            SimConfig::small().with_fuse_threshold(0),
-        );
+        let sim = Session::new(Arc::clone(&graph), SimConfig::small());
         let stim = vec![Waveform::from_toggles(false, &[10, 20, 30])];
         let r = sim.run(&stim, 100).unwrap();
         assert_eq!(r.app_profile.launches, 3);
@@ -3165,10 +3016,7 @@ mod tests {
     fn forced_overflow_repairs_exactly() {
         let graph = inv_chain(3);
         let stim = vec![Waveform::from_toggles(false, &[10, 20, 30, 40, 50])];
-        let sim = Session::new(
-            Arc::clone(&graph),
-            SimConfig::small().with_fuse_threshold(0),
-        );
+        let sim = Session::new(Arc::clone(&graph), SimConfig::small());
         // Expected output: the un-poisoned run, every thread a hit.
         let hit = sim.run(&stim, 100).unwrap();
         assert_eq!(hit.app_profile.overflow_repairs, 0);
@@ -3197,45 +3045,9 @@ mod tests {
     }
 
     #[test]
-    fn forced_overflow_on_fused_schedule_repairs_exactly() {
-        let graph = inv_chain(3);
-        let stim = vec![Waveform::from_toggles(false, &[10, 20, 30, 40, 50])];
-        let sim = Session::new(Arc::clone(&graph), SimConfig::small());
-        let hit = sim.run(&stim, 100).unwrap();
-        assert_eq!(hit.app_profile.overflow_repairs, 0);
-        sim.seed_extent_history(2);
-        let r = sim.run(&stim, 100).unwrap();
-        assert_eq!(r.app_profile.fused_launches, 1);
-        assert!(r.app_profile.overflow_repairs > 0);
-        assert!(r.saif.diff(&hit.saif).is_empty());
-    }
-
-    #[test]
-    fn fused_schedule_cuts_launches() {
-        // 3 levels × 1 gate × 32 windows = 96 threads, well under the
-        // default threshold: the whole chain executes as ONE fused launch.
-        let graph = inv_chain(3);
-        let sim = Session::new(Arc::clone(&graph), SimConfig::small());
-        let stim = vec![Waveform::from_toggles(false, &[10, 20, 30])];
-        let fused = sim.run(&stim, 100).unwrap();
-        assert_eq!(fused.app_profile.launches, 1);
-        assert_eq!(fused.app_profile.fused_launches, 1);
-
-        // Bit-identical results either way.
-        let unfused = Session::new(graph, SimConfig::small().with_fuse_threshold(0))
-            .run(&stim, 100)
-            .unwrap();
-        assert!(fused.saif.diff(&unfused.saif).is_empty());
-        assert!(
-            fused.app_profile.sync_launch_seconds < unfused.app_profile.sync_launch_seconds,
-            "fewer launches must shrink modeled launch overhead"
-        );
-    }
-
-    #[test]
-    fn fused_oom_surfaces_and_segments() {
-        // Tiny arena + fusion: the OOM raised inside a fused launch's
-        // phase callback must abort cleanly and trigger segmentation.
+    fn level_oom_surfaces_and_segments() {
+        // Tiny arena: the OOM raised by a level's reservations between
+        // launches must abort the batch cleanly and trigger segmentation.
         let graph = inv_chain(2);
         let cfg = SimConfig {
             memory_words: 512,

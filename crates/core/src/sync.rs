@@ -9,6 +9,6 @@
 //! `std` paths anywhere else in this crate's production code.
 
 pub use gatspi_gpu::sync::{
-    atomic, hint, mpsc, thread, Barrier, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard,
+    atomic, mpsc, thread, Barrier, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard,
     RwLockWriteGuard,
 };

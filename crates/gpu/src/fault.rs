@@ -7,8 +7,7 @@
 //! when retried) or **permanent** (the device is gone for the rest of the
 //! run). The injection points are the existing choke points every
 //! simulation already goes through — [`crate::Device::launch`],
-//! [`crate::Device::launch_phased`], [`crate::DeviceMemory::h2d`], and
-//! [`crate::DeviceMemory::d2h`] — so no separate "chaos build" of the
+//! [`crate::DeviceMemory::h2d`], and [`crate::DeviceMemory::d2h`] — so no separate "chaos build" of the
 //! engine exists: the `fault-inject` feature only arms the checks.
 //!
 //! Faults fire by index, not by time: a `FaultPlan` names the *n*-th call
@@ -154,7 +153,7 @@ impl DeviceHealth {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum FaultSite {
-    /// Entry of `Device::launch` / `Device::launch_phased`.
+    /// Entry of `Device::launch`.
     Launch,
     /// Entry of `DeviceMemory::h2d` — models a failed device allocation or
     /// staging copy.

@@ -95,8 +95,8 @@ impl DeviceMemory {
     #[inline]
     pub fn load(&self, idx: usize) -> i32 {
         // relaxed-ok: arena words carry no cross-thread ordering themselves;
-        // every writer owns a disjoint pre-assigned region and cross-phase
-        // visibility rides the launch barrier (see Device::launch_phased).
+        // every writer owns a disjoint pre-assigned region and cross-launch
+        // visibility rides the launch join (see Device::launch).
         self.words[idx].load(Ordering::Relaxed)
     }
 

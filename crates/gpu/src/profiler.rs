@@ -42,8 +42,9 @@ pub struct AppPhaseProfile {
     pub d2h_batches: u64,
     /// Number of kernel launches issued.
     pub launches: u64,
-    /// How many of those launches were fused multi-level phased launches
-    /// (each replaces one launch per covered level).
+    /// Always 0: every level of a batch is its own launch, so no launch
+    /// covers several levels. Kept so existing readers of the field keep
+    /// compiling.
     pub fused_launches: u64,
     /// Bytes moved host→device.
     pub h2d_bytes: u64,
@@ -136,7 +137,7 @@ mod tests {
             drain_seconds: 0.0625,
             d2h_batches: 3,
             launches: 10,
-            fused_launches: 2,
+            fused_launches: 0,
             h2d_bytes: 100,
             d2h_bytes: 40,
             speculative_hit_rate: 0.975,

@@ -1,8 +1,8 @@
 //! The workspace's sync facade: every lock-free structure imports its
-//! atomics, spin hints, and scoped threads from here instead of `std`.
+//! atomics and scoped threads from here instead of `std`.
 //!
 //! Normally (`--features model-check` off) this re-exports plain
-//! `std::sync::atomic`, `std::hint`, and the crossbeam-shaped scoped-thread
+//! `std::sync::atomic` and the crossbeam-shaped scoped-thread
 //! shim — zero-cost. With `model-check` on, the same paths resolve to the
 //! `loom` compat crate's instrumented types, so the in-crate model tests can
 //! exhaustively explore the protocols' interleavings while ordinary tests
@@ -17,13 +17,12 @@
 //!
 //! The blocking primitives re-exported here resolve to plain `std` under
 //! *both* cfgs: the loom shim deliberately models only the atomics, because
-//! the lock-free paths hold locks only where a single thread can own them
-//! across a schedule point (e.g. the phase driver's boundary callback,
-//! taken only by the unique leader), so modeling them would add states
-//! without adding coverage. Routing them through the facade anyway gives
-//! the workspace one choke point: if a lock ever migrates into a modeled
-//! protocol, this is the one line that changes — and the static analysis
-//! already guarantees every production lock goes through it.
+//! the lock-free paths hold no lock across a schedule point, so modeling
+//! them would add states without adding coverage. Routing them through
+//! the facade anyway gives the workspace one choke point: if a lock ever
+//! migrates into a modeled protocol, this is the one line that changes —
+//! and the static analysis already guarantees every production lock goes
+//! through it.
 
 /// Atomic types for the lock-free protocols. `AtomicBool`, `AtomicI32`,
 /// `AtomicU32`, `AtomicU64`, `AtomicUsize`, and `Ordering`.
@@ -36,15 +35,6 @@ pub mod atomic {
 
 #[cfg(feature = "model-check")]
 pub use loom::sync::atomic;
-
-/// Spin hints for bounded busy-waits.
-#[cfg(not(feature = "model-check"))]
-pub mod hint {
-    pub use std::hint::spin_loop;
-}
-
-#[cfg(feature = "model-check")]
-pub use loom::hint;
 
 /// Thread primitives: `scope` (crossbeam-shaped), `spawn`, `sleep`,
 /// `yield_now`.

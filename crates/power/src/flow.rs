@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use gatspi_core::{RunOptions, Session, SimConfig};
+use gatspi_core::{CoreError, RunOptions, Session, SimConfig};
 use gatspi_graph::{CircuitGraph, GraphOptions};
 use gatspi_netlist::Netlist;
 use gatspi_refsim::{EventSimulator, RefConfig};
@@ -93,14 +93,12 @@ impl FlowReport {
 ///
 /// # Errors
 ///
-/// Propagates GATSPI engine errors (e.g. arena exhaustion). Both
-/// re-simulations run with host waveform spill enabled, so glitch
-/// classification works even when the run segments.
-///
-/// # Panics
-///
-/// Panics if `cycle_time` is not positive or stimuli don't match the
-/// netlist's inputs.
+/// [`CoreError::BadConfig`] if `cycle_time` is not positive or the
+/// netlist and SDF do not build a circuit graph (e.g. a combinational
+/// loop); otherwise propagates GATSPI engine errors (e.g. arena
+/// exhaustion, a stimulus count that does not match the netlist's
+/// inputs). Both re-simulations run with host waveform spill enabled, so
+/// glitch classification works even when the run segments.
 pub fn run_glitch_flow(
     netlist: &Netlist,
     sdf: &SdfFile,
@@ -109,10 +107,18 @@ pub fn run_glitch_flow(
     cycle_time: SimTime,
     cfg: &FlowConfig,
 ) -> gatspi_core::Result<FlowReport> {
-    assert!(cycle_time > 0, "cycle_time must be positive");
+    if cycle_time <= 0 {
+        return Err(CoreError::BadConfig {
+            detail: format!("cycle_time must be positive, got {cycle_time}"),
+        });
+    }
     let areas = PowerModel::areas_of(netlist);
     let opts = GraphOptions::default();
-    let graph0 = Arc::new(CircuitGraph::build(netlist, Some(sdf), &opts).expect("valid inputs"));
+    let graph0 =
+        CircuitGraph::build(netlist, Some(sdf), &opts).map_err(|e| CoreError::BadConfig {
+            detail: format!("netlist does not build a circuit graph: {e}"),
+        })?;
+    let graph0 = Arc::new(graph0);
 
     // --- Pass 1: re-simulate and analyse. Waveform spill keeps glitch
     // classification valid even if the arena forces segmentation.
@@ -521,5 +527,49 @@ mod tests {
         let report = run_glitch_flow(&netlist, &sdf, &stimuli, cycle * 40, cycle, &cfg).unwrap();
         assert!(report.baseline_seconds.is_none());
         assert!(report.turnaround_speedup().is_none());
+    }
+
+    #[test]
+    fn non_positive_cycle_time_is_a_typed_error() {
+        let (netlist, sdf) = glitchy_design();
+        let stimuli = generate(
+            netlist.primary_inputs().len(),
+            &StimulusConfig::random(4, 400, 0.5, 7),
+        );
+        for cycle in [0, -400] {
+            let err = run_glitch_flow(
+                &netlist,
+                &sdf,
+                &stimuli,
+                1600,
+                cycle,
+                &FlowConfig::default(),
+            );
+            assert!(
+                matches!(&err, Err(CoreError::BadConfig { detail }) if detail.contains("cycle_time")),
+                "cycle {cycle}: {:?}",
+                err.err()
+            );
+        }
+    }
+
+    #[test]
+    fn combinational_loop_is_a_typed_error() {
+        // u1 -> n1 -> u2 -> n2 -> u1: the graph build rejects the cycle.
+        let mut b = NetlistBuilder::new("loopy", CellLibrary::industry_mini());
+        let a = b.add_input("a").unwrap();
+        let n1 = b.add_net("n1").unwrap();
+        let n2 = b.add_output("n2").unwrap();
+        b.add_gate("u1", "NAND2", &[a, n2], n1).unwrap();
+        b.add_gate("u2", "INV", &[n1], n2).unwrap();
+        let netlist = b.finish().unwrap();
+        let sdf = attach_sdf(&netlist, &SdfGenConfig::default());
+        let stimuli = vec![Waveform::from_toggles(false, &[100, 500])];
+        let err = run_glitch_flow(&netlist, &sdf, &stimuli, 1600, 400, &FlowConfig::default());
+        assert!(
+            matches!(&err, Err(CoreError::BadConfig { detail }) if detail.contains("loop")),
+            "{:?}",
+            err.err()
+        );
     }
 }

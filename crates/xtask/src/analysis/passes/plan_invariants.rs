@@ -2,10 +2,10 @@
 //! launch plans.
 //!
 //! The other passes read source; this one compiles every workloads suite
-//! entry into the engine's cached launch schedules — full, fused, and
+//! entry into the engine's cached launch schedules — full and
 //! cone-restricted — and runs [`gatspi_core::audit`]'s structural checker
-//! over each: levels topologically consistent, `col_off` slab ranges
-//! disjoint and in-bounds, thread tables within gate bounds, cone
+//! over each: levels topologically consistent and within the scratch
+//! column, thread tables within gate bounds, cone
 //! restrictions closed under fanout, LUT offsets valid. A schedule-builder
 //! regression that produces a structurally wrong plan fails CI here even
 //! if no simulation test happens to execute the broken corner.
@@ -15,7 +15,7 @@ use gatspi_core::audit;
 use gatspi_workloads::suite::BenchmarkDef;
 
 /// Suite build scale: small enough that all twelve designs compile their
-/// plans in seconds, large enough that fusion and multi-level cones occur.
+/// plans in seconds, large enough that multi-level cones occur.
 /// Override with `GATSPI_ANALYZE_SCALE`.
 pub fn default_scale() -> f64 {
     std::env::var("GATSPI_ANALYZE_SCALE")
@@ -25,12 +25,10 @@ pub fn default_scale() -> f64 {
         .unwrap_or(0.05)
 }
 
-/// Window counts and fusion thresholds exercised per design: the classic
-/// one-launch-per-level shape (fusion off) and a threshold that actually fuses the
-/// small levels of every scaled-down design.
-const PLAN_SHAPES: &[(usize, usize)] = &[(4, 0), (4, 4096)];
+/// Window counts exercised per design.
+pub const PLAN_SHAPES: &[usize] = &[4];
 
-/// Validates every suite entry's full, fused, and cone-restricted plans.
+/// Validates every suite entry's full and cone-restricted plans.
 /// Returns one diagnostic per structural defect (empty = all plans sound).
 pub fn run(suite: &[BenchmarkDef], scale: f64) -> Vec<Diagnostic> {
     let mut out = Vec::new();
@@ -42,7 +40,7 @@ pub fn run(suite: &[BenchmarkDef], scale: f64) -> Vec<Diagnostic> {
         // in every design; the empty set checks the degenerate plan.
         let sparse: Vec<bool> = (0..graph.n_gates()).map(|g| g % 47 == 0).collect();
         let empty = vec![false; graph.n_gates()];
-        for &(nw, fuse) in PLAN_SHAPES {
+        for &nw in PLAN_SHAPES {
             let mut report = |plan: &str, defects: Vec<String>| {
                 for d in defects {
                     out.push(Diagnostic {
@@ -51,16 +49,13 @@ pub fn run(suite: &[BenchmarkDef], scale: f64) -> Vec<Diagnostic> {
                         file: label.clone(),
                         line: 0,
                         severity: Severity::Error,
-                        msg: format!("{plan} plan (nw={nw}, fuse={fuse}): {d}"),
+                        msg: format!("{plan} plan (nw={nw}): {d}"),
                     });
                 }
             };
-            report("full", audit::validate_full_plan(graph, nw, fuse));
-            report("cone", audit::validate_cone_plan(graph, nw, fuse, &sparse));
-            report(
-                "empty-cone",
-                audit::validate_cone_plan(graph, nw, fuse, &empty),
-            );
+            report("full", audit::validate_full_plan(graph, nw));
+            report("cone", audit::validate_cone_plan(graph, nw, &sparse));
+            report("empty-cone", audit::validate_cone_plan(graph, nw, &empty));
         }
     }
     out

@@ -2,8 +2,8 @@
 //! trajectory artifacts in the repository root. Every artifact must parse
 //! and pass the schema rules of [`gatspi_bench::artifact::validate`], the
 //! known targets must all be present, and per-target tolerance bands must
-//! hold (rates in `[0, 1]`, walls positive, fused launches not above
-//! unfused, the glitch flow's turnaround at least
+//! hold (rates in `[0, 1]`, walls positive, at least one launch, the
+//! glitch flow's turnaround at least
 //! `TURNAROUND_SPEEDUP_FLOOR`× the event-driven baseline's, its spill drain
 //! within `D2H_BATCHES_CEILING` transfers, and `single_pass`'s kernel-level
 //! witnesses of the speculative store: a hit at least
@@ -143,25 +143,13 @@ fn check_glitch_flow(name: &str, doc: &Json, errors: &mut Vec<String>) {
     band("gatspi_seconds", f64::MIN_POSITIVE, f64::MAX);
     band("turnaround_speedup", TURNAROUND_SPEEDUP_FLOOR, f64::MAX);
     band("saving_pct", -100.0, 100.0);
-    band("resim_wall_fused", f64::MIN_POSITIVE, f64::MAX);
-    band("resim_wall_unfused", f64::MIN_POSITIVE, f64::MAX);
+    band("resim_wall", f64::MIN_POSITIVE, f64::MAX);
+    band("launches", 1.0, f64::MAX);
     band("speculative_hit_rate", 0.0, 1.0);
     band("overflow_repairs", 0.0, f64::MAX);
     band("predicted_waste_words", 0.0, f64::MAX);
     band("oom_retries", 0.0, f64::MAX);
     band("d2h_batches", 1.0, D2H_BATCHES_CEILING);
-    if let (Some(fused), Some(unfused)) = (
-        num_field(doc, "launches_fused"),
-        num_field(doc, "launches_unfused"),
-    ) {
-        if fused > unfused {
-            errors.push(format!(
-                "{name}: launches_fused {fused} exceeds launches_unfused {unfused}"
-            ));
-        }
-    } else {
-        errors.push(format!("{name}: missing launch counts"));
-    }
 }
 
 /// Structural and tolerance checks of the criterion-style kernel_micro
@@ -189,7 +177,6 @@ fn check_kernel_micro(name: &str, doc: &Json, errors: &mut Vec<String>) {
         "single_pass/",
         "deep_pipeline_resim/",
         "publish_path/",
-        "phase_driver/",
     ] {
         if mean_of(group).is_none() {
             errors.push(format!("{name}: no benchmarks in group {group}"));
@@ -230,9 +217,8 @@ mod tests {
     fn bench_check_accepts_current_artifact_shapes() {
         let glitch = r#"{
             "target": "glitch_flow", "gates": 3840, "gatspi_seconds": 1.6,
-            "turnaround_speedup": 2.4, "saving_pct": 4.28, "resim_wall_fused": 0.16,
-            "resim_wall_unfused": 0.17, "launches_fused": 22,
-            "launches_unfused": 116, "speculative_hit_rate": 0.98,
+            "turnaround_speedup": 2.4, "saving_pct": 4.28, "resim_wall": 0.16,
+            "launches": 116, "speculative_hit_rate": 0.98,
             "overflow_repairs": 3, "predicted_waste_words": 120,
             "oom_retries": 0, "d2h_batches": 58
         }"#;
@@ -246,10 +232,8 @@ mod tests {
                 {"id": "single_pass/spec_hit/256", "mean_ns": 4800.0},
                 {"id": "single_pass/spec_repair/256", "mean_ns": 9500.0},
                 {"id": "single_pass/two_pass/256", "mean_ns": 15300.0},
-                {"id": "deep_pipeline_resim/fused/d", "mean_ns": 2.0e6},
-                {"id": "deep_pipeline_resim/unfused/d", "mean_ns": 2.0e6},
-                {"id": "publish_path/narrow/l", "mean_ns": 1.7e6},
-                {"id": "phase_driver/cursor_driver/w", "mean_ns": 9.0e5}
+                {"id": "deep_pipeline_resim/per_level/d", "mean_ns": 2.0e6},
+                {"id": "publish_path/narrow/l", "mean_ns": 1.7e6}
             ]
         }"#;
         assert_eq!(
@@ -260,13 +244,12 @@ mod tests {
 
     #[test]
     fn bench_check_rejects_band_violations() {
-        // Hit rate above 1, a negative wall, a headline speedup under the
-        // floor and a transfer per waveform are all out of band.
+        // Hit rate above 1, a zero wall, a headline speedup under the
+        // floor, no launch and a transfer per waveform are all out of band.
         let glitch = r#"{
             "target": "glitch_flow", "gates": 3840, "gatspi_seconds": 0.0,
-            "turnaround_speedup": 1.05, "saving_pct": 4.28, "resim_wall_fused": 0.16,
-            "resim_wall_unfused": 0.17, "launches_fused": 200,
-            "launches_unfused": 116, "speculative_hit_rate": 1.5,
+            "turnaround_speedup": 1.05, "saving_pct": 4.28, "resim_wall": 0.16,
+            "launches": 0, "speculative_hit_rate": 1.5,
             "overflow_repairs": 3, "predicted_waste_words": 120,
             "oom_retries": -1, "d2h_batches": 104076
         }"#;
@@ -277,7 +260,7 @@ mod tests {
         assert!(errs.iter().any(|e| e.contains("oom_retries")));
         assert!(errs.iter().any(|e| e.contains("speculative_hit_rate")));
         assert!(errs.iter().any(|e| e.contains("gatspi_seconds")));
-        assert!(errs.iter().any(|e| e.contains("launches_fused")));
+        assert!(errs.iter().any(|e| e.contains("launches")));
         // A speculative hit too close to count + store and a miss too far
         // above it trip the tolerance bands; so do a missing group and a
         // non-positive measurement.
@@ -287,8 +270,7 @@ mod tests {
                 {"id": "single_pass/spec_hit/256", "mean_ns": 14000.0},
                 {"id": "single_pass/spec_repair/256", "mean_ns": 20000.0},
                 {"id": "single_pass/two_pass/256", "mean_ns": 15300.0},
-                {"id": "deep_pipeline_resim/unfused/d", "mean_ns": 3.0e6},
-                {"id": "publish_path/narrow/l", "mean_ns": 1.7e6}
+                {"id": "deep_pipeline_resim/per_level/d", "mean_ns": 3.0e6}
             ]
         }"#;
         let errs = check_artifact("m.json", micro);
@@ -300,7 +282,7 @@ mod tests {
             errs.iter().any(|e| e.contains("above the 1.25x ceiling")),
             "{errs:?}"
         );
-        assert!(errs.iter().any(|e| e.contains("phase_driver/")), "{errs:?}");
+        assert!(errs.iter().any(|e| e.contains("publish_path/")), "{errs:?}");
         assert!(
             errs.iter().any(|e| e.contains("non-positive mean_ns")),
             "{errs:?}"

@@ -18,8 +18,8 @@
 //!    `relaxed-ok:` and `SAFETY:` comment rules;
 //! 4. **ordering-xref** — `// anchor:` / `// pairs-with:` annotations on
 //!    Acquire/Release sites verified to resolve in both directions;
-//! 5. **plan-invariants** — every workloads suite entry compiled to full,
-//!    fused, and cone-restricted launch plans and checked structurally
+//! 5. **plan-invariants** — every workloads suite entry compiled to full
+//!    and cone-restricted launch plans and checked structurally
 //!    (`gatspi_core::audit`).
 //!
 //! Findings are gated against `crates/xtask/analyze-baseline.json`:

@@ -84,9 +84,7 @@ fn application_profile_structure() {
     );
     let sim = Session::new(
         Arc::clone(&graph),
-        SimConfig::small()
-            .with_window_align(cycle)
-            .with_fuse_threshold(0),
+        SimConfig::small().with_window_align(cycle),
     );
     let r = sim.run(&stimuli, cycle * 64).expect("simulate");
     assert_eq!(
@@ -96,7 +94,7 @@ fn application_profile_structure() {
     assert_eq!(
         r.app_profile.launches as usize,
         graph.n_levels(),
-        "one speculative store launch per logic level in the unfused schedule"
+        "one speculative store launch per logic level"
     );
     assert_eq!(r.app_profile.fused_launches, 0);
     assert!(r.app_profile.h2d_bytes > 0);
@@ -104,24 +102,6 @@ fn application_profile_structure() {
     assert!(r.app_profile.total_seconds() > 0.0);
     assert!(r.kernel_profile.accesses > 0);
     assert!(r.kernel_profile.occupancy_pct > 0.0);
-
-    // With launch fusion at its default threshold the same run needs
-    // strictly fewer launches than it has levels (small levels share
-    // phased launches) and produces identical results.
-    let fused = Session::new(
-        Arc::clone(&graph),
-        SimConfig::small().with_window_align(cycle),
-    )
-    .run(&stimuli, cycle * 64)
-    .expect("simulate fused");
-    assert!(
-        (fused.app_profile.launches as usize) < graph.n_levels(),
-        "fusion must cut launches below one per level on this design: {} vs {}",
-        fused.app_profile.launches,
-        graph.n_levels()
-    );
-    assert!(fused.app_profile.fused_launches > 0);
-    assert!(r.saif.diff(&fused.saif).is_empty());
 }
 
 /// Engines also agree under ablated features and relaxed pulse filtering,

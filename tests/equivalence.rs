@@ -151,56 +151,6 @@ fn segmented_run_matches() {
     assert!(roomy.saif.diff(&tight.saif).is_empty());
 }
 
-/// Launch fusion must be purely a scheduling optimization: a fused
-/// schedule produces bit-identical SAIF and waveforms to the paper's
-/// original two-launches-per-level schedule, with strictly fewer launches.
-#[test]
-fn fused_schedule_bit_matches_unfused() {
-    for def in table2_suite().into_iter().step_by(2) {
-        let b = def.build_at_scale(0.1);
-        let run = |fuse_threshold: usize| {
-            Session::new(
-                Arc::clone(&b.graph),
-                SimConfig::small()
-                    .with_cycle_parallelism(6)
-                    .with_window_align(b.cycle_time)
-                    .with_fuse_threshold(fuse_threshold),
-            )
-            .run(&b.stimuli, b.duration)
-            .expect("run")
-        };
-        let unfused = run(0);
-        let fused = run(1 << 20);
-        assert!(
-            fused.app_profile.fused_launches > 0,
-            "{}: nothing fused",
-            b.label()
-        );
-        assert!(
-            fused.app_profile.launches < unfused.app_profile.launches,
-            "{}: fusion did not reduce launches",
-            b.label()
-        );
-        let diffs = fused.saif.diff(&unfused.saif);
-        assert!(
-            diffs.is_empty(),
-            "{}: fused diverged, first: {:?}",
-            b.label(),
-            diffs.first()
-        );
-        let n = b.graph.n_signals();
-        for k in 0..8 {
-            let s = (k * 977 + 13) % n;
-            assert_eq!(
-                fused.waveform(s).expect("fused extraction"),
-                unfused.waveform(s).expect("unfused extraction"),
-                "{}: waveform {s} differs",
-                b.label()
-            );
-        }
-    }
-}
-
 /// The parallel (multi-threaded commercial stand-in) baseline agrees with
 /// the serial baseline and therefore with GATSPI.
 #[test]

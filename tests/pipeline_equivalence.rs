@@ -1,11 +1,11 @@
-//! Level-loop equivalence: the engine's one execution path — folded
-//! store-pass publication, slab-partitioned scratch columns, each level
-//! published by the thread that finished it — must produce results
-//! **bit-identical** to the event-driven reference across plain windowed
-//! runs, segmented runs, streaming sinks, multi-GPU sharding (with and
-//! without spill) and the pooled chase-the-cursor phase driver — on the
-//! speculative store's hit path and, with the extent history poisoned, on
-//! its overflow-repair path.
+//! Level-loop equivalence: the engine's one execution path — one
+//! speculative store launch per level with folded store-pass publication,
+//! plus a narrow repair launch where a reservation overflowed — must
+//! produce results **bit-identical** to the event-driven reference across
+//! plain windowed runs, segmented runs, streaming sinks and multi-GPU
+//! sharding (with and without spill), on launches run inline and on the
+//! worker pool — on the speculative store's hit path and, with the extent
+//! history poisoned, on its overflow-repair path.
 
 use std::sync::Arc;
 
@@ -20,8 +20,8 @@ use gatspi_workloads::sdfgen::{attach_sdf, SdfGenConfig};
 use gatspi_workloads::stimuli::{generate, StimulusConfig};
 use proptest::prelude::*;
 
-/// Deep, narrow chain: thousands of one-gate levels exercise the fused
-/// (phased-launch) path, published at its store/repair phase boundaries.
+/// Deep, narrow chain: hundreds of one-gate levels, each a launch narrow
+/// enough to run inline on the calling thread.
 fn deep_chain(depth: usize) -> Arc<CircuitGraph> {
     let mut b = NetlistBuilder::new("deep", CellLibrary::industry_mini());
     let mut prev = b.add_input("a").unwrap();
@@ -34,8 +34,7 @@ fn deep_chain(depth: usize) -> Arc<CircuitGraph> {
     Arc::new(CircuitGraph::build(&b.finish().unwrap(), None, &GraphOptions::default()).unwrap())
 }
 
-/// Wide random logic with SDF delays: multi-gate levels exercise the
-/// classic one-launch-per-level path.
+/// Wide random logic with SDF delays: multi-gate levels.
 fn wide_graph(seed: u64) -> Arc<CircuitGraph> {
     sdf_logic(300, 16, 5, seed)
 }
@@ -144,7 +143,7 @@ fn assert_waveforms_match_refsim(ours: &SimResult, r: &RefResult, what: &str) {
 }
 
 #[test]
-fn deep_fused_chain_serial_matches_overlapped() {
+fn deep_chain_serial_matches_overlapped() {
     let graph = deep_chain(600);
     let toggles: Vec<i32> = (1..12).map(|i| i * 700).collect();
     let stim = vec![Waveform::from_toggles(false, &toggles)];
@@ -163,9 +162,9 @@ fn deep_fused_chain_serial_matches_overlapped() {
     // cut while toggles are still travelling down the 600-gate chain.
     let windows: Vec<_> = (0..4).map(|k| (k * 2500, (k + 1) * 2500)).collect();
     let r = windowed_refsim(&graph, &stim, &windows);
-    assert_matches_refsim(&ours, &r, "deep fused chain");
+    assert_matches_refsim(&ours, &r, "deep chain");
     // Bit-identical waveforms too, via the durable spill copies.
-    assert_waveforms_match_refsim(&ours, &r, "deep fused chain");
+    assert_waveforms_match_refsim(&ours, &r, "deep chain");
     assert!(
         ours.app_profile.speculative_hit_rate > 0.0,
         "the speculative path must actually have run"
@@ -175,10 +174,9 @@ fn deep_fused_chain_serial_matches_overlapped() {
 /// Wide levels against refsim with 7 windows per batch on a 4-worker
 /// device. 7 does not divide the 512 threads of a block, so blocks split
 /// gates between them, and levels of ~750 gates are wide enough to run
-/// those blocks on the worker pool — on classic one-launch-per-level
-/// levels and on one fused group, each on the speculative hit path and
-/// with the extent history poisoned, so the repairs of split gates fold
-/// their SAIF records too.
+/// those blocks on the worker pool — on the speculative hit path and with
+/// the extent history poisoned, so the repairs of split gates fold their
+/// SAIF records too.
 #[test]
 fn wide_levels_serial_matches_overlapped_and_refsim() {
     let graph = sdf_logic(3000, 32, 4, 7);
@@ -190,38 +188,105 @@ fn wide_levels_serial_matches_overlapped_and_refsim() {
     // Wider than the device's 4096-thread inline threshold.
     assert!((0..graph.n_levels()).any(|l| 7 * graph.level_gates(l).len() > 4096));
     let r = refsim(&graph, &stimuli, duration);
-    for fuse_threshold in [0, 1 << 20] {
-        let mut cfg = SimConfig::small()
-            .with_cycle_parallelism(7)
-            .with_window_align(400)
-            .with_fuse_threshold(fuse_threshold);
-        cfg.memory_words = 1 << 23;
-        assert_eq!(cfg.threads_per_block, 512);
+    let mut cfg = SimConfig::small()
+        .with_cycle_parallelism(7)
+        .with_window_align(400);
+    cfg.memory_words = 1 << 23;
+    assert_eq!(cfg.threads_per_block, 512);
+    let device = Arc::new(gatspi_gpu::Device::with_workers(
+        cfg.device.clone(),
+        cfg.memory_words,
+        4,
+    ));
+    let sim = Session::with_device(Arc::clone(&graph), cfg, device);
+    for history in [0, 2] {
+        sim.seed_extent_history(history);
+        let ours = sim.run(&stimuli, duration).unwrap();
+        let what = format!("wide levels, history {history}");
+        assert_eq!(ours.segments(), 1, "{what}: one 7-window batch");
+        if history > 0 {
+            assert!(
+                ours.app_profile.overflow_repairs > 0,
+                "{what}: no repair ran"
+            );
+        }
+        assert_matches_refsim(&ours, &r, &what);
+    }
+}
+
+/// The launch accounting of the one schedule: every level of a batch is
+/// one speculative store launch, plus one narrow repair launch if any of
+/// its reservations overflowed. Pinned on the deep chain (one-gate levels,
+/// launches run inline) and on wide levels (launches on a 4-worker pool),
+/// each cold — no repair — and with the extent history poisoned, so that
+/// every level, each of which has a toggling output, needs its repair
+/// launch. Both runs match the reference.
+#[test]
+fn launches_are_levels_plus_repair_launches() {
+    let check = |graph: &Arc<CircuitGraph>,
+                 stimuli: &[Waveform],
+                 duration: SimTime,
+                 cfg: SimConfig,
+                 r: &RefResult,
+                 what: &str| {
+        let levels = graph.n_levels();
+        assert!(
+            (0..levels).all(|l| graph
+                .level_gates(l)
+                .iter()
+                .any(|&g| r.toggle_counts[graph.gate_output(g as usize).index()] > 0)),
+            "{what}: every level must toggle"
+        );
         let device = Arc::new(gatspi_gpu::Device::with_workers(
             cfg.device.clone(),
             cfg.memory_words,
             4,
         ));
-        let sim = Session::with_device(Arc::clone(&graph), cfg, device);
+        let sim = Session::with_device(Arc::clone(graph), cfg, device);
         for history in [0, 2] {
             sim.seed_extent_history(history);
-            let ours = sim.run(&stimuli, duration).unwrap();
-            let what = format!("wide levels, fuse threshold {fuse_threshold}, history {history}");
-            assert_eq!(ours.segments(), 1, "{what}: one 7-window batch");
+            let ours = sim.run(stimuli, duration).unwrap();
+            let what = format!("{what}, history {history}");
+            assert_eq!(ours.segments(), 1, "{what}: one batch");
+            let repair_launches = if history > 0 { levels } else { 0 };
             assert_eq!(
-                ours.app_profile.fused_launches > 0,
-                fuse_threshold > 0,
-                "{what}: launch kind"
+                ours.app_profile.launches as usize,
+                levels + repair_launches,
+                "{what}: launches"
             );
-            if history > 0 {
-                assert!(
-                    ours.app_profile.overflow_repairs > 0,
-                    "{what}: no repair ran"
-                );
-            }
-            assert_matches_refsim(&ours, &r, &what);
+            assert_eq!(ours.app_profile.fused_launches, 0, "{what}");
+            assert_eq!(
+                ours.app_profile.overflow_repairs > 0,
+                history > 0,
+                "{what}: repairs"
+            );
+            assert_matches_refsim(&ours, r, &what);
         }
-    }
+    };
+
+    let deep = deep_chain(300);
+    let toggles: Vec<i32> = (1..12).map(|i| i * 700).collect();
+    let stim = vec![Waveform::from_toggles(false, &toggles)];
+    let windows: Vec<_> = (0..4).map(|k| (k * 2500, (k + 1) * 2500)).collect();
+    let r = windowed_refsim(&deep, &stim, &windows);
+    let cfg = SimConfig::small()
+        .with_cycle_parallelism(4)
+        .with_window_align(100);
+    check(&deep, &stim, 10_000, cfg, &r, "deep chain");
+
+    let wide = sdf_logic(3000, 32, 4, 7);
+    let stimuli = generate(
+        wide.primary_inputs().len(),
+        &StimulusConfig::random(28, 400, 0.4, 11),
+    );
+    let duration = 28 * 400;
+    assert!((0..wide.n_levels()).any(|l| 7 * wide.level_gates(l).len() > 4096));
+    let r = refsim(&wide, &stimuli, duration);
+    let mut cfg = SimConfig::small()
+        .with_cycle_parallelism(7)
+        .with_window_align(400);
+    cfg.memory_words = 1 << 23;
+    check(&wide, &stimuli, duration, cfg, &r, "wide levels");
 }
 
 #[test]
@@ -305,56 +370,6 @@ fn streaming_sink_serial_matches_overlapped() {
     }
 }
 
-/// A fused group wide enough to engage the pooled phase driver (widest
-/// phase ≥ the device's inline threshold, so the chase-the-cursor worker
-/// protocol — not the serial fast path — runs the phases): the whole
-/// design forced into one phased launch by a large fuse threshold, so
-/// thousand-thread levels are published by the launch's leader worker at
-/// its phase boundaries. Must match the event-driven reference, including
-/// every waveform via the durable spill copies.
-#[test]
-fn wide_fused_group_pooled_driver_matches_serial_and_refsim() {
-    let netlist = random_logic(&RandomLogicConfig {
-        gates: 3000,
-        inputs: 32,
-        depth: 4,
-        output_fraction: 0.1,
-        seed: 91,
-    });
-    let graph = Arc::new(CircuitGraph::build(&netlist, None, &GraphOptions::default()).unwrap());
-    let stimuli = generate(
-        graph.primary_inputs().len(),
-        &StimulusConfig::random(8, 400, 0.4, 17),
-    );
-    let duration = 8 * 400;
-    let cfg = SimConfig::small()
-        .with_cycle_parallelism(8)
-        .with_window_align(400)
-        .with_fuse_threshold(1 << 20);
-    // An explicit 4-worker device: the pooled driver (and the parallel
-    // spill drain) must engage even when the test host has few cores.
-    let device = Arc::new(gatspi_gpu::Device::with_workers(
-        cfg.device.clone(),
-        cfg.memory_words,
-        4,
-    ));
-    let ours = Session::with_device(Arc::clone(&graph), cfg, device)
-        .run_with(
-            &stimuli,
-            duration,
-            &RunOptions::default().with_waveform_spill(),
-        )
-        .unwrap();
-    assert_eq!(
-        ours.app_profile.launches, ours.app_profile.fused_launches,
-        "every launch must be a fused phased launch"
-    );
-    assert!(ours.app_profile.fused_launches >= 1);
-    let r = refsim(&graph, &stimuli, duration);
-    assert_matches_refsim(&ours, &r, "wide fused group");
-    assert_waveforms_match_refsim(&ours, &r, "wide fused group");
-}
-
 #[test]
 fn multi_gpu_serial_matches_overlapped() {
     let graph = wide_graph(29);
@@ -429,9 +444,9 @@ fn multi_gpu_spill_extracts_waveforms() {
     assert_waveforms_match_refsim(&multi, &r, "multi-GPU spill");
 }
 
-// --- The speculative store on scenarios of its own: unfused wide levels,
-// a warm incremental rerun, and the overflow-repair path. (Its fused,
-// segmented, streaming and multi-GPU runs are the tests above.)
+// --- The speculative store on scenarios of its own: wide levels, a warm
+// incremental rerun, and the overflow-repair path. (Its segmented,
+// streaming and multi-GPU runs are the tests above.)
 
 #[test]
 fn speculative_matches_two_pass_on_wide_classic_levels() {
@@ -443,8 +458,7 @@ fn speculative_matches_two_pass_on_wide_classic_levels() {
     let duration = 24 * 400;
     let cfg = SimConfig::small()
         .with_cycle_parallelism(8)
-        .with_window_align(400)
-        .with_fuse_threshold(0);
+        .with_window_align(400);
     let ours = Session::new(Arc::clone(&graph), cfg)
         .run(&stimuli, duration)
         .unwrap();
@@ -496,27 +510,24 @@ fn forced_overflow_repair_reproduces_two_pass_exactly() {
     );
     let duration = 16 * 400;
     let r = refsim(&graph, &stimuli, duration);
-    for fuse in [0usize, 4096] {
-        let cfg = SimConfig::small()
-            .with_cycle_parallelism(8)
-            .with_window_align(400)
-            .with_fuse_threshold(fuse);
-        let sim = Session::new(Arc::clone(&graph), cfg);
-        sim.seed_extent_history(2);
-        let ours = sim
-            .run_with(
-                &stimuli,
-                duration,
-                &RunOptions::default().with_waveform_spill(),
-            )
-            .unwrap();
-        assert!(
-            ours.app_profile.overflow_repairs > 0,
-            "fuse {fuse}: tiny seeded budgets must overflow"
-        );
-        assert_matches_refsim(&ours, &r, &format!("forced overflow, fuse {fuse}"));
-        assert_waveforms_match_refsim(&ours, &r, &format!("fuse {fuse}, from repair"));
-    }
+    let cfg = SimConfig::small()
+        .with_cycle_parallelism(8)
+        .with_window_align(400);
+    let sim = Session::new(Arc::clone(&graph), cfg);
+    sim.seed_extent_history(2);
+    let ours = sim
+        .run_with(
+            &stimuli,
+            duration,
+            &RunOptions::default().with_waveform_spill(),
+        )
+        .unwrap();
+    assert!(
+        ours.app_profile.overflow_repairs > 0,
+        "tiny seeded budgets must overflow"
+    );
+    assert_matches_refsim(&ours, &r, "forced overflow");
+    assert_waveforms_match_refsim(&ours, &r, "forced overflow, from repair");
 }
 
 /// A mispredicted run costs its repairs once: the overflowing threads feed
@@ -532,8 +543,7 @@ fn overflow_heals_after_one_run() {
     let duration = 24 * 400;
     let cfg = SimConfig::small()
         .with_cycle_parallelism(8)
-        .with_window_align(400)
-        .with_fuse_threshold(0);
+        .with_window_align(400);
     let sim = Session::new(Arc::clone(&graph), cfg);
     sim.seed_extent_history(2);
     let poisoned = sim.run(&stimuli, duration).unwrap();
@@ -564,10 +574,7 @@ proptest! {
         depth in 3usize..9,
         toggle_prob in 0.05f64..0.9,
         parallelism in 1usize..6,
-        fuse_sel in 0usize..3,
     ) {
-        // Unfused / small fused groups / default fusion.
-        let fuse = [0usize, 64, 4096][fuse_sel];
         let netlist = random_logic(&RandomLogicConfig {
             gates,
             inputs: 10,
@@ -591,8 +598,7 @@ proptest! {
         let duration = cycle * cycles as i32;
         let cfg = SimConfig::small()
             .with_cycle_parallelism(parallelism)
-            .with_window_align(cycle)
-            .with_fuse_threshold(fuse);
+            .with_window_align(cycle);
         let ours = Session::new(Arc::clone(&graph), cfg)
             .run(&stimuli, duration)
             .unwrap();

@@ -170,7 +170,6 @@ fn single_device_and_one_gpu_fleet_report_identical_profiles() {
     assert_eq!(single.segments(), fleet.segments());
     let (s, f) = (&single.app_profile, &fleet.app_profile);
     assert_eq!(s.launches, f.launches);
-    assert_eq!(s.fused_launches, f.fused_launches);
     assert_eq!(s.overflow_repairs, f.overflow_repairs);
     assert_eq!(s.speculative_hit_rate, f.speculative_hit_rate);
 
