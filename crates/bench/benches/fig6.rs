@@ -3,8 +3,7 @@
 //! 1/4/8 simulated GPUs (cycle-parallel workload distribution).
 
 use gatspi_bench::{
-    gatspi_config, gatspi_session, print_table, run_baseline, run_gatspi, run_gatspi_multi, secs,
-    speedup,
+    cpu_device, gatspi_config, print_table, run_baseline, run_gatspi, run_gatspi_on, secs, speedup,
 };
 use gatspi_gpu::{DeviceSpec, MultiGpu};
 use gatspi_workloads::suite::design_b_concatenated;
@@ -25,10 +24,8 @@ fn main() {
         "measured".into(),
     ]);
 
-    let sim = gatspi_session(&b, gatspi_config(&b));
-    let cpu = sim
-        .run_cpu(&b.stimuli, b.duration, host.min(16))
-        .expect("cpu run");
+    let cfg = gatspi_config(&b);
+    let cpu = run_gatspi_on(&b, cfg.clone(), vec![cpu_device(&cfg, host.min(16))]);
     rows.push(vec![
         format!("{} CPU OpenMP-equivalent", host.min(16)),
         secs(cpu.kernel_profile.wall_seconds),
@@ -47,7 +44,7 @@ fn main() {
             run_gatspi(&b, cfg).kernel_profile.modeled_seconds
         } else {
             let gpus = MultiGpu::new(spec, n, 16 << 20);
-            run_gatspi_multi(&b, cfg, &gpus)
+            run_gatspi_on(&b, cfg, gpus.devices().to_vec())
                 .kernel_profile
                 .modeled_seconds
         };

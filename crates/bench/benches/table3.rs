@@ -1,7 +1,9 @@
 //! Table 3: GATSPI vs its "OpenMP-equivalent" CPU implementation — the
 //! identical level schedule executed by plain host threads.
 
-use gatspi_bench::{gatspi_config, gatspi_session, print_table, secs, speedup};
+use gatspi_bench::{
+    cpu_device, gatspi_config, print_table, run_gatspi, run_gatspi_on, secs, speedup,
+};
 use gatspi_workloads::suite::representative_suite;
 
 fn main() {
@@ -11,14 +13,11 @@ fn main() {
     let mut rows = Vec::new();
     for def in representative_suite() {
         let b = def.build();
-        // One compiled session serves both regimes (the plan is shared).
-        let sim = gatspi_session(&b, gatspi_config(&b));
-        let g = sim.run(&b.stimuli, b.duration).expect("gatspi run");
+        let cfg = gatspi_config(&b);
+        let g = run_gatspi(&b, cfg.clone());
         // The paper uses 32/40/64 CPUs; cap at this host's cores.
         let threads = host.clamp(2, 32);
-        let cpu = sim
-            .run_cpu(&b.stimuli, b.duration, threads)
-            .expect("cpu run");
+        let cpu = run_gatspi_on(&b, cfg.clone(), vec![cpu_device(&cfg, threads)]);
         rows.push(vec![
             b.label(),
             format!(

@@ -8,7 +8,7 @@
 //! workloads up from their CPU-friendly defaults.
 
 use gatspi_core::{Session, SimConfig, SimResult};
-use gatspi_gpu::MultiGpu;
+use gatspi_gpu::Device;
 use gatspi_refsim::{EventSimulator, RefConfig, RefResult};
 use gatspi_workloads::suite::BuiltBenchmark;
 use std::sync::Arc;
@@ -66,15 +66,9 @@ pub fn gatspi_config(b: &BuiltBenchmark) -> SimConfig {
     SimConfig::default().with_window_align(b.cycle_time)
 }
 
-/// Compiles a session for a built benchmark.
-pub fn gatspi_session(b: &BuiltBenchmark, cfg: SimConfig) -> Session {
-    Session::new(Arc::clone(&b.graph), cfg)
-}
-
-/// Runs GATSPI on a built benchmark (one-shot convenience over
-/// [`gatspi_session`]).
+/// Runs GATSPI on a built benchmark, on one session of its own.
 pub fn run_gatspi(b: &BuiltBenchmark, cfg: SimConfig) -> SimResult {
-    gatspi_session(b, cfg)
+    Session::new(Arc::clone(&b.graph), cfg)
         .run(&b.stimuli, b.duration)
         .expect("gatspi run")
 }
@@ -90,11 +84,23 @@ pub fn run_baseline(b: &BuiltBenchmark) -> RefResult {
         .expect("baseline run")
 }
 
-/// Runs GATSPI across `n` simulated GPUs.
-pub fn run_gatspi_multi(b: &BuiltBenchmark, cfg: SimConfig, gpus: &MultiGpu) -> SimResult {
-    gatspi_session(b, cfg)
-        .run_multi_gpu(gpus, &b.stimuli, b.duration)
-        .expect("multi-gpu run")
+/// Runs GATSPI on a session over `devices` — a multi-GPU fleet, or the
+/// one host-threaded device of the CPU backend.
+pub fn run_gatspi_on(b: &BuiltBenchmark, cfg: SimConfig, devices: Vec<Arc<Device>>) -> SimResult {
+    Session::with_devices(Arc::clone(&b.graph), cfg, devices)
+        .run(&b.stimuli, b.duration)
+        .expect("gatspi run")
+}
+
+/// The "OpenMP-equivalent" CPU backend (Table 3): one device whose kernels
+/// run on `threads` host threads. Read its measured wall times; its modeled
+/// ones still describe the configured GPU.
+pub fn cpu_device(cfg: &SimConfig, threads: usize) -> Arc<Device> {
+    Arc::new(Device::with_workers(
+        cfg.device.clone(),
+        cfg.memory_words,
+        threads,
+    ))
 }
 
 /// Measured activity factor of a result (toggles / signal / cycle).

@@ -21,8 +21,12 @@
 //!   allocation and no calibration run,
 //! * cycle parallelism: the stimulus is cut into independent windows that
 //!   simulate concurrently, one logical GPU thread per (gate, window),
-//! * multi-GPU distribution of cycle parallelism (`t = t₁/n + ovr`),
-//! * an "OpenMP-equivalent" CPU backend for the paper's Table 3 comparison,
+//! * multi-GPU distribution of cycle parallelism (`t = t₁/n + ovr`): a
+//!   session runs on a fleet of devices ([`Session::with_devices`]), one
+//!   device being the fleet of one, and every run — full or incremental —
+//!   goes through the same window loop, OOM halving and failover included,
+//! * an "OpenMP-equivalent" CPU backend for the paper's Table 3 comparison:
+//!   a session on one host-threaded `Device::with_workers` device,
 //! * SAIF accumulated by the storing threads themselves: each thread scans
 //!   the window it just wrote for its toggle count and time at 1, and the
 //!   level publish folds those per signal — no second pass over the stored
@@ -33,7 +37,10 @@
 //! The engine is a compiled session: build a [`Session`] once per
 //! `(graph, config)` pair, then execute any number of stimuli against it —
 //! launch schedules are cached per window count, and [`RunOptions`]
-//! controls segmentation and waveform spill/streaming.
+//! controls segmentation and waveform spill/streaming. The run methods are
+//! [`Session::run`], [`Session::run_with`], [`Session::run_streaming`],
+//! [`Session::run_incremental`], [`Session::run_incremental_streaming`],
+//! [`Session::run_to_vcd`] and [`Session::run_to_saif`].
 //!
 //! ```
 //! use gatspi_core::{Session, SimConfig};

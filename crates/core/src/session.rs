@@ -3,16 +3,17 @@
 //! The paper's speedup story rests on doing graph preparation once and then
 //! re-simulating many stimuli fast. [`Session`] is that split made
 //! explicit: building one from `(CircuitGraph, SimConfig)` owns the
-//! simulated device and a keyed cache of [`LevelSchedule`] plans (one per
-//! window count), plus a pool of [`BatchScratch`] arenas, so repeated runs — more segments of one stimulus, or entirely
-//! new stimuli — skip every piece of preparation that does not depend on
-//! the stimulus itself. Execution is driven by [`RunOptions`] and can
-//! stream every finished waveform through an output sink
-//! ([`Session::run_streaming`]), including the built-in host spill that
-//! keeps [`SimResult::waveform`] working across memory segments.
+//! simulated devices it runs on (one, or a fleet — one device is the fleet
+//! of one) and a keyed cache of [`LevelSchedule`] plans (one per window
+//! count), plus a pool of [`BatchScratch`] arenas, so repeated runs — more
+//! segments of one stimulus, or entirely new stimuli — skip every piece of
+//! preparation that does not depend on the stimulus itself. Execution is
+//! driven by [`RunOptions`] and can stream every finished waveform through
+//! an output sink ([`Session::run_streaming`]), including the built-in host
+//! spill that keeps [`SimResult::waveform`] working across memory segments.
 
 use crate::sync::Mutex;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
@@ -157,8 +158,8 @@ fn cone_signature(changed: &[bool]) -> u64 {
 /// Construction does the stimulus-independent preparation (device
 /// allocation, collapsed average-delay tables); the first run of each
 /// window count builds and caches its `LevelSchedule`; every later run —
-/// another segment, another stimulus batch, another device shard — reuses
-/// it.
+/// another segment, another stimulus batch, another device of the fleet —
+/// reuses it.
 ///
 /// # Fault tolerance
 ///
@@ -171,8 +172,8 @@ fn cone_signature(changed: &[bool]) -> u64 {
 /// segment under [`SimConfig::with_retry_policy`] (see
 /// [`RetryPolicy`](crate::RetryPolicy)) *before* any sink delivery, so
 /// streamed and post-hoc outputs stay identical to a fault-free run;
-/// multi-GPU runs additionally fail a permanently dead device's shards
-/// over to the surviving devices (see [`Session::run_multi_gpu`]).
+/// a fleet additionally fails a dead device's windows over to the
+/// surviving devices (see [`Session::with_devices`]).
 /// Recovery activity is reported in `SimResult::app_profile`
 /// (`faults_injected`, `segment_retries`, `failovers`, `backoff_seconds`,
 /// `oom_retries`).
@@ -210,7 +211,8 @@ fn cone_signature(changed: &[bool]) -> u64 {
 pub struct Session {
     graph: Arc<CircuitGraph>,
     config: SimConfig,
-    device: Arc<Device>,
+    /// The fleet every run executes on; one device is the fleet of one.
+    devices: Vec<Arc<Device>>,
     /// Collapsed (rise, fall) delay per pin slot — the Table 7 "partial
     /// SDF" 2-element arrays, precomputed once.
     avg_delays: Vec<(i32, i32)>,
@@ -224,7 +226,7 @@ pub struct Session {
     saif_order: Vec<u32>,
     /// Keyed plan cache: `nw` → schedule, LRU-bounded by
     /// [`SimConfig::plan_cache_cap`]. Plans are device-independent, so
-    /// multi-GPU shards and the CPU backend share them too.
+    /// every device of the fleet shares them.
     plans: Mutex<PlanCache>,
     /// Recycled batch scratch arenas (pointer/length tables and per-level
     /// count/base tables), so repeated segments and repeated runs stay off
@@ -318,7 +320,7 @@ pub(crate) struct ConeInputs<'a> {
 /// summed and [`RunTotals::app_profile`] the only place an
 /// [`AppPhaseProfile`] is built, so every run path reports the same fields
 /// the same way.
-pub(crate) struct RunTotals {
+struct RunTotals {
     pub tc: Vec<u64>,
     pub t0: Vec<i64>,
     pub t1: Vec<i64>,
@@ -328,13 +330,16 @@ pub(crate) struct RunTotals {
     /// Fault-recovery counters, bumped from whichever thread retried.
     pub telemetry: RetryTelemetry,
     spec_threads: u64,
+    /// Per fleet device: batches it executed and their summed modeled
+    /// kernel seconds.
+    per_device: Vec<(u64, f64)>,
     /// The summed per-batch counters, kept in the profile fields they are
     /// reported as; [`RunTotals::app_profile`] fills in the rest.
     counters: AppPhaseProfile,
 }
 
 impl RunTotals {
-    pub fn new(n_signals: usize, kernel_name: &str) -> Self {
+    pub fn new(n_signals: usize, devices: usize, kernel_name: &str) -> Self {
         RunTotals {
             tc: vec![0; n_signals],
             t0: vec![0; n_signals],
@@ -343,19 +348,28 @@ impl RunTotals {
             segments: 0,
             telemetry: RetryTelemetry::new(),
             spec_threads: 0,
+            per_device: vec![(0, 0.0); devices],
             counters: AppPhaseProfile::default(),
         }
     }
 
-    /// Folds one finished segment in: its batch, the D2H batches its drain
-    /// issued and the drain's measured seconds.
-    pub fn absorb(&mut self, batch: &WindowBatch, drained: u64, drain_s: f64) {
+    /// Folds one finished segment in: its batch, the fleet device that ran
+    /// it, the D2H batches its drain issued and the drain's measured
+    /// seconds.
+    pub fn absorb(&mut self, device: usize, batch: &WindowBatch, drained: u64, drain_s: f64) {
         for s in 0..self.tc.len() {
             self.tc[s] += batch.tc[s];
             self.t0[s] += batch.t0[s];
             self.t1[s] += batch.t1[s];
         }
         self.profile.accumulate(&batch.kernel_profile);
+        // A device runs its batches one after another and the fleet's
+        // devices run side by side: modeled kernel time is the slowest
+        // device's sum.
+        let (batches, seconds) = &mut self.per_device[device];
+        *batches += 1;
+        *seconds += batch.kernel_profile.modeled_seconds;
+        self.profile.modeled_seconds = self.per_device.iter().fold(0.0, |m, d| d.1.max(m));
         self.segments += 1;
         self.spec_threads += batch.spec_threads;
         let c = &mut self.counters;
@@ -366,22 +380,21 @@ impl RunTotals {
         c.predicted_waste_words += batch.spec_waste_words;
     }
 
-    /// The run's application-phase profile. `devices` is how many devices
-    /// executed the run concurrently: their uploads and launch overheads
-    /// overlap, so both divide by it, while the sink drain walks the devices
+    /// The run's application-phase profile. The devices that ran a batch
+    /// ran concurrently: their uploads and launch overheads overlap, so
+    /// both divide by their count, while the sink drain walks the batches
     /// one after another and the modeled readback does not. `h2d_bytes` /
-    /// `d2h_bytes` are the transfer counters summed over those devices;
+    /// `d2h_bytes` are the transfer counters summed over the fleet;
     /// modeled kernel time is `self.profile.modeled_seconds`.
     pub fn app_profile(
         &self,
         spec: &DeviceSpec,
-        devices: usize,
         h2d_bytes: u64,
         d2h_bytes: u64,
         restructure_seconds: f64,
     ) -> AppPhaseProfile {
         let (c, telemetry) = (&self.counters, &self.telemetry);
-        let devices = devices.max(1) as f64;
+        let devices = self.per_device.iter().filter(|d| d.0 > 0).count().max(1) as f64;
         let sync_launch_seconds = c.launches as f64 / devices * spec.launch_overhead;
         AppPhaseProfile {
             h2d_seconds: h2d_bytes as f64 / (spec.pcie_bw * devices),
@@ -406,12 +419,26 @@ impl Session {
     /// Compiles a session for `graph`, allocating the configured device.
     pub fn new(graph: Arc<CircuitGraph>, config: SimConfig) -> Self {
         let device = Arc::new(Device::new(config.device.clone(), config.memory_words));
-        Self::with_device(graph, config, device)
+        Self::with_devices(graph, config, vec![device])
     }
 
-    /// Compiles a session sharing an existing device (CPU-backend runs and
-    /// embedding setups use this).
-    pub fn with_device(graph: Arc<CircuitGraph>, config: SimConfig, device: Arc<Device>) -> Self {
+    /// Compiles a session that runs on `devices` — a multi-GPU fleet
+    /// (`MultiGpu::devices`), the "OpenMP-equivalent" CPU backend (one
+    /// `Device::with_workers` device), or devices shared with other
+    /// sessions.
+    ///
+    /// A fleet distributes cycle parallelism (§5, Fig. 6): a run cuts its
+    /// stimulus into `cycle_parallelism × devices` windows and every device
+    /// simulates its share independently — the known sequential-element
+    /// waveforms make windows independent, so kernel time follows
+    /// `t = t₁/n + ovr`. Results are bit-identical to one device's; a
+    /// device that dies mid-run hands its windows to the survivors. An
+    /// empty fleet makes every run fail with [`CoreError::BadConfig`].
+    pub fn with_devices(
+        graph: Arc<CircuitGraph>,
+        config: SimConfig,
+        devices: Vec<Arc<Device>>,
+    ) -> Self {
         let avg_delays = compute_avg_delays(&graph);
         let mut pi_of = vec![u32::MAX; graph.n_signals()];
         for (k, &pi) in graph.primary_inputs().iter().enumerate() {
@@ -424,7 +451,7 @@ impl Session {
         Session {
             graph,
             config,
-            device,
+            devices,
             avg_delays,
             pi_of,
             saif_order,
@@ -470,9 +497,9 @@ impl Session {
         &self.config
     }
 
-    /// The simulated device.
-    pub fn device(&self) -> &Arc<Device> {
-        &self.device
+    /// The devices every run executes on.
+    pub fn devices(&self) -> &[Arc<Device>] {
+        &self.devices
     }
 
     /// Plan-cache hit/miss/eviction counters (misses equal the number of
@@ -490,13 +517,13 @@ impl Session {
     }
 
     /// The cached launch plan for `nw` concurrent windows, building it on
-    /// first use. Holding the cache lock across the build means concurrent
-    /// requests for the same key (multi-GPU shards) block briefly and then
-    /// hit, instead of building twice. The cache is LRU-bounded by
+    /// first use. The window loop resolves every range's plan on the engine
+    /// thread before a round fans out, so the devices of a fleet share one
+    /// build per window count. The cache is LRU-bounded by
     /// [`SimConfig::plan_cache_cap`]: inserting past the cap evicts the
     /// least-recently-used plan (odd tail-segment sizes are rarely reused,
     /// and an unbounded cache would pin every one of them forever).
-    pub(crate) fn plan(&self, nw: usize) -> Arc<LevelSchedule> {
+    fn plan(&self, nw: usize) -> Arc<LevelSchedule> {
         let mut cache = self.plans.lock().unwrap_or_else(|e| e.into_inner());
         cache.tick += 1;
         let tick = cache.tick;
@@ -663,17 +690,21 @@ impl Session {
     /// is the waveform of the k-th primary input (graph order) over
     /// `[0, duration)`.
     ///
-    /// The stimulus is cut into `cycle_parallelism` windows (aligned to
-    /// [`SimConfig::window_align`]) that simulate concurrently; if the
-    /// device arena cannot hold all windows at once the run transparently
-    /// splits into sequential segments (the paper's "compile the testbench
-    /// into shorter segments" fallback).
+    /// The stimulus is cut into `cycle_parallelism` windows per device
+    /// (aligned to [`SimConfig::window_align`]) that simulate concurrently;
+    /// if a device arena cannot hold its windows at once the run
+    /// transparently splits them into sequential segments (the paper's
+    /// "compile the testbench into shorter segments" fallback).
     ///
     /// # Errors
     ///
     /// * [`CoreError::StimulusMismatch`] if the waveform count is wrong.
     /// * [`CoreError::OutOfMemory`] if even a single window exceeds device
     ///   memory.
+    /// * [`CoreError::BadConfig`] for a negative duration or a session
+    ///   without devices.
+    /// * [`CoreError::DeviceFault`] when a fault outlived the retry policy
+    ///   and no device survived to take over.
     pub fn run(&self, stimuli: &[Waveform], duration: SimTime) -> Result<SimResult> {
         self.run_with(stimuli, duration, &RunOptions::default())
     }
@@ -689,7 +720,7 @@ impl Session {
         duration: SimTime,
         opts: &RunOptions,
     ) -> Result<SimResult> {
-        self.run_inner(&Arc::clone(&self.device), stimuli, duration, opts, None)
+        self.run_inner(stimuli, duration, opts, None)
     }
 
     /// Streaming run: every finished (signal, window) waveform is read back
@@ -708,13 +739,7 @@ impl Session {
         opts: &RunOptions,
         sink: &mut dyn WaveformSink,
     ) -> Result<SimResult> {
-        self.run_inner(
-            &Arc::clone(&self.device),
-            stimuli,
-            duration,
-            opts,
-            Some(sink),
-        )
+        self.run_inner(stimuli, duration, opts, Some(sink))
     }
 
     /// Cone-restricted incremental re-simulation: re-runs only the
@@ -781,7 +806,12 @@ impl Session {
     }
 
     /// The checks every run path makes before any device work.
-    pub(crate) fn check_run_inputs(&self, stimuli: &[Waveform], duration: SimTime) -> Result<()> {
+    fn check_run_inputs(&self, stimuli: &[Waveform], duration: SimTime) -> Result<()> {
+        if self.devices.is_empty() {
+            return Err(CoreError::BadConfig {
+                detail: "the session has no devices to run on".into(),
+            });
+        }
         let n_pis = self.graph.primary_inputs().len();
         if stimuli.len() != n_pis {
             return Err(CoreError::StimulusMismatch {
@@ -807,10 +837,9 @@ impl Session {
         stimuli: &[Waveform],
         duration: SimTime,
         opts: &RunOptions,
-        mut user_sink: Option<&mut dyn WaveformSink>,
+        user_sink: Option<&mut dyn WaveformSink>,
     ) -> Result<SimResult> {
         let t_app = Instant::now();
-        let device = Arc::clone(&self.device);
         let n_signals = self.graph.n_signals();
         let n_gates = self.graph.n_gates();
         let Some(prev_spill) = prev.spilled.as_ref() else {
@@ -847,8 +876,6 @@ impl Session {
             changed[g] = true;
         }
 
-        device.memory().reset_counters();
-        device.memory().advance_epoch();
         let signature = cone_signature(&changed);
         // The cone is window-count independent: reuse it from any cached
         // plan for this changed set, else extract it once per call and
@@ -875,7 +902,7 @@ impl Session {
         let pi_stims = self.restructure(&boundary_pi_stims, &windows);
         let restructure_seconds = t0.elapsed().as_secs_f64();
 
-        let mut totals = RunTotals::new(n_signals, "resim_cone");
+        let mut totals = RunTotals::new(n_signals, self.devices.len(), "resim_cone");
         // The result's spill derives from prev: shared frozen chunks,
         // every pointer carried over; only recomputed cone signals land in
         // the new tail. Always on — it is what makes chained incremental
@@ -891,12 +918,14 @@ impl Session {
                 spill: prev_spill,
             }),
         };
-        let mut sinks: Vec<&mut dyn WaveformSink> = vec![&mut spill];
-        if let Some(us) = user_sink.as_mut() {
-            sinks.push(&mut **us);
-        }
-        let chunk = opts.segment_windows.unwrap_or(windows.len());
-        self.run_segments(&device, &inputs, chunk, &mut totals, &mut sinks, drop)?;
+        self.run_segments(
+            &inputs,
+            opts,
+            &mut totals,
+            Some(&mut spill),
+            user_sink,
+            |_, _| {},
+        )?;
         spill.seal();
 
         // Merge: recomputed cone signals overwrite prev's activity;
@@ -908,28 +937,20 @@ impl Session {
             if !cone.sigs[s] {
                 continue;
             }
-            *count = totals.tc[s];
+            let record = gate_record(duration, totals.tc[s], totals.t0[s], totals.t1[s]);
+            *count = record.tc;
             let sid = SignalId(s as u32);
-            saif.nets.insert(
-                self.graph.signal_name(sid).to_string(),
-                SaifRecord {
-                    t0: totals.t0[s],
-                    t1: totals.t1[s],
-                    tx: 0,
-                    tc: totals.tc[s],
-                    ig: 0,
-                },
-            );
+            saif.nets
+                .insert(self.graph.signal_name(sid).to_string(), record);
         }
 
         // The graph topology is already resident from the full run — the
         // delta run's H2D is just the boundary stimulus.
-        let mem = device.memory();
+        let (h2d_bytes, d2h_bytes) = self.transfer_bytes();
         let app_profile = totals.app_profile(
-            device.spec(),
-            1,
-            mem.h2d_bytes(),
-            mem.d2h_bytes(),
+            self.devices[0].spec(),
+            h2d_bytes,
+            d2h_bytes,
             restructure_seconds,
         );
         Ok(SimResult {
@@ -945,45 +966,21 @@ impl Session {
         })
     }
 
-    /// "OpenMP-equivalent" CPU run (Table 3): the identical algorithm
-    /// executed with `threads` host threads and no GPU performance model —
-    /// consumers should read measured wall times from the result. Plans
-    /// are shared with device runs (schedules are device-independent).
-    ///
-    /// # Errors
-    ///
-    /// As [`Session::run`].
-    pub fn run_cpu(
-        &self,
-        stimuli: &[Waveform],
-        duration: SimTime,
-        threads: usize,
-    ) -> Result<SimResult> {
-        let device = Arc::new(Device::with_workers(
-            self.config.device.clone(),
-            self.config.memory_words,
-            threads,
-        ));
-        self.run_inner(&device, stimuli, duration, &RunOptions::default(), None)
-    }
-
     /// The full-run engine: restructure, execute every segment against
     /// cached plans with the configured sinks, assemble SAIF.
     fn run_inner(
         &self,
-        device: &Arc<Device>,
         stimuli: &[Waveform],
         duration: SimTime,
         opts: &RunOptions,
-        mut user_sink: Option<&mut dyn WaveformSink>,
+        user_sink: Option<&mut dyn WaveformSink>,
     ) -> Result<SimResult> {
         let t_app = Instant::now();
         self.check_run_inputs(stimuli, duration)?;
-        device.memory().reset_counters();
-        // New arena generation: any earlier device-backed result on this
-        // device now reports StaleExtraction instead of reading our data.
-        let epoch = device.memory().advance_epoch();
-        let windows = self.make_windows(duration, self.config.cycle_parallelism);
+        // Cycle parallelism is per device: a fleet of n cuts n times as
+        // many windows.
+        let slots = self.config.cycle_parallelism * self.devices.len();
+        let windows = self.make_windows(duration, slots);
 
         // --- Input restructuring (the dominant init cost in Table 5).
         let t0 = Instant::now();
@@ -992,56 +989,45 @@ impl Session {
 
         // --- Adaptive segmentation over windows. (The spill is drained
         // even for runs that fit in one segment: its contract is a durable
-        // host copy that outlives later runs on this session's device.)
+        // host copy that outlives later runs on this session's devices.)
         let n_signals = self.graph.n_signals();
-        let mut totals = RunTotals::new(n_signals, "resim");
+        let mut totals = RunTotals::new(n_signals, self.devices.len(), "resim");
         let mut spill = opts.spill_waveforms.then(|| SpillSink::new(n_signals));
         let inputs = SegmentInputs {
             windows: &windows,
             stims: &win_stims,
             cone: None,
         };
-        let mut sinks: Vec<&mut dyn WaveformSink> = Vec::new();
-        if let Some(sp) = spill.as_mut() {
-            sinks.push(sp);
-        }
-        if let Some(us) = user_sink.as_mut() {
-            sinks.push(&mut **us);
-        }
-        // Start from the caller's cap, or from the segment size that last
-        // worked for this shape (skipping the OOM halving re-probe — and
-        // its wasted stimulus uploads — on every repeat run).
-        let chunk = opts
-            .segment_windows
-            .or_else(|| self.segment_hint(windows.len()))
-            .unwrap_or(windows.len());
         let mut extraction = None;
-        let chunk =
-            self.run_segments(device, &inputs, chunk, &mut totals, &mut sinks, |batch| {
+        self.run_segments(
+            &inputs,
+            opts,
+            &mut totals,
+            spill.as_mut(),
+            user_sink,
+            |device, batch| {
                 extraction = Some(ExtractionState {
                     device: Arc::clone(device),
                     ptrs: batch.ptrs,
                     windows: batch.windows,
                     n_signals,
-                    epoch,
+                    epoch: device.memory().epoch(),
                 })
-            })?;
-        if opts.segment_windows.is_none() && chunk < windows.len() {
-            self.record_segment_hint(windows.len(), chunk);
-        }
+            },
+        )?;
 
         // --- Assemble SAIF and result.
         let (saif, toggle_counts) =
             self.assemble_saif(stimuli, duration, &totals.tc, &totals.t0, &totals.t1);
         // D2H traffic is exactly the sink/spill waveform readback (the
         // storing threads' SAIF scans and extraction read device memory
-        // in place).
-        let mem = device.memory();
+        // in place); every device uploaded the graph.
+        let (h2d_bytes, d2h_bytes) = self.transfer_bytes();
+        let graph_bytes = self.graph.device_bytes() * self.devices.len() as u64;
         let app_profile = totals.app_profile(
-            device.spec(),
-            1,
-            mem.h2d_bytes() + self.graph.device_bytes(),
-            mem.d2h_bytes(),
+            self.devices[0].spec(),
+            h2d_bytes + graph_bytes,
+            d2h_bytes,
             restructure_seconds,
         );
         if let Some(sp) = spill.as_mut() {
@@ -1068,88 +1054,202 @@ impl Session {
         })
     }
 
-    /// The window loop every single-device run shares: executes
-    /// `inputs.windows` in segments of at most `chunk` windows, halving the
-    /// segment size whenever one does not fit the device arena (the paper's
-    /// "compile the testbench into shorter segments" fallback). Every
-    /// finished segment is folded into `totals` and its batch then handed to
-    /// `finished` (a full run keeps the pointer table for device-resident
-    /// extraction; everything else is dropped there). Returns the segment
-    /// size the run settled on.
+    /// The window loop every run shares, on one device or a fleet: executes
+    /// `inputs.windows` in ascending ranges of at most `chunk` windows, in
+    /// rounds that hand every live device at most one range. `chunk` starts
+    /// at [`RunOptions::segment_windows`], else at the segment size that
+    /// last worked for this run shape, else at an even share per device;
+    /// the size the run settles on is remembered for the next run.
+    ///
+    /// Every executed range looks up its plan once, here on the engine
+    /// thread, before the round fans out ([`Session::execute_round`]). The
+    /// engine thread then settles the round in window order: each batch
+    /// drains — a retry boundary of its own — into `spill` and, while every
+    /// earlier window has reached it, straight into `user_sink`. A batch
+    /// that finished ahead of a gap goes to the reorder buffer instead (the
+    /// spill doubles as it), replayed to `user_sink` in window order at the
+    /// end. Each settled batch is folded into `totals` and handed to
+    /// `finished` with its device.
+    ///
+    /// A range of more than one window that runs out of memory halves
+    /// `chunk` and is requeued (the paper's "compile the testbench into
+    /// shorter segments" fallback). A device fault that survived the retry
+    /// policy marks the device dead and re-cuts its range across the
+    /// survivors; with none left, the run fails with that fault.
     fn run_segments(
         &self,
-        device: &Device,
         inputs: &SegmentInputs<'_>,
-        chunk: usize,
+        opts: &RunOptions,
         totals: &mut RunTotals,
-        sinks: &mut [&mut dyn WaveformSink],
-        mut finished: impl FnMut(WindowBatch),
-    ) -> Result<usize> {
-        let n = inputs.windows.len();
-        let mut chunk = chunk.clamp(1, n.max(1));
-        let mut i = 0usize;
-        while i < n {
-            let end = (i + chunk).min(n);
-            let (telemetry, segment) = (&totals.telemetry, totals.segments);
-            match self.execute_segment(device, 0, telemetry, inputs, i..end, segment, sinks) {
-                Ok((batch, drained, drain_s)) => {
-                    totals.absorb(&batch, drained, drain_s);
-                    finished(batch);
-                    i = end;
+        mut spill: Option<&mut SpillSink>,
+        mut user_sink: Option<&mut dyn WaveformSink>,
+        mut finished: impl FnMut(&Arc<Device>, WindowBatch),
+    ) -> Result<()> {
+        let (n, n_signals) = (inputs.windows.len(), self.graph.n_signals());
+        for device in &self.devices {
+            device.memory().reset_counters();
+            // New arena generation: any earlier device-backed result on
+            // this device now reports StaleExtraction instead of reading
+            // this run's data.
+            device.memory().advance_epoch();
+        }
+        let share = n.div_ceil(self.devices.len()).max(1);
+        let mut chunk = opts
+            .segment_windows
+            .or_else(|| self.segment_hint(n))
+            .unwrap_or(share)
+            .clamp(1, n.max(1));
+        // A cone-filtered drain never covers primary inputs, so it needs no
+        // stimulus windows.
+        let only = inputs.cone.as_ref().map(|c| &c.cone.sigs[..]);
+        let mut live = vec![true; self.devices.len()];
+        let mut queue: VecDeque<_> = std::iter::once(0..n).collect();
+        // Windows [0, delivered) reached `user_sink`; `buffered` lists the
+        // (range, segment) batches parked in the reorder buffer.
+        let (mut delivered, mut buffered) = (0, Vec::new());
+        let mut reorder = None;
+        let has_user = user_sink.is_some();
+        while !queue.is_empty() {
+            let mut round = Vec::new();
+            for d in (0..self.devices.len()).filter(|&d| live[d]) {
+                let Some(r) = queue.pop_front() else { break };
+                let end = r.end.min(r.start + chunk);
+                if end < r.end {
+                    queue.push_front(end..r.end);
                 }
-                Err(CoreError::OutOfMemory { .. }) if chunk > 1 => {
-                    totals.telemetry.oom_retry();
-                    chunk = chunk.div_ceil(2);
+                round.push((d, r.start..end, self.segment_plan(inputs, end - r.start)));
+            }
+            let outcomes = self.execute_round(&round, inputs, &totals.telemetry);
+            let mut requeue = Vec::new();
+            for ((d, range, _), outcome) in round.into_iter().zip(outcomes) {
+                let settled = outcome.and_then(|batch| {
+                    let in_order = range.start == delivered;
+                    let mut sinks: Vec<&mut dyn WaveformSink> = Vec::new();
+                    match spill.as_mut() {
+                        Some(sp) => sinks.push(&mut **sp),
+                        None if has_user && !in_order => {
+                            sinks.push(reorder.get_or_insert_with(|| SpillSink::new(n_signals)))
+                        }
+                        None => {}
+                    }
+                    if let (true, Some(us)) = (in_order, user_sink.as_mut()) {
+                        sinks.push(&mut **us);
+                    }
+                    let segment = totals.segments;
+                    let (mut drained, mut drain_s) = (0, 0.0);
+                    if !sinks.is_empty() {
+                        let stims = if only.is_some() {
+                            &[][..]
+                        } else {
+                            &inputs.stims[range.clone()]
+                        };
+                        let t_drain = Instant::now();
+                        drained = self.with_retry(d, &totals.telemetry, || {
+                            let device = &self.devices[d];
+                            Ok(self.drain_segment(
+                                device,
+                                &batch,
+                                segment,
+                                range.start,
+                                stims,
+                                only,
+                                &mut sinks,
+                            ))
+                        })?;
+                        drain_s = t_drain.elapsed().as_secs_f64();
+                    }
+                    if in_order {
+                        delivered = range.end;
+                    } else if has_user {
+                        buffered.push((range.clone(), segment));
+                    }
+                    totals.absorb(d, &batch, drained, drain_s);
+                    finished(&self.devices[d], batch);
+                    Ok(())
+                });
+                match settled {
+                    Ok(()) => {}
+                    Err(CoreError::OutOfMemory { .. }) if range.len() > 1 => {
+                        totals.telemetry.oom_retry();
+                        chunk = chunk.min(range.len().div_ceil(2));
+                        requeue.push(range);
+                    }
+                    Err(e @ CoreError::DeviceFault { .. }) => {
+                        live[d] = false;
+                        let survivors = live.iter().filter(|&&l| l).count();
+                        if survivors == 0 {
+                            return Err(e);
+                        }
+                        totals.telemetry.failover();
+                        let cut = gatspi_gpu::shard_slots(range.len(), survivors);
+                        let cut = cut.into_iter().filter(|&(_, count)| count > 0);
+                        requeue
+                            .extend(cut.map(|(s, count)| range.start + s..range.start + s + count));
+                    }
+                    Err(e) => return Err(e),
                 }
-                Err(e) => return Err(e),
+            }
+            // Requeued ranges precede everything still queued.
+            for r in requeue.into_iter().rev() {
+                queue.push_front(r);
             }
         }
-        Ok(chunk)
+        if let (Some(us), false) = (user_sink, buffered.is_empty()) {
+            if let Some(buf) = spill.or(reorder.as_mut()) {
+                // Seal first: buffered words are readable only from frozen
+                // chunks (re-sealing at the end stays a no-op).
+                buf.seal();
+                buffered.sort_unstable_by_key(|(r, _)| r.start);
+                self.replay_spill(buf, &buffered, only, us);
+            }
+        }
+        if opts.segment_windows.is_none() && chunk < share {
+            self.record_segment_hint(n, chunk);
+        }
+        Ok(())
     }
 
-    /// Executes one memory segment — windows `range` of the run — on
-    /// `device`: resolves the plan, takes a scratch arena, and runs the
-    /// batch *and* its delivery to `sinks` as one retried attempt. The drain
-    /// reads everything back before feeding any sink, so a fault anywhere in
-    /// the attempt leaves the sinks untouched and the segment re-runs whole
-    /// — delivery stays exactly-once and bit-identical under retries.
-    /// Returns the batch, the D2H batches its drain issued and the drain's
-    /// measured seconds (both zero when `sinks` is empty).
-    #[allow(clippy::too_many_arguments)]
+    /// The fleet's H2D and D2H byte counters, summed.
+    fn transfer_bytes(&self) -> (u64, u64) {
+        let mems = self.devices.iter().map(|d| d.memory());
+        mems.fold((0, 0), |(h, d), m| (h + m.h2d_bytes(), d + m.d2h_bytes()))
+    }
+
+    /// The plan a batch of `nw` windows executes: the cached full plan, or
+    /// an incremental run's cone sub-plan.
+    fn segment_plan(&self, inputs: &SegmentInputs<'_>, nw: usize) -> Arc<LevelSchedule> {
+        match &inputs.cone {
+            Some(c) => self.cone_plan(nw, c.signature, c.changed, c.cone),
+            None => self.plan(nw),
+        }
+    }
+
+    /// Executes one memory segment — windows `range` of the run — on fleet
+    /// device `device` against its resolved `plan`: takes a scratch arena
+    /// and runs the batch as one retried attempt (a faulted attempt scrubs
+    /// the arena's partial writes and re-runs whole). Delivery is the
+    /// caller's: the drain is a retry boundary of its own.
     pub(crate) fn execute_segment(
         &self,
-        device: &Device,
-        device_index: usize,
+        device: usize,
         telemetry: &RetryTelemetry,
         inputs: &SegmentInputs<'_>,
         range: Range<usize>,
-        segment: usize,
-        sinks: &mut [&mut dyn WaveformSink],
-    ) -> Result<(WindowBatch, u64, f64)> {
+        plan: &LevelSchedule,
+    ) -> Result<WindowBatch> {
         let nw = range.len();
-        let cone = inputs.cone.as_ref();
         let windows = &inputs.windows[range.clone()];
         let stims = &inputs.stims[range.clone()];
-        // A cone-filtered drain never covers primary inputs, so it needs no
-        // stimulus windows.
-        let (plan, drain_stims, only) = match cone {
-            Some(c) => (
-                self.cone_plan(nw, c.signature, c.changed, c.cone),
-                &[][..],
-                Some(&c.cone.sigs[..]),
-            ),
-            None => (self.plan(nw), stims, None),
-        };
-        let scratch = self.acquire_scratch(&plan);
+        let scratch = self.acquire_scratch(plan);
         let mut first_attempt = true;
-        let attempt = self.with_retry(device_index, telemetry, || {
+        let batch = self.with_retry(device, telemetry, || {
             if !first_attempt {
                 // A faulted attempt abandoned the batch mid-flight;
                 // scrub its partial writes before re-running.
                 scratch.reset(nw * self.graph.n_signals());
             }
             first_attempt = false;
-            let stim = match cone {
+            let stim = match &inputs.cone {
                 Some(c) => BatchStimulus::Boundary {
                     spill: c.spill,
                     boundary: &c.cone.boundary,
@@ -1158,29 +1258,15 @@ impl Session {
                 },
                 None => BatchStimulus::Full(stims),
             };
-            let batch = self.run_window_batch(device, &plan, &scratch, windows, stim)?;
-            if sinks.is_empty() {
-                return Ok((batch, 0, 0.0));
-            }
-            let t_drain = Instant::now();
-            let drained = self.drain_segment(
-                device,
-                &batch,
-                segment,
-                range.start,
-                drain_stims,
-                only,
-                sinks,
-            );
-            Ok((batch, drained, t_drain.elapsed().as_secs_f64()))
+            self.run_window_batch(&self.devices[device], plan, &scratch, windows, stim)
         });
         self.release_scratch(scratch);
-        attempt
+        batch
     }
 
     /// Splits `[0, duration)` into up to `slots` windows aligned to
     /// `window_align` ticks.
-    pub(crate) fn make_windows(&self, duration: SimTime, slots: usize) -> Vec<(SimTime, SimTime)> {
+    fn make_windows(&self, duration: SimTime, slots: usize) -> Vec<(SimTime, SimTime)> {
         let align = i64::from(self.config.window_align.max(1));
         let duration64 = i64::from(duration.max(1));
         let slots = slots.max(1) as i64;
@@ -1204,7 +1290,7 @@ impl Session {
     /// buffer next grew from one would keep a worker arena resident. At the
     /// benchmark's stimulus sizes (≈ 0.5 M words, 1–3 ms) forking measured
     /// no faster either.
-    pub(crate) fn restructure(
+    fn restructure(
         &self,
         stimuli: &[Waveform],
         windows: &[(SimTime, SimTime)],
@@ -1217,7 +1303,7 @@ impl Session {
 
     /// Builds the SAIF document: primary inputs straight from the stimulus,
     /// gate outputs from the kernel-side accumulators.
-    pub(crate) fn assemble_saif(
+    fn assemble_saif(
         &self,
         stimuli: &[Waveform],
         duration: SimTime,
@@ -1234,13 +1320,7 @@ impl Session {
             .map(|&sid| {
                 let s = sid as usize;
                 let record = match self.pi_of[s] {
-                    u32::MAX => SaifRecord {
-                        t0: t0[s],
-                        t1: t1[s],
-                        tx: 0,
-                        tc: tc[s],
-                        ig: 0,
-                    },
+                    u32::MAX => gate_record(duration, tc[s], t0[s], t1[s]),
                     k => {
                         let w = &stimuli[k as usize];
                         let (t0, t1) = w.durations(duration);
@@ -1297,7 +1377,7 @@ impl Session {
     /// The per-level loop is allocation-free: scratch buffers live in the
     /// caller-provided [`BatchScratch`] arena and working sets come from
     /// running per-signal sums.
-    pub(crate) fn run_window_batch(
+    fn run_window_batch(
         &self,
         device: &Device,
         schedule: &LevelSchedule,
@@ -1718,7 +1798,7 @@ impl Session {
     /// in the derived spill). When set, primary-input windows are skipped
     /// entirely, so `win_stims` may be empty.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn drain_segment(
+    fn drain_segment(
         &self,
         device: &Device,
         batch: &WindowBatch,
@@ -1988,7 +2068,7 @@ impl Session {
     /// sink feed), which is what makes a retried segment exactly-once for
     /// every sink — a faulted attempt has observable effects only on
     /// device byte counters and this telemetry.
-    pub(crate) fn with_retry<T>(
+    fn with_retry<T>(
         &self,
         device_index: usize,
         telemetry: &RetryTelemetry,
@@ -2244,6 +2324,24 @@ fn compute_avg_delays(graph: &CircuitGraph) -> Vec<(i32, i32)> {
     out
 }
 
+/// A gate-driven signal's SAIF record from the kernel-side sums. A
+/// zero-duration run still simulates `make_windows`' one-tick window; that
+/// tick lies past the run's end, so it adds no time and no toggle.
+fn gate_record(duration: SimTime, tc: u64, t0: i64, t1: i64) -> SaifRecord {
+    let (tc, t0, t1) = if duration == 0 {
+        (0, 0, 0)
+    } else {
+        (tc, t0, t1)
+    };
+    SaifRecord {
+        t0,
+        t1,
+        tx: 0,
+        tc,
+        ig: 0,
+    }
+}
+
 /// Scans the waveform stored at `ptr` for its window's SAIF record clipped
 /// to `[0, clip)`: `(toggle count, time at 1)` — the time at 0 is `clip`
 /// minus the latter, because the spans sum to the clip. Run by the thread
@@ -2284,7 +2382,7 @@ fn saif_scan(mem: &DeviceMemory, ptr: usize, clip: SimTime) -> (u64, u64) {
 impl Session {
     /// Every signal's name, indexed by signal id (the format sinks' name
     /// table).
-    pub(crate) fn signal_names(&self) -> Vec<&str> {
+    fn signal_names(&self) -> Vec<&str> {
         (0..self.graph.n_signals())
             .map(|s| self.graph.signal_name(SignalId(s as u32)))
             .collect()
@@ -2876,6 +2974,9 @@ mod tests {
         assert!(matches!(err, Err(CoreError::OutOfMemory { .. })));
     }
 
+    /// Every record spans the run, a zero-duration one included (its one
+    /// simulated tick lies past the end, so it records no time and no
+    /// toggle).
     #[test]
     fn saif_t0_t1_sum_to_duration() {
         let graph = inv_chain(2);
@@ -2886,9 +2987,16 @@ mod tests {
                 .with_window_align(50),
         );
         let stim = vec![Waveform::from_toggles(true, &[40, 110, 160])];
-        let r = sim.run(&stim, 200).unwrap();
-        for (name, rec) in &r.saif.nets {
-            assert_eq!(rec.t0 + rec.t1, 200, "net {name}");
+        for duration in [200, 0] {
+            let r = sim.run(&stim, duration).unwrap();
+            assert_eq!(r.saif.nets.len(), graph.n_signals());
+            for (name, rec) in &r.saif.nets {
+                let t = i64::from(duration);
+                assert_eq!(rec.t0 + rec.t1, t, "net {name}, duration {duration}");
+                if duration == 0 {
+                    assert_eq!(rec.tc, 0, "net {name}");
+                }
+            }
         }
     }
 
@@ -2913,9 +3021,11 @@ mod tests {
     }
 
     /// `RunTotals` is the one place batches are summed and the one place an
-    /// `AppPhaseProfile` is spelled out: every counter of two synthetic
-    /// batches lands in the profile, divided across two devices where the
-    /// phase overlaps. (Powers of two throughout, so equality is exact.)
+    /// `AppPhaseProfile` is spelled out: every counter of three synthetic
+    /// batches lands in the profile. Two ran on device 0 and one on device
+    /// 1, so modeled kernel time is the slowest device's sum and the phases
+    /// that overlap across devices divide by the two that ran. (Powers of
+    /// two throughout, so equality is exact.)
     #[test]
     fn run_totals_sum_batches_into_the_profile() {
         let batch = |tc: [u64; 2], t0: [i64; 2], t1: [i64; 2], modeled: f64, k: u64| {
@@ -2935,14 +3045,19 @@ mod tests {
                 spec_waste_words: 4 * k,
             }
         };
-        let mut totals = RunTotals::new(2, "sum");
-        totals.absorb(&batch([1, 2], [10, 20], [30, 40], 4.0, 3), 5, 1.0);
-        totals.absorb(&batch([3, 4], [1, 2], [3, 4], 2.0, 1), 7, 0.5);
+        let mut totals = RunTotals::new(2, 2, "sum");
+        totals.absorb(0, &batch([1, 2], [10, 20], [30, 40], 4.0, 3), 5, 1.0);
+        totals.absorb(0, &batch([3, 4], [1, 2], [3, 4], 2.0, 1), 7, 0.5);
+        assert_eq!(totals.profile.modeled_seconds, 6.0, "one device adds up");
+        totals.absorb(1, &batch([0, 0], [0, 0], [0, 0], 5.0, 0), 0, 0.0);
         assert_eq!(totals.tc, [4, 6]);
         assert_eq!(totals.t0, [11, 22]);
         assert_eq!(totals.t1, [33, 44]);
-        assert_eq!(totals.segments, 2);
-        assert_eq!(totals.profile.modeled_seconds, 6.0);
+        assert_eq!(totals.segments, 3);
+        assert_eq!(
+            totals.profile.modeled_seconds, 6.0,
+            "devices overlap: the slowest device's sum, not the total or a batch"
+        );
 
         let telemetry = &totals.telemetry;
         for _ in 0..3 {
@@ -2959,7 +3074,7 @@ mod tests {
             ..DeviceSpec::v100()
         };
         assert_eq!(
-            totals.app_profile(&spec, 2, 4096, 2048, 0.0625),
+            totals.app_profile(&spec, 4096, 2048, 0.0625),
             AppPhaseProfile {
                 h2d_seconds: 2.0,
                 readback_seconds: 2.0,
@@ -2975,7 +3090,7 @@ mod tests {
                 h2d_bytes: 4096,
                 d2h_bytes: 2048,
                 speculative_hit_rate: 0.75,
-                overflow_repairs: 4,
+                overflow_repairs: 6,
                 predicted_waste_words: 16,
                 faults_injected: 3,
                 segment_retries: 2,
@@ -2999,7 +3114,7 @@ mod tests {
         assert_eq!(r.app_profile.speculative_hit_rate, 1.0);
         assert_eq!(
             r.app_profile.sync_launch_seconds,
-            3.0 * sim.device().spec().launch_overhead,
+            3.0 * sim.devices()[0].spec().launch_overhead,
             "one modeled launch overhead per level"
         );
 
@@ -3063,13 +3178,20 @@ mod tests {
         assert_eq!(r.toggle_count(graph.gate_output(1).index()), 149);
     }
 
+    /// The "OpenMP-equivalent" CPU backend is a session on one
+    /// host-threaded device.
     #[test]
-    fn run_cpu_matches_gpu_results() {
+    fn cpu_backend_matches_gpu_results() {
         let graph = inv_chain(3);
-        let sim = Session::new(Arc::clone(&graph), SimConfig::small());
+        let cfg = SimConfig::small();
         let stim = vec![Waveform::from_toggles(false, &[10, 25, 40, 55])];
-        let gpu = sim.run(&stim, 100).unwrap();
-        let cpu = sim.run_cpu(&stim, 100, 2).unwrap();
+        let gpu = Session::new(Arc::clone(&graph), cfg.clone())
+            .run(&stim, 100)
+            .unwrap();
+        let host = Device::with_workers(cfg.device.clone(), cfg.memory_words, 2);
+        let cpu = Session::with_devices(graph, cfg, vec![Arc::new(host)])
+            .run(&stim, 100)
+            .unwrap();
         assert!(gpu.saif.diff(&cpu.saif).is_empty());
     }
 

@@ -45,8 +45,8 @@
 //! [`SaifSink`] folds per-window durations/toggle deltas that sum exactly
 //! to the whole-run record. Within one segment, deliveries arrive in
 //! window order and then ascending signal order; across segments (and
-//! across multi-GPU shards, which drain in device order) window starts
-//! ascend, which is all the format sinks rely on.
+//! across the devices of a fleet, whose batches settle in window order)
+//! window starts ascend, which is all the format sinks rely on.
 
 use std::io;
 use std::sync::Arc;
@@ -60,7 +60,8 @@ use gatspi_wave::{SimTime, EOW};
 pub struct WindowInfo {
     /// Global window index across the whole run (absolute-time order).
     pub window: usize,
-    /// Memory segment this window was simulated in (0-based).
+    /// Memory segment this window was simulated in (0-based): the index
+    /// of its batch, in the order the run settled its batches.
     pub segment: usize,
     /// Window start time (absolute ticks).
     pub start: SimTime,

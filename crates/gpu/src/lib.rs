@@ -16,8 +16,8 @@
 //!   performance model ([`KernelProfile`]) that responds to the same tuning
 //!   knobs the paper studies (threads/block, registers/thread, working-set
 //!   vs L2 capacity, coalescing).
-//! * [`MultiGpu`] — an n-device wrapper implementing the paper's
-//!   cycle-parallel workload distribution with `t = t₁/n + ovr` behaviour.
+//! * [`MultiGpu`] — an n-device fleet a session spreads its cycle-parallel
+//!   windows across, with the paper's `t = t₁/n + ovr` behaviour.
 //!
 //! Numbers derived from the model are clearly labelled *modeled*; wall-clock
 //! numbers are labelled *measured*. Benchmarks report both.

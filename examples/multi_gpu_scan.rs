@@ -23,30 +23,33 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let cfg = SimConfig::default().with_window_align(bench.cycle_time);
-    // One compiled session serves every device count; the launch plan is
-    // built once per distinct shard window count and shared across shards.
-    let sim = Session::new(Arc::clone(&bench.graph), cfg.clone());
-    let single = sim.run(&bench.stimuli, bench.duration)?;
-    let t1 = single.kernel_profile.modeled_seconds;
-    println!("1 GPU : kernel {:.3} ms (modeled V100)", t1 * 1e3);
-
-    for n in [2usize, 4] {
+    let mut t1 = None;
+    let mut single_saif = None;
+    for n in [1usize, 2, 4] {
+        // One session per fleet; one GPU is the fleet of one. A device whose
+        // share of windows overflows its arena splits it into segments.
         let gpus = MultiGpu::new(DeviceSpec::v100(), n, 8 << 20);
-        let multi = sim.run_multi_gpu(&gpus, &bench.stimuli, bench.duration)?;
-        let tn = multi.kernel_profile.modeled_seconds;
+        let sim = Session::with_devices(
+            Arc::clone(&bench.graph),
+            cfg.clone(),
+            gpus.devices().to_vec(),
+        );
+        let r = sim.run(&bench.stimuli, bench.duration)?;
+        let tn = r.kernel_profile.modeled_seconds;
+        let t1 = *t1.get_or_insert(tn);
+        let stats = sim.plan_cache_stats();
         println!(
-            "{n} GPUs: kernel {:.3} ms (modeled), scaling {:.2}x, predicted t1/n+ovr = {:.3} ms",
+            "{n} GPU(s): kernel {:.3} ms (modeled V100), scaling {:.2}x, predicted t1/n+ovr = {:.3} ms, {} segment(s), {} plan build(s)",
             tn * 1e3,
             t1 / tn,
-            gpus.predicted_scaling(t1, multi.app_profile.launches) * 1e3
+            gpus.predicted_scaling(t1, r.app_profile.launches) * 1e3,
+            r.segments(),
+            stats.misses,
         );
         // Results stay exact regardless of distribution.
-        assert!(single.saif.diff(&multi.saif).is_empty());
+        let single = single_saif.get_or_insert_with(|| r.saif.clone());
+        assert!(single.diff(&r.saif).is_empty(), "SAIF changed at {n} GPUs");
     }
-    let stats = sim.plan_cache_stats();
-    println!(
-        "SAIF identical across all distributions ({} plan build(s), {} cache hit(s))",
-        stats.misses, stats.hits
-    );
+    println!("SAIF identical across all distributions");
     Ok(())
 }

@@ -129,24 +129,21 @@ fn sim(opts: &HashMap<String, String>) -> Result<(), Box<dyn std::error::Error>>
         .with_device(device.clone())
         .with_window_align(cycle);
 
-    let sim = Session::new(Arc::clone(&graph), cfg.clone());
     let gpus: usize = opts
         .get("gpus")
         .map(|s| s.parse())
         .transpose()?
         .unwrap_or(1);
+    // One session on the fleet; one GPU is the fleet of one.
+    let fleet = MultiGpu::new(device, gpus.max(1), cfg.memory_words);
+    let sim = Session::with_devices(Arc::clone(&graph), cfg, fleet.devices().to_vec());
     // Spill waveforms to host when a VCD dump was requested, so the dump
     // also works if the run segments or spreads across devices.
     let mut run_opts = RunOptions::default();
     if opts.contains_key("out-vcd") {
         run_opts = run_opts.with_waveform_spill();
     }
-    let result = if gpus > 1 {
-        let multi = MultiGpu::new(device, gpus, cfg.memory_words);
-        sim.run_multi_gpu_with(&multi, &stimuli, duration, &run_opts)?
-    } else {
-        sim.run_with(&stimuli, duration, &run_opts)?
-    };
+    let result = sim.run_with(&stimuli, duration, &run_opts)?;
 
     eprintln!(
         "simulated {} gates over {} ticks: {} toggles, kernel {:.3} ms measured / {:.3} ms modeled-{}",

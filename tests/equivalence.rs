@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use gatspi_core::verify::spot_check_waveforms;
 use gatspi_core::{RunOptions, Session, SimConfig};
-use gatspi_gpu::{DeviceSpec, MultiGpu};
+use gatspi_gpu::{Device, DeviceSpec, MultiGpu};
 use gatspi_graph::{CircuitGraph, GraphOptions};
 use gatspi_netlist::{CellLibrary, NetlistBuilder};
 use gatspi_refsim::{EventSimulator, RefConfig};
@@ -108,8 +108,9 @@ fn cpu_backend_matches() {
     let cfg = SimConfig::small()
         .with_cycle_parallelism(8)
         .with_window_align(b.cycle_time);
-    let cpu = Session::new(Arc::clone(&b.graph), cfg)
-        .run_cpu(&b.stimuli, b.duration, 3)
+    let host = Device::with_workers(cfg.device.clone(), cfg.memory_words, 3);
+    let cpu = Session::with_devices(Arc::clone(&b.graph), cfg, vec![Arc::new(host)])
+        .run(&b.stimuli, b.duration)
         .expect("cpu run");
     assert!(g.saif.diff(&cpu.saif).is_empty());
 }
@@ -122,12 +123,12 @@ fn multi_gpu_matches() {
     let cfg = SimConfig::small()
         .with_cycle_parallelism(8)
         .with_window_align(b.cycle_time);
-    let sim = Session::new(Arc::clone(&b.graph), cfg);
     for n in [2usize, 3] {
         let gpus = MultiGpu::new(DeviceSpec::v100(), n, 1 << 20);
-        let multi = sim
-            .run_multi_gpu(&gpus, &b.stimuli, b.duration)
-            .expect("multi run");
+        let multi =
+            Session::with_devices(Arc::clone(&b.graph), cfg.clone(), gpus.devices().to_vec())
+                .run(&b.stimuli, b.duration)
+                .expect("multi run");
         assert!(g.saif.diff(&multi.saif).is_empty(), "{n} GPUs diverged");
     }
 }

@@ -63,6 +63,11 @@ fn test_config() -> SimConfig {
         .with_retry_policy(fast_retry())
 }
 
+/// A session on `gpus`, the fleet the multi-GPU tests arm faults on.
+fn on_fleet(graph: &Arc<CircuitGraph>, gpus: &MultiGpu) -> Session {
+    Session::with_devices(Arc::clone(graph), test_config(), gpus.devices().to_vec())
+}
+
 fn arm(device: &Device, plan: &FaultPlan, device_index: usize) -> Arc<FaultInjector> {
     let inj = Arc::new(FaultInjector::new(plan, device_index));
     device.arm_faults(Some(Arc::clone(&inj)));
@@ -112,9 +117,9 @@ fn chaos_roundtrip(seed: u64) {
     let (clean, clean_vcd) = run_streamed(&session, &stimuli, duration);
 
     let plan = FaultPlan::seeded(seed, 40);
-    let inj = arm(session.device(), &plan, 0);
+    let inj = arm(&session.devices()[0], &plan, 0);
     let (chaotic, chaotic_vcd) = run_streamed(&session, &stimuli, duration);
-    session.device().arm_faults(None);
+    session.devices()[0].arm_faults(None);
 
     assert_eq!(
         clean_vcd, chaotic_vcd,
@@ -169,19 +174,19 @@ proptest! {
     #[test]
     fn randomized_fault_schedules_are_output_invariant_multi_gpu(seed in 0u64..10_000) {
         let (graph, stimuli, duration) = workload(seed);
-        let session = Session::new(Arc::clone(&graph), test_config());
         let opts = RunOptions::default().with_waveform_spill();
 
         let gpus = MultiGpu::new(DeviceSpec::v100(), 3, 1 << 18);
+        let session = on_fleet(&graph, &gpus);
         let (clean, clean_vcd) = session
-            .run_multi_gpu_to_vcd(&gpus, &stimuli, duration, &opts, Vec::new())
+            .run_to_vcd(&stimuli, duration, &opts, Vec::new())
             .unwrap();
 
         for d in 0..gpus.len() {
             arm(gpus.device(d), &FaultPlan::seeded(seed ^ d as u64, 30), d);
         }
         let (chaotic, chaotic_vcd) = session
-            .run_multi_gpu_to_vcd(&gpus, &stimuli, duration, &opts, Vec::new())
+            .run_to_vcd(&stimuli, duration, &opts, Vec::new())
             .unwrap();
         for d in 0..gpus.len() {
             gpus.device(d).arm_faults(None);
@@ -210,11 +215,11 @@ proptest! {
             .run_incremental(&full, &changed, &stimuli, duration, &opts)
             .unwrap();
 
-        arm(session.device(), &FaultPlan::seeded(seed ^ 0xD17A, 24), 0);
+        arm(&session.devices()[0], &FaultPlan::seeded(seed ^ 0xD17A, 24), 0);
         let chaotic = session
             .run_incremental(&full, &changed, &stimuli, duration, &opts)
             .unwrap();
-        session.device().arm_faults(None);
+        session.devices()[0].arm_faults(None);
 
         assert_same_outputs(&clean, &chaotic);
         for s in 0..graph.n_signals() {
@@ -238,12 +243,12 @@ proptest! {
 #[test]
 fn permanent_mid_run_device_loss_fails_over_bit_identical() {
     let (graph, stimuli, duration) = workload(3);
-    let session = Session::new(Arc::clone(&graph), test_config());
     let opts = RunOptions::default().with_waveform_spill();
 
     let gpus = MultiGpu::new(DeviceSpec::v100(), 3, 1 << 18);
+    let session = on_fleet(&graph, &gpus);
     let (clean, clean_vcd) = session
-        .run_multi_gpu_to_vcd(&gpus, &stimuli, duration, &opts, Vec::new())
+        .run_to_vcd(&stimuli, duration, &opts, Vec::new())
         .unwrap();
 
     // A shard is read back one level region at a time, so device 1
@@ -258,7 +263,7 @@ fn permanent_mid_run_device_loss_fails_over_bit_identical() {
     let plan = FaultPlan::new().with_fault(FaultSite::Transfer, 2, true);
     let inj = arm(gpus.device(1), &plan, 1);
     let (degraded, degraded_vcd) = session
-        .run_multi_gpu_to_vcd(&gpus, &stimuli, duration, &opts, Vec::new())
+        .run_to_vcd(&stimuli, duration, &opts, Vec::new())
         .unwrap();
     gpus.device(1).arm_faults(None);
 
@@ -282,7 +287,7 @@ fn permanent_mid_run_device_loss_fails_over_bit_identical() {
     let gpus2 = MultiGpu::new(DeviceSpec::v100(), 3, 1 << 18);
     let plan2 = FaultPlan::new().with_fault(FaultSite::Alloc, 20, true);
     arm(gpus2.device(0), &plan2, 0);
-    let rerun = session.run_multi_gpu(&gpus2, &stimuli, duration).unwrap();
+    let rerun = on_fleet(&graph, &gpus2).run(&stimuli, duration).unwrap();
     assert_same_outputs(&clean, &rerun);
     assert!(rerun.app_profile.failovers >= 1);
 }
@@ -293,8 +298,8 @@ fn permanent_mid_run_device_loss_fails_over_bit_identical() {
 #[test]
 fn multi_gpu_with_no_survivors_reports_the_fault() {
     let (graph, stimuli, duration) = workload(5);
-    let session = Session::new(graph, test_config());
     let gpus = MultiGpu::new(DeviceSpec::v100(), 2, 1 << 18);
+    let session = on_fleet(&graph, &gpus);
     for d in 0..gpus.len() {
         arm(
             gpus.device(d),
@@ -302,7 +307,7 @@ fn multi_gpu_with_no_survivors_reports_the_fault() {
             d,
         );
     }
-    match session.run_multi_gpu(&gpus, &stimuli, duration) {
+    match session.run(&stimuli, duration) {
         Err(CoreError::DeviceFault {
             kind: FaultKind::Launch,
             retryable: false,
@@ -325,7 +330,7 @@ fn session_survives_faulted_runs_unpoisoned() {
 
     // Permanent allocation fault: dies during stimulus upload.
     arm(
-        session.device(),
+        &session.devices()[0],
         &FaultPlan::new().with_fault(FaultSite::Alloc, 10, true),
         0,
     );
@@ -341,7 +346,7 @@ fn session_survives_faulted_runs_unpoisoned() {
     // Transient transfer fault with a single-attempt policy: retries are
     // exhausted immediately and the error says so.
     arm(
-        session.device(),
+        &session.devices()[0],
         &FaultPlan::new().with_fault(FaultSite::Transfer, 0, false),
         0,
     );
@@ -355,7 +360,7 @@ fn session_survives_faulted_runs_unpoisoned() {
         other => panic!("expected exhausted transfer retries, got {other:?}"),
     }
 
-    session.device().arm_faults(None);
+    session.devices()[0].arm_faults(None);
     let (after, after_vcd) = run_streamed(&session, &stimuli, duration);
     assert_eq!(clean_vcd, after_vcd, "failed runs poisoned the session");
     assert_same_outputs(&clean, &after);

@@ -34,6 +34,12 @@ fn deep_chain(depth: usize) -> Arc<CircuitGraph> {
     Arc::new(CircuitGraph::build(&b.finish().unwrap(), None, &GraphOptions::default()).unwrap())
 }
 
+/// A session on a fleet of `n` V100s with 2^18-word arenas.
+fn on_fleet(graph: &Arc<CircuitGraph>, cfg: SimConfig, n: usize) -> Session {
+    let gpus = MultiGpu::new(DeviceSpec::v100(), n, 1 << 18);
+    Session::with_devices(Arc::clone(graph), cfg, gpus.devices().to_vec())
+}
+
 /// Wide random logic with SDF delays: multi-gate levels.
 fn wide_graph(seed: u64) -> Arc<CircuitGraph> {
     sdf_logic(300, 16, 5, seed)
@@ -198,7 +204,7 @@ fn wide_levels_serial_matches_overlapped_and_refsim() {
         cfg.memory_words,
         4,
     ));
-    let sim = Session::with_device(Arc::clone(&graph), cfg, device);
+    let sim = Session::with_devices(Arc::clone(&graph), cfg, vec![device]);
     for history in [0, 2] {
         sim.seed_extent_history(history);
         let ours = sim.run(&stimuli, duration).unwrap();
@@ -242,7 +248,7 @@ fn launches_are_levels_plus_repair_launches() {
             cfg.memory_words,
             4,
         ));
-        let sim = Session::with_device(Arc::clone(graph), cfg, device);
+        let sim = Session::with_devices(Arc::clone(graph), cfg, vec![device]);
         for history in [0, 2] {
             sim.seed_extent_history(history);
             let ours = sim.run(stimuli, duration).unwrap();
@@ -381,10 +387,7 @@ fn multi_gpu_serial_matches_overlapped() {
     let cfg = SimConfig::small()
         .with_cycle_parallelism(4)
         .with_window_align(400);
-    let gpus = MultiGpu::new(DeviceSpec::v100(), 2, 1 << 18);
-    let ours = Session::new(Arc::clone(&graph), cfg)
-        .run_multi_gpu(&gpus, &stimuli, duration)
-        .unwrap();
+    let ours = on_fleet(&graph, cfg, 2).run(&stimuli, duration).unwrap();
     let r = refsim(&graph, &stimuli, duration);
     assert_matches_refsim(&ours, &r, "multi-GPU run");
 }
@@ -413,17 +416,15 @@ fn multi_gpu_spill_extracts_waveforms() {
         single_cfg.memory_words,
         4,
     ));
-    let single = Session::with_device(Arc::clone(&graph), single_cfg, single_dev)
+    let single = Session::with_devices(Arc::clone(&graph), single_cfg, vec![single_dev])
         .run_with(
             &stimuli,
             duration,
             &RunOptions::default().with_waveform_spill(),
         )
         .unwrap();
-    let gpus = MultiGpu::new(DeviceSpec::v100(), 2, 1 << 18);
-    let multi = Session::new(Arc::clone(&graph), cfg)
-        .run_multi_gpu_with(
-            &gpus,
+    let multi = on_fleet(&graph, cfg, 2)
+        .run_with(
             &stimuli,
             duration,
             &RunOptions::default().with_waveform_spill(),
@@ -565,8 +566,9 @@ proptest! {
         .. ProptestConfig::default()
     })]
 
-    /// Random design + random delays + random stimulus: the engine must
-    /// stay bit-identical to the event-driven reference.
+    /// Random design + random delays + random stimulus, on a fleet of
+    /// one to three devices: the engine must stay bit-identical to the
+    /// event-driven reference.
     #[test]
     fn pipelined_executor_bit_identical_on_random_designs(
         seed in 0u64..5000,
@@ -574,6 +576,7 @@ proptest! {
         depth in 3usize..9,
         toggle_prob in 0.05f64..0.9,
         parallelism in 1usize..6,
+        fleet in 1usize..4,
     ) {
         let netlist = random_logic(&RandomLogicConfig {
             gates,
@@ -599,9 +602,7 @@ proptest! {
         let cfg = SimConfig::small()
             .with_cycle_parallelism(parallelism)
             .with_window_align(cycle);
-        let ours = Session::new(Arc::clone(&graph), cfg)
-            .run(&stimuli, duration)
-            .unwrap();
+        let ours = on_fleet(&graph, cfg, fleet).run(&stimuli, duration).unwrap();
 
         let r = EventSimulator::new(&graph, RefConfig {
             record_waveforms: false,

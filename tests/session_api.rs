@@ -1,22 +1,48 @@
 //! Session-API acceptance tests: cached plans across segments and
-//! multi-GPU shards, host-spilled waveforms for segmented runs, streaming
-//! sinks, and identical profiles and typed errors across the run paths.
+//! multi-GPU fleets, host-spilled waveforms for segmented runs, streaming
+//! sinks, the one window loop on fleets, and identical profiles and typed
+//! errors across the run paths.
 
 use std::sync::Arc;
 
-use gatspi_core::{RunOptions, Session, SimConfig, WaveformSink, WindowInfo};
+use gatspi_core::{RunOptions, Session, SimConfig, SimResult, WaveformSink, WindowInfo};
 use gatspi_gpu::{DeviceSpec, MultiGpu};
+use gatspi_refsim::{EventSimulator, RefConfig};
 use gatspi_workloads::suite::{table2_suite, BuiltBenchmark};
 
 fn bench(scale: f64) -> BuiltBenchmark {
     table2_suite()[0].build_at_scale(scale)
 }
 
-fn session(b: &BuiltBenchmark, parallelism: usize) -> Session {
-    let cfg = SimConfig::small()
+fn config(b: &BuiltBenchmark, parallelism: usize) -> SimConfig {
+    SimConfig::small()
         .with_cycle_parallelism(parallelism)
-        .with_window_align(b.cycle_time);
-    Session::new(Arc::clone(&b.graph), cfg)
+        .with_window_align(b.cycle_time)
+}
+
+fn session(b: &BuiltBenchmark, parallelism: usize) -> Session {
+    Session::new(Arc::clone(&b.graph), config(b, parallelism))
+}
+
+/// A session on a fleet of `n` V100s with `words`-word arenas.
+fn fleet_session(b: &BuiltBenchmark, cfg: SimConfig, n: usize, words: usize) -> Session {
+    let gpus = MultiGpu::new(DeviceSpec::v100(), n, words);
+    Session::with_devices(Arc::clone(&b.graph), cfg, gpus.devices().to_vec())
+}
+
+/// `ours` reproduces the event-driven reference's SAIF bit for bit.
+fn assert_matches_refsim(b: &BuiltBenchmark, ours: &SimResult, what: &str) {
+    let r = EventSimulator::new(
+        &b.graph,
+        RefConfig {
+            record_waveforms: false,
+            ..RefConfig::default()
+        },
+    )
+    .run(&b.stimuli, b.duration)
+    .expect("refsim run");
+    let diffs = ours.saif.diff(&r.saif);
+    assert!(diffs.is_empty(), "{what}: {:?}", diffs.first());
 }
 
 /// Equal-window-count segments share one `LevelSchedule` build: forcing a
@@ -55,20 +81,17 @@ fn multi_gpu_shares_one_schedule_and_matches() {
         .run(&b.stimuli, b.duration)
         .expect("single run");
 
-    let sim = session(&b, 4);
-    let gpus = MultiGpu::new(DeviceSpec::v100(), 2, 1 << 20);
-    let multi = sim
-        .run_multi_gpu(&gpus, &b.stimuli, b.duration)
-        .expect("multi run");
+    let n = 2;
+    let sim = fleet_session(&b, config(&b, 4), n, 1 << 20);
+    let multi = sim.run(&b.stimuli, b.duration).expect("multi run");
     let stats = sim.plan_cache_stats();
     assert_eq!(
         stats.misses, 1,
         "even shards: one LevelSchedule build per multi-GPU run"
     );
-    // The failover-aware fan-out pre-warms every shard's plan before the
-    // shard threads start (gpus.len() lookups, one miss), then each shard
-    // re-resolves its warm plan at execution time: 2·gpus.len() − 1 hits.
-    assert_eq!(stats.hits as usize, 2 * gpus.len() - 1);
+    // Every shard looks its plan up once, on the engine thread before the
+    // fan-out: one miss, then n − 1 hits.
+    assert_eq!(stats.hits as usize, n - 1);
     assert!(single.saif.diff(&multi.saif).is_empty());
     assert_eq!(single.total_toggles(), multi.total_toggles());
 }
@@ -161,9 +184,9 @@ fn single_device_and_one_gpu_fleet_report_identical_profiles() {
     let single = session(&b, 4)
         .run(&b.stimuli, b.duration)
         .expect("single run");
-    let one = MultiGpu::new(DeviceSpec::v100(), 1, SimConfig::small().memory_words);
-    let fleet = session(&b, 4)
-        .run_multi_gpu(&one, &b.stimuli, b.duration)
+    let words = SimConfig::small().memory_words;
+    let fleet = fleet_session(&b, config(&b, 4), 1, words)
+        .run(&b.stimuli, b.duration)
         .expect("1-device fleet run");
 
     assert!(single.saif.diff(&fleet.saif).is_empty());
@@ -174,15 +197,11 @@ fn single_device_and_one_gpu_fleet_report_identical_profiles() {
     assert_eq!(s.speculative_hit_rate, f.speculative_hit_rate);
 
     // One window across four devices: three shards are empty, one batch runs.
-    let four = MultiGpu::new(DeviceSpec::v100(), 4, 1 << 20);
-    let sim = Session::new(
-        Arc::clone(&b.graph),
-        SimConfig::small()
-            .with_cycle_parallelism(1)
-            .with_window_align(b.duration),
-    );
-    let r = sim
-        .run_multi_gpu(&four, &b.stimuli, b.duration)
+    let cfg = SimConfig::small()
+        .with_cycle_parallelism(1)
+        .with_window_align(b.duration);
+    let r = fleet_session(&b, cfg, 4, 1 << 20)
+        .run(&b.stimuli, b.duration)
         .expect("one-window fleet run");
     assert_eq!(r.segments(), 1, "segments() counts executed batches");
     assert!(single.saif.diff(&r.saif).is_empty());
@@ -197,13 +216,13 @@ fn negative_duration_is_a_typed_error_on_every_run_path() {
 
     let b = bench(0.15);
     let sim = session(&b, 4);
-    let gpus = MultiGpu::new(DeviceSpec::v100(), 2, 1 << 20);
+    let fleet = fleet_session(&b, config(&b, 4), 2, 1 << 20);
     assert!(matches!(
         sim.run(&b.stimuli, -5),
         Err(CoreError::BadConfig { .. })
     ));
     assert!(matches!(
-        sim.run_multi_gpu(&gpus, &b.stimuli, -5),
+        fleet.run(&b.stimuli, -5),
         Err(CoreError::BadConfig { .. })
     ));
     // An incremental run checks its duration against the previous result's
@@ -217,10 +236,7 @@ fn negative_duration_is_a_typed_error_on_every_run_path() {
         Err(CoreError::BadIncremental { .. })
     ));
 
-    for r in [
-        sim.run(&b.stimuli, 0),
-        sim.run_multi_gpu(&gpus, &b.stimuli, 0),
-    ] {
+    for r in [sim.run(&b.stimuli, 0), fleet.run(&b.stimuli, 0)] {
         assert_eq!(r.expect("zero-duration run").total_toggles(), 0);
     }
 }
@@ -239,4 +255,78 @@ fn repeated_runs_reuse_plans() {
     let stats = sim.plan_cache_stats();
     assert_eq!(stats.misses, 1, "one build across four runs");
     assert_eq!(stats.hits, 3);
+}
+
+/// The fleet runs the one window loop, OOM halving included: a 2-device
+/// fleet whose shards overflow 16 384-word arenas splits them into
+/// segments, like one device does, and matches it and the reference.
+#[test]
+fn fleet_segments_shards_that_overflow_the_arena() {
+    let b = bench(0.15);
+    let cfg = SimConfig {
+        memory_words: 16_384,
+        ..config(&b, 8)
+    };
+    let single = Session::new(Arc::clone(&b.graph), cfg.clone())
+        .run(&b.stimuli, b.duration)
+        .expect("single-device run");
+    assert!(single.segments() > 1, "one device must segment");
+    let fleet = fleet_session(&b, cfg, 2, 16_384)
+        .run(&b.stimuli, b.duration)
+        .expect("2-device fleet run");
+    assert!(fleet.app_profile.oom_retries > 0, "a shard overflowed");
+    assert!(fleet.segments() > 2, "the overflowing shards segmented");
+    assert!(single.saif.diff(&fleet.saif).is_empty());
+    assert_eq!(single.toggle_counts_slice(), fleet.toggle_counts_slice());
+    assert_matches_refsim(&b, &fleet, "segmented fleet");
+}
+
+/// `RunOptions::segment_windows` caps every device's ranges: a 4-window
+/// run on 2 devices capped at one window executes 4 ranges, in 2 rounds.
+#[test]
+fn segment_windows_caps_fleet_ranges() {
+    let b = bench(0.15);
+    let opts = RunOptions::default().with_segment_windows(1);
+    let sim = fleet_session(&b, config(&b, 2), 2, 1 << 20);
+    let capped = sim
+        .run_with(&b.stimuli, b.duration, &opts)
+        .expect("capped fleet run");
+    assert_eq!(capped.segments(), 4, "one range per window");
+    let stats = sim.plan_cache_stats();
+    assert_eq!((stats.misses, stats.hits), (1, 3), "one lookup per range");
+    let single = session(&b, 4)
+        .run(&b.stimuli, b.duration)
+        .expect("single-device run");
+    assert!(single.saif.diff(&capped.saif).is_empty());
+    assert_matches_refsim(&b, &capped, "capped fleet");
+}
+
+/// Incremental runs take the same loop, so they work on a fleet: a
+/// 2-device fleet's delta run equals the single-device delta run (and,
+/// the delays being unchanged, the reference).
+#[test]
+fn incremental_run_on_a_fleet_matches_single_device() {
+    let b = bench(0.15);
+    let spill = RunOptions::default().with_waveform_spill();
+    let changed = [0usize, b.graph.n_gates() / 2];
+    let delta = |sim: &Session| {
+        let full = sim
+            .run_with(&b.stimuli, b.duration, &spill)
+            .expect("full run");
+        sim.run_incremental(&full, &changed, &b.stimuli, b.duration, &spill)
+            .expect("incremental run")
+    };
+    let single = delta(&session(&b, 8));
+    let fleet = delta(&fleet_session(&b, config(&b, 4), 2, 1 << 20));
+    assert_eq!(fleet.segments(), 2, "one cone batch per device");
+    assert!(single.saif.diff(&fleet.saif).is_empty());
+    assert_eq!(single.toggle_counts_slice(), fleet.toggle_counts_slice());
+    for s in 0..b.graph.n_signals() {
+        assert_eq!(
+            single.waveform(s).expect("single-device spill"),
+            fleet.waveform(s).expect("fleet spill"),
+            "signal {s}"
+        );
+    }
+    assert_matches_refsim(&b, &fleet, "incremental fleet run");
 }

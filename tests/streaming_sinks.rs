@@ -204,28 +204,27 @@ fn multi_gpu_streaming_matches_posthoc() {
         &StimulusConfig::random(16, 400, 0.35, 31),
     );
     let duration = 16 * 400;
-    let session = Session::new(
-        Arc::clone(&graph),
-        SimConfig::small()
-            .with_cycle_parallelism(4)
-            .with_window_align(400),
-    );
-    let gpus = MultiGpu::new(DeviceSpec::v100(), 3, 1 << 18);
+    let cfg = SimConfig::small()
+        .with_cycle_parallelism(4)
+        .with_window_align(400);
+    let fleet = |n| {
+        let gpus = MultiGpu::new(DeviceSpec::v100(), n, 1 << 18);
+        Session::with_devices(Arc::clone(&graph), cfg.clone(), gpus.devices().to_vec())
+    };
     let opts = RunOptions::default().with_waveform_spill();
-    let (multi, bytes) = session
-        .run_multi_gpu_to_vcd(&gpus, &stimuli, duration, &opts, Vec::new())
+    let (multi, bytes) = fleet(3)
+        .run_to_vcd(&stimuli, duration, &opts, Vec::new())
         .unwrap();
     let text = String::from_utf8(bytes).unwrap();
     assert_vcd_matches(&graph, &multi, &text);
 
-    let gpus2 = MultiGpu::new(DeviceSpec::v100(), 3, 1 << 18);
-    let (_, saif) = session
-        .run_multi_gpu_to_saif(&gpus2, &stimuli, duration, &RunOptions::default())
+    let (_, saif) = fleet(3)
+        .run_to_saif(&stimuli, duration, &RunOptions::default())
         .unwrap();
     assert_eq!(saif, posthoc_saif(&graph, &multi, duration));
 
     // The multi-GPU streamed VCD also equals a single-device run's.
-    let (single, single_bytes) = session
+    let (single, single_bytes) = Session::new(Arc::clone(&graph), cfg)
         .run_to_vcd(&stimuli, duration, &opts, Vec::new())
         .unwrap();
     assert_eq!(
