@@ -1,12 +1,14 @@
 //! Structural auditing of compiled launch plans.
 //!
 //! The engine's launch schedules ([`schedule`](crate) internals) bake every
-//! per-batch decision — level partitioning, gate descriptors, pin tables,
-//! the scratch-column width — into flat arrays the kernels index
-//! without checking. That makes plan-compile bugs silent until a kernel
-//! reads garbage, which is exactly the failure class a simulator cannot
-//! afford: a wrong LUT offset produces plausible-but-wrong delays, not a
-//! crash.
+//! decision that does not depend on a batch's window count — level
+//! partitioning, gate descriptors, pin tables, the widest level that sizes
+//! the scratch columns — into flat arrays the kernels index without
+//! checking. That makes plan-compile bugs silent until a kernel reads
+//! garbage, which is exactly the failure class a simulator cannot afford: a
+//! wrong LUT offset produces plausible-but-wrong delays, not a crash. One
+//! plan per design (and one per incremental cone) serves every window
+//! count, so auditing it once covers every batch that runs it.
 //!
 //! This module exposes the schedule's structural checker to tooling without
 //! exposing the schedule types themselves: [`validate_full_plan`] and
@@ -20,9 +22,9 @@
 //!
 //! * flat-table shapes: descriptor/output/pin-CSR arrays sized to the slot
 //!   count, pin CSR monotone from 0 and consistent with the pin tables;
-//! * levels form a contiguous, non-empty partition of the slots with
-//!   thread counts equal to gates × windows, each fitting the scratch
-//!   column;
+//! * levels form a contiguous, non-empty partition of the slots, and the
+//!   recorded widest level (which sizes a batch's scratch columns as
+//!   widest level × windows) equals the largest level's gate count;
 //! * every slot's baked [`GateDesc`](crate::GateDesc), output signal, pin
 //!   signals, and interconnect delays agree with the graph, with
 //!   truth-table and delay-LUT offsets inside the flat pools;
@@ -36,11 +38,11 @@ use crate::schedule::{ConeInfo, LevelSchedule};
 
 use gatspi_graph::CircuitGraph;
 
-/// Compiles the full-graph launch plan for `windows` concurrent windows and
-/// audits it. Returns one message per structural defect; an empty vector
-/// means the plan upholds every invariant listed in the [module docs](self).
-pub fn validate_full_plan(graph: &CircuitGraph, windows: usize) -> Vec<String> {
-    let plan = LevelSchedule::build(graph, windows.max(1));
+/// Compiles the full-graph launch plan and audits it. Returns one message
+/// per structural defect; an empty vector means the plan upholds every
+/// invariant listed in the [module docs](self).
+pub fn validate_full_plan(graph: &CircuitGraph) -> Vec<String> {
+    let plan = LevelSchedule::build(graph);
     plan.validate(graph, None)
 }
 
@@ -51,7 +53,7 @@ pub fn validate_full_plan(graph: &CircuitGraph, windows: usize) -> Vec<String> {
 ///
 /// A `changed` slice of the wrong length is reported as a defect rather
 /// than panicking, so audit tooling can feed it untrusted inputs.
-pub fn validate_cone_plan(graph: &CircuitGraph, windows: usize, changed: &[bool]) -> Vec<String> {
+pub fn validate_cone_plan(graph: &CircuitGraph, changed: &[bool]) -> Vec<String> {
     if changed.len() != graph.n_gates() {
         return vec![format!(
             "changed-gate flags cover {} gates, graph has {}",
@@ -60,7 +62,7 @@ pub fn validate_cone_plan(graph: &CircuitGraph, windows: usize, changed: &[bool]
         )];
     }
     let cone = ConeInfo::of(graph, changed);
-    let plan = LevelSchedule::restrict(graph, windows.max(1), &cone);
+    let plan = LevelSchedule::restrict(graph, &cone);
     plan.validate(graph, Some(&cone))
 }
 
@@ -85,14 +87,14 @@ mod tests {
     #[test]
     fn wrappers_audit_clean_plans() {
         let g = chain(8);
-        assert_eq!(validate_full_plan(&g, 4), Vec::<String>::new());
+        assert_eq!(validate_full_plan(&g), Vec::<String>::new());
         let mut changed = vec![false; g.n_gates()];
         changed[5] = true;
-        assert_eq!(validate_cone_plan(&g, 4, &changed), Vec::<String>::new());
+        assert_eq!(validate_cone_plan(&g, &changed), Vec::<String>::new());
         // An all-false changed set yields an empty (and vacuously sound)
         // cone plan rather than an error.
         assert_eq!(
-            validate_cone_plan(&g, 4, &vec![false; g.n_gates()]),
+            validate_cone_plan(&g, &vec![false; g.n_gates()]),
             Vec::<String>::new()
         );
     }
@@ -100,7 +102,7 @@ mod tests {
     #[test]
     fn wrapper_reports_bad_changed_length_instead_of_panicking() {
         let g = chain(4);
-        let defects = validate_cone_plan(&g, 2, &[true]);
+        let defects = validate_cone_plan(&g, &[true]);
         assert_eq!(defects.len(), 1);
         assert!(defects[0].contains("changed-gate flags"), "{defects:?}");
     }

@@ -108,11 +108,6 @@ pub struct SimConfig {
     /// (set it to the testbench clock period so windows cut at cycle
     /// boundaries where combinational logic has settled). Default 1.
     pub window_align: SimTime,
-    /// Upper bound on cached launch plans (one per window count) per
-    /// session; least-recently-used plans are evicted beyond it (plans for
-    /// odd tail-segment sizes are rarely reused). `0` means unbounded.
-    /// Default 16.
-    pub plan_cache_cap: usize,
     /// Bounded retry with exponential backoff for transient device faults;
     /// see [`RetryPolicy`]. Default: 3 attempts, 1 ms base, ×2 per retry.
     pub retry: RetryPolicy,
@@ -129,7 +124,6 @@ impl Default for SimConfig {
             features: SimFeatures::default(),
             path_pulse_percent: 100,
             window_align: 1,
-            plan_cache_cap: 16,
             retry: RetryPolicy::default(),
         }
     }
@@ -162,12 +156,6 @@ impl SimConfig {
         self
     }
 
-    /// Sets the plan-cache capacity (builder style); `0` means unbounded.
-    pub fn with_plan_cache_cap(mut self, cap: usize) -> Self {
-        self.plan_cache_cap = cap;
-        self
-    }
-
     /// Sets the transient-fault retry policy (builder style); see
     /// [`RetryPolicy`].
     pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
@@ -190,7 +178,6 @@ mod tests {
         assert!(c.features.net_delay_filtering);
         assert!(c.features.full_sdf);
         assert_eq!(c.device.name, "V100");
-        assert_eq!(c.plan_cache_cap, 16);
         assert_eq!(c.retry, RetryPolicy::default());
         assert_eq!(c.retry.max_attempts, 3);
     }

@@ -1019,7 +1019,7 @@ mod tests {
         let (g, mem, ptrs) = single_gate("AOI22", &[a1, a2, b1, b2], Some(SDF));
         let ctx = Ctx::new(&g, vec![(0, 0); 4]);
         let input = ctx.input(&g, &mem, &ptrs, SimFeatures::default(), 100);
-        let counts: Vec<(u64, u64, u64, u64)> = [
+        let counts: Vec<(u64, u64, u64)> = [
             KernelMode::Count,
             KernelMode::Store { out_base: 6000 },
             KernelMode::Speculative {
@@ -1031,14 +1031,11 @@ mod tests {
         .map(|mode| {
             let mut lane = LaneCounters::default();
             simulate_gate(&input, mode, &mut lane);
-            (lane.loads, lane.stores, lane.uncoalesced, lane.instructions)
+            (lane.loads, lane.stores, lane.instructions)
         })
         .collect();
-        // (loads, stores, uncoalesced, instructions) per mode.
-        assert_eq!(
-            counts,
-            [(58, 1, 59, 226), (58, 9, 67, 226), (58, 5, 63, 226)]
-        );
+        // (loads, stores, instructions) per mode.
+        assert_eq!(counts, [(58, 1, 226), (58, 9, 226), (58, 5, 226)]);
     }
 
     #[test]

@@ -36,11 +36,12 @@
 //!
 //! The engine is a compiled session: build a [`Session`] once per
 //! `(graph, config)` pair, then execute any number of stimuli against it —
-//! launch schedules are cached per window count, and [`RunOptions`]
-//! controls segmentation and waveform spill/streaming. The run methods are
-//! [`Session::run`], [`Session::run_with`], [`Session::run_streaming`],
-//! [`Session::run_incremental`], [`Session::run_incremental_streaming`],
-//! [`Session::run_to_vcd`] and [`Session::run_to_saif`].
+//! the launch schedule is built once and serves every window count, and
+//! [`RunOptions`] controls segmentation and waveform spill/streaming. The
+//! run methods are [`Session::run`], [`Session::run_with`],
+//! [`Session::run_streaming`], [`Session::run_incremental`],
+//! [`Session::run_incremental_streaming`], [`Session::run_to_vcd`] and
+//! [`Session::run_to_saif`].
 //!
 //! ```
 //! use gatspi_core::{Session, SimConfig};

@@ -6,18 +6,16 @@
 //! sink in window order.
 
 use std::ops::Range;
-use std::sync::Arc;
 
 use gatspi_wave::EOW;
 
-use crate::schedule::LevelSchedule;
 use crate::session::{RetryTelemetry, SegmentInputs, Session, WindowBatch};
 use crate::sink::{SpillSink, WaveformSink, WindowInfo};
 use crate::Result;
 
 impl Session {
-    /// Runs one round of the window loop: every `(device, range, plan)`
-    /// entry executes as one segment on its device. A one-entry round — on
+    /// Runs one round of the window loop: every `(device, range)` entry
+    /// executes as one segment on its device. A one-entry round — on
     /// a single device, every round — runs inline on the calling thread; a
     /// wider one spawns a thread per entry. Each thread catches and retries
     /// its own device's faults, so an outcome is a finished batch or the
@@ -25,12 +23,12 @@ impl Session {
     /// anything. Outcomes come back in `round` order.
     pub(crate) fn execute_round(
         &self,
-        round: &[(usize, Range<usize>, Arc<LevelSchedule>)],
+        round: &[(usize, Range<usize>)],
         inputs: &SegmentInputs<'_>,
         telemetry: &RetryTelemetry,
     ) -> Vec<Result<WindowBatch>> {
-        let run = |(d, range, plan): &(usize, Range<usize>, Arc<LevelSchedule>)| {
-            self.execute_segment(*d, telemetry, inputs, range.clone(), plan)
+        let run = |(d, range): &(usize, Range<usize>)| {
+            self.execute_segment(*d, telemetry, inputs, range.clone())
         };
         if let [entry] = round {
             return vec![run(entry)];
@@ -156,8 +154,8 @@ mod tests {
             stats.misses, 1,
             "one LevelSchedule build shared across both shards"
         );
-        // Each executed range looks its plan up once, before the fan-out.
-        assert_eq!(stats.hits, 1, "the second shard's lookup hits");
+        // The run looks its plan up once, before the window loop.
+        assert_eq!(stats.hits, 0, "neither shard looks the plan up again");
     }
 
     #[test]

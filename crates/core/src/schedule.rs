@@ -7,8 +7,10 @@
 //! two launches per level, even for near-empty levels where launch overhead
 //! dominates (the paper's Tables 5–6 profile exactly these phases).
 //!
-//! [`LevelSchedule`] is built once per window batch and gives
-//! `run_window_batch` everything flat:
+//! [`LevelSchedule`] is built once per design (and once per incremental
+//! cone) and serves every window count — a batch of `nw` windows runs
+//! `gates × nw` threads per level — giving `run_window_batch` everything
+//! flat:
 //!
 //! * per-level thread tables (`gates`, `out_sigs`, `pin_base`, `pin_sigs`)
 //!   so a kernel thread resolves its gate, output signal and input-pointer
@@ -37,8 +39,14 @@ pub(crate) struct LevelDesc {
     pub gate_lo: u32,
     /// One past the last gate slot.
     pub gate_hi: u32,
-    /// Logical threads: gates in level × windows.
-    pub threads: usize,
+}
+
+impl LevelDesc {
+    /// Gates in the level; a batch of `nw` windows launches `gates() × nw`
+    /// threads for it.
+    pub fn gates(&self) -> usize {
+        self.gate_hi.saturating_sub(self.gate_lo) as usize
+    }
 }
 
 /// The affected region of an incremental re-simulation: a changed gate set
@@ -67,9 +75,7 @@ impl ConeInfo {
     /// output signal. Because pins are driven strictly below their
     /// consumer's level, the single sweep computes the full transitive
     /// fan-out, and a pin that is clean when its consumer is visited can
-    /// never become dirty later — so the boundary set is final. The cone is
-    /// window-count-independent; [`LevelSchedule::restrict`] specializes it
-    /// per batch size.
+    /// never become dirty later — so the boundary set is final.
     pub fn of(graph: &CircuitGraph, changed: &[bool]) -> ConeInfo {
         let mut gates = vec![false; graph.n_gates()];
         let mut sigs = vec![false; graph.n_signals()];
@@ -106,9 +112,11 @@ impl ConeInfo {
 /// Per-gate maximum observed stored waveform size, in even-aligned arena
 /// words, indexed by *gate id* (not schedule slot — so the history a full
 /// plan accumulates transfers verbatim to any cone sub-plan of the same
-/// graph). `0` is the first-touch sentinel: the gate has never completed a
-/// store under this plan-cache entry, and the speculative budget assigner
-/// must fall back to the sound static bound (Σ published input lengths).
+/// graph). An entry is the largest size one window stored, so one history
+/// serves every window count. `0` is the first-touch sentinel: the gate has
+/// never completed a store under this plan, and the speculative budget
+/// assigner must fall back to the sound static bound (Σ published input
+/// lengths).
 ///
 /// Updates are monotone (`fetch_max`), which makes the table safe to share
 /// between concurrent launches, multi-GPU shard threads, and the repair
@@ -174,11 +182,10 @@ impl ExtentPredictor {
     }
 }
 
-/// Flattened, immutable launch schedule for one window batch.
+/// Flattened, immutable launch schedule of a design (or of a cone of it),
+/// independent of how many windows a batch simulates.
 #[derive(Debug)]
 pub(crate) struct LevelSchedule {
-    /// Windows simulated concurrently in this batch.
-    pub nw: usize,
     levels: Vec<LevelDesc>,
     /// Gate id per gate slot, (level, gate id) order.
     gates: Vec<u32>,
@@ -199,20 +206,19 @@ pub(crate) struct LevelSchedule {
     /// Per-gate speculative extent history shared by every batch that
     /// reuses this cached plan (see [`ExtentPredictor`]).
     predictor: ExtentPredictor,
-    /// Entries the scratch count/base column must hold: the widest level's
-    /// threads.
-    col_entries: usize,
+    /// The largest level's gate count.
+    widest: usize,
 }
 
 impl LevelSchedule {
-    /// Builds the schedule for `nw` concurrent windows.
-    pub fn build(graph: &CircuitGraph, nw: usize) -> Self {
+    /// Builds the schedule of the whole design.
+    pub fn build(graph: &CircuitGraph) -> Self {
         let level_offsets = graph.level_offsets();
         let gates = graph.level_gates_flat().to_vec();
         let level_counts: Vec<u32> = (0..graph.n_levels())
             .map(|l| level_offsets[l + 1] - level_offsets[l])
             .collect();
-        Self::assemble(graph, gates, level_counts, nw)
+        Self::assemble(graph, gates, level_counts)
     }
 
     /// Builds a *cone sub-schedule*: the same levelized plan, but
@@ -224,7 +230,7 @@ impl LevelSchedule {
     /// design's depth. Relative level order is preserved, which keeps the
     /// dependency argument intact: every in-cone pin is either an earlier
     /// in-cone output or a boundary signal uploaded before the batch runs.
-    pub fn restrict(graph: &CircuitGraph, nw: usize, cone: &ConeInfo) -> Self {
+    pub fn restrict(graph: &CircuitGraph, cone: &ConeInfo) -> Self {
         let mut gates = Vec::with_capacity(cone.n_gates);
         let mut level_counts = Vec::new();
         for l in 0..graph.n_levels() {
@@ -240,13 +246,13 @@ impl LevelSchedule {
                 level_counts.push((gates.len() - lo) as u32);
             }
         }
-        Self::assemble(graph, gates, level_counts, nw)
+        Self::assemble(graph, gates, level_counts)
     }
 
     /// Shared tail of [`LevelSchedule::build`]/[`LevelSchedule::restrict`]:
     /// flattens the per-slot tables for `gates` (level-ordered, with
     /// `level_counts[l]` consecutive slots per level).
-    fn assemble(graph: &CircuitGraph, gates: Vec<u32>, level_counts: Vec<u32>, nw: usize) -> Self {
+    fn assemble(graph: &CircuitGraph, gates: Vec<u32>, level_counts: Vec<u32>) -> Self {
         let fanin_offsets = graph.fanin_offsets();
         let fanin_signals = graph.fanin_signals_flat();
         let gate_outputs = graph.gate_outputs_flat();
@@ -275,16 +281,14 @@ impl LevelSchedule {
                 let ld = LevelDesc {
                     gate_lo: lo,
                     gate_hi: lo + n,
-                    threads: n as usize * nw,
                 };
                 lo += n;
                 ld
             })
             .collect();
-        let col_entries = levels.iter().map(|ld| ld.threads).max().unwrap_or(0);
+        let widest = levels.iter().map(LevelDesc::gates).max().unwrap_or(0);
 
         LevelSchedule {
-            nw,
             levels,
             gates,
             descs,
@@ -293,7 +297,7 @@ impl LevelSchedule {
             pin_sigs,
             pin_net_delays,
             predictor: ExtentPredictor::new(graph.n_gates()),
-            col_entries,
+            widest,
         }
     }
 
@@ -367,15 +371,10 @@ impl LevelSchedule {
             .sum()
     }
 
-    /// Allocates the batch scratch arena sized for this schedule.
-    pub fn new_scratch(&self, n_signals: usize) -> BatchScratch {
-        BatchScratch::new(n_signals, self.nw, self.col_entries)
-    }
-
-    /// Entries the scratch count/base column must hold for this schedule:
-    /// the widest level's threads.
-    pub fn col_entries(&self) -> usize {
-        self.col_entries
+    /// The largest level's gate count: a batch of `nw` windows needs
+    /// scratch columns of `widest_level() × nw` entries.
+    pub fn widest_level(&self) -> usize {
+        self.widest
     }
 
     /// Total gate slots across all levels.
@@ -430,8 +429,8 @@ impl LevelSchedule {
             return defects;
         }
 
-        // Levels: a contiguous, non-empty partition of the slot range with
-        // thread counts = gates × windows.
+        // Levels: a contiguous, non-empty partition of the slot range, the
+        // widest of which sizes the scratch columns.
         let mut lo = 0u32;
         for (l, ld) in self.levels.iter().enumerate() {
             if ld.gate_lo != lo || ld.gate_hi <= ld.gate_lo {
@@ -440,20 +439,14 @@ impl LevelSchedule {
                     ld.gate_lo, ld.gate_hi
                 ));
             }
-            let n = ld.gate_hi.saturating_sub(ld.gate_lo) as usize;
-            if ld.threads != n * self.nw {
-                defects.push(format!(
-                    "level {l}: {} threads for {n} gates × {} windows",
-                    ld.threads, self.nw
-                ));
-            }
-            if ld.threads > self.col_entries {
-                defects.push(format!(
-                    "level {l}: {} threads exceed the scratch column ({} entries)",
-                    ld.threads, self.col_entries
-                ));
-            }
             lo = ld.gate_hi.max(lo);
+        }
+        let widest = self.levels.iter().map(LevelDesc::gates).max().unwrap_or(0);
+        if self.widest != widest {
+            defects.push(format!(
+                "widest level recorded as {} gates, but the largest level has {widest}",
+                self.widest
+            ));
         }
         if lo as usize != n_slots {
             defects.push(format!(
@@ -656,16 +649,15 @@ pub(crate) struct BatchScratch {
     pub t1: Vec<AtomicU64>,
     /// Reservation words the batch's speculative hits left unused.
     pub waste: AtomicU64,
-    /// True packed outputs of the speculative pass (one column of `stride`
-    /// entries; a level's entries live at `[0..threads]`).
+    /// True packed outputs of the speculative pass (one column every level
+    /// reuses; a level's entries live at `[0..threads]`).
     pub outs: Vec<AtomicU64>,
     /// Assigned arena bases — the reservation's, then the exact repair
-    /// space's for an overflowed thread (one column of `stride` entries).
+    /// space's for an overflowed thread (same column layout as `outs`).
     pub bases: Vec<AtomicU32>,
-    /// Speculative reservation sizes in words (one column of `stride`
-    /// entries, same layout as `outs`/`bases`): written by the budget
-    /// assigner before a speculative launch, read by its threads, the
-    /// overflow scan and the repair pass. Needs no reset — always written
+    /// Speculative reservation sizes in words (same column layout as
+    /// `outs`/`bases`): written by the budget assigner before a speculative
+    /// launch, read by its threads, the overflow scan and the repair pass. Needs no reset — always written
     /// before read.
     pub caps: Vec<AtomicU32>,
     /// Overflowed column indices of the current speculative level,
@@ -675,47 +667,32 @@ pub(crate) struct BatchScratch {
     pub ovf: Vec<AtomicU32>,
     /// Number of valid entries in [`BatchScratch::ovf`].
     pub ovf_len: AtomicUsize,
-    /// Entries in the `outs`/`bases` column (≥ the widest level's threads).
-    stride: usize,
-    /// Consecutive acquisitions this arena served while grossly oversized
-    /// for the requested batch (the pool's shrink heuristic; see
-    /// `Session::acquire_scratch`).
-    pub oversize_uses: u32,
 }
 
 impl BatchScratch {
-    fn new(n_signals: usize, nw: usize, col_entries: usize) -> Self {
-        let column = || (0..col_entries).map(|_| AtomicU32::new(0)).collect();
-        let mut ptrs = Vec::with_capacity(nw * n_signals);
-        ptrs.resize_with(nw * n_signals, || AtomicU32::new(u32::MAX));
-        let mut lens = Vec::with_capacity(nw * n_signals);
-        lens.resize_with(nw * n_signals, || AtomicU32::new(0));
+    /// A fresh arena for `n_signals` signals with `ptrs` pointer-table
+    /// entries (`nw × n_signals` serve `nw` windows) and `columns` entries
+    /// per column (a batch needs its plan's widest level × `nw`).
+    pub fn new(n_signals: usize, ptrs: usize, columns: usize) -> Self {
+        let column = || (0..columns).map(|_| AtomicU32::new(0)).collect();
+        let mut ptr_table = Vec::with_capacity(ptrs);
+        ptr_table.resize_with(ptrs, || AtomicU32::new(u32::MAX));
+        let mut lens = Vec::with_capacity(ptrs);
+        lens.resize_with(ptrs, || AtomicU32::new(0));
         let per_signal = || (0..n_signals).map(|_| AtomicU64::new(0)).collect();
         BatchScratch {
-            ptrs,
+            ptrs: ptr_table,
             lens,
             len_sum: per_signal(),
             tc: per_signal(),
             t1: per_signal(),
             waste: AtomicU64::new(0),
-            outs: (0..col_entries).map(|_| AtomicU64::new(0)).collect(),
+            outs: (0..columns).map(|_| AtomicU64::new(0)).collect(),
             bases: column(),
             caps: column(),
             ovf: column(),
             ovf_len: AtomicUsize::new(0),
-            stride: col_entries,
-            oversize_uses: 0,
         }
-    }
-
-    /// Entries in the `outs`/`bases` column.
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
-    /// Pointer-table capacity in `(window, signal)` slots.
-    pub fn ptr_capacity(&self) -> usize {
-        self.ptrs.len()
     }
 
     /// Window-major copy (`w * n_signals + s`) of the signal-major `table`
@@ -749,7 +726,7 @@ impl BatchScratch {
     /// Whether this arena is large enough for a batch needing `ptrs`
     /// pointer-table entries and `threads` per-level scratch entries.
     pub fn fits(&self, ptrs: usize, threads: usize) -> bool {
-        self.ptrs.len() >= ptrs && self.stride >= threads
+        self.ptrs.len() >= ptrs && self.outs.len() >= threads
     }
 
     /// Re-initializes the first `ptrs` pointer/length entries and the
@@ -803,11 +780,11 @@ mod tests {
     #[test]
     fn tables_mirror_graph() {
         let g = chain_graph(5);
-        let s = LevelSchedule::build(&g, 3);
+        let s = LevelSchedule::build(&g);
         assert_eq!(s.levels.len(), 5);
         for l in 0..5 {
             let ld = s.level(l);
-            assert_eq!(ld.threads, 3);
+            assert_eq!(ld.gates(), 1);
             let slot = ld.gate_lo as usize;
             let gate = s.gate(slot);
             assert_eq!(g.gate_level(gate), l as u32);
@@ -825,7 +802,7 @@ mod tests {
     #[test]
     fn predictor_is_monotone_and_seedable() {
         let g = chain_graph(3);
-        let s = LevelSchedule::build(&g, 2);
+        let s = LevelSchedule::build(&g);
         let p = s.predictor();
         assert_eq!(p.predict(1), None, "first touch");
         p.observe(1, 6);
@@ -837,7 +814,7 @@ mod tests {
         let mut changed = vec![false; g.n_gates()];
         changed[1] = true;
         let cone = ConeInfo::of(&g, &changed);
-        let sub = LevelSchedule::restrict(&g, 2, &cone);
+        let sub = LevelSchedule::restrict(&g, &cone);
         assert_eq!(sub.predictor().predict(1), None);
         sub.predictor().seed_from(p);
         assert_eq!(sub.predictor().predict(1), Some(10));
@@ -848,16 +825,23 @@ mod tests {
         assert_eq!(sub.predictor().predict(1), Some(2));
     }
 
+    fn scratch(g: &CircuitGraph, s: &LevelSchedule, nw: usize) -> BatchScratch {
+        BatchScratch::new(g.n_signals(), nw * g.n_signals(), s.widest_level() * nw)
+    }
+
     #[test]
     fn scratch_sized_for_widest_level() {
         let g = chain_graph(2);
-        let s = LevelSchedule::build(&g, 6);
-        let scratch = s.new_scratch(g.n_signals());
-        assert_eq!(scratch.stride(), 6);
+        let s = LevelSchedule::build(&g);
+        assert_eq!(s.widest_level(), 1);
+        let scratch = scratch(&g, &s, 6);
+        assert!(scratch.fits(6 * g.n_signals(), 6));
+        assert!(!scratch.fits(6 * g.n_signals(), 7));
+        assert!(!scratch.fits(7 * g.n_signals(), 6));
         assert_eq!(scratch.outs.len(), 6);
         assert_eq!(scratch.bases.len(), 6);
         assert_eq!(scratch.caps.len(), 6);
-        assert_eq!(scratch.ptr_capacity(), 6 * g.n_signals());
+        assert_eq!(scratch.ptrs.len(), 6 * g.n_signals());
         assert_eq!(scratch.len_sum.len(), g.n_signals());
         assert!(scratch
             .ptrs
@@ -868,11 +852,11 @@ mod tests {
     #[test]
     fn reset_clears_len_sums() {
         let g = chain_graph(2);
-        let s = LevelSchedule::build(&g, 2);
-        let scratch = s.new_scratch(g.n_signals());
+        let s = LevelSchedule::build(&g);
+        let scratch = scratch(&g, &s, 2);
         scratch.len_sum[0].store(99, Ordering::Relaxed);
         scratch.ptrs[0].store(5, Ordering::Relaxed);
-        scratch.reset(scratch.ptr_capacity());
+        scratch.reset(scratch.ptrs.len());
         assert_eq!(scratch.len_sum[0].load(Ordering::Relaxed), 0);
         assert_eq!(scratch.ptrs[0].load(Ordering::Relaxed), u32::MAX);
     }
@@ -945,7 +929,7 @@ mod tests {
         let cone = ConeInfo::of(&g, &vec![false; g.n_gates()]);
         assert_eq!(cone.n_gates, 0);
         assert!(cone.boundary.is_empty());
-        let s = LevelSchedule::restrict(&g, 3, &cone);
+        let s = LevelSchedule::restrict(&g, &cone);
         assert_eq!(s.levels.len(), 0);
         assert_eq!(s.n_slots(), 0);
     }
@@ -1023,7 +1007,7 @@ mod tests {
 
             // The restricted schedule enumerates exactly the in-cone gates,
             // in relative level order.
-            let sub = LevelSchedule::restrict(&g, 2, &cone);
+            let sub = LevelSchedule::restrict(&g, &cone);
             let mut listed: Vec<usize> = (0..sub.n_slots()).map(|s| sub.gate(s)).collect();
             prop_assert_eq!(sub.n_slots(), cone.n_gates);
             let mut last_level = 0u32;
@@ -1043,8 +1027,8 @@ mod tests {
     #[test]
     fn incremental_ws_matches_direct_sum() {
         let g = chain_graph(3);
-        let s = LevelSchedule::build(&g, 2);
-        let scratch = s.new_scratch(g.n_signals());
+        let s = LevelSchedule::build(&g);
+        let scratch = scratch(&g, &s, 2);
         // Signal 0 (the PI) has 5 words in each of 2 windows.
         scratch.len_sum[0].store(10, Ordering::Relaxed);
         assert_eq!(s.level_ws(&scratch.len_sum, 0), 10);
@@ -1067,21 +1051,19 @@ mod tests {
     #[test]
     fn validate_accepts_built_plans() {
         let g = chain_graph(10);
-        for nw in [1, 4, 32] {
-            let s = LevelSchedule::build(&g, nw);
-            assert_eq!(s.validate(&g, None), Vec::<String>::new(), "nw={nw}");
-        }
+        let s = LevelSchedule::build(&g);
+        assert_eq!(s.validate(&g, None), Vec::<String>::new());
         let mut changed = vec![false; g.n_gates()];
         changed[4] = true;
         let cone = ConeInfo::of(&g, &changed);
-        let s = LevelSchedule::restrict(&g, 4, &cone);
+        let s = LevelSchedule::restrict(&g, &cone);
         assert_eq!(s.validate(&g, Some(&cone)), Vec::<String>::new());
     }
 
     #[test]
     fn validate_flags_level_order_violation() {
         let g = chain_graph(3);
-        let mut s = LevelSchedule::build(&g, 1);
+        let mut s = LevelSchedule::build(&g);
         // Swap slots 0 and 1 wholesale (gates, descs, outputs, pins — the
         // INV pin CSR is uniform, so the tables stay self-consistent): the
         // plan now runs gate 1 before its producer.
@@ -1100,14 +1082,14 @@ mod tests {
     #[test]
     fn validate_flags_corrupted_descriptor_and_duplicate_gate() {
         let g = chain_graph(3);
-        let mut s = LevelSchedule::build(&g, 2);
+        let mut s = LevelSchedule::build(&g);
         s.descs[0].tt_base += 1;
         let defects = s.validate(&g, None);
         assert!(
             defects.iter().any(|d| d.contains("descriptor disagrees")),
             "{defects:?}"
         );
-        let mut s = LevelSchedule::build(&g, 2);
+        let mut s = LevelSchedule::build(&g);
         s.gates[1] = s.gates[0];
         let defects = s.validate(&g, None);
         assert!(
@@ -1138,7 +1120,7 @@ mod tests {
             boundary: g.gate_fanin(2).to_vec(),
             n_gates: 1,
         };
-        let s = LevelSchedule::restrict(&g, 2, &cone);
+        let s = LevelSchedule::restrict(&g, &cone);
         let defects = s.validate(&g, Some(&cone));
         assert!(
             defects
@@ -1157,14 +1139,22 @@ mod tests {
         // Drop the boundary: the cone's first gate now reads a signal no
         // stimulus supplies.
         cone.boundary.clear();
-        let s = LevelSchedule::restrict(&g, 2, &cone);
+        let s = LevelSchedule::restrict(&g, &cone);
         let defects = s.validate(&g, Some(&cone));
         assert!(
             defects.iter().any(|d| d.contains("boundary stimulus")),
             "{defects:?}"
         );
+        // A wrong widest level would size every batch's columns wrongly.
+        let mut s = LevelSchedule::build(&g);
+        s.widest += 1;
+        let defects = s.validate(&g, None);
+        assert!(
+            defects.iter().any(|d| d.contains("widest level")),
+            "{defects:?}"
+        );
         // Gross shape damage short-circuits with a table-shape defect.
-        let mut s = LevelSchedule::build(&g, 2);
+        let mut s = LevelSchedule::build(&g);
         s.out_sigs.pop();
         let defects = s.validate(&g, None);
         assert_eq!(defects.len(), 1, "{defects:?}");

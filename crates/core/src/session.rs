@@ -4,8 +4,8 @@
 //! re-simulating many stimuli fast. [`Session`] is that split made
 //! explicit: building one from `(CircuitGraph, SimConfig)` owns the
 //! simulated devices it runs on (one, or a fleet — one device is the fleet
-//! of one) and a keyed cache of [`LevelSchedule`] plans (one per window
-//! count), plus a pool of [`BatchScratch`] arenas, so repeated runs — more
+//! of one), the design's [`LevelSchedule`] (one plan for every window
+//! count) and a pool of [`BatchScratch`] arenas, so repeated runs — more
 //! segments of one stimulus, or entirely new stimuli — skip every piece of
 //! preparation that does not depend on the stimulus itself. Execution is
 //! driven by [`RunOptions`] and can stream every finished waveform through
@@ -32,20 +32,6 @@ use crate::schedule::{slot, BatchScratch, ConeInfo, LevelSchedule};
 use crate::sink::{SaifSink, SpillSink, VcdSink, WaveformSink, WindowInfo};
 use crate::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use crate::{CoreError, Result, SimConfig, SimResult};
-
-/// Scratch arenas kept in the session pool (one per concurrently executing
-/// device is plenty; anything beyond bounds idle memory).
-const SCRATCH_POOL_CAP: usize = 8;
-
-/// An arena at least this many times larger than the batch needs it (in
-/// both the pointer-table and per-level dimensions) counts as grossly
-/// oversized for the pool's shrink heuristic.
-const SCRATCH_OVERSIZE_FACTOR: usize = 4;
-
-/// Consecutive grossly-oversized servings after which the pool drops the
-/// arena and allocates one sized for the batch at hand, so one worst-case
-/// arena cannot serve tiny batches indefinitely.
-const SCRATCH_SHRINK_AFTER: u32 = 4;
 
 /// Execution options for one run of a compiled [`Session`].
 #[derive(Debug, Clone, Default)]
@@ -82,73 +68,38 @@ impl RunOptions {
 }
 
 /// Plan-cache counters of a [`Session`] (see
-/// [`Session::plan_cache_stats`]). A hit means a batch reused a previously
-/// built `LevelSchedule` instead of re-walking the graph; cone counters
-/// track the incremental-run sub-schedule store the same way.
+/// [`Session::plan_cache_stats`]). A session compiles its design's plan
+/// once and runs every window count on it; a hit means a run reused it
+/// instead of re-walking the graph. The cone counters do the same for an
+/// incremental run's cone sub-plan, which is kept for the latest changed
+/// set only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PlanCacheStats {
-    /// Batches that reused a cached plan.
+    /// Full runs that reused the cached plan.
     pub hits: u64,
-    /// Plans built because no cached one matched (also the build count).
+    /// Full plans built (at most one per session).
     pub misses: u64,
-    /// Plans currently cached (full plans plus cone sub-plans).
+    /// Plans currently cached: the full plan and the latest cone sub-plan,
+    /// so at most 2.
     pub cached: usize,
-    /// Plans evicted by the LRU bound
-    /// ([`SimConfig::plan_cache_cap`](crate::SimConfig::plan_cache_cap)).
-    pub evictions: u64,
-    /// Incremental batches that reused a cached cone sub-schedule
-    /// ([`Session::run_incremental`]).
+    /// Incremental runs whose changed set equalled the previous one's, so
+    /// they reused its cone sub-plan ([`Session::run_incremental`]).
     pub cone_hits: u64,
-    /// Cone sub-schedules built because no cached one matched.
+    /// Cone sub-plans built because the changed set was new.
     pub cone_misses: u64,
 }
 
-/// A cached incremental-run plan: the cone sub-schedule for one
-/// `(window count, changed set)` key, plus the cone it was
-/// restricted to (`changed` verifies the signature against hash collisions).
-#[derive(Debug)]
-struct ConePlan {
-    schedule: Arc<LevelSchedule>,
-    cone: Arc<ConeInfo>,
-    changed: Vec<bool>,
-}
-
-/// LRU-bounded plan cache (guarded by the session's mutex): every entry
-/// carries the tick of its last use; inserts beyond
-/// [`SimConfig::plan_cache_cap`](crate::SimConfig::plan_cache_cap) evict
-/// the stalest entry. Full plans and cone sub-plans live in separate maps
-/// (their keys differ) but share the recency clock and the cap, applied
-/// per map.
+/// The session's plans (guarded by its mutex): the design's full plan and
+/// the cone sub-plan of the latest changed set, with the cone it was
+/// restricted to. Neither depends on the window count.
 #[derive(Debug, Default)]
 struct PlanCache {
-    /// `nw` → (plan, last-used tick).
-    map: HashMap<usize, (Arc<LevelSchedule>, u64)>,
-    /// `(nw, cone signature)` → (cone plan, last-used tick). The
-    /// signature is an order-independent hash of the changed gate set;
-    /// `ConePlan::changed` is compared on every hit, so a colliding set
-    /// rebuilds instead of silently reusing the wrong plan.
-    cones: HashMap<(usize, u64), (ConePlan, u64)>,
-    /// Monotonic access counter stamping recency.
-    tick: u64,
+    full: Option<Arc<LevelSchedule>>,
+    cone: Option<(Vec<bool>, Arc<ConeInfo>, Arc<LevelSchedule>)>,
     hits: u64,
     misses: u64,
-    evictions: u64,
     cone_hits: u64,
     cone_misses: u64,
-}
-
-/// Order-independent signature of a changed-gate set: FNV-1a over the set
-/// ids in ascending order (the flag vector is scanned in index order, so
-/// equal sets hash equally regardless of how the caller listed them).
-fn cone_signature(changed: &[bool]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for (g, &c) in changed.iter().enumerate() {
-        if c {
-            h ^= g as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
 }
 
 /// A compiled simulation session (Fig. 5 made resident): the levelized
@@ -156,9 +107,9 @@ fn cone_signature(changed: &[bool]) -> u64 {
 /// to execute any number of stimuli.
 ///
 /// Construction does the stimulus-independent preparation (device
-/// allocation, collapsed average-delay tables); the first run of each
-/// window count builds and caches its `LevelSchedule`; every later run —
-/// another segment, another stimulus batch, another device of the fleet —
+/// allocation, collapsed average-delay tables); the first run builds and
+/// caches the design's `LevelSchedule`; every later run — another stimulus,
+/// another window count — and every segment and fleet device of a run
 /// reuses it.
 ///
 /// # Fault tolerance
@@ -224,13 +175,13 @@ pub struct Session {
     /// signals), sorted by name, so a document's net map is built from
     /// already-sorted input.
     saif_order: Vec<u32>,
-    /// Keyed plan cache: `nw` → schedule, LRU-bounded by
-    /// [`SimConfig::plan_cache_cap`]. Plans are device-independent, so
-    /// every device of the fleet shares them.
+    /// The full plan and the latest cone plan. Plans are independent of
+    /// the device and of the window count, so every batch of every fleet
+    /// device shares them.
     plans: Mutex<PlanCache>,
     /// Recycled batch scratch arenas (pointer/length tables and per-level
     /// count/base tables), so repeated segments and repeated runs stay off
-    /// the allocator.
+    /// the allocator: at most one per device that ran at the same time.
     scratch_pool: Mutex<Vec<BatchScratch>>,
     /// The segment drain's host buffers, taken for the length of a drain.
     drain_bufs: Mutex<DrainBuffers>,
@@ -293,24 +244,25 @@ pub(crate) struct WindowBatch {
 }
 
 /// What one run feeds every segment it executes
-/// ([`Session::execute_segment`]): the run's window partition, the
-/// restructured stimulus per window, and — for an incremental run — the
-/// cone that selects the plan, the stimulus source and the drain filter.
+/// ([`Session::execute_segment`]): the plan every batch executes, the run's
+/// window partition, the restructured stimulus per window, and — for an
+/// incremental run — the cone that selects the stimulus source and the
+/// drain filter.
 pub(crate) struct SegmentInputs<'a> {
+    /// The full plan, or an incremental run's cone sub-plan.
+    pub plan: &'a LevelSchedule,
     pub windows: &'a [(SimTime, SimTime)],
     /// Per window: every primary input's waveform (full run), or the cone
     /// boundary's primary-input subset in boundary order (incremental run).
     pub stims: &'a [Vec<Waveform>],
-    /// `Some` for an incremental run: segments execute the cone sub-plan on
+    /// `Some` for an incremental run: segments upload
     /// [`BatchStimulus::Boundary`] and drain in-cone signals only.
     pub cone: Option<ConeInputs<'a>>,
 }
 
 /// The incremental half of [`SegmentInputs`].
 pub(crate) struct ConeInputs<'a> {
-    signature: u64,
-    changed: &'a [bool],
-    cone: &'a Arc<ConeInfo>,
+    cone: &'a ConeInfo,
     /// The previous run's sealed spill (gate-driven boundary stimulus).
     spill: &'a SpillSink,
 }
@@ -463,7 +415,7 @@ impl Session {
         }
     }
 
-    /// Test/bench hook: every plan fetched after this call re-seeds its
+    /// Test/bench hook: every run after this call re-seeds its plan's
     /// per-gate extent history with `words` words per gate (`0` clears the
     /// hook). Deliberately tiny seeds force the overflow-repair path on
     /// every gate; the equivalence suite uses this to prove the repair
@@ -476,7 +428,7 @@ impl Session {
     }
 
     /// Applies the [`Session::seed_extent_history`] hook to a plan. Runs
-    /// on *every* fetch — not just builds — so deliberately tiny test
+    /// on *every* run's fetch — not just builds — so deliberately tiny test
     /// budgets stay in force across cached-plan reuse and the history the
     /// previous run observed cannot silently widen them.
     fn apply_spec_seed(&self, plan: &LevelSchedule) {
@@ -502,176 +454,103 @@ impl Session {
         &self.devices
     }
 
-    /// Plan-cache hit/miss/eviction counters (misses equal the number of
+    /// Plan-cache hit/miss counters (misses equal the number of full
     /// `LevelSchedule` builds this session has ever performed).
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
         let cache = self.plans.lock().unwrap_or_else(|e| e.into_inner());
         PlanCacheStats {
             hits: cache.hits,
             misses: cache.misses,
-            cached: cache.map.len() + cache.cones.len(),
-            evictions: cache.evictions,
+            cached: usize::from(cache.full.is_some()) + usize::from(cache.cone.is_some()),
             cone_hits: cache.cone_hits,
             cone_misses: cache.cone_misses,
         }
     }
 
-    /// The cached launch plan for `nw` concurrent windows, building it on
-    /// first use. The window loop resolves every range's plan on the engine
-    /// thread before a round fans out, so the devices of a fleet share one
-    /// build per window count. The cache is LRU-bounded by
-    /// [`SimConfig::plan_cache_cap`]: inserting past the cap evicts the
-    /// least-recently-used plan (odd tail-segment sizes are rarely reused,
-    /// and an unbounded cache would pin every one of them forever).
-    fn plan(&self, nw: usize) -> Arc<LevelSchedule> {
+    /// The design's launch plan, building it on the session's first run.
+    /// A run looks it up once, before its window loop, and every batch of
+    /// the run — any window count, any device — executes it.
+    fn plan(&self) -> Arc<LevelSchedule> {
         let mut cache = self.plans.lock().unwrap_or_else(|e| e.into_inner());
-        cache.tick += 1;
-        let tick = cache.tick;
-        if let Some((p, stamp)) = cache.map.get_mut(&nw) {
-            *stamp = tick;
-            let p = Arc::clone(p);
-            cache.hits += 1;
-            self.apply_spec_seed(&p);
-            return p;
-        }
-        cache.misses += 1;
-        let p = Arc::new(LevelSchedule::build(&self.graph, nw));
-        self.apply_spec_seed(&p);
-        cache.map.insert(nw, (Arc::clone(&p), tick));
-        let cap = self.config.plan_cache_cap;
-        if cap > 0 && cache.map.len() > cap {
-            // The freshly inserted plan carries the newest stamp, so the
-            // minimum is always some older entry.
-            let lru = cache
-                .map
-                .iter()
-                .min_by_key(|&(_, &(_, stamp))| stamp)
-                .map(|(&k, _)| k);
-            if let Some(k) = lru {
-                cache.map.remove(&k);
-                cache.evictions += 1;
+        let plan = match cache.full.clone() {
+            Some(plan) => {
+                cache.hits += 1;
+                plan
             }
-        }
-        p
-    }
-
-    /// The already-extracted cone for `changed`, if any cached cone plan
-    /// (at any window count) carries it — a repeat incremental run with
-    /// the same resize set skips the graph sweep entirely.
-    fn cached_cone(&self, signature: u64, changed: &[bool]) -> Option<Arc<ConeInfo>> {
-        let cache = self.plans.lock().unwrap_or_else(|e| e.into_inner());
-        cache
-            .cones
-            .iter()
-            .find(|(&(_, sig), (p, _))| sig == signature && p.changed == changed)
-            .map(|(_, (p, _))| Arc::clone(&p.cone))
-    }
-
-    /// The cached cone sub-plan for `(nw, changed set)`, restricting
-    /// `cone` on first use. Same locking and LRU discipline as
-    /// [`Session::plan`]; the caller supplies the (window-independent) cone
-    /// so a repeat incremental run with a different segment size reuses it
-    /// without re-sweeping the graph.
-    fn cone_plan(
-        &self,
-        nw: usize,
-        signature: u64,
-        changed: &[bool],
-        cone: &Arc<ConeInfo>,
-    ) -> Arc<LevelSchedule> {
-        let key = (nw, signature);
-        let mut cache = self.plans.lock().unwrap_or_else(|e| e.into_inner());
-        cache.tick += 1;
-        let tick = cache.tick;
-        if let Some((p, stamp)) = cache.cones.get_mut(&key) {
-            if p.changed == changed {
-                *stamp = tick;
-                let schedule = Arc::clone(&p.schedule);
-                cache.cone_hits += 1;
-                self.apply_spec_seed(&schedule);
-                return schedule;
+            None => {
+                cache.misses += 1;
+                let plan = Arc::new(LevelSchedule::build(&self.graph));
+                cache.full = Some(Arc::clone(&plan));
+                plan
             }
-        }
-        cache.cone_misses += 1;
-        let schedule = Arc::new(LevelSchedule::restrict(&self.graph, nw, cone));
-        // Warm the cone's extent history from the full plan cached for the
-        // same shape (the history is indexed by gate id, so it transfers
-        // verbatim): an incremental run then speculates from the full
-        // run's observations instead of first-touch static bounds.
-        if let Some((full, _)) = cache.map.get(&nw) {
-            schedule.predictor().seed_from(full.predictor());
-        }
-        self.apply_spec_seed(&schedule);
-        debug_assert_eq!(
-            schedule.n_slots(),
-            cone.n_gates,
-            "cone sub-schedule covers exactly the cone gates"
-        );
-        let p = ConePlan {
-            schedule: Arc::clone(&schedule),
-            cone: Arc::clone(cone),
-            changed: changed.to_vec(),
         };
-        cache.cones.insert(key, (p, tick));
-        let cap = self.config.plan_cache_cap;
-        if cap > 0 && cache.cones.len() > cap {
-            let lru = cache
-                .cones
-                .iter()
-                .min_by_key(|&(_, &(_, stamp))| stamp)
-                .map(|(&k, _)| k);
-            if let Some(k) = lru {
-                cache.cones.remove(&k);
-                cache.evictions += 1;
-            }
-        }
-        schedule
+        self.apply_spec_seed(&plan);
+        plan
     }
 
-    /// Takes a scratch arena from the pool or allocates one. Selection is
-    /// best-fit — the *smallest* adequate arena, so a worst-case arena is
-    /// not grabbed for every tiny batch — with a shrink heuristic: an arena
-    /// that keeps getting picked while grossly oversized (no tighter arena
-    /// exists in the pool) is dropped after [`SCRATCH_SHRINK_AFTER`]
-    /// consecutive such servings and replaced by a right-sized allocation.
-    fn acquire_scratch(&self, plan: &LevelSchedule) -> BatchScratch {
-        let n_signals = self.graph.n_signals();
-        let need_ptrs = plan.nw * n_signals;
-        let need_threads = plan.col_entries();
-        let mut pool = self.scratch_pool.lock().unwrap_or_else(|e| e.into_inner());
-        let best = pool
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.fits(need_ptrs, need_threads))
-            .min_by_key(|(_, s)| (s.ptr_capacity(), s.stride()))
-            .map(|(i, _)| i);
-        if let Some(i) = best {
-            let mut scratch = pool.swap_remove(i);
-            drop(pool);
-            let oversized = scratch.ptr_capacity() >= SCRATCH_OVERSIZE_FACTOR * need_ptrs.max(1)
-                && scratch.stride() >= SCRATCH_OVERSIZE_FACTOR * need_threads.max(1);
-            if oversized {
-                scratch.oversize_uses += 1;
-                if scratch.oversize_uses >= SCRATCH_SHRINK_AFTER {
-                    // Persistent gross overfit: shrink by reallocating.
-                    return plan.new_scratch(n_signals);
-                }
-            } else {
-                scratch.oversize_uses = 0;
+    /// The fan-out cone of `changed` and its sub-plan. The session keeps
+    /// them for the latest changed set only: a repeat of that set reuses
+    /// both, a new set replaces them.
+    fn cone_plan(&self, changed: &[bool]) -> (Arc<ConeInfo>, Arc<LevelSchedule>) {
+        let mut cache = self.plans.lock().unwrap_or_else(|e| e.into_inner());
+        let cached = cache.cone.as_ref().filter(|(c, _, _)| c == changed);
+        let (cone, plan) = match cached.map(|(_, c, p)| (Arc::clone(c), Arc::clone(p))) {
+            Some(hit) => {
+                cache.cone_hits += 1;
+                hit
             }
-            scratch.reset(need_ptrs);
-            return scratch;
+            None => {
+                cache.cone_misses += 1;
+                let cone = Arc::new(ConeInfo::of(&self.graph, changed));
+                let plan = Arc::new(LevelSchedule::restrict(&self.graph, &cone));
+                debug_assert_eq!(plan.n_slots(), cone.n_gates, "the cone's gates exactly");
+                // Warm the cone's extent history from the full plan's (it is
+                // indexed by gate id, so it transfers verbatim): an
+                // incremental run then speculates from the full run's
+                // observations instead of first-touch static bounds.
+                if let Some(full) = &cache.full {
+                    plan.predictor().seed_from(full.predictor());
+                }
+                let entry = (changed.to_vec(), Arc::clone(&cone), Arc::clone(&plan));
+                cache.cone = Some(entry);
+                (cone, plan)
+            }
+        };
+        self.apply_spec_seed(&plan);
+        (cone, plan)
+    }
+
+    /// Takes a scratch arena for a batch of `nw` windows whose widest level
+    /// needs `columns` column entries: any pooled arena, reset, if it fits;
+    /// otherwise a fresh one sized to the element-wise maximum of the
+    /// pooled arena and the batch. Arenas therefore only grow, and never
+    /// past the session's largest batch.
+    fn acquire_scratch(&self, nw: usize, columns: usize) -> BatchScratch {
+        let n_signals = self.graph.n_signals();
+        let ptrs = nw * n_signals;
+        let pooled = self
+            .scratch_pool
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .pop();
+        match pooled {
+            Some(scratch) if scratch.fits(ptrs, columns) => {
+                scratch.reset(ptrs);
+                scratch
+            }
+            Some(small) => BatchScratch::new(
+                n_signals,
+                ptrs.max(small.ptrs.len()),
+                columns.max(small.outs.len()),
+            ),
+            None => BatchScratch::new(n_signals, ptrs, columns),
         }
-        drop(pool);
-        plan.new_scratch(n_signals)
     }
 
     /// Returns a scratch arena to the pool.
     fn release_scratch(&self, scratch: BatchScratch) {
         let mut pool = self.scratch_pool.lock().unwrap_or_else(|e| e.into_inner());
-        if pool.len() < SCRATCH_POOL_CAP {
-            pool.push(scratch);
-        }
+        pool.push(scratch);
     }
 
     /// The segment size that last worked for this run shape, if any.
@@ -755,10 +634,10 @@ impl Session {
     /// full re-simulation with the new delays.
     ///
     /// The cone sub-schedule (levels filtered to affected gates, thread
-    /// tables compacted, working sets remapped) is cached under the
-    /// changed-set signature next to the full plans — a repeat iteration
-    /// with the same resize set pays no planning cost
-    /// ([`Session::plan_cache_stats`] reports `cone_hits`/`cone_misses`).
+    /// tables compacted, working sets remapped) is kept for the latest
+    /// changed set next to the full plan — a repeat iteration with the same
+    /// resize set pays no planning cost ([`Session::plan_cache_stats`]
+    /// reports `cone_hits`/`cone_misses`).
     ///
     /// Requirements: `prev` must come from this session's graph with
     /// [`RunOptions::spill_waveforms`] enabled, over the same `duration`,
@@ -876,13 +755,7 @@ impl Session {
             changed[g] = true;
         }
 
-        let signature = cone_signature(&changed);
-        // The cone is window-count independent: reuse it from any cached
-        // plan for this changed set, else extract it once per call and
-        // share it across every segment's cached sub-plan.
-        let cone = self
-            .cached_cone(signature, &changed)
-            .unwrap_or_else(|| Arc::new(ConeInfo::of(&self.graph, &changed)));
+        let (cone, plan) = self.cone_plan(&changed);
 
         // The previous run's window partition is the contract the spill
         // pointers are indexed by — reuse it verbatim (same session config
@@ -909,11 +782,10 @@ impl Session {
         // runs (and out-of-cone waveform reads) work.
         let mut spill = SpillSink::derived(prev_spill);
         let inputs = SegmentInputs {
+            plan: &plan,
             windows: &windows,
             stims: &pi_stims,
             cone: Some(ConeInputs {
-                signature,
-                changed: &changed,
                 cone: &cone,
                 spill: prev_spill,
             }),
@@ -966,8 +838,8 @@ impl Session {
         })
     }
 
-    /// The full-run engine: restructure, execute every segment against
-    /// cached plans with the configured sinks, assemble SAIF.
+    /// The full-run engine: restructure, execute every segment against the
+    /// cached plan with the configured sinks, assemble SAIF.
     fn run_inner(
         &self,
         stimuli: &[Waveform],
@@ -993,7 +865,9 @@ impl Session {
         let n_signals = self.graph.n_signals();
         let mut totals = RunTotals::new(n_signals, self.devices.len(), "resim");
         let mut spill = opts.spill_waveforms.then(|| SpillSink::new(n_signals));
+        let plan = self.plan();
         let inputs = SegmentInputs {
+            plan: &plan,
             windows: &windows,
             stims: &win_stims,
             cone: None,
@@ -1061,9 +935,9 @@ impl Session {
     /// last worked for this run shape, else at an even share per device;
     /// the size the run settles on is remembered for the next run.
     ///
-    /// Every executed range looks up its plan once, here on the engine
-    /// thread, before the round fans out ([`Session::execute_round`]). The
-    /// engine thread then settles the round in window order: each batch
+    /// Every range executes `inputs.plan`, whatever its window count; a
+    /// round fans out its ranges ([`Session::execute_round`]) and the
+    /// engine thread then settles it in window order: each batch
     /// drains — a retry boundary of its own — into `spill` and, while every
     /// earlier window has reached it, straight into `user_sink`. A batch
     /// that finished ahead of a gap goes to the reorder buffer instead (the
@@ -1117,11 +991,11 @@ impl Session {
                 if end < r.end {
                     queue.push_front(end..r.end);
                 }
-                round.push((d, r.start..end, self.segment_plan(inputs, end - r.start)));
+                round.push((d, r.start..end));
             }
             let outcomes = self.execute_round(&round, inputs, &totals.telemetry);
             let mut requeue = Vec::new();
-            for ((d, range, _), outcome) in round.into_iter().zip(outcomes) {
+            for ((d, range), outcome) in round.into_iter().zip(outcomes) {
                 let settled = outcome.and_then(|batch| {
                     let in_order = range.start == delivered;
                     let mut sinks: Vec<&mut dyn WaveformSink> = Vec::new();
@@ -1215,32 +1089,22 @@ impl Session {
         mems.fold((0, 0), |(h, d), m| (h + m.h2d_bytes(), d + m.d2h_bytes()))
     }
 
-    /// The plan a batch of `nw` windows executes: the cached full plan, or
-    /// an incremental run's cone sub-plan.
-    fn segment_plan(&self, inputs: &SegmentInputs<'_>, nw: usize) -> Arc<LevelSchedule> {
-        match &inputs.cone {
-            Some(c) => self.cone_plan(nw, c.signature, c.changed, c.cone),
-            None => self.plan(nw),
-        }
-    }
-
     /// Executes one memory segment — windows `range` of the run — on fleet
-    /// device `device` against its resolved `plan`: takes a scratch arena
-    /// and runs the batch as one retried attempt (a faulted attempt scrubs
-    /// the arena's partial writes and re-runs whole). Delivery is the
-    /// caller's: the drain is a retry boundary of its own.
+    /// device `device` against the run's plan: takes a scratch arena and
+    /// runs the batch as one retried attempt (a faulted attempt scrubs the
+    /// arena's partial writes and re-runs whole). Delivery is the caller's:
+    /// the drain is a retry boundary of its own.
     pub(crate) fn execute_segment(
         &self,
         device: usize,
         telemetry: &RetryTelemetry,
         inputs: &SegmentInputs<'_>,
         range: Range<usize>,
-        plan: &LevelSchedule,
     ) -> Result<WindowBatch> {
-        let nw = range.len();
+        let (nw, plan) = (range.len(), inputs.plan);
         let windows = &inputs.windows[range.clone()];
         let stims = &inputs.stims[range.clone()];
-        let scratch = self.acquire_scratch(plan);
+        let scratch = self.acquire_scratch(nw, plan.widest_level() * nw);
         let mut first_attempt = true;
         let batch = self.with_retry(device, telemetry, || {
             if !first_attempt {
@@ -1388,7 +1252,6 @@ impl Session {
         let graph = &*self.graph;
         let n_signals = graph.n_signals();
         let nw = windows.len();
-        debug_assert_eq!(schedule.nw, nw, "plan window count must match batch");
         let mut host = HostState {
             bump: 0,
             capacity: device.memory().len(),
@@ -1649,9 +1512,9 @@ impl Session {
         // reservation overflowed — a narrow exact repair launch over just
         // the overflowed threads.
         for level in 0..schedule.n_levels() {
-            let threads = schedule.level(level).threads;
+            let threads = schedule.level(level).gates() * nw;
             let ws_in = schedule.level_ws(&scratch.len_sum, level);
-            let reserved = host.advance_budgets(schedule, scratch, level)?;
+            let reserved = host.advance_budgets(schedule, scratch, level, nw)?;
             let cfg = LaunchConfig {
                 threads,
                 threads_per_block: self.config.threads_per_block,
@@ -1663,8 +1526,7 @@ impl Session {
             });
             profile.accumulate(&p);
             launches += 1;
-            let realloc =
-                host.advance_scan(schedule, scratch, level, &mut overflow_cols, &mut tally)?;
+            let realloc = host.advance_scan(scratch, threads, &mut overflow_cols, &mut tally)?;
             if !overflow_cols.is_empty() {
                 // The speculative pass left every overflow's true packed
                 // count in the count column, so the repair is store-only —
@@ -2145,9 +2007,9 @@ struct HostState {
 }
 
 impl HostState {
-    /// Assigns every thread of `level` a speculative output reservation
-    /// before its single store pass runs, advancing the bump; returns the
-    /// words reserved. A thread's budget is the plan's per-gate extent
+    /// Assigns every thread of `level` (gate by gate, `nw` windows each) a
+    /// speculative output reservation before its single store pass runs,
+    /// advancing the bump; returns the words reserved. A thread's budget is the plan's per-gate extent
     /// history where the gate has one ([`ExtentPredictor::predict`]), else
     /// the sound static bound — marker + initial entry + EOW + one edge per
     /// stored input word (`4 + Σ published input lengths`; a gate's output
@@ -2165,9 +2027,9 @@ impl HostState {
         schedule: &LevelSchedule,
         scratch: &BatchScratch,
         level: usize,
+        nw: usize,
     ) -> Result<u64> {
         let ld = schedule.level(level);
-        let nw = schedule.nw;
         let predictor = schedule.predictor();
         // relaxed-ok: boundary reset — the launch that follows this
         // assignment orders it against the kernel threads' overflow-cursor
@@ -2177,7 +2039,7 @@ impl HostState {
         let mut col = 0;
         // One predictor read per gate, shared by its windows — the
         // per-thread loop below then only branches on the cached value.
-        for gi in 0..ld.threads / nw {
+        for gi in 0..ld.gates() {
             let gate_slot = ld.gate_lo as usize + gi;
             let predicted = predictor.predict(schedule.gate(gate_slot));
             for w in 0..nw {
@@ -2221,10 +2083,11 @@ impl HostState {
         Ok(words)
     }
 
-    /// Post-level overflow scan of `level`'s speculative pass, advancing
-    /// the bump; returns the words the overflow re-allocations added. The
-    /// kernel threads did the per-column work themselves — feeding the
-    /// extent predictor and recording overflowed columns through the
+    /// Post-level overflow scan of a level's speculative pass over
+    /// `threads` threads, advancing the bump; returns the words the
+    /// overflow re-allocations added. The kernel threads did the per-column
+    /// work themselves — feeding the extent predictor and recording
+    /// overflowed columns through the
     /// [`BatchScratch::ovf_len`] cursor — so this scan is O(overflows), not
     /// O(columns): on the common all-hit level it only bumps the thread
     /// tally (the storing threads sum hit slack into
@@ -2240,9 +2103,8 @@ impl HostState {
     /// arena; the bump keeps its pre-scan value.
     fn advance_scan(
         &mut self,
-        schedule: &LevelSchedule,
         scratch: &BatchScratch,
-        level: usize,
+        threads: usize,
         overflow_cols: &mut Vec<usize>,
         tally: &mut SpecTally,
     ) -> Result<u64> {
@@ -2280,7 +2142,7 @@ impl HostState {
             scratch.bases[col].store(cursor as u32, Ordering::Relaxed);
             cursor += words_even;
         }
-        tally.threads += schedule.level(level).threads as u64;
+        tally.threads += threads as u64;
         let words = (cursor - self.bump) as u64;
         self.bump = cursor;
         Ok(words)
@@ -2706,31 +2568,6 @@ mod tests {
     }
 
     #[test]
-    fn cone_plans_share_the_lru_budget() {
-        // Distinct changed-sets build distinct cone plans; the cache keeps
-        // them under the same capacity budget as full plans and reports
-        // hits/misses separately.
-        let graph = inv_chain(5);
-        let sim = Session::new(
-            Arc::clone(&graph),
-            SimConfig::small()
-                .with_cycle_parallelism(2)
-                .with_window_align(10),
-        );
-        let toggles: Vec<i32> = (1..20).map(|i| i * 10 + 5).collect();
-        let stim = vec![Waveform::from_toggles(false, &toggles)];
-        let opts = RunOptions::default().with_waveform_spill();
-        let r0 = sim.run_with(&stim, 200, &opts).unwrap();
-        for set in [&[0usize][..], &[1], &[2], &[0]] {
-            sim.run_incremental(&r0, set, &stim, 200, &opts).unwrap();
-        }
-        let stats = sim.plan_cache_stats();
-        assert_eq!(stats.cone_misses, 3, "three distinct changed-sets");
-        assert!(stats.cone_hits >= 1, "repeated changed-set hits its plan");
-        assert!(stats.cached >= 3, "cone plans are retained in the cache");
-    }
-
-    #[test]
     fn device_backed_extraction_detects_recycled_arena() {
         // Without spill, a result's waveforms read live device memory; a
         // later run on the same session must turn extraction into a loud
@@ -2802,102 +2639,46 @@ mod tests {
                 .with_window_align(100),
         );
         let stim = vec![Waveform::from_toggles(false, &[110, 210, 310, 410])];
-        // Two segments of 4 windows each: the plan for nw=4 must be built
-        // exactly once and hit once.
+        // Two segments of 4 windows each: the plan is built exactly once,
+        // and the run looks it up once.
         let opts = RunOptions::default().with_segment_windows(4);
         let r = sim.run_with(&stim, 800, &opts).unwrap();
         assert_eq!(r.segments(), 2);
         let stats = sim.plan_cache_stats();
         assert_eq!(stats.misses, 1, "equal-nw segments share one build");
-        assert_eq!(stats.hits, 1);
+        assert_eq!(stats.hits, 0);
         assert_eq!(stats.cached, 1);
 
         // A whole second run re-hits the same plan.
         let _ = sim.run_with(&stim, 800, &opts).unwrap();
         let stats = sim.plan_cache_stats();
         assert_eq!(stats.misses, 1);
-        assert_eq!(stats.hits, 3);
-    }
-
-    #[test]
-    fn plan_cache_lru_evicts_beyond_cap() {
-        let graph = inv_chain(2);
-        let sim = Session::new(
-            Arc::clone(&graph),
-            SimConfig::small().with_plan_cache_cap(2),
-        );
-        let _ = sim.plan(1);
-        let _ = sim.plan(2);
-        let _ = sim.plan(1); // touch nw=1 so nw=2 becomes the LRU
-        let _ = sim.plan(3); // exceeds the cap: evicts nw=2
-        let stats = sim.plan_cache_stats();
-        assert_eq!(stats.cached, 2);
-        assert_eq!(stats.evictions, 1);
-        assert_eq!(stats.misses, 3);
         assert_eq!(stats.hits, 1);
-        // The recently used nw=1 survived...
-        let _ = sim.plan(1);
-        assert_eq!(sim.plan_cache_stats().hits, 2);
-        // ...while the evicted nw=2 must rebuild.
-        let _ = sim.plan(2);
-        assert_eq!(sim.plan_cache_stats().misses, 4);
     }
 
     #[test]
-    fn plan_cache_unbounded_when_cap_zero() {
-        let graph = inv_chain(1);
-        let sim = Session::new(
-            Arc::clone(&graph),
-            SimConfig::small().with_plan_cache_cap(0),
-        );
-        for nw in 1..=24 {
-            let _ = sim.plan(nw);
+    fn scratch_pool_holds_one_arena_per_device() {
+        let graph = inv_chain(3);
+        let cfg = SimConfig::small()
+            .with_cycle_parallelism(8)
+            .with_window_align(100);
+        let stim = vec![Waveform::from_toggles(false, &[110, 210, 310, 410])];
+        let sim = Session::new(Arc::clone(&graph), cfg.clone());
+        // 8, 3, 5 and 1 windows: the first batch's arena serves the rest.
+        for (duration, windows) in [(800, 8), (300, 3), (500, 5), (100, 1)] {
+            assert_eq!(sim.make_windows(duration, 8).len(), windows);
+            sim.run(&stim, duration).unwrap();
+            let pool = sim.scratch_pool.lock().unwrap();
+            assert_eq!(pool.len(), 1, "after {windows} windows");
+            assert_eq!(pool[0].ptrs.len(), 8 * graph.n_signals());
+            assert_eq!(pool[0].outs.len(), 8, "one gate per level × 8 windows");
         }
-        let stats = sim.plan_cache_stats();
-        assert_eq!(stats.cached, 24);
-        assert_eq!(stats.evictions, 0);
-    }
-
-    #[test]
-    fn scratch_pool_serves_best_fit_not_first_fit() {
-        let graph = inv_chain(4);
-        let sim = Session::new(Arc::clone(&graph), SimConfig::small());
-        let big_plan = sim.plan(32);
-        let small_plan = sim.plan(2);
-        let big = sim.acquire_scratch(&big_plan);
-        let small = sim.acquire_scratch(&small_plan);
-        let (big_cap, small_cap) = (big.ptr_capacity(), small.ptr_capacity());
-        assert!(big_cap > small_cap);
-        // Pool order is big-first: first-fit would hand the big arena out.
-        sim.release_scratch(big);
-        sim.release_scratch(small);
-        let got = sim.acquire_scratch(&small_plan);
-        assert_eq!(got.ptr_capacity(), small_cap, "smallest adequate arena");
-        sim.release_scratch(got);
-    }
-
-    #[test]
-    fn scratch_pool_shrinks_persistently_oversized_arena() {
-        let graph = inv_chain(4);
-        let sim = Session::new(Arc::clone(&graph), SimConfig::small());
-        let big_plan = sim.plan(32);
-        let tiny_plan = sim.plan(1);
-        let big = sim.acquire_scratch(&big_plan);
-        let big_cap = big.ptr_capacity();
-        sim.release_scratch(big);
-        // The grossly oversized arena keeps serving tiny batches — until
-        // the shrink heuristic drops it for a right-sized allocation.
-        for k in 0..SCRATCH_SHRINK_AFTER {
-            let got = sim.acquire_scratch(&tiny_plan);
-            if k + 1 < SCRATCH_SHRINK_AFTER {
-                assert_eq!(got.ptr_capacity(), big_cap, "still serving (use {k})");
-            } else {
-                assert!(
-                    got.ptr_capacity() < big_cap,
-                    "shrank to a right-sized arena"
-                );
-            }
-            sim.release_scratch(got);
+        // A fleet's devices run their ranges side by side: one arena each.
+        let gpus = gatspi_gpu::MultiGpu::new(cfg.device.clone(), 2, 1 << 16);
+        let fleet = Session::with_devices(graph, cfg, gpus.devices().to_vec());
+        for duration in [1600, 700, 300, 100] {
+            fleet.run(&stim, duration).unwrap();
+            assert!(fleet.scratch_pool.lock().unwrap().len() <= 2);
         }
     }
 

@@ -58,10 +58,6 @@ pub struct LaneCounters {
     pub loads: u64,
     /// 4-byte global-memory writes.
     pub stores: u64,
-    /// Loads/stores that are warp-scattered (each consumes a full 32-byte
-    /// sector): waveform fetches in GATSPI are inherently scattered because
-    /// lanes walk unrelated waveforms.
-    pub uncoalesced: u64,
     /// Abstract executed instructions (loop iterations × working factor).
     pub instructions: u64,
 }
@@ -71,14 +67,12 @@ impl LaneCounters {
     #[inline]
     pub fn scattered_load(&mut self) {
         self.loads += 1;
-        self.uncoalesced += 1;
     }
 
     /// Records a scattered global write.
     #[inline]
     pub fn scattered_store(&mut self) {
         self.stores += 1;
-        self.uncoalesced += 1;
     }
 
     /// Records `n` executed instructions.
@@ -94,7 +88,6 @@ impl std::ops::AddAssign for LaneCounters {
     fn add_assign(&mut self, other: LaneCounters) {
         self.loads += other.loads;
         self.stores += other.stores;
-        self.uncoalesced += other.uncoalesced;
         self.instructions += other.instructions;
     }
 }
@@ -106,8 +99,6 @@ pub struct KernelCounters {
     pub loads: AtomicU64,
     /// Total global stores.
     pub stores: AtomicU64,
-    /// Total uncoalesced accesses.
-    pub uncoalesced: AtomicU64,
     /// Total abstract instructions.
     pub instructions: AtomicU64,
 }
@@ -121,15 +112,12 @@ impl KernelCounters {
         // relaxed-ok: see above.
         self.stores.fetch_add(lane.stores, Ordering::Relaxed);
         // relaxed-ok: see above.
-        self.uncoalesced
-            .fetch_add(lane.uncoalesced, Ordering::Relaxed);
-        // relaxed-ok: see above.
         self.instructions
             .fetch_add(lane.instructions, Ordering::Relaxed);
     }
 
-    /// Snapshot as plain values `(loads, stores, uncoalesced, instructions)`.
-    pub fn snapshot(&self) -> (u64, u64, u64, u64) {
+    /// Snapshot as plain values `(loads, stores, instructions)`.
+    pub fn snapshot(&self) -> (u64, u64, u64) {
         (
             // relaxed-ok: called after the worker scope joins (the join is
             // the synchronization edge); model test `counters_merge_visible`
@@ -137,8 +125,6 @@ impl KernelCounters {
             self.loads.load(Ordering::Relaxed),
             // relaxed-ok: see above.
             self.stores.load(Ordering::Relaxed),
-            // relaxed-ok: see above.
-            self.uncoalesced.load(Ordering::Relaxed),
             // relaxed-ok: see above.
             self.instructions.load(Ordering::Relaxed),
         )
@@ -168,7 +154,6 @@ mod tests {
         l.ops(10);
         assert_eq!(l.loads, 2);
         assert_eq!(l.stores, 1);
-        assert_eq!(l.uncoalesced, 3);
         assert_eq!(l.instructions, 10);
     }
 
@@ -180,7 +165,7 @@ mod tests {
         l.ops(5);
         k.merge(&l);
         k.merge(&l);
-        assert_eq!(k.snapshot(), (2, 0, 2, 10));
+        assert_eq!(k.snapshot(), (2, 0, 10));
     }
 
     #[test]
@@ -214,7 +199,7 @@ mod model_tests {
                 }
             })
             .expect("model worker panicked");
-            assert_eq!(k.snapshot(), (2, 0, 2, 6), "a merge was lost");
+            assert_eq!(k.snapshot(), (2, 0, 6), "a merge was lost");
         });
     }
 }

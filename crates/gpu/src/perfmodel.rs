@@ -104,16 +104,17 @@ impl KernelProfile {
 
 /// Computes the modeled profile for one launch.
 ///
-/// `counters` is `(loads, stores, uncoalesced, instructions)` as produced by
-/// [`crate::KernelCounters::snapshot`].
+/// `counters` is `(loads, stores, instructions)` as produced by
+/// [`crate::KernelCounters::snapshot`]. Every access counts as
+/// warp-scattered: GATSPI's lanes walk unrelated waveforms.
 pub(crate) fn model_launch(
     spec: &DeviceSpec,
     cfg: &LaunchConfig,
-    counters: (u64, u64, u64, u64),
+    counters: (u64, u64, u64),
     wall_seconds: f64,
     name: &str,
 ) -> KernelProfile {
-    let (loads, stores, uncoalesced, mut instructions) = counters;
+    let (loads, stores, mut instructions) = counters;
     let accesses = loads + stores;
     if cfg.threads == 0 {
         return KernelProfile::empty(name);
@@ -136,14 +137,9 @@ pub(crate) fn model_launch(
     let l2_ratio = spec.l2_bytes as f64 / ws;
     let l2_hit = (0.30 + 0.68 * l2_ratio.min(1.0)).clamp(0.05, 0.98);
 
-    // DRAM traffic: every L1-missing access moves a 32-byte sector when
-    // uncoalesced, 8 bytes effective when coalesced; L2 hits stay on chip.
-    let unc_frac = if accesses > 0 {
-        uncoalesced as f64 / accesses as f64
-    } else {
-        0.0
-    };
-    let bytes_per_access = 32.0 * unc_frac + 8.0 * (1.0 - unc_frac);
+    // DRAM traffic: every L1-missing access is scattered and moves a full
+    // 32-byte sector; L2 hits stay on chip.
+    let bytes_per_access = 32.0;
     let l2_traffic = accesses as f64 * (1.0 - l1_hit) * bytes_per_access;
     let dram_traffic = l2_traffic * (1.0 - l2_hit);
 
@@ -190,7 +186,7 @@ pub(crate) fn model_launch(
         l1_hit_pct: l1_hit * 100.0,
         l2_hit_pct: l2_hit * 100.0,
         cycles_per_issue: cpi,
-        uncoalesced_pct: unc_frac * 100.0,
+        uncoalesced_pct: if accesses > 0 { 100.0 } else { 0.0 },
         accesses,
         instructions,
     }
@@ -212,7 +208,7 @@ mod tests {
     #[test]
     fn bigger_working_set_lowers_l2_and_raises_latency() {
         let v = DeviceSpec::v100();
-        let counters = (1_000_000, 200_000, 900_000, 5_000_000);
+        let counters = (1_000_000, 200_000, 5_000_000);
         let small = model_launch(&v, &base_cfg(100_000, 1 << 20), counters, 0.0, "k");
         let large = model_launch(&v, &base_cfg(100_000, 1 << 30), counters, 0.0, "k");
         assert!(large.l2_hit_pct < small.l2_hit_pct);
@@ -222,7 +218,7 @@ mod tests {
     #[test]
     fn fewer_registers_spill() {
         let v = DeviceSpec::v100();
-        let counters = (1_000_000, 200_000, 900_000, 5_000_000);
+        let counters = (1_000_000, 200_000, 5_000_000);
         let r64 = model_launch(&v, &base_cfg(4_000_000, 1 << 28), counters, 0.0, "k");
         let mut cfg32 = base_cfg(4_000_000, 1 << 28);
         cfg32.regs_per_thread = 32;
@@ -235,7 +231,7 @@ mod tests {
 
     #[test]
     fn faster_device_is_faster() {
-        let counters = (10_000_000, 2_000_000, 9_000_000, 50_000_000);
+        let counters = (10_000_000, 2_000_000, 50_000_000);
         let cfg = base_cfg(4_000_000, 1 << 30);
         let t4 = model_launch(&DeviceSpec::t4(), &cfg, counters, 0.0, "k");
         let v100 = model_launch(&DeviceSpec::v100(), &cfg, counters, 0.0, "k");
@@ -249,7 +245,7 @@ mod tests {
         let p = model_launch(
             &DeviceSpec::v100(),
             &base_cfg(0, 0),
-            (0, 0, 0, 0),
+            (0, 0, 0),
             0.0,
             "empty",
         );
@@ -260,7 +256,7 @@ mod tests {
     #[test]
     fn accumulate_sums_latency() {
         let v = DeviceSpec::v100();
-        let counters = (1_000_000, 200_000, 900_000, 5_000_000);
+        let counters = (1_000_000, 200_000, 5_000_000);
         let p1 = model_launch(&v, &base_cfg(100_000, 1 << 24), counters, 0.1, "k");
         let mut total = KernelProfile::empty("sum");
         total.accumulate(&p1);

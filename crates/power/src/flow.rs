@@ -129,7 +129,7 @@ pub fn run_glitch_flow(
     let mut gatspi_seconds = t0.elapsed().as_secs_f64();
     let power_before = cfg.power.estimate(
         &graph0,
-        toggles_of(&r0, &graph0),
+        r0.toggle_counts_slice(),
         &areas,
         i64::from(duration),
     );
@@ -153,7 +153,7 @@ pub fn run_glitch_flow(
     gatspi_seconds += t1.elapsed().as_secs_f64();
     let power_after = cfg.power.estimate(
         &graph1,
-        toggles_of(&r1, &graph1),
+        r1.toggle_counts_slice(),
         &areas,
         i64::from(duration),
     );
@@ -184,14 +184,6 @@ pub fn run_glitch_flow(
         gatspi_seconds,
         baseline_seconds,
     })
-}
-
-fn toggles_of<'a>(r: &'a gatspi_core::SimResult, graph: &CircuitGraph) -> &'a [u64] {
-    // SimResult's toggle_counts cover every signal; expose via slice.
-    // (Indexing checked against the graph for safety.)
-    let _ = graph;
-    // SAFETY of shape: SimResult always sizes toggle_counts to n_signals.
-    r.toggle_counts_slice()
 }
 
 /// What the fix search settled on.

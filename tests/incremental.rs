@@ -152,7 +152,7 @@ fn incremental_matches_full_resim_exactly() {
         .unwrap();
     assert_bit_identical(&graph1, &full, &inc, "serial");
 
-    // The delta plan is cached under the changed-set signature: a repeat
+    // The delta plan of the latest changed set is cached: a repeat
     // iteration hits, and produces the same result again.
     let stats = sim1.plan_cache_stats();
     assert!(stats.cone_misses >= 1, "first delta run builds the plan");

@@ -46,8 +46,9 @@ fn assert_matches_refsim(b: &BuiltBenchmark, ours: &SimResult, what: &str) {
 }
 
 /// Equal-window-count segments share one `LevelSchedule` build: forcing a
-/// run into equal segments must report exactly one plan miss, and the
-/// split run must match the unsegmented one bit-exactly.
+/// run into equal segments must report exactly one plan miss and no hit
+/// (the run looks its plan up once), and the split run must match the
+/// unsegmented one bit-exactly.
 #[test]
 fn equal_nw_segments_build_schedule_once() {
     let b = bench(0.15);
@@ -68,7 +69,7 @@ fn equal_nw_segments_build_schedule_once() {
         stats.misses, 1,
         "two equal-nw segments must build the LevelSchedule exactly once"
     );
-    assert_eq!(stats.hits, 1);
+    assert_eq!(stats.hits, 0);
     assert!(whole.saif.diff(&r.saif).is_empty());
 }
 
@@ -89,11 +90,76 @@ fn multi_gpu_shares_one_schedule_and_matches() {
         stats.misses, 1,
         "even shards: one LevelSchedule build per multi-GPU run"
     );
-    // Every shard looks its plan up once, on the engine thread before the
-    // fan-out: one miss, then n − 1 hits.
-    assert_eq!(stats.hits as usize, n - 1);
+    // The run looks its plan up once, before the window loop: the shards
+    // share that lookup.
+    assert_eq!(stats.hits, 0);
     assert!(single.saif.diff(&multi.saif).is_empty());
     assert_eq!(single.total_toggles(), multi.total_toggles());
+}
+
+/// One plan serves every window count: runs of 8, 4, 2 and 1 windows, then
+/// 8 windows under segment caps of 3, 5 and 7 (batches of every size from
+/// 1 to 8 but 6), build one schedule on one session, and every run equals a
+/// fresh session's.
+#[test]
+fn one_plan_serves_every_window_count() {
+    let b = bench(0.15);
+    let sim = session(&b, 8);
+    let cycles = |n: i32| n * b.cycle_time;
+    assert!(b.duration >= cycles(8));
+    let mut runs: Vec<(i32, RunOptions)> = [8, 4, 2, 1]
+        .into_iter()
+        .map(|n| (cycles(n), RunOptions::default()))
+        .collect();
+    for cap in [3, 5, 7] {
+        runs.push((cycles(8), RunOptions::default().with_segment_windows(cap)));
+    }
+    for (duration, opts) in &runs {
+        let ours = sim.run_with(&b.stimuli, *duration, opts).expect("run");
+        let fresh = session(&b, 8)
+            .run(&b.stimuli, *duration)
+            .expect("fresh session run");
+        assert!(
+            fresh.saif.diff(&ours.saif).is_empty(),
+            "duration {duration}, {opts:?}"
+        );
+        assert_eq!(fresh.toggle_counts_slice(), ours.toggle_counts_slice());
+    }
+    let stats = sim.plan_cache_stats();
+    assert_eq!(stats.misses, 1, "one schedule for every window count");
+    assert_eq!(stats.cached, 1);
+    assert_eq!(stats.hits as usize, runs.len() - 1, "one lookup per run");
+}
+
+/// The session keeps the cone plan of the latest changed set only: twenty
+/// distinct one-gate sets leave the full plan and one cone plan cached,
+/// repeating the latest set hits it, and every incremental result equals
+/// the full re-simulation (the delays are unchanged).
+#[test]
+fn cone_cache_keeps_the_latest_changed_set() {
+    let b = bench(0.15);
+    let sim = session(&b, 8);
+    let spill = RunOptions::default().with_waveform_spill();
+    let full = sim
+        .run_with(&b.stimuli, b.duration, &spill)
+        .expect("full run");
+    let n_gates = b.graph.n_gates();
+    assert!(n_gates >= 20);
+    let sets: Vec<usize> = (0..20).map(|k| k * n_gates / 20).collect();
+    for (k, &gate) in sets.iter().chain(sets.last()).enumerate() {
+        let inc = sim
+            .run_incremental(&full, &[gate], &b.stimuli, b.duration, &spill)
+            .expect("incremental run");
+        assert!(full.saif.diff(&inc.saif).is_empty(), "run {k}, gate {gate}");
+        assert_eq!(full.toggle_counts_slice(), inc.toggle_counts_slice());
+        let stats = sim.plan_cache_stats();
+        assert_eq!(stats.cached, 2, "the full plan and the latest cone plan");
+        let misses = (k + 1).min(sets.len()) as u64;
+        assert_eq!(
+            (stats.cone_misses, stats.cone_hits),
+            (misses, k as u64 + 1 - misses)
+        );
+    }
 }
 
 /// Host waveform spill: a segmented run returns the same full-duration
@@ -293,7 +359,7 @@ fn segment_windows_caps_fleet_ranges() {
         .expect("capped fleet run");
     assert_eq!(capped.segments(), 4, "one range per window");
     let stats = sim.plan_cache_stats();
-    assert_eq!((stats.misses, stats.hits), (1, 3), "one lookup per range");
+    assert_eq!((stats.misses, stats.hits), (1, 0), "one lookup per run");
     let single = session(&b, 4)
         .run(&b.stimuli, b.duration)
         .expect("single-device run");
