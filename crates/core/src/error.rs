@@ -19,17 +19,10 @@ pub enum CoreError {
         /// Arena capacity in words.
         capacity: usize,
     },
-    /// Waveform extraction was requested but the run was segmented (earlier
-    /// segments' device memory has been reused).
-    Segmented {
-        /// Number of sequential segments the run used.
-        segments: usize,
-    },
-    /// Waveform extraction was requested from a device-backed result after
-    /// a later run recycled the device arena. Enable
-    /// `RunOptions::spill_waveforms` for results that must outlive later
-    /// runs, or extract before re-running.
-    StaleExtraction,
+    /// Waveforms were read from a result whose run kept none: a run's
+    /// waveforms live only in its host spill. Enable
+    /// `RunOptions::spill_waveforms` on runs whose waveforms are read.
+    WaveformsNotKept,
     /// A requested signal does not exist.
     NoSuchSignal {
         /// The offending index.
@@ -92,14 +85,10 @@ impl fmt::Display for CoreError {
                 f,
                 "device arena exhausted: needed {requested} words of {capacity}"
             ),
-            CoreError::Segmented { segments } => write!(
+            CoreError::WaveformsNotKept => write!(
                 f,
-                "waveforms unavailable: run was split into {segments} memory segments"
-            ),
-            CoreError::StaleExtraction => write!(
-                f,
-                "waveforms unavailable: a later run recycled the device arena \
-                 (use RunOptions::spill_waveforms for durable results)"
+                "waveforms unavailable: the run kept none \
+                 (enable RunOptions::spill_waveforms)"
             ),
             CoreError::NoSuchSignal { index } => write!(f, "no signal with index {index}"),
             CoreError::BadConfig { detail } => write!(f, "bad configuration: {detail}"),

@@ -41,7 +41,9 @@
 //! run methods are [`Session::run`], [`Session::run_with`],
 //! [`Session::run_streaming`], [`Session::run_incremental`],
 //! [`Session::run_incremental_streaming`], [`Session::run_to_vcd`] and
-//! [`Session::run_to_saif`].
+//! [`Session::run_to_saif`]. A finished run's waveforms live in one place,
+//! its host spill ([`RunOptions::spill_waveforms`]): [`SimResult`] reads
+//! them from there and holds no device memory.
 //!
 //! ```
 //! use gatspi_core::{Session, SimConfig};

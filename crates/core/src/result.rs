@@ -1,45 +1,15 @@
-use std::sync::Arc;
-
-use gatspi_gpu::{AppPhaseProfile, Device, KernelProfile};
+use gatspi_gpu::{AppPhaseProfile, KernelProfile};
 use gatspi_wave::saif::SaifDocument;
 use gatspi_wave::{SimTime, Waveform, EOW, INIT_ONE_MARKER};
 
 use crate::sink::SpillSink;
 use crate::{CoreError, Result};
 
-/// Per-run extraction state: everything needed to stitch a signal's full
-/// waveform straight out of device memory. Present only for unsegmented
-/// runs (a segmented run reuses the arena; enable
-/// [`RunOptions::spill_waveforms`](crate::RunOptions::spill_waveforms) to
-/// keep host copies instead).
-#[derive(Debug)]
-pub(crate) struct ExtractionState {
-    pub device: Arc<Device>,
-    /// `ptr[w * n_signals + s]`: word offset of signal `s`'s waveform in
-    /// window `w`, or `u32::MAX` for absent (floating) signals.
-    pub ptrs: Vec<u32>,
-    pub windows: Vec<(SimTime, SimTime)>,
-    pub n_signals: usize,
-    /// Arena generation these pointers belong to; a later run on the same
-    /// device advances it, turning reads into [`CoreError::StaleExtraction`]
-    /// instead of silently stitching the next run's data.
-    pub epoch: u64,
-}
-
-impl ExtractionState {
-    fn check_live(&self) -> Result<()> {
-        if self.device.memory().epoch() == self.epoch {
-            Ok(())
-        } else {
-            Err(CoreError::StaleExtraction)
-        }
-    }
-}
-
 /// The outcome of a GATSPI run: SAIF activity, per-signal toggle counts,
-/// kernel and application profiles, and access to the full simulated
-/// waveforms (directly from device memory for unsegmented runs, or from
-/// the host spill for segmented runs that requested it).
+/// kernel and application profiles, and — for runs that enabled
+/// [`RunOptions::spill_waveforms`](crate::RunOptions::spill_waveforms) —
+/// the full simulated waveforms, read from their host spill. A result
+/// holds no device memory.
 #[derive(Debug)]
 pub struct SimResult {
     /// SAIF document over all primary inputs and gate outputs.
@@ -54,7 +24,6 @@ pub struct SimResult {
     pub(crate) toggle_counts: Vec<u64>,
     pub(crate) duration: SimTime,
     pub(crate) segments: usize,
-    pub(crate) extraction: Option<ExtractionState>,
     pub(crate) spilled: Option<SpillSink>,
 }
 
@@ -102,20 +71,16 @@ impl SimResult {
     /// boundaries): [`SimResult::for_each_toggle`] collected into a
     /// [`Waveform`].
     ///
-    /// Runs that enabled
-    /// [`RunOptions::spill_waveforms`](crate::RunOptions::spill_waveforms)
-    /// are served from the durable host spill — valid for any segment
-    /// count and after later runs on the same session. Without spill, an
-    /// unsegmented run reads live device memory, which is only valid until
-    /// the next run recycles the session's arena (detected and reported as
-    /// an error rather than silently reading the newer run's data).
+    /// The waveforms are read from the run's host spill, so the run must
+    /// have enabled
+    /// [`RunOptions::spill_waveforms`](crate::RunOptions::spill_waveforms);
+    /// the spill is valid for any segment count and after later runs on
+    /// the same session.
     ///
     /// # Errors
     ///
-    /// * [`CoreError::Segmented`] if the run used more than one memory
-    ///   segment and did not spill waveforms to the host.
-    /// * [`CoreError::StaleExtraction`] if a later run recycled the device
-    ///   arena under a device-backed (non-spilled) result.
+    /// * [`CoreError::WaveformsNotKept`] if the run did not spill its
+    ///   waveforms.
     /// * [`CoreError::NoSuchSignal`] for out-of-range indices.
     pub fn waveform(&self, signal: usize) -> Result<Waveform> {
         // The run's toggle count is the stitched waveform's.
@@ -162,25 +127,9 @@ impl SimResult {
     ///
     /// # Errors
     ///
-    /// As [`SimResult::waveform`]. A device-backed result that turns out
-    /// stale after the pass may already have fed `f` words of the newer
-    /// run; the error says to discard them.
+    /// As [`SimResult::waveform`].
     pub fn for_each_toggle(&self, signal: usize, f: impl FnMut(SimTime)) -> Result<bool> {
-        if let Some(ext) = &self.extraction {
-            ext.check_live()?;
-            let initial = stitch(ext, signal, f)?;
-            // Re-check after reading: a run racing on another thread could
-            // have recycled the arena mid-stitch; fail rather than report
-            // words mixed from two runs.
-            ext.check_live()?;
-            return Ok(initial);
-        }
-        match &self.spilled {
-            Some(spill) => stitch(spill, signal, f),
-            None => Err(CoreError::Segmented {
-                segments: self.segments,
-            }),
-        }
+        stitch(self.spill()?, signal, f)
     }
 
     /// Convenience: the waveforms of several signals.
@@ -193,88 +142,46 @@ impl SimResult {
     }
 
     /// Raw device words of one signal's waveform in one window (diagnostic
-    /// view of the Fig. 3 storage, up to and including the EOW terminator).
-    /// Served from device memory or the host spill, like
-    /// [`SimResult::waveform`].
+    /// view of the Fig. 3 storage, up to and including the EOW terminator),
+    /// read from the host spill like [`SimResult::waveform`].
     ///
     /// # Errors
     ///
     /// As [`SimResult::waveform`]; additionally fails for out-of-range
     /// windows.
     pub fn raw_window(&self, signal: usize, window: usize) -> Result<Vec<i32>> {
-        if let Some(ext) = &self.extraction {
-            ext.check_live()?;
-            let raw = read_raw(ext, signal, window)?;
-            // Re-check after reading (see `for_each_toggle`).
-            ext.check_live()?;
-            return Ok(raw);
-        }
-        match &self.spilled {
-            Some(spill) => read_raw(spill, signal, window),
-            None => Err(CoreError::Segmented {
-                segments: self.segments,
-            }),
-        }
+        read_raw(self.spill()?, signal, window)
+    }
+
+    /// The run's host spill, where its waveforms live.
+    fn spill(&self) -> Result<&SpillSink> {
+        self.spilled.as_ref().ok_or(CoreError::WaveformsNotKept)
     }
 }
 
-/// Where a finished run's waveform words live: device memory or the host
-/// spill. Both keep waveform bases even and advance a base by one per
-/// word, so a word's value is its index's parity in either store.
-trait WordStore {
-    fn windows(&self) -> &[(SimTime, SimTime)];
-    fn n_signals(&self) -> usize;
-    /// Base of `signal`'s waveform in `window`; `None` when absent
-    /// (floating signal).
-    fn base(&self, window: usize, signal: usize) -> Option<usize>;
-    /// The words from `base` on: the waveform up to its EOW, then
-    /// whatever follows it.
-    fn words(&self, base: usize) -> impl Iterator<Item = i32> + '_;
-}
-
-impl WordStore for ExtractionState {
-    fn windows(&self) -> &[(SimTime, SimTime)] {
-        &self.windows
-    }
-    fn n_signals(&self) -> usize {
-        self.n_signals
-    }
-    fn base(&self, window: usize, signal: usize) -> Option<usize> {
-        let p = self.ptrs[window * self.n_signals + signal];
-        (p != u32::MAX).then_some(p as usize)
-    }
-    fn words(&self, base: usize) -> impl Iterator<Item = i32> + '_ {
-        let mem = self.device.memory();
-        (base..).map(|idx| mem.load(idx))
-    }
-}
-
-impl WordStore for SpillSink {
-    fn windows(&self) -> &[(SimTime, SimTime)] {
-        &self.windows
-    }
-    fn n_signals(&self) -> usize {
-        self.n_signals
-    }
-    fn base(&self, window: usize, signal: usize) -> Option<usize> {
-        // An encoded pointer's low bit is its even in-chunk offset's.
-        let p = self.ptrs[window * self.n_signals + signal];
-        (p != u64::MAX).then_some(p as usize)
-    }
-    fn words(&self, base: usize) -> impl Iterator<Item = i32> + '_ {
-        self.slice_from(base as u64).iter().copied()
-    }
+/// Base of `signal`'s waveform in `window` of the spill; `None` when
+/// absent (floating signal). Spilled bases are even and advance by one per
+/// word, so a word's value is its index's parity.
+fn base(spill: &SpillSink, window: usize, signal: usize) -> Option<u64> {
+    // An encoded pointer's low bit is its even in-chunk offset's.
+    let p = spill.ptrs[window * spill.n_signals + signal];
+    (p != u64::MAX).then_some(p)
 }
 
 /// Reads one stored waveform up to and including the EOW terminator.
-fn read_raw(store: &impl WordStore, signal: usize, window: usize) -> Result<Vec<i32>> {
-    if signal >= store.n_signals() || window >= store.windows().len() {
+fn read_raw(spill: &SpillSink, signal: usize, window: usize) -> Result<Vec<i32>> {
+    if signal >= spill.n_signals || window >= spill.windows.len() {
         return Err(CoreError::NoSuchSignal { index: signal });
     }
-    let Some(base) = store.base(window, signal) else {
+    let Some(base) = base(spill, window, signal) else {
         return Ok(Vec::new());
     };
-    let mut raw: Vec<i32> = store.words(base).take_while(|&w| w != EOW).collect();
+    let mut raw: Vec<i32> = spill
+        .slice_from(base)
+        .iter()
+        .copied()
+        .take_while(|&w| w != EOW)
+        .collect();
     raw.push(EOW);
     Ok(raw)
 }
@@ -285,12 +192,12 @@ fn read_raw(store: &impl WordStore, signal: usize, window: usize) -> Result<Vec<
 /// toggles at its start; words at or past the window's length are
 /// spillover the next window re-derives from its own initial value. A
 /// signal absent from any window is floating: constant 0.
-fn stitch(store: &impl WordStore, signal: usize, mut f: impl FnMut(SimTime)) -> Result<bool> {
-    if signal >= store.n_signals() {
+fn stitch(spill: &SpillSink, signal: usize, mut f: impl FnMut(SimTime)) -> Result<bool> {
+    if signal >= spill.n_signals {
         return Err(CoreError::NoSuchSignal { index: signal });
     }
-    let windows = store.windows();
-    let bases = (0..windows.len()).map(|w| store.base(w, signal));
+    let windows = &spill.windows;
+    let bases = (0..windows.len()).map(|w| base(spill, w, signal));
     if bases.clone().any(|b| b.is_none()) {
         return Ok(false);
     }
@@ -299,7 +206,8 @@ fn stitch(store: &impl WordStore, signal: usize, mut f: impl FnMut(SimTime)) -> 
     // the value changes at a strictly later time.
     let (mut value, mut last) = (false, 0);
     for (base, &(start, end)) in bases.flatten().zip(windows) {
-        let mut words = store.words(base);
+        // The waveform up to its EOW, then whatever follows it.
+        let mut words = spill.slice_from(base).iter().copied();
         let mut idx = base;
         if words.next() == Some(INIT_ONE_MARKER) {
             idx += 1;

@@ -696,9 +696,9 @@ impl BatchScratch {
     }
 
     /// Window-major copy (`w * n_signals + s`) of the signal-major `table`
-    /// for an `nw`-window batch — the layout waveform extraction and the
-    /// drain read. The arena may be larger than the batch when it is reused
-    /// from the session pool.
+    /// for an `nw`-window batch — the layout the drain reads. The arena
+    /// may be larger than the batch when it is reused from the session
+    /// pool.
     fn window_major(table: &[AtomicU32], nw: usize, n_signals: usize) -> Vec<u32> {
         let mut out = vec![0; nw * n_signals];
         for s in 0..n_signals {

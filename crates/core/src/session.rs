@@ -10,7 +10,8 @@
 //! preparation that does not depend on the stimulus itself. Execution is
 //! driven by [`RunOptions`] and can stream every finished waveform through
 //! an output sink ([`Session::run_streaming`]), including the built-in host
-//! spill that keeps [`SimResult::waveform`] working across memory segments.
+//! spill — the one place a finished run keeps its waveforms for
+//! [`SimResult::waveform`].
 
 use crate::sync::Mutex;
 use std::collections::{HashMap, VecDeque};
@@ -27,7 +28,6 @@ use gatspi_wave::saif::{SaifDocument, SaifRecord};
 use gatspi_wave::{SimTime, Waveform, EOW, INIT_ONE_MARKER};
 
 use crate::kernel::{simulate_gate, GateKernelInput, KernelMode, KernelOutput, MAX_KERNEL_PINS};
-use crate::result::ExtractionState;
 use crate::schedule::{slot, BatchScratch, ConeInfo, LevelSchedule};
 use crate::sink::{SaifSink, SpillSink, VcdSink, WaveformSink, WindowInfo};
 use crate::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -37,12 +37,11 @@ use crate::{CoreError, Result, SimConfig, SimResult};
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
     /// Spill every segment's finished waveforms to host memory before the
-    /// device arena is recycled. [`SimResult::waveform`] is then served
-    /// from the durable host copy: it works for segmented runs (the
-    /// classic API refused with [`CoreError::Segmented`]) and stays valid
-    /// after later runs recycle the session's device arena — unlike the
-    /// default device-backed extraction. Costs one D2H readback of the
-    /// stored gate-output waveforms per segment, reported as
+    /// device arena is recycled. The spill is where a run keeps its
+    /// waveforms: [`SimResult::waveform`] and its kin read it, for any
+    /// segment count and after later runs on the session, and return
+    /// [`CoreError::WaveformsNotKept`] on a run without one. Costs one D2H
+    /// readback of the stored gate-output waveforms per segment, reported as
     /// `AppPhaseProfile::{readback_seconds, d2h_bytes}` (primary-input
     /// windows are fed from the host-resident stimulus, not read back).
     pub spill_waveforms: bool,
@@ -790,14 +789,7 @@ impl Session {
                 spill: prev_spill,
             }),
         };
-        self.run_segments(
-            &inputs,
-            opts,
-            &mut totals,
-            Some(&mut spill),
-            user_sink,
-            |_, _| {},
-        )?;
+        self.run_segments(&inputs, opts, &mut totals, Some(&mut spill), user_sink)?;
         spill.seal();
 
         // Merge: recomputed cone signals overwrite prev's activity;
@@ -833,7 +825,6 @@ impl Session {
             toggle_counts,
             duration,
             segments: totals.segments.max(1),
-            extraction: None,
             spilled: Some(spill),
         })
     }
@@ -872,30 +863,14 @@ impl Session {
             stims: &win_stims,
             cone: None,
         };
-        let mut extraction = None;
-        self.run_segments(
-            &inputs,
-            opts,
-            &mut totals,
-            spill.as_mut(),
-            user_sink,
-            |device, batch| {
-                extraction = Some(ExtractionState {
-                    device: Arc::clone(device),
-                    ptrs: batch.ptrs,
-                    windows: batch.windows,
-                    n_signals,
-                    epoch: device.memory().epoch(),
-                })
-            },
-        )?;
+        self.run_segments(&inputs, opts, &mut totals, spill.as_mut(), user_sink)?;
 
         // --- Assemble SAIF and result.
         let (saif, toggle_counts) =
             self.assemble_saif(stimuli, duration, &totals.tc, &totals.t0, &totals.t1);
         // D2H traffic is exactly the sink/spill waveform readback (the
-        // storing threads' SAIF scans and extraction read device memory
-        // in place); every device uploaded the graph.
+        // storing threads' SAIF scans read device memory in place); every
+        // device uploaded the graph.
         let (h2d_bytes, d2h_bytes) = self.transfer_bytes();
         let graph_bytes = self.graph.device_bytes() * self.devices.len() as u64;
         let app_profile = totals.app_profile(
@@ -907,7 +882,6 @@ impl Session {
         if let Some(sp) = spill.as_mut() {
             sp.seal();
         }
-        let segments = totals.segments;
         Ok(SimResult {
             saif,
             kernel_profile: totals.profile,
@@ -915,15 +889,7 @@ impl Session {
             wall_seconds: t_app.elapsed().as_secs_f64(),
             toggle_counts,
             duration,
-            segments,
-            // A spilled run is served entirely from its durable host copy;
-            // device-backed extraction is only kept when no spill exists
-            // (and is valid until the next run recycles the arena).
-            extraction: if segments == 1 && spill.is_none() {
-                extraction
-            } else {
-                None
-            },
+            segments: totals.segments,
             spilled: spill,
         })
     }
@@ -942,8 +908,7 @@ impl Session {
     /// earlier window has reached it, straight into `user_sink`. A batch
     /// that finished ahead of a gap goes to the reorder buffer instead (the
     /// spill doubles as it), replayed to `user_sink` in window order at the
-    /// end. Each settled batch is folded into `totals` and handed to
-    /// `finished` with its device.
+    /// end. Each settled batch is folded into `totals`.
     ///
     /// A range of more than one window that runs out of memory halves
     /// `chunk` and is requeued (the paper's "compile the testbench into
@@ -957,15 +922,10 @@ impl Session {
         totals: &mut RunTotals,
         mut spill: Option<&mut SpillSink>,
         mut user_sink: Option<&mut dyn WaveformSink>,
-        mut finished: impl FnMut(&Arc<Device>, WindowBatch),
     ) -> Result<()> {
         let (n, n_signals) = (inputs.windows.len(), self.graph.n_signals());
         for device in &self.devices {
             device.memory().reset_counters();
-            // New arena generation: any earlier device-backed result on
-            // this device now reports StaleExtraction instead of reading
-            // this run's data.
-            device.memory().advance_epoch();
         }
         let share = n.div_ceil(self.devices.len()).max(1);
         let mut chunk = opts
@@ -1038,7 +998,6 @@ impl Session {
                         buffered.push((range.clone(), segment));
                     }
                     totals.absorb(d, &batch, drained, drain_s);
-                    finished(&self.devices[d], batch);
                     Ok(())
                 });
                 match settled {
@@ -2402,7 +2361,8 @@ mod tests {
             SimConfig::small().with_cycle_parallelism(1),
         );
         let stim = vec![Waveform::from_toggles(false, &[100, 200, 300])];
-        let r = sim.run(&stim, 400).unwrap();
+        let spill = RunOptions::default().with_waveform_spill();
+        let r = sim.run_with(&stim, 400, &spill).unwrap();
         // Every inverter output toggles 3 times.
         for g in 0..4 {
             let sig = graph.gate_output(g).index();
@@ -2421,11 +2381,12 @@ mod tests {
             false,
             &[110, 210, 310, 410, 510, 610, 710],
         )];
+        let spill = RunOptions::default().with_waveform_spill();
         let single = Session::new(
             Arc::clone(&graph),
             SimConfig::small().with_cycle_parallelism(1),
         )
-        .run(&stim, 800)
+        .run_with(&stim, 800, &spill)
         .unwrap();
         let windowed = Session::new(
             Arc::clone(&graph),
@@ -2433,7 +2394,7 @@ mod tests {
                 .with_cycle_parallelism(8)
                 .with_window_align(100),
         )
-        .run(&stim, 800)
+        .run_with(&stim, 800, &spill)
         .unwrap();
         for s in 0..graph.n_signals() {
             assert_eq!(
@@ -2471,8 +2432,34 @@ mod tests {
         let r = sim.run(&stim, 1500).unwrap();
         assert!(r.segments() > 1, "expected segmentation");
         assert_eq!(r.toggle_count(graph.gate_output(1).index()), 149);
-        // Without spill, waveform extraction is refused after segmentation.
-        assert!(matches!(r.waveform(0), Err(CoreError::Segmented { .. })));
+        // Without spill, the run kept no waveforms.
+        assert!(matches!(r.waveform(0), Err(CoreError::WaveformsNotKept)));
+    }
+
+    #[test]
+    fn segment_hint_skips_oom_halving_on_repeat_runs() {
+        // The first run halves its segment size after an OOM and records
+        // the size it settled on; repeat runs of the same shape on the
+        // session start there, and a fresh session has no hint.
+        let graph = inv_chain(2);
+        let cfg = SimConfig {
+            memory_words: 512,
+            ..SimConfig::small()
+        }
+        .with_cycle_parallelism(16)
+        .with_window_align(10);
+        let toggles: Vec<i32> = (1..150).map(|i| i * 10 + 5).collect();
+        let stim = vec![Waveform::from_toggles(false, &toggles)];
+        let sim = Session::new(Arc::clone(&graph), cfg.clone());
+        let first = sim.run(&stim, 1500).unwrap();
+        assert_eq!((first.segments(), first.app_profile.oom_retries), (2, 1));
+        for _ in 0..2 {
+            let again = sim.run(&stim, 1500).unwrap();
+            assert_eq!((again.segments(), again.app_profile.oom_retries), (2, 0));
+            assert_eq!(again.saif, first.saif);
+        }
+        let fresh = Session::new(graph, cfg).run(&stim, 1500).unwrap();
+        assert_eq!((fresh.segments(), fresh.app_profile.oom_retries), (2, 1));
     }
 
     #[test]
@@ -2502,7 +2489,7 @@ mod tests {
                 .with_cycle_parallelism(16)
                 .with_window_align(10),
         )
-        .run(&stim, 1500)
+        .run_with(&stim, 1500, &RunOptions::default().with_waveform_spill())
         .unwrap();
         assert_eq!(roomy.segments(), 1);
         for s in 0..graph.n_signals() {
@@ -2568,10 +2555,9 @@ mod tests {
     }
 
     #[test]
-    fn device_backed_extraction_detects_recycled_arena() {
-        // Without spill, a result's waveforms read live device memory; a
-        // later run on the same session must turn extraction into a loud
-        // StaleExtraction error, not silently serve the new run's data.
+    fn unspilled_results_keep_no_waveforms() {
+        // A run's waveforms live only in its host spill: a one-segment run
+        // without one reads none, whatever its device still holds.
         let graph = inv_chain(2);
         let sim = Session::new(
             Arc::clone(&graph),
@@ -2579,18 +2565,19 @@ mod tests {
                 .with_cycle_parallelism(4)
                 .with_window_align(100),
         );
-        let stim_a = vec![Waveform::from_toggles(false, &[110, 210, 310])];
-        let stim_b = vec![Waveform::from_toggles(true, &[150, 250])];
-        let r1 = sim.run(&stim_a, 400).unwrap();
-        assert!(r1.waveform(0).is_ok(), "fresh extraction works");
-        let _ = sim.run(&stim_b, 400).unwrap();
-        assert!(
-            matches!(r1.waveform(0), Err(CoreError::StaleExtraction)),
-            "recycled arena must be detected"
-        );
+        let stim = vec![Waveform::from_toggles(false, &[110, 210, 310])];
+        let r = sim.run(&stim, 400).unwrap();
+        assert_eq!(r.segments(), 1);
+        let out = graph.gate_output(1).index();
+        assert_eq!(r.toggle_count(out), 3);
+        assert!(matches!(r.waveform(out), Err(CoreError::WaveformsNotKept)));
         assert!(matches!(
-            r1.raw_window(0, 0),
-            Err(CoreError::StaleExtraction)
+            r.for_each_toggle(out, |_| {}),
+            Err(CoreError::WaveformsNotKept)
+        ));
+        assert!(matches!(
+            r.raw_window(out, 0),
+            Err(CoreError::WaveformsNotKept)
         ));
     }
 
@@ -2598,7 +2585,7 @@ mod tests {
     fn spilled_waveforms_survive_later_runs_on_same_session() {
         // The spill contract is durability: a later run recycling the
         // session's device arena must not corrupt an earlier spilled
-        // result (device-backed extraction cannot promise this).
+        // result.
         let graph = inv_chain(2);
         let cfg = SimConfig::small()
             .with_cycle_parallelism(4)
@@ -2619,7 +2606,9 @@ mod tests {
         let _ = sim.run(&stim_b, 400).unwrap();
 
         // ...and the first result's waveforms are still correct.
-        let reference = Session::new(graph, cfg).run(&stim_a, 400).unwrap();
+        let reference = Session::new(graph, cfg)
+            .run_with(&stim_a, 400, &RunOptions::default().with_waveform_spill())
+            .unwrap();
         for s in 0..reference.toggle_counts_slice().len() {
             assert_eq!(
                 r_a.waveform(s).unwrap(),

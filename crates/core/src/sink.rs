@@ -1,14 +1,11 @@
 //! Pluggable output sinks for streaming runs.
 //!
 //! A [`Session`](crate::Session) run produces one waveform per (signal,
-//! window). The classic API only exposed them *after* the run, and only
-//! when everything fit in device memory at once: a segmented run reused the
-//! arena, so earlier segments' waveforms were gone by the time
-//! `SimResult::waveform` asked for them. Sinks invert that: each finished
-//! segment's waveforms are read back from device memory *before* the arena
-//! is recycled and streamed to whatever wants them — the built-in host
-//! spill (so [`SimResult::waveform`](crate::SimResult::waveform) works for
-//! every segment of a segmented run), a caller-supplied
+//! window). Each finished segment's waveforms are read back from device
+//! memory *before* the arena is recycled and streamed to whatever wants
+//! them — the built-in host spill (the one place a finished run keeps its
+//! waveforms, read by
+//! [`SimResult::waveform`](crate::SimResult::waveform)), a caller-supplied
 //! [`WaveformSink`] via
 //! [`Session::run_streaming`](crate::Session::run_streaming), or the
 //! ready-made format sinks [`VcdSink`] and [`SaifSink`], which turn the
@@ -332,7 +329,11 @@ impl SaifSink {
 
 impl WaveformSink for SaifSink {
     fn waveform(&mut self, signal: usize, info: &WindowInfo, raw: &[i32]) {
-        self.acc.add_raw(signal, raw, info.end - info.start);
+        // Like `VcdSink`, a signal beyond the name table is skipped rather
+        // than panicking mid-run.
+        if signal < self.acc.n_nets() {
+            self.acc.add_raw(signal, raw, info.end - info.start);
+        }
     }
 }
 

@@ -17,11 +17,6 @@ pub struct DeviceMemory {
     words: Vec<AtomicI32>,
     h2d_bytes: AtomicU64,
     d2h_bytes: AtomicU64,
-    /// Arena recycling generation: bumped by each run that reuses the
-    /// arena, so results holding live device pointers can detect that
-    /// their data has been overwritten instead of silently reading the
-    /// next run's waveforms.
-    epoch: AtomicU64,
     /// Armed fault injector, if any (`Device::arm_faults`). The lock is
     /// taken only at the bulk-transfer entry points, never per word.
     #[cfg(feature = "fault-inject")]
@@ -37,7 +32,6 @@ impl DeviceMemory {
             words: zeroed_words(words),
             h2d_bytes: AtomicU64::new(0),
             d2h_bytes: AtomicU64::new(0),
-            epoch: AtomicU64::new(0),
             #[cfg(feature = "fault-inject")]
             injector: crate::sync::Mutex::new(None),
         }
@@ -64,17 +58,6 @@ impl DeviceMemory {
         if let Some(inj) = self.fault_injector() {
             inj.check(site);
         }
-    }
-
-    /// The current arena-recycling generation.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    /// Starts a new arena generation (a run is about to overwrite the
-    /// arena); returns the new generation.
-    pub fn advance_epoch(&self) -> u64 {
-        self.epoch.fetch_add(1, Ordering::AcqRel) + 1
     }
 
     /// Capacity in words.
@@ -281,33 +264,5 @@ mod tests {
         for i in 0..1024 {
             assert_eq!(m.load(i), i as i32);
         }
-    }
-}
-
-#[cfg(all(test, feature = "model-check"))]
-mod model_tests {
-    use super::*;
-
-    /// The arena epoch as a hand-off: a writer that stores a word and then
-    /// advances the epoch (`AcqRel`) publishes the word to any reader that
-    /// observes the new epoch (`Acquire`) — weakening either ordering to
-    /// `Relaxed` yields a schedule where the reader sees the new epoch but
-    /// the old word.
-    #[test]
-    fn epoch_advance_publishes_arena_writes() {
-        loom::model(|| {
-            let m = DeviceMemory::new(1);
-            crate::sync::thread::scope(|s| {
-                let m = &m;
-                s.spawn(move |_| {
-                    m.store(0, 42);
-                    m.advance_epoch();
-                });
-                if m.epoch() == 1 {
-                    assert_eq!(m.load(0), 42, "epoch visible but its write is not");
-                }
-            })
-            .expect("model worker panicked");
-        });
     }
 }

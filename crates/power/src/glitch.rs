@@ -86,15 +86,14 @@ pub fn classify(waveforms: &[Waveform], cycle_time: SimTime, duration: SimTime) 
     GlitchStats { functional, glitch }
 }
 
-/// [`classify`] over every signal of a finished run, straight from its
-/// stored words ([`SimResult::for_each_toggle`]) — no waveform is built.
-/// Equal to `classify` over `r.waveform(s)` for every signal `s`.
+/// [`classify`] over every signal of a finished run, straight from the
+/// words of its host spill ([`SimResult::for_each_toggle`]) — no waveform
+/// is built. Equal to `classify` over `r.waveform(s)` for every signal `s`.
 ///
 /// # Errors
 ///
-/// As [`SimResult::for_each_toggle`]: the run kept no waveforms (it
-/// segmented without spill), or a later run recycled the device arena
-/// under it.
+/// As [`SimResult::for_each_toggle`]: the run kept no waveforms (it did
+/// not enable `RunOptions::spill_waveforms`).
 ///
 /// # Panics
 ///
@@ -352,9 +351,13 @@ mod tests {
         let spill = RunOptions::default().with_waveform_spill();
         let sim = Session::new(Arc::clone(&graph), cfg.clone());
 
-        let device = sim.run(&stimuli, duration).unwrap();
-        assert_eq!(device.segments(), 1);
-        check_result(&device, &reference, cycle, duration);
+        // A run without spill keeps no waveforms to classify.
+        let unspilled = sim.run(&stimuli, duration).unwrap();
+        assert_eq!(unspilled.segments(), 1);
+        assert!(matches!(
+            classify_result(&unspilled, cycle, duration),
+            Err(gatspi_core::CoreError::WaveformsNotKept)
+        ));
 
         let spilled = sim.run_with(&stimuli, duration, &spill).unwrap();
         check_result(&spilled, &reference, cycle, duration);
@@ -382,12 +385,6 @@ mod tests {
             .run_incremental(&spilled, &changed, &stimuli, duration, &spill)
             .unwrap();
         check_result(&incremental, &reference, cycle, duration);
-
-        // The later runs recycled the arena under the device-backed one.
-        assert!(matches!(
-            classify_result(&device, cycle, duration),
-            Err(gatspi_core::CoreError::StaleExtraction)
-        ));
     }
 
     #[test]

@@ -26,6 +26,9 @@ pub struct LineInfo {
     /// The line's comment text (trailing line comment and/or the slice of
     /// any block comment crossing it).
     pub comment: String,
+    /// Whether the line holds string or char literal text, which the code
+    /// half blanks (a line of only a literal is still code).
+    pub literal: bool,
 }
 
 /// A lexed source file plus the per-line facts passes share.
@@ -218,9 +221,11 @@ pub fn split_lines(source: &str) -> Vec<LineInfo> {
                                 j += 1;
                             }
                             cur.code.push(' ');
+                            cur.literal = true;
                             i = j + 1;
                         } else if chars.get(i + 2) == Some(&'\'') {
                             cur.code.push(' ');
+                            cur.literal = true;
                             i += 3;
                         } else {
                             cur.code.push(c);
@@ -255,6 +260,7 @@ pub fn split_lines(source: &str) -> Vec<LineInfo> {
                 }
             }
             State::Str => {
+                cur.literal = true;
                 if c == '\\' {
                     // An escaped newline continues the literal but still
                     // ends the source line — swallowing it would shift
@@ -271,6 +277,7 @@ pub fn split_lines(source: &str) -> Vec<LineInfo> {
                 }
             }
             State::RawStr(hashes) => {
+                cur.literal = true;
                 if c == '"' {
                     let closed = (0..hashes).all(|k| chars.get(i + 1 + k as usize) == Some(&'#'));
                     if closed {

@@ -37,9 +37,15 @@
 //!
 //! Validates the committed `BENCH_*.json` trajectory artifacts (see
 //! [`mod@bench`]).
+//!
+//! # `loc [DIR…]`
+//!
+//! Prints the non-test, non-comment, non-blank line count of each
+//! directory, by default of every `crates/*/src` (see [`mod@loc`]).
 
 pub mod analysis;
 pub mod bench;
+pub mod loc;
 
 use std::path::{Path, PathBuf};
 

@@ -25,6 +25,7 @@ fn main() -> ExitCode {
         }
         Some("validate-plans") => analysis::run_validate_plans(),
         Some("bench-check") => xtask::bench::bench_check(),
+        Some("loc") => xtask::loc::run_loc(&args[1..]),
         _ => usage("missing or unknown task"),
     }
 }
@@ -33,7 +34,7 @@ fn usage(why: &str) -> ExitCode {
     eprintln!("xtask: {why}");
     eprintln!(
         "usage: cargo run -p xtask -- <analyze [--json <path>] [--update-baseline] \
-         | validate-plans | bench-check>"
+         | validate-plans | bench-check | loc [DIR...]>"
     );
     ExitCode::from(2)
 }

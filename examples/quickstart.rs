@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use gatspi_core::{Session, SimConfig};
+use gatspi_core::{RunOptions, Session, SimConfig};
 use gatspi_graph::{CircuitGraph, GraphOptions};
 use gatspi_netlist::{verilog, CellLibrary};
 use gatspi_refsim::{EventSimulator, RefConfig};
@@ -69,8 +69,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let duration = 500;
 
     // 3. Compile a re-simulation session (cycle-parallel windows),
-    //    then execute. The session caches its launch schedule,
-    //    so re-simulating more stimuli against the same graph skips all
+    //    then execute, keeping the waveforms in a host spill to read
+    //    them back. The session caches its launch schedule, so
+    //    re-simulating more stimuli against the same graph skips all
     //    preparation.
     let session = Session::new(
         Arc::clone(&graph),
@@ -78,7 +79,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .with_cycle_parallelism(4)
             .with_window_align(100),
     );
-    let result = session.run(&stimuli, duration)?;
+    let result = session.run_with(
+        &stimuli,
+        duration,
+        &RunOptions::default().with_waveform_spill(),
+    )?;
 
     // 4. Inspect waveforms and dump SAIF.
     let y = netlist.find_net("y").expect("y exists");

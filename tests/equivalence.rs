@@ -18,11 +18,15 @@ use gatspi_wave::{SimTime, Waveform};
 use gatspi_workloads::sdfgen::{attach_sdf, SdfGenConfig};
 use gatspi_workloads::suite::{table2_suite, BuiltBenchmark};
 
-fn gatspi(b: &BuiltBenchmark, parallelism: usize) -> gatspi_core::SimResult {
+fn session(b: &BuiltBenchmark, parallelism: usize) -> Session {
     let cfg = SimConfig::small()
         .with_cycle_parallelism(parallelism)
         .with_window_align(b.cycle_time);
     Session::new(Arc::clone(&b.graph), cfg)
+}
+
+fn gatspi(b: &BuiltBenchmark, parallelism: usize) -> gatspi_core::SimResult {
+    session(b, parallelism)
         .run(&b.stimuli, b.duration)
         .expect("gatspi run")
 }
@@ -58,7 +62,13 @@ fn saif_bit_exact_across_suite() {
 fn waveform_spot_checks() {
     for def in table2_suite().into_iter().step_by(3) {
         let b = def.build_at_scale(0.12);
-        let g = gatspi(&b, 4);
+        let g = session(&b, 4)
+            .run_with(
+                &b.stimuli,
+                b.duration,
+                &RunOptions::default().with_waveform_spill(),
+            )
+            .expect("gatspi run");
         let r = reference(&b);
         let ref_waves = r.waveforms.as_ref().expect("recorded");
         let n = b.graph.n_signals();

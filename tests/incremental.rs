@@ -203,8 +203,8 @@ fn incremental_matches_under_segmentation() {
         &StimulusConfig::random(cycles, cycle, 0.7, 9),
     );
     // An arena too small for all windows at once: both the baseline and
-    // the delta run must segment (the delta run re-probes with OOM
-    // halving — it has no full-run segment hint to start from).
+    // the delta run must segment (the delta run starts from the segment
+    // size `sim1`'s full run just recorded for this window count).
     let cfg = SimConfig {
         memory_words: 6_000,
         ..SimConfig::small()

@@ -167,7 +167,10 @@ fn cone_cache_keeps_the_latest_changed_set() {
 #[test]
 fn segmented_waveforms_correct_after_host_spill() {
     let b = bench(0.2);
-    let roomy = session(&b, 16).run(&b.stimuli, b.duration).expect("roomy");
+    let spill = RunOptions::default().with_waveform_spill();
+    let roomy = session(&b, 16)
+        .run_with(&b.stimuli, b.duration, &spill)
+        .expect("roomy");
     assert_eq!(roomy.segments(), 1);
 
     let tight_cfg = SimConfig {
@@ -177,17 +180,13 @@ fn segmented_waveforms_correct_after_host_spill() {
     .with_cycle_parallelism(16)
     .with_window_align(b.cycle_time);
     let tight = Session::new(Arc::clone(&b.graph), tight_cfg)
-        .run_with(
-            &b.stimuli,
-            b.duration,
-            &RunOptions::default().with_waveform_spill(),
-        )
+        .run_with(&b.stimuli, b.duration, &spill)
         .expect("segmented run");
     assert!(tight.segments() > 1, "expected segmentation");
     assert!(roomy.saif.diff(&tight.saif).is_empty());
     for s in 0..b.graph.n_signals() {
         assert_eq!(
-            roomy.waveform(s).expect("device extraction"),
+            roomy.waveform(s).expect("host spill"),
             tight.waveform(s).expect("host spill"),
             "signal {s} diverged after host spill"
         );

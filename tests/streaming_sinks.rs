@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use gatspi_core::{CoreError, RunOptions, Session, SimConfig, SimResult, VcdSink};
+use gatspi_core::{CoreError, RunOptions, SaifSink, Session, SimConfig, SimResult, VcdSink};
 use gatspi_gpu::{DeviceSpec, MultiGpu};
 use gatspi_graph::{CircuitGraph, GraphOptions, SignalId};
 use gatspi_netlist::{CellLibrary, NetlistBuilder};
@@ -438,4 +438,39 @@ fn run_to_vcd_surfaces_writer_errors() {
         )
         .unwrap_err();
     assert!(matches!(err, CoreError::Io { .. }), "got {err:?}");
+}
+
+/// A `SaifSink` built with names for only some signals skips the others,
+/// as `VcdSink` does: the run succeeds and the document is the engine's
+/// SAIF restricted to the named nets.
+#[test]
+fn saif_sink_with_partial_names_skips_unnamed_signals() {
+    let graph = wide_graph(7);
+    let stimuli = generate(
+        graph.primary_inputs().len(),
+        &StimulusConfig::random(16, 400, 0.4, 11),
+    );
+    let duration = 16 * 400;
+    let session = Session::new(
+        Arc::clone(&graph),
+        SimConfig::small()
+            .with_cycle_parallelism(8)
+            .with_window_align(400),
+    );
+    let names: Vec<String> = (0..graph.n_signals() / 2)
+        .map(|s| graph.signal_name(SignalId(s as u32)).to_string())
+        .collect();
+    let mut sink = SaifSink::new(graph.name(), names.clone());
+    let result = session
+        .run_streaming(
+            &stimuli,
+            duration,
+            &RunOptions::default().with_segment_windows(3),
+            &mut sink,
+        )
+        .expect("a partial name list must not fault the run");
+    let mut expected = result.saif.clone();
+    expected.nets.retain(|net, _| names.contains(net));
+    assert!(!expected.nets.is_empty());
+    assert_eq!(sink.finish(duration), expected);
 }
