@@ -21,62 +21,6 @@ impl Default for SimFeatures {
     }
 }
 
-/// Bounded-retry policy for transient device faults.
-///
-/// When a segment's execution dies with a *transient* fault
-/// (`CoreError::DeviceFault { retryable: true }` — an injected or real
-/// launch/allocation/readback error), the session re-executes **only that
-/// segment**, up to [`max_attempts`](RetryPolicy::max_attempts) total
-/// attempts, sleeping an exponentially growing backoff between attempts.
-/// Because every segment's outputs are delivered to sinks only after the
-/// segment fully succeeds (readback included), a retried run's streamed and
-/// post-hoc outputs are bit-identical to a fault-free run.
-///
-/// The attempt `k` (1-based retry index) backoff is
-/// `backoff_base * backoff_factor^(k-1)`, capped at `backoff_cap`, in
-/// seconds. Total time spent sleeping is reported as
-/// `AppPhaseProfile::backoff_seconds`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Total attempts per segment (first try included). `1` disables
-    /// retries; `0` is treated as `1`. Default 3.
-    pub max_attempts: u32,
-    /// First retry's backoff in seconds. Default 1 ms.
-    pub backoff_base: f64,
-    /// Multiplier applied per further retry. Default 2.
-    pub backoff_factor: f64,
-    /// Upper bound on a single backoff sleep in seconds. Default 100 ms.
-    pub backoff_cap: f64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            backoff_base: 0.001,
-            backoff_factor: 2.0,
-            backoff_cap: 0.1,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// A policy that never retries (fail on the first fault).
-    pub fn none() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        }
-    }
-
-    /// The backoff before 1-based retry `attempt`, in seconds.
-    pub fn delay_seconds(&self, attempt: u32) -> f64 {
-        let exp = attempt.saturating_sub(1).min(62);
-        (self.backoff_base * self.backoff_factor.powi(exp as i32))
-            .clamp(0.0, self.backoff_cap.max(0.0))
-    }
-}
-
 /// GATSPI engine configuration.
 ///
 /// The three GPU "hyperparameters" the paper tunes (§5) are
@@ -108,9 +52,6 @@ pub struct SimConfig {
     /// (set it to the testbench clock period so windows cut at cycle
     /// boundaries where combinational logic has settled). Default 1.
     pub window_align: SimTime,
-    /// Bounded retry with exponential backoff for transient device faults;
-    /// see [`RetryPolicy`]. Default: 3 attempts, 1 ms base, ×2 per retry.
-    pub retry: RetryPolicy,
 }
 
 impl Default for SimConfig {
@@ -124,7 +65,6 @@ impl Default for SimConfig {
             features: SimFeatures::default(),
             path_pulse_percent: 100,
             window_align: 1,
-            retry: RetryPolicy::default(),
         }
     }
 }
@@ -155,13 +95,6 @@ impl SimConfig {
         self.device = device;
         self
     }
-
-    /// Sets the transient-fault retry policy (builder style); see
-    /// [`RetryPolicy`].
-    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -178,18 +111,6 @@ mod tests {
         assert!(c.features.net_delay_filtering);
         assert!(c.features.full_sdf);
         assert_eq!(c.device.name, "V100");
-        assert_eq!(c.retry, RetryPolicy::default());
-        assert_eq!(c.retry.max_attempts, 3);
-    }
-
-    #[test]
-    fn retry_backoff_grows_and_caps() {
-        let p = RetryPolicy::default();
-        assert_eq!(p.delay_seconds(1), 0.001);
-        assert_eq!(p.delay_seconds(2), 0.002);
-        assert_eq!(p.delay_seconds(3), 0.004);
-        assert_eq!(p.delay_seconds(30), 0.1, "capped at backoff_cap");
-        assert_eq!(RetryPolicy::none().max_attempts, 1);
     }
 
     #[test]

@@ -47,20 +47,14 @@ pub enum CoreError {
         /// Human-readable detail.
         detail: String,
     },
-    /// A device fault (injected or real) survived the configured
-    /// `RetryPolicy`: a launch failed, an allocation or transfer errored,
-    /// or a worker thread servicing the device panicked. The fault was
-    /// isolated at the segment boundary — the `Session` stays usable.
+    /// Code running for a device panicked: a kernel worker, the drain, or
+    /// a user `WaveformSink`. The panic was caught at the batch or drain
+    /// boundary and the run stopped; the `Session` stays usable.
     DeviceFault {
-        /// Index of the faulted device in its fleet (0 for single-device
-        /// runs).
+        /// Index of the device in its fleet (0 for single-device runs).
         device: usize,
-        /// What failed on the device.
-        kind: gatspi_gpu::FaultKind,
-        /// `true` if the fault was transient (the run failed only because
-        /// retry attempts were exhausted); `false` if the device is
-        /// permanently gone.
-        retryable: bool,
+        /// The panic message (or a placeholder for a non-string payload).
+        detail: String,
     },
 }
 
@@ -96,19 +90,9 @@ impl fmt::Display for CoreError {
             CoreError::BadIncremental { detail } => {
                 write!(f, "incremental run precondition failed: {detail}")
             }
-            CoreError::DeviceFault {
-                device,
-                kind,
-                retryable,
-            } => write!(
-                f,
-                "device {device} {kind} fault ({})",
-                if *retryable {
-                    "transient; retries exhausted"
-                } else {
-                    "permanent"
-                }
-            ),
+            CoreError::DeviceFault { device, detail } => {
+                write!(f, "device {device} fault: {detail}")
+            }
         }
     }
 }

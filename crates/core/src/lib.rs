@@ -24,7 +24,7 @@
 //! * multi-GPU distribution of cycle parallelism (`t = t₁/n + ovr`): a
 //!   session runs on a fleet of devices ([`Session::with_devices`]), one
 //!   device being the fleet of one, and every run — full or incremental —
-//!   goes through the same window loop, OOM halving and failover included,
+//!   goes through the same window loop, OOM halving included,
 //! * an "OpenMP-equivalent" CPU backend for the paper's Table 3 comparison:
 //!   a session on one host-threaded `Device::with_workers` device,
 //! * SAIF accumulated by the storing threads themselves: each thread scans
@@ -84,9 +84,8 @@ mod sink;
 pub mod sync;
 pub mod verify;
 
-pub use config::{RetryPolicy, SimConfig, SimFeatures};
+pub use config::{SimConfig, SimFeatures};
 pub use error::CoreError;
-pub use gatspi_gpu::FaultKind;
 pub use kernel::{simulate_gate, GateDesc, GateKernelInput, KernelMode, KernelOutput};
 pub use result::SimResult;
 pub use session::{PlanCacheStats, RunOptions, Session};

@@ -1,15 +1,15 @@
 //! What a fleet adds to the session's one window loop
 //! ([`Session::run_segments`]): the paper's cycle-parallel distribution
 //! (§5, Fig. 6) runs a round's ranges on their devices side by side, and a
-//! run whose batches settled out of window order — a device died or ran
-//! out of memory mid-round — replays its reorder buffer to the caller's
-//! sink in window order.
+//! run whose batches settled out of window order — a device ran out of
+//! memory mid-round and its range was halved and requeued — replays its
+//! reorder buffer to the caller's sink in window order.
 
 use std::ops::Range;
 
 use gatspi_wave::EOW;
 
-use crate::session::{RetryTelemetry, SegmentInputs, Session, WindowBatch};
+use crate::session::{SegmentInputs, Session, WindowBatch};
 use crate::sink::{SpillSink, WaveformSink, WindowInfo};
 use crate::Result;
 
@@ -17,19 +17,17 @@ impl Session {
     /// Runs one round of the window loop: every `(device, range)` entry
     /// executes as one segment on its device. A one-entry round — on
     /// a single device, every round — runs inline on the calling thread; a
-    /// wider one spawns a thread per entry. Each thread catches and retries
-    /// its own device's faults, so an outcome is a finished batch or the
-    /// structured error that survived the retries, and none delivers
-    /// anything. Outcomes come back in `round` order.
+    /// wider one spawns a thread per entry. Each thread catches its own
+    /// device's panics, so an outcome is a finished batch or a structured
+    /// error, and none delivers anything. Outcomes come back in `round`
+    /// order.
     pub(crate) fn execute_round(
         &self,
         round: &[(usize, Range<usize>)],
         inputs: &SegmentInputs<'_>,
-        telemetry: &RetryTelemetry,
     ) -> Vec<Result<WindowBatch>> {
-        let run = |(d, range): &(usize, Range<usize>)| {
-            self.execute_segment(*d, telemetry, inputs, range.clone())
-        };
+        let run =
+            |(d, range): &(usize, Range<usize>)| self.execute_segment(*d, inputs, range.clone());
         if let [entry] = round {
             return vec![run(entry)];
         }
@@ -40,7 +38,7 @@ impl Session {
                 .map(|entry| s.spawn(move |_| run(entry)))
                 .collect();
             // Explicit joins: a panic that escapes a device thread (a bug —
-            // the segment boundary catches faults) must surface with its
+            // the batch boundary catches panics) must surface with its
             // payload, not a generic scope message.
             handles
                 .into_iter()

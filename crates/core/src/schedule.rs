@@ -749,8 +749,8 @@ impl BatchScratch {
         }
         // relaxed-ok: see above.
         self.waste.store(0, Ordering::Relaxed);
-        // Clear the overflow cursor too: a batch that was abandoned by a
-        // fault isolated at the segment boundary can leave it non-zero, and
+        // Clear the overflow cursor too: a batch abandoned by a panic
+        // caught at the batch boundary can leave it non-zero, and
         // a poisoned cursor would leak phantom overflow columns into the
         // next batch that reuses this arena.
         // relaxed-ok: see above.

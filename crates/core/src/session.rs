@@ -111,22 +111,17 @@ struct PlanCache {
 /// another window count — and every segment and fleet device of a run
 /// reuses it.
 ///
-/// # Fault tolerance
+/// # Fault isolation
 ///
-/// A session is **never poisoned by a failed run**. Every segment executes
-/// under a panic guard at the segment boundary: a device fault or a stray
-/// worker panic surfaces as a structured
-/// [`CoreError::DeviceFault`](crate::CoreError) from the `run*` call, and
-/// the scratch pool and plan cache remain reusable — the next run on the
-/// same session reproduces a fresh session's output bit for bit. Transient device faults are retried per
-/// segment under [`SimConfig::with_retry_policy`] (see
-/// [`RetryPolicy`](crate::RetryPolicy)) *before* any sink delivery, so
-/// streamed and post-hoc outputs stay identical to a fault-free run;
-/// a fleet additionally fails a dead device's windows over to the
-/// surviving devices (see [`Session::with_devices`]).
-/// Recovery activity is reported in `SimResult::app_profile`
-/// (`faults_injected`, `segment_retries`, `failovers`, `backoff_seconds`,
-/// `oom_retries`).
+/// A session is **never poisoned by a failed run**. Each batch and each
+/// drain runs under a panic guard: a panic in a kernel worker, the drain
+/// or a user [`WaveformSink`] stops the run with
+/// [`CoreError::DeviceFault`](crate::CoreError) carrying the panic text,
+/// and is never retried. The scratch pool, plan and segment hints stay
+/// reusable, so the next run on the same session reproduces a fresh
+/// session's output bit for bit. The one fault a run recovers from is a
+/// full arena: a range of windows that does not fit is halved and
+/// requeued, counted in `SimResult::app_profile.oom_retries`.
 ///
 /// # Example
 ///
@@ -278,8 +273,6 @@ struct RunTotals {
     pub profile: KernelProfile,
     /// Batches absorbed so far — the run's memory-segment count.
     pub segments: usize,
-    /// Fault-recovery counters, bumped from whichever thread retried.
-    pub telemetry: RetryTelemetry,
     spec_threads: u64,
     /// Per fleet device: batches it executed and their summed modeled
     /// kernel seconds.
@@ -297,7 +290,6 @@ impl RunTotals {
             t1: vec![0; n_signals],
             profile: KernelProfile::empty(kernel_name),
             segments: 0,
-            telemetry: RetryTelemetry::new(),
             spec_threads: 0,
             per_device: vec![(0, 0.0); devices],
             counters: AppPhaseProfile::default(),
@@ -344,7 +336,7 @@ impl RunTotals {
         d2h_bytes: u64,
         restructure_seconds: f64,
     ) -> AppPhaseProfile {
-        let (c, telemetry) = (&self.counters, &self.telemetry);
+        let c = &self.counters;
         let devices = self.per_device.iter().filter(|d| d.0 > 0).count().max(1) as f64;
         let sync_launch_seconds = c.launches as f64 / devices * spec.launch_overhead;
         AppPhaseProfile {
@@ -356,11 +348,6 @@ impl RunTotals {
             h2d_bytes,
             d2h_bytes,
             speculative_hit_rate: spec_hit_rate(self.spec_threads, c.overflow_repairs),
-            faults_injected: telemetry.faults(),
-            segment_retries: telemetry.retries(),
-            failovers: telemetry.failovers(),
-            backoff_seconds: telemetry.backoff_seconds(),
-            oom_retries: telemetry.oom_retries(),
             ..*c
         }
     }
@@ -581,8 +568,8 @@ impl Session {
     ///   memory.
     /// * [`CoreError::BadConfig`] for a negative duration or a session
     ///   without devices.
-    /// * [`CoreError::DeviceFault`] when a fault outlived the retry policy
-    ///   and no device survived to take over.
+    /// * [`CoreError::DeviceFault`] when a kernel worker, the drain or a
+    ///   streaming sink panicked; the error carries the panic text.
     pub fn run(&self, stimuli: &[Waveform], duration: SimTime) -> Result<SimResult> {
         self.run_with(stimuli, duration, &RunOptions::default())
     }
@@ -904,17 +891,17 @@ impl Session {
     /// Every range executes `inputs.plan`, whatever its window count; a
     /// round fans out its ranges ([`Session::execute_round`]) and the
     /// engine thread then settles it in window order: each batch
-    /// drains — a retry boundary of its own — into `spill` and, while every
-    /// earlier window has reached it, straight into `user_sink`. A batch
-    /// that finished ahead of a gap goes to the reorder buffer instead (the
-    /// spill doubles as it), replayed to `user_sink` in window order at the
-    /// end. Each settled batch is folded into `totals`.
+    /// drains — under a panic guard of its own — into `spill` and, while
+    /// every earlier window has reached it, straight into `user_sink`. A
+    /// batch that finished ahead of a gap goes to the reorder buffer
+    /// instead (the spill doubles as it), replayed to `user_sink` in window
+    /// order at the end. Each settled batch is folded into `totals`.
     ///
     /// A range of more than one window that runs out of memory halves
     /// `chunk` and is requeued (the paper's "compile the testbench into
-    /// shorter segments" fallback). A device fault that survived the retry
-    /// policy marks the device dead and re-cuts its range across the
-    /// survivors; with none left, the run fails with that fault.
+    /// shorter segments" fallback); a requeued range may finish after a
+    /// later one, which is what the reorder buffer is for. Any other error,
+    /// a [`CoreError::DeviceFault`] included, fails the run at once.
     fn run_segments(
         &self,
         inputs: &SegmentInputs<'_>,
@@ -936,7 +923,6 @@ impl Session {
         // A cone-filtered drain never covers primary inputs, so it needs no
         // stimulus windows.
         let only = inputs.cone.as_ref().map(|c| &c.cone.sigs[..]);
-        let mut live = vec![true; self.devices.len()];
         let mut queue: VecDeque<_> = std::iter::once(0..n).collect();
         // Windows [0, delivered) reached `user_sink`; `buffered` lists the
         // (range, segment) batches parked in the reorder buffer.
@@ -945,7 +931,7 @@ impl Session {
         let has_user = user_sink.is_some();
         while !queue.is_empty() {
             let mut round = Vec::new();
-            for d in (0..self.devices.len()).filter(|&d| live[d]) {
+            for d in 0..self.devices.len() {
                 let Some(r) = queue.pop_front() else { break };
                 let end = r.end.min(r.start + chunk);
                 if end < r.end {
@@ -953,7 +939,7 @@ impl Session {
                 }
                 round.push((d, r.start..end));
             }
-            let outcomes = self.execute_round(&round, inputs, &totals.telemetry);
+            let outcomes = self.execute_round(&round, inputs);
             let mut requeue = Vec::new();
             for ((d, range), outcome) in round.into_iter().zip(outcomes) {
                 let settled = outcome.and_then(|batch| {
@@ -978,7 +964,7 @@ impl Session {
                             &inputs.stims[range.clone()]
                         };
                         let t_drain = Instant::now();
-                        drained = self.with_retry(d, &totals.telemetry, || {
+                        drained = isolate(d, || {
                             let device = &self.devices[d];
                             Ok(self.drain_segment(
                                 device,
@@ -1003,21 +989,9 @@ impl Session {
                 match settled {
                     Ok(()) => {}
                     Err(CoreError::OutOfMemory { .. }) if range.len() > 1 => {
-                        totals.telemetry.oom_retry();
+                        totals.counters.oom_retries += 1;
                         chunk = chunk.min(range.len().div_ceil(2));
                         requeue.push(range);
-                    }
-                    Err(e @ CoreError::DeviceFault { .. }) => {
-                        live[d] = false;
-                        let survivors = live.iter().filter(|&&l| l).count();
-                        if survivors == 0 {
-                            return Err(e);
-                        }
-                        totals.telemetry.failover();
-                        let cut = gatspi_gpu::shard_slots(range.len(), survivors);
-                        let cut = cut.into_iter().filter(|&(_, count)| count > 0);
-                        requeue
-                            .extend(cut.map(|(s, count)| range.start + s..range.start + s + count));
                     }
                     Err(e) => return Err(e),
                 }
@@ -1050,13 +1024,11 @@ impl Session {
 
     /// Executes one memory segment — windows `range` of the run — on fleet
     /// device `device` against the run's plan: takes a scratch arena and
-    /// runs the batch as one retried attempt (a faulted attempt scrubs the
-    /// arena's partial writes and re-runs whole). Delivery is the caller's:
-    /// the drain is a retry boundary of its own.
+    /// runs the batch under a panic guard. Delivery is the caller's: the
+    /// drain is guarded on its own.
     pub(crate) fn execute_segment(
         &self,
         device: usize,
-        telemetry: &RetryTelemetry,
         inputs: &SegmentInputs<'_>,
         range: Range<usize>,
     ) -> Result<WindowBatch> {
@@ -1064,14 +1036,7 @@ impl Session {
         let windows = &inputs.windows[range.clone()];
         let stims = &inputs.stims[range.clone()];
         let scratch = self.acquire_scratch(nw, plan.widest_level() * nw);
-        let mut first_attempt = true;
-        let batch = self.with_retry(device, telemetry, || {
-            if !first_attempt {
-                // A faulted attempt abandoned the batch mid-flight;
-                // scrub its partial writes before re-running.
-                scratch.reset(nw * self.graph.n_signals());
-            }
-            first_attempt = false;
+        let batch = isolate(device, || {
             let stim = match &inputs.cone {
                 Some(c) => BatchStimulus::Boundary {
                     spill: c.spill,
@@ -1609,8 +1574,8 @@ impl Session {
     /// `d2h_bytes` therefore counts the slack inside the regions, the
     /// segment buffer does not hold it. Large segments split the regions
     /// into contiguous shares of about equal live words, one per device
-    /// host worker; the cuts fall between regions, so the transfers (and
-    /// the fault-injection points they pass) are the same on every host.
+    /// host worker; the cuts fall between regions, so the transfers are the
+    /// same on every host.
     /// The sinks are then fed in deterministic (window, ascending signal)
     /// order. Every buffer involved lives on the session and is reused.
     ///
@@ -1724,10 +1689,10 @@ impl Session {
                         handles.push(scope.spawn(move |_| read(mine, from, out, bounce)));
                     }
                 }
-                // Join each worker explicitly so a transfer fault's typed
-                // panic payload survives to the segment boundary (the
+                // Join each worker explicitly so a worker's panic payload
+                // survives to the drain boundary as the error's detail (the
                 // scope's auto-join would replace it with a generic
-                // message that cannot be classified for retry).
+                // message).
                 for h in handles {
                     if let Err(payload) = h.join() {
                         std::panic::resume_unwind(payload);
@@ -1775,153 +1740,26 @@ impl Session {
     }
 }
 
-/// Best-effort human-readable text of an unknown panic payload.
-fn payload_text(payload: &(dyn std::any::Any + Send)) -> &str {
-    payload
-        .downcast_ref::<&str>()
-        .copied()
-        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-        .unwrap_or("non-string panic payload")
+/// Runs `f` under `catch_unwind`: a panic inside it — a kernel worker's,
+/// the drain's or a user sink's — stops at this boundary as a
+/// [`CoreError::DeviceFault`] on fleet device `device`.
+fn isolate<T>(device: usize, f: impl FnOnce() -> Result<T>) -> Result<T> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+        .unwrap_or_else(|payload| Err(panic_to_error(device, payload)))
 }
 
-/// Classifies a panic caught at the segment boundary into the structured
-/// error the retry/failover machinery dispatches on. A typed
-/// [`gatspi_gpu::DeviceFaultPanic`] from the fault choke points carries its
-/// own classification; anything else is an engine/worker bug — a
-/// non-retryable worker fault on `device`.
+/// Classifies a panic caught at a batch or drain boundary: the device it
+/// ran for, and the panic message as the error's `detail` (a `String` or
+/// `&str` payload; any other payload reads as a placeholder).
 fn panic_to_error(device: usize, payload: Box<dyn std::any::Any + Send>) -> CoreError {
-    let payload = match payload.downcast::<gatspi_gpu::DeviceFaultPanic>() {
-        Ok(p) => {
-            return CoreError::DeviceFault {
-                device: p.device,
-                kind: p.kind,
-                retryable: p.retryable,
-            }
-        }
-        Err(p) => p,
+    let detail = match payload.downcast::<String>() {
+        Ok(text) => *text,
+        Err(payload) => payload
+            .downcast_ref::<&str>()
+            .map_or("non-string panic payload", |text| text)
+            .to_string(),
     };
-    // The message would otherwise be lost to the structured error; log it
-    // for diagnosis before reporting the fault.
-    eprintln!(
-        "gatspi: worker panic isolated at segment boundary: {}",
-        payload_text(payload.as_ref())
-    );
-    CoreError::DeviceFault {
-        device,
-        kind: gatspi_gpu::FaultKind::Worker,
-        retryable: false,
-    }
-}
-
-/// Fault-recovery counters for one run, shared across the threads of a
-/// multi-GPU fleet; drained into [`AppPhaseProfile`] when the run ends.
-#[derive(Debug)]
-pub(crate) struct RetryTelemetry {
-    faults: AtomicU64,
-    retries: AtomicU64,
-    oom_retries: AtomicU64,
-    failovers: AtomicU64,
-    backoff_nanos: AtomicU64,
-}
-
-impl RetryTelemetry {
-    pub(crate) fn new() -> Self {
-        RetryTelemetry {
-            faults: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            oom_retries: AtomicU64::new(0),
-            failovers: AtomicU64::new(0),
-            backoff_nanos: AtomicU64::new(0),
-        }
-    }
-
-    pub(crate) fn fault(&self) {
-        // relaxed-ok: pure statistics — incremented on whichever thread
-        // observed the event, read after every worker joined.
-        self.faults.fetch_add(1, Ordering::Relaxed);
-    }
-    pub(crate) fn retry(&self) {
-        // relaxed-ok: see `fault`.
-        self.retries.fetch_add(1, Ordering::Relaxed);
-    }
-    pub(crate) fn oom_retry(&self) {
-        // relaxed-ok: see `fault`.
-        self.oom_retries.fetch_add(1, Ordering::Relaxed);
-    }
-    pub(crate) fn failover(&self) {
-        // relaxed-ok: see `fault`.
-        self.failovers.fetch_add(1, Ordering::Relaxed);
-    }
-    pub(crate) fn add_backoff(&self, seconds: f64) {
-        // relaxed-ok: see `fault`.
-        self.backoff_nanos
-            .fetch_add((seconds * 1e9) as u64, Ordering::Relaxed);
-    }
-    pub(crate) fn faults(&self) -> u64 {
-        // relaxed-ok: see `fault`.
-        self.faults.load(Ordering::Relaxed)
-    }
-    pub(crate) fn retries(&self) -> u64 {
-        // relaxed-ok: see `fault`.
-        self.retries.load(Ordering::Relaxed)
-    }
-    pub(crate) fn oom_retries(&self) -> u64 {
-        // relaxed-ok: see `fault`.
-        self.oom_retries.load(Ordering::Relaxed)
-    }
-    pub(crate) fn failovers(&self) -> u64 {
-        // relaxed-ok: see `fault`.
-        self.failovers.load(Ordering::Relaxed)
-    }
-    pub(crate) fn backoff_seconds(&self) -> f64 {
-        // relaxed-ok: see `fault`.
-        self.backoff_nanos.load(Ordering::Relaxed) as f64 * 1e-9
-    }
-}
-
-impl Session {
-    /// Runs one segment attempt under `catch_unwind`, classifying panics
-    /// via [`panic_to_error`] and retrying transient device faults per the
-    /// session's [`crate::RetryPolicy`] with exponential backoff.
-    ///
-    /// Both callers deliver to sinks only at the very end of a fully
-    /// successful attempt (all device work and readback precede the first
-    /// sink feed), which is what makes a retried segment exactly-once for
-    /// every sink — a faulted attempt has observable effects only on
-    /// device byte counters and this telemetry.
-    fn with_retry<T>(
-        &self,
-        device_index: usize,
-        telemetry: &RetryTelemetry,
-        mut attempt: impl FnMut() -> Result<T>,
-    ) -> Result<T> {
-        let policy = self.config.retry;
-        let max_attempts = policy.max_attempts.max(1);
-        let mut attempts = 0u32;
-        loop {
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(&mut attempt))
-                .unwrap_or_else(|payload| Err(panic_to_error(device_index, payload)));
-            attempts += 1;
-            match outcome {
-                Err(CoreError::DeviceFault {
-                    retryable: true, ..
-                }) if attempts < max_attempts => {
-                    telemetry.fault();
-                    telemetry.retry();
-                    let delay = policy.delay_seconds(attempts);
-                    if delay > 0.0 {
-                        telemetry.add_backoff(delay);
-                        crate::sync::thread::sleep(std::time::Duration::from_secs_f64(delay));
-                    }
-                }
-                Err(e @ CoreError::DeviceFault { .. }) => {
-                    telemetry.fault();
-                    return Err(e);
-                }
-                other => return other,
-            }
-        }
-    }
+    CoreError::DeviceFault { device, detail }
 }
 
 /// Running speculation telemetry for one window batch: the raw counters
@@ -1980,7 +1818,7 @@ impl HostState {
     /// # Errors
     ///
     /// [`CoreError::OutOfMemory`] if the reservations exceed the arena (the
-    /// caller segments and retries); the bump keeps its pre-level value.
+    /// caller halves the range and requeues it); the bump keeps its pre-level value.
     fn advance_budgets(
         &mut self,
         schedule: &LevelSchedule,
@@ -2272,36 +2110,24 @@ mod tests {
         Arc::new(CircuitGraph::build(&b.finish().unwrap(), None, &GraphOptions::default()).unwrap())
     }
 
-    /// Segment-boundary panic classification: typed device-fault payloads
-    /// surface as structured errors; anything else is an isolated worker
-    /// fault — never a process abort.
+    /// Batch- and drain-boundary panic classification: the panic text of a
+    /// `String` or `&str` payload rides the structured error, any other
+    /// payload reads as a placeholder — never a process abort.
     #[test]
     fn segment_boundary_panics_classify_by_payload() {
-        let e = panic_to_error(
-            3,
-            Box::new(gatspi_gpu::DeviceFaultPanic {
-                device: 3,
-                kind: gatspi_gpu::FaultKind::Launch,
-                retryable: true,
-            }),
+        let fault = |device, detail: &str| CoreError::DeviceFault {
+            device,
+            detail: detail.to_string(),
+        };
+        assert_eq!(
+            panic_to_error(1, Box::new("boom".to_string())),
+            fault(1, "boom")
         );
-        assert!(matches!(
-            e,
-            CoreError::DeviceFault {
-                device: 3,
-                kind: gatspi_gpu::FaultKind::Launch,
-                retryable: true
-            }
-        ));
-        let e = panic_to_error(1, Box::new("boom".to_string()));
-        assert!(matches!(
-            e,
-            CoreError::DeviceFault {
-                device: 1,
-                kind: gatspi_gpu::FaultKind::Worker,
-                retryable: false
-            }
-        ));
+        assert_eq!(panic_to_error(3, Box::new("bang")), fault(3, "bang"));
+        assert_eq!(
+            panic_to_error(0, Box::new(42u32)),
+            fault(0, "non-string panic payload")
+        );
     }
 
     #[test]
@@ -2829,15 +2655,7 @@ mod tests {
             "devices overlap: the slowest device's sum, not the total or a batch"
         );
 
-        let telemetry = &totals.telemetry;
-        for _ in 0..3 {
-            telemetry.fault();
-        }
-        telemetry.retry();
-        telemetry.retry();
-        telemetry.oom_retry();
-        telemetry.failover();
-        telemetry.add_backoff(0.5);
+        totals.counters.oom_retries += 1;
         let spec = DeviceSpec {
             launch_overhead: 0.5,
             pcie_bw: 1024.0,
@@ -2862,10 +2680,7 @@ mod tests {
                 speculative_hit_rate: 0.75,
                 overflow_repairs: 6,
                 predicted_waste_words: 16,
-                faults_injected: 3,
-                segment_retries: 2,
-                failovers: 1,
-                backoff_seconds: 0.5,
+                segment_retries: 0,
                 oom_retries: 1,
             }
         );

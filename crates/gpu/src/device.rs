@@ -88,23 +88,6 @@ impl Device {
         self.workers
     }
 
-    /// Arms `injector` on this device (or disarms with `None`): every
-    /// subsequent launch, `h2d`, and `d2h` runs the injector's
-    /// deterministic fault check. Disarming never un-latches a permanent
-    /// fault — it removes the injector entirely, which is how tests verify
-    /// a faulted [`crate::fault::FaultPlan`] left the device (and the
-    /// session above it) reusable.
-    #[cfg(feature = "fault-inject")]
-    pub fn arm_faults(&self, injector: Option<std::sync::Arc<crate::fault::FaultInjector>>) {
-        self.memory.arm_faults(injector);
-    }
-
-    /// The armed fault injector, if any.
-    #[cfg(feature = "fault-inject")]
-    pub fn fault_injector(&self) -> Option<std::sync::Arc<crate::fault::FaultInjector>> {
-        self.memory.fault_injector()
-    }
-
     /// Launches a kernel over logical threads `0..cfg.threads`, grouped
     /// into blocks of `cfg.threads_per_block`: `f(threads, lane_counters)`
     /// is invoked once per *block* with the block's thread range, and runs
@@ -123,8 +106,6 @@ impl Device {
     where
         F: Fn(Range<usize>, &mut LaneCounters) + Sync,
     {
-        #[cfg(feature = "fault-inject")]
-        self.memory.fault_point(crate::fault::FaultSite::Launch);
         let t0 = Instant::now();
         let counters = KernelCounters::default();
         let n = cfg.threads;
@@ -161,7 +142,7 @@ impl Device {
                 }
             })
             // panic-ok: scope join — re-raises a kernel worker's panic
-            // (fault payloads cross it typed).
+            // (the session's batch boundary catches it).
             .expect("kernel worker panicked");
         }
 

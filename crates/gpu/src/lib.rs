@@ -25,7 +25,6 @@
 #![deny(missing_docs)]
 
 mod device;
-pub mod fault;
 mod launch;
 mod memory;
 mod multi;
@@ -35,12 +34,9 @@ mod spec;
 pub mod sync;
 
 pub use device::Device;
-pub use fault::{DeviceFaultPanic, FaultKind};
-#[cfg(feature = "fault-inject")]
-pub use fault::{FaultInjector, FaultPlan, FaultSite};
 pub use launch::{KernelCounters, LaneCounters, LaunchConfig};
 pub use memory::DeviceMemory;
-pub use multi::{shard_slots, MultiGpu};
+pub use multi::MultiGpu;
 pub use perfmodel::KernelProfile;
 pub use profiler::AppPhaseProfile;
 pub use spec::DeviceSpec;

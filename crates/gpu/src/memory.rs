@@ -17,10 +17,6 @@ pub struct DeviceMemory {
     words: Vec<AtomicI32>,
     h2d_bytes: AtomicU64,
     d2h_bytes: AtomicU64,
-    /// Armed fault injector, if any (`Device::arm_faults`). The lock is
-    /// taken only at the bulk-transfer entry points, never per word.
-    #[cfg(feature = "fault-inject")]
-    injector: crate::sync::Mutex<Option<std::sync::Arc<crate::fault::FaultInjector>>>,
 }
 
 impl DeviceMemory {
@@ -32,31 +28,6 @@ impl DeviceMemory {
             words: zeroed_words(words),
             h2d_bytes: AtomicU64::new(0),
             d2h_bytes: AtomicU64::new(0),
-            #[cfg(feature = "fault-inject")]
-            injector: crate::sync::Mutex::new(None),
-        }
-    }
-
-    /// Replaces (or clears, with `None`) the armed fault injector.
-    #[cfg(feature = "fault-inject")]
-    pub(crate) fn arm_faults(&self, injector: Option<std::sync::Arc<crate::fault::FaultInjector>>) {
-        *self.injector.lock().unwrap_or_else(|e| e.into_inner()) = injector;
-    }
-
-    /// The armed fault injector, if any.
-    #[cfg(feature = "fault-inject")]
-    pub(crate) fn fault_injector(&self) -> Option<std::sync::Arc<crate::fault::FaultInjector>> {
-        self.injector
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
-    }
-
-    /// Runs the injection check for `site` if an injector is armed.
-    #[cfg(feature = "fault-inject")]
-    pub(crate) fn fault_point(&self, site: crate::fault::FaultSite) {
-        if let Some(inj) = self.fault_injector() {
-            inj.check(site);
         }
     }
 
@@ -102,8 +73,6 @@ impl DeviceMemory {
     ///
     /// Panics if the destination range is out of bounds.
     pub fn h2d(&self, offset: usize, src: &[i32]) {
-        #[cfg(feature = "fault-inject")]
-        self.fault_point(crate::fault::FaultSite::Alloc);
         // panic-ok: documented bounds contract of this API.
         assert!(offset + src.len() <= self.words.len(), "h2d out of bounds");
         for (i, &v) in src.iter().enumerate() {
@@ -122,8 +91,6 @@ impl DeviceMemory {
     ///
     /// Panics if the source range is out of bounds.
     pub fn d2h_into(&self, offset: usize, dst: &mut [i32]) {
-        #[cfg(feature = "fault-inject")]
-        self.fault_point(crate::fault::FaultSite::Transfer);
         // panic-ok: documented bounds contract of this API.
         assert!(offset + dst.len() <= self.words.len(), "d2h out of bounds");
         for (d, w) in dst.iter_mut().zip(&self.words[offset..]) {

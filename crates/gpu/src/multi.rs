@@ -62,32 +62,9 @@ impl MultiGpu {
     }
 }
 
-/// Splits `total` cycle-parallel slots across `n` devices as evenly as
-/// possible, returning per-device `(start, count)`.
-pub fn shard_slots(total: usize, n: usize) -> Vec<(usize, usize)> {
-    assert!(n > 0, "need at least one shard");
-    let base = total / n;
-    let rem = total % n;
-    let mut out = Vec::with_capacity(n);
-    let mut start = 0;
-    for i in 0..n {
-        let count = base + usize::from(i < rem);
-        out.push((start, count));
-        start += count;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shard_slots_even_and_uneven() {
-        assert_eq!(shard_slots(8, 4), vec![(0, 2), (2, 2), (4, 2), (6, 2)]);
-        assert_eq!(shard_slots(7, 3), vec![(0, 3), (3, 2), (5, 2)]);
-        assert_eq!(shard_slots(2, 4), vec![(0, 1), (1, 1), (2, 0), (2, 0)]);
-    }
 
     #[test]
     fn predicted_scaling_follows_t1_over_n() {

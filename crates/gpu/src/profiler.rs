@@ -62,20 +62,9 @@ pub struct AppPhaseProfile {
     /// waveforms actually needed (the prediction slack paid for storing
     /// in one pass).
     pub predicted_waste_words: u64,
-    /// Device faults observed during the run (injected or real): every
-    /// transient fault that triggered a retry plus every fault that killed
-    /// a device or exhausted its retries. `0` on a fault-free run.
-    pub faults_injected: u64,
-    /// Segment executions re-attempted after a transient device fault.
+    /// Always 0: a device fault fails the run and is never retried. Kept
+    /// so existing readers of the field keep compiling.
     pub segment_retries: u64,
-    /// Window shards redistributed from a permanently-failed device to the
-    /// surviving devices of a multi-GPU run (degraded mode).
-    pub failovers: u64,
-    /// Seconds slept in retry backoff (`RetryPolicy` exponential delays).
-    /// Real idle time, but fault-recovery overhead rather than an
-    /// application phase — reported for visibility and excluded from
-    /// [`AppPhaseProfile::total_seconds`].
-    pub backoff_seconds: f64,
     /// Segment re-executions forced by arena exhaustion: each out-of-memory
     /// segment is split in half and retried (the pre-existing OOM halving
     /// path, now surfaced).
@@ -98,7 +87,7 @@ impl fmt::Display for AppPhaseProfile {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "h2d {:.3}s | readback {:.3}s | sync+launch {:.3}s | kernel {:.3}s | restructure {:.3}s | dump {:.3}s | dump-stall {:.3}s | drain {:.3}s/{} batches | spec-hit {:.1}% | repairs {} | waste {}w | faults {} | retries {} | failovers {} | backoff {:.3}s | oom-retries {}",
+            "h2d {:.3}s | readback {:.3}s | sync+launch {:.3}s | kernel {:.3}s | restructure {:.3}s | dump {:.3}s | dump-stall {:.3}s | drain {:.3}s/{} batches | spec-hit {:.1}% | repairs {} | waste {}w | oom-retries {}",
             self.h2d_seconds,
             self.readback_seconds,
             self.sync_launch_seconds,
@@ -111,10 +100,6 @@ impl fmt::Display for AppPhaseProfile {
             self.speculative_hit_rate * 100.0,
             self.overflow_repairs,
             self.predicted_waste_words,
-            self.faults_injected,
-            self.segment_retries,
-            self.failovers,
-            self.backoff_seconds,
             self.oom_retries
         )
     }
@@ -143,15 +128,12 @@ mod tests {
             speculative_hit_rate: 0.975,
             overflow_repairs: 4,
             predicted_waste_words: 128,
-            faults_injected: 2,
-            segment_retries: 2,
-            failovers: 1,
-            backoff_seconds: 0.003,
+            segment_retries: 0,
             oom_retries: 1,
         };
-        // Stall, measured-drain, and backoff time overlap/duplicate other
-        // phases or are recovery overhead: reported, not summed.
-        // Speculation and fault telemetry are counters, not time.
+        // Stall and measured-drain time overlap/duplicate other phases:
+        // reported, not summed. Speculation and OOM telemetry are
+        // counters, not time.
         assert!((p.total_seconds() - 7.25).abs() < 1e-12);
         let s = p.to_string();
         assert!(s.contains("kernel 3.000s"));
@@ -161,10 +143,6 @@ mod tests {
         assert!(s.contains("spec-hit 97.5%"));
         assert!(s.contains("repairs 4"));
         assert!(s.contains("waste 128w"));
-        assert!(s.contains("faults 2"));
-        assert!(s.contains("retries 2"));
-        assert!(s.contains("failovers 1"));
-        assert!(s.contains("backoff 0.003s"));
         assert!(s.contains("oom-retries 1"));
     }
 }

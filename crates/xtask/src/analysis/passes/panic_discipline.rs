@@ -1,10 +1,9 @@
 //! Pass 1 — panic discipline.
 //!
-//! PR 9's retry machinery classifies panic payloads at `catch_unwind`
-//! boundaries: a typed payload means a known, recoverable condition, and
-//! *anything else* is treated as a real bug and re-raised. An unannotated
-//! `unwrap()` on the engine path therefore isn't just sloppy — its payload
-//! reaches a boundary that must not mistake it for a retryable fault. This
+//! The engine's `catch_unwind` boundaries turn any panic into a
+//! `CoreError::DeviceFault` that fails the run; nothing retries it. An
+//! unannotated `unwrap()` on the engine path therefore isn't just sloppy —
+//! it is a failed run waiting for an input that triggers it. This
 //! pass bans the panicking idioms in production code of the disciplined
 //! crates unless the attached comment block carries `// panic-ok: <reason>`
 //! stating why the condition is impossible (or why dying is correct).

@@ -432,7 +432,7 @@ mod tests {
             "std::thread::scope(|s| ());\n"
         )
         .is_empty());
-        assert!(rules("crates/gpu/src/fault.rs", "std::thread::sleep(d);\n").is_empty());
+        assert!(rules("crates/gpu/src/launch.rs", "std::thread::sleep(d);\n").is_empty());
         // Test code may spawn directly.
         let in_test = "#[cfg(test)]\nmod tests { fn t() { std::thread::spawn(f); } }\n";
         assert!(rules("crates/core/src/session.rs", in_test).is_empty());

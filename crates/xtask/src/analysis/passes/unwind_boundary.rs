@@ -9,8 +9,10 @@
 //!   the *full* registry — by calling a registered classifier function, by
 //!   handing the payload to a registered rethrow helper (deferring to an
 //!   enclosing audited boundary), by downcasting every registered payload
-//!   type inline, or by carrying an explicit `// unwind-ok: <reason>`
-//!   annotation when the handling is genuinely non-local;
+//!   type inline (only while the registry is non-empty: with no payloads
+//!   registered, an inline downcast handles none of them), or by carrying
+//!   an explicit `// unwind-ok: <reason>` annotation when the handling is
+//!   genuinely non-local;
 //! * every registered classifier's body must downcast every registered
 //!   payload (totality), so adding a payload type without teaching the
 //!   classifier is an error;
@@ -122,7 +124,8 @@ pub fn run(files: &[SourceFile], manifest: &UnwindManifest) -> Vec<Diagnostic> {
                 .filter(|p| find_token(&window, p).is_none())
                 .map(String::as_str)
                 .collect();
-            if missing.is_empty() && window.contains("downcast") {
+            let inline_total = !manifest.payloads.is_empty() && missing.is_empty();
+            if inline_total && window.contains("downcast") {
                 continue;
             }
             out.push(Diagnostic {
@@ -292,6 +295,36 @@ mod tests {
              let r = catch_unwind(w);\n}}\n"
         );
         assert!(rules(&annotated).is_empty());
+    }
+
+    /// With no typed payloads registered the boundary check does not go
+    /// vacuous: a boundary must still call a classifier or a rethrow
+    /// helper, and an inline downcast no longer stands in for them.
+    #[test]
+    fn empty_registry_still_flags_unhandled_boundaries() {
+        let empty = UnwindManifest::parse("classifier panic_to_error\nrethrow resume_unwind\n")
+            .expect("test manifest parses");
+        let rules = |src: &str| -> Vec<&'static str> {
+            let f = SourceFile::lex("crates/core/src/session.rs", src);
+            run(&[f], &empty).into_iter().map(|d| d.rule).collect()
+        };
+        let classifier = "fn panic_to_error(p: Payload) -> CoreError {\n    \
+                          p.downcast::<String>().into()\n}\n";
+        let swallowed = format!(
+            "{classifier}fn f() {{\n    let r = catch_unwind(w);\n    \
+             if let Err(p) = r {{ log(p); }}\n}}\n"
+        );
+        assert_eq!(rules(&swallowed), vec!["missing-downcast"]);
+        let downcast_only = format!(
+            "{classifier}fn f() {{\n    let r = catch_unwind(w);\n    \
+             if let Err(p) = r {{ p.downcast_ref::<String>(); }}\n}}\n"
+        );
+        assert_eq!(rules(&downcast_only), vec!["missing-downcast"]);
+        let classified = format!(
+            "{classifier}fn f() {{\n    let r = catch_unwind(w);\n    \
+             r.map_err(|p| panic_to_error(dev, p))\n}}\n"
+        );
+        assert!(rules(&classified).is_empty());
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //@ label: crates/core/src/fixture.rs
-// Known-good snippet: the four sanctioned boundary shapes — classifier
-// call, rethrow helper, full inline downcast, and `unwind-ok:` annotation.
+// Known-good snippet: the boundary shapes the checked-in manifest
+// sanctions — classifier call, rethrow helper, and `unwind-ok:`
+// annotation. (A full inline downcast also counts while payloads are
+// registered; the pass's unit tests cover it.)
 
 fn via_classifier(dev: usize) -> Result<u32, CoreError> {
     std::panic::catch_unwind(|| work()).map_err(|p| panic_to_error(dev, p))
@@ -10,18 +12,6 @@ fn via_rethrow() -> u32 {
     match std::panic::catch_unwind(|| work()) {
         Ok(v) => v,
         Err(p) => std::panic::resume_unwind(p),
-    }
-}
-
-fn inline_total() -> u32 {
-    match std::panic::catch_unwind(|| work()) {
-        Ok(v) => v,
-        Err(p) => {
-            if p.downcast_ref::<DeviceFaultPanic>().is_some() {
-                return 1;
-            }
-            0
-        }
     }
 }
 

@@ -4,11 +4,16 @@
 //! writers fed from [`SimResult::waveform`] — across serial, segmented
 //! and multi-GPU runs, including quiet signals and `INIT_ONE_MARKER`
 //! windows — and the VCD sink's peak buffering must scale with one
-//! window, not the run.
+//! window, not the run. A sink that panics, or a window too big for the
+//! arena, fails its run with a typed error and leaves the session as good
+//! as a fresh one.
 
 use std::sync::Arc;
 
-use gatspi_core::{CoreError, RunOptions, SaifSink, Session, SimConfig, SimResult, VcdSink};
+use gatspi_core::{
+    CoreError, RunOptions, SaifSink, Session, SimConfig, SimResult, VcdSink, WaveformSink,
+    WindowInfo,
+};
 use gatspi_gpu::{DeviceSpec, MultiGpu};
 use gatspi_graph::{CircuitGraph, GraphOptions, SignalId};
 use gatspi_netlist::{CellLibrary, NetlistBuilder};
@@ -473,4 +478,159 @@ fn saif_sink_with_partial_names_skips_unnamed_signals() {
     expected.nets.retain(|net, _| names.contains(net));
     assert!(!expected.nets.is_empty());
     assert_eq!(sink.finish(duration), expected);
+}
+
+/// The fault-isolation workload: 220-gate random logic with SDF delays
+/// and 12 cycles of 400 ticks, cut into 4 windows per device.
+fn isolation_workload() -> (Arc<CircuitGraph>, Vec<Waveform>, i32, SimConfig) {
+    let netlist = random_logic(&RandomLogicConfig {
+        gates: 220,
+        inputs: 12,
+        depth: 5,
+        output_fraction: 0.15,
+        seed: 2,
+    });
+    let sdf = attach_sdf(
+        &netlist,
+        &SdfGenConfig {
+            seed: 2 ^ 0xBEEF,
+            ..SdfGenConfig::default()
+        },
+    );
+    let graph =
+        Arc::new(CircuitGraph::build(&netlist, Some(&sdf), &GraphOptions::default()).unwrap());
+    let stimuli = generate(
+        graph.primary_inputs().len(),
+        &StimulusConfig::random(12, 400, 0.4, 9 ^ 0x55),
+    );
+    let config = SimConfig::small()
+        .with_cycle_parallelism(4)
+        .with_window_align(400);
+    (graph, stimuli, 12 * 400, config)
+}
+
+/// Records every `(window, signal)` call it completes; with `trip_after`
+/// set to `n` it panics once, on call `n + 1`.
+#[derive(Default)]
+struct Recorder {
+    calls: Vec<(usize, usize)>,
+    trip_after: Option<usize>,
+}
+
+impl WaveformSink for Recorder {
+    fn waveform(&mut self, signal: usize, info: &WindowInfo, _raw: &[i32]) {
+        if self.trip_after == Some(self.calls.len()) {
+            self.trip_after = None;
+            panic!("recorder tripped after {} calls", self.calls.len());
+        }
+        self.calls.push((info.window, signal));
+    }
+}
+
+/// A sink that panics partway through a fleet run fails that run — it is
+/// not run again on another device, so no window reaches the sink twice —
+/// and the session's next run streams exactly what a fresh session's does.
+#[test]
+fn fleet_sink_panic_fails_the_run_without_redelivery() {
+    let (graph, stimuli, duration, config) = isolation_workload();
+    let fleet = || {
+        let gpus = MultiGpu::new(DeviceSpec::v100(), 2, 1 << 18);
+        Session::with_devices(Arc::clone(&graph), config.clone(), gpus.devices().to_vec())
+    };
+    let opts = RunOptions::default();
+    let session = fleet();
+    let mut tripped = Recorder {
+        trip_after: Some(5),
+        ..Recorder::default()
+    };
+    match session.run_streaming(&stimuli, duration, &opts, &mut tripped) {
+        Err(CoreError::DeviceFault { detail, .. }) => {
+            assert!(
+                detail.contains("recorder tripped after 5 calls"),
+                "{detail}"
+            );
+        }
+        other => panic!("expected a device fault, got {other:?}"),
+    }
+    assert_eq!(tripped.calls.len(), 5, "a window reached the sink twice");
+
+    let mut after = Recorder::default();
+    session
+        .run_streaming(&stimuli, duration, &opts, &mut after)
+        .unwrap();
+    let mut fresh = Recorder::default();
+    fleet()
+        .run_streaming(&stimuli, duration, &opts, &mut fresh)
+        .unwrap();
+    assert!(!fresh.calls.is_empty());
+    assert_eq!(
+        after.calls, fresh.calls,
+        "the failed run poisoned the session"
+    );
+}
+
+/// A caller-supplied streaming sink that panics mid-run fails that run
+/// with a structured error carrying the panic text — caught at the drain
+/// boundary, not aborting the process — and the session's next VCD and
+/// SAIF are byte-identical to a fresh session's.
+#[test]
+fn panicking_user_sink_fails_the_run_not_the_process() {
+    struct Grenade;
+    impl WaveformSink for Grenade {
+        fn waveform(&mut self, _signal: usize, _info: &WindowInfo, _raw: &[i32]) {
+            panic!("user sink exploded");
+        }
+    }
+    let (graph, stimuli, duration, config) = isolation_workload();
+    let session = Session::new(Arc::clone(&graph), config.clone());
+    match session.run_streaming(&stimuli, duration, &RunOptions::default(), &mut Grenade) {
+        Err(CoreError::DeviceFault { device: 0, detail }) => {
+            assert_eq!(detail, "user sink exploded");
+        }
+        other => panic!("expected an isolated device fault, got {other:?}"),
+    }
+
+    let opts = RunOptions::default()
+        .with_waveform_spill()
+        .with_segment_windows(2);
+    let (after, after_vcd) = session
+        .run_to_vcd(&stimuli, duration, &opts, Vec::new())
+        .unwrap();
+    let (fresh, fresh_vcd) = Session::new(graph, config)
+        .run_to_vcd(&stimuli, duration, &opts, Vec::new())
+        .unwrap();
+    assert_eq!(after_vcd, fresh_vcd, "the failed run changed the VCD");
+    assert_eq!(
+        after.saif.write(),
+        fresh.saif.write(),
+        "the failed run changed the SAIF"
+    );
+}
+
+/// A window too big for the arena even alone fails its run with
+/// `OutOfMemory`, and a follow-up run that fits succeeds on the same
+/// session with a fresh session's SAIF.
+#[test]
+fn hard_oom_fails_the_run_not_the_session() {
+    let mut b = NetlistBuilder::new("inv", CellLibrary::industry_mini());
+    let a = b.add_input("a").unwrap();
+    let y = b.add_output("y").unwrap();
+    b.add_gate("u0", "INV", &[a], y).unwrap();
+    let graph = Arc::new(
+        CircuitGraph::build(&b.finish().unwrap(), None, &GraphOptions::default()).unwrap(),
+    );
+    let config = SimConfig {
+        memory_words: 8,
+        ..SimConfig::small()
+    };
+    let session = Session::new(Arc::clone(&graph), config.clone());
+    let busy = vec![Waveform::from_toggles(false, &(1..100).collect::<Vec<_>>())];
+    let err = session.run(&busy, 200).unwrap_err();
+    assert!(matches!(err, CoreError::OutOfMemory { .. }), "got {err:?}");
+
+    let quiet = vec![Waveform::from_toggles(false, &[10])];
+    let after = session.run(&quiet, 200).unwrap();
+    let fresh = Session::new(graph, config).run(&quiet, 200).unwrap();
+    assert_eq!(after.saif.write(), fresh.saif.write());
+    assert_eq!(after.saif.total_toggles(), 2);
 }
