@@ -51,6 +51,11 @@ pub enum NetlistError {
         /// Human-readable detail.
         detail: String,
     },
+    /// A netlist would hold more nets or gates than its 32-bit ids number.
+    TooMany {
+        /// "net" or "gate".
+        kind: &'static str,
+    },
     /// Structural Verilog failed to parse.
     VerilogParse {
         /// 1-based line number in the source text.
@@ -81,6 +86,9 @@ impl fmt::Display for NetlistError {
             }
             NetlistError::ExprParse { position, detail } => {
                 write!(f, "expression parse error at byte {position}: {detail}")
+            }
+            NetlistError::TooMany { kind } => {
+                write!(f, "more {kind}s than 32-bit ids can number")
             }
             NetlistError::VerilogParse { line, detail } => {
                 write!(f, "verilog parse error on line {line}: {detail}")

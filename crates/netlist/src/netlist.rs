@@ -1,5 +1,5 @@
-use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, RandomState};
 use std::sync::Arc;
 
 use crate::{CellLibrary, CellTypeId, NetlistError, Result};
@@ -145,8 +145,8 @@ pub struct Netlist {
     gates: Vec<Gate>,
     primary_inputs: Vec<NetId>,
     primary_outputs: Vec<NetId>,
-    net_names: HashMap<String, NetId>,
-    gate_names: HashMap<String, GateId>,
+    net_names: NameIndex,
+    gate_names: NameIndex,
 }
 
 impl Netlist {
@@ -200,12 +200,14 @@ impl Netlist {
 
     /// Looks up a net by name.
     pub fn find_net(&self, name: &str) -> Option<NetId> {
-        self.net_names.get(name).copied()
+        self.net_names.get(name, &self.nets, Net::name).map(NetId)
     }
 
     /// Looks up a gate by instance name.
     pub fn find_gate(&self, name: &str) -> Option<GateId> {
-        self.gate_names.get(name).copied()
+        self.gate_names
+            .get(name, &self.gates, Gate::name)
+            .map(GateId)
     }
 
     /// Iterates over `(id, net)` pairs.
@@ -305,8 +307,8 @@ pub struct NetlistBuilder {
     gates: Vec<Gate>,
     primary_inputs: Vec<NetId>,
     primary_outputs: Vec<NetId>,
-    net_names: HashMap<String, NetId>,
-    gate_names: HashMap<String, GateId>,
+    net_names: NameIndex,
+    gate_names: NameIndex,
 }
 
 impl NetlistBuilder {
@@ -319,8 +321,8 @@ impl NetlistBuilder {
             gates: Vec::new(),
             primary_inputs: Vec::new(),
             primary_outputs: Vec::new(),
-            net_names: HashMap::new(),
-            gate_names: HashMap::new(),
+            net_names: NameIndex::default(),
+            gate_names: NameIndex::default(),
         }
     }
 
@@ -330,13 +332,18 @@ impl NetlistBuilder {
     }
 
     fn add_net_inner(&mut self, name: &str, pi: bool, po: bool) -> Result<NetId> {
-        if self.net_names.contains_key(name) {
+        let hash = self.net_names.hash(name);
+        if self
+            .net_names
+            .find(hash, name, &self.nets, Net::name)
+            .is_some()
+        {
             return Err(NetlistError::DuplicateName {
                 kind: "net",
                 name: name.to_string(),
             });
         }
-        let id = NetId(self.nets.len() as u32);
+        let id = NetId(next_id(self.nets.len(), "net")?);
         self.nets.push(Net {
             name: name.to_string(),
             driver: None,
@@ -344,7 +351,7 @@ impl NetlistBuilder {
             is_primary_output: po,
             loads: Vec::new(),
         });
-        self.net_names.insert(name.to_string(), id);
+        self.net_names.insert(hash, id.0);
         if pi {
             self.primary_inputs.push(id);
         }
@@ -437,9 +444,13 @@ impl NetlistBuilder {
         inputs: &[NetId],
         output: NetId,
     ) -> Result<GateId> {
-        let lib = Arc::clone(&self.library);
-        let cell = lib.cell(cell_id);
-        if self.gate_names.contains_key(inst_name) {
+        let cell = self.library.cell(cell_id);
+        let hash = self.gate_names.hash(inst_name);
+        if self
+            .gate_names
+            .find(hash, inst_name, &self.gates, Gate::name)
+            .is_some()
+        {
             return Err(NetlistError::DuplicateName {
                 kind: "gate",
                 name: inst_name.to_string(),
@@ -465,7 +476,7 @@ impl NetlistBuilder {
                 });
             }
         }
-        let id = GateId(self.gates.len() as u32);
+        let id = GateId(next_id(self.gates.len(), "gate")?);
         for (pin, &net) in inputs.iter().enumerate() {
             self.nets[net.index()].loads.push(PinRef {
                 gate: id,
@@ -479,13 +490,13 @@ impl NetlistBuilder {
             inputs: inputs.to_vec(),
             output,
         });
-        self.gate_names.insert(inst_name.to_string(), id);
+        self.gate_names.insert(hash, id.0);
         Ok(id)
     }
 
     /// Looks up a net added earlier.
     pub fn find_net(&self, name: &str) -> Option<NetId> {
-        self.net_names.get(name).copied()
+        self.net_names.get(name, &self.nets, Net::name).map(NetId)
     }
 
     /// Number of gates added so far.
@@ -518,6 +529,97 @@ impl NetlistBuilder {
             net_names: self.net_names,
             gate_names: self.gate_names,
         })
+    }
+}
+
+/// The id the next of `len` nets or gates gets. `u32::MAX` is never an id:
+/// [`NameIndex`] marks free slots with it.
+fn next_id(len: usize, kind: &'static str) -> Result<u32> {
+    u32::try_from(len)
+        .ok()
+        .filter(|&id| id != NameIndex::FREE)
+        .ok_or(NetlistError::TooMany { kind })
+}
+
+/// Name-to-id lookup for the nets or the gates of a netlist. It stores ids,
+/// not names: a probe compares against the name the id's [`Net`] or
+/// [`Gate`] holds, so each name is allocated once. Open addressing with
+/// linear probing over a power-of-two table kept at most half full; names
+/// are hashed with the standard library's randomly keyed hasher, since they
+/// come from input files.
+#[derive(Debug, Clone, Default)]
+struct NameIndex {
+    slots: Vec<Slot>,
+    len: usize,
+    hasher: RandomState,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// Low 32 bits of the name's hash; they also pick the home slot.
+    hash: u32,
+    /// The id, or [`NameIndex::FREE`].
+    id: u32,
+}
+
+impl NameIndex {
+    const FREE: u32 = u32::MAX;
+
+    fn hash(&self, name: &str) -> u32 {
+        // Truncation keeps the low bits, which index the table.
+        self.hasher.hash_one(name) as u32
+    }
+
+    /// The id stored for `name`, whose [`NameIndex::hash`] is `hash`;
+    /// `items[id]` holds each stored id's name.
+    fn find<T>(&self, hash: u32, name: &str, items: &[T], name_of: fn(&T) -> &str) -> Option<u32> {
+        let mask = self.slots.len().checked_sub(1)?;
+        let mut at = hash as usize & mask;
+        loop {
+            let slot = self.slots[at];
+            if slot.id == Self::FREE {
+                return None;
+            }
+            if slot.hash == hash && items.get(slot.id as usize).map(name_of) == Some(name) {
+                return Some(slot.id);
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    fn get<T>(&self, name: &str, items: &[T], name_of: fn(&T) -> &str) -> Option<u32> {
+        self.find(self.hash(name), name, items, name_of)
+    }
+
+    /// Stores `id` for a name the caller has checked is absent.
+    fn insert(&mut self, hash: u32, id: u32) {
+        if 2 * (self.len + 1) > self.slots.len() {
+            let grown = (2 * self.slots.len()).max(16);
+            let old = std::mem::replace(
+                &mut self.slots,
+                vec![
+                    Slot {
+                        hash: 0,
+                        id: Self::FREE
+                    };
+                    grown
+                ],
+            );
+            for slot in old.into_iter().filter(|s| s.id != Self::FREE) {
+                self.place(slot);
+            }
+        }
+        self.place(Slot { hash, id });
+        self.len += 1;
+    }
+
+    fn place(&mut self, slot: Slot) {
+        let mask = self.slots.len() - 1;
+        let mut at = slot.hash as usize & mask;
+        while self.slots[at].id != Self::FREE {
+            at = (at + 1) & mask;
+        }
+        self.slots[at] = slot;
     }
 }
 
@@ -661,6 +763,37 @@ mod tests {
     #[test]
     fn total_area_positive() {
         assert!(full_adder().total_area() > 0.0);
+    }
+
+    #[test]
+    fn ids_past_u32_are_an_error() {
+        assert_eq!(next_id(7, "net"), Ok(7));
+        assert_eq!(next_id(u32::MAX as usize - 1, "net"), Ok(u32::MAX - 1));
+        for len in [u32::MAX as usize, u32::MAX as usize + 1] {
+            assert_eq!(
+                next_id(len, "gate"),
+                Err(NetlistError::TooMany { kind: "gate" })
+            );
+        }
+    }
+
+    #[test]
+    fn name_lookup_survives_growth() {
+        let mut b = NetlistBuilder::new("t", lib());
+        let ids: Vec<NetId> = (0..1000)
+            .map(|i| b.add_net(&format!("n{i}")).unwrap())
+            .collect();
+        for (i, &id) in ids.iter().enumerate() {
+            assert_eq!(b.find_net(&format!("n{i}")), Some(id));
+        }
+        assert_eq!(b.find_net("n1000"), None);
+        assert!(matches!(
+            b.add_net("n999"),
+            Err(NetlistError::DuplicateName { .. })
+        ));
+        let n = b.finish().unwrap();
+        assert_eq!(n.find_net("n500"), Some(ids[500]));
+        assert_eq!(n.clone().find_net("n42"), Some(ids[42]));
     }
 
     #[test]

@@ -10,10 +10,16 @@
 //! * `//` line comments and `/* */` block comments.
 //!
 //! Vector declarations are bit-blasted into scalar nets named `bus[i]`,
-//! matching how the flat simulator addresses signals.
+//! matching how the flat simulator addresses signals. A range bound must
+//! fit `i64`, and a module's declarations may expand to at most
+//! `u32::MAX` nets; both are checked before any name is built.
+//!
+//! The reader makes one pass over the bytes: a cursor lexer hands out
+//! tokens borrowed from the text, and the module is staged as borrowed
+//! slices until every declaration is known.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::{CellLibrary, NetId, Netlist, NetlistBuilder, NetlistError, Result};
@@ -23,8 +29,9 @@ use crate::{CellLibrary, NetId, Netlist, NetlistBuilder, NetlistError, Result};
 /// # Errors
 ///
 /// Returns [`NetlistError::VerilogParse`] (with a line number) on syntax the
-/// subset does not cover, and the usual builder errors for semantic issues
-/// (unknown cells, double drivers, ...).
+/// subset does not cover, on a range bound past `i64` and on declarations
+/// that expand past `u32::MAX` nets, and the usual builder errors for
+/// semantic issues (unknown cells, double drivers, ...).
 ///
 /// # Example
 ///
@@ -111,214 +118,399 @@ pub fn write(netlist: &Netlist) -> String {
     out
 }
 
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Ident(String),
+/// A token borrowed from the source text.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Tok<'a> {
+    Ident(&'a str),
     Sym(char),
     Number(u64),
     /// `1'b0` / `1'b1` style literal (value of the single bit).
     BitLiteral(bool),
 }
 
-struct Parser {
-    toks: Vec<(Tok, usize)>,
+/// A cursor over the source bytes that yields one borrowed token at a time.
+#[derive(Clone, Copy)]
+struct Lexer<'a> {
+    src: &'a str,
     pos: usize,
-    library: Arc<CellLibrary>,
-    src_lines: usize,
+    /// Line of `pos`, 1-based.
+    line: usize,
 }
 
-impl Parser {
-    fn new(src: &str, library: Arc<CellLibrary>) -> Result<Self> {
-        let toks = lex(src)?;
-        Ok(Parser {
-            toks,
-            pos: 0,
-            library,
-            src_lines: src.lines().count().max(1),
-        })
-    }
+fn is_ident_byte(c: u8) -> bool {
+    c.is_ascii_alphanumeric() || c == b'_' || c == b'$'
+}
 
-    fn line(&self) -> usize {
-        self.toks
-            .get(self.pos)
-            .map(|(_, l)| *l)
-            .unwrap_or(self.src_lines)
+impl<'a> Lexer<'a> {
+    fn new(src: &'a str) -> Self {
+        Lexer {
+            src,
+            pos: 0,
+            line: 1,
+        }
     }
 
     fn err(&self, detail: impl Into<String>) -> NetlistError {
+        NetlistError::VerilogParse {
+            line: self.line,
+            detail: detail.into(),
+        }
+    }
+
+    /// The source between two byte offsets that sit on ASCII bytes or the
+    /// end of the text.
+    fn text(&self, start: usize, end: usize) -> Result<&'a str> {
+        self.src
+            .get(start..end)
+            .ok_or_else(|| self.err("token splits a UTF-8 character"))
+    }
+
+    /// Offset of the first byte at or after `from` that fails `keep`.
+    fn scan(&self, from: usize, keep: impl Fn(u8) -> bool) -> usize {
+        let b = self.src.as_bytes();
+        from + b[from..]
+            .iter()
+            .position(|&c| !keep(c))
+            .unwrap_or(b.len() - from)
+    }
+
+    /// Skips whitespace and comments and lexes the next token with its
+    /// line; `None` at the end of the text.
+    fn next_token(&mut self) -> Result<Option<(Tok<'a>, usize)>> {
+        let b = self.src.as_bytes();
+        while let Some(&c) = b.get(self.pos) {
+            let start = self.pos;
+            match c {
+                b'\n' => {
+                    self.line += 1;
+                    self.pos += 1;
+                }
+                _ if c.is_ascii_whitespace() => self.pos += 1,
+                b'/' if b.get(start + 1) == Some(&b'/') => {
+                    self.pos = self.scan(start, |c| c != b'\n')
+                }
+                b'/' if b.get(start + 1) == Some(&b'*') => {
+                    // To the closing `*/`, or to the end of an unclosed one.
+                    let body = &b[start + 2..];
+                    let end = body
+                        .windows(2)
+                        .position(|w| w == b"*/")
+                        .map_or(b.len(), |k| start + 4 + k);
+                    self.line += b[start..end].iter().filter(|&&c| c == b'\n').count();
+                    self.pos = end;
+                }
+                b'\\' => {
+                    // Escaped identifier: up to whitespace.
+                    self.pos = self.scan(start + 1, |c| !c.is_ascii_whitespace());
+                    let name = self.text(start + 1, self.pos)?;
+                    return Ok(Some((Tok::Ident(name), self.line)));
+                }
+                _ if c.is_ascii_alphabetic() || c == b'_' || c == b'$' => {
+                    self.pos = self.scan(start, is_ident_byte);
+                    let name = self.text(start, self.pos)?;
+                    return Ok(Some((Tok::Ident(name), self.line)));
+                }
+                _ if c.is_ascii_digit() => {
+                    let end = self.scan(start, |c| c.is_ascii_digit());
+                    // Sized literal? e.g. 1'b0 / 1'b1.
+                    if b.get(end) == Some(&b'\'') {
+                        if b.get(end + 1).map(|&c| c | 0x20) != Some(b'b') {
+                            return Err(self.err("unsupported sized literal base"));
+                        }
+                        let v = match b.get(end + 2) {
+                            Some(b'0') => false,
+                            Some(b'1') => true,
+                            _ => return Err(self.err("only 1'b0 / 1'b1 literals supported")),
+                        };
+                        self.pos = end + 3;
+                        return Ok(Some((Tok::BitLiteral(v), self.line)));
+                    }
+                    let n = self
+                        .text(start, end)?
+                        .parse()
+                        .map_err(|_| self.err("number too large"))?;
+                    self.pos = end;
+                    return Ok(Some((Tok::Number(n), self.line)));
+                }
+                b'(' | b')' | b'[' | b']' | b',' | b';' | b'.' | b':' => {
+                    self.pos += 1;
+                    return Ok(Some((Tok::Sym(char::from(c)), self.line)));
+                }
+                _ => {
+                    return Err(self.err(format!(
+                        "unexpected character `{}`",
+                        char::from(c).escape_default()
+                    )))
+                }
+            }
+        }
+        Ok(None)
+    }
+}
+
+/// A net reference as written: `name`, `name[idx]` or `1'b0/1`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum NetRef<'a> {
+    Net { name: &'a str, bit: Option<u64> },
+    Const(bool),
+}
+
+/// One connection of an instance; `pin` is `None` for a positional one.
+#[derive(Debug, Clone, Copy)]
+struct Conn<'a> {
+    pin: Option<&'a str>,
+    net: NetRef<'a>,
+}
+
+/// A declared name with its optional `[msb:lsb]` range.
+#[derive(Debug, Clone, Copy)]
+struct Decl<'a> {
+    name: &'a str,
+    range: Option<(i64, i64)>,
+}
+
+impl Decl<'_> {
+    /// Calls `f` with each scalar net name, msb first; vector bits are
+    /// spelled `name[i]` in `buf`.
+    fn each_bit(&self, buf: &mut String, mut f: impl FnMut(&str) -> Result<()>) -> Result<()> {
+        let Some((msb, lsb)) = self.range else {
+            return f(self.name);
+        };
+        let step = if msb >= lsb { -1 } else { 1 };
+        let mut i = msb;
+        loop {
+            buf.clear();
+            let _ = write!(buf, "{}[{i}]", self.name);
+            f(buf)?;
+            if i == lsb {
+                return Ok(());
+            }
+            i += step;
+        }
+    }
+}
+
+/// A cell instance, its connections staged in [`Parser::conns`].
+#[derive(Debug)]
+struct Inst<'a> {
+    cell: &'a str,
+    name: &'a str,
+    conns: Range<usize>,
+}
+
+/// Most scalar nets the declarations of one module may expand to: the
+/// `u32` id space, less the one value ids never take.
+const MAX_DECLARED_BITS: u64 = u32::MAX as u64;
+
+/// The module is read in one pass and staged as borrowed slices, because a
+/// declaration may follow the instance that uses it; [`Parser::run`] then
+/// declares every net (inputs, then outputs, then wires) and adds the
+/// instances in source order.
+struct Parser<'a> {
+    lex: Lexer<'a>,
+    /// The next token and its line; `None` at the end of the text.
+    cur: Option<(Tok<'a>, usize)>,
+    library: Arc<CellLibrary>,
+    inputs: Vec<Decl<'a>>,
+    outputs: Vec<Decl<'a>>,
+    wires: Vec<Decl<'a>>,
+    /// Scalar nets the declarations so far expand to.
+    declared_bits: u64,
+    insts: Vec<Inst<'a>>,
+    conns: Vec<Conn<'a>>,
+}
+
+impl<'a> Parser<'a> {
+    fn new(src: &'a str, library: Arc<CellLibrary>) -> Result<Self> {
+        let mut lex = Lexer::new(src);
+        let cur = lex.next_token()?;
+        Ok(Parser {
+            lex,
+            cur,
+            library,
+            inputs: Vec::new(),
+            outputs: Vec::new(),
+            wires: Vec::new(),
+            declared_bits: 0,
+            insts: Vec::new(),
+            conns: Vec::new(),
+        })
+    }
+
+    /// Line of the next token; at the end of the text, its line count.
+    fn line(&self) -> usize {
+        match self.cur {
+            Some((_, line)) => line,
+            // The lexer has counted every newline; a final one ends the
+            // last line rather than starting another.
+            None if self.lex.src.ends_with('\n') => self.lex.line - 1,
+            None => self.lex.line,
+        }
+    }
+
+    /// A syntax error at the next token. A lexical error anywhere in the
+    /// text outranks it, so which error a text gets does not depend on how
+    /// far parsing reached.
+    fn err(&self, detail: impl Into<String>) -> NetlistError {
+        let mut rest = self.lex;
+        loop {
+            match rest.next_token() {
+                Ok(Some(_)) => {}
+                Ok(None) => break,
+                Err(e) => return e,
+            }
+        }
         NetlistError::VerilogParse {
             line: self.line(),
             detail: detail.into(),
         }
     }
 
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|(t, _)| t)
+    fn peek(&self) -> Option<Tok<'a>> {
+        self.cur.map(|(t, _)| t)
     }
 
-    fn next(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.pos).map(|(t, _)| t.clone());
+    fn next(&mut self) -> Result<Option<Tok<'a>>> {
+        let t = self.peek();
         if t.is_some() {
-            self.pos += 1;
+            self.cur = self.lex.next_token()?;
         }
-        t
+        Ok(t)
     }
 
     fn expect_sym(&mut self, c: char) -> Result<()> {
-        match self.next() {
+        match self.next()? {
             Some(Tok::Sym(s)) if s == c => Ok(()),
             other => Err(self.err(format!("expected `{c}`, found {other:?}"))),
         }
     }
 
-    fn expect_ident(&mut self) -> Result<String> {
-        match self.next() {
+    fn expect_ident(&mut self) -> Result<&'a str> {
+        match self.next()? {
             Some(Tok::Ident(s)) => Ok(s),
             other => Err(self.err(format!("expected identifier, found {other:?}"))),
         }
     }
 
     fn expect_keyword(&mut self, kw: &str) -> Result<()> {
-        match self.next() {
+        match self.next()? {
             Some(Tok::Ident(s)) if s == kw => Ok(()),
             other => Err(self.err(format!("expected `{kw}`, found {other:?}"))),
         }
     }
 
+    /// A range bound: a number that fits `i64`.
+    fn bound(&mut self, which: &str) -> Result<i64> {
+        match self.next()? {
+            Some(Tok::Number(n)) => {
+                i64::try_from(n).map_err(|_| self.err(format!("{which} {n} exceeds i64")))
+            }
+            other => Err(self.err(format!("expected {which} number, found {other:?}"))),
+        }
+    }
+
     /// Parses a declaration range `[msb:lsb]` if present (before names).
     fn opt_range(&mut self) -> Result<Option<(i64, i64)>> {
-        if self.peek() != Some(&Tok::Sym('[')) {
+        if self.peek() != Some(Tok::Sym('[')) {
             return Ok(None);
         }
-        self.next();
-        let msb = match self.next() {
-            Some(Tok::Number(n)) => n as i64,
-            other => return Err(self.err(format!("expected msb number, found {other:?}"))),
-        };
+        self.next()?;
+        let msb = self.bound("msb")?;
         self.expect_sym(':')?;
-        let lsb = match self.next() {
-            Some(Tok::Number(n)) => n as i64,
-            other => return Err(self.err(format!("expected lsb number, found {other:?}"))),
-        };
+        let lsb = self.bound("lsb")?;
         self.expect_sym(']')?;
         Ok(Some((msb, lsb)))
     }
 
-    /// Expands a declared name + optional range into scalar net names.
-    fn expand(range: Option<(i64, i64)>, name: &str) -> Vec<String> {
-        match range {
-            None => vec![name.to_string()],
-            Some((msb, lsb)) => {
-                let (lo, hi) = if msb >= lsb { (lsb, msb) } else { (msb, lsb) };
-                // Emit msb-first to match typical tool output ordering.
-                let mut v: Vec<String> = (lo..=hi).map(|i| format!("{name}[{i}]")).collect();
-                if msb >= lsb {
-                    v.reverse();
-                }
-                v
-            }
+    /// Stages the declaration of `name` as an `input`, `output` or `wire`,
+    /// refusing declarations that expand past the net id space.
+    fn declare(&mut self, dir: &str, name: &'a str, range: Option<(i64, i64)>) -> Result<()> {
+        let bits = range.map_or(1, |(msb, lsb)| msb.abs_diff(lsb) + 1);
+        self.declared_bits = self.declared_bits.saturating_add(bits);
+        if self.declared_bits > MAX_DECLARED_BITS {
+            return Err(self.err(format!(
+                "`{name}` takes the declarations past {MAX_DECLARED_BITS} nets"
+            )));
         }
+        let decl = Decl { name, range };
+        match dir {
+            "input" => self.inputs.push(decl),
+            "output" => self.outputs.push(decl),
+            _ => self.wires.push(decl),
+        }
+        Ok(())
     }
 
     /// Parses a net reference: `name` or `name[idx]` or `1'b0/1`.
-    fn net_ref(&mut self) -> Result<NetRef> {
-        match self.next() {
+    fn net_ref(&mut self) -> Result<NetRef<'a>> {
+        match self.next()? {
             Some(Tok::BitLiteral(v)) => Ok(NetRef::Const(v)),
             Some(Tok::Ident(name)) => {
-                if self.peek() == Some(&Tok::Sym('[')) {
-                    self.next();
-                    let idx = match self.next() {
-                        Some(Tok::Number(n)) => n,
-                        other => {
-                            return Err(self.err(format!("expected bit index, found {other:?}")))
-                        }
-                    };
-                    self.expect_sym(']')?;
-                    Ok(NetRef::Name(format!("{name}[{idx}]")))
-                } else {
-                    Ok(NetRef::Name(name))
+                if self.peek() != Some(Tok::Sym('[')) {
+                    return Ok(NetRef::Net { name, bit: None });
                 }
+                self.next()?;
+                let idx = match self.next()? {
+                    Some(Tok::Number(n)) => n,
+                    other => return Err(self.err(format!("expected bit index, found {other:?}"))),
+                };
+                self.expect_sym(']')?;
+                Ok(NetRef::Net {
+                    name,
+                    bit: Some(idx),
+                })
             }
             other => Err(self.err(format!("expected net reference, found {other:?}"))),
         }
     }
 
-    fn run(mut self) -> Result<Netlist> {
+    /// Parses the module into the staging lists and returns its name.
+    fn stage(&mut self) -> Result<&'a str> {
         self.expect_keyword("module")?;
         let mod_name = self.expect_ident()?;
         // Port list: names only; direction comes from the declarations.
         self.expect_sym('(')?;
-        let mut port_order = Vec::new();
-        if self.peek() != Some(&Tok::Sym(')')) {
+        if self.peek() == Some(Tok::Sym(')')) {
+            self.next()?;
+        } else {
             loop {
                 // Tolerate ANSI-style `input [3:0] a` in the port list.
-                let mut dir: Option<String> = None;
-                if let Some(Tok::Ident(w)) = self.peek() {
-                    if w == "input" || w == "output" || w == "wire" {
-                        dir = Some(w.clone());
-                        self.next();
+                let dir = match self.peek() {
+                    Some(Tok::Ident(w @ ("input" | "output" | "wire"))) => {
+                        self.next()?;
+                        Some(w)
                     }
-                }
+                    _ => None,
+                };
                 let range = self.opt_range()?;
                 let name = self.expect_ident()?;
-                port_order.push((name, dir, range));
-                match self.next() {
+                if let Some(dir) = dir {
+                    self.declare(dir, name, range)?;
+                }
+                match self.next()? {
                     Some(Tok::Sym(',')) => continue,
                     Some(Tok::Sym(')')) => break,
                     other => return Err(self.err(format!("expected `,` or `)`, found {other:?}"))),
                 }
             }
-        } else {
-            self.next();
         }
         self.expect_sym(';')?;
 
-        let mut builder = NetlistBuilder::new(mod_name, Arc::clone(&self.library));
-        let mut pending_inputs: Vec<String> = Vec::new();
-        let mut pending_outputs: Vec<String> = Vec::new();
-        let mut pending_wires: Vec<String> = Vec::new();
-
-        // ANSI port declarations.
-        for (name, dir, range) in &port_order {
-            if let Some(d) = dir {
-                let bits = Self::expand(*range, name);
-                match d.as_str() {
-                    "input" => pending_inputs.extend(bits),
-                    "output" => pending_outputs.extend(bits),
-                    _ => pending_wires.extend(bits),
-                }
-            }
-        }
-
-        #[derive(Debug)]
-        enum Stmt {
-            Decl(&'static str, Vec<String>),
-            Inst {
-                cell: String,
-                inst: String,
-                named: Vec<(String, NetRef)>,
-                positional: Vec<NetRef>,
-            },
-        }
-
-        let mut stmts = Vec::new();
         loop {
             let kw = match self.peek() {
-                Some(Tok::Ident(s)) => s.clone(),
+                Some(Tok::Ident(s)) => s,
                 other => return Err(self.err(format!("expected statement, found {other:?}"))),
             };
+            self.next()?;
             if kw == "endmodule" {
-                self.next();
                 break;
             }
-            if kw == "input" || kw == "output" || kw == "wire" {
-                self.next();
+            if let dir @ ("input" | "output" | "wire") = kw {
                 let range = self.opt_range()?;
-                let mut names = Vec::new();
                 loop {
-                    let n = self.expect_ident()?;
-                    names.extend(Self::expand(range, &n));
-                    match self.next() {
+                    let name = self.expect_ident()?;
+                    self.declare(dir, name, range)?;
+                    match self.next()? {
                         Some(Tok::Sym(',')) => continue,
                         Some(Tok::Sym(';')) => break,
                         other => {
@@ -326,34 +518,34 @@ impl Parser {
                         }
                     }
                 }
-                let dir = match kw.as_str() {
-                    "input" => "input",
-                    "output" => "output",
-                    _ => "wire",
-                };
-                stmts.push(Stmt::Decl(dir, names));
                 continue;
             }
             // Cell instantiation.
-            let cell = kw;
-            self.next();
-            let inst = self.expect_ident()?;
+            let name = self.expect_ident()?;
             self.expect_sym('(')?;
-            let mut named = Vec::new();
-            let mut positional = Vec::new();
-            if self.peek() != Some(&Tok::Sym(')')) {
+            let first = self.conns.len();
+            if self.peek() == Some(Tok::Sym(')')) {
+                self.next()?;
+            } else {
                 loop {
-                    if self.peek() == Some(&Tok::Sym('.')) {
-                        self.next();
+                    let conn = if self.peek() == Some(Tok::Sym('.')) {
+                        self.next()?;
                         let pin = self.expect_ident()?;
                         self.expect_sym('(')?;
                         let net = self.net_ref()?;
                         self.expect_sym(')')?;
-                        named.push((pin, net));
+                        Conn {
+                            pin: Some(pin),
+                            net,
+                        }
                     } else {
-                        positional.push(self.net_ref()?);
-                    }
-                    match self.next() {
+                        Conn {
+                            pin: None,
+                            net: self.net_ref()?,
+                        }
+                    };
+                    self.conns.push(conn);
+                    match self.next()? {
                         Some(Tok::Sym(',')) => continue,
                         Some(Tok::Sym(')')) => break,
                         other => {
@@ -361,289 +553,158 @@ impl Parser {
                         }
                     }
                 }
-            } else {
-                self.next();
             }
             self.expect_sym(';')?;
-            stmts.push(Stmt::Inst {
-                cell,
-                inst,
-                named,
-                positional,
+            self.insts.push(Inst {
+                cell: kw,
+                name,
+                conns: first..self.conns.len(),
             });
         }
+        // Text after `endmodule` is ignored, but it must still lex.
+        while self.next()?.is_some() {}
+        Ok(mod_name)
+    }
 
-        // Pass 1: declarations.
-        for s in &stmts {
-            if let Stmt::Decl(dir, names) = s {
-                match *dir {
-                    "input" => pending_inputs.extend(names.iter().cloned()),
-                    "output" => pending_outputs.extend(names.iter().cloned()),
-                    _ => pending_wires.extend(names.iter().cloned()),
+    fn run(mut self) -> Result<Netlist> {
+        let mod_name = self.stage()?;
+        let mut builder = NetlistBuilder::new(mod_name, Arc::clone(&self.library));
+        let mut buf = String::new();
+        for d in &self.inputs {
+            d.each_bit(&mut buf, |n| builder.add_input(n).map(drop))?;
+        }
+        for d in &self.outputs {
+            d.each_bit(&mut buf, |n| builder.add_output(n).map(drop))?;
+        }
+        for d in &self.wires {
+            d.each_bit(&mut buf, |n| {
+                if builder.find_net(n).is_none() {
+                    builder.add_net(n)?;
                 }
-            }
-        }
-        for n in &pending_inputs {
-            builder.add_input(n)?;
-        }
-        for n in &pending_outputs {
-            builder.add_output(n)?;
-        }
-        for n in &pending_wires {
-            if builder.find_net(n).is_none() {
-                builder.add_net(n)?;
-            }
+                Ok(())
+            })?;
         }
 
         // Constant literals are tied through shared TIELO/TIEHI cells.
-        let mut tie_nets: HashMap<bool, NetId> = HashMap::new();
+        let mut tie_nets: [Option<NetId>; 2] = [None, None];
         let mut tie_count = 0usize;
+        let mut slots: Vec<Option<NetRef<'a>>> = Vec::new();
+        let mut input_ids = Vec::new();
 
-        // Pass 2: instances.
-        for s in &stmts {
-            let Stmt::Inst {
-                cell,
-                inst,
-                named,
-                positional,
-            } = s
-            else {
-                continue;
+        for inst in &self.insts {
+            let (cell, name) = (inst.cell, inst.name);
+            let pin_mismatch = |detail: String| NetlistError::PinMismatch {
+                gate: name.to_string(),
+                cell: cell.to_string(),
+                detail,
             };
             let cell_id = self
                 .library
                 .find(cell)
                 .ok_or_else(|| NetlistError::UnknownName {
                     kind: "cell",
-                    name: cell.clone(),
+                    name: cell.to_string(),
                 })?;
             let cell_def = self.library.cell(cell_id);
-            let npins = cell_def.num_inputs() + 1;
+            let n_in = cell_def.num_inputs();
 
-            let mut conns: Vec<Option<NetRef>> = vec![None; npins];
-            if !named.is_empty() {
-                if !positional.is_empty() {
-                    return Err(self.err(format!(
-                        "instance `{inst}` mixes named and positional connections"
+            // Pin slots: inputs in cell pin order, then the output.
+            slots.clear();
+            slots.resize(n_in + 1, None);
+            let conns = &self.conns[inst.conns.clone()];
+            let named = conns.iter().filter(|c| c.pin.is_some()).count();
+            if named == 0 {
+                if conns.len() != slots.len() {
+                    return Err(pin_mismatch(format!(
+                        "{} connections for {} pins",
+                        conns.len(),
+                        slots.len()
                     )));
                 }
-                for (pin, net) in named {
+                // Positional order follows the cell definition: inputs,
+                // then the output.
+                for (slot, c) in slots.iter_mut().zip(conns) {
+                    *slot = Some(c.net);
+                }
+            } else if named < conns.len() {
+                return Err(self.err(format!(
+                    "instance `{name}` mixes named and positional connections"
+                )));
+            } else {
+                for (pin, net) in conns.iter().filter_map(|c| Some((c.pin?, c.net))) {
                     let slot = if pin == cell_def.output_pin() {
-                        cell_def.num_inputs()
+                        n_in
                     } else {
                         cell_def
                             .input_index(pin)
-                            .ok_or_else(|| NetlistError::PinMismatch {
-                                gate: inst.clone(),
-                                cell: cell.clone(),
-                                detail: format!("no pin `{pin}`"),
-                            })?
+                            .ok_or_else(|| pin_mismatch(format!("no pin `{pin}`")))?
                     };
-                    if conns[slot].is_some() {
-                        return Err(NetlistError::PinMismatch {
-                            gate: inst.clone(),
-                            cell: cell.clone(),
-                            detail: format!("pin `{pin}` connected twice"),
-                        });
+                    if slots[slot].replace(net).is_some() {
+                        return Err(pin_mismatch(format!("pin `{pin}` connected twice")));
                     }
-                    conns[slot] = Some(net.clone());
-                }
-            } else {
-                if positional.len() != npins {
-                    return Err(NetlistError::PinMismatch {
-                        gate: inst.clone(),
-                        cell: cell.clone(),
-                        detail: format!("{} connections for {} pins", positional.len(), npins),
-                    });
-                }
-                // Positional order: inputs in pin order, then output? Tool
-                // netlists normally use (output, inputs...) for primitives,
-                // but for library cells the declared order is inputs-then-
-                // output in our CellType; we follow the cell definition.
-                for (i, r) in positional.iter().enumerate() {
-                    conns[i] = Some(r.clone());
                 }
             }
 
-            let mut input_ids = Vec::with_capacity(cell_def.num_inputs());
-            for (i, c) in conns.iter().take(cell_def.num_inputs()).enumerate() {
-                let r = c.as_ref().ok_or_else(|| NetlistError::PinMismatch {
-                    gate: inst.clone(),
-                    cell: cell.clone(),
-                    detail: format!("input pin `{}` unconnected", cell_def.input_pins()[i]),
+            input_ids.clear();
+            for (i, r) in slots[..n_in].iter().enumerate() {
+                let r = r.ok_or_else(|| {
+                    pin_mismatch(format!(
+                        "input pin `{}` unconnected",
+                        cell_def.input_pins()[i]
+                    ))
                 })?;
                 let id = match r {
-                    NetRef::Name(n) => {
-                        builder
-                            .find_net(n)
-                            .ok_or_else(|| NetlistError::UnknownName {
-                                kind: "net",
-                                name: n.clone(),
-                            })?
-                    }
-                    NetRef::Const(v) => {
-                        if let Some(&id) = tie_nets.get(v) {
-                            id
-                        } else {
-                            let name = format!("__tie{}__{tie_count}", u8::from(*v));
+                    NetRef::Net { name, bit } => find_net(&builder, name, bit, &mut buf)?,
+                    NetRef::Const(v) => match tie_nets[usize::from(v)] {
+                        Some(id) => id,
+                        None => {
+                            let net = format!("__tie{}__{tie_count}", u8::from(v));
                             tie_count += 1;
-                            let id = builder.add_net(&name)?;
-                            let cell = if *v { "TIEHI" } else { "TIELO" };
-                            builder.add_gate(&format!("__u_{name}"), cell, &[], id)?;
-                            tie_nets.insert(*v, id);
+                            let id = builder.add_net(&net)?;
+                            let tie = if v { "TIEHI" } else { "TIELO" };
+                            builder.add_gate(&format!("__u_{net}"), tie, &[], id)?;
+                            tie_nets[usize::from(v)] = Some(id);
                             id
                         }
-                    }
+                    },
                 };
                 input_ids.push(id);
             }
-            let out_ref =
-                conns[cell_def.num_inputs()]
-                    .as_ref()
-                    .ok_or_else(|| NetlistError::PinMismatch {
-                        gate: inst.clone(),
-                        cell: cell.clone(),
-                        detail: "output pin unconnected".to_string(),
-                    })?;
-            let out_id = match out_ref {
-                NetRef::Name(n) => {
-                    builder
-                        .find_net(n)
-                        .ok_or_else(|| NetlistError::UnknownName {
-                            kind: "net",
-                            name: n.clone(),
-                        })?
+            let out_id = match slots[n_in] {
+                None => return Err(pin_mismatch("output pin unconnected".to_string())),
+                Some(NetRef::Const(_)) => {
+                    return Err(pin_mismatch("output pin tied to a constant".to_string()))
                 }
-                NetRef::Const(_) => {
-                    return Err(NetlistError::PinMismatch {
-                        gate: inst.clone(),
-                        cell: cell.clone(),
-                        detail: "output pin tied to a constant".to_string(),
-                    })
-                }
+                Some(NetRef::Net { name, bit }) => find_net(&builder, name, bit, &mut buf)?,
             };
-            builder.add_gate_by_id(inst, cell_id, &input_ids, out_id)?;
+            builder.add_gate_by_id(name, cell_id, &input_ids, out_id)?;
         }
 
         builder.finish()
     }
 }
 
-#[derive(Debug, Clone, PartialEq)]
-enum NetRef {
-    Name(String),
-    Const(bool),
-}
-
-fn lex(src: &str) -> Result<Vec<(Tok, usize)>> {
-    let b = src.as_bytes();
-    let mut toks = Vec::new();
-    let mut i = 0;
-    let mut line = 1usize;
-    while i < b.len() {
-        let c = b[i];
-        match c {
-            b'\n' => {
-                line += 1;
-                i += 1;
-            }
-            _ if c.is_ascii_whitespace() => i += 1,
-            b'/' if b.get(i + 1) == Some(&b'/') => {
-                while i < b.len() && b[i] != b'\n' {
-                    i += 1;
-                }
-            }
-            b'/' if b.get(i + 1) == Some(&b'*') => {
-                i += 2;
-                while i + 1 < b.len() && !(b[i] == b'*' && b[i + 1] == b'/') {
-                    if b[i] == b'\n' {
-                        line += 1;
-                    }
-                    i += 1;
-                }
-                i = (i + 2).min(b.len());
-            }
-            b'\\' => {
-                // Escaped identifier: up to whitespace.
-                let start = i + 1;
-                i += 1;
-                while i < b.len() && !b[i].is_ascii_whitespace() {
-                    i += 1;
-                }
-                let name = std::str::from_utf8(&b[start..i])
-                    .map_err(|_| NetlistError::VerilogParse {
-                        line,
-                        detail: "non-utf8 escaped identifier".into(),
-                    })?
-                    .to_string();
-                toks.push((Tok::Ident(name), line));
-            }
-            _ if c.is_ascii_alphabetic() || c == b'_' || c == b'$' => {
-                let start = i;
-                while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'_' || b[i] == b'$')
-                {
-                    i += 1;
-                }
-                toks.push((
-                    Tok::Ident(
-                        std::str::from_utf8(&b[start..i])
-                            .expect("ascii")
-                            .to_string(),
-                    ),
-                    line,
-                ));
-            }
-            _ if c.is_ascii_digit() => {
-                let start = i;
-                while i < b.len() && b[i].is_ascii_digit() {
-                    i += 1;
-                }
-                // Sized literal? e.g. 1'b0 / 1'b1.
-                if i < b.len() && b[i] == b'\'' {
-                    i += 1;
-                    if i < b.len() && (b[i] | 0x20) == b'b' {
-                        i += 1;
-                        let v = match b.get(i) {
-                            Some(b'0') => false,
-                            Some(b'1') => true,
-                            _ => {
-                                return Err(NetlistError::VerilogParse {
-                                    line,
-                                    detail: "only 1'b0 / 1'b1 literals supported".into(),
-                                })
-                            }
-                        };
-                        i += 1;
-                        toks.push((Tok::BitLiteral(v), line));
-                        continue;
-                    }
-                    return Err(NetlistError::VerilogParse {
-                        line,
-                        detail: "unsupported sized literal base".into(),
-                    });
-                }
-                let n: u64 = std::str::from_utf8(&b[start..i])
-                    .expect("ascii")
-                    .parse()
-                    .map_err(|_| NetlistError::VerilogParse {
-                        line,
-                        detail: "number too large".into(),
-                    })?;
-                toks.push((Tok::Number(n), line));
-            }
-            b'(' | b')' | b'[' | b']' | b',' | b';' | b'.' | b':' => {
-                toks.push((Tok::Sym(c as char), line));
-                i += 1;
-            }
-            _ => {
-                return Err(NetlistError::VerilogParse {
-                    line,
-                    detail: format!("unexpected character `{}`", c as char),
-                })
-            }
+/// Resolves `name` or, with a bit select, `name[bit]` spelled in `buf`.
+fn find_net(
+    builder: &NetlistBuilder,
+    name: &str,
+    bit: Option<u64>,
+    buf: &mut String,
+) -> Result<NetId> {
+    let name = match bit {
+        Some(bit) => {
+            buf.clear();
+            let _ = write!(buf, "{name}[{bit}]");
+            buf.as_str()
         }
-    }
-    Ok(toks)
+        None => name,
+    };
+    builder
+        .find_net(name)
+        .ok_or_else(|| NetlistError::UnknownName {
+            kind: "net",
+            name: name.to_string(),
+        })
 }
 
 #[cfg(test)]
@@ -800,6 +861,78 @@ endmodule
         let n = parse(src, lib()).unwrap();
         let g = n.gate(n.find_gate("u").unwrap());
         assert_eq!(n.net(g.output()).name(), "y");
+    }
+
+    #[test]
+    fn bound_past_i64_is_a_parse_error() {
+        // u64::MAX would wrap to -1 as an i64 bound.
+        let src = "module m (a);\n  input [18446744073709551615:0] a;\nendmodule";
+        match parse(src, lib()) {
+            Err(NetlistError::VerilogParse { line, detail }) => {
+                assert_eq!(line, 2);
+                assert!(detail.contains("exceeds i64"), "{detail}");
+            }
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn declarations_past_the_net_id_space_are_refused_before_expansion() {
+        // Each would build billions of names if expanded.
+        for decl in [
+            "input [4294967295:0] a;",
+            "input [9223372036854775807:0] a;",
+            "input [0:4294967296] a;",
+            "wire [2147483647:0] a, b;",
+        ] {
+            let src = format!("module m (a);\n  {decl}\nendmodule");
+            match parse(&src, lib()) {
+                Err(NetlistError::VerilogParse { line, detail }) => {
+                    assert_eq!(line, 2, "{decl}");
+                    assert!(detail.contains("nets"), "{decl}: {detail}");
+                }
+                other => panic!("{decl}: expected a parse error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn declarations_may_follow_their_use() {
+        let src = "module m (a, y);\n  input a;\n  INV u (.A(a), .Y(n));\n  \
+                   BUF v (.A(n), .Y(y));\n  output y;\n  wire n;\nendmodule\n";
+        let n = parse(src, lib()).unwrap();
+        assert_eq!(n.gate_count(), 2);
+        let names: Vec<&str> = n.nets().map(|(_, net)| net.name()).collect();
+        assert_eq!(names, ["a", "y", "n"], "inputs, then outputs, then wires");
+    }
+
+    #[test]
+    fn error_at_end_of_text_reports_the_last_line() {
+        for (src, line) in [
+            ("module m (a);\n  input a;\n", 2),
+            ("module m (a);\n  input a;", 2),
+            ("module m (a);\n  input a;\n\n", 3),
+            ("", 1),
+        ] {
+            match parse(src, lib()) {
+                Err(NetlistError::VerilogParse { line: got, .. }) => {
+                    assert_eq!(got, line, "{src:?}")
+                }
+                other => panic!("{src:?}: expected a parse error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_lexical_error_outranks_an_earlier_syntax_error() {
+        let src = "module m (a y);\ninput a;\n\"bad\nendmodule";
+        match parse(src, lib()) {
+            Err(NetlistError::VerilogParse { line, detail }) => {
+                assert_eq!(line, 3);
+                assert!(detail.contains("unexpected character"), "{detail}");
+            }
+            other => panic!("expected a parse error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -218,7 +218,9 @@ impl SdfFile {
     ///
     /// # Errors
     ///
-    /// Returns a parse error with line information on malformed input.
+    /// Returns a parse error with line information on malformed input, and
+    /// on an `INCREMENT` section that holds a statement: only absolute
+    /// delays are modelled.
     pub fn parse(src: &str) -> crate::Result<Self> {
         crate::parser::parse(src)
     }

@@ -2,153 +2,238 @@
 //! flows: `DELAYFILE` header fields, `CELL`/`CELLTYPE`/`INSTANCE`,
 //! `DELAY (ABSOLUTE ...)` with `IOPATH`, `COND ... IOPATH` and
 //! `INTERCONNECT` statements. Unknown forms (timing checks, `PATHPULSE`,
-//! `INCREMENT` sections, ...) are skipped structurally.
+//! ...) are skipped structurally. An `INCREMENT` section that holds any
+//! statement is rejected with [`SdfError::Parse`]: its delays add to
+//! earlier ones, which a model of absolute delays cannot express. An empty
+//! one changes nothing and is skipped.
+//!
+//! The parser makes one pass over the bytes: a cursor lexer hands out
+//! tokens borrowed from the text, keywords are matched in place, and delay
+//! triples are read from their slice.
 
 use crate::model::{Cond, DelayTriple, EdgeSpec, Interconnect, IoPath, PortPath, SdfCell, SdfFile};
 use crate::{Result, SdfError};
 
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
+/// A token borrowed from the source text.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Tok<'a> {
     Open,
     Close,
-    Atom(String),
-    Str(String),
+    Atom(&'a str),
+    Str(&'a str),
 }
 
-fn tokenize(src: &str) -> Result<Vec<(Tok, usize)>> {
-    let b = src.as_bytes();
-    let mut toks = Vec::new();
-    let mut i = 0;
-    let mut line = 1usize;
-    while i < b.len() {
-        match b[i] {
-            b'\n' => {
-                line += 1;
-                i += 1;
-            }
-            c if c.is_ascii_whitespace() => i += 1,
-            b'/' if b.get(i + 1) == Some(&b'/') => {
-                while i < b.len() && b[i] != b'\n' {
-                    i += 1;
-                }
-            }
-            b'(' => {
-                toks.push((Tok::Open, line));
-                i += 1;
-            }
-            b')' => {
-                toks.push((Tok::Close, line));
-                i += 1;
-            }
-            b'"' => {
-                let start = i + 1;
-                i += 1;
-                while i < b.len() && b[i] != b'"' {
-                    if b[i] == b'\n' {
-                        line += 1;
-                    }
-                    i += 1;
-                }
-                if i == b.len() {
-                    return Err(SdfError::Parse {
-                        line,
-                        detail: "unterminated string".into(),
-                    });
-                }
-                toks.push((
-                    Tok::Str(String::from_utf8_lossy(&b[start..i]).into_owned()),
-                    line,
-                ));
-                i += 1;
-            }
-            _ => {
-                let start = i;
-                while i < b.len()
-                    && !b[i].is_ascii_whitespace()
-                    && b[i] != b'('
-                    && b[i] != b')'
-                    && b[i] != b'"'
-                {
-                    i += 1;
-                }
-                toks.push((
-                    Tok::Atom(String::from_utf8_lossy(&b[start..i]).into_owned()),
-                    line,
-                ));
-            }
+/// A cursor over the source bytes that yields one borrowed token at a time.
+#[derive(Clone, Copy)]
+struct Lexer<'a> {
+    src: &'a str,
+    pos: usize,
+    /// Line of `pos`, 1-based.
+    line: usize,
+}
+
+impl<'a> Lexer<'a> {
+    fn err(&self, detail: &str) -> SdfError {
+        SdfError::Parse {
+            line: self.line,
+            detail: detail.to_string(),
         }
     }
-    Ok(toks)
+
+    /// The source between two byte offsets that sit on ASCII bytes or the
+    /// end of the text.
+    fn text(&self, start: usize, end: usize) -> Result<&'a str> {
+        self.src
+            .get(start..end)
+            .ok_or_else(|| self.err("token splits a UTF-8 character"))
+    }
+
+    /// Offset of the first byte at or after `from` that fails `keep`.
+    fn scan(&self, from: usize, keep: impl Fn(u8) -> bool) -> usize {
+        let b = self.src.as_bytes();
+        from + b[from..]
+            .iter()
+            .position(|&c| !keep(c))
+            .unwrap_or(b.len() - from)
+    }
+
+    /// Skips whitespace and comments and lexes the next token with its
+    /// line (a string's is the line it ends on); `None` at the end of the
+    /// text.
+    fn next_token(&mut self) -> Result<Option<(Tok<'a>, usize)>> {
+        let b = self.src.as_bytes();
+        while let Some(&c) = b.get(self.pos) {
+            let start = self.pos;
+            match c {
+                b'\n' => {
+                    self.line += 1;
+                    self.pos += 1;
+                }
+                _ if c.is_ascii_whitespace() => self.pos += 1,
+                b'/' if b.get(start + 1) == Some(&b'/') => {
+                    self.pos = self.scan(start, |c| c != b'\n');
+                }
+                b'(' | b')' => {
+                    self.pos += 1;
+                    let tok = if c == b'(' { Tok::Open } else { Tok::Close };
+                    return Ok(Some((tok, self.line)));
+                }
+                b'"' => {
+                    let end = self.scan(start + 1, |c| c != b'"');
+                    self.line += b[start..end].iter().filter(|&&c| c == b'\n').count();
+                    self.pos = end;
+                    if end == b.len() {
+                        return Err(self.err("unterminated string"));
+                    }
+                    self.pos += 1;
+                    return Ok(Some((Tok::Str(self.text(start + 1, end)?), self.line)));
+                }
+                _ => {
+                    self.pos = self.scan(start, |c| {
+                        !c.is_ascii_whitespace() && c != b'(' && c != b')' && c != b'"'
+                    });
+                    return Ok(Some((Tok::Atom(self.text(start, self.pos)?), self.line)));
+                }
+            }
+        }
+        Ok(None)
+    }
 }
 
+/// Picoseconds per `TIMESCALE` unit; a bare number is in picoseconds.
+const TIMESCALE_UNITS: [(&str, f64); 5] = [
+    ("fs", 0.001),
+    ("ps", 1.0),
+    ("", 1.0),
+    ("ns", 1_000.0),
+    ("us", 1_000_000.0),
+];
+
 pub(crate) fn parse(src: &str) -> Result<SdfFile> {
-    let toks = tokenize(src)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut lex = Lexer {
+        src,
+        pos: 0,
+        line: 1,
+    };
+    let cur = lex.next_token()?;
+    let mut p = Parser {
+        lex,
+        cur,
+        last_line: 0,
+        joined: String::new(),
+        paths: Vec::new(),
+    };
     p.delayfile()
 }
 
-struct Parser {
-    toks: Vec<(Tok, usize)>,
-    pos: usize,
+struct Parser<'a> {
+    lex: Lexer<'a>,
+    /// The next token and its line; `None` at the end of the text.
+    cur: Option<(Tok<'a>, usize)>,
+    /// Line of the last token taken; 0 before the first.
+    last_line: usize,
+    /// Text of an atom run or a COND expression that spans several tokens.
+    joined: String,
+    /// IOPATHs of the cell being read, moved into it in one exact-size
+    /// allocation when it closes.
+    paths: Vec<IoPath>,
 }
 
-impl Parser {
+impl<'a> Parser<'a> {
+    /// Line of the next token, or of the last one at the end of the text.
     fn line(&self) -> usize {
-        self.toks
-            .get(self.pos.min(self.toks.len().saturating_sub(1)))
-            .map(|(_, l)| *l)
-            .unwrap_or(0)
+        self.cur.map_or(self.last_line, |(_, line)| line)
     }
 
+    /// A syntax error at the next token. A lexical error anywhere in the
+    /// text outranks it, so which error a text gets does not depend on how
+    /// far parsing reached.
     fn err(&self, detail: impl Into<String>) -> SdfError {
+        let mut rest = self.lex;
+        loop {
+            match rest.next_token() {
+                Ok(Some(_)) => {}
+                Ok(None) => break,
+                Err(e) => return e,
+            }
+        }
         SdfError::Parse {
             line: self.line(),
             detail: detail.into(),
         }
     }
 
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|(t, _)| t)
+    fn peek(&self) -> Option<Tok<'a>> {
+        self.cur.map(|(t, _)| t)
     }
 
-    fn peek2(&self) -> Option<&Tok> {
-        self.toks.get(self.pos + 1).map(|(t, _)| t)
+    /// The token after the next one.
+    fn peek2(&self) -> Result<Option<Tok<'a>>> {
+        let mut ahead = self.lex;
+        Ok(ahead.next_token()?.map(|(t, _)| t))
     }
 
-    fn next(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.pos).map(|(t, _)| t.clone());
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
+    fn next(&mut self) -> Result<Option<Tok<'a>>> {
+        let Some((t, line)) = self.cur else {
+            return Ok(None);
+        };
+        self.last_line = line;
+        self.cur = self.lex.next_token()?;
+        Ok(Some(t))
     }
 
     fn expect_open(&mut self) -> Result<()> {
-        match self.next() {
+        match self.next()? {
             Some(Tok::Open) => Ok(()),
             other => Err(self.err(format!("expected `(`, found {other:?}"))),
         }
     }
 
     fn expect_close(&mut self) -> Result<()> {
-        match self.next() {
+        match self.next()? {
             Some(Tok::Close) => Ok(()),
             other => Err(self.err(format!("expected `)`, found {other:?}"))),
         }
     }
 
-    fn atom_or_str(&mut self) -> Result<String> {
-        match self.next() {
-            Some(Tok::Atom(s)) | Some(Tok::Str(s)) => Ok(s),
+    fn atom_or_str(&mut self) -> Result<&'a str> {
+        match self.next()? {
+            Some(Tok::Atom(s) | Tok::Str(s)) => Ok(s),
             other => Err(self.err(format!("expected atom, found {other:?}"))),
         }
+    }
+
+    /// Whether the next token is the atom `kw`, in any case.
+    fn at_keyword(&self, kw: &str) -> bool {
+        matches!(self.peek(), Some(Tok::Atom(a)) if a.eq_ignore_ascii_case(kw))
+    }
+
+    /// Takes the run of atoms at the cursor and returns their concatenation
+    /// (`10 ps` reads `10ps`): `Some` slice of the source for a run of one
+    /// atom or none — the usual case — and `None` for a longer run, whose
+    /// text is then in `self.joined`.
+    fn atom_run(&mut self) -> Result<Option<&'a str>> {
+        let Some(Tok::Atom(first)) = self.peek() else {
+            return Ok(Some(""));
+        };
+        self.next()?;
+        if !matches!(self.peek(), Some(Tok::Atom(_))) {
+            return Ok(Some(first));
+        }
+        self.joined.clear();
+        self.joined.push_str(first);
+        while let Some(Tok::Atom(a)) = self.peek() {
+            self.next()?;
+            self.joined.push_str(a);
+        }
+        Ok(None)
     }
 
     /// Skips a balanced form whose `(` was already consumed.
     fn skip_form(&mut self) -> Result<()> {
         let mut depth = 1;
         while depth > 0 {
-            match self.next() {
+            match self.next()? {
                 Some(Tok::Open) => depth += 1,
                 Some(Tok::Close) => depth -= 1,
                 Some(_) => {}
@@ -165,156 +250,132 @@ impl Parser {
             return Err(self.err("expected DELAYFILE"));
         }
         let mut file = SdfFile::new("");
-        while self.peek() == Some(&Tok::Open) {
-            self.next();
+        while self.peek() == Some(Tok::Open) {
+            self.next()?;
             let kw = self.atom_or_str()?;
-            match kw.to_ascii_uppercase().as_str() {
-                "DESIGN" => {
-                    file.design = self.atom_or_str()?;
-                    self.expect_close()?;
+            if kw.eq_ignore_ascii_case("DESIGN") {
+                file.design = self.atom_or_str()?.to_string();
+                self.expect_close()?;
+            } else if kw.eq_ignore_ascii_case("TIMESCALE") {
+                file.timescale_ps = self.timescale()?;
+            } else if kw.eq_ignore_ascii_case("CELL") {
+                let cell = self.cell(&mut file.interconnects)?;
+                if !cell.iopaths.is_empty() {
+                    file.cells.push(cell);
                 }
-                "TIMESCALE" => {
-                    file.timescale_ps = self.timescale()?;
-                }
-                "CELL" => {
-                    let (cell, ics) = self.cell()?;
-                    if !cell.iopaths.is_empty() {
-                        file.cells.push(cell);
-                    }
-                    file.interconnects.extend(ics);
-                }
-                _ => self.skip_form()?,
+            } else {
+                self.skip_form()?;
             }
         }
         self.expect_close()?;
+        // Text after the DELAYFILE form is ignored, but it must still lex.
+        while self.next()?.is_some() {}
         Ok(file)
     }
 
     /// Parses `(TIMESCALE 1ns)` / `(TIMESCALE 10 ps)`, returning ps/unit.
     fn timescale(&mut self) -> Result<f64> {
-        let mut parts = String::new();
-        while let Some(Tok::Atom(_)) = self.peek() {
-            let Some(Tok::Atom(a)) = self.next() else {
-                unreachable!()
-            };
-            parts.push_str(&a);
-        }
+        let run = self.atom_run()?;
         self.expect_close()?;
-        let split = parts
+        let text = run.unwrap_or(&self.joined);
+        let split = text
             .find(|c: char| c.is_ascii_alphabetic())
-            .unwrap_or(parts.len());
-        let (num, unit) = parts.split_at(split);
+            .unwrap_or(text.len());
+        let (num, unit) = text.split_at(split);
         let num: f64 = if num.is_empty() {
             1.0
         } else {
             num.parse()
                 .map_err(|_| self.err(format!("bad timescale number `{num}`")))?
         };
-        let mult = match unit.to_ascii_lowercase().as_str() {
-            "fs" => 0.001,
-            "ps" | "" => 1.0,
-            "ns" => 1_000.0,
-            "us" => 1_000_000.0,
-            other => return Err(self.err(format!("unknown timescale unit `{other}`"))),
-        };
+        let mult = TIMESCALE_UNITS
+            .iter()
+            .find(|(name, _)| unit.eq_ignore_ascii_case(name))
+            .map(|&(_, mult)| mult)
+            .ok_or_else(|| self.err(format!("unknown timescale unit `{unit}`")))?;
         Ok(num * mult)
     }
 
-    fn cell(&mut self) -> Result<(SdfCell, Vec<Interconnect>)> {
+    /// Parses a `CELL` form whose keyword is consumed; its interconnects
+    /// go to `ics`.
+    fn cell(&mut self, ics: &mut Vec<Interconnect>) -> Result<SdfCell> {
         let mut cell = SdfCell::default();
-        let mut ics = Vec::new();
-        while self.peek() == Some(&Tok::Open) {
-            self.next();
+        while self.peek() == Some(Tok::Open) {
+            self.next()?;
             let kw = self.atom_or_str()?;
-            match kw.to_ascii_uppercase().as_str() {
-                "CELLTYPE" => {
-                    cell.celltype = self.atom_or_str()?;
-                    self.expect_close()?;
+            if kw.eq_ignore_ascii_case("CELLTYPE") {
+                cell.celltype = self.atom_or_str()?.to_string();
+                self.expect_close()?;
+            } else if kw.eq_ignore_ascii_case("INSTANCE") {
+                cell.instance = None;
+                if self.peek() != Some(Tok::Close) {
+                    let name = self.atom_or_str()?;
+                    cell.instance = (name != "*").then(|| name.to_string());
                 }
-                "INSTANCE" => {
-                    if self.peek() == Some(&Tok::Close) {
-                        cell.instance = None;
-                    } else {
-                        let name = self.atom_or_str()?;
-                        cell.instance = if name == "*" { None } else { Some(name) };
-                    }
-                    self.expect_close()?;
-                }
-                "DELAY" => {
-                    self.delay_section(&mut cell, &mut ics)?;
-                }
-                _ => self.skip_form()?,
+                self.expect_close()?;
+            } else if kw.eq_ignore_ascii_case("DELAY") {
+                self.delay_section(ics)?;
+            } else {
+                self.skip_form()?;
             }
         }
         self.expect_close()?;
-        Ok((cell, ics))
+        cell.iopaths = self.paths.drain(..).collect();
+        Ok(cell)
     }
 
-    fn delay_section(&mut self, cell: &mut SdfCell, ics: &mut Vec<Interconnect>) -> Result<()> {
-        while self.peek() == Some(&Tok::Open) {
-            self.next();
+    fn delay_section(&mut self, ics: &mut Vec<Interconnect>) -> Result<()> {
+        while self.peek() == Some(Tok::Open) {
+            self.next()?;
             let kw = self.atom_or_str()?;
-            match kw.to_ascii_uppercase().as_str() {
-                "ABSOLUTE" | "INCREMENT" => {
-                    // INCREMENT semantics (adding to existing) are not
-                    // modelled; treated as ABSOLUTE, which is what power
-                    // flows emit.
-                    self.stmt_list(cell, ics)?;
-                }
-                _ => self.skip_form()?,
+            let increment = kw.eq_ignore_ascii_case("INCREMENT");
+            if increment && self.peek() == Some(Tok::Open) {
+                return Err(self.err(
+                    "INCREMENT delays add to earlier ones, which is not modelled; \
+                     give absolute delays in an ABSOLUTE section",
+                ));
+            }
+            if increment || kw.eq_ignore_ascii_case("ABSOLUTE") {
+                self.stmt_list(ics)?;
+            } else {
+                self.skip_form()?;
             }
         }
         self.expect_close()
     }
 
-    fn stmt_list(&mut self, cell: &mut SdfCell, ics: &mut Vec<Interconnect>) -> Result<()> {
-        while self.peek() == Some(&Tok::Open) {
-            self.next();
-            match self.peek() {
-                Some(Tok::Atom(a)) if a.eq_ignore_ascii_case("IOPATH") => {
-                    self.next();
-                    let p = self.iopath(None)?;
-                    cell.iopaths.push(p);
-                }
-                Some(Tok::Atom(a)) if a.eq_ignore_ascii_case("COND") => {
-                    self.next();
-                    let cond = self.cond_expr()?;
-                    // The guarded statement: ( IOPATH ... ).
-                    self.expect_open()?;
-                    match self.next() {
-                        Some(Tok::Atom(a)) if a.eq_ignore_ascii_case("IOPATH") => {}
-                        other => {
-                            return Err(
-                                self.err(format!("expected IOPATH after COND, found {other:?}"))
-                            )
-                        }
-                    }
-                    let p = self.iopath(Some(cond))?;
-                    cell.iopaths.push(p);
-                    self.expect_close()?; // close the COND form
-                }
-                Some(Tok::Atom(a)) if a.eq_ignore_ascii_case("INTERCONNECT") => {
-                    self.next();
-                    let from = PortPath::parse(&self.atom_or_str()?);
-                    let to = PortPath::parse(&self.atom_or_str()?);
-                    let rise = self.triple()?;
-                    let fall = if self.peek() == Some(&Tok::Open) {
-                        self.triple()?
-                    } else {
-                        rise
-                    };
-                    self.expect_close()?;
-                    ics.push(Interconnect {
-                        from,
-                        to,
-                        rise,
-                        fall,
-                    });
-                }
-                _ => {
-                    // Unknown statement: we already consumed `(`.
-                    self.skip_form()?;
-                }
+    fn stmt_list(&mut self, ics: &mut Vec<Interconnect>) -> Result<()> {
+        while self.peek() == Some(Tok::Open) {
+            self.next()?;
+            if self.at_keyword("IOPATH") {
+                self.next()?;
+                let p = self.iopath(None)?;
+                self.paths.push(p);
+            } else if self.at_keyword("COND") {
+                self.next()?;
+                let cond = self.cond_expr()?;
+                // The guarded statement: `cond_expr` stops only before its
+                // `( IOPATH`.
+                self.next()?;
+                self.next()?;
+                let p = self.iopath(Some(cond))?;
+                self.paths.push(p);
+                self.expect_close()?; // close the COND form
+            } else if self.at_keyword("INTERCONNECT") {
+                self.next()?;
+                let from = PortPath::parse(self.atom_or_str()?);
+                let to = PortPath::parse(self.atom_or_str()?);
+                let (rise, fall) = self.rise_fall()?;
+                self.expect_close()?;
+                ics.push(Interconnect {
+                    from,
+                    to,
+                    rise,
+                    fall,
+                });
+            } else {
+                // Unknown statement: we already consumed `(`.
+                self.skip_form()?;
             }
         }
         self.expect_close()
@@ -323,13 +384,15 @@ impl Parser {
     /// Parses the body of an IOPATH whose keyword is already consumed; the
     /// closing `)` of the IOPATH is consumed here.
     fn iopath(&mut self, cond: Option<Cond>) -> Result<IoPath> {
-        let (edge, input) = if self.peek() == Some(&Tok::Open) {
-            self.next();
+        let (edge, input) = if self.peek() == Some(Tok::Open) {
+            self.next()?;
             let kw = self.atom_or_str()?;
-            let edge = match kw.to_ascii_lowercase().as_str() {
-                "posedge" => EdgeSpec::Posedge,
-                "negedge" => EdgeSpec::Negedge,
-                other => return Err(self.err(format!("expected pos/negedge, found `{other}`"))),
+            let edge = if kw.eq_ignore_ascii_case("posedge") {
+                EdgeSpec::Posedge
+            } else if kw.eq_ignore_ascii_case("negedge") {
+                EdgeSpec::Negedge
+            } else {
+                return Err(self.err(format!("expected pos/negedge, found `{kw}`")));
             };
             let pin = self.atom_or_str()?;
             self.expect_close()?;
@@ -338,47 +401,42 @@ impl Parser {
             (EdgeSpec::Both, self.atom_or_str()?)
         };
         let output = self.atom_or_str()?;
-        let rise = self.triple()?;
-        let fall = if self.peek() == Some(&Tok::Open) {
-            self.triple()?
-        } else {
-            rise
-        };
+        let (rise, fall) = self.rise_fall()?;
         self.expect_close()?;
         Ok(IoPath {
             cond,
             edge,
-            input,
-            output,
+            input: input.to_string(),
+            output: output.to_string(),
             rise,
             fall,
         })
     }
 
+    /// Parses a rise triple and an optional fall triple, which defaults to
+    /// the rise one.
+    fn rise_fall(&mut self) -> Result<(DelayTriple, DelayTriple)> {
+        let rise = self.triple()?;
+        if self.peek() == Some(Tok::Open) {
+            Ok((rise, self.triple()?))
+        } else {
+            Ok((rise, rise))
+        }
+    }
+
     /// Parses a delay triple form: `()`, `(v)`, `(min:typ:max)`.
     fn triple(&mut self) -> Result<DelayTriple> {
         self.expect_open()?;
-        let mut text = String::new();
-        loop {
-            match self.peek() {
-                Some(Tok::Close) => {
-                    self.next();
-                    break;
-                }
-                Some(Tok::Atom(_)) => {
-                    let Some(Tok::Atom(a)) = self.next() else {
-                        unreachable!()
-                    };
-                    text.push_str(&a);
-                }
-                other => return Err(self.err(format!("bad delay triple, found {other:?}"))),
-            }
-        }
+        let run = self.atom_run()?;
+        match self.peek() {
+            Some(Tok::Close) => self.next()?,
+            other => return Err(self.err(format!("bad delay triple, found {other:?}"))),
+        };
+        let text = run.unwrap_or(&self.joined);
         if text.is_empty() {
             return Ok(DelayTriple::absent());
         }
-        let parts: Vec<&str> = text.split(':').collect();
-        let parse_part = |s: &str| -> Result<Option<f64>> {
+        let value = |s: &str| -> Result<Option<f64>> {
             if s.is_empty() {
                 Ok(None)
             } else {
@@ -387,19 +445,20 @@ impl Parser {
                     .map_err(|_| self.err(format!("bad delay value `{s}`")))
             }
         };
-        match parts.as_slice() {
-            [v] => {
-                let v = parse_part(v)?;
+        let mut parts = text.split(':');
+        match (parts.next(), parts.next(), parts.next(), parts.next()) {
+            (Some(v), None, None, None) => {
+                let v = value(v)?;
                 Ok(DelayTriple {
                     min: v,
                     typ: v,
                     max: v,
                 })
             }
-            [mn, ty, mx] => Ok(DelayTriple {
-                min: parse_part(mn)?,
-                typ: parse_part(ty)?,
-                max: parse_part(mx)?,
+            (Some(mn), Some(ty), Some(mx), None) => Ok(DelayTriple {
+                min: value(mn)?,
+                typ: value(ty)?,
+                max: value(mx)?,
             }),
             _ => Err(self.err(format!("bad delay triple `{text}`"))),
         }
@@ -409,60 +468,54 @@ impl Parser {
     /// begins the guarded IOPATH. Accepts `pin===1'b1`, `pin==1'b0`, bare
     /// `pin`, `!pin`, joined with `&&`, with optional parenthesised groups.
     fn cond_expr(&mut self) -> Result<Cond> {
-        let mut text = String::new();
+        // The expression's tokens, concatenated with spaces removed.
+        let mut text = std::mem::take(&mut self.joined);
+        text.clear();
         loop {
             match self.peek() {
                 Some(Tok::Open) => {
                     // Either a parenthesised condition group or the start of
                     // the guarded IOPATH.
-                    if let Some(Tok::Atom(a)) = self.peek2() {
+                    if let Some(Tok::Atom(a)) = self.peek2()? {
                         if a.eq_ignore_ascii_case("IOPATH") {
                             break;
                         }
                     }
                     // Condition group: consume balanced tokens into text.
-                    self.next();
+                    self.next()?;
                     let mut depth = 1;
                     while depth > 0 {
-                        match self.next() {
+                        match self.next()? {
                             Some(Tok::Open) => depth += 1,
                             Some(Tok::Close) => depth -= 1,
-                            Some(Tok::Atom(a)) => {
-                                text.push_str(&a);
-                                text.push(' ');
-                            }
-                            Some(Tok::Str(s)) => {
-                                text.push_str(&s);
-                                text.push(' ');
-                            }
+                            Some(Tok::Atom(a)) => text.push_str(a),
+                            Some(Tok::Str(s)) => text.extend(s.chars().filter(|&c| c != ' ')),
                             None => return Err(self.err("unterminated COND group")),
                         }
                     }
-                    text.push(' ');
                 }
-                Some(Tok::Atom(_)) => {
-                    let Some(Tok::Atom(a)) = self.next() else {
-                        unreachable!()
-                    };
-                    text.push_str(&a);
-                    text.push(' ');
+                Some(Tok::Atom(a)) => {
+                    self.next()?;
+                    text.push_str(a);
                 }
                 other => return Err(self.err(format!("bad COND expression, found {other:?}"))),
             }
         }
-        parse_cond_text(&text).ok_or_else(|| self.err(format!("bad COND expression `{text}`")))
+        let cond =
+            parse_cond_text(&text).ok_or_else(|| self.err(format!("bad COND expression `{text}`")));
+        self.joined = text;
+        cond
     }
 }
 
-/// Parses a condition string like `A2===1'b1&&A1===1'b0` or `!EN && D`.
+/// Parses condition text with its spaces removed, like
+/// `A2===1'b1&&A1===1'b0` or `!EN&&D`.
 fn parse_cond_text(text: &str) -> Option<Cond> {
-    let mut terms = Vec::new();
-    // Normalise spacing around operators so splitting on && is reliable.
-    let cleaned = text.replace(' ', "");
-    if cleaned.is_empty() {
+    if text.is_empty() {
         return None;
     }
-    for raw in cleaned.split("&&") {
+    let mut terms = Vec::new();
+    for raw in text.split("&&") {
         let t = raw.trim();
         if t.is_empty() {
             return None;
@@ -650,6 +703,61 @@ mod tests {
         assert!(SdfFile::parse("(NOTSDF)").is_err());
         assert!(
             SdfFile::parse("(DELAYFILE (CELL (CELLTYPE \"X\") (DELAY (ABSOLUTE (IOPATH A").is_err()
+        );
+    }
+
+    #[test]
+    fn increment_delays_are_rejected_not_read_as_absolute() {
+        let src = "(DELAYFILE (CELL (CELLTYPE \"BUF\") (INSTANCE u)\n  (DELAY (INCREMENT (IOPATH A Y (5) (5))))))";
+        match SdfFile::parse(src) {
+            Err(SdfError::Parse { line, detail }) => {
+                assert_eq!(line, 2);
+                assert!(detail.contains("INCREMENT"), "{detail}");
+            }
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn empty_increment_section_is_skipped() {
+        let src = r#"(DELAYFILE (CELL (CELLTYPE "BUF") (INSTANCE u)
+  (DELAY (INCREMENT) (ABSOLUTE (IOPATH A Y (5))))))"#;
+        let f = SdfFile::parse(src).unwrap();
+        assert_eq!(f.cells[0].iopaths.len(), 1);
+    }
+
+    #[test]
+    fn error_lines() {
+        for (src, line) in [
+            // The line of the token after the offending one...
+            ("(DELAYFILE\n(TIMESCALE 1ns\n(CELL))", 3),
+            // ...or of the last token at the end of the text.
+            ("(DELAYFILE\n(CELL (CELLTYPE \"X\")\n", 2),
+            ("", 0),
+            // An unterminated string anywhere outranks a syntax error.
+            ("(NOTSDF)\n\n\"open", 3),
+            ("(DELAYFILE) \"open\n", 2),
+        ] {
+            match SdfFile::parse(src) {
+                Err(SdfError::Parse { line: got, .. }) => assert_eq!(got, line, "{src:?}"),
+                other => panic!("{src:?}: expected a parse error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn joined_atom_runs_and_string_conditions() {
+        let src = r#"(DELAYFILE (TIMESCALE 10 ps) (CELL (CELLTYPE "X") (INSTANCE u)
+  (DELAY (ABSOLUTE
+    (COND ("A == 1'b1") && !B (IOPATH C Y (1 : 2 : 3) (2)))
+  ))))"#;
+        let f = SdfFile::parse(src).unwrap();
+        assert_eq!(f.timescale_ps, 10.0);
+        let p = &f.cells[0].iopaths[0];
+        assert_eq!(p.rise.select(TripleSelect::Max), Some(3.0));
+        assert_eq!(
+            p.cond.as_ref().unwrap().terms,
+            vec![("A".to_string(), true), ("B".to_string(), false)]
         );
     }
 

@@ -4,10 +4,16 @@
 
 use crate::analysis::diag::{Diagnostic, Severity};
 
-/// Crates whose production (non-test) code is held to the panic and sync
-/// disciplines — the engine crates whose panics cross `catch_unwind`
-/// boundaries and whose sync primitives loom must be able to swap.
-pub const DISCIPLINED_ROOTS: &[&str] = &["crates/core/src/", "crates/gpu/src/"];
+/// Production (non-test) code held to the panic and sync disciplines: the
+/// engine crates, whose panics cross `catch_unwind` boundaries and whose
+/// sync primitives loom must be able to swap, and the Verilog and SDF
+/// readers, which take user files straight from the CLI.
+pub const DISCIPLINED_ROOTS: &[&str] = &[
+    "crates/core/src/",
+    "crates/gpu/src/",
+    "crates/netlist/src/verilog.rs",
+    "crates/sdf/src/parser.rs",
+];
 
 /// Files allowed to name `std::sync::*` / `std::thread::spawn` directly:
 /// the facades themselves and the model checker they switch to.

@@ -153,3 +153,34 @@ fn negative_duration_fails_with_bad_configuration() {
     assert!(stderr.contains("bad configuration"), "stderr: {stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A truncated SDF file is a typed parse error, not a panic.
+#[test]
+fn truncated_sdf_fails_with_a_parse_error() {
+    let dir = scratch_dir("truncated_sdf");
+    write_inputs(&dir);
+    let sdf = std::fs::read_to_string(dir.join("design.sdf")).unwrap();
+    std::fs::write(dir.join("design.sdf"), &sdf[..sdf.len() / 2]).unwrap();
+    let out = gatspi(
+        &dir,
+        &[
+            "sim",
+            "--netlist",
+            "design.gv",
+            "--sdf",
+            "design.sdf",
+            "--vcd",
+            "tb.vcd",
+            "--duration",
+            "20000",
+            "--saif",
+            "out.saif",
+        ],
+    );
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("gatspi: error:"), "stderr: {stderr}");
+    assert!(stderr.contains("sdf parse error"), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
