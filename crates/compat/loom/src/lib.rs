@@ -35,7 +35,7 @@
 //! * `AtomicBool`/`AtomicU32`/`AtomicU64`/`AtomicUsize`/`AtomicI32`: full
 //!   modification-order + vector-clock semantics per [`sync::atomic`].
 //! * [`cell::UnsafeCell`]: concurrent-access (data-race) detection.
-//! * [`thread`]: `spawn`/`join`, crossbeam-shaped `scope`, `yield_now`
+//! * [`thread`]: `spawn`/`join`, std-shaped `scope`, `yield_now`
 //!   (descheduled until another thread stores), `sleep` (same as yield).
 //! * [`hint::spin_loop`]: a yield, making spin loops explorable.
 //!
@@ -379,18 +379,17 @@ mod tests {
     }
 
     #[test]
-    fn crossbeam_shaped_scope_works_in_model() {
+    fn std_shaped_scope_works_in_model() {
         super::model(|| {
             let total = Arc::new(AtomicU64::new(0));
             super::thread::scope(|s| {
                 for _ in 0..2 {
                     let total = Arc::clone(&total);
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         total.fetch_add(1, Ordering::AcqRel);
                     });
                 }
-            })
-            .unwrap();
+            });
             // Scope exit joins both workers (with synchronization edges).
             assert_eq!(total.load(Ordering::Relaxed), 2);
         });

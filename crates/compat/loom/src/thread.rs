@@ -1,6 +1,6 @@
 //! Model-aware threads: `spawn`/`yield_now`/`sleep` plus a scoped-spawn API
-//! shaped exactly like the workspace's `crossbeam::thread` shim, so the sync
-//! facades can swap it in without touching call sites.
+//! shaped exactly like `std::thread::scope`, so the sync facades can swap it
+//! in without touching call sites.
 //!
 //! Inside a [`crate::model`] execution, spawned threads are real OS threads
 //! registered with the scheduler: they run under the execution token, their
@@ -78,8 +78,7 @@ struct ScopeModel {
     children: Mutex<Vec<usize>>,
 }
 
-/// Handle passed to the [`scope`] closure and to every spawned thread
-/// (crossbeam's shape).
+/// Handle passed to the [`scope`] closure (std's shape).
 pub struct Scope<'scope, 'env: 'scope> {
     inner: &'scope std::thread::Scope<'scope, 'env>,
     model: Option<Arc<ScopeModel>>,
@@ -105,18 +104,16 @@ impl<T> ScopedJoinHandle<'_, T> {
     }
 }
 
-impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Spawns a scoped thread; the closure receives the scope handle so it
-    /// can spawn further threads (crossbeam's signature).
+impl<'scope> Scope<'scope, '_> {
+    /// Spawns a scoped thread running `f` (std's signature).
     pub fn spawn<F, T>(&self, f: F) -> ScopedJoinHandle<'scope, T>
     where
-        F: for<'a> FnOnce(&'a Scope<'scope, 'env>) -> T + Send + 'scope,
+        F: FnOnce() -> T + Send + 'scope,
         T: Send + 'scope,
     {
-        let inner = self.inner;
         match &self.model {
             None => ScopedJoinHandle {
-                inner: inner.spawn(move || f(&Scope { inner, model: None })),
+                inner: self.inner.spawn(f),
                 tid: None,
             },
             Some(model) => {
@@ -129,16 +126,8 @@ impl<'scope, 'env> Scope<'scope, 'env> {
                     .unwrap_or_else(|e| e.into_inner())
                     .push(tid);
                 let exec = Arc::clone(&model.exec);
-                let model = Arc::clone(model);
                 ScopedJoinHandle {
-                    inner: inner.spawn(move || {
-                        rt::run_child(exec, tid, || {
-                            f(&Scope {
-                                inner,
-                                model: Some(model),
-                            })
-                        })
-                    }),
+                    inner: self.inner.spawn(move || rt::run_child(exec, tid, f)),
                     tid: Some(tid),
                 }
             }
@@ -147,35 +136,30 @@ impl<'scope, 'env> Scope<'scope, 'env> {
 }
 
 /// Creates a scope for spawning scoped threads, waiting for all of them
-/// before returning — crossbeam's `Result`-returning signature.
+/// before returning (std's signature: a child that panicked and was not
+/// joined makes the scope panic).
 ///
 /// Inside a model, the scope blocks on its children *through the scheduler*
 /// (a join-synchronization edge per child) before `std`'s implicit join, and
 /// a panicking closure aborts the execution so children tear down instead of
 /// deadlocking on the schedule token.
-///
-/// # Errors
-///
-/// Like the workspace's crossbeam shim: a child panic propagates by unwind
-/// rather than through the `Result`, which exists for signature
-/// compatibility and is always `Ok`.
-pub fn scope<'env, F, R>(f: F) -> std::thread::Result<R>
+pub fn scope<'env, F, R>(f: F) -> R
 where
     F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
 {
     match rt::current() {
-        None => Ok(std::thread::scope(|s| {
+        None => std::thread::scope(|s| {
             f(&Scope {
                 inner: s,
                 model: None,
             })
-        })),
+        }),
         Some(ctx) => {
             let model = Arc::new(ScopeModel {
                 exec: Arc::clone(&ctx.exec),
                 children: Mutex::new(Vec::new()),
             });
-            Ok(std::thread::scope(|s| {
+            std::thread::scope(|s| {
                 let scope_ref = Scope {
                     inner: s,
                     model: Some(Arc::clone(&model)),
@@ -183,22 +167,14 @@ where
                 let result = catch_unwind(AssertUnwindSafe(|| f(&scope_ref)));
                 match result {
                     Ok(r) => {
-                        // Join children (including any spawned by other
-                        // children after our first look) before std's
-                        // implicit join, which knows nothing of the token.
-                        let mut joined = 0;
-                        loop {
-                            let snapshot = model
-                                .children
-                                .lock()
-                                .unwrap_or_else(|e| e.into_inner())
-                                .clone();
-                            if snapshot.len() == joined {
-                                break;
-                            }
-                            rt::block_on_children(&ctx, &snapshot[joined..]);
-                            joined = snapshot.len();
-                        }
+                        // Join children before std's implicit join, which
+                        // knows nothing of the token.
+                        let children = model
+                            .children
+                            .lock()
+                            .unwrap_or_else(|e| e.into_inner())
+                            .clone();
+                        rt::block_on_children(&ctx, &children);
                         r
                     }
                     Err(payload) => {
@@ -206,7 +182,7 @@ where
                         resume_unwind(payload);
                     }
                 }
-            }))
+            })
         }
     }
 }

@@ -522,7 +522,7 @@ fn simulate<const N: usize>(
     // makes the stored bytes a pure function of the inputs — cancelled
     // ghost slots and never-touched arena words would otherwise leak
     // whatever the previous batch left at the address, and a waveform's
-    // address depends on the predictor's history (a hit lands in its
+    // address depends on the extent history (a hit lands in its
     // reservation, a repair in fresh space), which must not be observable.
     if storing && po + 1 < limit {
         mem.store(po + 1, EOW);

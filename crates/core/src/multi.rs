@@ -15,19 +15,22 @@ use crate::Result;
 
 impl Session {
     /// Runs one round of the window loop: every `(device, range)` entry
-    /// executes as one segment on its device. A one-entry round — on
-    /// a single device, every round — runs inline on the calling thread; a
-    /// wider one spawns a thread per entry. Each thread catches its own
-    /// device's panics, so an outcome is a finished batch or a structured
-    /// error, and none delivers anything. Outcomes come back in `round`
-    /// order.
+    /// executes as one segment on its device, reserving from the same
+    /// extent `history` snapshot. A one-entry round — on a single device,
+    /// every round — runs inline on the calling thread; a wider one spawns
+    /// a thread per entry. Each thread catches its own device's panics, so
+    /// an outcome is a finished batch or a structured error, with the
+    /// extents the batch stored ([`Session::execute_segment`]), and none
+    /// delivers anything. Outcomes come back in `round` order.
     pub(crate) fn execute_round(
         &self,
         round: &[(usize, Range<usize>)],
         inputs: &SegmentInputs<'_>,
-    ) -> Vec<Result<WindowBatch>> {
-        let run =
-            |(d, range): &(usize, Range<usize>)| self.execute_segment(*d, inputs, range.clone());
+        history: &[u32],
+    ) -> Vec<(Result<WindowBatch>, Vec<u32>)> {
+        let run = |(d, range): &(usize, Range<usize>)| {
+            self.execute_segment(*d, inputs, history, range.clone())
+        };
         if let [entry] = round {
             return vec![run(entry)];
         }
@@ -35,7 +38,7 @@ impl Session {
         crate::sync::thread::scope(|s| {
             let handles: Vec<_> = round
                 .iter()
-                .map(|entry| s.spawn(move |_| run(entry)))
+                .map(|entry| s.spawn(move || run(entry)))
                 .collect();
             // Explicit joins: a panic that escapes a device thread (a bug —
             // the batch boundary catches panics) must surface with its
@@ -45,7 +48,6 @@ impl Session {
                 .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
                 .collect()
         })
-        .unwrap_or_else(|p| std::panic::resume_unwind(p))
     }
 
     /// Replays the `buffered` `(range, segment)` batches of a reorder

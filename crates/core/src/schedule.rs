@@ -29,6 +29,7 @@
 
 use crate::kernel::GateDesc;
 use crate::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use crate::sync::{Mutex, MutexGuard};
 
 use gatspi_graph::CircuitGraph;
 
@@ -109,79 +110,6 @@ impl ConeInfo {
     }
 }
 
-/// Per-gate maximum observed stored waveform size, in even-aligned arena
-/// words, indexed by *gate id* (not schedule slot — so the history a full
-/// plan accumulates transfers verbatim to any cone sub-plan of the same
-/// graph). An entry is the largest size one window stored, so one history
-/// serves every window count. `0` is the first-touch sentinel: the gate has
-/// never completed a store under this plan, and the speculative budget
-/// assigner must fall back to the sound static bound (Σ published input
-/// lengths).
-///
-/// Updates are monotone (`fetch_max`), which makes the table safe to share
-/// between concurrent launches, multi-GPU shard threads, and the repair
-/// scan without locks: a stale read can only under-predict, which costs an
-/// overflow repair, never correctness.
-#[derive(Debug)]
-pub(crate) struct ExtentPredictor {
-    words: Vec<AtomicU32>,
-}
-
-impl ExtentPredictor {
-    pub(crate) fn new(n_gates: usize) -> Self {
-        let mut words = Vec::with_capacity(n_gates);
-        words.resize_with(n_gates, || AtomicU32::new(0));
-        ExtentPredictor { words }
-    }
-
-    /// Records an observed stored size (even-aligned words) for a gate.
-    ///
-    /// Guarded by a plain load: in the steady state every observation is
-    /// ≤ the recorded maximum and the kernel threads calling this per
-    /// gate-window pay one read, no RMW. The guard races benignly — two
-    /// concurrent observers can both pass it, and `fetch_max` still keeps
-    /// the entry monotone.
-    #[inline]
-    pub fn observe(&self, gate: usize, words: u32) {
-        // relaxed-ok: the predictor is advisory — a stale or torn-ordered
-        // read only costs an overflow repair; fetch_max keeps the entry
-        // monotone under concurrent observers.
-        if self.words[gate].load(Ordering::Relaxed) < words {
-            // relaxed-ok: see above.
-            self.words[gate].fetch_max(words, Ordering::Relaxed);
-        }
-    }
-
-    /// Predicted even-aligned words for a gate; `None` on first touch.
-    #[inline]
-    pub fn predict(&self, gate: usize) -> Option<u32> {
-        // relaxed-ok: see `observe`.
-        match self.words[gate].load(Ordering::Relaxed) {
-            0 => None,
-            w => Some(w),
-        }
-    }
-
-    /// Overwrites every entry — the hook tests and benches use to force
-    /// deliberately tiny budgets (overflow on every gate) or to pre-warm.
-    pub fn fill(&self, words: u32) {
-        for w in &self.words {
-            // relaxed-ok: runs on the engine thread between batches.
-            w.store(words, Ordering::Relaxed);
-        }
-    }
-
-    /// Merges another predictor's history into this one (monotone max).
-    /// Cone sub-plans seed from the full plan so incremental runs
-    /// speculate accurately from their first window.
-    pub fn seed_from(&self, other: &ExtentPredictor) {
-        for (dst, src) in self.words.iter().zip(&other.words) {
-            // relaxed-ok: advisory history copy; see `observe`.
-            dst.fetch_max(src.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-    }
-}
-
 /// Flattened, immutable launch schedule of a design (or of a cone of it),
 /// independent of how many windows a batch simulates.
 #[derive(Debug)]
@@ -203,9 +131,19 @@ pub(crate) struct LevelSchedule {
     /// layout as `pin_sigs`, baked so the kernel's arrival loop reads a
     /// dense schedule-local table.
     pin_net_delays: Vec<(i32, i32)>,
-    /// Per-gate speculative extent history shared by every batch that
-    /// reuses this cached plan (see [`ExtentPredictor`]).
-    predictor: ExtentPredictor,
+    /// Per-gate extent history: the largest stored waveform size, in
+    /// even-aligned arena words, any window of any batch of this plan has
+    /// produced. Indexed by *gate id*, not schedule slot, so a full plan's
+    /// history transfers verbatim to a cone sub-plan of the same graph; one
+    /// entry serves every window count. `0` is the first-touch sentinel:
+    /// the gate has never stored under this plan, and the budget assigner
+    /// falls back to the sound static bound (Σ published input lengths).
+    ///
+    /// Plain words with one writer: the engine thread of a run folds each
+    /// round's batches into it ([`LevelSchedule::fold_history`]) and hands
+    /// the next round a snapshot, so no lock is held across a round and a
+    /// device's budgets never depend on how far another device has got.
+    history: Mutex<Vec<u32>>,
     /// The largest level's gate count.
     widest: usize,
 }
@@ -296,7 +234,7 @@ impl LevelSchedule {
             pin_base,
             pin_sigs,
             pin_net_delays,
-            predictor: ExtentPredictor::new(graph.n_gates()),
+            history: Mutex::new(vec![0; graph.n_gates()]),
             widest,
         }
     }
@@ -329,10 +267,54 @@ impl LevelSchedule {
         &self.pin_net_delays[self.pin_base[slot] as usize..self.pin_base[slot + 1] as usize]
     }
 
-    /// The plan's shared per-gate extent history.
-    #[inline]
-    pub fn predictor(&self) -> &ExtentPredictor {
-        &self.predictor
+    fn history(&self) -> MutexGuard<'_, Vec<u32>> {
+        // Every update leaves each entry a size some batch stored (or the
+        // seed hook's), so a table whose writer panicked is still sound.
+        self.history.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Copies the extent history into `snapshot`: what a run's first round
+    /// reserves from.
+    pub fn read_history(&self, snapshot: &mut Vec<u32>) {
+        snapshot.clone_from(&self.history());
+    }
+
+    /// Overwrites every history entry — the hook tests and benches use to
+    /// force deliberately tiny budgets (overflow on every gate) or to
+    /// pre-warm.
+    pub fn fill_history(&self, words: u32) {
+        self.history().fill(words);
+    }
+
+    /// Replaces the history with a copy of `from`'s (a plan of the same
+    /// graph): a cone sub-plan starts from the full plan's, so an
+    /// incremental run speculates from the full run's extents instead of
+    /// first-touch static bounds.
+    pub fn copy_history(&self, from: &LevelSchedule) {
+        let from = from.history().clone();
+        *self.history() = from;
+    }
+
+    /// Folds settled batches into the history, in the order given, and
+    /// copies the result into `snapshot` for the next round. A batch's
+    /// `extents[s]` is the largest even-aligned length signal `s` stored in
+    /// any of its windows ([`BatchScratch::lens_snapshot`]); each scheduled
+    /// gate keeps the larger of its entry and its output's extent, so
+    /// entries only grow. A signal the batch never stored reads 0 and
+    /// leaves its gate's entry alone.
+    pub fn fold_history<'a>(
+        &self,
+        batches: impl IntoIterator<Item = &'a [u32]>,
+        snapshot: &mut Vec<u32>,
+    ) {
+        let mut history = self.history();
+        for extents in batches {
+            for (&gate, &sig) in self.gates.iter().zip(&self.out_sigs) {
+                let entry = &mut history[gate as usize];
+                *entry = (*entry).max(extents[sig as usize]);
+            }
+        }
+        snapshot.clone_from(&history);
     }
 
     /// Output signal of a gate slot.
@@ -695,32 +677,41 @@ impl BatchScratch {
         }
     }
 
-    /// Window-major copy (`w * n_signals + s`) of the signal-major `table`
-    /// for an `nw`-window batch — the layout the drain reads. The arena
-    /// may be larger than the batch when it is reused from the session
-    /// pool.
-    fn window_major(table: &[AtomicU32], nw: usize, n_signals: usize) -> Vec<u32> {
-        let mut out = vec![0; nw * n_signals];
+    /// Window-major snapshot (`w * n_signals + s`) of the signal-major
+    /// pointer table for an `nw`-window batch — the layout the drain reads.
+    /// The arena may be larger than the batch when it is reused from the
+    /// session pool.
+    pub fn ptrs_snapshot(&self, nw: usize, n_signals: usize) -> Vec<u32> {
+        let mut ptrs = vec![0; nw * n_signals];
         for s in 0..n_signals {
             for w in 0..nw {
                 // relaxed-ok: snapshots run on the engine thread after every
                 // launch of the batch has joined.
-                out[w * n_signals + s] = table[slot(nw, s, w)].load(Ordering::Relaxed);
+                ptrs[w * n_signals + s] = self.ptrs[slot(nw, s, w)].load(Ordering::Relaxed);
             }
         }
-        out
+        ptrs
     }
 
-    /// Window-major snapshot of the pointer table (see
-    /// [`BatchScratch::window_major`]).
-    pub fn ptrs_snapshot(&self, nw: usize, n_signals: usize) -> Vec<u32> {
-        Self::window_major(&self.ptrs, nw, n_signals)
-    }
-
-    /// Window-major snapshot of the length table (word counts per
-    /// (window, signal) waveform — what the host-spill sink reads back).
-    pub fn lens_snapshot(&self, nw: usize, n_signals: usize) -> Vec<u32> {
-        Self::window_major(&self.lens, nw, n_signals)
+    /// Window-major snapshot of the length table (word counts per (window,
+    /// signal) waveform — what the host-spill sink reads back) and, from
+    /// the same pass, each signal's extent: the largest even-aligned length
+    /// any of the batch's windows stored, what the batch adds to the plan's
+    /// extent history ([`LevelSchedule::fold_history`]). A level's storing
+    /// threads publish every window's length, overflows included, so a
+    /// batch that ran out of memory still reports every level it launched.
+    pub fn lens_snapshot(&self, nw: usize, n_signals: usize) -> (Vec<u32>, Vec<u32>) {
+        let mut lens = vec![0; nw * n_signals];
+        let mut extents = vec![0; n_signals];
+        for (s, extent) in extents.iter_mut().enumerate() {
+            for w in 0..nw {
+                // relaxed-ok: see `ptrs_snapshot`.
+                let len = self.lens[slot(nw, s, w)].load(Ordering::Relaxed);
+                lens[w * n_signals + s] = len;
+                *extent = (*extent).max(len + (len & 1));
+            }
+        }
+        (lens, extents)
     }
 
     /// Whether this arena is large enough for a batch needing `ptrs`
@@ -799,30 +790,61 @@ mod tests {
         }
     }
 
+    /// The extent history is a plain per-gate table: a batch's extents
+    /// are each signal's largest even-aligned length over its windows, a
+    /// fold keeps the larger entry per scheduled gate (by gate id), a cone
+    /// sub-plan copies the full plan's table, and the seed hook overwrites
+    /// every entry.
     #[test]
     fn predictor_is_monotone_and_seedable() {
         let g = chain_graph(3);
         let s = LevelSchedule::build(&g);
-        let p = s.predictor();
-        assert_eq!(p.predict(1), None, "first touch");
-        p.observe(1, 6);
-        p.observe(1, 4); // smaller observation must not shrink the entry
-        assert_eq!(p.predict(1), Some(6));
-        p.observe(1, 10);
-        assert_eq!(p.predict(1), Some(10));
-        // A cone sub-plan seeds from the full plan's history (by gate id).
+        let n = g.n_signals();
+        let mut history = Vec::new();
+        s.read_history(&mut history);
+        assert_eq!(history, [0; 3], "every gate starts at first touch");
+
+        let nw = 2;
+        let sig = |gate: usize| g.gate_output(gate).index();
+        let extents = |lens: &[(usize, [u32; 2])]| {
+            let sc = scratch(&g, &s, nw);
+            for &(sig, words) in lens {
+                for (w, &l) in words.iter().enumerate() {
+                    sc.lens[slot(nw, sig, w)].store(l, Ordering::Relaxed);
+                }
+            }
+            sc.lens_snapshot(nw, n)
+        };
+        let (lens, first) = extents(&[(sig(1), [3, 5])]);
+        assert_eq!(lens[n + sig(1)], 5, "the snapshot is window-major");
+        assert_eq!(first[sig(1)], 6, "the largest length, even-aligned");
+        let (_, smaller) = extents(&[(sig(1), [4, 2])]);
+        s.fold_history([&first[..], &smaller[..]], &mut history);
+        assert_eq!(
+            history,
+            [0, 6, 0],
+            "a smaller extent never shrinks an entry"
+        );
+        let (_, larger) = extents(&[(sig(1), [10, 0])]);
+        s.fold_history([&larger[..]], &mut history);
+        assert_eq!(history[1], 10);
+
+        // A cone sub-plan copies the full plan's table (by gate id) and
+        // folds only its own gates.
         let mut changed = vec![false; g.n_gates()];
         changed[1] = true;
-        let cone = ConeInfo::of(&g, &changed);
-        let sub = LevelSchedule::restrict(&g, &cone);
-        assert_eq!(sub.predictor().predict(1), None);
-        sub.predictor().seed_from(p);
-        assert_eq!(sub.predictor().predict(1), Some(10));
-        assert_eq!(sub.predictor().predict(0), None, "unseen gate stays cold");
+        let sub = LevelSchedule::restrict(&g, &ConeInfo::of(&g, &changed));
+        sub.copy_history(&s);
+        let (_, both) = extents(&[(sig(0), [8, 8]), (sig(2), [7, 1])]);
+        sub.fold_history([&both[..]], &mut history);
+        assert_eq!(history, [0, 10, 8], "gate 0 is outside the cone");
+        s.read_history(&mut history);
+        assert_eq!(history, [0, 10, 0], "the full plan's table is its own");
+
         // The forced-budget hook overwrites everything.
-        sub.predictor().fill(2);
-        assert_eq!(sub.predictor().predict(0), Some(2));
-        assert_eq!(sub.predictor().predict(1), Some(2));
+        sub.fill_history(2);
+        sub.read_history(&mut history);
+        assert_eq!(history, [2; 3]);
     }
 
     fn scratch(g: &CircuitGraph, s: &LevelSchedule, nw: usize) -> BatchScratch {

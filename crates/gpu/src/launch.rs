@@ -190,15 +190,14 @@ mod model_tests {
             crate::sync::thread::scope(|s| {
                 for _ in 0..2 {
                     let k = &k;
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         let mut lane = LaneCounters::default();
                         lane.scattered_load();
                         lane.ops(3);
                         k.merge(&lane);
                     });
                 }
-            })
-            .expect("model worker panicked");
+            });
             assert_eq!(k.snapshot(), (2, 0, 6), "a merge was lost");
         });
     }

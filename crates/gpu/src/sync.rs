@@ -2,11 +2,12 @@
 //! atomics and scoped threads from here instead of `std`.
 //!
 //! Normally (`--features model-check` off) this re-exports plain
-//! `std::sync::atomic` and the crossbeam-shaped scoped-thread
-//! shim — zero-cost. With `model-check` on, the same paths resolve to the
-//! `loom` compat crate's instrumented types, so the in-crate model tests can
-//! exhaustively explore the protocols' interleavings while ordinary tests
-//! keep running on the types' out-of-model fallback behavior.
+//! `std::sync::atomic` and `std::thread::scope` — zero-cost. With
+//! `model-check` on, the same paths resolve to the `loom` compat crate's
+//! instrumented types, whose scope has std's shape, so the in-crate model
+//! tests can exhaustively explore the protocols' interleavings while
+//! ordinary tests keep running on the types' out-of-model fallback
+//! behavior.
 //!
 //! `gatspi_core::sync` re-exports this module, giving the workspace one
 //! canonical facade. The `xtask analyze` sync-facade pass (run in CI) bans
@@ -15,48 +16,40 @@
 //! `Barrier`) and bare `std::thread::spawn` too — which is what keeps the
 //! model-checked types and the shipped types from drifting apart.
 //!
-//! The blocking primitives re-exported here resolve to plain `std` under
-//! *both* cfgs: the loom shim deliberately models only the atomics, because
-//! the lock-free paths hold no lock across a schedule point, so modeling
-//! them would add states without adding coverage. Routing them through
-//! the facade anyway gives the workspace one choke point: if a lock ever
-//! migrates into a modeled protocol, this is the one line that changes —
-//! and the static analysis already guarantees every production lock goes
-//! through it.
+//! The one blocking primitive the engine uses, `Mutex`, resolves to plain
+//! `std` under *both* cfgs: the loom shim deliberately models only the
+//! atomics, because no lock is held across a schedule point of a modeled
+//! protocol, so modeling it would add states without adding coverage.
+//! Routing it through the facade anyway gives the workspace one choke
+//! point: if a lock ever migrates into a modeled protocol, this is the one
+//! line that changes — and the static analysis already guarantees every
+//! production lock goes through it.
 
-/// Atomic types for the lock-free protocols. `AtomicBool`, `AtomicI32`,
-/// `AtomicU32`, `AtomicU64`, `AtomicUsize`, and `Ordering`.
+/// Atomic types for the lock-free protocols: `AtomicI32`, `AtomicU32`,
+/// `AtomicU64`, `AtomicUsize` and `Ordering`.
 #[cfg(not(feature = "model-check"))]
 pub mod atomic {
-    pub use std::sync::atomic::{
-        AtomicBool, AtomicI32, AtomicU32, AtomicU64, AtomicUsize, Ordering,
-    };
+    pub use std::sync::atomic::{AtomicI32, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 }
 
+/// Atomic types for the lock-free protocols (model-checked).
 #[cfg(feature = "model-check")]
-pub use loom::sync::atomic;
+pub mod atomic {
+    pub use loom::sync::atomic::{AtomicI32, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+}
 
-/// Thread primitives: `scope` (crossbeam-shaped), `spawn`, `sleep`,
-/// `yield_now`.
+/// Scoped threads: `scope`, `Scope` and `ScopedJoinHandle`, std's shape.
 #[cfg(not(feature = "model-check"))]
 pub mod thread {
-    pub use crossbeam::thread::{scope, Scope, ScopedJoinHandle};
-    pub use std::thread::{sleep, spawn, yield_now, JoinHandle};
+    pub use std::thread::{scope, Scope, ScopedJoinHandle};
 }
 
+/// Scoped threads (model-checked), std's shape.
 #[cfg(feature = "model-check")]
-pub use loom::thread;
-
-/// Blocking primitives, `std` under both cfgs (see the module docs for why
-/// they are not modeled): `Mutex`, `RwLock`, `Condvar`, `Barrier` and their
-/// guards.
-pub use std::sync::{
-    Barrier, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard,
-};
-
-/// Channels, `std` under both cfgs — the multi-GPU shard fan-in and the
-/// sink hand-off use them strictly for ownership transfer, never as part of
-/// a lock-free protocol.
-pub mod mpsc {
-    pub use std::sync::mpsc::*;
+pub mod thread {
+    pub use loom::thread::{scope, Scope, ScopedJoinHandle};
 }
+
+/// The blocking lock, `std` under both cfgs (see the module docs for why
+/// it is not modeled).
+pub use std::sync::{Mutex, MutexGuard};

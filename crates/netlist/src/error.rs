@@ -34,6 +34,15 @@ pub enum NetlistError {
         /// The second driver that caused the conflict.
         driver: String,
     },
+    /// A net, gate or module name is empty or holds whitespace. Whitespace
+    /// ends every Verilog identifier, an escaped one included, so no
+    /// netlist text could spell the name.
+    BadName {
+        /// "net", "gate" or "module".
+        kind: &'static str,
+        /// The offending name.
+        name: String,
+    },
     /// A net that must be driven has no driver.
     Undriven {
         /// The floating net.
@@ -79,6 +88,9 @@ impl fmt::Display for NetlistError {
             }
             NetlistError::MultipleDrivers { net, driver } => {
                 write!(f, "net `{net}` already driven, second driver `{driver}`")
+            }
+            NetlistError::BadName { kind, name } => {
+                write!(f, "{kind} name `{name}` is empty or holds whitespace")
             }
             NetlistError::Undriven { net } => write!(f, "net `{net}` has no driver"),
             NetlistError::BadTruthTable { detail } => {

@@ -332,6 +332,7 @@ impl NetlistBuilder {
     }
 
     fn add_net_inner(&mut self, name: &str, pi: bool, po: bool) -> Result<NetId> {
+        check_name("net", name)?;
         let hash = self.net_names.hash(name);
         if self
             .net_names
@@ -365,7 +366,8 @@ impl NetlistBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`NetlistError::DuplicateName`] if the name is taken.
+    /// Returns [`NetlistError::DuplicateName`] if the name is taken, or
+    /// [`NetlistError::BadName`] if it is empty or holds whitespace.
     pub fn add_net(&mut self, name: &str) -> Result<NetId> {
         self.add_net_inner(name, false, false)
     }
@@ -375,7 +377,8 @@ impl NetlistBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`NetlistError::DuplicateName`] if the name is taken.
+    /// Returns [`NetlistError::DuplicateName`] if the name is taken, or
+    /// [`NetlistError::BadName`] if it is empty or holds whitespace.
     pub fn add_input(&mut self, name: &str) -> Result<NetId> {
         self.add_net_inner(name, true, false)
     }
@@ -385,7 +388,8 @@ impl NetlistBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`NetlistError::DuplicateName`] if the name is taken.
+    /// Returns [`NetlistError::DuplicateName`] if the name is taken, or
+    /// [`NetlistError::BadName`] if it is empty or holds whitespace.
     pub fn add_output(&mut self, name: &str) -> Result<NetId> {
         self.add_net_inner(name, false, true)
     }
@@ -411,6 +415,8 @@ impl NetlistBuilder {
     ///
     /// * [`NetlistError::UnknownName`] if the cell type does not exist.
     /// * [`NetlistError::DuplicateName`] if the instance name is taken.
+    /// * [`NetlistError::BadName`] if the instance name is empty or holds
+    ///   whitespace.
     /// * [`NetlistError::PinMismatch`] if the connection count differs from
     ///   the cell's pin count.
     /// * [`NetlistError::MultipleDrivers`] if `output` already has a driver
@@ -444,6 +450,7 @@ impl NetlistBuilder {
         inputs: &[NetId],
         output: NetId,
     ) -> Result<GateId> {
+        check_name("gate", inst_name)?;
         let cell = self.library.cell(cell_id);
         let hash = self.gate_names.hash(inst_name);
         if self
@@ -509,8 +516,10 @@ impl NetlistBuilder {
     /// # Errors
     ///
     /// Returns [`NetlistError::Undriven`] if any net with loads (or any
-    /// primary output) lacks a driver.
+    /// primary output) lacks a driver, or [`NetlistError::BadName`] if the
+    /// design name is empty or holds whitespace.
     pub fn finish(self) -> Result<Netlist> {
+        check_name("module", &self.name)?;
         for net in &self.nets {
             let driven = net.driver.is_some() || net.is_primary_input;
             if !driven && (!net.loads.is_empty() || net.is_primary_output) {
@@ -530,6 +539,19 @@ impl NetlistBuilder {
             gate_names: self.gate_names,
         })
     }
+}
+
+/// Refuses a `kind` name that is empty or holds whitespace — the byte that
+/// ends a Verilog identifier, escaped or not — so every netlist
+/// [`crate::verilog::write`] prints reads back.
+fn check_name(kind: &'static str, name: &str) -> Result<()> {
+    if name.is_empty() || name.bytes().any(|c| c.is_ascii_whitespace()) {
+        return Err(NetlistError::BadName {
+            kind,
+            name: name.to_string(),
+        });
+    }
+    Ok(())
 }
 
 /// The id the next of `len` nets or gates gets. `u32::MAX` is never an id:
@@ -641,6 +663,37 @@ mod tests {
         b.add_gate("u_sum", "XOR3", &[a, bb, cin], sum).unwrap();
         b.add_gate("u_carry", "MAJ3", &[a, bb, cin], cout).unwrap();
         b.finish().unwrap()
+    }
+
+    /// A name that is empty or has whitespace in it is refused where it
+    /// enters: a net, a gate, or the design itself at `finish`.
+    #[test]
+    fn unwritable_names_are_refused() {
+        let bad = |kind, name: &str| NetlistError::BadName {
+            kind,
+            name: name.to_string(),
+        };
+        let mut b = NetlistBuilder::new("top", lib());
+        assert_eq!(b.add_input("a b"), Err(bad("net", "a b")));
+        assert_eq!(b.add_output("y\t"), Err(bad("net", "y\t")));
+        assert_eq!(b.add_net("n\n1"), Err(bad("net", "n\n1")));
+        assert_eq!(b.add_net(""), Err(bad("net", "")));
+        let a = b.add_input("a").unwrap();
+        let y = b.add_output("y").unwrap();
+        assert_eq!(b.add_gate("u 1", "INV", &[a], y), Err(bad("gate", "u 1")));
+        b.add_gate("u1", "INV", &[a], y).unwrap();
+        b.finish().unwrap();
+
+        let mut b = NetlistBuilder::new("my top", lib());
+        let a = b.add_input("a").unwrap();
+        let y = b.add_output("y").unwrap();
+        b.add_gate("u1", "INV", &[a], y).unwrap();
+        let err = b.finish().unwrap_err();
+        assert_eq!(err, bad("module", "my top"));
+        assert_eq!(
+            err.to_string(),
+            "module name `my top` is empty or holds whitespace"
+        );
     }
 
     #[test]

@@ -60,7 +60,10 @@ pub fn parse(src: &str, library: impl Into<Arc<CellLibrary>>) -> Result<Netlist>
 /// Serialises a netlist back to structural Verilog.
 ///
 /// Round-trips with [`parse`] (scalar nets; vectors are emitted bit-blasted,
-/// with bracketed names escaped Verilog-style).
+/// with bracketed names escaped Verilog-style). Any name that is not a
+/// simple identifier — the module's too — is written as an escaped
+/// identifier; [`crate::NetlistBuilder`] refuses the names that cannot be,
+/// an empty one or one that holds whitespace.
 pub fn write(netlist: &Netlist) -> String {
     let mut out = String::new();
     let escape = |name: &str| -> String {
@@ -81,7 +84,12 @@ pub fn write(netlist: &Netlist) -> String {
         .chain(netlist.primary_outputs().iter())
         .map(|&n| escape(netlist.net(n).name()))
         .collect();
-    let _ = writeln!(out, "module {} ({});", netlist.name(), ports.join(", "));
+    let _ = writeln!(
+        out,
+        "module {} ({});",
+        escape(netlist.name()),
+        ports.join(", ")
+    );
     for &n in netlist.primary_inputs() {
         let _ = writeln!(out, "  input {};", escape(netlist.net(n).name()));
     }
@@ -852,6 +860,32 @@ endmodule
             let g2 = n2.find_gate(g.name()).expect("gate preserved");
             assert_eq!(n2.gate(g2).cell(), g.cell());
         }
+    }
+
+    /// Names that are not simple identifiers — a digit first, a bracket, a
+    /// dot, a slash, a quote — are written escaped and read back verbatim,
+    /// the module's included.
+    #[test]
+    fn escaped_names_round_trip() {
+        let mut b = crate::NetlistBuilder::new("top.v2", lib());
+        let a = b.add_input("1a").unwrap();
+        let c = b.add_input("bus[3]").unwrap();
+        let n = b.add_net("core/n\"1").unwrap();
+        let y = b.add_output("y-out").unwrap();
+        b.add_gate("u/x[0]", "NAND2", &[a, c], n).unwrap();
+        b.add_gate("$u2", "INV", &[n], y).unwrap();
+        let n1 = b.finish().unwrap();
+        let text = write(&n1);
+        assert!(text.starts_with("module \\top.v2  ("), "{text}");
+        let n2 = parse(&text, lib()).unwrap();
+        assert_eq!(n2.name(), "top.v2");
+        for name in ["1a", "bus[3]", "core/n\"1", "y-out"] {
+            assert!(n2.find_net(name).is_some(), "net {name}");
+        }
+        for name in ["u/x[0]", "$u2"] {
+            assert!(n2.find_gate(name).is_some(), "gate {name}");
+        }
+        assert_eq!(write(&n2), text, "a second round trip changes nothing");
     }
 
     #[test]

@@ -59,16 +59,15 @@ pub fn run_parallel(
         ..config
     };
     let t_kernel = std::time::Instant::now();
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for (slot, &(ws, we)) in shard_results.iter_mut().zip(&windows) {
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let local: Vec<Waveform> = stimuli.iter().map(|w| w.window(ws, we)).collect();
                 let sim = EventSimulator::new(graph, no_waves);
                 *slot = Some(sim.run(&local, we - ws));
             });
         }
-    })
-    .expect("parallel baseline worker panicked");
+    });
     let kernel_seconds = t_kernel.elapsed().as_secs_f64();
 
     // Sequential merge (this serial phase is part of why commercial

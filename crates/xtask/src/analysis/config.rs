@@ -21,7 +21,6 @@ pub fn facade_file(label: &str) -> bool {
     label.ends_with("crates/core/src/sync.rs")
         || label.ends_with("crates/gpu/src/sync.rs")
         || label.contains("crates/compat/loom/")
-        || label.contains("crates/compat/crossbeam/")
 }
 
 /// Paths exempt from production-code rules wholesale: test/bench/example

@@ -346,6 +346,40 @@ fn fleet_segments_shards_that_overflow_the_arena() {
     assert_matches_refsim(&b, &fleet, "segmented fleet");
 }
 
+/// A fleet's counts are a pure function of its inputs: every device of a
+/// round reserves from the extent history as the previous round left it,
+/// so a 3-device fleet whose shards overflow 14 000-word arenas reports
+/// the same segments, repairs, waste, D2H batches and modeled seconds on
+/// every run.
+#[test]
+fn fleet_counts_repeat_run_to_run() {
+    let b = bench(0.15);
+    let cfg = SimConfig {
+        memory_words: 14_000,
+        ..config(&b, 8)
+    };
+    let spill = RunOptions::default().with_waveform_spill();
+    let counts = || {
+        let r = fleet_session(&b, cfg.clone(), 3, 14_000)
+            .run_with(&b.stimuli, b.duration, &spill)
+            .expect("3-device fleet run");
+        let p = &r.app_profile;
+        (
+            r.segments(),
+            p.oom_retries,
+            p.overflow_repairs,
+            p.predicted_waste_words,
+            p.d2h_batches,
+            r.kernel_profile.modeled_seconds.to_bits(),
+        )
+    };
+    let first = counts();
+    assert!(first.1 > 0, "a shard overflowed its arena");
+    for run in 1..20 {
+        assert_eq!(counts(), first, "run {run} differs from run 0");
+    }
+}
+
 /// `RunOptions::segment_windows` caps every device's ranges: a 4-window
 /// run on 2 devices capped at one window executes 4 ranges, in 2 rounds.
 #[test]
