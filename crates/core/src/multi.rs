@@ -27,7 +27,7 @@ impl Session {
         round: &[(usize, Range<usize>)],
         inputs: &SegmentInputs<'_>,
         history: &[u32],
-    ) -> Vec<(Result<WindowBatch>, Vec<u32>)> {
+    ) -> Vec<(Result<WindowBatch>, Option<Vec<u32>>)> {
         let run = |(d, range): &(usize, Range<usize>)| {
             self.execute_segment(*d, inputs, history, range.clone())
         };

@@ -140,9 +140,10 @@ pub(crate) struct LevelSchedule {
     /// falls back to the sound static bound (Σ published input lengths).
     ///
     /// Plain words with one writer: the engine thread of a run folds each
-    /// round's batches into it ([`LevelSchedule::fold_history`]) and hands
-    /// the next round a snapshot, so no lock is held across a round and a
-    /// device's budgets never depend on how far another device has got.
+    /// round's batches into it and into the run's own copy, which the next
+    /// round reserves from ([`LevelSchedule::fold_history`]), so no lock is
+    /// held across a round and a device's budgets never depend on how far
+    /// another device has got.
     history: Mutex<Vec<u32>>,
     /// The largest level's gate count.
     widest: usize,
@@ -273,10 +274,10 @@ impl LevelSchedule {
         self.history.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Copies the extent history into `snapshot`: what a run's first round
-    /// reserves from.
-    pub fn read_history(&self, snapshot: &mut Vec<u32>) {
-        snapshot.clone_from(&self.history());
+    /// A copy of the extent history: what a run's first round reserves
+    /// from.
+    pub fn read_history(&self) -> Vec<u32> {
+        self.history().clone()
     }
 
     /// Overwrites every history entry — the hook tests and benches use to
@@ -295,26 +296,30 @@ impl LevelSchedule {
         *self.history() = from;
     }
 
-    /// Folds settled batches into the history, in the order given, and
-    /// copies the result into `snapshot` for the next round. A batch's
-    /// `extents[s]` is the largest even-aligned length signal `s` stored in
-    /// any of its windows ([`BatchScratch::lens_snapshot`]); each scheduled
-    /// gate keeps the larger of its entry and its output's extent, so
-    /// entries only grow. A signal the batch never stored reads 0 and
-    /// leaves its gate's entry alone.
+    /// Folds settled batches, in the order given, into the history and
+    /// into `snapshot`, the run's copy of it that its next round reserves
+    /// from. A batch's `extents[s]` is the largest even-aligned length
+    /// signal `s` stored in any of its windows ([`BatchScratch::extents`]);
+    /// each scheduled gate keeps the larger of its entry and its output's
+    /// extent, so entries only grow. A signal the batch never stored reads
+    /// 0 and leaves its gate's entry alone. Only the plan's gates are
+    /// touched, and the table is not copied, so a round's fold costs one
+    /// read per (batch, gate slot). A run's budgets thus depend only on the
+    /// table as the run found it and on its own rounds.
     pub fn fold_history<'a>(
         &self,
         batches: impl IntoIterator<Item = &'a [u32]>,
-        snapshot: &mut Vec<u32>,
+        snapshot: &mut [u32],
     ) {
         let mut history = self.history();
         for extents in batches {
             for (&gate, &sig) in self.gates.iter().zip(&self.out_sigs) {
-                let entry = &mut history[gate as usize];
-                *entry = (*entry).max(extents[sig as usize]);
+                let extent = extents[sig as usize];
+                for entry in [&mut history[gate as usize], &mut snapshot[gate as usize]] {
+                    *entry = (*entry).max(extent);
+                }
             }
         }
-        snapshot.clone_from(&history);
     }
 
     /// Output signal of a gate slot.
@@ -695,23 +700,40 @@ impl BatchScratch {
 
     /// Window-major snapshot of the length table (word counts per (window,
     /// signal) waveform — what the host-spill sink reads back) and, from
-    /// the same pass, each signal's extent: the largest even-aligned length
-    /// any of the batch's windows stored, what the batch adds to the plan's
-    /// extent history ([`LevelSchedule::fold_history`]). A level's storing
-    /// threads publish every window's length, overflows included, so a
-    /// batch that ran out of memory still reports every level it launched.
+    /// the same pass, the batch's [`BatchScratch::extents`].
     pub fn lens_snapshot(&self, nw: usize, n_signals: usize) -> (Vec<u32>, Vec<u32>) {
         let mut lens = vec![0; nw * n_signals];
+        let extents = self.scan_lens(nw, n_signals, |w, s, len| lens[w * n_signals + s] = len);
+        (lens, extents)
+    }
+
+    /// Each signal's extent: the largest even-aligned length any of the
+    /// batch's windows stored, what the batch adds to the plan's extent
+    /// history ([`LevelSchedule::fold_history`]). A level's storing threads
+    /// publish every window's length, overflows included, so a batch that
+    /// ran out of memory still reports every level it launched.
+    pub fn extents(&self, nw: usize, n_signals: usize) -> Vec<u32> {
+        self.scan_lens(nw, n_signals, |_, _, _| {})
+    }
+
+    /// Reads the length table once, signal by signal, handing each
+    /// `(window, signal, length)` to `each`, and returns the extents.
+    fn scan_lens(
+        &self,
+        nw: usize,
+        n_signals: usize,
+        mut each: impl FnMut(usize, usize, u32),
+    ) -> Vec<u32> {
         let mut extents = vec![0; n_signals];
         for (s, extent) in extents.iter_mut().enumerate() {
             for w in 0..nw {
                 // relaxed-ok: see `ptrs_snapshot`.
                 let len = self.lens[slot(nw, s, w)].load(Ordering::Relaxed);
-                lens[w * n_signals + s] = len;
+                each(w, s, len);
                 *extent = (*extent).max(len + (len & 1));
             }
         }
-        (lens, extents)
+        extents
     }
 
     /// Whether this arena is large enough for a batch needing `ptrs`
@@ -791,17 +813,17 @@ mod tests {
     }
 
     /// The extent history is a plain per-gate table: a batch's extents
-    /// are each signal's largest even-aligned length over its windows, a
-    /// fold keeps the larger entry per scheduled gate (by gate id), a cone
-    /// sub-plan copies the full plan's table, and the seed hook overwrites
-    /// every entry.
+    /// are each signal's largest even-aligned length over its windows (the
+    /// same from the length snapshot's pass as alone), a fold keeps the
+    /// larger entry per scheduled gate (by gate id) in both the table and
+    /// the run's copy, a cone sub-plan copies the full plan's table, and
+    /// the seed hook overwrites every entry.
     #[test]
     fn predictor_is_monotone_and_seedable() {
         let g = chain_graph(3);
         let s = LevelSchedule::build(&g);
         let n = g.n_signals();
-        let mut history = Vec::new();
-        s.read_history(&mut history);
+        let mut history = s.read_history();
         assert_eq!(history, [0; 3], "every gate starts at first touch");
 
         let nw = 2;
@@ -813,7 +835,9 @@ mod tests {
                     sc.lens[slot(nw, sig, w)].store(l, Ordering::Relaxed);
                 }
             }
-            sc.lens_snapshot(nw, n)
+            let (lens, extents) = sc.lens_snapshot(nw, n);
+            assert_eq!(extents, sc.extents(nw, n));
+            (lens, extents)
         };
         let (lens, first) = extents(&[(sig(1), [3, 5])]);
         assert_eq!(lens[n + sig(1)], 5, "the snapshot is window-major");
@@ -828,6 +852,10 @@ mod tests {
         let (_, larger) = extents(&[(sig(1), [10, 0])]);
         s.fold_history([&larger[..]], &mut history);
         assert_eq!(history[1], 10);
+        assert_eq!(s.read_history(), history, "the table folds as the copy");
+
+        // A fold of no batch touches nothing, not even the copy's length.
+        s.fold_history([], &mut []);
 
         // A cone sub-plan copies the full plan's table (by gate id) and
         // folds only its own gates.
@@ -838,13 +866,16 @@ mod tests {
         let (_, both) = extents(&[(sig(0), [8, 8]), (sig(2), [7, 1])]);
         sub.fold_history([&both[..]], &mut history);
         assert_eq!(history, [0, 10, 8], "gate 0 is outside the cone");
-        s.read_history(&mut history);
-        assert_eq!(history, [0, 10, 0], "the full plan's table is its own");
+        assert_eq!(sub.read_history(), history);
+        assert_eq!(
+            s.read_history(),
+            [0, 10, 0],
+            "the full plan's table is its own"
+        );
 
         // The forced-budget hook overwrites everything.
         sub.fill_history(2);
-        sub.read_history(&mut history);
-        assert_eq!(history, [2; 3]);
+        assert_eq!(sub.read_history(), [2; 3]);
     }
 
     fn scratch(g: &CircuitGraph, s: &LevelSchedule, nw: usize) -> BatchScratch {

@@ -886,11 +886,12 @@ impl Session {
     ///
     /// Every range executes `inputs.plan`, whatever its window count; a
     /// round fans out its ranges ([`Session::execute_round`]), every one
-    /// reserving from the plan's extent history as the previous round left
-    /// it. The engine thread is the history's one writer: it folds the
-    /// round's batches into it in window order — a batch that ran out of
-    /// memory too, from the levels it launched — and then settles the
-    /// round in window order: each batch
+    /// reserving from the run's copy of the plan's extent history as the
+    /// previous round left it. The engine thread is the history's one
+    /// writer: it folds the round's batches into the table and the copy in
+    /// window order — a batch that ran out of memory too, from the levels
+    /// it launched; one that panicked is folded nowhere — and then settles
+    /// the round in window order: each batch
     /// drains — under a panic guard of its own — into `spill` and, while
     /// every earlier window has reached it, straight into `user_sink`. A
     /// batch that finished ahead of a gap goes to the reorder buffer
@@ -929,8 +930,7 @@ impl Session {
         let (mut delivered, mut buffered) = (0, Vec::new());
         let mut reorder = None;
         let has_user = user_sink.is_some();
-        let mut history = Vec::new();
-        inputs.plan.read_history(&mut history);
+        let mut history = inputs.plan.read_history();
         while !queue.is_empty() {
             let mut round = Vec::new();
             for d in 0..self.devices.len() {
@@ -942,7 +942,9 @@ impl Session {
                 round.push((d, r.start..end));
             }
             let outcomes = self.execute_round(&round, inputs, &history);
-            let extents = outcomes.iter().map(|(_, extents)| &extents[..]);
+            let extents = outcomes
+                .iter()
+                .filter_map(|(_, extents)| extents.as_deref());
             inputs.plan.fold_history(extents, &mut history);
             let mut requeue = Vec::new();
             for ((d, range), (outcome, _)) in round.into_iter().zip(outcomes) {
@@ -1030,17 +1032,17 @@ impl Session {
     /// device `device` against the run's plan, reserving from the extent
     /// `history` snapshot: takes a scratch arena and runs the batch under a
     /// panic guard. Returns the batch, or the error that stopped it, with
-    /// the per-signal extents it stored ([`BatchScratch::lens_snapshot`]):
-    /// a batch that ran out of memory reports the levels it launched, one
-    /// that failed otherwise reports none. Delivery is the caller's: the
-    /// drain is guarded on its own.
+    /// the per-signal extents it stored ([`BatchScratch::extents`]): a
+    /// batch that ran out of memory reports the levels it launched, one
+    /// that failed otherwise (a worker panic) reports `None` and is folded
+    /// nowhere. Delivery is the caller's: the drain is guarded on its own.
     pub(crate) fn execute_segment(
         &self,
         device: usize,
         inputs: &SegmentInputs<'_>,
         history: &[u32],
         range: Range<usize>,
-    ) -> (Result<WindowBatch>, Vec<u32>) {
+    ) -> (Result<WindowBatch>, Option<Vec<u32>>) {
         let (nw, plan) = (range.len(), inputs.plan);
         let windows = &inputs.windows[range.clone()];
         let stims = &inputs.stims[range.clone()];
@@ -1059,12 +1061,11 @@ impl Session {
             self.run_window_batch(device, plan, history, &scratch, windows, stim)
         });
         let outcome = match batch {
-            Ok((batch, extents)) => (Ok(batch), extents),
+            Ok((batch, extents)) => (Ok(batch), Some(extents)),
             Err(e @ CoreError::OutOfMemory { .. }) => {
-                let (_, extents) = scratch.lens_snapshot(nw, self.graph.n_signals());
-                (Err(e), extents)
+                (Err(e), Some(scratch.extents(nw, self.graph.n_signals())))
             }
-            Err(e) => (Err(e), Vec::new()),
+            Err(e) => (Err(e), None),
         };
         self.release_scratch(scratch);
         outcome
@@ -1826,7 +1827,7 @@ impl HostState {
     /// Assigns every thread of `level` (gate by gate, `nw` windows each) a
     /// speculative output reservation before its single store pass runs,
     /// advancing the bump; returns the words reserved. A thread's budget is
-    /// the gate's entry in the round's extent `history` snapshot where it
+    /// the gate's entry in the run's copy of the extent `history` where it
     /// has one (see [`LevelSchedule::fold_history`]), else
     /// the sound static bound — marker + initial entry + EOW + one edge per
     /// stored input word (`4 + Σ published input lengths`; a gate's output
@@ -2148,6 +2149,36 @@ mod tests {
             panic_to_error(0, Box::new(42u32)),
             fault(0, "non-string panic payload")
         );
+    }
+
+    /// A batch that panics fails its run with a `DeviceFault`, on one
+    /// device and on a fleet, and is folded into no history. The panic
+    /// here is the batch's own budget read running off a history cut short
+    /// (a copy of a smaller graph's), so a fold of that batch would panic
+    /// the same way, outside any guard.
+    #[test]
+    fn panicking_batch_fails_the_run_and_folds_nothing() {
+        let graph = inv_chain(3);
+        let cfg = SimConfig::small()
+            .with_cycle_parallelism(8)
+            .with_window_align(100);
+        let stim = vec![Waveform::from_toggles(false, &[110, 210, 310, 410])];
+        let gpus = gatspi_gpu::MultiGpu::new(cfg.device.clone(), 2, 1 << 16);
+        let single = Session::new(Arc::clone(&graph), cfg.clone());
+        let fleet = Session::with_devices(graph, cfg, gpus.devices().to_vec());
+        let short = LevelSchedule::build(&inv_chain(1));
+        for sim in [single, fleet] {
+            sim.run(&stim, 800).unwrap();
+            let plan = sim.plans.lock().unwrap().full.clone().unwrap();
+            plan.copy_history(&short);
+            match sim.run(&stim, 800) {
+                Err(CoreError::DeviceFault { device: 0, detail }) => {
+                    assert!(detail.contains("out of bounds"), "{detail}");
+                }
+                other => panic!("expected a device fault, got {other:?}"),
+            }
+            assert_eq!(plan.read_history(), short.read_history());
+        }
     }
 
     #[test]
