@@ -35,7 +35,7 @@ impl Session {
             return vec![run(entry)];
         }
         let run = &run;
-        crate::sync::thread::scope(|s| {
+        std::thread::scope(|s| {
             let handles: Vec<_> = round
                 .iter()
                 .map(|entry| s.spawn(move || run(entry)))

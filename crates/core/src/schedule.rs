@@ -28,8 +28,8 @@
 //! launch, plus a narrow repair launch when a reservation overflowed.
 
 use crate::kernel::GateDesc;
-use crate::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use crate::sync::{Mutex, MutexGuard};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use gatspi_graph::CircuitGraph;
 

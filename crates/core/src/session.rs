@@ -13,10 +13,10 @@
 //! spill — the one place a finished run keeps its waveforms for
 //! [`SimResult::waveform`].
 
-use crate::sync::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use gatspi_gpu::{
@@ -30,7 +30,6 @@ use gatspi_wave::{SimTime, Waveform, EOW, INIT_ONE_MARKER};
 use crate::kernel::{simulate_gate, GateKernelInput, KernelMode, KernelOutput, MAX_KERNEL_PINS};
 use crate::schedule::{slot, BatchScratch, ConeInfo, LevelSchedule};
 use crate::sink::{SaifSink, SpillSink, VcdSink, WaveformSink, WindowInfo};
-use crate::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use crate::{CoreError, Result, SimConfig, SimResult};
 
 /// Execution options for one run of a compiled [`Session`].
@@ -1690,7 +1689,7 @@ impl Session {
             read(regions, 0, data, &mut staging[0]);
         } else {
             let read = &read;
-            crate::sync::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 let mut rest_regions = &regions[..];
                 let mut rest_data = &mut data[..total as usize];
                 let mut base = 0u32;
@@ -2877,42 +2876,5 @@ mod tests {
         // Every (signal, window) pair is present on this fully-driven chain.
         assert_eq!(sink.calls, 4 * graph.n_signals());
         assert_eq!(r.segments(), 1);
-    }
-}
-
-/// Exhaustive interleaving tests for the session's lock-free protocols,
-/// run on the loom model types (`cargo test --features model-check`).
-/// A failing schedule prints a `replay schedule: <string>` line; re-run it
-/// with `loom::Builder { replay: Some(s), .. }` to step the exact schedule.
-#[cfg(all(test, feature = "model-check"))]
-mod model_tests {
-    use super::*;
-
-    /// The kernel-side overflow recorder: concurrent overflowing threads
-    /// claim slots with a Relaxed `fetch_add` cursor and store their
-    /// column ids — in every interleaving the cursor hands out unique
-    /// slots, no recorded column is lost or torn, and (after the sort the
-    /// host scan applies) the recorded set is exactly the overflowed
-    /// columns regardless of thread order.
-    #[test]
-    fn overflow_recorder_loses_no_column() {
-        loom::model(|| {
-            let ovf: Vec<AtomicU32> = (0..2).map(|_| AtomicU32::new(u32::MAX)).collect();
-            let len = crate::sync::atomic::AtomicUsize::new(0);
-            crate::sync::thread::scope(|s| {
-                let (ovf, len) = (&ovf, &len);
-                s.spawn(move || {
-                    let i = len.fetch_add(1, Ordering::Relaxed);
-                    ovf[i].store(3, Ordering::Relaxed);
-                });
-                let i = len.fetch_add(1, Ordering::Relaxed);
-                ovf[i].store(5, Ordering::Relaxed);
-            });
-            let n = len.load(Ordering::Relaxed);
-            assert_eq!(n, 2, "cursor lost a claim");
-            let mut cols: Vec<u32> = ovf[..n].iter().map(|s| s.load(Ordering::Relaxed)).collect();
-            cols.sort_unstable();
-            assert_eq!(cols, [3, 5], "a recorded column was lost or torn");
-        });
     }
 }

@@ -1,10 +1,10 @@
 use std::ops::Range;
 use std::time::Instant;
 
-use crate::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::perfmodel::model_launch;
-use crate::{DeviceMemory, DeviceSpec, KernelCounters, KernelProfile, LaneCounters, LaunchConfig};
+use crate::{DeviceMemory, DeviceSpec, KernelProfile, LaneCounters, LaunchConfig};
 
 /// A simulated GPU: a [`DeviceSpec`], its global [`DeviceMemory`], and a
 /// kernel-launch engine that executes logical threads on the host CPU with
@@ -107,52 +107,61 @@ impl Device {
         F: Fn(Range<usize>, &mut LaneCounters) + Sync,
     {
         let t0 = Instant::now();
-        let counters = KernelCounters::default();
         let n = cfg.threads;
         let block = cfg.threads_per_block.max(1) as usize;
         let n_blocks = n.div_ceil(block.max(1));
+        let mut total = LaneCounters::default();
 
         // Small launches run inline: spawning host threads would dominate,
         // and a real GPU absorbs these in its fixed launch overhead.
         if n_blocks <= 1 || n < INLINE_LAUNCH_THREADS || self.workers == 1 {
-            let mut lane = LaneCounters::default();
             for b in 0..n_blocks {
-                f(block_range(b, block, n), &mut lane);
+                f(block_range(b, block, n), &mut total);
             }
-            counters.merge(&lane);
         } else {
             let next = AtomicUsize::new(0);
             let workers = self.workers.min(n_blocks);
-            crate::sync::thread::scope(|s| {
-                for _ in 0..workers {
-                    s.spawn(|| {
-                        let mut lane = LaneCounters::default();
-                        loop {
-                            // relaxed-ok: the cursor only partitions blocks
-                            // (each worker gets a unique `b`); the scope
-                            // join publishes the kernel's writes.
-                            let b = next.fetch_add(1, Ordering::Relaxed);
-                            if b >= n_blocks {
-                                break;
+            std::thread::scope(|s| {
+                let handles: Vec<_> = (0..workers)
+                    .map(|_| {
+                        s.spawn(|| {
+                            let mut lane = LaneCounters::default();
+                            loop {
+                                // relaxed-ok: the cursor only partitions
+                                // blocks (each worker gets a unique `b`); the
+                                // join publishes the kernel's writes.
+                                let b = next.fetch_add(1, Ordering::Relaxed);
+                                if b >= n_blocks {
+                                    break;
+                                }
+                                f(block_range(b, block, n), &mut lane);
                             }
-                            f(block_range(b, block, n), &mut lane);
-                        }
-                        counters.merge(&lane);
-                    });
+                            lane
+                        })
+                    })
+                    .collect();
+                // Join each worker by hand: the scope's own join would
+                // replace a worker's panic payload with a generic one.
+                for h in handles {
+                    match h.join() {
+                        Ok(lane) => total += lane,
+                        Err(payload) => std::panic::resume_unwind(payload),
+                    }
                 }
             });
         }
 
         let wall = t0.elapsed().as_secs_f64();
-        model_launch(&self.spec, cfg, counters.snapshot(), wall, name)
+        let counters = (total.loads, total.stores, total.instructions);
+        model_launch(&self.spec, cfg, counters, wall, name)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sync::atomic::AtomicU64;
-    use crate::sync::Mutex;
+    use std::sync::atomic::AtomicU64;
+    use std::sync::Mutex;
 
     #[test]
     fn all_threads_execute_exactly_once() {
@@ -209,6 +218,26 @@ mod tests {
         assert_eq!(p.instructions, 18_000);
         assert_eq!(p.uncoalesced_pct, 100.0);
         assert!(p.modeled_seconds >= dev.spec().launch_overhead);
+    }
+
+    #[test]
+    fn worker_panic_keeps_its_message() {
+        // Wide enough for the worker pool, so the panic crosses a join.
+        let dev = Device::with_workers(DeviceSpec::v100(), 0, 2);
+        let cfg = LaunchConfig::for_threads(10_000);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            dev.launch("boom", &cfg, |threads, _| {
+                if threads.start == 5 * 512 {
+                    panic!("block 5 failed");
+                }
+            })
+        }));
+        let payload = caught.expect_err("the launch must panic");
+        let msg = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+        assert_eq!(msg, Some("block 5 failed"));
     }
 
     #[test]

@@ -1,5 +1,3 @@
-use crate::sync::atomic::{AtomicU64, Ordering};
-
 /// Kernel launch geometry and resource configuration.
 ///
 /// Mirrors the paper's tuning "hyperparameters": total logical threads
@@ -50,8 +48,8 @@ impl LaunchConfig {
 }
 
 /// Per-thread (lane) event counters, accumulated locally by kernel code and
-/// merged into [`KernelCounters`] per worker — the raw material for the
-/// performance model and the Table 6 profile metrics.
+/// summed over the workers when the launch joins them — the raw material
+/// for the performance model and the Table 6 profile metrics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LaneCounters {
     /// 4-byte global-memory reads.
@@ -92,45 +90,6 @@ impl std::ops::AddAssign for LaneCounters {
     }
 }
 
-/// Whole-launch counters (atomic so workers can merge concurrently).
-#[derive(Debug, Default)]
-pub struct KernelCounters {
-    /// Total global loads.
-    pub loads: AtomicU64,
-    /// Total global stores.
-    pub stores: AtomicU64,
-    /// Total abstract instructions.
-    pub instructions: AtomicU64,
-}
-
-impl KernelCounters {
-    /// Merges one worker's accumulated lane counters.
-    pub fn merge(&self, lane: &LaneCounters) {
-        // relaxed-ok: commutative counter accumulation; `snapshot` only
-        // runs after the launch scope joins every worker.
-        self.loads.fetch_add(lane.loads, Ordering::Relaxed);
-        // relaxed-ok: see above.
-        self.stores.fetch_add(lane.stores, Ordering::Relaxed);
-        // relaxed-ok: see above.
-        self.instructions
-            .fetch_add(lane.instructions, Ordering::Relaxed);
-    }
-
-    /// Snapshot as plain values `(loads, stores, instructions)`.
-    pub fn snapshot(&self) -> (u64, u64, u64) {
-        (
-            // relaxed-ok: called after the worker scope joins (the join is
-            // the synchronization edge); model test `counters_merge_visible`
-            // pins this.
-            self.loads.load(Ordering::Relaxed),
-            // relaxed-ok: see above.
-            self.stores.load(Ordering::Relaxed),
-            // relaxed-ok: see above.
-            self.instructions.load(Ordering::Relaxed),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,13 +118,13 @@ mod tests {
 
     #[test]
     fn merge_accumulates() {
-        let k = KernelCounters::default();
+        let mut total = LaneCounters::default();
         let mut l = LaneCounters::default();
         l.scattered_load();
         l.ops(5);
-        k.merge(&l);
-        k.merge(&l);
-        assert_eq!(k.snapshot(), (2, 0, 10));
+        total += l;
+        total += l;
+        assert_eq!((total.loads, total.stores, total.instructions), (2, 0, 10));
     }
 
     #[test]
@@ -173,32 +132,5 @@ mod tests {
         let c = LaunchConfig::default();
         assert_eq!(c.threads_per_block, 512);
         assert_eq!(c.regs_per_thread, 64);
-    }
-}
-
-#[cfg(all(test, feature = "model-check"))]
-mod model_tests {
-    use super::*;
-
-    /// The `relaxed-ok` claim on [`KernelCounters`]: worker merges with
-    /// Relaxed adds are fully visible to a post-join snapshot in every
-    /// interleaving — the scope join is the synchronization edge.
-    #[test]
-    fn counters_merge_visible() {
-        loom::model(|| {
-            let k = KernelCounters::default();
-            crate::sync::thread::scope(|s| {
-                for _ in 0..2 {
-                    let k = &k;
-                    s.spawn(move || {
-                        let mut lane = LaneCounters::default();
-                        lane.scattered_load();
-                        lane.ops(3);
-                        k.merge(&lane);
-                    });
-                }
-            });
-            assert_eq!(k.snapshot(), (2, 0, 6), "a merge was lost");
-        });
     }
 }

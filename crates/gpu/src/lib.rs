@@ -31,10 +31,9 @@ mod multi;
 mod perfmodel;
 mod profiler;
 mod spec;
-pub mod sync;
 
 pub use device::Device;
-pub use launch::{KernelCounters, LaneCounters, LaunchConfig};
+pub use launch::{LaneCounters, LaunchConfig};
 pub use memory::DeviceMemory;
 pub use multi::MultiGpu;
 pub use perfmodel::KernelProfile;

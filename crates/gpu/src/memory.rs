@@ -1,4 +1,4 @@
-use crate::sync::atomic::{AtomicI32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI32, AtomicU64, Ordering};
 
 /// Simulated GPU global memory: a pre-allocated flat `i32` word arena.
 ///
@@ -134,7 +134,6 @@ impl DeviceMemory {
     }
 }
 
-#[cfg(not(feature = "model-check"))]
 fn zeroed_words(n: usize) -> Vec<AtomicI32> {
     let mut zeroed = std::mem::ManuallyDrop::new(vec![0i32; n]);
     // SAFETY: `std`'s `AtomicI32` has the same size, alignment and bit
@@ -149,15 +148,6 @@ fn zeroed_words(n: usize) -> Vec<AtomicI32> {
             zeroed.capacity(),
         )
     }
-}
-
-/// Under `model-check`, `AtomicI32` is loom's instrumented type, not a bare
-/// word: construct each one.
-#[cfg(feature = "model-check")]
-fn zeroed_words(n: usize) -> Vec<AtomicI32> {
-    let mut v = Vec::with_capacity(n);
-    v.resize_with(n, || AtomicI32::new(0));
-    v
 }
 
 #[cfg(test)]
@@ -194,7 +184,6 @@ mod tests {
 
     /// The default 64 M-word arena: zero wherever it is read, before and
     /// after a far-end write, without the constructor having touched it.
-    #[cfg(not(feature = "model-check"))]
     #[test]
     fn large_arena_reads_zero_and_round_trips_at_the_far_end() {
         let n = 64 << 20;

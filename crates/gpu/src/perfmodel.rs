@@ -104,8 +104,8 @@ impl KernelProfile {
 
 /// Computes the modeled profile for one launch.
 ///
-/// `counters` is `(loads, stores, instructions)` as produced by
-/// [`crate::KernelCounters::snapshot`]. Every access counts as
+/// `counters` is `(loads, stores, instructions)` summed over the launch's
+/// [`crate::LaneCounters`]. Every access counts as
 /// warp-scattered: GATSPI's lanes walk unrelated waveforms.
 pub(crate) fn model_launch(
     spec: &DeviceSpec,

@@ -1,3 +1,4 @@
+use std::borrow::Cow;
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -231,7 +232,7 @@ impl SdfFile {
         let mut out = String::new();
         let _ = writeln!(out, "(DELAYFILE");
         let _ = writeln!(out, "  (SDFVERSION \"3.0\")");
-        let _ = writeln!(out, "  (DESIGN \"{}\")", self.design);
+        let _ = writeln!(out, "  (DESIGN \"{}\")", escape(&self.design));
         let _ = writeln!(out, "  (TIMESCALE {}ps)", self.timescale_ps);
         for ic in &self.interconnects {
             let _ = writeln!(out, "  (CELL");
@@ -248,7 +249,7 @@ impl SdfFile {
         }
         for cell in &self.cells {
             let _ = writeln!(out, "  (CELL");
-            let _ = writeln!(out, "    (CELLTYPE \"{}\")", cell.celltype);
+            let _ = writeln!(out, "    (CELLTYPE \"{}\")", escape(&cell.celltype));
             match &cell.instance {
                 Some(i) => {
                     let _ = writeln!(out, "    (INSTANCE {i})");
@@ -282,6 +283,15 @@ impl SdfFile {
         let _ = writeln!(out, ")");
         out
     }
+}
+
+/// `s` with `\` and `"` escaped by a backslash, for a quoted SDF string;
+/// borrows when there is nothing to escape.
+fn escape(s: &str) -> Cow<'_, str> {
+    if !s.contains(['\\', '"']) {
+        return Cow::Borrowed(s);
+    }
+    Cow::Owned(s.replace('\\', "\\\\").replace('"', "\\\""))
 }
 
 #[cfg(test)]

@@ -9,7 +9,11 @@
 //!
 //! The parser makes one pass over the bytes: a cursor lexer hands out
 //! tokens borrowed from the text, keywords are matched in place, and delay
-//! triples are read from their slice.
+//! triples are read from their slice. Inside a quoted string a backslash
+//! escapes the next character, so `\"` and `\\` read as `"` and `\`; only a
+//! string that holds a backslash is copied.
+
+use std::borrow::Cow;
 
 use crate::model::{Cond, DelayTriple, EdgeSpec, Interconnect, IoPath, PortPath, SdfCell, SdfFile};
 use crate::{Result, SdfError};
@@ -20,7 +24,28 @@ enum Tok<'a> {
     Open,
     Close,
     Atom(&'a str),
+    /// A quoted string's text between the quotes, escapes still in it.
     Str(&'a str),
+}
+
+/// A quoted string's text with `\"` and `\\` read as `"` and `\`; any
+/// other backslash stays. Borrows unless the text holds a backslash.
+fn unescape(raw: &str) -> Cow<'_, str> {
+    if !raw.contains('\\') {
+        return Cow::Borrowed(raw);
+    }
+    let mut out = String::with_capacity(raw.len());
+    let mut chars = raw.chars().peekable();
+    while let Some(c) = chars.next() {
+        match chars.peek() {
+            Some(&next @ ('"' | '\\')) if c == '\\' => {
+                out.push(next);
+                chars.next();
+            }
+            _ => out.push(c),
+        }
+    }
+    Cow::Owned(out)
 }
 
 /// A cursor over the source bytes that yields one borrowed token at a time.
@@ -79,7 +104,14 @@ impl<'a> Lexer<'a> {
                     return Ok(Some((tok, self.line)));
                 }
                 b'"' => {
-                    let end = self.scan(start + 1, |c| c != b'"');
+                    let mut end = start + 1;
+                    while let Some(&c) = b.get(end) {
+                        match c {
+                            b'"' => break,
+                            b'\\' => end = (end + 2).min(b.len()),
+                            _ => end += 1,
+                        }
+                    }
                     self.line += b[start..end].iter().filter(|&&c| c == b'\n').count();
                     self.pos = end;
                     if end == b.len() {
@@ -196,9 +228,10 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn atom_or_str(&mut self) -> Result<&'a str> {
+    fn atom_or_str(&mut self) -> Result<Cow<'a, str>> {
         match self.next()? {
-            Some(Tok::Atom(s) | Tok::Str(s)) => Ok(s),
+            Some(Tok::Atom(s)) => Ok(Cow::Borrowed(s)),
+            Some(Tok::Str(s)) => Ok(unescape(s)),
             other => Err(self.err(format!("expected atom, found {other:?}"))),
         }
     }
@@ -254,7 +287,7 @@ impl<'a> Parser<'a> {
             self.next()?;
             let kw = self.atom_or_str()?;
             if kw.eq_ignore_ascii_case("DESIGN") {
-                file.design = self.atom_or_str()?.to_string();
+                file.design = self.atom_or_str()?.into_owned();
                 self.expect_close()?;
             } else if kw.eq_ignore_ascii_case("TIMESCALE") {
                 file.timescale_ps = self.timescale()?;
@@ -304,13 +337,13 @@ impl<'a> Parser<'a> {
             self.next()?;
             let kw = self.atom_or_str()?;
             if kw.eq_ignore_ascii_case("CELLTYPE") {
-                cell.celltype = self.atom_or_str()?.to_string();
+                cell.celltype = self.atom_or_str()?.into_owned();
                 self.expect_close()?;
             } else if kw.eq_ignore_ascii_case("INSTANCE") {
                 cell.instance = None;
                 if self.peek() != Some(Tok::Close) {
                     let name = self.atom_or_str()?;
-                    cell.instance = (name != "*").then(|| name.to_string());
+                    cell.instance = (name != "*").then(|| name.into_owned());
                 }
                 self.expect_close()?;
             } else if kw.eq_ignore_ascii_case("DELAY") {
@@ -363,8 +396,8 @@ impl<'a> Parser<'a> {
                 self.expect_close()?; // close the COND form
             } else if self.at_keyword("INTERCONNECT") {
                 self.next()?;
-                let from = PortPath::parse(self.atom_or_str()?);
-                let to = PortPath::parse(self.atom_or_str()?);
+                let from = PortPath::parse(&self.atom_or_str()?);
+                let to = PortPath::parse(&self.atom_or_str()?);
                 let (rise, fall) = self.rise_fall()?;
                 self.expect_close()?;
                 ics.push(Interconnect {
@@ -406,8 +439,8 @@ impl<'a> Parser<'a> {
         Ok(IoPath {
             cond,
             edge,
-            input: input.to_string(),
-            output: output.to_string(),
+            input: input.into_owned(),
+            output: output.into_owned(),
             rise,
             fall,
         })
@@ -489,7 +522,9 @@ impl<'a> Parser<'a> {
                             Some(Tok::Open) => depth += 1,
                             Some(Tok::Close) => depth -= 1,
                             Some(Tok::Atom(a)) => text.push_str(a),
-                            Some(Tok::Str(s)) => text.extend(s.chars().filter(|&c| c != ' ')),
+                            Some(Tok::Str(s)) => {
+                                text.extend(unescape(s).chars().filter(|&c| c != ' '))
+                            }
                             None => return Err(self.err("unterminated COND group")),
                         }
                     }
@@ -696,6 +731,20 @@ mod tests {
         let f2 = SdfFile::parse(&text).unwrap();
         assert_eq!(f1.cells, f2.cells);
         assert_eq!(f1.design, f2.design);
+    }
+
+    #[test]
+    fn quoted_names_with_quotes_and_backslashes_round_trip() {
+        let mut f1 = SdfFile::parse(PAPER_EXAMPLE).unwrap();
+        f1.design = r#"a"b\c"#.to_string();
+        f1.cells[0].celltype = r#"AOI"21"#.to_string();
+        let text = f1.write();
+        let f2 = SdfFile::parse(&text).unwrap_or_else(|e| panic!("{e}:\n{text}"));
+        assert_eq!(f2.design, f1.design);
+        assert_eq!(f2.cells, f1.cells);
+        // A backslash before any other character is kept as written.
+        let f3 = SdfFile::parse(r#"(DELAYFILE (DESIGN "a\n\\\"b"))"#).unwrap();
+        assert_eq!(f3.design, r#"a\n\"b"#);
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! Static configuration shared by the passes: which paths are production
-//! code, which files are facades, and the typed-panic-payload manifest the
-//! unwind-boundary pass audits against.
+//! code, and the typed-panic-payload manifest the unwind-boundary pass
+//! audits against.
 
 use crate::analysis::diag::{Diagnostic, Severity};
 
-/// Production (non-test) code held to the panic and sync disciplines: the
-/// engine crates, whose panics cross `catch_unwind` boundaries and whose
-/// sync primitives loom must be able to swap, and the Verilog and SDF
-/// readers, which take user files straight from the CLI.
+/// Production (non-test) code held to the panic discipline: the engine
+/// crates, whose panics cross `catch_unwind` boundaries, and the Verilog
+/// and SDF readers, which take user files straight from the CLI.
 pub const DISCIPLINED_ROOTS: &[&str] = &[
     "crates/core/src/",
     "crates/gpu/src/",
@@ -15,24 +14,14 @@ pub const DISCIPLINED_ROOTS: &[&str] = &[
     "crates/sdf/src/parser.rs",
 ];
 
-/// Files allowed to name `std::sync::*` / `std::thread::spawn` directly:
-/// the facades themselves and the model checker they switch to.
-pub fn facade_file(label: &str) -> bool {
-    label.ends_with("crates/core/src/sync.rs")
-        || label.ends_with("crates/gpu/src/sync.rs")
-        || label.contains("crates/compat/loom/")
-}
-
 /// Paths exempt from production-code rules wholesale: test/bench/example
-/// trees, the model checker, and the analyzer's own deliberately-bad
-/// fixtures.
+/// trees and the analyzer's own deliberately-bad fixtures.
 pub fn exempt_path(label: &str) -> bool {
     let in_dir =
         |dir: &str| label.starts_with(&format!("{dir}/")) || label.contains(&format!("/{dir}/"));
     in_dir("tests")
         || in_dir("benches")
         || in_dir("examples")
-        || label.contains("crates/compat/loom/")
         || label.contains("crates/xtask/tests/fixtures/")
 }
 
@@ -152,8 +141,5 @@ mod tests {
         assert!(!disciplined_prod(
             "crates/xtask/tests/fixtures/panic/bad.rs"
         ));
-        assert!(facade_file("crates/gpu/src/sync.rs"));
-        assert!(facade_file("crates/compat/loom/src/sync.rs"));
-        assert!(!facade_file("crates/core/src/ring.rs"));
     }
 }

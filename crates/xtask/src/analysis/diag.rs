@@ -265,8 +265,8 @@ mod tests {
                 42,
             ),
             Diagnostic {
-                pass: "ordering-xref",
-                rule: "dangling-pair",
+                pass: "atomics",
+                rule: "relaxed",
                 file: "crates/gpu/src/device.rs".to_string(),
                 line: 7,
                 severity: Severity::Warning,
@@ -303,7 +303,7 @@ mod tests {
         let diags = vec![
             d("panic-discipline", "unwrap", "a.rs", 1),
             d("panic-discipline", "unwrap", "a.rs", 9),
-            d("sync-facade", "mutex", "b.rs", 3),
+            d("atomics", "safety", "b.rs", 3),
         ];
         let base = Baseline::from_diags(&diags);
         let reparsed = Baseline::parse(&base.to_json()).expect("baseline parses");

@@ -60,14 +60,13 @@ pub fn lex_workspace(root: &Path) -> Result<Vec<SourceFile>, String> {
     Ok(files)
 }
 
-/// Runs the four source-level passes over a lexed file set. Public so the
+/// Runs the three source-level passes over a lexed file set. Public so the
 /// golden fixture tests drive the exact CI pipeline on snippet files.
 pub fn run_source_passes(files: &[SourceFile], manifest: &UnwindManifest) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     diags.extend(passes::panic_discipline::run(files));
     diags.extend(passes::unwind_boundary::run(files, manifest));
-    diags.extend(passes::sync_facade::run(files));
-    diags.extend(passes::ordering_xref::run(files));
+    diags.extend(passes::atomics::run(files));
     diags
 }
 

@@ -4,8 +4,7 @@
 //!
 //! [`Diagnostic`]: crate::analysis::diag::Diagnostic
 
-pub mod ordering_xref;
+pub mod atomics;
 pub mod panic_discipline;
 pub mod plan_invariants;
-pub mod sync_facade;
 pub mod unwind_boundary;

@@ -1,4 +1,4 @@
-//! Pass 5 — plan-invariant validation: static analysis of *compiled*
+//! Pass 4 — plan-invariant validation: static analysis of *compiled*
 //! launch plans.
 //!
 //! The other passes read source; this one compiles every workloads suite

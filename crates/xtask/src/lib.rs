@@ -4,7 +4,7 @@
 //!
 //! The multi-pass static-analysis framework (see [`analysis`]): lexes
 //! every workspace source file once into a shared token stream and runs
-//! five passes over it —
+//! four passes over it —
 //!
 //! 1. **panic-discipline** — bans `unwrap`/`expect`/`panic!`/
 //!    `unreachable!`/indexing-adjacent `assert!` in production code of the
@@ -12,13 +12,9 @@
 //! 2. **unwind-boundary** — every production `catch_unwind` must handle
 //!    the full typed-payload registry (`crates/xtask/unwind-manifest.txt`),
 //!    and the registry must match the declared `*Panic` structs;
-//! 3. **sync-facade** — the atomics facade ban extended to
-//!    `std::sync::{Mutex, RwLock, Condvar, mpsc, Barrier}` and
-//!    `std::thread::spawn`, with `use … as` renames resolved; plus the
-//!    `relaxed-ok:` and `SAFETY:` comment rules;
-//! 4. **ordering-xref** — `// anchor:` / `// pairs-with:` annotations on
-//!    Acquire/Release sites verified to resolve in both directions;
-//! 5. **plan-invariants** — every workloads suite entry compiled to full
+//! 3. **atomics** — every production `Ordering::Relaxed` carries a
+//!    `// relaxed-ok:` reason, and every `unsafe` a `// SAFETY:` comment;
+//! 4. **plan-invariants** — every workloads suite entry compiled to full
 //!    and cone-restricted launch plans and checked structurally
 //!    (`gatspi_core::audit`).
 //!
@@ -29,7 +25,7 @@
 //!
 //! # `validate-plans`
 //!
-//! Pass 5 standalone: compiles every suite entry's plans and runs the
+//! Pass 4 standalone: compiles every suite entry's plans and runs the
 //! structural checker — the CI gate for "static analysis of compiled
 //! plans".
 //!

@@ -1,13 +1,13 @@
 //! Golden-fixture tests for the `xtask analyze` source passes.
 //!
 //! Each directory under `tests/fixtures/` is named after a pass
-//! (`panic-discipline`, `unwind-boundary`, `sync-facade`, `ordering-xref`)
-//! and holds standalone `.rs` snippets that are lexed — never compiled —
-//! under a *virtual* label taken from their `//@ label:` first line, so the
-//! pass scoping rules (disciplined crate roots, facade files, test trees)
-//! apply exactly as they do to the real workspace. Expected findings are
-//! declared in-place as trailing `//~ <rule>` markers on the flagged line;
-//! a fixture with no markers is a known-good snippet that must stay clean.
+//! (`panic-discipline`, `unwind-boundary`, `atomics`) and holds standalone
+//! `.rs` snippets that are lexed — never compiled — under a *virtual* label
+//! taken from their `//@ label:` first line, so the pass scoping rules
+//! (disciplined crate roots, test trees) apply exactly as they do to the
+//! real workspace. Expected findings are declared in-place as trailing
+//! `//~ <rule>` markers on the flagged line; a fixture with no markers is a
+//! known-good snippet that must stay clean.
 //!
 //! The harness drives [`xtask::analysis::run_source_passes`] — the same
 //! entry point `cargo run -p xtask -- analyze` uses — with the checked-in
@@ -16,7 +16,7 @@
 //! against the manifest file itself whenever a disciplined file is in the
 //! scan; those are the real workspace's concern, not the fixture's).
 //!
-//! The fifth pass, `plan-invariants`, has no source fixtures: its firing
+//! The fourth pass, `plan-invariants`, has no source fixtures: its firing
 //! proofs are the mutation tests in `gatspi_core::schedule` that corrupt a
 //! built `LevelSchedule` and assert `validate()` reports each defect.
 
@@ -29,12 +29,7 @@ use xtask::analysis::lexer::SourceFile;
 use xtask::analysis::{run_source_passes, MANIFEST_PATH};
 
 /// Pass name ↔ fixture directory name, exactly.
-const SOURCE_PASSES: &[&str] = &[
-    "panic-discipline",
-    "unwind-boundary",
-    "sync-facade",
-    "ordering-xref",
-];
+const SOURCE_PASSES: &[&str] = &["panic-discipline", "unwind-boundary", "atomics"];
 
 fn fixtures_root() -> PathBuf {
     xtask::workspace_root().join("crates/xtask/tests/fixtures")

@@ -337,8 +337,8 @@ fn cases() -> Vec<(String, Lang, String)> {
     let (adder_gv, adder_sdf) = (&inputs[0].2, &inputs[1].2);
     out.extend(semantic_faults(adder_gv, adder_sdf));
     // Inputs the readers refuse rather than misread: a range bound past
-    // `i64` (as an `i64` it is -1) and an `INCREMENT` section (its delays
-    // are relative).
+    // `i64` (as an `i64` it is -1), an `INCREMENT` section (its delays
+    // are relative) and a string left open.
     out.push((
         "bound_past_i64.gv".into(),
         Lang::Verilog,
@@ -348,6 +348,13 @@ fn cases() -> Vec<(String, Lang, String)> {
         "paper.sdf/increment".into(),
         Lang::Sdf,
         S_PAPER.replace("ABSOLUTE", "INCREMENT"),
+    ));
+    // A lone backslash before a closing quote escapes it: the string runs
+    // on, and the text ends inside one.
+    out.push((
+        "paper.sdf/trailing_backslash".into(),
+        Lang::Sdf,
+        S_PAPER.replace("\"example\"", "\"example\\\""),
     ));
     out
 }

@@ -501,34 +501,56 @@ fn speculative_matches_two_pass_on_incremental_rerun() {
 /// overflow on essentially every toggling (gate, window) thread, so the
 /// final output is produced almost entirely by the exact repair launches.
 /// The result must still be bit-identical to the reference: repair alone
-/// reproduces it.
+/// reproduces it. The narrow design's launches run inline; the wide one's
+/// widest level spans more threads than a launch runs inline (4 096), on a
+/// device of four host workers whatever the host's core count, so its
+/// overflowing threads claim recorder slots from concurrent workers.
 #[test]
 fn forced_overflow_repair_reproduces_two_pass_exactly() {
-    let graph = wide_graph(67);
-    let stimuli = generate(
-        graph.primary_inputs().len(),
-        &StimulusConfig::random(16, 400, 0.5, 73),
-    );
-    let duration = 16 * 400;
-    let r = refsim(&graph, &stimuli, duration);
-    let cfg = SimConfig::small()
-        .with_cycle_parallelism(8)
-        .with_window_align(400);
-    let sim = Session::new(Arc::clone(&graph), cfg);
-    sim.seed_extent_history(2);
-    let ours = sim
-        .run_with(
-            &stimuli,
-            duration,
-            &RunOptions::default().with_waveform_spill(),
-        )
-        .unwrap();
-    assert!(
-        ours.app_profile.overflow_repairs > 0,
-        "tiny seeded budgets must overflow"
-    );
-    assert_matches_refsim(&ours, &r, "forced overflow");
-    assert_waveforms_match_refsim(&ours, &r, "forced overflow, from repair");
+    for (graph, workers) in [
+        (wide_graph(67), None),
+        (sdf_logic(2400, 32, 4, 67), Some(4)),
+    ] {
+        let stimuli = generate(
+            graph.primary_inputs().len(),
+            &StimulusConfig::random(16, 400, 0.5, 73),
+        );
+        let duration = 16 * 400;
+        let r = refsim(&graph, &stimuli, duration);
+        let cfg = SimConfig::small()
+            .with_cycle_parallelism(8)
+            .with_window_align(400);
+        let sim = match workers {
+            None => Session::new(Arc::clone(&graph), cfg),
+            Some(w) => {
+                let device =
+                    gatspi_gpu::Device::with_workers(cfg.device.clone(), cfg.memory_words, w);
+                Session::with_devices(Arc::clone(&graph), cfg, vec![Arc::new(device)])
+            }
+        };
+        sim.seed_extent_history(2);
+        let ours = sim
+            .run_with(
+                &stimuli,
+                duration,
+                &RunOptions::default().with_waveform_spill(),
+            )
+            .unwrap();
+        let what = format!("forced overflow, {} gates", graph.n_gates());
+        if workers.is_some() {
+            assert!(
+                ours.kernel_profile.threads >= 4096,
+                "{what}: the widest launch ran {} threads, inline",
+                ours.kernel_profile.threads
+            );
+        }
+        assert!(
+            ours.app_profile.overflow_repairs > 0,
+            "{what}: tiny seeded budgets must overflow"
+        );
+        assert_matches_refsim(&ours, &r, &what);
+        assert_waveforms_match_refsim(&ours, &r, &format!("{what}, from repair"));
+    }
 }
 
 /// A mispredicted run costs its repairs once: the overflowing threads feed
