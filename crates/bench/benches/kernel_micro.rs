@@ -13,7 +13,7 @@ use gatspi_core::{
 use gatspi_gpu::{DeviceMemory, LaneCounters};
 use gatspi_graph::{CircuitGraph, GraphOptions};
 use gatspi_netlist::{CellLibrary, NetlistBuilder};
-use gatspi_wave::{Waveform, WaveformArena};
+use gatspi_wave::Waveform;
 use gatspi_workloads::circuits::{random_logic, RandomLogicConfig};
 use gatspi_workloads::stimuli::{generate, StimulusConfig};
 
@@ -26,15 +26,17 @@ fn setup(cell: &str, n_in: usize, toggles: usize) -> (CircuitGraph, DeviceMemory
     let y = b.add_output("y").unwrap();
     b.add_gate("u", cell, &ins, y).unwrap();
     let graph = CircuitGraph::build(&b.finish().unwrap(), None, &GraphOptions::default()).unwrap();
-    let mut arena = WaveformArena::with_capacity(64 * 1024);
-    let mut ptrs = Vec::new();
+    // Each input at an even offset: the kernel reads a value from its
+    // pointer's parity.
+    let (mut words, mut ptrs) = (Vec::new(), Vec::new());
     for k in 0..n_in {
         let times: Vec<i32> = (1..=toggles as i32).map(|i| i * 10 + k as i32).collect();
-        let w = Waveform::from_toggles(false, &times);
-        ptrs.push(arena.push(&w).unwrap().offset);
+        words.resize(words.len().next_multiple_of(2), 0);
+        ptrs.push(words.len() as u32);
+        words.extend_from_slice(Waveform::from_toggles(false, &times).raw());
     }
     let mem = DeviceMemory::new(256 * 1024);
-    mem.h2d(0, arena.data());
+    mem.h2d(0, &words);
     (graph, mem, ptrs)
 }
 

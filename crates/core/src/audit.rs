@@ -14,9 +14,9 @@
 //! exposing the schedule types themselves: [`validate_full_plan`] and
 //! [`validate_cone_plan`] compile a plan exactly the way
 //! [`Session`](crate::Session) would (same builder) and return one human-readable message per violated invariant.
-//! `cargo run -p xtask -- validate-plans` runs them over every workloads
-//! suite entry in CI; the mutation tests in the schedule module pin down
-//! that each invariant class actually fires.
+//! `cargo run -p xtask -- analyze` (its plan-invariants pass) runs them
+//! over every workloads suite entry in CI; the mutation tests in the
+//! schedule module pin down that each invariant class actually fires.
 //!
 //! Checked invariants (empty return = sound plan):
 //!

@@ -553,7 +553,24 @@ mod tests {
     use gatspi_graph::GraphOptions;
     use gatspi_netlist::{CellLibrary, NetlistBuilder};
     use gatspi_sdf::SdfFile;
-    use gatspi_wave::{Waveform, WaveformArena};
+    use gatspi_wave::Waveform;
+
+    /// Uploads `waves` from word 0 of `mem`, each at an even offset (the
+    /// kernel reads a value from its pointer's parity); returns the offsets.
+    fn upload(mem: &DeviceMemory, waves: &[Waveform]) -> Vec<u32> {
+        let mut words = Vec::new();
+        let ptrs = waves
+            .iter()
+            .map(|w| {
+                words.resize(words.len().next_multiple_of(2), 0);
+                let ptr = words.len() as u32;
+                words.extend_from_slice(w.raw());
+                ptr
+            })
+            .collect();
+        mem.h2d(0, &words);
+        ptrs
+    }
 
     /// Builds a single-gate graph plus device memory pre-loaded with input
     /// waveforms; returns (graph, mem, in_ptrs).
@@ -576,11 +593,8 @@ mod tests {
         let graph =
             CircuitGraph::build(&netlist, sdf_file.as_ref(), &GraphOptions::default()).unwrap();
 
-        let mut arena = WaveformArena::with_capacity(4096);
-        let refs: Vec<_> = inputs.iter().map(|w| arena.push(w).unwrap()).collect();
         let mem = DeviceMemory::new(8192);
-        mem.h2d(0, arena.data());
-        let ptrs = refs.iter().map(|r| r.offset).collect();
+        let ptrs = upload(&mem, inputs);
         (graph, mem, ptrs)
     }
 
@@ -777,12 +791,9 @@ mod tests {
         let netlist = nb.finish().unwrap();
         let sdf = SdfFile::parse(SDF).unwrap();
         let graph = CircuitGraph::build(&netlist, Some(&sdf), &GraphOptions::default()).unwrap();
-        let mut arena = WaveformArena::with_capacity(256);
-        let ra = arena.push(&a).unwrap();
-        let rb = arena.push(&b).unwrap();
         let mem = DeviceMemory::new(8192);
-        mem.h2d(0, arena.data());
-        let out = run_default(&graph, &mem, &[ra.offset, rb.offset]);
+        let ptrs = upload(&mem, &[a, b]);
+        let out = run_default(&graph, &mem, &ptrs);
         assert_eq!(out.toggle_count(), 0);
     }
 
@@ -805,11 +816,9 @@ mod tests {
         let netlist = nb.finish().unwrap();
         let sdf = SdfFile::parse(SDF).unwrap();
         let graph = CircuitGraph::build(&netlist, Some(&sdf), &GraphOptions::default()).unwrap();
-        let mut arena = WaveformArena::with_capacity(256);
-        let ra = arena.push(&a).unwrap();
         let mem = DeviceMemory::new(8192);
-        mem.h2d(0, arena.data());
-        let out = run_default(&graph, &mem, &[ra.offset]);
+        let ptrs = upload(&mem, &[a]);
+        let out = run_default(&graph, &mem, &ptrs);
         // Only the edge at 200 survives: arrives 208, +1 gate delay = 209.
         assert_eq!(out.raw(), &[0, 209, EOW]);
 
@@ -818,7 +827,7 @@ mod tests {
             net_delay_filtering: false,
             ..SimFeatures::default()
         };
-        let out2 = run(&graph, &mem, &[ra.offset], features, 100);
+        let out2 = run(&graph, &mem, &ptrs, features, 100);
         assert_eq!(out2.toggle_count(), 3);
     }
 

@@ -1,16 +1,11 @@
 //! What a fleet adds to the session's one window loop
 //! ([`Session::run_segments`]): the paper's cycle-parallel distribution
-//! (§5, Fig. 6) runs a round's ranges on their devices side by side, and a
-//! run whose batches settled out of window order — a device ran out of
-//! memory mid-round and its range was halved and requeued — replays its
-//! reorder buffer to the caller's sink in window order.
+//! (§5, Fig. 6) runs a round's consecutive ranges on their devices side by
+//! side. The loop settles the outcomes in window order.
 
 use std::ops::Range;
 
-use gatspi_wave::EOW;
-
 use crate::session::{SegmentInputs, Session, WindowBatch};
-use crate::sink::{SpillSink, WaveformSink, WindowInfo};
 use crate::Result;
 
 impl Session {
@@ -48,46 +43,6 @@ impl Session {
                 .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
                 .collect()
         })
-    }
-
-    /// Replays the `buffered` `(range, segment)` batches of a reorder
-    /// buffer to `sink`, ascending by window and then signal — the stream
-    /// an in-order run would have delivered for those windows. `only`, when
-    /// set, restricts it to the flagged signals (an incremental run's cone).
-    pub(crate) fn replay_spill(
-        &self,
-        buf: &SpillSink,
-        buffered: &[(Range<usize>, usize)],
-        only: Option<&[bool]>,
-        sink: &mut dyn WaveformSink,
-    ) {
-        let n_signals = self.graph().n_signals();
-        for (range, segment) in buffered {
-            for w in range.clone() {
-                let (start, end) = buf.windows[w];
-                let info = WindowInfo {
-                    window: w,
-                    segment: *segment,
-                    start,
-                    end,
-                };
-                for s in (0..n_signals).filter(|&s| only.is_none_or(|f| f[s])) {
-                    let ptr = buf.ptrs[w * n_signals + s];
-                    if ptr == u64::MAX {
-                        continue;
-                    }
-                    // The spill stores each waveform's live words, terminated
-                    // at its EOW — exactly what a direct drain would have let
-                    // the sink read (ghost words past EOW are never decoded).
-                    let raw = buf.slice_from(ptr);
-                    let len = raw
-                        .iter()
-                        .position(|&x| x == EOW)
-                        .map_or(raw.len(), |e| e + 1);
-                    sink.waveform(s, &info, &raw[..len]);
-                }
-            }
-        }
     }
 }
 

@@ -13,7 +13,7 @@
 //! spill — the one place a finished run keeps its waveforms for
 //! [`SimResult::waveform`].
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -119,8 +119,8 @@ struct PlanCache {
 /// and is never retried. The scratch pool, plan and segment hints stay
 /// reusable, so the next run on the same session reproduces a fresh
 /// session's output bit for bit. The one fault a run recovers from is a
-/// full arena: a range of windows that does not fit is halved and
-/// requeued, counted in `SimResult::app_profile.oom_retries`.
+/// full arena: a range of windows that does not fit halves the range size
+/// and runs again, counted in `SimResult::app_profile.oom_retries`.
 ///
 /// # Example
 ///
@@ -876,12 +876,13 @@ impl Session {
         })
     }
 
-    /// The window loop every run shares, on one device or a fleet: executes
-    /// `inputs.windows` in ascending ranges of at most `chunk` windows, in
-    /// rounds that hand every live device at most one range. `chunk` starts
-    /// at [`RunOptions::segment_windows`], else at the segment size that
-    /// last worked for this run shape, else at an even share per device;
-    /// the size the run settles on is remembered for the next run.
+    /// The window loop every run shares, on one device or a fleet: a
+    /// cursor `next` (the first window not yet settled) and a range size
+    /// `chunk`. Each round cuts consecutive ranges of at most `chunk`
+    /// windows from `next`, one per device. `chunk` starts at
+    /// [`RunOptions::segment_windows`], else at the segment size that last
+    /// worked for this run shape, else at an even share per device; the
+    /// size the run settles on is remembered for the next run.
     ///
     /// Every range executes `inputs.plan`, whatever its window count; a
     /// round fans out its ranges ([`Session::execute_round`]), every one
@@ -890,27 +891,25 @@ impl Session {
     /// writer: it folds the round's batches into the table and the copy in
     /// window order — a batch that ran out of memory too, from the levels
     /// it launched; one that panicked is folded nowhere — and then settles
-    /// the round in window order: each batch
-    /// drains — under a panic guard of its own — into `spill` and, while
-    /// every earlier window has reached it, straight into `user_sink`. A
-    /// batch that finished ahead of a gap goes to the reorder buffer
-    /// instead (the spill doubles as it), replayed to `user_sink` in window
-    /// order at the end. Each settled batch is folded into `totals`.
+    /// the round in window order: each batch drains — under a panic guard
+    /// of its own — into `spill` and then `user_sink`, is folded into
+    /// `totals`, and moves `next` to its end. So every sink sees windows
+    /// ascending, each once.
     ///
     /// A range of more than one window that runs out of memory halves
-    /// `chunk` and is requeued (the paper's "compile the testbench into
-    /// shorter segments" fallback); a requeued range may finish after a
-    /// later one, which is what the reorder buffer is for. Any other error,
-    /// a [`CoreError::DeviceFault`] included, fails the run at once.
+    /// `chunk` (the paper's "compile the testbench into shorter segments"
+    /// fallback) and ends the round's settling: the round's later batches
+    /// are dropped, and their windows run again from `next`. Any other
+    /// error, a [`CoreError::DeviceFault`] included, fails the run at once.
     fn run_segments(
         &self,
         inputs: &SegmentInputs<'_>,
         opts: &RunOptions,
         totals: &mut RunTotals,
-        mut spill: Option<&mut SpillSink>,
-        mut user_sink: Option<&mut dyn WaveformSink>,
+        spill: Option<&mut SpillSink>,
+        user_sink: Option<&mut dyn WaveformSink>,
     ) -> Result<()> {
-        let (n, n_signals) = (inputs.windows.len(), self.graph.n_signals());
+        let n = inputs.windows.len();
         for device in &self.devices {
             device.memory().reset_counters();
         }
@@ -923,96 +922,59 @@ impl Session {
         // A cone-filtered drain never covers primary inputs, so it needs no
         // stimulus windows.
         let only = inputs.cone.as_ref().map(|c| &c.cone.sigs[..]);
-        let mut queue: VecDeque<_> = std::iter::once(0..n).collect();
-        // Windows [0, delivered) reached `user_sink`; `buffered` lists the
-        // (range, segment) batches parked in the reorder buffer.
-        let (mut delivered, mut buffered) = (0, Vec::new());
-        let mut reorder = None;
-        let has_user = user_sink.is_some();
+        let mut sinks: Vec<&mut dyn WaveformSink> = Vec::new();
+        if let Some(sp) = spill {
+            sinks.push(sp);
+        }
+        if let Some(us) = user_sink {
+            sinks.push(us);
+        }
         let mut history = inputs.plan.read_history();
-        while !queue.is_empty() {
-            let mut round = Vec::new();
-            for d in 0..self.devices.len() {
-                let Some(r) = queue.pop_front() else { break };
-                let end = r.end.min(r.start + chunk);
-                if end < r.end {
-                    queue.push_front(end..r.end);
-                }
-                round.push((d, r.start..end));
-            }
+        let mut next = 0;
+        while next < n {
+            let round: Vec<_> = (0..self.devices.len())
+                .map(|d| (d, next + d * chunk))
+                .take_while(|&(_, start)| start < n)
+                .map(|(d, start)| (d, start..n.min(start + chunk)))
+                .collect();
             let outcomes = self.execute_round(&round, inputs, &history);
             let extents = outcomes
                 .iter()
                 .filter_map(|(_, extents)| extents.as_deref());
             inputs.plan.fold_history(extents, &mut history);
-            let mut requeue = Vec::new();
             for ((d, range), (outcome, _)) in round.into_iter().zip(outcomes) {
-                let settled = outcome.and_then(|batch| {
-                    let in_order = range.start == delivered;
-                    let mut sinks: Vec<&mut dyn WaveformSink> = Vec::new();
-                    match spill.as_mut() {
-                        Some(sp) => sinks.push(&mut **sp),
-                        None if has_user && !in_order => {
-                            sinks.push(reorder.get_or_insert_with(|| SpillSink::new(n_signals)))
-                        }
-                        None => {}
-                    }
-                    if let (true, Some(us)) = (in_order, user_sink.as_mut()) {
-                        sinks.push(&mut **us);
-                    }
-                    let segment = totals.segments;
-                    let (mut drained, mut drain_s) = (0, 0.0);
-                    if !sinks.is_empty() {
-                        let stims = if only.is_some() {
-                            &[][..]
-                        } else {
-                            &inputs.stims[range.clone()]
-                        };
-                        let t_drain = Instant::now();
-                        drained = isolate(d, || {
-                            let device = &self.devices[d];
-                            Ok(self.drain_segment(
-                                device,
-                                &batch,
-                                segment,
-                                range.start,
-                                stims,
-                                only,
-                                &mut sinks,
-                            ))
-                        })?;
-                        drain_s = t_drain.elapsed().as_secs_f64();
-                    }
-                    if in_order {
-                        delivered = range.end;
-                    } else if has_user {
-                        buffered.push((range.clone(), segment));
-                    }
-                    totals.absorb(d, &batch, drained, drain_s);
-                    Ok(())
-                });
-                match settled {
-                    Ok(()) => {}
+                let batch = match outcome {
+                    Ok(batch) => batch,
                     Err(CoreError::OutOfMemory { .. }) if range.len() > 1 => {
                         totals.counters.oom_retries += 1;
                         chunk = chunk.min(range.len().div_ceil(2));
-                        requeue.push(range);
+                        break;
                     }
                     Err(e) => return Err(e),
+                };
+                let (mut drained, mut drain_s) = (0, 0.0);
+                if !sinks.is_empty() {
+                    let stims = if only.is_some() {
+                        &[][..]
+                    } else {
+                        &inputs.stims[range.clone()]
+                    };
+                    let t_drain = Instant::now();
+                    drained = isolate(d, || {
+                        Ok(self.drain_segment(
+                            &self.devices[d],
+                            &batch,
+                            totals.segments,
+                            range.start,
+                            stims,
+                            only,
+                            &mut sinks,
+                        ))
+                    })?;
+                    drain_s = t_drain.elapsed().as_secs_f64();
                 }
-            }
-            // Requeued ranges precede everything still queued.
-            for r in requeue.into_iter().rev() {
-                queue.push_front(r);
-            }
-        }
-        if let (Some(us), false) = (user_sink, buffered.is_empty()) {
-            if let Some(buf) = spill.or(reorder.as_mut()) {
-                // Seal first: buffered words are readable only from frozen
-                // chunks (re-sealing at the end stays a no-op).
-                buf.seal();
-                buffered.sort_unstable_by_key(|(r, _)| r.start);
-                self.replay_spill(buf, &buffered, only, us);
+                totals.absorb(d, &batch, drained, drain_s);
+                next = range.end;
             }
         }
         if opts.segment_windows.is_none() && chunk < share {
@@ -1838,7 +1800,8 @@ impl HostState {
     /// # Errors
     ///
     /// [`CoreError::OutOfMemory`] if the reservations exceed the arena (the
-    /// caller halves the range and requeues it); the bump keeps its pre-level value.
+    /// caller halves the range size and runs the windows again); the bump
+    /// keeps its pre-level value.
     fn advance_budgets(
         &mut self,
         schedule: &LevelSchedule,

@@ -161,11 +161,12 @@ impl SpillSink {
 impl WaveformSink for SpillSink {
     fn waveform(&mut self, signal: usize, info: &WindowInfo, raw: &[i32]) {
         debug_assert!(signal < self.n_signals);
-        // Grow to cover *any* arriving window index, not just the next
-        // one: a merge path delivering windows out of order or with a gap
-        // must widen the tables rather than misindex `ptrs` (a gapped
-        // window stays `(0, 0)`/`u64::MAX` — absent, like a floating
-        // signal — instead of silently corrupting a neighbour's slot).
+        // The window loop delivers windows ascending, but grow to cover
+        // *any* arriving window index, not just the next one: a window
+        // past a gap must widen the tables rather than misindex `ptrs` (a
+        // gapped window stays `(0, 0)`/`u64::MAX` — absent, like a
+        // floating signal — instead of silently corrupting a neighbour's
+        // slot).
         if info.window >= self.windows.len() {
             self.windows.resize(info.window + 1, (0, 0));
             self.ptrs

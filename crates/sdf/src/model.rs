@@ -242,7 +242,10 @@ impl SdfFile {
             let _ = writeln!(
                 out,
                 "      (INTERCONNECT {} {} {} {})",
-                ic.from, ic.to, ic.rise, ic.fall
+                name(&ic.from.to_string()),
+                name(&ic.to.to_string()),
+                ic.rise,
+                ic.fall
             );
             let _ = writeln!(out, "    ))");
             let _ = writeln!(out, "  )");
@@ -252,7 +255,7 @@ impl SdfFile {
             let _ = writeln!(out, "    (CELLTYPE \"{}\")", escape(&cell.celltype));
             match &cell.instance {
                 Some(i) => {
-                    let _ = writeln!(out, "    (INSTANCE {i})");
+                    let _ = writeln!(out, "    (INSTANCE {})", name(i));
                 }
                 None => {
                     let _ = writeln!(out, "    (INSTANCE *)");
@@ -261,12 +264,14 @@ impl SdfFile {
             let _ = writeln!(out, "    (DELAY (ABSOLUTE");
             for p in &cell.iopaths {
                 let inner = {
+                    let input = name(&p.input);
                     let pin = match p.edge {
-                        EdgeSpec::Both => p.input.clone(),
-                        EdgeSpec::Posedge => format!("(posedge {})", p.input),
-                        EdgeSpec::Negedge => format!("(negedge {})", p.input),
+                        EdgeSpec::Both => input.into_owned(),
+                        EdgeSpec::Posedge => format!("(posedge {input})"),
+                        EdgeSpec::Negedge => format!("(negedge {input})"),
                     };
-                    format!("(IOPATH {pin} {} {} {})", p.output, p.rise, p.fall)
+                    let output = name(&p.output);
+                    format!("(IOPATH {pin} {output} {} {})", p.rise, p.fall)
                 };
                 match &p.cond {
                     Some(c) => {
@@ -283,6 +288,17 @@ impl SdfFile {
         let _ = writeln!(out, ")");
         out
     }
+}
+
+/// `s` as an SDF name: a bare atom when it reads back as one (non-empty,
+/// with no whitespace, `(`, `)` or `"`, and not opening a `//` comment),
+/// else a quoted string.
+fn name(s: &str) -> Cow<'_, str> {
+    let special = |c: char| c.is_ascii_whitespace() || matches!(c, '(' | ')' | '"');
+    if s.is_empty() || s.starts_with("//") || s.contains(special) {
+        return Cow::Owned(format!("\"{}\"", escape(s)));
+    }
+    Cow::Borrowed(s)
 }
 
 /// `s` with `\` and `"` escaped by a backslash, for a quoted SDF string;

@@ -747,6 +747,26 @@ mod tests {
         assert_eq!(f3.design, r#"a\n\"b"#);
     }
 
+    /// Instance, pin and port names the reader takes as quoted strings are
+    /// written quoted, so they read back as they were.
+    #[test]
+    fn names_that_are_not_atoms_round_trip() {
+        let src = r#"(DELAYFILE (TIMESCALE 1ps)
+  (CELL (CELLTYPE "__wire__") (INSTANCE *)
+    (DELAY (ABSOLUTE (INTERCONNECT "u 1/Y" u2/A (1) (2)))))
+  (CELL (CELLTYPE "BUF") (INSTANCE "a b")
+    (DELAY (ABSOLUTE
+      (IOPATH "A(1)" Y (3) (4))
+      (IOPATH (posedge "A(1)") "Y Z" (5) (6))))))"#;
+        let f1 = SdfFile::parse(src).unwrap();
+        assert_eq!(f1.cells[0].instance.as_deref(), Some("a b"));
+        assert_eq!(f1.cells[0].iopaths[0].input, "A(1)");
+        assert_eq!(f1.interconnects[0].from.instance.as_deref(), Some("u 1"));
+        let text = f1.write();
+        let f2 = SdfFile::parse(&text).unwrap_or_else(|e| panic!("{e}:\n{text}"));
+        assert_eq!(f2, f1);
+    }
+
     #[test]
     fn error_on_garbage() {
         assert!(SdfFile::parse("(NOTSDF)").is_err());

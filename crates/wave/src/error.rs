@@ -16,13 +16,6 @@ pub enum WaveError {
         /// The offending timestamp.
         time: i32,
     },
-    /// An arena allocation did not fit in the configured capacity.
-    ArenaFull {
-        /// Words requested.
-        requested: usize,
-        /// Words remaining.
-        available: usize,
-    },
     /// A SAIF or VCD document failed to parse.
     Parse {
         /// 1-based line number.
@@ -42,13 +35,6 @@ impl fmt::Display for WaveError {
                     "toggle {index} at time {time} is not after its predecessor"
                 )
             }
-            WaveError::ArenaFull {
-                requested,
-                available,
-            } => write!(
-                f,
-                "waveform arena full: requested {requested} words, {available} available"
-            ),
             WaveError::Parse { line, detail } => {
                 write!(f, "parse error on line {line}: {detail}")
             }
@@ -64,10 +50,7 @@ mod tests {
 
     #[test]
     fn display_mentions_detail() {
-        let e = WaveError::ArenaFull {
-            requested: 10,
-            available: 4,
-        };
+        let e = WaveError::NonMonotonic { index: 10, time: 4 };
         assert!(e.to_string().contains("10"));
     }
 

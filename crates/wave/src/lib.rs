@@ -10,13 +10,12 @@
 //!
 //! This encoding is what makes the GPU kernel branch-free about values: a
 //! thread holding a pointer `p` into the array knows the signal's current
-//! value is simply `p % 2` (provided every waveform is allocated at an even
-//! base offset, which [`WaveformArena`] guarantees).
+//! value is simply `p % 2` — provided every waveform starts at an even base
+//! offset. That guarantee is the uploader's: the engine's batch upload puts
+//! every waveform it writes to device memory at an even word.
 //!
 //! Also provided:
 //!
-//! * [`WaveformArena`] — a single pre-allocated buffer holding all waveforms
-//!   of a simulation (the paper's "one chunk of device memory"),
 //! * [`saif`] — SAIF 2.0 writing/reading/comparison for power handoff,
 //! * [`vcd`] — a minimal VCD reader/writer for stimulus interchange,
 //! * [`activity`] — toggle counting and activity-factor metrics.
@@ -24,13 +23,11 @@
 #![deny(missing_docs)]
 
 pub mod activity;
-mod arena;
 mod error;
 pub mod saif;
 pub mod vcd;
 mod waveform;
 
-pub use arena::{WaveRef, WaveformArena};
 pub use error::WaveError;
 pub use waveform::{split_raw, Waveform, WaveformBuilder};
 

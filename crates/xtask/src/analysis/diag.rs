@@ -1,15 +1,14 @@
 //! Structured diagnostics: the one currency every pass emits and every
-//! consumer (human output, `--json`, the baseline gate) trades in.
+//! consumer (human output, `--json`, the error gate) trades in.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// How bad a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Severity {
-    /// Blocks CI once it exceeds the baseline.
+    /// Blocks CI.
     Error,
-    /// Reported but never gates (stale-baseline notes, advisory findings).
+    /// Reported but never gates (advisory findings).
     Warning,
 }
 
@@ -28,9 +27,7 @@ impl Severity {
 pub struct Diagnostic {
     /// Pass name (`panic-discipline`, `unwind-boundary`, …).
     pub pass: &'static str,
-    /// Rule name within the pass — the baseline suppression key's third
-    /// component, so one noisy rule can be baselined without muting its
-    /// siblings.
+    /// Rule name within the pass.
     pub rule: &'static str,
     /// Workspace-relative file label (or a virtual label like
     /// `workloads:NVDLA_m(small)/convolution` for compiled-plan findings).
@@ -114,128 +111,6 @@ pub fn to_json(diags: &[Diagnostic], files_scanned: usize) -> String {
     out
 }
 
-/// The checked-in suppression file: counts of accepted pre-existing
-/// findings keyed by `(file, pass, rule)`. Line numbers are deliberately
-/// not part of the key — unrelated edits move lines constantly, and a
-/// baseline that rots on every rebase teaches people to regenerate it
-/// blindly. Counts still gate: a *new* finding in an already-baselined
-/// file/rule pushes the count past its allowance and fails.
-#[derive(Debug, Default, PartialEq, Eq)]
-pub struct Baseline {
-    /// Accepted finding count per `(file, pass, rule)`.
-    pub entries: BTreeMap<(String, String, String), usize>,
-}
-
-impl Baseline {
-    /// Parses the baseline document (same hand-rolled JSON family as the
-    /// bench artifacts: `{"schema": ..., "entries": [{"file", "pass",
-    /// "rule", "count"}]}`).
-    pub fn parse(text: &str) -> Result<Baseline, String> {
-        use gatspi_bench::artifact::{parse, Json};
-        let doc = parse(text).map_err(|e| format!("baseline: {e}"))?;
-        match doc.get("schema") {
-            Some(Json::Str(s)) if s == "gatspi-analyze-baseline" => {}
-            _ => return Err("baseline: missing schema gatspi-analyze-baseline".into()),
-        }
-        let Some(Json::Arr(entries)) = doc.get("entries") else {
-            return Err("baseline: missing entries array".into());
-        };
-        let mut out = Baseline::default();
-        for e in entries {
-            let (Some(Json::Str(file)), Some(Json::Str(pass)), Some(Json::Str(rule))) =
-                (e.get("file"), e.get("pass"), e.get("rule"))
-            else {
-                return Err("baseline: entry missing file/pass/rule".into());
-            };
-            let count = match e.get("count") {
-                Some(Json::Num(n)) if *n >= 1.0 => *n as usize,
-                _ => return Err(format!("baseline: {file}: bad count")),
-            };
-            if out
-                .entries
-                .insert((file.clone(), pass.clone(), rule.clone()), count)
-                .is_some()
-            {
-                return Err(format!(
-                    "baseline: duplicate entry for {file} {pass}/{rule}"
-                ));
-            }
-        }
-        Ok(out)
-    }
-
-    /// Builds a baseline accepting exactly the given findings.
-    pub fn from_diags<'a>(diags: impl IntoIterator<Item = &'a Diagnostic>) -> Baseline {
-        let mut out = Baseline::default();
-        for d in diags {
-            *out.entries
-                .entry((d.file.clone(), d.pass.to_string(), d.rule.to_string()))
-                .or_insert(0) += 1;
-        }
-        out
-    }
-
-    /// Serializes back to the baseline document.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"schema\": \"gatspi-analyze-baseline\",\n");
-        out.push_str("  \"version\": 1,\n  \"entries\": [");
-        for (i, ((file, pass, rule), count)) in self.entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"file\": \"{}\", \"pass\": \"{}\", \"rule\": \"{}\", \"count\": {}}}",
-                json_escape(file),
-                json_escape(pass),
-                json_escape(rule),
-                count
-            ));
-        }
-        out.push_str("\n  ]\n}\n");
-        out
-    }
-
-    /// Splits findings against the baseline. Per `(file, pass, rule)` key,
-    /// the first `count` findings are suppressed; the rest are new. Also
-    /// returns a warning per stale baseline entry (its findings are gone —
-    /// time to shrink the file), so the allowance can only ratchet down.
-    pub fn apply(&self, diags: &[Diagnostic]) -> (Vec<Diagnostic>, Vec<Diagnostic>) {
-        let mut new = Vec::new();
-        let mut seen: BTreeMap<(String, String, String), usize> = BTreeMap::new();
-        for d in diags {
-            let key = (d.file.clone(), d.pass.to_string(), d.rule.to_string());
-            let allowance = self.entries.get(&key).copied().unwrap_or(0);
-            let used = seen.entry(key).or_insert(0);
-            *used += 1;
-            if *used > allowance {
-                new.push(d.clone());
-            }
-        }
-        let mut stale = Vec::new();
-        for ((file, pass, rule), count) in &self.entries {
-            let have = seen
-                .get(&(file.clone(), pass.clone(), rule.clone()))
-                .copied()
-                .unwrap_or(0);
-            if have < *count {
-                stale.push(Diagnostic {
-                    pass: "baseline",
-                    rule: "stale-entry",
-                    file: file.clone(),
-                    line: 0,
-                    severity: Severity::Warning,
-                    msg: format!(
-                        "baseline allows {count} {pass}/{rule} finding(s) but only {have} \
-                         remain — run `cargo run -p xtask -- analyze --update-baseline` \
-                         to ratchet the allowance down"
-                    ),
-                });
-            }
-        }
-        (new, stale)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,50 +171,5 @@ mod tests {
             );
             assert!(matches!(json.get("msg"), Some(Json::Str(s)) if *s == orig.msg));
         }
-    }
-
-    #[test]
-    fn baseline_round_trips_and_gates_by_count() {
-        let diags = vec![
-            d("panic-discipline", "unwrap", "a.rs", 1),
-            d("panic-discipline", "unwrap", "a.rs", 9),
-            d("atomics", "safety", "b.rs", 3),
-        ];
-        let base = Baseline::from_diags(&diags);
-        let reparsed = Baseline::parse(&base.to_json()).expect("baseline parses");
-        assert_eq!(base, reparsed);
-
-        // Exactly the baselined findings: nothing new, nothing stale.
-        let (new, stale) = base.apply(&diags);
-        assert!(new.is_empty() && stale.is_empty());
-
-        // One extra finding under an existing key exceeds its allowance —
-        // even though the key is baselined.
-        let mut more = diags.clone();
-        more.push(d("panic-discipline", "unwrap", "a.rs", 77));
-        let (new, _) = base.apply(&more);
-        assert_eq!(new.len(), 1);
-        assert_eq!(new[0].line, 77);
-
-        // A finding under a fresh key is always new.
-        let fresh = vec![d("unwind-boundary", "missing-downcast", "c.rs", 5)];
-        let (new, stale) = base.apply(&fresh);
-        assert_eq!(new.len(), 1);
-        assert_eq!(stale.len(), 2, "both baseline keys are now stale");
-        assert!(stale.iter().all(|s| s.severity == Severity::Warning));
-    }
-
-    #[test]
-    fn baseline_rejects_malformed_documents() {
-        assert!(Baseline::parse("{}").is_err());
-        assert!(Baseline::parse(
-            r#"{"schema": "gatspi-analyze-baseline", "entries": [{"file": "a"}]}"#
-        )
-        .is_err());
-        let dup = r#"{"schema": "gatspi-analyze-baseline", "entries": [
-            {"file": "a.rs", "pass": "p", "rule": "r", "count": 1},
-            {"file": "a.rs", "pass": "p", "rule": "r", "count": 2}
-        ]}"#;
-        assert!(Baseline::parse(dup).unwrap_err().contains("duplicate"));
     }
 }

@@ -5,9 +5,10 @@
 //! per-line token stream (code/comment split, literals stripped, test-cfg
 //! flags); [`config`] holds the path scoping rules and the typed-panic
 //! manifest; each pass in [`passes`] is a pure function from that substrate
-//! to structured [`diag::Diagnostic`]s; and the driver here applies the
-//! checked-in baseline (`crates/xtask/analyze-baseline.json`) so
-//! pre-existing accepted findings don't block CI while anything new does.
+//! to structured [`diag::Diagnostic`]s; and the driver here fails on any
+//! error. A finding is accepted only by an inline reason at its site
+//! (`// panic-ok:`, `// relaxed-ok:`, `// unwind-ok:`), where a reviewer
+//! reads it next to the code.
 
 pub mod config;
 pub mod diag;
@@ -18,23 +19,17 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use config::{manifest_error, UnwindManifest};
-use diag::{Baseline, Diagnostic, Severity};
+use diag::{Diagnostic, Severity};
 use lexer::SourceFile;
 
 /// Relative path of the typed-panic-payload manifest.
 pub const MANIFEST_PATH: &str = "crates/xtask/unwind-manifest.txt";
 
-/// Relative path of the baseline/suppression file.
-pub const BASELINE_PATH: &str = "crates/xtask/analyze-baseline.json";
-
 /// Options of one `analyze` invocation.
 #[derive(Debug, Default)]
 pub struct AnalyzeOptions {
-    /// Write the full (pre-baseline) diagnostics document here.
+    /// Write the full diagnostics document here.
     pub json: Option<std::path::PathBuf>,
-    /// Regenerate the baseline from the current findings instead of
-    /// gating against it.
-    pub update_baseline: bool,
 }
 
 /// Lexes every workspace `.rs` file (fixtures excluded — they are
@@ -70,8 +65,7 @@ pub fn run_source_passes(files: &[SourceFile], manifest: &UnwindManifest) -> Vec
     diags
 }
 
-/// The `analyze` entry point: lex, run the passes, gate against the
-/// baseline.
+/// The `analyze` entry point: lex, run the passes, fail on any error.
 pub fn run_analyze(opts: &AnalyzeOptions) -> ExitCode {
     let root = crate::workspace_root();
     let files = match lex_workspace(&root) {
@@ -113,86 +107,25 @@ pub fn run_analyze(opts: &AnalyzeOptions) -> ExitCode {
         }
     }
 
-    let baseline_path = root.join(BASELINE_PATH);
-    if opts.update_baseline {
-        let errors: Vec<&Diagnostic> = diags
-            .iter()
-            .filter(|d| d.severity == Severity::Error)
-            .collect();
-        let base = Baseline::from_diags(errors.iter().copied());
-        if let Err(e) = std::fs::write(&baseline_path, base.to_json()) {
-            eprintln!("analyze: cannot write {}: {e}", baseline_path.display());
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "analyze: baseline updated with {} accepted finding(s) across {} key(s)",
-            errors.len(),
-            base.entries.len()
-        );
-        return ExitCode::SUCCESS;
+    for d in &diags {
+        eprintln!("{d}");
     }
-
-    let baseline = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => match Baseline::parse(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("analyze: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        // No baseline file = empty baseline: everything gates.
-        Err(_) => Baseline::default(),
-    };
-    let errors: Vec<Diagnostic> = diags
+    let errors = diags
         .iter()
         .filter(|d| d.severity == Severity::Error)
-        .cloned()
-        .collect();
-    let (new, stale) = baseline.apply(&errors);
-    for d in diags.iter().filter(|d| d.severity == Severity::Warning) {
-        eprintln!("{d}");
-    }
-    for d in &stale {
-        eprintln!("{d}");
-    }
-    if new.is_empty() {
+        .count();
+    if errors == 0 {
         println!(
-            "analyze: {} file(s), {} pass finding(s), 0 beyond baseline",
+            "analyze: {} file(s), {} finding(s), 0 errors",
             files.len(),
-            errors.len()
+            diags.len()
         );
         ExitCode::SUCCESS
     } else {
-        for d in &new {
-            eprintln!("{d}");
-        }
         eprintln!(
-            "analyze: {} new finding(s) beyond baseline — fix them or (for accepted \
-             pre-existing debt) run `cargo run -p xtask -- analyze --update-baseline`",
-            new.len()
+            "analyze: {errors} error(s) — fix them, or give an accepted site its inline \
+             reason (`// panic-ok:`, `// relaxed-ok:`, `// unwind-ok:`)"
         );
-        ExitCode::FAILURE
-    }
-}
-
-/// The `validate-plans` entry point: every suite entry, full and
-/// cone-restricted, through the structural checker.
-pub fn run_validate_plans() -> ExitCode {
-    let suite = gatspi_workloads::suite::table2_suite();
-    let scale = passes::plan_invariants::default_scale();
-    let diags = passes::plan_invariants::run(&suite, scale);
-    if diags.is_empty() {
-        println!(
-            "validate-plans: {} suite entries × 3 plans (full, sparse cone, empty cone) \
-             clean at scale {scale}",
-            suite.len()
-        );
-        ExitCode::SUCCESS
-    } else {
-        for d in &diags {
-            eprintln!("{d}");
-        }
-        eprintln!("validate-plans: {} structural defect(s)", diags.len());
         ExitCode::FAILURE
     }
 }

@@ -18,16 +18,10 @@
 //!    and cone-restricted launch plans and checked structurally
 //!    (`gatspi_core::audit`).
 //!
-//! Findings are gated against `crates/xtask/analyze-baseline.json`:
-//! accepted pre-existing findings (by `(file, pass, rule)` count) don't
-//! block CI, new ones do. `--json <path>` writes the full diagnostics
-//! document; `--update-baseline` regenerates the baseline.
-//!
-//! # `validate-plans`
-//!
-//! Pass 4 standalone: compiles every suite entry's plans and runs the
-//! structural checker — the CI gate for "static analysis of compiled
-//! plans".
+//! `analyze` fails on any error finding. A finding is accepted only by an
+//! inline reason at its site — `// panic-ok:`, `// relaxed-ok:` or
+//! `// unwind-ok:` — so the reason sits next to the code it excuses.
+//! `--json <path>` writes the full diagnostics document.
 //!
 //! # `bench-check`
 //!

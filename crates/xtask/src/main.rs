@@ -17,13 +17,11 @@ fn main() -> ExitCode {
                         Some(path) => opts.json = Some(path.into()),
                         None => return usage("--json needs a path"),
                     },
-                    "--update-baseline" => opts.update_baseline = true,
                     other => return usage(&format!("unknown analyze flag `{other}`")),
                 }
             }
             analysis::run_analyze(&opts)
         }
-        Some("validate-plans") => analysis::run_validate_plans(),
         Some("bench-check") => xtask::bench::bench_check(),
         Some("loc") => xtask::loc::run_loc(&args[1..]),
         _ => usage("missing or unknown task"),
@@ -33,8 +31,7 @@ fn main() -> ExitCode {
 fn usage(why: &str) -> ExitCode {
     eprintln!("xtask: {why}");
     eprintln!(
-        "usage: cargo run -p xtask -- <analyze [--json <path>] [--update-baseline] \
-         | validate-plans | bench-check | loc [DIR...]>"
+        "usage: cargo run -p xtask -- <analyze [--json <path>] | bench-check | loc [DIR...]>"
     );
     ExitCode::from(2)
 }

@@ -22,6 +22,7 @@ use gatspi_wave::{vcd, Waveform, INIT_ONE_MARKER};
 use gatspi_workloads::circuits::{random_logic, RandomLogicConfig};
 use gatspi_workloads::sdfgen::{attach_sdf, SdfGenConfig};
 use gatspi_workloads::stimuli::{generate, StimulusConfig};
+use gatspi_workloads::suite::table2_suite;
 
 /// Wide random logic with SDF delays (multi-gate levels, MSI activity).
 fn wide_graph(seed: u64) -> Arc<CircuitGraph> {
@@ -238,6 +239,68 @@ fn multi_gpu_streaming_matches_posthoc() {
         "multi-GPU and single-device streamed VCD must be byte-identical"
     );
     assert!(single.saif.diff(&multi.saif).is_empty());
+}
+
+/// A fleet whose shards overflow their arenas halves its ranges mid-round
+/// and runs the round's later windows again. Without a spill, the caller's
+/// sink still sees every `(window, signal)` exactly once, windows
+/// ascending, and the streamed VCD equals a roomy single device's.
+#[test]
+fn fleet_oom_streams_in_window_order() {
+    let b = table2_suite()[0].build_at_scale(0.15);
+    let cfg = |parallelism, memory_words| SimConfig {
+        memory_words,
+        ..SimConfig::small()
+            .with_cycle_parallelism(parallelism)
+            .with_window_align(b.cycle_time)
+    };
+    let fleet = || {
+        let gpus = MultiGpu::new(DeviceSpec::v100(), 3, 14_000);
+        Session::with_devices(
+            Arc::clone(&b.graph),
+            cfg(8, 14_000),
+            gpus.devices().to_vec(),
+        )
+    };
+    // One device cut into the fleet's windows, with room for all of them.
+    let roomy = || Session::new(Arc::clone(&b.graph), cfg(24, 1 << 22));
+    let opts = RunOptions::default();
+
+    let mut streamed = Recorder::default();
+    let r = fleet()
+        .run_streaming(&b.stimuli, b.duration, &opts, &mut streamed)
+        .unwrap();
+    assert!(
+        r.app_profile.oom_retries > 0,
+        "a shard overflowed its arena"
+    );
+    assert!(
+        streamed.calls.windows(2).all(|p| p[0] < p[1]),
+        "windows reached the sink out of order or twice"
+    );
+    let mut expected = Recorder::default();
+    roomy()
+        .run_streaming(&b.stimuli, b.duration, &opts, &mut expected)
+        .unwrap();
+    // The windows reach into the third device's first range.
+    assert!(expected.calls.last().is_some_and(|c| c.0 > 16));
+    assert!(
+        streamed.calls == expected.calls,
+        "the fleet streamed {} (window, signal) calls, one device {}",
+        streamed.calls.len(),
+        expected.calls.len()
+    );
+
+    let (_, fleet_vcd) = fleet()
+        .run_to_vcd(&b.stimuli, b.duration, &opts, Vec::new())
+        .unwrap();
+    let (_, single_vcd) = roomy()
+        .run_to_vcd(&b.stimuli, b.duration, &opts, Vec::new())
+        .unwrap();
+    assert!(
+        fleet_vcd == single_vcd,
+        "fleet and single-device VCD differ"
+    );
 }
 
 /// Quiet signals (never toggle) and signals that are high at window
