@@ -17,6 +17,13 @@ use gatspi_wave::Waveform;
 use gatspi_workloads::circuits::{random_logic, RandomLogicConfig};
 use gatspi_workloads::stimuli::{generate, StimulusConfig};
 
+/// The count pass: a speculative run with an empty reservation writes
+/// nothing and returns the output's exact size.
+const COUNT: KernelMode = KernelMode::Speculative {
+    out_base: 0,
+    cap: 0,
+};
+
 fn setup(cell: &str, n_in: usize, toggles: usize) -> (CircuitGraph, DeviceMemory, Vec<u32>) {
     let lib = CellLibrary::industry_mini();
     let mut b = NetlistBuilder::new("k", lib);
@@ -78,7 +85,7 @@ fn bench_kernel(c: &mut Criterion) {
                     let input = kernel_input(&graph, desc, &net, &mem, &ptrs, &avg);
                     bench.iter(|| {
                         let mut lane = LaneCounters::default();
-                        simulate_gate(&input, KernelMode::Count, &mut lane)
+                        simulate_gate(&input, COUNT, &mut lane)
                     });
                 },
             );
@@ -107,7 +114,7 @@ fn bench_kernel(c: &mut Criterion) {
 /// Per-gate cost of the speculative single-pass protocol: a hit
 /// (reservation fits, one invocation total), a miss (the speculative pass
 /// degrades to counting and a Store repair re-runs the gate), and the
-/// unconditional Count + Store pair ("simulate twice") — the cost a miss
+/// unconditional count + Store pair ("simulate twice") — the cost a miss
 /// must not exceed and a hit must beat, both gated by `bench-check`.
 fn bench_single_pass(c: &mut Criterion) {
     let mut group = c.benchmark_group("single_pass");
@@ -141,7 +148,7 @@ fn bench_single_pass(c: &mut Criterion) {
                 let input = kernel_input(&graph, desc, &net, &mem, &ptrs, &avg);
                 bench.iter(|| {
                     let mut lane = LaneCounters::default();
-                    simulate_gate(&input, KernelMode::Count, &mut lane);
+                    simulate_gate(&input, COUNT, &mut lane);
                     simulate_gate(&input, KernelMode::Store { out_base }, &mut lane)
                 });
             },

@@ -2,23 +2,21 @@
 //!
 //! One invocation simulates one gate over one stimulus window, advancing
 //! pointer "registers" through the input waveforms stored in device memory
-//! and emitting the output waveform. The same routine runs in three modes:
+//! and emitting the output waveform. The same routine runs in two modes:
 //!
-//! * [`KernelMode::Count`] — computes the output's toggle count and maximum
-//!   write extent without storing anything, which sizes the output's
-//!   arena space exactly;
-//! * [`KernelMode::Store`] — repeats the identical computation, writing the
-//!   waveform at the pre-assigned offset (together with `Count`, the
-//!   "simulate twice" strategy of Fig. 5);
+//! * [`KernelMode::Store`] — writes the waveform at the pre-assigned
+//!   offset;
 //! * [`KernelMode::Speculative`] — single-pass: stores like `Store` inside
-//!   a pre-reserved budget and degrades to `Count` past it, so a correct
+//!   a pre-reserved budget and only counts past it, so a correct
 //!   prediction is the thread's only invocation and a wrong one loses
-//!   nothing but the reservation (see the mode's docs).
+//!   nothing but the reservation (see the mode's docs). With `cap: 0` it
+//!   writes nothing and is Fig. 5's count pass: the output's toggle count
+//!   and maximum write extent, which size its arena space exactly.
 //!
 //! The engine runs every thread as `Speculative` and re-runs only the
 //! overflowed ones as `Store` into exact space, so a miss costs count +
-//! store — Fig. 5's simulate-twice is the engine's miss path. `Count` on
-//! its own is what the per-gate micro-benchmarks time against.
+//! store — Fig. 5's simulate-twice is the engine's miss path. The cap-0
+//! count on its own is what the per-gate micro-benchmarks time against.
 //!
 //! The store pass is also the *publication* point: the engine's store
 //! thread takes `(out_base, KernelOutput::words())` — the same pair this
@@ -90,8 +88,6 @@ const EDGE_TIME_STACK: usize = 32;
 /// Which pass of the simulation is running.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelMode {
-    /// Size the output (toggle count + maximum extent), store nothing.
-    Count,
     /// Store the output waveform starting at the given arena word offset.
     Store {
         /// Absolute word offset of the output waveform's first entry (must
@@ -100,8 +96,8 @@ pub enum KernelMode {
     },
     /// Speculative single-pass: behaves exactly like [`KernelMode::Store`]
     /// while every write lands inside the `cap`-word reservation at
-    /// `out_base`, and exactly like [`KernelMode::Count`] past it — writes
-    /// beyond the reservation are suppressed (nothing outside
+    /// `out_base`, and only counts past it — writes beyond the
+    /// reservation are suppressed (nothing outside
     /// `out_base..out_base + cap` is ever touched) while the full toggle
     /// count and extent keep accumulating. The caller decides from the
     /// returned [`KernelOutput`]: `words() <= cap` means the stored
@@ -299,17 +295,15 @@ fn simulate<const N: usize>(
     // Counted in a local, added to `lane` once at return.
     let mut c = LaneCounters::default();
 
-    // One decode serves all three modes: `storing` selects the write path,
-    // and `limit` is the first word index writes must not reach — unbounded
-    // for Store, the reservation end for Speculative. Every write whose
-    // index clears `limit` is executed exactly as Store would, so a
-    // speculative run that finishes with `words() <= cap` produced a
-    // bit-identical waveform; one that does not has kept counting without
-    // touching anything outside its reservation.
-    let (storing, out_base, limit) = match mode {
-        KernelMode::Count => (false, 0usize, 0usize),
-        KernelMode::Store { out_base } => (true, out_base, usize::MAX),
-        KernelMode::Speculative { out_base, cap } => (true, out_base, out_base + cap),
+    // One decode serves both modes: `limit` is the first word index writes
+    // must not reach — unbounded for Store, the reservation end for
+    // Speculative. Every write whose index clears `limit` is executed
+    // exactly as Store would, so a speculative run that finishes with
+    // `words() <= cap` produced a bit-identical waveform; one that does not
+    // has kept counting without touching anything outside its reservation.
+    let (out_base, limit) = match mode {
+        KernelMode::Store { out_base } => (out_base, usize::MAX),
+        KernelMode::Speculative { out_base, cap } => (out_base, out_base + cap),
     };
 
     // --- Lines 3–6: initial values. Pointer parity encodes the value.
@@ -339,27 +333,23 @@ fn simulate<const N: usize>(
     // covers any physical cancellation chain.
     let mut edge_times = [i64::MIN; EDGE_TIME_STACK];
 
-    let (mut po, po_min) = if storing {
-        debug_assert_eq!(out_base % 2, 0, "output base must be even");
-        if initial_one {
-            if out_base < limit {
-                mem.store(out_base, INIT_ONE_MARKER);
-                c.scattered_store();
-            }
-            if out_base + 1 < limit {
-                mem.store(out_base + 1, 0);
-                c.scattered_store();
-            }
-            (out_base + 1, out_base + 1)
-        } else {
-            if out_base < limit {
-                mem.store(out_base, 0);
-                c.scattered_store();
-            }
-            (out_base, out_base)
+    debug_assert_eq!(out_base % 2, 0, "output base must be even");
+    let (mut po, po_min) = if initial_one {
+        if out_base < limit {
+            mem.store(out_base, INIT_ONE_MARKER);
+            c.scattered_store();
         }
+        if out_base + 1 < limit {
+            mem.store(out_base + 1, 0);
+            c.scattered_store();
+        }
+        (out_base + 1, out_base + 1)
     } else {
-        (0usize, 0usize)
+        if out_base < limit {
+            mem.store(out_base, 0);
+            c.scattered_store();
+        }
+        (out_base, out_base)
     };
 
     // --- Lines 8–13: pin `i`'s next arrival — its next edge plus the wire
@@ -494,22 +484,18 @@ fn simulate<const N: usize>(
         let cancel = to - prev_to < threshold && top_time > ti;
         if cancel {
             extent -= 1;
-            if storing {
-                po -= 1;
-            }
+            po -= 1;
         } else {
             edge_times[extent as usize % EDGE_TIME_STACK] = to;
             extent += 1;
             if extent > max_extent {
                 max_extent = extent;
             }
-            if storing {
-                po += 1;
-                debug_assert!(po > po_min);
-                if po < limit {
-                    mem.store(po, to as i32);
-                    c.scattered_store();
-                }
+            po += 1;
+            debug_assert!(po > po_min);
+            if po < limit {
+                mem.store(po, to as i32);
+                c.scattered_store();
             }
         }
         out_val = y;
@@ -524,7 +510,7 @@ fn simulate<const N: usize>(
     // whatever the previous batch left at the address, and a waveform's
     // address depends on the extent history (a hit lands in its
     // reservation, a repair in fresh space), which must not be observable.
-    if storing && po + 1 < limit {
+    if po + 1 < limit {
         mem.store(po + 1, EOW);
         c.scattered_store();
         let published_end =
@@ -534,8 +520,9 @@ fn simulate<const N: usize>(
             c.scattered_store();
         }
     } else {
-        // Count pass — or an overflowed speculative reservation, which the
-        // repair launch rewrites — writes one TC word per thread.
+        // An overflowed speculative reservation (the cap-0 count pass
+        // among them), which the repair launch rewrites, writes one TC
+        // word per thread.
         c.scattered_store();
     }
     *lane += c;
@@ -554,6 +541,13 @@ mod tests {
     use gatspi_netlist::{CellLibrary, NetlistBuilder};
     use gatspi_sdf::SdfFile;
     use gatspi_wave::Waveform;
+
+    /// The count pass: a speculative run with an empty reservation writes
+    /// nothing and returns the output's exact size.
+    const COUNT: KernelMode = KernelMode::Speculative {
+        out_base: 0,
+        cap: 0,
+    };
 
     /// Uploads `waves` from word 0 of `mem`, each at an even offset (the
     /// kernel reads a value from its pointer's parity); returns the offsets.
@@ -647,7 +641,7 @@ mod tests {
         let ctx = Ctx::new(graph, vec![(0, 0); ptrs.len()]);
         let input = ctx.input(graph, mem, ptrs, features, ppp);
         let mut lane = LaneCounters::default();
-        let count = simulate_gate(&input, KernelMode::Count, &mut lane);
+        let count = simulate_gate(&input, COUNT, &mut lane);
         let out_base = 6000usize;
         let store = simulate_gate(&input, KernelMode::Store { out_base }, &mut lane);
         assert_eq!(count, store, "count and store passes must agree");
@@ -975,7 +969,7 @@ mod tests {
         let ctx = Ctx::new(&g, vec![(0, 0)]);
         let input = ctx.input(&g, &mem, &ptrs, SimFeatures::default(), 100);
         let mut lane = LaneCounters::default();
-        let out = simulate_gate(&input, KernelMode::Count, &mut lane);
+        let out = simulate_gate(&input, COUNT, &mut lane);
         assert_eq!(out.toggles, 0);
         assert_eq!(out.max_extent, 1);
         assert_eq!(out.words(), 3); // initial + transient + EOW
@@ -1001,7 +995,7 @@ mod tests {
         let ctx = Ctx::new(&g, vec![(0, 0)]);
         let input = ctx.input(&g, &mem, &ptrs, SimFeatures::default(), 100);
         let mut lane = LaneCounters::default();
-        simulate_gate(&input, KernelMode::Count, &mut lane);
+        simulate_gate(&input, COUNT, &mut lane);
         assert!(lane.loads > 0);
         assert!(lane.instructions > 0);
         assert!(lane.stores > 0); // the TC write
@@ -1029,7 +1023,7 @@ mod tests {
         let ctx = Ctx::new(&g, vec![(0, 0); 4]);
         let input = ctx.input(&g, &mem, &ptrs, SimFeatures::default(), 100);
         let counts: Vec<(u64, u64, u64)> = [
-            KernelMode::Count,
+            COUNT,
             KernelMode::Store { out_base: 6000 },
             KernelMode::Speculative {
                 out_base: 7000,
@@ -1054,7 +1048,7 @@ mod tests {
         let ctx = Ctx::new(&g, vec![(0, 0)]);
         let input = ctx.input(&g, &mem, &ptrs, SimFeatures::default(), 100);
         let mut lane = LaneCounters::default();
-        let count = simulate_gate(&input, KernelMode::Count, &mut lane);
+        let count = simulate_gate(&input, COUNT, &mut lane);
         let base = 6000usize;
         let cap = 2usize;
         assert!(count.words() as usize > cap, "test needs a real overflow");

@@ -1721,9 +1721,11 @@ impl Session {
     }
 }
 
-/// Runs `f` under `catch_unwind`: a panic inside it — a kernel worker's,
-/// the drain's or a user sink's — stops at this boundary as a
-/// [`CoreError::DeviceFault`] on fleet device `device`.
+/// The engine's one panic boundary, and its only `catch_unwind` outside
+/// tests. Runs `f` under `catch_unwind`: a panic inside it — a kernel
+/// worker's (re-raised by `Device::launch`'s join), the drain's or a user
+/// sink's — stops here as a [`CoreError::DeviceFault`] on fleet device
+/// `device`.
 fn isolate<T>(device: usize, f: impl FnOnce() -> Result<T>) -> Result<T> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
         .unwrap_or_else(|payload| Err(panic_to_error(device, payload)))

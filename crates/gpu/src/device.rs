@@ -201,6 +201,23 @@ mod tests {
     }
 
     #[test]
+    fn zero_threads_per_block_runs_blocks_of_one() {
+        let dev = Device::with_workers(DeviceSpec::v100(), 0, 2);
+        let cfg = LaunchConfig {
+            threads: 3,
+            threads_per_block: 0,
+            ..Default::default()
+        };
+        let seen = Mutex::new(Vec::new());
+        dev.launch("clamp", &cfg, |threads, _| {
+            seen.lock().unwrap().push(threads)
+        });
+        let mut seen = seen.into_inner().unwrap();
+        seen.sort_by_key(|r| r.start);
+        assert_eq!(seen, [0..1, 1..2, 2..3]);
+    }
+
+    #[test]
     fn counters_flow_into_profile() {
         let dev = Device::with_workers(DeviceSpec::v100(), 0, 2);
         let cfg = LaunchConfig {

@@ -36,15 +36,6 @@ impl LaunchConfig {
             ..Default::default()
         }
     }
-
-    /// Number of blocks in the grid.
-    pub fn blocks(&self) -> usize {
-        if self.threads == 0 {
-            0
-        } else {
-            self.threads.div_ceil(self.threads_per_block as usize)
-        }
-    }
 }
 
 /// Per-thread (lane) event counters, accumulated locally by kernel code and
@@ -93,16 +84,6 @@ impl std::ops::AddAssign for LaneCounters {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn blocks_rounding() {
-        let mut c = LaunchConfig::for_threads(1025);
-        assert_eq!(c.blocks(), 3);
-        c.threads = 512;
-        assert_eq!(c.blocks(), 1);
-        c.threads = 0;
-        assert_eq!(c.blocks(), 0);
-    }
 
     #[test]
     fn lane_counter_helpers() {

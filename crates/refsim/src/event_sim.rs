@@ -410,17 +410,18 @@ impl<'a> EventSimulator<'a> {
         for (k, &pi) in graph.primary_inputs().iter().enumerate() {
             let w = &stimuli[k];
             let (d0, d1) = w.durations(duration);
+            let tc = w.toggle_count_clipped(duration) as u64;
             saif.nets.insert(
                 graph.signal_name(pi).to_string(),
                 SaifRecord {
                     t0: d0,
                     t1: d1,
                     tx: 0,
-                    tc: w.toggle_count() as u64,
+                    tc,
                     ig: 0,
                 },
             );
-            toggle_counts[pi.index()] = w.toggle_count() as u64;
+            toggle_counts[pi.index()] = tc;
         }
         for s in 0..n_signals {
             let sid = gatspi_graph::SignalId(s as u32);

@@ -98,8 +98,8 @@ pub fn run_parallel(
         let rec = saif.nets.entry(name).or_default();
         rec.t0 = d0;
         rec.t1 = d1;
-        rec.tc = w.toggle_count() as u64;
-        toggle_counts[pi.index()] = w.toggle_count() as u64;
+        rec.tc = w.toggle_count_clipped(duration) as u64;
+        toggle_counts[pi.index()] = rec.tc;
     }
 
     Ok(RefResult {

@@ -25,7 +25,7 @@ impl Severity {
 /// One finding: which pass and rule fired, where, and why.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Pass name (`panic-discipline`, `unwind-boundary`, …).
+    /// Pass name (`panic-discipline`, `atomics` or `plan-invariants`).
     pub pass: &'static str,
     /// Rule name within the pass.
     pub rule: &'static str,

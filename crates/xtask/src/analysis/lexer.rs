@@ -86,19 +86,6 @@ impl SourceFile {
         }
         acc.join("\n")
     }
-
-    /// Concatenated code text of lines `[lo, hi)` (clamped), newline
-    /// separated — the window passes search for classifier / rethrow
-    /// evidence near an unwind boundary.
-    pub fn code_window(&self, lo: usize, hi: usize) -> String {
-        let hi = hi.min(self.lines.len());
-        let lo = lo.min(hi);
-        self.lines[lo..hi]
-            .iter()
-            .map(|l| l.code.as_str())
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
 }
 
 /// Finds `needle` in `haystack` as a standalone token: not embedded in a

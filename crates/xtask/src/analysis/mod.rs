@@ -3,12 +3,13 @@
 //!
 //! Architecture: [`lexer`] turns every workspace source file into a shared
 //! per-line token stream (code/comment split, literals stripped, test-cfg
-//! flags); [`config`] holds the path scoping rules and the typed-panic
-//! manifest; each pass in [`passes`] is a pure function from that substrate
-//! to structured [`diag::Diagnostic`]s; and the driver here fails on any
-//! error. A finding is accepted only by an inline reason at its site
-//! (`// panic-ok:`, `// relaxed-ok:`, `// unwind-ok:`), where a reviewer
-//! reads it next to the code.
+//! flags); [`config`] holds the path scoping rules; each pass in
+//! [`passes`] is a pure function from that substrate (or, for
+//! `plan-invariants`, from the compiled workloads suite) to structured
+//! [`diag::Diagnostic`]s; and the driver here fails on any error. A
+//! finding is accepted only by an inline reason at its site
+//! (`// panic-ok:`, `// relaxed-ok:`), where a reviewer reads it next to
+//! the code.
 
 pub mod config;
 pub mod diag;
@@ -18,12 +19,8 @@ pub mod passes;
 use std::path::Path;
 use std::process::ExitCode;
 
-use config::{manifest_error, UnwindManifest};
 use diag::{Diagnostic, Severity};
 use lexer::SourceFile;
-
-/// Relative path of the typed-panic-payload manifest.
-pub const MANIFEST_PATH: &str = "crates/xtask/unwind-manifest.txt";
 
 /// Options of one `analyze` invocation.
 #[derive(Debug, Default)]
@@ -55,12 +52,10 @@ pub fn lex_workspace(root: &Path) -> Result<Vec<SourceFile>, String> {
     Ok(files)
 }
 
-/// Runs the three source-level passes over a lexed file set. Public so the
+/// Runs the two source-level passes over a lexed file set. Public so the
 /// golden fixture tests drive the exact CI pipeline on snippet files.
-pub fn run_source_passes(files: &[SourceFile], manifest: &UnwindManifest) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    diags.extend(passes::panic_discipline::run(files));
-    diags.extend(passes::unwind_boundary::run(files, manifest));
+pub fn run_source_passes(files: &[SourceFile]) -> Vec<Diagnostic> {
+    let mut diags = passes::panic_discipline::run(files);
     diags.extend(passes::atomics::run(files));
     diags
 }
@@ -76,24 +71,9 @@ pub fn run_analyze(opts: &AnalyzeOptions) -> ExitCode {
         }
     };
 
-    let mut diags = Vec::new();
-    let manifest = match std::fs::read_to_string(root.join(MANIFEST_PATH)) {
-        Ok(text) => match UnwindManifest::parse(&text) {
-            Ok(m) => m,
-            Err(e) => {
-                diags.push(manifest_error(e));
-                UnwindManifest::default()
-            }
-        },
-        Err(e) => {
-            diags.push(manifest_error(format!("cannot read {MANIFEST_PATH}: {e}")));
-            UnwindManifest::default()
-        }
-    };
-    diags.extend(run_source_passes(&files, &manifest));
+    let mut diags = run_source_passes(&files);
     diags.extend(passes::plan_invariants::run(
         &gatspi_workloads::suite::table2_suite(),
-        passes::plan_invariants::default_scale(),
     ));
     diags.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.pass, a.rule).cmp(&(b.file.as_str(), b.line, b.pass, b.rule))
@@ -124,7 +104,7 @@ pub fn run_analyze(opts: &AnalyzeOptions) -> ExitCode {
     } else {
         eprintln!(
             "analyze: {errors} error(s) — fix them, or give an accepted site its inline \
-             reason (`// panic-ok:`, `// relaxed-ok:`, `// unwind-ok:`)"
+             reason (`// panic-ok:`, `// relaxed-ok:`)"
         );
         ExitCode::FAILURE
     }

@@ -1,4 +1,4 @@
-//! Pass 3 — atomics: the two comment rules on the engine's shared memory.
+//! Pass 2 — atomics: the two comment rules on the engine's shared memory.
 //!
 //! The atomics model device memory, and the launch join is the only
 //! synchronization edge, so every ordering is `Relaxed`; each such site

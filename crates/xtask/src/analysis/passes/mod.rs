@@ -7,4 +7,3 @@
 pub mod atomics;
 pub mod panic_discipline;
 pub mod plan_invariants;
-pub mod unwind_boundary;

@@ -1,7 +1,8 @@
 //! Pass 1 — panic discipline.
 //!
-//! The engine's `catch_unwind` boundaries turn any panic into a
-//! `CoreError::DeviceFault` that fails the run; nothing retries it. An
+//! The engine's one panic boundary, `isolate` in `gatspi_core::session`,
+//! turns any panic into a `CoreError::DeviceFault` that fails the run;
+//! nothing retries it. An
 //! unannotated `unwrap()` on the engine path therefore isn't just sloppy —
 //! it is a failed run waiting for an input that triggers it. This
 //! pass bans the panicking idioms in production code of the disciplined
@@ -74,9 +75,8 @@ pub fn run(files: &[SourceFile]) -> Vec<Diagnostic> {
                     severity: Severity::Error,
                     msg: format!(
                         "`{rule}` in production code of a disciplined crate without a \
-                         `// panic-ok: <reason>` justification — an untyped panic here \
-                         reaches a catch_unwind boundary that only understands the \
-                         registered payload types"
+                         `// panic-ok: <reason>` justification — a panic in engine code \
+                         stops the run as `CoreError::DeviceFault`, through `isolate`"
                     ),
                 });
             }

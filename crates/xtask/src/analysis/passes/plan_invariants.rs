@@ -1,4 +1,4 @@
-//! Pass 4 — plan-invariant validation: static analysis of *compiled*
+//! Pass 3 — plan-invariant validation: static analysis of *compiled*
 //! launch plans.
 //!
 //! The other passes read source; this one compiles every workloads suite
@@ -17,21 +17,15 @@ use gatspi_workloads::suite::BenchmarkDef;
 
 /// Suite build scale: small enough that all twelve designs compile their
 /// plans in seconds, large enough that multi-level cones occur.
-/// Override with `GATSPI_ANALYZE_SCALE`.
-pub fn default_scale() -> f64 {
-    std::env::var("GATSPI_ANALYZE_SCALE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|&s| s > 0.0)
-        .unwrap_or(0.05)
-}
+const ANALYZE_SCALE: f64 = 0.05;
 
-/// Validates every suite entry's full and cone-restricted plans.
+/// Validates every suite entry's full and cone-restricted plans, built at
+/// `ANALYZE_SCALE`.
 /// Returns one diagnostic per structural defect (empty = all plans sound).
-pub fn run(suite: &[BenchmarkDef], scale: f64) -> Vec<Diagnostic> {
+pub fn run(suite: &[BenchmarkDef]) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for def in suite {
-        let built = def.build_at_scale(scale);
+        let built = def.build_at_scale(ANALYZE_SCALE);
         let label = format!("workloads:{}", built.label());
         let graph = &built.graph;
         // A sparse changed set (every 47th gate) yields a multi-level cone

@@ -4,23 +4,23 @@
 //!
 //! The multi-pass static-analysis framework (see [`analysis`]): lexes
 //! every workspace source file once into a shared token stream and runs
-//! four passes over it —
+//! three passes —
 //!
 //! 1. **panic-discipline** — bans `unwrap`/`expect`/`panic!`/
 //!    `unreachable!`/indexing-adjacent `assert!` in production code of the
 //!    disciplined crates unless annotated `// panic-ok: <reason>`;
-//! 2. **unwind-boundary** — every production `catch_unwind` must handle
-//!    the full typed-payload registry (`crates/xtask/unwind-manifest.txt`),
-//!    and the registry must match the declared `*Panic` structs;
-//! 3. **atomics** — every production `Ordering::Relaxed` carries a
+//! 2. **atomics** — every production `Ordering::Relaxed` carries a
 //!    `// relaxed-ok:` reason, and every `unsafe` a `// SAFETY:` comment;
-//! 4. **plan-invariants** — every workloads suite entry compiled to full
+//! 3. **plan-invariants** — every workloads suite entry compiled to full
 //!    and cone-restricted launch plans and checked structurally
 //!    (`gatspi_core::audit`).
 //!
 //! `analyze` fails on any error finding. A finding is accepted only by an
-//! inline reason at its site — `// panic-ok:`, `// relaxed-ok:` or
-//! `// unwind-ok:` — so the reason sits next to the code it excuses.
+//! inline reason at its site — `// panic-ok:` or `// relaxed-ok:` — so the
+//! reason sits next to the code it excuses. There is no payload registry
+//! to audit: the engine has one panic boundary, `isolate` in
+//! `gatspi_core::session`, which turns any panic into
+//! `CoreError::DeviceFault`.
 //! `--json <path>` writes the full diagnostics document.
 //!
 //! # `bench-check`

@@ -1,7 +1,7 @@
 //! Golden-fixture tests for the `xtask analyze` source passes.
 //!
 //! Each directory under `tests/fixtures/` is named after a pass
-//! (`panic-discipline`, `unwind-boundary`, `atomics`) and holds standalone
+//! (`panic-discipline`, `atomics`) and holds standalone
 //! `.rs` snippets that are lexed — never compiled — under a *virtual* label
 //! taken from their `//@ label:` first line, so the pass scoping rules
 //! (disciplined crate roots, test trees) apply exactly as they do to the
@@ -10,13 +10,10 @@
 //! known-good snippet that must stay clean.
 //!
 //! The harness drives [`xtask::analysis::run_source_passes`] — the same
-//! entry point `cargo run -p xtask -- analyze` uses — with the checked-in
-//! unwind manifest, then filters to the directory's pass and the fixture's
-//! own label (the unwind pass also emits registry-existence findings
-//! against the manifest file itself whenever a disciplined file is in the
-//! scan; those are the real workspace's concern, not the fixture's).
+//! entry point `cargo run -p xtask -- analyze` uses — and keeps the
+//! findings of the directory's pass.
 //!
-//! The fourth pass, `plan-invariants`, has no source fixtures: its firing
+//! The third pass, `plan-invariants`, has no source fixtures: its firing
 //! proofs are the mutation tests in `gatspi_core::schedule` that corrupt a
 //! built `LevelSchedule` and assert `validate()` reports each defect.
 
@@ -24,21 +21,14 @@ use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use xtask::analysis::config::UnwindManifest;
 use xtask::analysis::lexer::SourceFile;
-use xtask::analysis::{run_source_passes, MANIFEST_PATH};
+use xtask::analysis::run_source_passes;
 
 /// Pass name ↔ fixture directory name, exactly.
-const SOURCE_PASSES: &[&str] = &["panic-discipline", "unwind-boundary", "atomics"];
+const SOURCE_PASSES: &[&str] = &["panic-discipline", "atomics"];
 
 fn fixtures_root() -> PathBuf {
     xtask::workspace_root().join("crates/xtask/tests/fixtures")
-}
-
-fn manifest() -> UnwindManifest {
-    let path = xtask::workspace_root().join(MANIFEST_PATH);
-    let text = fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-    UnwindManifest::parse(&text).unwrap_or_else(|e| panic!("parse {}: {e}", path.display()))
 }
 
 /// A parsed fixture: the virtual label, the source text, and the expected
@@ -82,9 +72,9 @@ fn parse_fixture(path: &Path) -> Fixture {
 fn check_fixture(pass: &str, path: &Path) -> Fixture {
     let fixture = parse_fixture(path);
     let lexed = SourceFile::lex(&fixture.label, &fixture.source);
-    let mut got: Vec<(usize, String)> = run_source_passes(&[lexed], &manifest())
+    let mut got: Vec<(usize, String)> = run_source_passes(&[lexed])
         .into_iter()
-        .filter(|d| d.pass == pass && d.file == fixture.label)
+        .filter(|d| d.pass == pass)
         .map(|d| (d.line, d.rule.to_string()))
         .collect();
     got.sort();

@@ -429,3 +429,88 @@ fn incremental_run_on_a_fleet_matches_single_device() {
     }
     assert_matches_refsim(&b, &fleet, "incremental fleet run");
 }
+
+/// Configurations the clamping builders would never produce, set field by
+/// field, on one device and on a 2-device fleet: each run returns `Ok`
+/// with the reference's SAIF — none panics. Each case departs in one
+/// respect from a base whose 10 windows each span 3 of the design's 30
+/// cycles, so even a window alignment clamped to one tick cuts at cycle
+/// boundaries, where the windowed engine and the reference agree exactly.
+#[test]
+fn degenerate_configs_match_refsim() {
+    use gatspi_graph::{CircuitGraph, GraphOptions};
+    use gatspi_netlist::{CellLibrary, NetlistBuilder};
+    use gatspi_wave::Waveform;
+
+    let b = bench(0.05);
+    assert_eq!((b.cycles, b.duration), (30, 30 * b.cycle_time));
+    // Tie cells only: no primary inputs, so the stimulus slice is empty.
+    let mut nb = NetlistBuilder::new("ties", CellLibrary::industry_mini());
+    for (i, cell) in ["TIEHI", "TIELO"].into_iter().enumerate() {
+        let y = nb.add_output(&format!("y{i}")).expect("output");
+        nb.add_gate(&format!("u{i}"), cell, &[], y)
+            .expect("tie gate");
+    }
+    let netlist = nb.finish().expect("tie netlist");
+    let ties = CircuitGraph::build(&netlist, None, &GraphOptions::default()).expect("tie graph");
+    let ties = Arc::new(ties);
+    assert!(ties.primary_inputs().is_empty());
+
+    let check = |what: &str,
+                 graph: &Arc<CircuitGraph>,
+                 stimuli: &[Waveform],
+                 duration: i32,
+                 cfg: SimConfig| {
+        let reference = EventSimulator::new(graph, RefConfig::default())
+            .run(stimuli, duration)
+            .expect("refsim run");
+        let gpus = MultiGpu::new(DeviceSpec::v100(), 2, 1 << 20);
+        let sessions = [
+            Session::new(Arc::clone(graph), cfg.clone()),
+            Session::with_devices(Arc::clone(graph), cfg, gpus.devices().to_vec()),
+        ];
+        for (sim, on) in sessions.iter().zip(["one device", "a 2-device fleet"]) {
+            let r = sim
+                .run(stimuli, duration)
+                .unwrap_or_else(|e| panic!("{what} on {on}: {e}"));
+            let diffs = r.saif.diff(&reference.saif);
+            assert!(diffs.is_empty(), "{what} on {on}: {:?}", diffs.first());
+        }
+    };
+    let base = config(&b, 10);
+    let fields = [
+        (
+            "cycle_parallelism 0",
+            SimConfig {
+                cycle_parallelism: 0,
+                ..base.clone()
+            },
+        ),
+        (
+            "window_align 0",
+            SimConfig {
+                window_align: 0,
+                ..base.clone()
+            },
+        ),
+        (
+            "window_align -7",
+            SimConfig {
+                window_align: -7,
+                ..base.clone()
+            },
+        ),
+        (
+            "window_align > duration",
+            SimConfig {
+                window_align: i32::MAX,
+                ..base.clone()
+            },
+        ),
+    ];
+    for (what, cfg) in fields {
+        check(what, &b.graph, &b.stimuli, b.duration, cfg);
+    }
+    check("duration 0", &b.graph, &b.stimuli, 0, base.clone());
+    check("tie cells only", &ties, &[], b.duration, base);
+}
