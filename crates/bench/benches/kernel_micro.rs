@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks of the Algorithm 1 kernel itself (per-gate
 //! simulation cost vs input activity and fan-in) plus the engine's
 //! deep-pipeline hot path, where per-level launch/bookkeeping overhead —
-//! not kernel work — dominates. The run emits `BENCH_kernel_micro.json`
+//! not kernel work — dominates, and its multi-block twin on a batch's
+//! worker set. The run emits `BENCH_kernel_micro.json`
 //! so successive PRs can compare measurements.
 
 use std::sync::Arc;
@@ -194,10 +195,55 @@ fn bench_deep_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
+/// Launches of a few blocks each, the width `deep_pipeline_resim`'s
+/// one-block launches never reach: 64 levels of 48 gates over 32 windows,
+/// 1 536 threads (3 blocks) a level, each a multi-block launch on the
+/// batch's worker set — the witness of that path's dispatch cost.
+fn bench_worker_set_dispatch(c: &mut Criterion) {
+    let (width, depth) = (48usize, 64usize);
+    let mut b = NetlistBuilder::new("mesh", CellLibrary::industry_mini());
+    let mut lanes: Vec<_> = (0..width)
+        .map(|i| b.add_input(&format!("a{i}")).unwrap())
+        .collect();
+    for l in 0..depth {
+        lanes = (0..width)
+            .map(|i| {
+                let net = b.add_net(&format!("n{l}_{i}")).unwrap();
+                let ins = [lanes[i], lanes[(i + 1) % width]];
+                b.add_gate(&format!("u{l}_{i}"), "XOR2", &ins, net).unwrap();
+                net
+            })
+            .collect();
+    }
+    for &net in &lanes {
+        b.mark_output(net);
+    }
+    let graph = Arc::new(
+        CircuitGraph::build(&b.finish().unwrap(), None, &GraphOptions::default()).unwrap(),
+    );
+    let (cycle, cycles) = (400, 32usize);
+    let stimuli = generate(width, &StimulusConfig::random(cycles, cycle, 0.1, 11));
+    let duration = cycle * cycles as i32;
+
+    let mut group = c.benchmark_group("worker_set_dispatch");
+    let sim = Session::new(graph, SimConfig::default().with_window_align(cycle));
+    let launches = sim.run(&stimuli, duration).unwrap().app_profile.launches;
+    group.bench_with_input(
+        BenchmarkId::new(
+            "levels",
+            format!("depth{depth}_gates{width}_launches{launches}"),
+        ),
+        &(),
+        |bench, ()| bench.iter(|| sim.run(&stimuli, duration).unwrap().total_toggles()),
+    );
+    group.finish();
+}
+
 /// The publish path itself (each level's length, SAIF and slack folds,
 /// run by the storing kernel threads): `narrow` is a deep chain of
-/// one-gate levels (launches run inline), `wide` is shallow random logic
-/// with thousand-gate levels (launches on the worker pool).
+/// one-gate levels (one-block launches, inline), `wide` is shallow random
+/// logic with thousand-gate levels (multi-block launches on the batch's
+/// worker set).
 fn bench_publish_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("publish_path");
 
@@ -266,6 +312,6 @@ fn bench_publish_path(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2));
-    targets = bench_kernel, bench_single_pass, bench_deep_pipeline, bench_publish_path
+    targets = bench_kernel, bench_single_pass, bench_deep_pipeline, bench_worker_set_dispatch, bench_publish_path
 }
 criterion_main!(benches);

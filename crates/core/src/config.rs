@@ -50,11 +50,19 @@ pub struct SimConfig {
     pub path_pulse_percent: u32,
     /// Window boundaries are aligned to multiples of this many ticks
     /// (set it to the testbench clock period so windows cut at cycle
-    /// boundaries where combinational logic has settled). Default 1.
+    /// boundaries where combinational logic has settled). Default 1: a
+    /// window may then cut while a transition is in flight, that
+    /// transition is lost, and the SAIF can differ from a continuous
+    /// simulation. `gatspi sim --cycle N` sets it; `--verify` checks the
+    /// result against the event-driven reference.
     pub window_align: SimTime,
 }
 
 impl Default for SimConfig {
+    /// The paper's tuning on a V100, with a 1-tick
+    /// [`window_align`](SimConfig::window_align): exact only where no
+    /// transition is in flight at a window cut. Set the alignment to the
+    /// testbench clock period for cycle-based stimulus.
     fn default() -> Self {
         SimConfig {
             device: DeviceSpec::v100(),
@@ -70,7 +78,8 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// A configuration sized for unit tests: small arena, exact semantics.
+    /// A configuration sized for unit tests: a small arena, otherwise
+    /// [`SimConfig::default`], 1-tick window alignment included.
     pub fn small() -> Self {
         SimConfig {
             memory_words: 1 << 20,

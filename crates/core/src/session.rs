@@ -1119,8 +1119,11 @@ impl Session {
     /// snapshot: uploads stimulus, runs the levelized speculative-store
     /// schedule one level at a time, and returns the accumulators and the
     /// per-signal extents the batch stored ([`BatchScratch::lens_snapshot`]).
-    /// It starts no thread of its own — the launches' workers are the only
-    /// ones.
+    /// Its level loop runs in one [`Device::worker_set`]: every launch of
+    /// the batch, speculative and repair, runs its blocks on the calling
+    /// thread and the set's helpers, which the batch's first multi-block
+    /// launch spawns and every later one reuses; a one-block launch runs
+    /// inline.
     ///
     /// Structure (see the README's kernel pipeline):
     ///
@@ -1179,8 +1182,8 @@ impl Session {
             }
             device.memory().h2d(base, raw);
             // relaxed-ok: the upload runs on the engine thread before any
-            // launch of this batch; the launch's thread spawns publish these
-            // slots to kernel threads.
+            // launch of this batch; a launch's publish, under its worker
+            // set's lock, orders these slots before the kernel threads.
             scratch.ptrs[slot(nw, s, w)].store(base as u32, Ordering::Relaxed);
             // relaxed-ok: see above.
             scratch.lens[slot(nw, s, w)].store(words as u32, Ordering::Relaxed);
@@ -1413,43 +1416,53 @@ impl Session {
             add_saif(ctx.2, publish(ctx.2, w, out_base));
         };
 
+        // The batch's one kernel: a block of a level's speculative pass, or
+        // of its repair, whose thread `j` re-runs the `j`-th overflowed
+        // column the pass recorded (in any order: each repair stores at the
+        // base the scan gave its column).
+        let kernel = |pass: Pass, threads: Range<usize>, lane: &mut LaneCounters| match pass {
+            Pass::Spec(level) => spec(level, threads, lane),
+            Pass::Repair(level) => threads.for_each(|j| {
+                // relaxed-ok: recorded by the speculative pass's threads
+                // behind its launch join, which precedes this launch.
+                let col = scratch.ovf[j].load(Ordering::Relaxed) as usize;
+                repair(level, col, lane)
+            }),
+        };
         // One speculative store launch per level plus — only when some
         // reservation overflowed — a narrow exact repair launch over just
-        // the overflowed threads.
-        for level in 0..schedule.n_levels() {
-            let threads = schedule.level(level).gates() * nw;
-            let ws_in = schedule.level_ws(&scratch.len_sum, level);
-            let reserved = host.advance_budgets(schedule, history, scratch, level, nw)?;
-            let cfg = LaunchConfig {
-                threads,
-                threads_per_block: self.config.threads_per_block,
-                regs_per_thread: self.config.regs_per_thread,
-                working_set_bytes: 4 * (ws_in + reserved),
-            };
-            let p = device.launch("resim_spec", &cfg, |threads, lane| {
-                spec(level, threads, lane)
-            });
-            profile.accumulate(&p);
-            launches += 1;
-            let realloc = host.advance_scan(scratch, threads, &mut overflow_cols, &mut tally)?;
-            if !overflow_cols.is_empty() {
-                // The speculative pass left every overflow's true packed
-                // count in the count column, so the repair is store-only —
-                // no second count pass.
-                let rcfg = LaunchConfig {
-                    threads: overflow_cols.len(),
+        // the overflowed threads, all on one worker set.
+        device.worker_set(kernel, |set| -> Result<()> {
+            for level in 0..schedule.n_levels() {
+                let threads = schedule.level(level).gates() * nw;
+                let ws_in = schedule.level_ws(&scratch.len_sum, level);
+                let reserved = host.advance_budgets(schedule, history, scratch, level, nw)?;
+                let cfg = LaunchConfig {
+                    threads,
                     threads_per_block: self.config.threads_per_block,
                     regs_per_thread: self.config.regs_per_thread,
-                    working_set_bytes: 4 * (ws_in + realloc),
+                    working_set_bytes: 4 * (ws_in + reserved),
                 };
-                let cols = &overflow_cols;
-                let p = device.launch("resim_repair", &rcfg, |threads, lane| {
-                    threads.for_each(|j| repair(level, cols[j], lane))
-                });
-                profile.accumulate(&p);
+                profile.accumulate(&set.launch("resim_spec", &cfg, Pass::Spec(level)));
                 launches += 1;
+                let realloc =
+                    host.advance_scan(scratch, threads, &mut overflow_cols, &mut tally)?;
+                if !overflow_cols.is_empty() {
+                    // The speculative pass left every overflow's true packed
+                    // count in the count column, so the repair is store-only
+                    // — no second count pass.
+                    let rcfg = LaunchConfig {
+                        threads: overflow_cols.len(),
+                        threads_per_block: self.config.threads_per_block,
+                        regs_per_thread: self.config.regs_per_thread,
+                        working_set_bytes: 4 * (ws_in + realloc),
+                    };
+                    profile.accumulate(&set.launch("resim_repair", &rcfg, Pass::Repair(level)));
+                    launches += 1;
+                }
             }
-        }
+            Ok(())
+        })?;
 
         // The batch's SAIF sums, folded by the storing threads. Every
         // scheduled gate ran every window and a window's spans sum to its
@@ -1723,9 +1736,9 @@ impl Session {
 
 /// The engine's one panic boundary, and its only `catch_unwind` outside
 /// tests. Runs `f` under `catch_unwind`: a panic inside it — a kernel
-/// worker's (re-raised by `Device::launch`'s join), the drain's or a user
-/// sink's — stops here as a [`CoreError::DeviceFault`] on fleet device
-/// `device`.
+/// block's (a helper's re-raised by its worker set's launch join), the
+/// drain's or a user sink's — stops here as a [`CoreError::DeviceFault`]
+/// on fleet device `device`.
 fn isolate<T>(device: usize, f: impl FnOnce() -> Result<T>) -> Result<T> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
         .unwrap_or_else(|payload| Err(panic_to_error(device, payload)))
@@ -1743,6 +1756,15 @@ fn panic_to_error(device: usize, payload: Box<dyn std::any::Any + Send>) -> Core
             .to_string(),
     };
     CoreError::DeviceFault { device, detail }
+}
+
+/// The argument of a batch's kernel launch: the pass and its level.
+#[derive(Debug, Clone, Copy)]
+enum Pass {
+    /// The level's speculative store launch.
+    Spec(usize),
+    /// The level's repair launch over its overflowed columns.
+    Repair(usize),
 }
 
 /// Running speculation telemetry for one window batch: the raw counters
@@ -1874,10 +1896,11 @@ impl HostState {
     /// O(columns): on the common all-hit level it only bumps the thread
     /// tally (the storing threads sum hit slack into
     /// [`BatchScratch::waste`]). The recorded columns are copied into
-    /// `overflow_cols` (the narrow repair launch's worklist) and sorted — the recording order depends on thread interleaving,
-    /// and repairs must allocate in column order for the arena layout to
-    /// stay deterministic. Each then gets exact even-aligned space, and its
-    /// whole abandoned reservation counts as waste.
+    /// `overflow_cols` and sorted — the recording order depends on thread
+    /// interleaving, and repairs must allocate in column order for the
+    /// arena layout to stay deterministic. Each then gets exact
+    /// even-aligned space, and its whole abandoned reservation counts as
+    /// waste. The narrow repair launch runs one thread per recorded slot.
     ///
     /// # Errors
     ///
@@ -1919,8 +1942,8 @@ impl HostState {
                     capacity: self.capacity,
                 });
             }
-            // relaxed-ok: the repair launch reads this base; its thread
-            // spawns order the write before the read.
+            // relaxed-ok: the repair launch reads this base; its publish
+            // orders the write before the read.
             scratch.bases[col].store(cursor as u32, Ordering::Relaxed);
             cursor += words_even;
         }
@@ -2095,6 +2118,48 @@ mod tests {
         Arc::new(CircuitGraph::build(&b.finish().unwrap(), None, &GraphOptions::default()).unwrap())
     }
 
+    /// `width` lanes `depth` levels deep: gate `i` of level `l` is
+    /// `XOR2(lane i, lane i + 1)` of level `l − 1`, so every level holds
+    /// `width` gates, and level 0's are gates `0..width`.
+    fn xor_mesh(width: usize, depth: usize) -> Arc<CircuitGraph> {
+        let mut b = NetlistBuilder::new("mesh", CellLibrary::industry_mini());
+        let mut lanes: Vec<_> = (0..width)
+            .map(|i| b.add_input(&format!("a{i}")).unwrap())
+            .collect();
+        for l in 0..depth {
+            lanes = (0..width)
+                .map(|i| {
+                    let net = b.add_net(&format!("n{l}_{i}")).unwrap();
+                    let ins = [lanes[i], lanes[(i + 1) % width]];
+                    b.add_gate(&format!("u{l}_{i}"), "XOR2", &ins, net).unwrap();
+                    net
+                })
+                .collect();
+        }
+        for &net in &lanes {
+            b.mark_output(net);
+        }
+        Arc::new(CircuitGraph::build(&b.finish().unwrap(), None, &GraphOptions::default()).unwrap())
+    }
+
+    /// The event-driven reference's SAIF of `stim` on `graph`.
+    fn reference_saif(graph: &CircuitGraph, stim: &[Waveform], duration: SimTime) -> SaifDocument {
+        let config = gatspi_refsim::RefConfig::default();
+        let reference = gatspi_refsim::EventSimulator::new(graph, config);
+        reference.run(stim, duration).unwrap().saif
+    }
+
+    /// Runs `f` on a thread of its own and fails unless it returns within
+    /// `secs` — the bound that turns a hung run into a failed test.
+    fn within<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        let limit = std::time::Duration::from_secs(secs);
+        rx.recv_timeout(limit).expect("the run returned in time")
+    }
+
     /// Batch- and drain-boundary panic classification: the panic text of a
     /// `String` or `&str` payload rides the structured error, any other
     /// payload reads as a placeholder — never a process abort.
@@ -2142,6 +2207,85 @@ mod tests {
                 other => panic!("expected a device fault, got {other:?}"),
             }
             assert_eq!(plan.read_history(), short.read_history());
+        }
+    }
+
+    /// Faults on 2-worker devices, whose levels are 2–4 blocks wide, so
+    /// the batch's first level runs on its worker set. Two places:
+    ///
+    /// * between launches: the history trick above makes the second
+    ///   level's budget read panic on the calling thread while the set's
+    ///   helper waits for the next launch ("out of bounds");
+    /// * inside the kernel: with the per-pin average delays cut off after
+    ///   level 0's gates, every block of level 1 slices past them ("out of
+    ///   range"). The calling thread claims at least one of those blocks —
+    ///   a helper panics at its first and claims no other — and a helper
+    ///   that joins panics in its own, so the run ends on the calling
+    ///   thread's panic or on a helper's rethrown at the launch join.
+    ///
+    /// Each run fails with the panic's text within a time bound, on one
+    /// device and on a fleet, and the session's next clean run matches the
+    /// reference. `gatspi_gpu`'s worker-set tests pin the helper's and the
+    /// caller's panic one at a time.
+    #[test]
+    fn worker_set_fault_fails_the_run_and_the_session_recovers() {
+        let graph = xor_mesh(8, 6);
+        // 8 gates × 8 (or a fleet device's 4) windows a level: 4 (2)
+        // blocks of 16 threads.
+        let cfg = SimConfig {
+            threads_per_block: 16,
+            ..SimConfig::small()
+        }
+        .with_cycle_parallelism(8)
+        .with_window_align(100);
+        let stim: Vec<_> = (0..8)
+            .map(|i| Waveform::from_toggles(i % 2 == 1, &[110 + 10 * i, 330, 520 + 10 * i]))
+            .collect();
+        let reference = reference_saif(&graph, &stim, 800);
+        let device = || {
+            Arc::new(Device::with_workers(
+                cfg.device.clone(),
+                cfg.memory_words,
+                2,
+            ))
+        };
+        let single = Session::with_devices(Arc::clone(&graph), cfg.clone(), vec![device()]);
+        let fleet =
+            Session::with_devices(Arc::clone(&graph), cfg.clone(), vec![device(), device()]);
+        // Level 0's gates only: the first launch runs, the second level's
+        // budget read runs off the end.
+        let short = LevelSchedule::build(&xor_mesh(8, 1));
+        let fresh = LevelSchedule::build(&graph);
+        let expect_fault = |sim: &Arc<Session>, text: &'static str| {
+            let (faulty, stimuli) = (Arc::clone(sim), stim.clone());
+            match within(30, move || faulty.run(&stimuli, 800)) {
+                Err(CoreError::DeviceFault { device: 0, detail }) => {
+                    assert!(detail.contains(text), "{detail}");
+                }
+                other => panic!("expected a device fault, got {other:?}"),
+            }
+        };
+        for sim in [single, fleet] {
+            let mut sim = Arc::new(sim);
+            sim.run(&stim, 800).unwrap();
+            let plan = sim.plans.lock().unwrap().full.clone().unwrap();
+            plan.copy_history(&short);
+            expect_fault(&sim, "out of bounds");
+            plan.copy_history(&fresh);
+
+            // Two XOR2 pins a gate, gate ids in level order: level 0's
+            // gates own the first 16 pin slots.
+            let session = Arc::get_mut(&mut sim).expect("the faulty run let go");
+            let delays = std::mem::take(&mut session.avg_delays);
+            session.avg_delays = delays[..16].to_vec();
+            expect_fault(&sim, "out of range");
+            Arc::get_mut(&mut sim)
+                .expect("the faulty run let go")
+                .avg_delays = delays;
+
+            let clean = sim.run(&stim, 800).unwrap();
+            let diffs = clean.saif.diff(&reference);
+            assert!(diffs.is_empty(), "{:?}", diffs.first());
         }
     }
 
@@ -2570,6 +2714,51 @@ mod tests {
         let tight = seen4.expect("some arena size yields 4 segments");
         assert!(roomy.saif.diff(&tight.saif).is_empty());
         assert_eq!(roomy.total_toggles(), tight.total_toggles());
+    }
+
+    /// Halving down to chunk 1: the smallest arena that runs at all fits
+    /// one window and no more, so the run halves its range size until it
+    /// is 1 — once per halving, log2 of the starting share — runs every
+    /// window as a segment of its own, and keeps the roomy run's and the
+    /// reference's SAIF; on one device and on a 2-device fleet.
+    #[test]
+    fn oom_halving_reaches_one_window_segments() {
+        let graph = inv_chain(2);
+        let toggles: Vec<i32> = (1..160).map(|i| i * 10 + 5).collect();
+        let stim = vec![Waveform::from_toggles(false, &toggles)];
+        let (duration, windows) = (1600, 16);
+        let reference = reference_saif(&graph, &stim, duration);
+        let cfg = |words: usize| {
+            SimConfig {
+                memory_words: words,
+                ..SimConfig::small()
+            }
+            .with_cycle_parallelism(windows)
+            .with_window_align(100)
+        };
+        for devices in [1, 2] {
+            let run = |words: usize| {
+                let gpus = gatspi_gpu::MultiGpu::new(DeviceSpec::v100(), devices, words);
+                let sim =
+                    Session::with_devices(Arc::clone(&graph), cfg(words), gpus.devices().to_vec());
+                sim.run(&stim, duration)
+            };
+            let roomy = run(1 << 20).unwrap();
+            assert_eq!(roomy.segments(), devices);
+            let tight = (2..2000)
+                .step_by(2)
+                .find_map(|words| run(words).ok())
+                .expect("some arena fits one window");
+            let share = windows / devices;
+            assert_eq!(tight.segments(), windows, "{devices} device(s)");
+            assert_eq!(
+                tight.app_profile.oom_retries,
+                u64::from(share.trailing_zeros()),
+                "one retry per halving of {share}, {devices} device(s)"
+            );
+            assert!(roomy.saif.diff(&tight.saif).is_empty());
+            assert!(tight.saif.diff(&reference).is_empty());
+        }
     }
 
     #[test]

@@ -1,9 +1,5 @@
 use std::ops::Range;
-use std::time::Instant;
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-use crate::perfmodel::model_launch;
 use crate::{DeviceMemory, DeviceSpec, KernelProfile, LaneCounters, LaunchConfig};
 
 /// A simulated GPU: a [`DeviceSpec`], its global [`DeviceMemory`], and a
@@ -35,16 +31,6 @@ pub struct Device {
     spec: DeviceSpec,
     memory: DeviceMemory,
     workers: usize,
-}
-
-/// Launches narrower than this run inline on the calling thread: spawning
-/// host workers would dominate, and a real GPU absorbs such launches in
-/// its fixed launch overhead.
-const INLINE_LAUNCH_THREADS: usize = 4096;
-
-/// Thread range of block `b` in a launch of `n` threads, `block` per block.
-fn block_range(b: usize, block: usize, n: usize) -> Range<usize> {
-    b * block..((b + 1) * block).min(n)
 }
 
 impl Device {
@@ -98,69 +84,33 @@ impl Device {
     /// short); workers may run them in any order. Returns the launch's
     /// measured-plus-modeled [`KernelProfile`].
     ///
+    /// This is a one-launch [`Device::worker_set`]: a launch of two or more
+    /// blocks runs on the calling thread and up to `workers() − 1` helper
+    /// threads, one of one block (or on a one-worker device) inline. A
+    /// sequence of launches should share one worker set instead, so that
+    /// no launch but the first spawns a thread.
+    ///
     /// Kernel code must write disjoint memory regions per thread (GATSPI
     /// guarantees this by pre-assigning output waveform pointers); anything
     /// a block folds across threads that another block may share must be
     /// an atomic read-modify-write.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the panic of any block, with its payload.
     pub fn launch<F>(&self, name: &str, cfg: &LaunchConfig, f: F) -> KernelProfile
     where
         F: Fn(Range<usize>, &mut LaneCounters) + Sync,
     {
-        let t0 = Instant::now();
-        let n = cfg.threads;
-        let block = cfg.threads_per_block.max(1) as usize;
-        let n_blocks = n.div_ceil(block.max(1));
-        let mut total = LaneCounters::default();
-
-        // Small launches run inline: spawning host threads would dominate,
-        // and a real GPU absorbs these in its fixed launch overhead.
-        if n_blocks <= 1 || n < INLINE_LAUNCH_THREADS || self.workers == 1 {
-            for b in 0..n_blocks {
-                f(block_range(b, block, n), &mut total);
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            let workers = self.workers.min(n_blocks);
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        s.spawn(|| {
-                            let mut lane = LaneCounters::default();
-                            loop {
-                                // relaxed-ok: the cursor only partitions
-                                // blocks (each worker gets a unique `b`); the
-                                // join publishes the kernel's writes.
-                                let b = next.fetch_add(1, Ordering::Relaxed);
-                                if b >= n_blocks {
-                                    break;
-                                }
-                                f(block_range(b, block, n), &mut lane);
-                            }
-                            lane
-                        })
-                    })
-                    .collect();
-                // Join each worker by hand: the scope's own join would
-                // replace a worker's panic payload with a generic one.
-                for h in handles {
-                    match h.join() {
-                        Ok(lane) => total += lane,
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    }
-                }
-            });
-        }
-
-        let wall = t0.elapsed().as_secs_f64();
-        let counters = (total.loads, total.stores, total.instructions);
-        model_launch(&self.spec, cfg, counters, wall, name)
+        let kernel = |(), threads, lane: &mut LaneCounters| f(threads, lane);
+        self.worker_set(kernel, |set| set.launch(name, cfg, ()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Mutex;
 
     #[test]

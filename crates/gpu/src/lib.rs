@@ -11,11 +11,15 @@
 //!   host↔device transfer accounting (PCIe model), shared-safely accessible
 //!   from concurrent kernel threads via relaxed atomics.
 //! * [`Device::launch`] — a CUDA-style kernel launch: a grid of blocks of
-//!   logical threads (warp size 32), executed functionally on a CPU worker
-//!   pool, with per-launch wall-clock measurement **and** a cycle-approximate
+//!   logical threads (warp size 32), executed functionally on host worker
+//!   threads, with per-launch wall-clock measurement **and** a cycle-approximate
 //!   performance model ([`KernelProfile`]) that responds to the same tuning
 //!   knobs the paper studies (threads/block, registers/thread, working-set
 //!   vs L2 capacity, coalescing).
+//! * [`Device::worker_set`] — the helper threads a sequence of launches
+//!   shares ([`WorkerSet`]): a launch of two or more blocks wakes them and
+//!   runs blocks on the calling thread too, so no launch but a set's first
+//!   spawns a thread.
 //! * [`MultiGpu`] — an n-device fleet a session spreads its cycle-parallel
 //!   windows across, with the paper's `t = t₁/n + ovr` behaviour.
 //!
@@ -31,6 +35,7 @@ mod multi;
 mod perfmodel;
 mod profiler;
 mod spec;
+mod workers;
 
 pub use device::Device;
 pub use launch::{LaneCounters, LaunchConfig};
@@ -39,6 +44,7 @@ pub use multi::MultiGpu;
 pub use perfmodel::KernelProfile;
 pub use profiler::AppPhaseProfile;
 pub use spec::DeviceSpec;
+pub use workers::WorkerSet;
 
 /// Threads per warp — fixed at 32, as on all NVIDIA architectures.
 pub const WARP_SIZE: usize = 32;

@@ -28,6 +28,13 @@
 //! Validates the committed `BENCH_*.json` trajectory artifacts (see
 //! [`mod@bench`]).
 //!
+//! # `gate`
+//!
+//! Runs the checks every change must pass, in CI's order — build, tests,
+//! the benchmark package's tests, clippy, rustfmt, bench compilation,
+//! rustdoc, `analyze`, `bench-check` — printing each one's wall and
+//! stopping at the first failure (see [`mod@gate`]).
+//!
 //! # `loc [DIR…]`
 //!
 //! Prints the non-test, non-comment, non-blank line count of each
@@ -35,6 +42,7 @@
 
 pub mod analysis;
 pub mod bench;
+pub mod gate;
 pub mod loc;
 
 use std::path::{Path, PathBuf};

@@ -23,6 +23,7 @@ fn main() -> ExitCode {
             analysis::run_analyze(&opts)
         }
         Some("bench-check") => xtask::bench::bench_check(),
+        Some("gate") => xtask::gate::run_gate(),
         Some("loc") => xtask::loc::run_loc(&args[1..]),
         _ => usage("missing or unknown task"),
     }
@@ -31,7 +32,7 @@ fn main() -> ExitCode {
 fn usage(why: &str) -> ExitCode {
     eprintln!("xtask: {why}");
     eprintln!(
-        "usage: cargo run -p xtask -- <analyze [--json <path>] | bench-check | loc [DIR...]>"
+        "usage: cargo run -p xtask -- <analyze [--json <path>] | bench-check | gate | loc [DIR...]>"
     );
     ExitCode::from(2)
 }

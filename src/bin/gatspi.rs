@@ -56,7 +56,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         "info" => info(&opts),
         _ => {
             eprintln!(
-                "usage:\n  gatspi sim  --netlist F.gv --sdf F.sdf --vcd TB.vcd --duration N \\\n              --saif OUT.saif [--cycle N] [--gpus N] [--device v100|a100|t4] \\\n              [--verify] [--out-vcd F.vcd]\n  gatspi info --netlist F.gv [--sdf F.sdf]"
+                "usage:\n  gatspi sim  --netlist F.gv --sdf F.sdf --vcd TB.vcd --duration N \\\n              --saif OUT.saif [--cycle N] [--gpus N] [--device v100|a100|t4] \\\n              [--verify] [--out-vcd F.vcd]\n  gatspi info --netlist F.gv [--sdf F.sdf]\n\n  --cycle N  cut windows at multiples of N ticks (the clock period). The\n             default, 1, may cut a transition in flight and lose it, so\n             the SAIF can differ from continuous simulation; --verify\n             checks the SAIF against the event-driven reference."
             );
             Err("unknown subcommand".into())
         }

@@ -3,9 +3,10 @@
 //! plus a narrow repair launch where a reservation overflowed — must
 //! produce results **bit-identical** to the event-driven reference across
 //! plain windowed runs, segmented runs, streaming sinks and multi-GPU
-//! sharding (with and without spill), on launches run inline and on the
-//! worker pool — on the speculative store's hit path and, with the extent
-//! history poisoned, on its overflow-repair path.
+//! sharding (with and without spill), on one-block launches run inline and
+//! on multi-block launches on a batch's worker set — on the speculative
+//! store's hit path and, with the extent history poisoned, on its
+//! overflow-repair path.
 
 use std::sync::Arc;
 
@@ -179,8 +180,8 @@ fn deep_chain_serial_matches_overlapped() {
 
 /// Wide levels against refsim with 7 windows per batch on a 4-worker
 /// device. 7 does not divide the 512 threads of a block, so blocks split
-/// gates between them, and levels of ~750 gates are wide enough to run
-/// those blocks on the worker pool — on the speculative hit path and with
+/// gates between them, and levels of ~750 gates run those blocks on the
+/// batch's worker set — on the speculative hit path and with
 /// the extent history poisoned, so the repairs of split gates fold their
 /// SAIF records too.
 #[test]
@@ -191,7 +192,7 @@ fn wide_levels_serial_matches_overlapped_and_refsim() {
         &StimulusConfig::random(28, 400, 0.4, 11),
     );
     let duration = 28 * 400;
-    // Wider than the device's 4096-thread inline threshold.
+    // Levels of 8 or more blocks, spread over the device's 4 workers.
     assert!((0..graph.n_levels()).any(|l| 7 * graph.level_gates(l).len() > 4096));
     let r = refsim(&graph, &stimuli, duration);
     let mut cfg = SimConfig::small()
@@ -223,7 +224,7 @@ fn wide_levels_serial_matches_overlapped_and_refsim() {
 /// The launch accounting of the one schedule: every level of a batch is
 /// one speculative store launch, plus one narrow repair launch if any of
 /// its reservations overflowed. Pinned on the deep chain (one-gate levels,
-/// launches run inline) and on wide levels (launches on a 4-worker pool),
+/// launches run inline) and on wide levels (launches on a 4-worker set),
 /// each cold — no repair — and with the extent history poisoned, so that
 /// every level, each of which has a toggling output, needs its repair
 /// launch. Both runs match the reference.
@@ -286,6 +287,7 @@ fn launches_are_levels_plus_repair_launches() {
         &StimulusConfig::random(28, 400, 0.4, 11),
     );
     let duration = 28 * 400;
+    // Levels of 8 or more blocks, spread over the device's 4 workers.
     assert!((0..wide.n_levels()).any(|l| 7 * wide.level_gates(l).len() > 4096));
     let r = refsim(&wide, &stimuli, duration);
     let mut cfg = SimConfig::small()
@@ -501,10 +503,11 @@ fn speculative_matches_two_pass_on_incremental_rerun() {
 /// overflow on essentially every toggling (gate, window) thread, so the
 /// final output is produced almost entirely by the exact repair launches.
 /// The result must still be bit-identical to the reference: repair alone
-/// reproduces it. The narrow design's launches run inline; the wide one's
-/// widest level spans more threads than a launch runs inline (4 096), on a
-/// device of four host workers whatever the host's core count, so its
-/// overflowing threads claim recorder slots from concurrent workers.
+/// reproduces it. The narrow design's levels fit one block, so its
+/// launches run inline; the wide one's widest level spans 8 or more blocks
+/// of 512, on a device of four host workers whatever the host's core
+/// count, so its overflowing threads claim recorder slots from concurrent
+/// workers.
 #[test]
 fn forced_overflow_repair_reproduces_two_pass_exactly() {
     for (graph, workers) in [
@@ -540,7 +543,7 @@ fn forced_overflow_repair_reproduces_two_pass_exactly() {
         if workers.is_some() {
             assert!(
                 ours.kernel_profile.threads >= 4096,
-                "{what}: the widest launch ran {} threads, inline",
+                "{what}: the widest launch ran {} threads, under 8 blocks",
                 ours.kernel_profile.threads
             );
         }
