@@ -13,7 +13,6 @@
 //! spill — the one place a finished run keeps its waveforms for
 //! [`SimResult::waveform`].
 
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -116,11 +115,11 @@ struct PlanCache {
 /// drain runs under a panic guard: a panic in a kernel worker, the drain
 /// or a user [`WaveformSink`] stops the run with
 /// [`CoreError::DeviceFault`](crate::CoreError) carrying the panic text,
-/// and is never retried. The scratch pool, plan and segment hints stay
-/// reusable, so the next run on the same session reproduces a fresh
-/// session's output bit for bit. The one fault a run recovers from is a
-/// full arena: a range of windows that does not fit halves the range size
-/// and runs again, counted in `SimResult::app_profile.oom_retries`.
+/// and is never retried. The scratch pool and plan stay reusable, so the
+/// next run on the same session reproduces a fresh session's output bit
+/// for bit. The one fault a run recovers from is a full arena: a range of
+/// windows that does not fit halves the range size and runs again,
+/// counted in `SimResult::app_profile.oom_retries`.
 ///
 /// # Example
 ///
@@ -178,12 +177,6 @@ pub struct Session {
     scratch_pool: Mutex<Vec<BatchScratch>>,
     /// The segment drain's host buffers, taken for the length of a drain.
     drain_bufs: Mutex<DrainBuffers>,
-    /// Total windows → segment size that last worked, so repeat runs on a
-    /// memory-constrained session start there instead of re-probing the
-    /// OOM halving sequence (a starting point only: a denser stimulus
-    /// still halves further, a sparser one merely over-segments, both
-    /// correct).
-    segment_hints: Mutex<HashMap<usize, usize>>,
     /// Test/bench hook ([`Session::seed_extent_history`]): when nonzero,
     /// every plan fetch overwrites each entry of the plan's extent history
     /// with this many words.
@@ -395,7 +388,6 @@ impl Session {
             plans: Mutex::new(PlanCache::default()),
             scratch_pool: Mutex::new(Vec::new()),
             drain_bufs: Mutex::new(DrainBuffers::default()),
-            segment_hints: Mutex::new(HashMap::new()),
             spec_seed: AtomicU32::new(0),
         }
     }
@@ -532,18 +524,6 @@ impl Session {
     fn release_scratch(&self, scratch: BatchScratch) {
         let mut pool = self.scratch_pool.lock().unwrap_or_else(|e| e.into_inner());
         pool.push(scratch);
-    }
-
-    /// The segment size that last worked for this run shape, if any.
-    fn segment_hint(&self, total_windows: usize) -> Option<usize> {
-        let hints = self.segment_hints.lock().unwrap_or_else(|e| e.into_inner());
-        hints.get(&total_windows).copied()
-    }
-
-    /// Remembers the segment size a run settled on after OOM halving.
-    fn record_segment_hint(&self, total_windows: usize, chunk: usize) {
-        let mut hints = self.segment_hints.lock().unwrap_or_else(|e| e.into_inner());
-        hints.insert(total_windows, chunk);
     }
 
     /// Re-simulates the design with default [`RunOptions`]: `stimuli[k]`
@@ -880,9 +860,8 @@ impl Session {
     /// cursor `next` (the first window not yet settled) and a range size
     /// `chunk`. Each round cuts consecutive ranges of at most `chunk`
     /// windows from `next`, one per device. `chunk` starts at
-    /// [`RunOptions::segment_windows`], else at the segment size that last
-    /// worked for this run shape, else at an even share per device; the
-    /// size the run settles on is remembered for the next run.
+    /// [`RunOptions::segment_windows`], else at an even share per device,
+    /// on every run: nothing of an earlier run's halving carries over.
     ///
     /// Every range executes `inputs.plan`, whatever its window count; a
     /// round fans out its ranges ([`Session::execute_round`]), every one
@@ -914,11 +893,7 @@ impl Session {
             device.memory().reset_counters();
         }
         let share = n.div_ceil(self.devices.len()).max(1);
-        let mut chunk = opts
-            .segment_windows
-            .or_else(|| self.segment_hint(n))
-            .unwrap_or(share)
-            .clamp(1, n.max(1));
+        let mut chunk = opts.segment_windows.unwrap_or(share).clamp(1, n.max(1));
         // A cone-filtered drain never covers primary inputs, so it needs no
         // stimulus windows.
         let only = inputs.cone.as_ref().map(|c| &c.cone.sigs[..]);
@@ -976,9 +951,6 @@ impl Session {
                 totals.absorb(d, &batch, drained, drain_s);
                 next = range.end;
             }
-        }
-        if opts.segment_windows.is_none() && chunk < share {
-            self.record_segment_hint(n, chunk);
         }
         Ok(())
     }
@@ -1495,10 +1467,6 @@ impl Session {
     }
 }
 
-/// Segments reading back fewer live words than this drain on the calling
-/// thread: forking costs more than the copy.
-const PARALLEL_DRAIN_MIN_WORDS: u32 = 1 << 16;
-
 /// One level's stored gate outputs in a segment's arena, as the drain
 /// reads them back: one transfer each.
 #[derive(Debug, Clone, Copy)]
@@ -1508,8 +1476,6 @@ struct LevelRegion {
     /// its last, reservation slack in between included.
     lo: u32,
     hi: u32,
-    /// Offset of the level's first live word in [`DrainBuffers::data`].
-    dest: u32,
 }
 
 /// Host buffers of the segment drain, kept on the session so repeated
@@ -1523,9 +1489,9 @@ struct DrainBuffers {
     /// The segment's live gate-output words, level by level; slack words
     /// never land here.
     data: Vec<i32>,
-    /// One bounce buffer per read-back worker, as large as the widest
-    /// level region met so far.
-    staging: Vec<Vec<i32>>,
+    /// The bounce buffer a level region is read back into, as large as the
+    /// widest region met so far.
+    bounce: Vec<i32>,
 }
 
 impl Session {
@@ -1568,12 +1534,11 @@ impl Session {
     /// its slack into a bounce buffer no larger than the widest region, and
     /// only the live words are copied on into the segment buffer —
     /// `d2h_bytes` therefore counts the slack inside the regions, the
-    /// segment buffer does not hold it. Large segments split the regions
-    /// into contiguous shares of about equal live words, one per device
-    /// host worker; the cuts fall between regions, so the transfers are the
-    /// same on every host.
-    /// The sinks are then fed in deterministic (window, ascending signal)
-    /// order. Every buffer involved lives on the session and is reused.
+    /// segment buffer does not hold it. The regions are read on the
+    /// calling thread, one after another (a read-back forked across host
+    /// workers measured no faster at the workloads' sizes). The sinks are
+    /// then fed in deterministic (window, ascending signal) order. Every
+    /// buffer involved lives on the session and is reused.
     ///
     /// `only` restricts the drain to flagged signals (an incremental run
     /// delivers in-cone waveforms only; out-of-cone entries stay untouched
@@ -1600,7 +1565,7 @@ impl Session {
             regions,
             offs,
             data,
-            staging,
+            bounce,
         } = &mut bufs;
 
         // Lay the segment buffer out level by level and find each level's
@@ -1610,7 +1575,6 @@ impl Session {
         offs.resize(batch.windows.len() * n_signals, u32::MAX);
         let mut total = 0u32;
         for level in 0..self.graph.n_levels() {
-            let dest = total;
             let (mut lo, mut hi) = (u32::MAX, 0);
             for i in self.stored_outputs(batch, only, level) {
                 offs[i] = total;
@@ -1623,78 +1587,28 @@ impl Session {
                     level: level as u32,
                     lo,
                     hi,
-                    dest,
                 });
             }
         }
         if data.len() < total as usize {
             data.resize(total as usize, 0);
         }
-
-        // One bounce buffer per worker, as wide as the widest region.
-        let workers = if total < PARALLEL_DRAIN_MIN_WORDS {
-            1
-        } else {
-            device.workers().min(regions.len())
-        };
         let widest = regions.iter().map(|r| (r.hi - r.lo) as usize).max();
         let widest = widest.unwrap_or(0);
-        staging.resize_with(staging.len().max(workers), Vec::new);
-        for bounce in &mut staging[..workers] {
-            if bounce.len() < widest {
-                bounce.resize(widest, 0);
-            }
+        if bounce.len() < widest {
+            bounce.resize(widest, 0);
         }
-        // Reads `regions` back — one transfer each into `bounce` — and
-        // copies every stored waveform's live words on to its place in
-        // `out`, the part of the segment buffer starting at offset `base`.
-        let offs = &offs[..];
-        let read = |regions: &[LevelRegion], base: u32, out: &mut [i32], bounce: &mut [i32]| {
-            for r in regions {
-                mem.d2h_into(r.lo as usize, &mut bounce[..(r.hi - r.lo) as usize]);
-                for i in self.stored_outputs(batch, only, r.level as usize) {
-                    let len = batch.lens[i] as usize;
-                    let from = (batch.ptrs[i] - r.lo) as usize;
-                    let to = (offs[i] - base) as usize;
-                    out[to..to + len].copy_from_slice(&bounce[from..from + len]);
-                }
+
+        // Read each region back — one transfer through its slack into
+        // `bounce` — and copy every stored waveform's live words on to its
+        // place in the segment buffer.
+        for r in regions.iter() {
+            mem.d2h_into(r.lo as usize, &mut bounce[..(r.hi - r.lo) as usize]);
+            for i in self.stored_outputs(batch, only, r.level as usize) {
+                let (from, to) = ((batch.ptrs[i] - r.lo) as usize, offs[i] as usize);
+                let len = batch.lens[i] as usize;
+                data[to..to + len].copy_from_slice(&bounce[from..from + len]);
             }
-        };
-        if workers == 1 {
-            read(regions, 0, data, &mut staging[0]);
-        } else {
-            let read = &read;
-            std::thread::scope(|scope| {
-                let mut rest_regions = &regions[..];
-                let mut rest_data = &mut data[..total as usize];
-                let mut base = 0u32;
-                let mut handles = Vec::with_capacity(workers);
-                for (k, bounce) in staging.iter_mut().enumerate().take(workers) {
-                    // Worker `k` takes the regions starting below its word
-                    // quota (none, when one region outweighs a whole share).
-                    let quota = (u64::from(total) * (k as u64 + 1) / workers as u64) as u32;
-                    let n = rest_regions.partition_point(|r| r.dest < quota);
-                    let (mine, tail) = rest_regions.split_at(n);
-                    rest_regions = tail;
-                    let end = tail.first().map_or(total, |r| r.dest);
-                    let (out, tail) = rest_data.split_at_mut((end - base) as usize);
-                    rest_data = tail;
-                    let from = base;
-                    base = end;
-                    if !mine.is_empty() {
-                        handles.push(scope.spawn(move || read(mine, from, out, bounce)));
-                    }
-                }
-                // Join each worker explicitly so a worker's panic payload
-                // survives to the drain boundary as the error's detail (the
-                // scope's auto-join would replace it with a generic
-                // message).
-                for h in handles {
-                    if let Err(payload) = h.join() {
-                        std::panic::resume_unwind(payload);
-                    }
-                }
-            });
         }
 
         // Feed the sinks in deterministic (window, ascending signal) order.
@@ -2422,10 +2336,10 @@ mod tests {
     }
 
     #[test]
-    fn segment_hint_skips_oom_halving_on_repeat_runs() {
-        // The first run halves its segment size after an OOM and records
-        // the size it settled on; repeat runs of the same shape on the
-        // session start there, and a fresh session has no hint.
+    fn repeat_runs_segment_like_a_fresh_session() {
+        // Every run starts from an even share and halves after the OOM
+        // again: a repeat run on the session segments as the first run and
+        // as a fresh session do, with the same SAIF.
         let graph = inv_chain(2);
         let cfg = SimConfig {
             memory_words: 512,
@@ -2440,11 +2354,12 @@ mod tests {
         assert_eq!((first.segments(), first.app_profile.oom_retries), (2, 1));
         for _ in 0..2 {
             let again = sim.run(&stim, 1500).unwrap();
-            assert_eq!((again.segments(), again.app_profile.oom_retries), (2, 0));
+            assert_eq!((again.segments(), again.app_profile.oom_retries), (2, 1));
             assert_eq!(again.saif, first.saif);
         }
         let fresh = Session::new(graph, cfg).run(&stim, 1500).unwrap();
         assert_eq!((fresh.segments(), fresh.app_profile.oom_retries), (2, 1));
+        assert_eq!(fresh.saif, first.saif);
     }
 
     #[test]

@@ -177,10 +177,10 @@ impl WaveformSink for SpillSink {
             self.tail.push(EOW); // parity pad, never read
         }
         let base = (self.chunks.len() as u64) << SPILL_OFFSET_BITS | self.tail.len() as u64;
-        // `raw` is the stored upper bound (the kernel's max-extent
-        // sizing); the live waveform ends at its EOW and any ghost words
-        // past it are dead — drop them so the long-lived spill holds only
-        // readable words.
+        // `raw` runs to the waveform's published length (its transient
+        // high-water mark), padded with EOW past the live terminator; the
+        // live waveform ends at its first EOW — drop the pad so the
+        // long-lived spill holds only readable words.
         let live = raw
             .iter()
             .position(|&w| w == EOW)

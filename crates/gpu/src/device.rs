@@ -1,10 +1,8 @@
-use std::ops::Range;
-
-use crate::{DeviceMemory, DeviceSpec, KernelProfile, LaneCounters, LaunchConfig};
+use crate::{DeviceMemory, DeviceSpec};
 
 /// A simulated GPU: a [`DeviceSpec`], its global [`DeviceMemory`], and a
-/// kernel-launch engine that executes logical threads on the host CPU with
-/// CUDA-like grid/block/warp structure.
+/// kernel-launch engine ([`Device::worker_set`]) that executes logical
+/// threads on the host CPU with CUDA-like grid/block/warp structure.
 ///
 /// # Example
 ///
@@ -14,15 +12,18 @@ use crate::{DeviceMemory, DeviceSpec, KernelProfile, LaneCounters, LaunchConfig}
 /// let dev = Device::new(DeviceSpec::v100(), 1024);
 /// dev.memory().h2d(0, &[1, 2, 3, 4]);
 /// let cfg = LaunchConfig::for_threads(4);
-/// let profile = dev.launch("double", &cfg, |threads, lane| {
-///     for tid in threads {
-///         let v = dev.memory().load(tid);
-///         dev.memory().store(tid, v * 2);
-///         lane.scattered_load();
-///         lane.scattered_store();
-///         lane.ops(2);
-///     }
-/// });
+/// let profile = dev.worker_set(
+///     |(), threads, lane| {
+///         for tid in threads {
+///             let v = dev.memory().load(tid);
+///             dev.memory().store(tid, v * 2);
+///             lane.scattered_load();
+///             lane.scattered_store();
+///             lane.ops(2);
+///         }
+///     },
+///     |set| set.launch("double", &cfg, ()),
+/// );
 /// assert_eq!(dev.memory().d2h(0, 4), vec![2, 4, 6, 8]);
 /// assert!(profile.modeled_seconds > 0.0);
 /// ```
@@ -73,52 +74,34 @@ impl Device {
     pub fn workers(&self) -> usize {
         self.workers
     }
-
-    /// Launches a kernel over logical threads `0..cfg.threads`, grouped
-    /// into blocks of `cfg.threads_per_block`: `f(threads, lane_counters)`
-    /// is invoked once per *block* with the block's thread range, and runs
-    /// every thread of it. A block is the unit that lands on one SM, and
-    /// here the unit of scheduling across host workers, so a kernel can
-    /// hoist whatever its threads share out of the per-thread loop. The
-    /// ranges partition `0..cfg.threads` (only the last block may be
-    /// short); workers may run them in any order. Returns the launch's
-    /// measured-plus-modeled [`KernelProfile`].
-    ///
-    /// This is a one-launch [`Device::worker_set`]: a launch of two or more
-    /// blocks runs on the calling thread and up to `workers() − 1` helper
-    /// threads, one of one block (or on a one-worker device) inline. A
-    /// sequence of launches should share one worker set instead, so that
-    /// no launch but the first spawns a thread.
-    ///
-    /// Kernel code must write disjoint memory regions per thread (GATSPI
-    /// guarantees this by pre-assigning output waveform pointers); anything
-    /// a block folds across threads that another block may share must be
-    /// an atomic read-modify-write.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the panic of any block, with its payload.
-    pub fn launch<F>(&self, name: &str, cfg: &LaunchConfig, f: F) -> KernelProfile
-    where
-        F: Fn(Range<usize>, &mut LaneCounters) + Sync,
-    {
-        let kernel = |(), threads, lane: &mut LaneCounters| f(threads, lane);
-        self.worker_set(kernel, |set| set.launch(name, cfg, ()))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{KernelProfile, LaneCounters, LaunchConfig};
+    use std::ops::Range;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Mutex;
+
+    /// One launch of `f` on a worker set of its own.
+    fn launch_once(
+        dev: &Device,
+        cfg: &LaunchConfig,
+        f: impl Fn(Range<usize>, &mut LaneCounters) + Sync,
+    ) -> KernelProfile {
+        dev.worker_set(
+            |(), threads, lane| f(threads, lane),
+            |set| set.launch("once", cfg, ()),
+        )
+    }
 
     #[test]
     fn all_threads_execute_exactly_once() {
         let dev = Device::with_workers(DeviceSpec::v100(), 0, 4);
         let hits = AtomicU64::new(0);
         let cfg = LaunchConfig::for_threads(10_000);
-        dev.launch("count", &cfg, |threads, _lane| {
+        launch_once(&dev, &cfg, |threads, _lane| {
             hits.fetch_add(threads.len() as u64, Ordering::Relaxed);
         });
         assert_eq!(hits.load(Ordering::Relaxed), 10_000);
@@ -127,8 +110,8 @@ mod tests {
     #[test]
     fn thread_ids_cover_range() {
         // Each callback gets one whole block of the launch (the last one
-        // short), and the blocks partition `0..n`: on the worker pool and
-        // on the inline path alike.
+        // short), and the blocks partition `0..n`: on the worker set's
+        // helpers and on the inline path alike.
         let dev = Device::with_workers(DeviceSpec::v100(), 0, 3);
         let block = 384usize;
         for n in [5000usize, 1000] {
@@ -138,9 +121,7 @@ mod tests {
                 ..Default::default()
             };
             let seen = Mutex::new(Vec::new());
-            dev.launch("cover", &cfg, |threads, _| {
-                seen.lock().unwrap().push(threads)
-            });
+            launch_once(&dev, &cfg, |threads, _| seen.lock().unwrap().push(threads));
             let mut seen = seen.into_inner().unwrap();
             seen.sort_by_key(|r| r.start);
             let blocks: Vec<_> = (0..n.div_ceil(block))
@@ -159,9 +140,7 @@ mod tests {
             ..Default::default()
         };
         let seen = Mutex::new(Vec::new());
-        dev.launch("clamp", &cfg, |threads, _| {
-            seen.lock().unwrap().push(threads)
-        });
+        launch_once(&dev, &cfg, |threads, _| seen.lock().unwrap().push(threads));
         let mut seen = seen.into_inner().unwrap();
         seen.sort_by_key(|r| r.start);
         assert_eq!(seen, [0..1, 1..2, 2..3]);
@@ -175,7 +154,7 @@ mod tests {
             working_set_bytes: 1 << 20,
             ..Default::default()
         };
-        let p = dev.launch("c", &cfg, |threads, lane| {
+        let p = launch_once(&dev, &cfg, |threads, lane| {
             for _ in threads {
                 lane.scattered_load();
                 lane.ops(3);
@@ -189,11 +168,12 @@ mod tests {
 
     #[test]
     fn worker_panic_keeps_its_message() {
-        // Wide enough for the worker pool, so the panic crosses a join.
+        // Wide enough for the worker set's helpers, so the panic may cross
+        // the launch join.
         let dev = Device::with_workers(DeviceSpec::v100(), 0, 2);
         let cfg = LaunchConfig::for_threads(10_000);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            dev.launch("boom", &cfg, |threads, _| {
+            launch_once(&dev, &cfg, |threads, _| {
                 if threads.start == 5 * 512 {
                     panic!("block 5 failed");
                 }
@@ -210,7 +190,7 @@ mod tests {
     #[test]
     fn zero_thread_launch_is_empty() {
         let dev = Device::with_workers(DeviceSpec::t4(), 0, 2);
-        let p = dev.launch("none", &LaunchConfig::for_threads(0), |_, _| {
+        let p = launch_once(&dev, &LaunchConfig::for_threads(0), |_, _| {
             panic!("must not run")
         });
         assert_eq!(p.threads, 0);

@@ -10,16 +10,15 @@
 //! * [`DeviceMemory`] — a pre-allocated "global memory" word arena with
 //!   host↔device transfer accounting (PCIe model), shared-safely accessible
 //!   from concurrent kernel threads via relaxed atomics.
-//! * [`Device::launch`] — a CUDA-style kernel launch: a grid of blocks of
-//!   logical threads (warp size 32), executed functionally on host worker
-//!   threads, with per-launch wall-clock measurement **and** a cycle-approximate
-//!   performance model ([`KernelProfile`]) that responds to the same tuning
-//!   knobs the paper studies (threads/block, registers/thread, working-set
-//!   vs L2 capacity, coalescing).
-//! * [`Device::worker_set`] — the helper threads a sequence of launches
-//!   shares ([`WorkerSet`]): a launch of two or more blocks wakes them and
-//!   runs blocks on the calling thread too, so no launch but a set's first
-//!   spawns a thread.
+//! * [`Device::worker_set`] — CUDA-style kernel launches: each
+//!   [`WorkerSet::launch`] runs a grid of blocks of logical threads (warp
+//!   size 32) functionally on host worker threads, with per-launch
+//!   wall-clock measurement **and** a cycle-approximate performance model
+//!   ([`KernelProfile`]) that responds to the same tuning knobs the paper
+//!   studies (threads/block, registers/thread, working-set vs L2 capacity,
+//!   coalescing). A launch of two or more blocks wakes the set's helper
+//!   threads and runs blocks on the calling thread too, so a sequence of
+//!   launches on one set spawns threads only at its first multi-block one.
 //! * [`MultiGpu`] — an n-device fleet a session spreads its cycle-parallel
 //!   windows across, with the paper's `t = t₁/n + ovr` behaviour.
 //!

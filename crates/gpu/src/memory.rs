@@ -50,7 +50,7 @@ impl DeviceMemory {
     pub fn load(&self, idx: usize) -> i32 {
         // relaxed-ok: arena words carry no cross-thread ordering themselves;
         // every writer owns a disjoint pre-assigned region and cross-launch
-        // visibility rides the launch join (see Device::launch).
+        // visibility rides the launch join (see WorkerSet::launch).
         self.words[idx].load(Ordering::Relaxed)
     }
 

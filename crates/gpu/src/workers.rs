@@ -157,11 +157,22 @@ pub struct WorkerSet<'scope, 'env, J> {
 
 impl<J: Copy + Send> WorkerSet<'_, '_, J> {
     /// Launches the set's kernel over logical threads `0..cfg.threads` in
-    /// blocks of `cfg.threads_per_block` (a 0 reads as 1), passing `arg` to
-    /// every block — the contract of [`Device::launch`]. Two or more blocks
-    /// run on the calling thread and the set's helpers, up to the device's
+    /// blocks of `cfg.threads_per_block` (a 0 reads as 1): the kernel is
+    /// called once per *block* with `arg` and the block's thread range, and
+    /// runs every thread of it. A block is the unit that lands on one SM,
+    /// and here the unit of scheduling across host workers, so a kernel can
+    /// hoist whatever its threads share out of the per-thread loop. The
+    /// ranges partition `0..cfg.threads` (only the last block may be
+    /// short) and run in any order. Two or more blocks run on the calling
+    /// thread and the set's helpers, up to the device's
     /// [`workers`](Device::workers) threads; one block runs inline.
-    /// Returns once every block has finished.
+    /// Returns once every block has finished, with the launch's
+    /// measured-plus-modeled [`KernelProfile`].
+    ///
+    /// Kernel code must write disjoint memory regions per thread (GATSPI
+    /// guarantees this by pre-assigning output waveform pointers); anything
+    /// a block folds across threads that another block may share must be
+    /// an atomic read-modify-write.
     ///
     /// # Panics
     ///
@@ -361,20 +372,21 @@ mod tests {
         let me = thread::current().id();
         let ids = Mutex::new(Vec::new());
         let meet = Rendezvous::new(2);
-        dev.launch("two", &blocks(2), |_, _| {
+        let kernel = |two: bool, _, _: &mut LaneCounters| {
             ids.lock().unwrap().push(thread::current().id());
-            meet.arrive();
+            if two {
+                meet.arrive();
+            }
+        };
+        dev.worker_set(kernel, |set| {
+            set.launch("two", &blocks(2), true);
+            let two = std::mem::take(&mut *ids.lock().unwrap());
+            assert_eq!(two.len(), 2);
+            assert_ne!(two[0], two[1], "a helper ran the second block");
+            assert!(two.contains(&me), "the calling thread ran a block");
+            set.launch("one", &blocks(1), false);
         });
-        let ids = ids.into_inner().unwrap();
-        assert_eq!(ids.len(), 2);
-        assert_ne!(ids[0], ids[1], "a helper ran the second block");
-        assert!(ids.contains(&me), "the calling thread ran a block");
-
-        let one = Mutex::new(Vec::new());
-        dev.launch("one", &blocks(1), |_, _| {
-            one.lock().unwrap().push(thread::current().id())
-        });
-        assert_eq!(one.into_inner().unwrap(), [me]);
+        assert_eq!(ids.into_inner().unwrap(), [me]);
     }
 
     /// Every launch of one set runs each block once and sums every
@@ -405,15 +417,17 @@ mod tests {
             let dev = Device::with_workers(DeviceSpec::v100(), 0, 2);
             let me = thread::current().id();
             let meet = Rendezvous::new(2);
+            let kernel = |(), _, _: &mut LaneCounters| {
+                meet.arrive();
+                if thread::current().id() != me {
+                    panic!("helper block failed");
+                }
+            };
             let caught = catch_unwind(AssertUnwindSafe(|| {
-                dev.launch("boom", &blocks(2), |_, _| {
-                    meet.arrive();
-                    if thread::current().id() != me {
-                        panic!("helper block failed");
-                    }
-                })
+                dev.worker_set(kernel, |set| set.launch("boom", &blocks(2), ()))
             }));
-            let after = dev.launch("after", &blocks(4), |t, lane| lane.ops(t.len() as u64));
+            let count = |(), t: Range<usize>, lane: &mut LaneCounters| lane.ops(t.len() as u64);
+            let after = dev.worker_set(count, |set| set.launch("after", &blocks(4), ()));
             (
                 text(caught.expect_err("the launch panics")),
                 after.instructions,
@@ -429,16 +443,16 @@ mod tests {
             let dev = Device::with_workers(DeviceSpec::v100(), 0, 2);
             let me = thread::current().id();
             let meet = Rendezvous::new(2);
+            let kernel = |(), _, _: &mut LaneCounters| {
+                meet.arrive();
+                if thread::current().id() == me {
+                    panic!("caller block failed");
+                }
+                // The helper is still in its block when the caller unwinds.
+                thread::sleep(Duration::from_millis(50));
+            };
             let caught = catch_unwind(AssertUnwindSafe(|| {
-                dev.launch("boom", &blocks(2), |_, _| {
-                    meet.arrive();
-                    if thread::current().id() == me {
-                        panic!("caller block failed");
-                    }
-                    // The helper is still in its block when the caller
-                    // unwinds.
-                    thread::sleep(Duration::from_millis(50));
-                })
+                dev.worker_set(kernel, |set| set.launch("boom", &blocks(2), ()))
             }));
             text(caught.expect_err("the launch panics"))
         });

@@ -1,10 +1,12 @@
 //! `gate`: every check a change must pass before review, in CI's order —
-//! build, tier-1 tests, the benchmark package's tests, clippy, rustfmt,
-//! bench compilation, rustdoc, `analyze` and `bench-check`. Each gate's
-//! wall is printed as it finishes; the first failure stops the run with a
-//! non-zero exit.
+//! build, tier-1 tests, the benchmark package's tests, the examples' smoke
+//! runs (`multi_gpu_scan` twice, its two outputs compared), clippy,
+//! rustfmt, bench compilation, rustdoc, `analyze` and `bench-check`. Each
+//! gate's wall is printed as it finishes; the first failure stops the run
+//! with a non-zero exit.
 
-use std::process::{Command, ExitCode};
+use std::path::Path;
+use std::process::{Command, ExitCode, Stdio};
 use std::time::Instant;
 
 /// How a gate runs.
@@ -14,18 +16,46 @@ enum Step {
         &'static [&'static str],
         &'static [(&'static str, &'static str)],
     ),
+    /// A cargo command run twice; the two runs must print the same output.
+    Twice(&'static [&'static str]),
     /// An xtask task, run in this process.
     Task(fn() -> ExitCode),
 }
 
-/// The gates, in CI's order (`.github/workflows/ci.yml`; the examples'
-/// smoke runs are left to CI).
+/// The gates, in CI's order (`.github/workflows/ci.yml`).
 const GATES: &[(&str, Step)] = &[
     ("build", Step::Cargo(&["build", "--release"], &[])),
     ("test", Step::Cargo(&["test", "-q"], &[])),
     (
         "benchmark tests",
         Step::Cargo(&["test", "--manifest-path", "benchmark/Cargo.toml"], &[]),
+    ),
+    (
+        "quickstart",
+        Step::Cargo(&["run", "--release", "--example", "quickstart"], &[]),
+    ),
+    (
+        "power estimation",
+        Step::Cargo(&["run", "--release", "--example", "power_estimation"], &[]),
+    ),
+    (
+        "file-based flow",
+        Step::Cargo(&["run", "--release", "--example", "file_based_flow"], &[]),
+    ),
+    (
+        "eco flow",
+        Step::Cargo(&["run", "--release", "--example", "eco_flow"], &[]),
+    ),
+    (
+        "glitch optimization",
+        Step::Cargo(
+            &["run", "--release", "--example", "glitch_optimization"],
+            &[],
+        ),
+    ),
+    (
+        "multi-GPU scan",
+        Step::Twice(&["run", "--release", "--example", "multi_gpu_scan"]),
     ),
     (
         "clippy",
@@ -63,19 +93,14 @@ pub fn run_gate() -> ExitCode {
     for (name, step) in GATES {
         let t0 = Instant::now();
         let ok = match step {
-            Step::Cargo(args, env) => {
-                let status = Command::new(&cargo)
-                    .args(*args)
-                    .envs(env.iter().copied())
-                    .current_dir(&root)
-                    .status();
-                match status {
-                    Ok(status) => status.success(),
-                    Err(e) => {
-                        eprintln!("gate {name}: cannot run {cargo}: {e}");
-                        false
-                    }
+            Step::Cargo(args, env) => run_cargo(&cargo, &root, args, env, false).is_some(),
+            Step::Twice(args) => {
+                let run = || run_cargo(&cargo, &root, args, &[], true);
+                let same = run().and_then(|first| run().map(|second| first == second));
+                if same == Some(false) {
+                    eprintln!("gate {name}: the two runs printed different output");
                 }
+                same == Some(true)
             }
             Step::Task(task) => task() == ExitCode::SUCCESS,
         };
@@ -91,6 +116,38 @@ pub fn run_gate() -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// Runs `cargo args` from `root` with `env`. Returns its stdout — empty
+/// unless `capture` is set, else passed through — or `None` when the
+/// command cannot start or fails.
+fn run_cargo(
+    cargo: &str,
+    root: &Path,
+    args: &[&str],
+    env: &[(&str, &str)],
+    capture: bool,
+) -> Option<Vec<u8>> {
+    let stdout = if capture {
+        Stdio::piped()
+    } else {
+        Stdio::inherit()
+    };
+    let output = Command::new(cargo)
+        .args(args)
+        .envs(env.iter().copied())
+        .current_dir(root)
+        .stdout(stdout)
+        .stderr(Stdio::inherit())
+        .output();
+    match output {
+        Ok(output) if output.status.success() => Some(output.stdout),
+        Ok(_) => None,
+        Err(e) => {
+            eprintln!("cannot run {cargo}: {e}");
+            None
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::{Step, GATES};
@@ -103,7 +160,7 @@ mod tests {
         let mut last = 0;
         for (name, step) in GATES {
             let needle = match step {
-                Step::Cargo(args, _) => format!("cargo {}", args.join(" ")),
+                Step::Cargo(args, _) | Step::Twice(args) => format!("cargo {}", args.join(" ")),
                 Step::Task(_) => format!("cargo run -p xtask -- {name}"),
             };
             let at = ci
@@ -111,6 +168,20 @@ mod tests {
                 .unwrap_or_else(|| panic!("`{needle}` is not a CI step"));
             assert!(at > last, "gate {name} runs out of CI's order");
             last = at;
+        }
+    }
+
+    /// Every example CI smoke-runs is a gate.
+    #[test]
+    fn gates_cover_ci_examples() {
+        let ci = std::fs::read_to_string(crate::workspace_root().join(".github/workflows/ci.yml"))
+            .expect("CI workflow");
+        let examples = ci.lines().filter_map(|l| l.split("--example ").nth(1));
+        for example in examples.filter_map(|rest| rest.split_whitespace().next()) {
+            let gated = GATES.iter().any(|(_, step)| {
+                matches!(step, Step::Cargo(args, _) | Step::Twice(args) if args.contains(&example))
+            });
+            assert!(gated, "CI smoke-runs example `{example}` outside the gates");
         }
     }
 }

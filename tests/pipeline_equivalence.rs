@@ -409,9 +409,10 @@ fn multi_gpu_spill_extracts_waveforms() {
     let cfg = SimConfig::small()
         .with_cycle_parallelism(4)
         .with_window_align(400);
-    // The single-device reference drains through an explicit 4-worker
-    // device, so the parallel drain path is compared against the
-    // multi-GPU shards' (single-worker) serial drains.
+    // The single-device reference runs on an explicit 4-worker device, so
+    // its multi-block launches run on a worker set's helpers, and is
+    // compared against the multi-GPU shards, whose devices split the
+    // host's workers between them.
     let single_cfg = cfg.clone().with_cycle_parallelism(8);
     let single_dev = Arc::new(gatspi_gpu::Device::with_workers(
         single_cfg.device.clone(),
