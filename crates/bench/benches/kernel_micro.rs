@@ -11,7 +11,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gatspi_core::{
     simulate_gate, GateDesc, GateKernelInput, KernelMode, Session, SimConfig, SimFeatures,
 };
-use gatspi_gpu::{DeviceMemory, LaneCounters};
+use gatspi_gpu::DeviceMemory;
 use gatspi_graph::{CircuitGraph, GraphOptions};
 use gatspi_netlist::{CellLibrary, NetlistBuilder};
 use gatspi_wave::Waveform;
@@ -84,10 +84,7 @@ fn bench_kernel(c: &mut Criterion) {
                 &toggles,
                 |bench, _| {
                     let input = kernel_input(&graph, desc, &net, &mem, &ptrs, &avg);
-                    bench.iter(|| {
-                        let mut lane = LaneCounters::default();
-                        simulate_gate(&input, COUNT, &mut lane)
-                    });
+                    bench.iter(|| simulate_gate(&input, COUNT));
                 },
             );
             group.bench_with_input(
@@ -96,13 +93,11 @@ fn bench_kernel(c: &mut Criterion) {
                 |bench, _| {
                     let input = kernel_input(&graph, desc, &net, &mem, &ptrs, &avg);
                     bench.iter(|| {
-                        let mut lane = LaneCounters::default();
                         simulate_gate(
                             &input,
                             KernelMode::Store {
                                 out_base: 128 * 1024,
                             },
-                            &mut lane,
                         )
                     });
                 },
@@ -131,11 +126,9 @@ fn bench_single_pass(c: &mut Criterion) {
             group.bench_with_input(BenchmarkId::new(label, toggles), &toggles, |bench, _| {
                 let input = kernel_input(&graph, desc, &net, &mem, &ptrs, &avg);
                 bench.iter(|| {
-                    let mut lane = LaneCounters::default();
-                    let out =
-                        simulate_gate(&input, KernelMode::Speculative { out_base, cap }, &mut lane);
+                    let out = simulate_gate(&input, KernelMode::Speculative { out_base, cap });
                     if out.words() as usize > cap {
-                        simulate_gate(&input, KernelMode::Store { out_base }, &mut lane)
+                        simulate_gate(&input, KernelMode::Store { out_base })
                     } else {
                         out
                     }
@@ -148,9 +141,8 @@ fn bench_single_pass(c: &mut Criterion) {
             |bench, _| {
                 let input = kernel_input(&graph, desc, &net, &mem, &ptrs, &avg);
                 bench.iter(|| {
-                    let mut lane = LaneCounters::default();
-                    simulate_gate(&input, COUNT, &mut lane);
-                    simulate_gate(&input, KernelMode::Store { out_base }, &mut lane)
+                    simulate_gate(&input, COUNT);
+                    simulate_gate(&input, KernelMode::Store { out_base })
                 });
             },
         );

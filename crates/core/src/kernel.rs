@@ -36,8 +36,12 @@
 //! instance with compile-time pin loops, wider gates share the
 //! [`MAX_KERNEL_PINS`] instance with a run-time pin count. Every pin loop
 //! indexes the registers by its loop counter only — in an exact instance
-//! the loops unroll and the registers stay registers — and the lane
-//! counters live in a local until the call returns.
+//! the loops unroll and the registers stay registers.
+//!
+//! The kernel counts nothing of its own work, as the paper's CUDA kernel
+//! did not (its Table 6 profile came from Nsight): a launch's modeled
+//! traffic comes from counts the host holds once the launch has joined
+//! ([`LaunchCounts::traffic`]).
 //!
 //! Semantics implemented exactly as Algorithm 1:
 //!
@@ -69,7 +73,7 @@
 //! [`SimFeatures::full_sdf`](crate::SimFeatures) = false the collapsed
 //! average rise/fall pair is used instead (Table 7's "No Full SDF").
 
-use gatspi_gpu::{DeviceMemory, LaneCounters};
+use gatspi_gpu::DeviceMemory;
 use gatspi_graph::CircuitGraph;
 use gatspi_sdf::{reduced_column_index, NO_ARC};
 use gatspi_wave::{EOW, INIT_ONE_MARKER};
@@ -255,18 +259,14 @@ pub struct GateKernelInput<'a> {
 ///
 /// Panics if the gate has more than `MAX_KERNEL_PINS` inputs or if
 /// `in_ptrs` does not match the gate's fan-in count.
-pub fn simulate_gate(
-    input: &GateKernelInput<'_>,
-    mode: KernelMode,
-    lane: &mut LaneCounters,
-) -> KernelOutput {
+pub fn simulate_gate(input: &GateKernelInput<'_>, mode: KernelMode) -> KernelOutput {
     match input.desc.fanin {
-        0 => simulate::<0>(input, mode, lane),
-        1 => simulate::<1>(input, mode, lane),
-        2 => simulate::<2>(input, mode, lane),
-        3 => simulate::<3>(input, mode, lane),
-        4 => simulate::<4>(input, mode, lane),
-        _ => simulate::<MAX_KERNEL_PINS>(input, mode, lane),
+        0 => simulate::<0>(input, mode),
+        1 => simulate::<1>(input, mode),
+        2 => simulate::<2>(input, mode),
+        3 => simulate::<3>(input, mode),
+        4 => simulate::<4>(input, mode),
+        _ => simulate::<MAX_KERNEL_PINS>(input, mode),
     }
 }
 
@@ -275,11 +275,7 @@ pub fn simulate_gate(
 // Indexed pin loops mirror the CUDA kernel's per-lane register arrays;
 // iterator adapters would obscure the correspondence with Algorithm 1.
 #[allow(clippy::needless_range_loop)]
-fn simulate<const N: usize>(
-    input: &GateKernelInput<'_>,
-    mode: KernelMode,
-    lane: &mut LaneCounters,
-) -> KernelOutput {
+fn simulate<const N: usize>(input: &GateKernelInput<'_>, mode: KernelMode) -> KernelOutput {
     let mem = input.mem;
     let desc = input.desc;
     let n = if N == MAX_KERNEL_PINS {
@@ -292,8 +288,6 @@ fn simulate<const N: usize>(
     let mut wire = [(0i32, 0i32); N];
     wire[..n].copy_from_slice(input.net_delays);
     let tt = &input.tts[desc.tt_base as usize..desc.tt_base as usize + (1usize << n)];
-    // Counted in a local, added to `lane` once at return.
-    let mut c = LaneCounters::default();
 
     // One decode serves both modes: `limit` is the first word index writes
     // must not reach — unbounded for Store, the reservation end for
@@ -311,7 +305,6 @@ fn simulate<const N: usize>(
     let mut col = 0u32;
     for i in 0..n {
         let mut ptr = input.in_ptrs[i];
-        c.scattered_load();
         if mem.load(ptr as usize) == INIT_ONE_MARKER {
             ptr += 1;
         }
@@ -319,7 +312,6 @@ fn simulate<const N: usize>(
         col |= (ptr & 1) << i;
     }
     let mut out_val = tt[col as usize] as u32;
-    c.ops(n as u64 + 2);
 
     let initial_one = out_val == 1;
     let mut extent = 0u32; // live edges beyond the initial entry
@@ -337,17 +329,14 @@ fn simulate<const N: usize>(
     let (mut po, po_min) = if initial_one {
         if out_base < limit {
             mem.store(out_base, INIT_ONE_MARKER);
-            c.scattered_store();
         }
         if out_base + 1 < limit {
             mem.store(out_base + 1, 0);
-            c.scattered_store();
         }
         (out_base + 1, out_base + 1)
     } else {
         if out_base < limit {
             mem.store(out_base, 0);
-            c.scattered_store();
         }
         (out_base, out_base)
     };
@@ -356,9 +345,8 @@ fn simulate<const N: usize>(
     // delay, skipping pulses narrower than that delay (`+= 2` keeps the
     // parity). It depends on the pin's own pointer alone, which is what
     // makes the per-pin arrival registers below exact.
-    let next_arrival = |i: usize, p: &mut u32, c: &mut LaneCounters| -> i64 {
+    let next_arrival = |i: usize, p: &mut u32| -> i64 {
         loop {
-            c.scattered_load();
             let t1 = mem.load(*p as usize + 1);
             if t1 == EOW {
                 return EOW64;
@@ -366,16 +354,13 @@ fn simulate<const N: usize>(
             let (dr, df) = wire[i];
             let nd = if *p & 1 == 1 { df } else { dr };
             if input.features.net_delay_filtering {
-                c.scattered_load();
                 let t2 = mem.load(*p as usize + 2);
                 if t2 != EOW && i64::from(t2) - i64::from(t1) < i64::from(nd) {
                     // Pulse narrower than the wire delay: both edges die.
                     *p += 2;
-                    c.ops(2);
                     continue;
                 }
             }
-            c.ops(4);
             return i64::from(t1) + i64::from(nd);
         }
     };
@@ -383,7 +368,7 @@ fn simulate<const N: usize>(
     // The earliest register: the next event's timestamp.
     let mut next_ti = EOW64;
     for i in 0..n {
-        arrival[i] = next_arrival(i, &mut p[i], &mut c);
+        arrival[i] = next_arrival(i, &mut p[i]);
         next_ti = next_ti.min(arrival[i]);
     }
     let mut last_ti: i64 = 0;
@@ -404,11 +389,10 @@ fn simulate<const N: usize>(
                 p[i] += 1;
                 col ^= 1 << i;
                 switched |= 1 << i;
-                arrival[i] = next_arrival(i, &mut p[i], &mut c);
+                arrival[i] = next_arrival(i, &mut p[i]);
             }
             next_ti = next_ti.min(arrival[i]);
         }
-        c.ops(n as u64 + 2);
         let y = tt[col as usize] as u32;
 
         // --- Line 19: only a change of output value produces an edge.
@@ -430,7 +414,6 @@ fn simulate<const N: usize>(
                 let input_rising = p[i] & 1 == 1;
                 let output_rising = y == 1;
                 let row = 2 * usize::from(!input_rising) + usize::from(!output_rising);
-                c.scattered_load();
                 input.luts[lut_base + row * ncols + rcol]
             } else {
                 let (ar, af) = input.avg_delays[i];
@@ -451,7 +434,6 @@ fn simulate<const N: usize>(
                 i64::from(desc.fb_fall)
             };
         }
-        c.ops(4);
 
         // --- Lines 20–25: output edge with inertial (PATHPULSEPERCENT)
         // filtering and ghost-timestamp semantics.
@@ -495,7 +477,6 @@ fn simulate<const N: usize>(
             debug_assert!(po > po_min);
             if po < limit {
                 mem.store(po, to as i32);
-                c.scattered_store();
             }
         }
         out_val = y;
@@ -512,25 +493,62 @@ fn simulate<const N: usize>(
     // reservation, a repair in fresh space), which must not be observable.
     if po + 1 < limit {
         mem.store(po + 1, EOW);
-        c.scattered_store();
         let published_end =
             out_base + u32::from(initial_one) as usize + 1 + max_extent as usize + 1;
         for p in (po + 2)..published_end.min(limit) {
             mem.store(p, EOW);
-            c.scattered_store();
         }
-    } else {
-        // An overflowed speculative reservation (the cap-0 count pass
-        // among them), which the repair launch rewrites, writes one TC
-        // word per thread.
-        c.scattered_store();
     }
-    *lane += c;
 
     KernelOutput {
         toggles: extent,
         max_extent,
         initial_one,
+    }
+}
+
+/// What one kernel launch ran, in counts the host holds once the launch
+/// has joined: the inputs of its modeled traffic ([`LaunchCounts::traffic`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct LaunchCounts {
+    /// (gate, window) threads launched.
+    pub threads: u64,
+    /// Input pins the threads read: Σ fan-in over the threads.
+    pub pin_reads: u64,
+    /// Published words of the waveforms those pins read.
+    pub input_words: u64,
+    /// Published words of the waveforms the threads produced.
+    pub output_words: u64,
+}
+
+impl LaunchCounts {
+    /// The launch's `(loads, stores, instructions)` for the performance
+    /// model ([`KernelProfile::model`](gatspi_gpu::KernelProfile::model)):
+    /// what Algorithm 1 does per waveform word, summed over the launch.
+    ///
+    /// A waveform is an initial entry, its edges and an EOW terminator (a
+    /// value-1 start's marker and a cancelled transient's pad word count
+    /// as edges here), so the launch's input edges are `input_words −
+    /// 2·pin_reads` and its output edges `output_words − 2·threads`.
+    ///
+    /// * loads: every input word once — a pin's initial value (lines 3–6),
+    ///   then each edge and the terminator as the pin's next arrival is
+    ///   sought (lines 8–13); net-delay filtering reads each input edge a
+    ///   second time for its pulse-width check (lines 11–12), and full SDF
+    ///   reads one delay-LUT entry per output edge (Fig. 4);
+    /// * stores: every output word once;
+    /// * instructions: two per thread and one per pin to resolve the
+    ///   initial values, six per input edge to take its arrival and resolve
+    ///   its event (lines 8–18), four per output edge to pick its delay and
+    ///   filter it (lines 19–25).
+    pub fn traffic(&self, features: SimFeatures) -> (u64, u64, u64) {
+        let in_edges = self.input_words.saturating_sub(2 * self.pin_reads);
+        let out_edges = self.output_words.saturating_sub(2 * self.threads);
+        let loads = self.input_words
+            + u64::from(features.net_delay_filtering) * in_edges
+            + u64::from(features.full_sdf) * out_edges;
+        let instructions = 2 * self.threads + self.pin_reads + 6 * in_edges + 4 * out_edges;
+        (loads, self.output_words, instructions)
     }
 }
 
@@ -640,10 +658,9 @@ mod tests {
     ) -> Waveform {
         let ctx = Ctx::new(graph, vec![(0, 0); ptrs.len()]);
         let input = ctx.input(graph, mem, ptrs, features, ppp);
-        let mut lane = LaneCounters::default();
-        let count = simulate_gate(&input, COUNT, &mut lane);
+        let count = simulate_gate(&input, COUNT);
         let out_base = 6000usize;
-        let store = simulate_gate(&input, KernelMode::Store { out_base }, &mut lane);
+        let store = simulate_gate(&input, KernelMode::Store { out_base });
         assert_eq!(count, store, "count and store passes must agree");
         let words = store.words() as usize;
         // A speculative run with an exact-fit reservation must hit and
@@ -656,7 +673,6 @@ mod tests {
                 out_base: spec_base,
                 cap: words,
             },
-            &mut lane,
         );
         assert_eq!(spec, store, "speculative pass must agree");
         assert!(spec.words() as usize <= words, "exact-fit reservation hits");
@@ -936,8 +952,7 @@ mod tests {
         };
         let ctx = Ctx::new(&g, vec![(4, 4)]); // collapsed rise/fall average
         let input = ctx.input(&g, &mem, &ptrs, features, 100);
-        let mut lane = LaneCounters::default();
-        let out = simulate_gate(&input, KernelMode::Store { out_base: 6000 }, &mut lane);
+        let out = simulate_gate(&input, KernelMode::Store { out_base: 6000 });
         let raw = mem.d2h(6000, out.words() as usize);
         // Fall uses the average 4 instead of the true 5.
         assert_eq!(&raw[..3], &[-1, 0, 104]);
@@ -968,8 +983,7 @@ mod tests {
         let (g, mem, ptrs) = single_gate("BUF", &[a], Some(SDF));
         let ctx = Ctx::new(&g, vec![(0, 0)]);
         let input = ctx.input(&g, &mem, &ptrs, SimFeatures::default(), 100);
-        let mut lane = LaneCounters::default();
-        let out = simulate_gate(&input, COUNT, &mut lane);
+        let out = simulate_gate(&input, COUNT);
         assert_eq!(out.toggles, 0);
         assert_eq!(out.max_extent, 1);
         assert_eq!(out.words(), 3); // initial + transient + EOW
@@ -989,24 +1003,11 @@ mod tests {
     }
 
     #[test]
-    fn lane_counters_accumulate() {
-        let a = Waveform::from_toggles(false, &[100, 200]);
-        let (g, mem, ptrs) = single_gate("INV", &[a], Some(INV_SDF));
-        let ctx = Ctx::new(&g, vec![(0, 0)]);
-        let input = ctx.input(&g, &mem, &ptrs, SimFeatures::default(), 100);
-        let mut lane = LaneCounters::default();
-        simulate_gate(&input, COUNT, &mut lane);
-        assert!(lane.loads > 0);
-        assert!(lane.instructions > 0);
-        assert!(lane.stores > 0); // the TC write
-    }
-
-    #[test]
-    fn lane_counters_are_pinned_on_a_multi_pin_gate() {
+    fn launch_traffic_is_pinned_on_a_multi_pin_gate() {
         // Conditional arcs, a wire that filters narrow pulses, MSI and an
         // overflowing reservation on a 4-pin gate: the modeled profile is
-        // built from these counts, so how the kernel tallies them must not
-        // move them.
+        // built from these counts, so the words every mode reports and the
+        // traffic derived from them must not move.
         const SDF: &str = r#"(DELAYFILE
   (CELL (CELLTYPE "AOI22") (INSTANCE u)
     (DELAY (ABSOLUTE
@@ -1019,10 +1020,12 @@ mod tests {
         let a2 = Waveform::from_toggles(true, &[20, 30, 60, 61, 80]);
         let b1 = Waveform::from_toggles(false, &[15, 30, 45, 46, 47, 85]);
         let b2 = Waveform::from_toggles(true, &[25, 40, 55, 75, 95]);
-        let (g, mem, ptrs) = single_gate("AOI22", &[a1, a2, b1, b2], Some(SDF));
+        let waves = [a1, a2, b1, b2];
+        let input_words = waves.iter().map(|w| w.raw().len() as u64).sum();
+        let (g, mem, ptrs) = single_gate("AOI22", &waves, Some(SDF));
         let ctx = Ctx::new(&g, vec![(0, 0); 4]);
         let input = ctx.input(&g, &mem, &ptrs, SimFeatures::default(), 100);
-        let counts: Vec<(u64, u64, u64)> = [
+        let words: Vec<u32> = [
             COUNT,
             KernelMode::Store { out_base: 6000 },
             KernelMode::Speculative {
@@ -1031,14 +1034,27 @@ mod tests {
             },
         ]
         .into_iter()
-        .map(|mode| {
-            let mut lane = LaneCounters::default();
-            simulate_gate(&input, mode, &mut lane);
-            (lane.loads, lane.stores, lane.instructions)
-        })
+        .map(|mode| simulate_gate(&input, mode).words())
         .collect();
-        // (loads, stores, instructions) per mode.
-        assert_eq!(counts, [(58, 1, 226), (58, 9, 226), (58, 5, 226)]);
+        assert_eq!(words, [7; 3]);
+        let counts = LaunchCounts {
+            threads: 1,
+            pin_reads: 4,
+            input_words,
+            output_words: u64::from(words[0]),
+        };
+        let traffic: Vec<(u64, u64, u64)> = [(true, true), (false, true), (false, false)]
+            .into_iter()
+            .map(|(net_delay_filtering, full_sdf)| {
+                counts.traffic(SimFeatures {
+                    net_delay_filtering,
+                    full_sdf,
+                })
+            })
+            .collect();
+        // (loads, stores, instructions): full features, no net delay, and
+        // no net delay with no full SDF.
+        assert_eq!(traffic, [(63, 7, 176), (38, 7, 176), (33, 7, 176)]);
     }
 
     #[test]
@@ -1047,8 +1063,7 @@ mod tests {
         let (g, mem, ptrs) = single_gate("INV", &[a], Some(INV_SDF));
         let ctx = Ctx::new(&g, vec![(0, 0)]);
         let input = ctx.input(&g, &mem, &ptrs, SimFeatures::default(), 100);
-        let mut lane = LaneCounters::default();
-        let count = simulate_gate(&input, COUNT, &mut lane);
+        let count = simulate_gate(&input, COUNT);
         let base = 6000usize;
         let cap = 2usize;
         assert!(count.words() as usize > cap, "test needs a real overflow");
@@ -1061,7 +1076,6 @@ mod tests {
                 out_base: base,
                 cap,
             },
-            &mut lane,
         );
         // The overflowing run still counts exactly like the count pass...
         assert_eq!(spec, count, "overflow degrades to an exact count");
@@ -1081,7 +1095,6 @@ mod tests {
         let (g, mem, ptrs) = single_gate("INV", &[a], Some(INV_SDF));
         let ctx = Ctx::new(&g, vec![(0, 0)]);
         let input = ctx.input(&g, &mem, &ptrs, SimFeatures::default(), 100);
-        let mut lane = LaneCounters::default();
         let base = 6000usize;
         let sentinel = vec![0x5EED_i32; 16];
         mem.h2d(base, &sentinel);
@@ -1091,7 +1104,6 @@ mod tests {
                 out_base: base,
                 cap: 0,
             },
-            &mut lane,
         );
         assert!(spec.words() > 0);
         assert_eq!(mem.d2h(base, 16), sentinel, "zero-cap run touched memory");

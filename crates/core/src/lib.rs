@@ -81,7 +81,6 @@ mod result;
 mod schedule;
 mod session;
 mod sink;
-pub mod verify;
 
 pub use config::{SimConfig, SimFeatures};
 pub use error::CoreError;

@@ -18,15 +18,15 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use gatspi_gpu::{
-    AppPhaseProfile, Device, DeviceMemory, DeviceSpec, KernelProfile, LaneCounters, LaunchConfig,
-};
+use gatspi_gpu::{AppPhaseProfile, Device, DeviceMemory, DeviceSpec, KernelProfile, LaunchConfig};
 use gatspi_graph::{CircuitGraph, SignalId};
 use gatspi_sdf::NO_ARC;
 use gatspi_wave::saif::{SaifDocument, SaifRecord};
 use gatspi_wave::{SimTime, Waveform, EOW, INIT_ONE_MARKER};
 
-use crate::kernel::{simulate_gate, GateKernelInput, KernelMode, KernelOutput, MAX_KERNEL_PINS};
+use crate::kernel::{
+    simulate_gate, GateKernelInput, KernelMode, KernelOutput, LaunchCounts, MAX_KERNEL_PINS,
+};
 use crate::schedule::{slot, BatchScratch, ConeInfo, LevelSchedule};
 use crate::sink::{SaifSink, SpillSink, VcdSink, WaveformSink, WindowInfo};
 use crate::{CoreError, Result, SimConfig, SimResult};
@@ -1255,8 +1255,7 @@ impl Session {
         // pointers, then the kernel.
         let kernel = |ctx: &(GateKernelInput<'_>, [&[AtomicU32]; MAX_KERNEL_PINS], usize),
                       w: usize,
-                      mode: KernelMode,
-                      lane: &mut LaneCounters| {
+                      mode: KernelMode| {
             let (input, rows, _) = ctx;
             let n = input.desc.fanin as usize;
             let mut in_ptrs = [0u32; MAX_KERNEL_PINS];
@@ -1270,7 +1269,7 @@ impl Session {
                 in_ptrs: &in_ptrs[..n],
                 ..*input
             };
-            simulate_gate(&input, mode, lane)
+            simulate_gate(&input, mode)
         };
         // Folded publication: the storing thread publishes its own output's
         // pointer (the speculative pass already published its length) and
@@ -1304,7 +1303,7 @@ impl Session {
         // folds the level publish: its stored words into the length sum and
         // its hits' SAIF records; the block's hit slack goes into one waste
         // counter.
-        let spec = |level: usize, threads: Range<usize>, lane: &mut LaneCounters| {
+        let spec = |level: usize, threads: Range<usize>| {
             let ld = schedule.level(level);
             let mut slack = 0u64;
             let mut tid = threads.start;
@@ -1326,7 +1325,7 @@ impl Session {
                         out_base,
                         cap: cap as usize,
                     };
-                    let out = kernel(&ctx, w, mode, lane);
+                    let out = kernel(&ctx, w, mode);
                     // relaxed-ok: each thread writes only its own column
                     // entry; the scan reads it behind the launch join.
                     scratch.outs[col].store(out.pack(), Ordering::Relaxed);
@@ -1366,7 +1365,7 @@ impl Session {
         // re-runs an exact store at the base the post-level scan
         // re-allocated for it and adds its own SAIF record (its words were
         // summed by the speculative pass).
-        let repair = |level: usize, col: usize, lane: &mut LaneCounters| {
+        let repair = |level: usize, col: usize| {
             let ld = schedule.level(level);
             // relaxed-ok: the speculative pass's true packed output, behind
             // the launch join.
@@ -1383,7 +1382,7 @@ impl Session {
             // before this launch.
             let out_base = scratch.bases[col].load(Ordering::Relaxed) as usize;
             let w = col % nw;
-            let out = kernel(&ctx, w, KernelMode::Store { out_base }, lane);
+            let out = kernel(&ctx, w, KernelMode::Store { out_base });
             debug_assert_eq!(out.pack(), packed, "speculative and repair passes diverged");
             add_saif(ctx.2, publish(ctx.2, w, out_base));
         };
@@ -1392,45 +1391,76 @@ impl Session {
         // of its repair, whose thread `j` re-runs the `j`-th overflowed
         // column the pass recorded (in any order: each repair stores at the
         // base the scan gave its column).
-        let kernel = |pass: Pass, threads: Range<usize>, lane: &mut LaneCounters| match pass {
-            Pass::Spec(level) => spec(level, threads, lane),
+        let kernel = |pass: Pass, threads: Range<usize>| match pass {
+            Pass::Spec(level) => spec(level, threads),
             Pass::Repair(level) => threads.for_each(|j| {
                 // relaxed-ok: recorded by the speculative pass's threads
                 // behind its launch join, which precedes this launch.
                 let col = scratch.ovf[j].load(Ordering::Relaxed) as usize;
-                repair(level, col, lane)
+                repair(level, col)
             }),
+        };
+        // A joined launch's modeled profile, from counts the host holds: its
+        // geometry, its traffic and its working set — the input words its
+        // threads read plus the `fresh` output words allocated for it.
+        let model = |name: &str, counts: LaunchCounts, fresh: u64, wall: f64| {
+            let cfg = LaunchConfig {
+                threads: counts.threads as usize,
+                threads_per_block: self.config.threads_per_block,
+                regs_per_thread: self.config.regs_per_thread,
+                working_set_bytes: 4 * (counts.input_words + fresh),
+            };
+            KernelProfile::model(device.spec(), &cfg, counts.traffic(features), wall, name)
         };
         // One speculative store launch per level plus — only when some
         // reservation overflowed — a narrow exact repair launch over just
         // the overflowed threads, all on one worker set.
+        let tpb = self.config.threads_per_block;
         device.worker_set(kernel, |set| -> Result<()> {
             for level in 0..schedule.n_levels() {
-                let threads = schedule.level(level).gates() * nw;
-                let ws_in = schedule.level_ws(&scratch.len_sum, level);
+                let ld = schedule.level(level);
+                let threads = ld.gates() * nw;
+                let input_words = schedule.level_ws(&scratch.len_sum, level);
                 let reserved = host.advance_budgets(schedule, history, scratch, level, nw)?;
-                let cfg = LaunchConfig {
-                    threads,
-                    threads_per_block: self.config.threads_per_block,
-                    regs_per_thread: self.config.regs_per_thread,
-                    working_set_bytes: 4 * (ws_in + reserved),
-                };
-                profile.accumulate(&set.launch("resim_spec", &cfg, Pass::Spec(level)));
+                let wall = set.launch(threads, tpb, Pass::Spec(level));
                 launches += 1;
+                let output_words = (ld.gate_lo as usize..ld.gate_hi as usize)
+                    // relaxed-ok: the level's storing threads added these
+                    // sums before its launch joined.
+                    .map(|g| scratch.len_sum[schedule.out_sig(g)].load(Ordering::Relaxed))
+                    .sum();
+                let counts = LaunchCounts {
+                    threads: threads as u64,
+                    pin_reads: (schedule.level_pins(level).len() * nw) as u64,
+                    input_words,
+                    output_words,
+                };
+                profile.accumulate(&model("resim_spec", counts, reserved, wall));
                 let realloc =
                     host.advance_scan(scratch, threads, &mut overflow_cols, &mut tally)?;
                 if !overflow_cols.is_empty() {
                     // The speculative pass left every overflow's true packed
                     // count in the count column, so the repair is store-only
                     // — no second count pass.
-                    let rcfg = LaunchConfig {
-                        threads: overflow_cols.len(),
-                        threads_per_block: self.config.threads_per_block,
-                        regs_per_thread: self.config.regs_per_thread,
-                        working_set_bytes: 4 * (ws_in + realloc),
-                    };
-                    profile.accumulate(&set.launch("resim_repair", &rcfg, Pass::Repair(level)));
+                    let wall = set.launch(overflow_cols.len(), tpb, Pass::Repair(level));
                     launches += 1;
+                    let mut counts = LaunchCounts {
+                        threads: overflow_cols.len() as u64,
+                        pin_reads: 0,
+                        input_words: 0,
+                        output_words: realloc,
+                    };
+                    for &col in &overflow_cols {
+                        let pins = schedule.pins_of(ld.gate_lo as usize + col / nw);
+                        counts.pin_reads += pins.len() as u64;
+                        for &sig in pins {
+                            let len = &scratch.lens[slot(nw, sig as usize, col % nw)];
+                            // relaxed-ok: published by a lower level behind
+                            // a launch join that precedes this read.
+                            counts.input_words += u64::from(len.load(Ordering::Relaxed));
+                        }
+                    }
+                    profile.accumulate(&model("resim_repair", counts, realloc, wall));
                 }
             }
             Ok(())
@@ -2829,6 +2859,44 @@ mod tests {
         assert_eq!(warm.app_profile.overflow_repairs, 0);
         assert!(r.saif.diff(&warm.saif).is_empty());
         assert!(warm.app_profile.predicted_waste_words <= r.app_profile.predicted_waste_words);
+    }
+
+    /// Each launch's modeled traffic is [`LaunchCounts::traffic`] of the
+    /// counts the host holds after it: the level's threads, pins, published
+    /// input words and stored output words — and for a repair launch those
+    /// of its overflowed columns, with the words the scan re-allocated.
+    #[test]
+    fn modeled_traffic_reads_the_host_counts() {
+        let graph = inv_chain(4);
+        let sim = Session::new(graph, SimConfig::small().with_cycle_parallelism(1));
+        // The input stores 5 words; the inverters alternate 6 words (a
+        // value-1 start's marker first) and 5.
+        let stim = vec![Waveform::from_toggles(false, &[100, 200, 300])];
+        let features = SimConfig::small().features;
+        let level = |input_words, output_words| {
+            let counts = LaunchCounts {
+                threads: 1,
+                pin_reads: 1,
+                input_words,
+                output_words,
+            };
+            counts.traffic(features)
+        };
+        let total = |levels: &[(u64, u64, u64)]| {
+            let accesses = levels.iter().map(|t| t.0 + t.1).sum::<u64>();
+            (accesses, levels.iter().map(|t| t.2).sum::<u64>())
+        };
+        let spec = [level(5, 6), level(6, 5), level(5, 6), level(6, 5)];
+        let hit = sim.run(&stim, 400).unwrap().kernel_profile;
+        assert_eq!((hit.accesses, hit.instructions), total(&spec));
+        // A 2-word budget overflows every gate: each level adds a repair
+        // launch over its one column, which stores into even-aligned space.
+        sim.seed_extent_history(2);
+        let miss = sim.run(&stim, 400).unwrap().kernel_profile;
+        let repair = [level(5, 6), level(6, 6), level(5, 6), level(6, 6)];
+        let (sa, si) = total(&spec);
+        let (ra, ri) = total(&repair);
+        assert_eq!((miss.accesses, miss.instructions), (sa + ra, si + ri));
     }
 
     #[test]

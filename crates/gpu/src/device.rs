@@ -7,24 +7,28 @@ use crate::{DeviceMemory, DeviceSpec};
 /// # Example
 ///
 /// ```
-/// use gatspi_gpu::{Device, DeviceSpec, LaunchConfig};
+/// use gatspi_gpu::{Device, DeviceSpec, KernelProfile, LaunchConfig};
 ///
 /// let dev = Device::new(DeviceSpec::v100(), 1024);
 /// dev.memory().h2d(0, &[1, 2, 3, 4]);
-/// let cfg = LaunchConfig::for_threads(4);
-/// let profile = dev.worker_set(
-///     |(), threads, lane| {
+/// let wall = dev.worker_set(
+///     |(), threads| {
 ///         for tid in threads {
 ///             let v = dev.memory().load(tid);
 ///             dev.memory().store(tid, v * 2);
-///             lane.scattered_load();
-///             lane.scattered_store();
-///             lane.ops(2);
 ///         }
 ///     },
-///     |set| set.launch("double", &cfg, ()),
+///     |set| set.launch(4, 512, ()),
 /// );
 /// assert_eq!(dev.memory().d2h(0, 4), vec![2, 4, 6, 8]);
+/// // One load, one store and two instructions per thread.
+/// let cfg = LaunchConfig {
+///     threads: 4,
+///     threads_per_block: 512,
+///     regs_per_thread: 64,
+///     working_set_bytes: 32,
+/// };
+/// let profile = KernelProfile::model(dev.spec(), &cfg, (4, 4, 8), wall, "double");
 /// assert!(profile.modeled_seconds > 0.0);
 /// ```
 #[derive(Debug)]
@@ -79,29 +83,22 @@ impl Device {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{KernelProfile, LaneCounters, LaunchConfig};
+    use crate::{KernelProfile, LaunchConfig};
     use std::ops::Range;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Mutex;
 
-    /// One launch of `f` on a worker set of its own.
-    fn launch_once(
-        dev: &Device,
-        cfg: &LaunchConfig,
-        f: impl Fn(Range<usize>, &mut LaneCounters) + Sync,
-    ) -> KernelProfile {
-        dev.worker_set(
-            |(), threads, lane| f(threads, lane),
-            |set| set.launch("once", cfg, ()),
-        )
+    /// One launch of `f` over `threads` threads in blocks of `block` on a
+    /// worker set of its own.
+    fn launch_once(dev: &Device, threads: usize, block: u32, f: impl Fn(Range<usize>) + Sync) {
+        dev.worker_set(|(), t| f(t), |set| set.launch(threads, block, ()));
     }
 
     #[test]
     fn all_threads_execute_exactly_once() {
         let dev = Device::with_workers(DeviceSpec::v100(), 0, 4);
         let hits = AtomicU64::new(0);
-        let cfg = LaunchConfig::for_threads(10_000);
-        launch_once(&dev, &cfg, |threads, _lane| {
+        launch_once(&dev, 10_000, 512, |threads| {
             hits.fetch_add(threads.len() as u64, Ordering::Relaxed);
         });
         assert_eq!(hits.load(Ordering::Relaxed), 10_000);
@@ -115,13 +112,10 @@ mod tests {
         let dev = Device::with_workers(DeviceSpec::v100(), 0, 3);
         let block = 384usize;
         for n in [5000usize, 1000] {
-            let cfg = LaunchConfig {
-                threads: n,
-                threads_per_block: block as u32,
-                ..Default::default()
-            };
             let seen = Mutex::new(Vec::new());
-            launch_once(&dev, &cfg, |threads, _| seen.lock().unwrap().push(threads));
+            launch_once(&dev, n, block as u32, |threads| {
+                seen.lock().unwrap().push(threads)
+            });
             let mut seen = seen.into_inner().unwrap();
             seen.sort_by_key(|r| r.start);
             let blocks: Vec<_> = (0..n.div_ceil(block))
@@ -134,35 +128,30 @@ mod tests {
     #[test]
     fn zero_threads_per_block_runs_blocks_of_one() {
         let dev = Device::with_workers(DeviceSpec::v100(), 0, 2);
-        let cfg = LaunchConfig {
-            threads: 3,
-            threads_per_block: 0,
-            ..Default::default()
-        };
         let seen = Mutex::new(Vec::new());
-        launch_once(&dev, &cfg, |threads, _| seen.lock().unwrap().push(threads));
+        launch_once(&dev, 3, 0, |threads| seen.lock().unwrap().push(threads));
         let mut seen = seen.into_inner().unwrap();
         seen.sort_by_key(|r| r.start);
         assert_eq!(seen, [0..1, 1..2, 2..3]);
     }
 
+    /// A launch's measured wall and the traffic its caller counted flow
+    /// into the profile the device's spec models.
     #[test]
     fn counters_flow_into_profile() {
         let dev = Device::with_workers(DeviceSpec::v100(), 0, 2);
         let cfg = LaunchConfig {
             threads: 6000,
+            threads_per_block: 512,
+            regs_per_thread: 64,
             working_set_bytes: 1 << 20,
-            ..Default::default()
         };
-        let p = launch_once(&dev, &cfg, |threads, lane| {
-            for _ in threads {
-                lane.scattered_load();
-                lane.ops(3);
-            }
-        });
+        let wall = dev.worker_set(|(), _| {}, |set| set.launch(cfg.threads, 512, ()));
+        let p = KernelProfile::model(dev.spec(), &cfg, (6000, 0, 18_000), wall, "k");
         assert_eq!(p.accesses, 6000);
         assert_eq!(p.instructions, 18_000);
         assert_eq!(p.uncoalesced_pct, 100.0);
+        assert_eq!(p.wall_seconds, wall);
         assert!(p.modeled_seconds >= dev.spec().launch_overhead);
     }
 
@@ -171,9 +160,8 @@ mod tests {
         // Wide enough for the worker set's helpers, so the panic may cross
         // the launch join.
         let dev = Device::with_workers(DeviceSpec::v100(), 0, 2);
-        let cfg = LaunchConfig::for_threads(10_000);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            launch_once(&dev, &cfg, |threads, _| {
+            launch_once(&dev, 10_000, 512, |threads| {
                 if threads.start == 5 * 512 {
                     panic!("block 5 failed");
                 }
@@ -190,10 +178,7 @@ mod tests {
     #[test]
     fn zero_thread_launch_is_empty() {
         let dev = Device::with_workers(DeviceSpec::t4(), 0, 2);
-        let p = launch_once(&dev, &LaunchConfig::for_threads(0), |_, _| {
-            panic!("must not run")
-        });
-        assert_eq!(p.threads, 0);
+        launch_once(&dev, 0, 512, |_| panic!("must not run"));
     }
 
     #[test]

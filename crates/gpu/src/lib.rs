@@ -11,14 +11,17 @@
 //!   host↔device transfer accounting (PCIe model), shared-safely accessible
 //!   from concurrent kernel threads via relaxed atomics.
 //! * [`Device::worker_set`] — CUDA-style kernel launches: each
-//!   [`WorkerSet::launch`] runs a grid of blocks of logical threads (warp
-//!   size 32) functionally on host worker threads, with per-launch
-//!   wall-clock measurement **and** a cycle-approximate performance model
-//!   ([`KernelProfile`]) that responds to the same tuning knobs the paper
-//!   studies (threads/block, registers/thread, working-set vs L2 capacity,
-//!   coalescing). A launch of two or more blocks wakes the set's helper
-//!   threads and runs blocks on the calling thread too, so a sequence of
-//!   launches on one set spawns threads only at its first multi-block one.
+//!   [`WorkerSet::launch`] runs a grid of blocks of logical threads
+//!   functionally on host worker threads and returns its measured wall. A
+//!   launch of two or more blocks wakes the set's helper threads and runs
+//!   blocks on the calling thread too, so a sequence of launches on one
+//!   set spawns threads only at its first multi-block one.
+//! * [`KernelProfile::model`] — a cycle-approximate performance model: a
+//!   pure function of a launch's geometry ([`LaunchConfig`]), its traffic
+//!   (loads, stores, instructions — counts the caller holds after the
+//!   launch) and its measured wall, which responds to the tuning knobs the
+//!   paper studies (threads/block, registers/thread, working-set vs L2
+//!   capacity).
 //! * [`MultiGpu`] — an n-device fleet a session spreads its cycle-parallel
 //!   windows across, with the paper's `t = t₁/n + ovr` behaviour.
 //!
@@ -28,7 +31,6 @@
 #![deny(missing_docs)]
 
 mod device;
-mod launch;
 mod memory;
 mod multi;
 mod perfmodel;
@@ -37,13 +39,9 @@ mod spec;
 mod workers;
 
 pub use device::Device;
-pub use launch::{LaneCounters, LaunchConfig};
 pub use memory::DeviceMemory;
 pub use multi::MultiGpu;
-pub use perfmodel::KernelProfile;
+pub use perfmodel::{KernelProfile, LaunchConfig};
 pub use profiler::AppPhaseProfile;
 pub use spec::DeviceSpec;
 pub use workers::WorkerSet;
-
-/// Threads per warp — fixed at 32, as on all NVIDIA architectures.
-pub const WARP_SIZE: usize = 32;

@@ -4,9 +4,9 @@
 //! window batch's level loop — and every [`WorkerSet::launch`] of it runs
 //! on the same helper threads. A launch of two or more blocks wakes the
 //! helpers, the calling thread runs blocks alongside them off one atomic
-//! block cursor, and the launch returns once every block has finished, its
-//! lane counters summed at that join. A one-block launch, or any launch on
-//! a one-worker device, runs inline on the calling thread. The helpers are
+//! block cursor, and the launch returns its measured wall once every block
+//! has finished. A one-block launch, or any launch on a one-worker device,
+//! runs inline on the calling thread. The helpers are
 //! spawned at the set's first multi-block launch and block on a condition
 //! variable between launches; they never spin.
 //!
@@ -22,13 +22,11 @@ use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{Scope, ScopedJoinHandle};
 use std::time::Instant;
 
-use crate::perfmodel::model_launch;
-use crate::{Device, KernelProfile, LaneCounters, LaunchConfig};
+use crate::Device;
 
 /// The kernel a worker set runs: called once per block with the launch's
-/// argument, the block's thread range and the counters of the thread
-/// running it.
-type Kernel<'env, J> = dyn Fn(J, Range<usize>, &mut LaneCounters) + Sync + 'env;
+/// argument and the block's thread range.
+type Kernel<'env, J> = dyn Fn(J, Range<usize>) + Sync + 'env;
 
 /// One launch's argument and geometry.
 #[derive(Clone, Copy)]
@@ -48,7 +46,7 @@ impl<J: Copy> Launch<J> {
 
     /// Claims blocks off `next` and runs them until the cursor passes the
     /// last one.
-    fn run(&self, kernel: &Kernel<'_, J>, next: &AtomicUsize, lane: &mut LaneCounters) {
+    fn run(&self, kernel: &Kernel<'_, J>, next: &AtomicUsize) {
         loop {
             // relaxed-ok: the cursor only partitions blocks (each claim
             // gets a unique `b`); the set's lock publishes the kernel's
@@ -57,7 +55,7 @@ impl<J: Copy> Launch<J> {
             if b >= self.blocks {
                 break;
             }
-            kernel(self.arg, self.range(b), lane);
+            kernel(self.arg, self.range(b));
         }
     }
 }
@@ -71,8 +69,6 @@ struct State<J> {
     open: Option<Launch<J>>,
     /// Helpers that joined the open launch and have not checked out.
     active: usize,
-    /// The counters of the helpers that checked out of the open launch.
-    lanes: LaneCounters,
     /// A helper panicked in the open launch.
     failed: bool,
     /// The set is closing: helpers return.
@@ -102,13 +98,11 @@ impl<J> Shared<J> {
 /// helper out, so the launch join never waits for a thread that died.
 struct Checkout<'a, J> {
     shared: &'a Shared<J>,
-    lane: LaneCounters,
 }
 
 impl<J> Drop for Checkout<'_, J> {
     fn drop(&mut self) {
         let mut st = self.shared.lock();
-        st.lanes += self.lane;
         st.failed |= std::thread::panicking();
         st.active -= 1;
         if st.active == 0 {
@@ -137,11 +131,8 @@ fn help<J: Copy>(shared: &Shared<J>, kernel: &Kernel<'_, J>) {
             st.active += 1;
             launch
         };
-        let mut checkout = Checkout {
-            shared,
-            lane: LaneCounters::default(),
-        };
-        launch.run(kernel, &shared.next, &mut checkout.lane);
+        let _checkout = Checkout { shared };
+        launch.run(kernel, &shared.next);
     }
 }
 
@@ -156,18 +147,20 @@ pub struct WorkerSet<'scope, 'env, J> {
 }
 
 impl<J: Copy + Send> WorkerSet<'_, '_, J> {
-    /// Launches the set's kernel over logical threads `0..cfg.threads` in
-    /// blocks of `cfg.threads_per_block` (a 0 reads as 1): the kernel is
+    /// Launches the set's kernel over logical threads `0..threads` in
+    /// blocks of `threads_per_block` (a 0 reads as 1): the kernel is
     /// called once per *block* with `arg` and the block's thread range, and
     /// runs every thread of it. A block is the unit that lands on one SM,
     /// and here the unit of scheduling across host workers, so a kernel can
     /// hoist whatever its threads share out of the per-thread loop. The
-    /// ranges partition `0..cfg.threads` (only the last block may be
-    /// short) and run in any order. Two or more blocks run on the calling
-    /// thread and the set's helpers, up to the device's
+    /// ranges partition `0..threads` (only the last block may be short)
+    /// and run in any order. Two or more blocks run on the calling thread
+    /// and the set's helpers, up to the device's
     /// [`workers`](Device::workers) threads; one block runs inline.
-    /// Returns once every block has finished, with the launch's
-    /// measured-plus-modeled [`KernelProfile`].
+    /// Returns once every block has finished, with the launch's measured
+    /// wall in seconds; the caller models the launch
+    /// ([`KernelProfile::model`](crate::KernelProfile::model)) from counts
+    /// it holds.
     ///
     /// Kernel code must write disjoint memory regions per thread (GATSPI
     /// guarantees this by pre-assigning output waveform pointers); anything
@@ -177,20 +170,19 @@ impl<J: Copy + Send> WorkerSet<'_, '_, J> {
     /// # Panics
     ///
     /// Re-raises the panic of any block, with its payload.
-    pub fn launch(&mut self, name: &str, cfg: &LaunchConfig, arg: J) -> KernelProfile {
+    pub fn launch(&mut self, threads: usize, threads_per_block: u32, arg: J) -> f64 {
         let t0 = Instant::now();
-        let block = cfg.threads_per_block.max(1) as usize;
+        let block = threads_per_block.max(1) as usize;
         let launch = Launch {
             arg,
-            threads: cfg.threads,
+            threads,
             block,
-            blocks: cfg.threads.div_ceil(block),
+            blocks: threads.div_ceil(block),
         };
-        let mut lanes = LaneCounters::default();
         let helpers = self.device.workers().min(launch.blocks).saturating_sub(1);
         if helpers == 0 {
             for b in 0..launch.blocks {
-                (self.kernel)(arg, launch.range(b), &mut lanes);
+                (self.kernel)(arg, launch.range(b));
             }
         } else {
             while self.helpers.len() < helpers {
@@ -210,7 +202,7 @@ impl<J: Copy + Send> WorkerSet<'_, '_, J> {
             for _ in 0..helpers {
                 self.shared.wake.notify_one();
             }
-            launch.run(self.kernel, &self.shared.next, &mut lanes);
+            launch.run(self.kernel, &self.shared.next);
             let mut st = self.shared.lock();
             while st.active > 0 {
                 st = self
@@ -220,15 +212,12 @@ impl<J: Copy + Send> WorkerSet<'_, '_, J> {
                     .unwrap_or_else(PoisonError::into_inner);
             }
             st.open = None;
-            lanes += std::mem::take(&mut st.lanes);
             if std::mem::take(&mut st.failed) {
                 drop(st);
                 self.rethrow();
             }
         }
-        let wall = t0.elapsed().as_secs_f64();
-        let counters = (lanes.loads, lanes.stores, lanes.instructions);
-        model_launch(self.device.spec(), cfg, counters, wall, name)
+        t0.elapsed().as_secs_f64()
     }
 
     /// Closes the set after a helper's panic, joins every helper and
@@ -267,7 +256,7 @@ impl Device {
     /// Opens a [`WorkerSet`] running `kernel` and hands it to `body`: every
     /// launch `body` makes reuses the set's helpers, which start at its
     /// first multi-block launch and are joined when `body` returns.
-    /// `kernel(arg, threads, lane)` is called once per block with the
+    /// `kernel(arg, threads)` is called once per block with the
     /// launch's `arg`; per-launch data lives in `arg` or behind the
     /// kernel's own borrows, which outlive the set.
     pub fn worker_set<J, K, R>(
@@ -277,14 +266,13 @@ impl Device {
     ) -> R
     where
         J: Copy + Send,
-        K: Fn(J, Range<usize>, &mut LaneCounters) + Sync,
+        K: Fn(J, Range<usize>) + Sync,
     {
         let shared = Shared {
             state: Mutex::new(State {
                 epoch: 0,
                 open: None,
                 active: 0,
-                lanes: LaneCounters::default(),
                 failed: false,
                 closing: false,
             }),
@@ -358,12 +346,9 @@ mod tests {
         }
     }
 
-    fn blocks(n: usize) -> LaunchConfig {
-        LaunchConfig {
-            threads: n * 64,
-            threads_per_block: 64,
-            ..Default::default()
-        }
+    /// Launches `n` blocks of 64 threads on `set`.
+    fn blocks<J: Copy + Send>(set: &mut WorkerSet<'_, '_, J>, n: usize, arg: J) -> f64 {
+        set.launch(n * 64, 64, arg)
     }
 
     #[test]
@@ -372,39 +357,46 @@ mod tests {
         let me = thread::current().id();
         let ids = Mutex::new(Vec::new());
         let meet = Rendezvous::new(2);
-        let kernel = |two: bool, _, _: &mut LaneCounters| {
+        let kernel = |two: bool, _| {
             ids.lock().unwrap().push(thread::current().id());
             if two {
                 meet.arrive();
             }
         };
         dev.worker_set(kernel, |set| {
-            set.launch("two", &blocks(2), true);
+            blocks(set, 2, true);
             let two = std::mem::take(&mut *ids.lock().unwrap());
             assert_eq!(two.len(), 2);
             assert_ne!(two[0], two[1], "a helper ran the second block");
             assert!(two.contains(&me), "the calling thread ran a block");
-            set.launch("one", &blocks(1), false);
+            blocks(set, 1, false);
         });
         assert_eq!(ids.into_inner().unwrap(), [me]);
     }
 
-    /// Every launch of one set runs each block once and sums every
-    /// thread's counters, on at most `workers` threads in all: the helpers
-    /// the first multi-block launch spawned serve every later one.
+    /// Every launch of one set runs every thread of its blocks once, on at
+    /// most `workers` threads in all: the helpers the first multi-block
+    /// launch spawned serve every later one.
     #[test]
     fn launches_of_one_set_reuse_its_helpers() {
         let dev = Device::with_workers(DeviceSpec::v100(), 0, 3);
         let ids = Mutex::new(std::collections::HashSet::<ThreadId>::new());
-        let kernel = |salt: usize, threads: Range<usize>, lane: &mut LaneCounters| {
+        let ran = AtomicUsize::new(0);
+        // The first launch's first two blocks meet, so a helper runs one.
+        let meet = Rendezvous::new(2);
+        let kernel = |salt: usize, threads: Range<usize>| {
             ids.lock().unwrap().insert(thread::current().id());
-            lane.ops((threads.len() * salt) as u64);
+            ran.fetch_add(threads.len() * salt, Ordering::Relaxed);
+            if salt == 1 {
+                meet.arrive();
+            }
         };
         dev.worker_set(kernel, |set| {
             for i in 0..40 {
                 let n = [6, 1, 2, 9][i % 4];
-                let p = set.launch("reuse", &blocks(n), i + 1);
-                assert_eq!(p.instructions, (n * 64 * (i + 1)) as u64, "launch {i}");
+                blocks(set, n, i + 1);
+                let ran = ran.swap(0, Ordering::Relaxed);
+                assert_eq!(ran, n * 64 * (i + 1), "launch {i}");
             }
         });
         let n = ids.into_inner().unwrap().len();
@@ -417,20 +409,23 @@ mod tests {
             let dev = Device::with_workers(DeviceSpec::v100(), 0, 2);
             let me = thread::current().id();
             let meet = Rendezvous::new(2);
-            let kernel = |(), _, _: &mut LaneCounters| {
+            let kernel = |(), _| {
                 meet.arrive();
                 if thread::current().id() != me {
                     panic!("helper block failed");
                 }
             };
             let caught = catch_unwind(AssertUnwindSafe(|| {
-                dev.worker_set(kernel, |set| set.launch("boom", &blocks(2), ()))
+                dev.worker_set(kernel, |set| blocks(set, 2, ()))
             }));
-            let count = |(), t: Range<usize>, lane: &mut LaneCounters| lane.ops(t.len() as u64);
-            let after = dev.worker_set(count, |set| set.launch("after", &blocks(4), ()));
+            let ran = AtomicUsize::new(0);
+            let count = |(), t: Range<usize>| {
+                ran.fetch_add(t.len(), Ordering::Relaxed);
+            };
+            dev.worker_set(count, |set| blocks(set, 4, ()));
             (
                 text(caught.expect_err("the launch panics")),
-                after.instructions,
+                ran.into_inner(),
             )
         });
         assert_eq!(msg, "helper block failed");
@@ -443,7 +438,7 @@ mod tests {
             let dev = Device::with_workers(DeviceSpec::v100(), 0, 2);
             let me = thread::current().id();
             let meet = Rendezvous::new(2);
-            let kernel = |(), _, _: &mut LaneCounters| {
+            let kernel = |(), _| {
                 meet.arrive();
                 if thread::current().id() == me {
                     panic!("caller block failed");
@@ -452,7 +447,7 @@ mod tests {
                 thread::sleep(Duration::from_millis(50));
             };
             let caught = catch_unwind(AssertUnwindSafe(|| {
-                dev.worker_set(kernel, |set| set.launch("boom", &blocks(2), ()))
+                dev.worker_set(kernel, |set| blocks(set, 2, ()))
             }));
             text(caught.expect_err("the launch panics"))
         });
@@ -467,9 +462,9 @@ mod tests {
             let dev = Device::with_workers(DeviceSpec::v100(), 0, 2);
             let caught = catch_unwind(AssertUnwindSafe(|| {
                 dev.worker_set(
-                    |(), _, _| {},
+                    |(), _| {},
                     |set| {
-                        set.launch("first", &blocks(8), ());
+                        blocks(set, 8, ());
                         panic!("host step failed");
                     },
                 )

@@ -51,37 +51,26 @@ const REQUIRED_ARTIFACTS: &[&str] = &[
 /// Entry point of the `bench-check` task.
 pub fn bench_check() -> ExitCode {
     let root = crate::workspace_root();
-    let mut errors = Vec::new();
-    let mut checked = 0usize;
-    for name in REQUIRED_ARTIFACTS {
-        let path = root.join(name);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                errors.push(format!("{name}: unreadable ({e})"));
-                continue;
-            }
-        };
-        checked += 1;
-        errors.extend(check_artifact(name, &text));
-    }
+    let mut names: Vec<String> = REQUIRED_ARTIFACTS.iter().map(|n| n.to_string()).collect();
     // Artifacts beyond the required set still must be well-formed.
     if let Ok(entries) = std::fs::read_dir(&root) {
-        for entry in entries.flatten() {
-            let file = entry.file_name();
-            let file = file.to_string_lossy();
-            if file.starts_with("BENCH_")
-                && file.ends_with(".json")
-                && !REQUIRED_ARTIFACTS.contains(&file.as_ref())
-            {
-                match std::fs::read_to_string(entry.path()) {
-                    Ok(text) => {
-                        checked += 1;
-                        errors.extend(check_artifact(&file, &text));
-                    }
-                    Err(e) => errors.push(format!("{file}: unreadable ({e})")),
-                }
+        names.extend(
+            entries
+                .flatten()
+                .map(|entry| entry.file_name().to_string_lossy().into_owned())
+                .filter(|file| file.starts_with("BENCH_") && file.ends_with(".json"))
+                .filter(|file| !REQUIRED_ARTIFACTS.contains(&file.as_str())),
+        );
+    }
+    let mut errors = Vec::new();
+    let mut checked = 0usize;
+    for name in &names {
+        match std::fs::read_to_string(root.join(name)) {
+            Ok(text) => {
+                checked += 1;
+                errors.extend(check_artifact(name, &text));
             }
+            Err(e) => errors.push(format!("{name}: unreadable ({e})")),
         }
     }
     if errors.is_empty() {

@@ -1,7 +1,8 @@
 //! `gate`: every check a change must pass before review, in CI's order —
 //! build, tier-1 tests, the benchmark package's tests, the examples' smoke
 //! runs (`multi_gpu_scan` twice, its two outputs compared), clippy,
-//! rustfmt, bench compilation, rustdoc, `analyze` and `bench-check`. Each
+//! rustfmt, bench compilation, Table 2's SAIF bit-exactness check (its
+//! bench at `GATSPI_SCALE=0.1`), rustdoc, `analyze` and `bench-check`. Each
 //! gate's wall is printed as it finishes; the first failure stops the run
 //! with a non-zero exit.
 
@@ -73,6 +74,10 @@ const GATES: &[(&str, Step)] = &[
     ),
     ("fmt", Step::Cargo(&["fmt", "--check"], &[])),
     ("benches compile", Step::Cargo(&["bench", "--no-run"], &[])),
+    (
+        "table 2 bit-exactness",
+        Step::Cargo(&["bench", "--bench", "table2"], &[("GATSPI_SCALE", "0.1")]),
+    ),
     (
         "doc",
         Step::Cargo(&["doc", "--no-deps"], &[("RUSTDOCFLAGS", "-D warnings")]),

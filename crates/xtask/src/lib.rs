@@ -32,8 +32,9 @@
 //!
 //! Runs the checks every change must pass, in CI's order — build, tests,
 //! the benchmark package's tests, clippy, rustfmt, bench compilation,
-//! rustdoc, `analyze`, `bench-check` — printing each one's wall and
-//! stopping at the first failure (see [`mod@gate`]).
+//! Table 2's SAIF bit-exactness check, rustdoc, `analyze`, `bench-check` —
+//! printing each one's wall and stopping at the first failure (see
+//! [`mod@gate`]).
 //!
 //! # `loc [DIR…]`
 //!

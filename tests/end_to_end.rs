@@ -4,7 +4,8 @@
 
 use std::sync::Arc;
 
-use gatspi_core::{Session, SimConfig};
+use gatspi_core::{Session, SimConfig, SimFeatures};
+use gatspi_gpu::{DeviceSpec, KernelProfile, MultiGpu};
 use gatspi_graph::{CircuitGraph, GraphOptions};
 use gatspi_netlist::{verilog, CellLibrary};
 use gatspi_refsim::{EventSimulator, RefConfig};
@@ -14,6 +15,7 @@ use gatspi_wave::{vcd, Waveform};
 use gatspi_workloads::circuits::int_adder_array;
 use gatspi_workloads::sdfgen::{attach_sdf, SdfGenConfig};
 use gatspi_workloads::stimuli::{generate, StimulusConfig};
+use gatspi_workloads::suite::{representative_suite, BuiltBenchmark};
 
 /// Full pipeline with all interchange formats serialized and re-parsed.
 #[test]
@@ -193,4 +195,67 @@ fn net_filtering_reduces_toggles() {
             .total_toggles()
     };
     assert!(run(false) >= run(true));
+}
+
+/// The modeled kernel profile keeps the paper's trends on its
+/// representative benchmarks: Table 7's feature ablations never cost
+/// kernel time, Table 6's 32-register configuration spills (a lower L1 hit
+/// rate and a slower kernel than 64 registers), and Fig. 6's four-A100
+/// fleet beats one A100.
+#[test]
+fn modeled_profile_keeps_the_paper_trends() {
+    // Paper tuning {32, 512, 64}, with 16 MB arenas.
+    let base = |b: &BuiltBenchmark| SimConfig {
+        memory_words: 4 << 20,
+        ..SimConfig::default().with_window_align(b.cycle_time)
+    };
+    let profile = |b: &BuiltBenchmark, cfg: SimConfig, gpus: usize| -> KernelProfile {
+        let fleet = MultiGpu::new(cfg.device.clone(), gpus, cfg.memory_words);
+        Session::with_devices(Arc::clone(&b.graph), cfg, fleet.devices().to_vec())
+            .run(&b.stimuli, b.duration)
+            .expect("run")
+            .kernel_profile
+    };
+    let reps: Vec<BuiltBenchmark> = representative_suite()
+        .iter()
+        .map(|def| def.build_at_scale(0.1))
+        .collect();
+    for b in &reps {
+        let seconds: Vec<f64> = [(true, true), (false, true), (false, false)]
+            .into_iter()
+            .map(|(net_delay_filtering, full_sdf)| {
+                let cfg = SimConfig {
+                    features: SimFeatures {
+                        net_delay_filtering,
+                        full_sdf,
+                    },
+                    ..base(b)
+                };
+                profile(b, cfg, 1).modeled_seconds
+            })
+            .collect();
+        assert!(
+            seconds[0] >= seconds[1] && seconds[1] >= seconds[2],
+            "{}: full, no net delay, no net delay + no full SDF = {seconds:?}",
+            b.label()
+        );
+    }
+
+    let high = &reps[2];
+    let cfg = base(high);
+    let regs = |regs_per_thread| SimConfig {
+        regs_per_thread,
+        ..cfg.clone()
+    };
+    let (r32, r64) = (profile(high, regs(32), 1), profile(high, regs(64), 1));
+    assert!(r32.l1_hit_pct < r64.l1_hit_pct, "{r32:?} vs {r64:?}");
+    assert!(
+        r32.modeled_seconds > r64.modeled_seconds,
+        "{r32:?} vs {r64:?}"
+    );
+
+    let a100 = cfg.with_device(DeviceSpec::a100());
+    let one = profile(high, a100.clone(), 1).modeled_seconds;
+    let four = profile(high, a100, 4).modeled_seconds;
+    assert!(four < one, "4 × A100 {four} s vs 1 × A100 {one} s");
 }

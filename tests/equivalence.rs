@@ -7,7 +7,6 @@
 
 use std::sync::Arc;
 
-use gatspi_core::verify::spot_check_waveforms;
 use gatspi_core::{RunOptions, Session, SimConfig};
 use gatspi_gpu::{Device, DeviceSpec, MultiGpu};
 use gatspi_graph::{CircuitGraph, GraphOptions};
@@ -35,6 +34,84 @@ fn reference(b: &BuiltBenchmark) -> gatspi_refsim::RefResult {
     EventSimulator::new(&b.graph, RefConfig::default())
         .run(&b.stimuli, b.duration)
         .expect("reference run")
+}
+
+/// Outcome of a waveform spot-check.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct VerifyReport {
+    /// Human-readable mismatch descriptions; empty means verified.
+    mismatches: Vec<String>,
+    /// Signals compared.
+    compared: usize,
+}
+
+impl VerifyReport {
+    /// Whether everything matched.
+    fn passed(&self) -> bool {
+        self.mismatches.is_empty()
+    }
+}
+
+/// Spot-checks full waveforms of selected signals: `pairs` yields
+/// `(name, ours, reference)` triples.
+fn spot_check_waveforms<'a>(
+    pairs: impl IntoIterator<Item = (&'a str, &'a Waveform, &'a Waveform)>,
+) -> VerifyReport {
+    let mut mismatches = Vec::new();
+    let mut compared = 0;
+    for (name, a, b) in pairs {
+        compared += 1;
+        if a != b {
+            let detail = first_divergence(a, b)
+                .map(|t| format!("first divergence at t={t}"))
+                .unwrap_or_else(|| "shape differs".to_string());
+            mismatches.push(format!(
+                "signal `{name}`: {} vs {} toggles, {detail}",
+                a.toggle_count(),
+                b.toggle_count()
+            ));
+        }
+    }
+    VerifyReport {
+        mismatches,
+        compared,
+    }
+}
+
+/// Finds the earliest time at which two waveforms hold different values, if
+/// any (they may still differ later in toggle times beyond both EOWs).
+fn first_divergence(a: &Waveform, b: &Waveform) -> Option<i32> {
+    if a.initial_value() != b.initial_value() {
+        return Some(0);
+    }
+    // Walk the merged toggle timeline.
+    let mut times: Vec<i32> = a.iter().chain(b.iter()).map(|(t, _)| t).collect();
+    times.sort_unstable();
+    times.dedup();
+    times.into_iter().find(|&t| a.value_at(t) != b.value_at(t))
+}
+
+#[test]
+fn spot_check_reports_divergence_time() {
+    let a = Waveform::from_toggles(false, &[5, 9]);
+    let b = Waveform::from_toggles(false, &[5, 11]);
+    let r = spot_check_waveforms([("n1", &a, &b)]);
+    assert!(!r.passed());
+    assert!(r.mismatches[0].contains("t=9"));
+    let ok = spot_check_waveforms([("n1", &a, &a)]);
+    assert!(ok.passed());
+    assert_eq!(ok.compared, 1);
+}
+
+#[test]
+fn divergence_cases() {
+    let a = Waveform::from_toggles(true, &[5]);
+    let b = Waveform::from_toggles(false, &[5]);
+    assert_eq!(first_divergence(&a, &b), Some(0));
+    let c = Waveform::from_toggles(false, &[5]);
+    let d = Waveform::from_toggles(false, &[7]);
+    assert_eq!(first_divergence(&c, &d), Some(5));
+    assert_eq!(first_divergence(&c, &c), None);
 }
 
 /// Every suite row, windowed GATSPI vs event-driven reference: SAIF must be
