@@ -71,6 +71,11 @@ fn main() {
             "GATSPI re-sim turnaround".into(),
             secs(report.gatspi_seconds),
         ],
+        vec!["fix search".into(), secs(report.fix_search_seconds)],
+        vec![
+            "analysis (estimate + classify)".into(),
+            secs(report.analysis_seconds),
+        ],
         vec![
             "baseline re-sim turnaround".into(),
             report.baseline_seconds.map(secs).unwrap_or_default(),
@@ -196,9 +201,11 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"target\": \"glitch_flow\",\n  \"gates\": {},\n  \"gatspi_seconds\": {:.6},\n  \"baseline_seconds\": {},\n  \"turnaround_speedup\": {},\n  \"saving_pct\": {:.4},\n  \"glitch_toggles_before\": {},\n  \"glitch_toggles_after\": {},\n  \"resim_wall\": {:.6},\n  \"launches\": {},\n  \"drain_seconds\": {:.6},\n  \"d2h_batches\": {},\n  \"spill_d2h_bytes\": {},\n  \"incremental_resim_wall\": {:.6},\n  \"incremental_speedup\": {:.3},\n  \"incremental_changed_gates\": {},\n  \"plan_cache_hits\": {},\n  \"plan_cache_misses\": {},\n  \"cone_plan_hits\": {},\n  \"cone_plan_misses\": {},\n  \"speculative_hit_rate\": {:.4},\n  \"overflow_repairs\": {},\n  \"predicted_waste_words\": {},\n  \"oom_retries\": {}\n}}\n",
+        "{{\n  \"target\": \"glitch_flow\",\n  \"gates\": {},\n  \"gatspi_seconds\": {:.6},\n  \"fix_search_seconds\": {:.6},\n  \"analysis_seconds\": {:.6},\n  \"baseline_seconds\": {},\n  \"turnaround_speedup\": {},\n  \"saving_pct\": {:.4},\n  \"glitch_toggles_before\": {},\n  \"glitch_toggles_after\": {},\n  \"resim_wall\": {:.6},\n  \"launches\": {},\n  \"drain_seconds\": {:.6},\n  \"d2h_batches\": {},\n  \"spill_d2h_bytes\": {},\n  \"incremental_resim_wall\": {:.6},\n  \"incremental_speedup\": {:.3},\n  \"incremental_changed_gates\": {},\n  \"plan_cache_hits\": {},\n  \"plan_cache_misses\": {},\n  \"cone_plan_hits\": {},\n  \"cone_plan_misses\": {},\n  \"speculative_hit_rate\": {:.4},\n  \"overflow_repairs\": {},\n  \"predicted_waste_words\": {},\n  \"oom_retries\": {}\n}}\n",
         netlist.gate_count(),
         report.gatspi_seconds,
+        report.fix_search_seconds,
+        report.analysis_seconds,
         report
             .baseline_seconds
             .map(|s| format!("{s:.6}"))

@@ -1,7 +1,10 @@
+use std::sync::Arc;
+
 use gatspi_gpu::{AppPhaseProfile, KernelProfile};
 use gatspi_wave::saif::SaifDocument;
 use gatspi_wave::{SimTime, Waveform, EOW, INIT_ONE_MARKER};
 
+use crate::schedule::ConeInfo;
 use crate::sink::SpillSink;
 use crate::{CoreError, Result};
 
@@ -25,6 +28,8 @@ pub struct SimResult {
     pub(crate) duration: SimTime,
     pub(crate) segments: usize,
     pub(crate) spilled: Option<SpillSink>,
+    /// The cone an incremental run recomputed; `None` for a full run.
+    pub(crate) recomputed: Option<Arc<ConeInfo>>,
 }
 
 impl SimResult {
@@ -46,6 +51,16 @@ impl SimResult {
     /// Panics if `signal` is out of range.
     pub fn toggle_count(&self, signal: usize) -> u64 {
         self.toggle_counts[signal]
+    }
+
+    /// Which signals this run recomputed, as one flag per signal: `None`
+    /// for a full run (every signal), the fan-out cone of the changed
+    /// gates for [`Session::run_incremental`](crate::Session::run_incremental).
+    /// Every other signal's activity and waveform is the `prev` run's, so
+    /// for a chained incremental run the set is relative to the `prev` it
+    /// was given.
+    pub fn recomputed_signals(&self) -> Option<&[bool]> {
+        self.recomputed.as_deref().map(|cone| cone.sigs.as_slice())
     }
 
     /// Sum of toggles over all signals.

@@ -788,6 +788,7 @@ impl Session {
             duration,
             segments: totals.segments.max(1),
             spilled: Some(spill),
+            recomputed: Some(cone),
         })
     }
 
@@ -853,6 +854,7 @@ impl Session {
             duration,
             segments: totals.segments,
             spilled: spill,
+            recomputed: None,
         })
     }
 

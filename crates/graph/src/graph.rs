@@ -156,7 +156,7 @@ impl CircuitGraph {
         let mut fallback_rise = vec![0i32; n_gates];
         let mut fallback_fall = vec![0i32; n_gates];
 
-        let binding = sdf.map(|f| SdfBinding::new(f, |_| true));
+        let binding = sdf.map(|f| (f, SdfIndex::new(f)));
         for (gid, gate) in netlist.gates() {
             let g = gid.index();
             let cell = lib.cell(gate.cell());
@@ -166,14 +166,11 @@ impl CircuitGraph {
             for pin in 0..cell.num_inputs() {
                 lut_offsets[base + pin] = (block + pin * pin_len) as u32;
             }
-            (fallback_rise[g], fallback_fall[g]) = annotate_gate(
-                cell,
-                gate.name(),
-                binding.as_ref(),
-                options,
-                scale,
-                &mut delay_luts,
-            )?;
+            let iopaths = binding.as_ref().map_or_else(Vec::new, |(f, index)| {
+                index.iopaths_for(f, cell.name(), gate.name())
+            });
+            (fallback_rise[g], fallback_fall[g]) =
+                annotate_gate(cell, gate.name(), &iopaths, options, scale, &mut delay_luts)?;
         }
 
         // Interconnect (wire) delays.
@@ -269,6 +266,10 @@ impl CircuitGraph {
     /// so `netlist`, `options` and the rest of `sdf` must be the ones the
     /// graph was built from.
     ///
+    /// Indexes only the listed gates' SDF cells, in one pass over the file;
+    /// a caller that re-annotates many times against one cell list builds
+    /// an [`SdfIndex`] once and calls [`CircuitGraph::reannotate_indexed`].
+    ///
     /// # Errors
     ///
     /// [`GraphError::SdfBinding`] / [`GraphError::Sdf`] as for
@@ -285,6 +286,35 @@ impl CircuitGraph {
         gates: &[usize],
         options: &GraphOptions,
     ) -> Result<()> {
+        let index = {
+            let names: HashSet<&str> = gates.iter().map(|&g| self.gate_name(g)).collect();
+            SdfIndex::filtered(sdf, |inst| names.contains(inst))
+        };
+        self.reannotate_indexed(netlist, sdf, &index, gates, options)
+    }
+
+    /// [`CircuitGraph::reannotate`] against a prebuilt `index` of `sdf`'s
+    /// cells, so a call costs the listed gates' own cells and no scan of
+    /// the file. `index` may come from an earlier version of `sdf`: it
+    /// stays valid while the cell list (instances, cell types, order) is
+    /// unchanged, whatever the delay triples.
+    ///
+    /// # Errors
+    ///
+    /// As [`CircuitGraph::reannotate`]; the graph is left unchanged.
+    ///
+    /// # Panics
+    ///
+    /// As [`CircuitGraph::reannotate`], and if `index` names a cell that
+    /// `sdf` does not have.
+    pub fn reannotate_indexed(
+        &mut self,
+        netlist: &Netlist,
+        sdf: &SdfFile,
+        index: &SdfIndex<'_>,
+        gates: &[usize],
+        options: &GraphOptions,
+    ) -> Result<()> {
         assert_eq!(
             netlist.gate_count(),
             self.n_gates(),
@@ -292,22 +322,15 @@ impl CircuitGraph {
         );
         let lib = netlist.library();
         let scale = options.scale.unwrap_or(sdf.timescale_ps);
-        let names: HashSet<&str> = gates.iter().map(|&g| self.gate_name(g)).collect();
-        let binding = SdfBinding::new(sdf, |inst| names.contains(inst));
         // Annotate everything before touching the graph, so an error on any
         // gate leaves every gate as it was.
         let mut luts = Vec::new();
         let mut annotated = Vec::with_capacity(gates.len());
         for &g in gates {
             let gate = netlist.gate(GateId::from_index(g));
-            let fallback = annotate_gate(
-                lib.cell(gate.cell()),
-                gate.name(),
-                Some(&binding),
-                options,
-                scale,
-                &mut luts,
-            )?;
+            let cell = lib.cell(gate.cell());
+            let iopaths = index.iopaths_for(sdf, cell.name(), gate.name());
+            let fallback = annotate_gate(cell, gate.name(), &iopaths, options, scale, &mut luts)?;
             annotated.push((g, luts.len(), fallback));
         }
         let mut src = 0;
@@ -507,14 +530,6 @@ impl CircuitGraph {
         &self.gate_output
     }
 
-    /// Widest level's gate count (sizes per-level scratch buffers).
-    pub fn max_level_width(&self) -> usize {
-        (0..self.n_levels())
-            .map(|l| (self.level_offsets[l + 1] - self.level_offsets[l]) as usize)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Approximate device-resident footprint of the graph arrays in bytes
     /// (connectivity, truth tables, delay LUTs, pointers) — what an engine
     /// must transfer host→device before simulating.
@@ -579,16 +594,17 @@ fn lut_len(n_inputs: usize) -> usize {
     }
 }
 
-/// Which `(CELL ...)` entries of an SDF file apply to which instance, built
-/// once per [`CircuitGraph::build`] / [`CircuitGraph::reannotate`] call so
-/// binding a gate costs its own entries, not a scan of the file. Lives for
-/// the call only: `SdfFile::cells` is a public field callers edit.
+/// Which `(CELL ...)` entries of an SDF file apply to which instance, as
+/// cell indices, so binding a gate costs its own entries and not a scan of
+/// the file. [`CircuitGraph::build`] makes one per call, and an ECO loop
+/// makes one per [`SdfFile`] for [`CircuitGraph::reannotate_indexed`].
 ///
-/// Only instances passing `wanted` are indexed — one pass over the file with
-/// no allocation per skipped cell, which is what keeps a one-gate
-/// `reannotate` far below a build.
-struct SdfBinding<'a> {
-    sdf: &'a SdfFile,
+/// The index borrows the instance names of the file it was built from and
+/// holds no delays, so it stays valid for any file with the same cell list
+/// (instances, cell types, order): `SdfFile::cells` is a public field a
+/// caller may edit triple by triple.
+#[derive(Debug)]
+pub struct SdfIndex<'a> {
     /// Cell indices per `INSTANCE` name, ascending.
     by_instance: HashMap<&'a str, Vec<usize>>,
     /// Indices of cells that apply to every instance (`INSTANCE *` or none),
@@ -596,64 +612,75 @@ struct SdfBinding<'a> {
     wildcard: Vec<usize>,
 }
 
-impl<'a> SdfBinding<'a> {
-    fn new(sdf: &'a SdfFile, wanted: impl Fn(&str) -> bool) -> Self {
-        let mut by_instance: HashMap<&str, Vec<usize>> = HashMap::new();
-        let mut wildcard = Vec::new();
+impl<'a> SdfIndex<'a> {
+    /// Indexes every cell of `sdf`.
+    pub fn new(sdf: &'a SdfFile) -> Self {
+        Self::filtered(sdf, |_| true)
+    }
+
+    /// Indexes only the instances passing `wanted` (and every wildcard):
+    /// one pass over the file with no allocation per skipped cell, which
+    /// is what keeps a one-gate [`CircuitGraph::reannotate`] far below a
+    /// build.
+    fn filtered(sdf: &'a SdfFile, wanted: impl Fn(&str) -> bool) -> Self {
+        let mut index = SdfIndex {
+            by_instance: HashMap::new(),
+            wildcard: Vec::new(),
+        };
         for (i, cell) in sdf.cells.iter().enumerate() {
             match cell.instance.as_deref() {
-                None | Some("*") => wildcard.push(i),
-                Some(inst) if wanted(inst) => by_instance.entry(inst).or_default().push(i),
+                None | Some("*") => index.wildcard.push(i),
+                Some(inst) if wanted(inst) => index.by_instance.entry(inst).or_default().push(i),
                 Some(_) => {}
             }
         }
-        SdfBinding {
-            sdf,
-            by_instance,
-            wildcard,
-        }
+        index
     }
 
-    /// All IOPATHs applying to instance `inst` of cell type `celltype` —
-    /// instance-specific entries plus wildcard entries, of that type or of
-    /// `CELLTYPE "*"` — in file order, because `build_delay_lut` lets later
-    /// statements override earlier ones.
-    fn iopaths_for(&self, celltype: &str, inst: &str) -> Vec<&'a IoPath> {
+    /// Indices of the cells whose `INSTANCE` is exactly `inst`, ascending
+    /// (wildcard cells excluded); `None` if the file names no such cell.
+    pub fn instance_cells(&self, inst: &str) -> Option<&[usize]> {
+        self.by_instance.get(inst).map(Vec::as_slice)
+    }
+
+    /// All IOPATHs of `sdf` applying to instance `inst` of cell type
+    /// `celltype` — instance-specific entries plus wildcard entries, of that
+    /// type or of `CELLTYPE "*"` — in file order, because `build_delay_lut`
+    /// lets later statements override earlier ones.
+    fn iopaths_for<'s>(&self, sdf: &'s SdfFile, celltype: &str, inst: &str) -> Vec<&'s IoPath> {
         let mut cells: Vec<usize> = self
-            .by_instance
-            .get(inst)
-            .into_iter()
-            .flatten()
+            .instance_cells(inst)
+            .unwrap_or_default()
+            .iter()
             .chain(&self.wildcard)
             .copied()
             .filter(|&i| {
-                let t = &self.sdf.cells[i].celltype;
+                let t = &sdf.cells[i].celltype;
                 t == celltype || t == "*"
             })
             .collect();
         cells.sort_unstable();
         cells
             .into_iter()
-            .flat_map(|i| &self.sdf.cells[i].iopaths)
+            .flat_map(|i| &sdf.cells[i].iopaths)
             .collect()
     }
 }
 
-/// Annotates one gate: validates the IOPATHs bound to it, appends its pins'
-/// delay LUTs to `luts` back to back (pin order) and returns its fallback
-/// `(rise, fall)` delays. The single annotation body behind both
-/// [`CircuitGraph::build`] and [`CircuitGraph::reannotate`].
+/// Annotates one gate from the IOPATHs bound to it: validates them, appends
+/// its pins' delay LUTs to `luts` back to back (pin order) and returns its
+/// fallback `(rise, fall)` delays. The single annotation body behind both
+/// [`CircuitGraph::build`] and [`CircuitGraph::reannotate_indexed`].
 fn annotate_gate(
     cell: &CellType,
     inst: &str,
-    binding: Option<&SdfBinding<'_>>,
+    iopaths: &[&IoPath],
     options: &GraphOptions,
     scale: f64,
     luts: &mut Vec<i32>,
 ) -> Result<(i32, i32)> {
-    let iopaths = binding.map_or_else(Vec::new, |b| b.iopaths_for(cell.name(), inst));
     // Validate that every IOPATH pin exists on the cell.
-    for p in &iopaths {
+    for p in iopaths {
         if cell.input_index(&p.input).is_none() {
             return Err(GraphError::SdfBinding {
                 detail: format!(
@@ -678,7 +705,7 @@ fn annotate_gate(
     // Per-direction maxima over every annotated arc, for the fallback.
     let mut gate_max: Option<(i32, i32)> = None;
     for pin in 0..cell.num_inputs() {
-        let lut = build_delay_lut(cell.input_pins(), pin, &iopaths, options.select, scale)?;
+        let lut = build_delay_lut(cell.input_pins(), pin, iopaths, options.select, scale)?;
         let ncols = lut.ncols();
         for (i, &d) in lut.data().iter().enumerate() {
             if d != NO_ARC {
@@ -747,7 +774,6 @@ mod tests {
             assert_eq!(&g.fanin_signals_flat()[a..b], g.gate_fanin(gate));
             assert_eq!(g.gate_outputs_flat()[gate], g.gate_output(gate).0);
         }
-        assert_eq!(g.max_level_width(), 2);
     }
 
     #[test]
@@ -857,9 +883,9 @@ mod tests {
             cell("INV", Some("u7"), &[("A", 4.0)]),
             cell("*", None, &[("A", 3.0)]),
         ];
-        let b = SdfBinding::new(&f, |_| true);
+        let b = SdfIndex::new(&f);
         let delays = |celltype: &str, inst: &str| -> Vec<f64> {
-            b.iopaths_for(celltype, inst)
+            b.iopaths_for(&f, celltype, inst)
                 .iter()
                 .map(|p| p.rise.typ.unwrap())
                 .collect()

@@ -28,7 +28,7 @@ mod levelize;
 mod stats;
 
 pub use error::GraphError;
-pub use graph::{CircuitGraph, GraphOptions, SignalId};
+pub use graph::{CircuitGraph, GraphOptions, SdfIndex, SignalId};
 pub use levelize::levelize;
 pub use stats::LevelStats;
 

@@ -33,14 +33,6 @@ impl LevelStats {
         self.widths.iter().copied().max().unwrap_or(0)
     }
 
-    /// Mean gates per level (0 for empty designs).
-    pub fn mean_width(&self) -> f64 {
-        if self.widths.is_empty() {
-            return 0.0;
-        }
-        self.total_gates() as f64 / self.widths.len() as f64
-    }
-
     /// Index of the widest level (0 for empty designs).
     pub fn widest_level(&self) -> usize {
         self.widths
@@ -64,7 +56,6 @@ mod tests {
         assert_eq!(s.total_gates(), 6);
         assert_eq!(s.max_width(), 3);
         assert_eq!(s.widest_level(), 1);
-        assert!((s.mean_width() - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -72,7 +63,6 @@ mod tests {
         let s = LevelStats::from_offsets(&[0]);
         assert_eq!(s.n_levels(), 0);
         assert_eq!(s.max_width(), 0);
-        assert_eq!(s.mean_width(), 0.0);
         assert_eq!(s.widest_level(), 0);
     }
 }

@@ -13,19 +13,26 @@
 //! die at the source instead of propagating — a standard glitch-power
 //! technique that also saves the downsized cells' own energy. A static-
 //! timing guard keeps every slowdown within the clock period's slack.
+//!
+//! The host side of the loop costs what the fix changes. Both passes
+//! classify glitches straight from the run's spill, and pass 2 re-folds
+//! only the signals its incremental run recomputed. The fix search indexes
+//! the SDF once, re-annotates one gate per candidate, and re-times only
+//! the arrivals that gate's new delays reach.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
 use gatspi_core::{CoreError, RunOptions, Session, SimConfig};
-use gatspi_graph::{CircuitGraph, GraphOptions};
+use gatspi_graph::{CircuitGraph, GraphOptions, SdfIndex, SignalId};
 use gatspi_netlist::Netlist;
 use gatspi_refsim::{EventSimulator, RefConfig};
 use gatspi_sdf::{DelayTriple, SdfFile};
 use gatspi_wave::{SimTime, Waveform};
 
-use crate::glitch::{classify, GlitchStats};
+use crate::glitch::{classify_result, reclassify, GlitchStats};
+use crate::sta::TimingGuard;
 use crate::{PowerModel, PowerReport};
 
 /// Flow configuration.
@@ -77,6 +84,12 @@ pub struct FlowReport {
     pub fixed_gates: Vec<String>,
     /// Wall seconds for the two GATSPI re-simulations.
     pub gatspi_seconds: f64,
+    /// Wall seconds of the fix search (candidates, re-annotation and the
+    /// timing guard).
+    pub fix_search_seconds: f64,
+    /// Wall seconds of both passes' analysis: power estimate plus glitch
+    /// classification.
+    pub analysis_seconds: f64,
     /// Wall seconds for the two baseline re-simulations, if measured.
     pub baseline_seconds: Option<f64>,
 }
@@ -127,40 +140,41 @@ pub fn run_glitch_flow(
     let sim0 = Session::new(Arc::clone(&graph0), cfg.sim.clone());
     let r0 = sim0.run_with(stimuli, duration, &run_opts)?;
     let mut gatspi_seconds = t0.elapsed().as_secs_f64();
+    let t = Instant::now();
     let power_before = cfg.power.estimate(
         &graph0,
         r0.toggle_counts_slice(),
         &areas,
         i64::from(duration),
     );
-    let waveforms: Vec<Waveform> = (0..graph0.n_signals())
-        .map(|s| r0.waveform(s))
-        .collect::<gatspi_core::Result<_>>()?;
-    let stats0 = classify(&waveforms, cycle_time, duration);
+    let stats0 = classify_result(&r0, cycle_time, duration)?;
+    let mut analysis_seconds = t.elapsed().as_secs_f64();
 
     // --- Fix: slow the worst glitch sources to absorb their pulses.
+    let t = Instant::now();
     let fixes = apply_slowdown_fixes(netlist, sdf, &graph0, &stats0, cycle_time, cfg);
+    let fix_search_seconds = t.elapsed().as_secs_f64();
     let (fixed_gates, fixed_ids) = (fixes.names, fixes.ids);
 
     // --- Pass 2: incremental re-simulation of the fixed design. Only the
     // resized gates' transitive fan-out cone re-executes; every waveform
     // outside it is reused from pass 1's spill (the fixes change delays,
-    // not topology, so out-of-cone activity is provably identical).
+    // not topology, so out-of-cone activity is provably identical), and so
+    // are pass 1's glitch counts for those signals.
     let graph1 = Arc::new(fixes.graph);
     let t1 = Instant::now();
     let sim1 = Session::new(Arc::clone(&graph1), cfg.sim.clone());
     let r1 = sim1.run_incremental(&r0, &fixed_ids, stimuli, duration, &run_opts)?;
     gatspi_seconds += t1.elapsed().as_secs_f64();
+    let t = Instant::now();
     let power_after = cfg.power.estimate(
         &graph1,
         r1.toggle_counts_slice(),
         &areas,
         i64::from(duration),
     );
-    let waveforms1: Vec<Waveform> = (0..graph1.n_signals())
-        .map(|s| r1.waveform(s))
-        .collect::<gatspi_core::Result<_>>()?;
-    let stats1 = classify(&waveforms1, cycle_time, duration);
+    let stats1 = reclassify(&stats0, &r1, cycle_time, duration)?;
+    analysis_seconds += t.elapsed().as_secs_f64();
 
     // --- Baseline turnaround (two event-driven runs), if requested.
     let baseline_seconds = cfg.compare_baseline.then(|| {
@@ -182,6 +196,8 @@ pub fn run_glitch_flow(
         glitch_after: (stats1.total_functional(), stats1.total_glitch()),
         fixed_gates,
         gatspi_seconds,
+        fix_search_seconds,
+        analysis_seconds,
         baseline_seconds,
     })
 }
@@ -197,6 +213,10 @@ struct SlowdownFixes {
     /// Their gate indices — the changed set the incremental
     /// re-simulation cones from.
     ids: Vec<usize>,
+    /// Candidates the timing guard checked, and the gates it re-timed for
+    /// them: the search's cost, which follows the fixes, not the design.
+    candidates: usize,
+    retimed: usize,
 }
 
 /// Scales the arc delays of the `fixes` worst glitch-source gates by
@@ -204,9 +224,11 @@ struct SlowdownFixes {
 /// static-timing guard: if slowing it would push the critical path past
 /// `cfg.max_path_fraction · cycle_time`, the gate is skipped.
 ///
-/// A candidate costs its own gate: its SDF triples are scaled in place and
-/// the one gate is re-annotated in a trial graph, then undone the same way
-/// if the guard rejects it.
+/// A candidate costs what it changes. Its SDF triples are scaled in place,
+/// its one gate is re-annotated in a trial graph from an index of the SDF
+/// built once, and the guard re-times only the arrivals its new delays
+/// reach. A rejected candidate is undone the same way, and the guard's undo
+/// log restores its arrivals.
 fn apply_slowdown_fixes(
     netlist: &Netlist,
     sdf: &SdfFile,
@@ -222,28 +244,26 @@ fn apply_slowdown_fixes(
         graph: graph.clone(),
         names: Vec::new(),
         ids: Vec::new(),
+        candidates: 0,
+        retimed: 0,
     };
-    // The search edits triples only, never the cell list, so cell indices
-    // stay valid throughout.
-    let mut cells_of: HashMap<&str, Vec<usize>> = HashMap::new();
-    for (i, cell) in sdf.cells.iter().enumerate() {
-        if let Some(inst) = cell.instance.as_deref() {
-            cells_of.entry(inst).or_default().push(i);
-        }
-    }
-    let mut seen = std::collections::HashSet::new();
+    // The search edits triples only, never the cell list, so one index of
+    // the original file serves every candidate.
+    let index = SdfIndex::new(sdf);
+    let mut guard = TimingGuard::new(graph);
+    let mut seen = HashSet::new();
     for (sig, _count) in stats.worst_signals() {
         if fixes.names.len() >= cfg.fixes {
             break;
         }
-        let Some(g) = graph.driver(gatspi_graph::SignalId(sig as u32)) else {
+        let Some(g) = graph.driver(SignalId(sig as u32)) else {
             continue;
         };
         if !seen.insert(g) {
             continue;
         }
         let name = graph.gate_name(g);
-        let Some(cells) = cells_of.get(name) else {
+        let Some(cells) = index.instance_cells(name) else {
             continue;
         };
         // Scale this instance's IOPATH delays, keeping the originals.
@@ -257,10 +277,13 @@ fn apply_slowdown_fixes(
         }
         fixes
             .graph
-            .reannotate(netlist, &fixes.sdf, &[g], &opts)
+            .reannotate_indexed(netlist, &fixes.sdf, &index, &[g], &opts)
             .expect("patched SDF stays well-formed");
+        fixes.candidates += 1;
+        fixes.retimed += guard.retime(&fixes.graph, g);
         // Timing guard: reject fixes that eat the cycle's settle margin.
-        if crate::sta::max_arrivals(&fixes.graph).critical_path() > budget {
+        if guard.critical_path() > budget {
+            guard.rollback();
             let mut saved = saved.into_iter();
             for &i in cells {
                 for p in &mut fixes.sdf.cells[i].iopaths {
@@ -269,10 +292,11 @@ fn apply_slowdown_fixes(
             }
             fixes
                 .graph
-                .reannotate(netlist, &fixes.sdf, &[g], &opts)
+                .reannotate_indexed(netlist, &fixes.sdf, &index, &[g], &opts)
                 .expect("restored SDF is the one that annotated before");
             continue;
         }
+        guard.commit();
         fixes.names.push(name.to_string());
         fixes.ids.push(g);
     }
@@ -292,6 +316,7 @@ mod tests {
     use gatspi_netlist::{CellLibrary, NetlistBuilder};
     use gatspi_workloads::sdfgen::{attach_sdf, SdfGenConfig};
     use gatspi_workloads::stimuli::{generate, StimulusConfig};
+    use proptest::prelude::*;
 
     /// A deliberately skewed XOR tree: classic glitch generator.
     fn glitchy_design() -> (Netlist, SdfFile) {
@@ -396,12 +421,9 @@ mod tests {
             &RunOptions::default().with_waveform_spill(),
         )
         .unwrap();
-        let waveforms: Vec<Waveform> = (0..graph.n_signals())
-            .map(|s| r.waveform(s).unwrap())
-            .collect();
         (
             CircuitGraph::clone(&graph),
-            classify(&waveforms, cycle, duration),
+            classify_result(&r, cycle, duration).unwrap(),
         )
     }
 
@@ -466,6 +488,105 @@ mod tests {
         // Off the critical path candidates keep being accepted on top of
         // undone ones, so the tight list is not just a prefix.
         assert!(!loose.starts_with(&tight), "{tight:?} vs {loose:?}");
+    }
+
+    /// The guard's arrivals and critical path equal a full STA of `graph`.
+    fn assert_guard_is_exact(guard: &TimingGuard, graph: &CircuitGraph) {
+        let full = crate::sta::max_arrivals(graph);
+        let want: Vec<i64> = (0..graph.n_signals()).map(|s| full.of(s)).collect();
+        assert_eq!(guard.arrivals(), want.as_slice());
+        assert_eq!(guard.critical_path(), full.critical_path());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig {
+            cases: 24,
+            ..ProptestConfig::default()
+        })]
+
+        /// Random sequences of (gate, slowdown, accept or reject) on the XOR
+        /// chain and on a MAC datapath: after every update and every
+        /// rollback, the incremental guard equals `max_arrivals` on the
+        /// trial graph. A slowdown of 0.5 makes arrivals fall, so the
+        /// critical path can drop below a maximum the guard held.
+        #[test]
+        fn timing_guard_equals_full_sta(
+            mac in any::<bool>(),
+            steps in prop::collection::vec(0u64..1 << 40, 1..12),
+        ) {
+            let (netlist, sdf) = if mac {
+                let netlist = gatspi_workloads::circuits::mac_datapath(8, 2);
+                let sdf = attach_sdf(&netlist, &SdfGenConfig::default());
+                (netlist, sdf)
+            } else {
+                glitchy_design()
+            };
+            let opts = GraphOptions::default();
+            let mut graph = CircuitGraph::build(&netlist, Some(&sdf), &opts).unwrap();
+            let index = SdfIndex::new(&sdf);
+            let mut trial = sdf.clone();
+            let mut guard = TimingGuard::new(&graph);
+            assert_guard_is_exact(&guard, &graph);
+            for step in steps {
+                // One step: a gate, a slowdown and whether to keep it.
+                let g = (step >> 3) as usize % graph.n_gates();
+                let factor = [0.5, 2.0, 3.0][(step & 3) as usize % 3];
+                let accept = step & 4 != 0;
+                let cells = index.instance_cells(graph.gate_name(g)).unwrap();
+                let before: Vec<_> = cells.iter().map(|&i| trial.cells[i].clone()).collect();
+                for &i in cells {
+                    for p in &mut trial.cells[i].iopaths {
+                        scale_triple(&mut p.rise, factor);
+                        scale_triple(&mut p.fall, factor);
+                    }
+                }
+                graph.reannotate_indexed(&netlist, &trial, &index, &[g], &opts).unwrap();
+                guard.retime(&graph, g);
+                assert_guard_is_exact(&guard, &graph);
+                if accept {
+                    guard.commit();
+                    continue;
+                }
+                for (&i, cell) in cells.iter().zip(before) {
+                    trial.cells[i] = cell;
+                }
+                graph.reannotate_indexed(&netlist, &trial, &index, &[g], &opts).unwrap();
+                guard.rollback();
+                assert_guard_is_exact(&guard, &graph);
+            }
+        }
+    }
+
+    /// The search re-times what a fix reaches, not the design: MAC lanes
+    /// are independent, so a 4× wider design re-times about as many gates
+    /// per candidate. Returns `(candidates, gates re-timed)`.
+    fn retimes_per_search(lanes: usize) -> (usize, usize) {
+        let netlist = gatspi_workloads::circuits::mac_datapath(8, lanes);
+        let sdf = attach_sdf(&netlist, &SdfGenConfig::default());
+        let cycle = 1200;
+        let (graph, stats) = analysed(&netlist, &sdf, cycle);
+        let cfg = FlowConfig {
+            fixes: netlist.gate_count() / 40,
+            ..Default::default()
+        };
+        let fixes = apply_slowdown_fixes(&netlist, &sdf, &graph, &stats, cycle, &cfg);
+        assert_eq!(fixes.ids.len(), cfg.fixes, "the budget rejected a fix");
+        (fixes.candidates, fixes.retimed)
+    }
+
+    #[test]
+    fn fix_search_retimes_what_the_fix_reaches() {
+        let (small_candidates, small) = retimes_per_search(4);
+        let (large_candidates, large) = retimes_per_search(16);
+        eprintln!(
+            "mac_datapath(8, 4): {small} gates re-timed over {small_candidates} candidates; \
+             mac_datapath(8, 16): {large} over {large_candidates}"
+        );
+        assert!(large_candidates >= 3 * small_candidates);
+        assert!(
+            large * small_candidates <= 2 * small * large_candidates,
+            "per candidate: {small} / {small_candidates} vs {large} / {large_candidates}"
+        );
     }
 
     #[test]

@@ -103,20 +103,66 @@ pub fn classify_result(
     cycle_time: SimTime,
     duration: SimTime,
 ) -> gatspi_core::Result<GlitchStats> {
-    assert!(cycle_time > 0, "cycle_time must be positive");
     let n = r.toggle_counts_slice().len();
     let mut stats = GlitchStats {
-        functional: Vec::with_capacity(n),
-        glitch: Vec::with_capacity(n),
+        functional: vec![0; n],
+        glitch: vec![0; n],
     };
-    for s in 0..n {
+    refold(&mut stats, r, 0..n, cycle_time, duration)?;
+    Ok(stats)
+}
+
+/// [`classify_result`] of `r`, given `prev`, the classification of the
+/// run `r` was derived from: only the signals `r` recomputed
+/// ([`SimResult::recomputed_signals`]) are folded again, and every other
+/// signal keeps `prev`'s counts. An incremental run costs its cone; a
+/// full run (no recomputed set) is classified in full and `prev` is not
+/// read.
+///
+/// # Errors
+///
+/// As [`classify_result`].
+///
+/// # Panics
+///
+/// Panics if `cycle_time <= 0`, or if `r` is incremental and `prev` does
+/// not have one entry per signal.
+pub fn reclassify(
+    prev: &GlitchStats,
+    r: &SimResult,
+    cycle_time: SimTime,
+    duration: SimTime,
+) -> gatspi_core::Result<GlitchStats> {
+    let Some(recomputed) = r.recomputed_signals() else {
+        return classify_result(r, cycle_time, duration);
+    };
+    assert!(
+        prev.functional.len() == recomputed.len() && prev.glitch.len() == recomputed.len(),
+        "prev classifies {} signals, the run has {}",
+        prev.functional.len(),
+        recomputed.len()
+    );
+    let mut stats = prev.clone();
+    let cone = (0..recomputed.len()).filter(|&s| recomputed[s]);
+    refold(&mut stats, r, cone, cycle_time, duration)?;
+    Ok(stats)
+}
+
+/// Folds `signals` of `r` from its spill into their entries of `stats`.
+fn refold(
+    stats: &mut GlitchStats,
+    r: &SimResult,
+    signals: impl Iterator<Item = usize>,
+    cycle_time: SimTime,
+    duration: SimTime,
+) -> gatspi_core::Result<()> {
+    assert!(cycle_time > 0, "cycle_time must be positive");
+    for s in signals {
         let mut fold = CycleFold::new(cycle_time, duration);
         r.for_each_toggle(s, |t| fold.toggle(t))?;
-        let (functional, glitch) = fold.finish();
-        stats.functional.push(functional);
-        stats.glitch.push(glitch);
+        (stats.functional[s], stats.glitch[s]) = fold.finish();
     }
-    Ok(stats)
+    Ok(())
 }
 
 /// One signal's classification, fed its toggle times in ascending order:
@@ -190,6 +236,7 @@ mod tests {
     use gatspi_core::{RunOptions, Session, SimConfig};
     use gatspi_graph::{CircuitGraph, GraphOptions};
     use gatspi_refsim::{EventSimulator, RefConfig};
+    use gatspi_sdf::SdfFile;
     use gatspi_workloads::sdfgen::{attach_sdf, SdfGenConfig};
     use gatspi_workloads::stimuli::{generate, StimulusConfig};
     use proptest::prelude::*;
@@ -385,6 +432,79 @@ mod tests {
             .run_incremental(&spilled, &changed, &stimuli, duration, &spill)
             .unwrap();
         check_result(&incremental, &reference, cycle, duration);
+    }
+
+    /// Pass 2 of the flow re-folds only the cone an incremental run
+    /// recomputed. On fix sets from none to every gate, and on a chained
+    /// second incremental run, that equals a full classification of the
+    /// incremental result.
+    #[test]
+    fn reclassify_equals_a_full_classification() {
+        let netlist = gatspi_workloads::circuits::mac_datapath(4, 2);
+        let sdf = attach_sdf(&netlist, &SdfGenConfig::default());
+        let opts = GraphOptions::default();
+        let graph0 = CircuitGraph::build(&netlist, Some(&sdf), &opts).unwrap();
+        let (cycle, cycles) = (1200, 24);
+        let duration = cycle * cycles as SimTime;
+        let stimuli = generate(
+            graph0.primary_inputs().len(),
+            &StimulusConfig::random(cycles, cycle, 0.6, 5),
+        );
+        let cfg = SimConfig::small()
+            .with_cycle_parallelism(4)
+            .with_window_align(cycle);
+        let spill = RunOptions::default().with_waveform_spill();
+        let r0 = Session::new(Arc::new(graph0.clone()), cfg.clone())
+            .run_with(&stimuli, duration, &spill)
+            .unwrap();
+        assert!(r0.recomputed_signals().is_none(), "a full run");
+        let stats0 = classify_result(&r0, cycle, duration).unwrap();
+        assert_eq!(reclassify(&stats0, &r0, cycle, duration).unwrap(), stats0);
+
+        // `graph` with `gates`' delays doubled, in `sdf` too.
+        let slowed = |graph: &CircuitGraph, sdf: &mut SdfFile, gates: &[usize]| {
+            for &g in gates {
+                let name = graph.gate_name(g);
+                for cell in sdf.cells.iter_mut() {
+                    if cell.instance.as_deref() == Some(name) {
+                        for p in &mut cell.iopaths {
+                            for t in [&mut p.rise, &mut p.fall] {
+                                t.typ = t.typ.map(|d| d * 2.0);
+                            }
+                        }
+                    }
+                }
+            }
+            let mut slowed = graph.clone();
+            slowed.reannotate(&netlist, sdf, gates, &opts).unwrap();
+            slowed
+        };
+        let n = graph0.n_gates();
+        let sample: Vec<usize> = (0..n).filter(|g| (g * 7919 + 13) % 50 == 0).collect();
+        assert!(!sample.is_empty() && sample.len() < n / 20);
+        let every: Vec<usize> = (0..n).collect();
+        for fixes in [&[][..], &[n / 3], &sample, &every] {
+            let mut sdf1 = sdf.clone();
+            let graph1 = slowed(&graph0, &mut sdf1, fixes);
+            let r1 = Session::new(Arc::new(graph1.clone()), cfg.clone())
+                .run_incremental(&r0, fixes, &stimuli, duration, &spill)
+                .unwrap();
+            let cone = r1.recomputed_signals().unwrap();
+            assert_eq!(cone.iter().any(|&c| c), !fixes.is_empty());
+            let stats1 = classify_result(&r1, cycle, duration).unwrap();
+            assert_eq!(reclassify(&stats0, &r1, cycle, duration).unwrap(), stats1);
+            if fixes.len() == n {
+                assert_ne!(stats1, stats0, "slowing every gate changes nothing");
+            }
+
+            // A second fix on top of the first: its set is relative to r1.
+            let graph2 = slowed(&graph1, &mut sdf1, &[n - 1]);
+            let r2 = Session::new(Arc::new(graph2), cfg.clone())
+                .run_incremental(&r1, &[n - 1], &stimuli, duration, &spill)
+                .unwrap();
+            let stats2 = classify_result(&r2, cycle, duration).unwrap();
+            assert_eq!(reclassify(&stats1, &r2, cycle, duration).unwrap(), stats2);
+        }
     }
 
     #[test]

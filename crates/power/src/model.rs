@@ -1,7 +1,4 @@
-use std::collections::BTreeMap;
-
-use gatspi_graph::{CircuitGraph, SignalId};
-use gatspi_wave::saif::SaifDocument;
+use gatspi_graph::CircuitGraph;
 
 /// Activity-based power model parameters.
 ///
@@ -120,30 +117,6 @@ impl PowerModel {
         }
     }
 
-    /// Estimates power from a SAIF document (matching nets by name).
-    ///
-    /// # Panics
-    ///
-    /// As [`PowerModel::estimate`].
-    pub fn estimate_from_saif(
-        &self,
-        graph: &CircuitGraph,
-        saif: &SaifDocument,
-        areas: &[f64],
-    ) -> PowerReport {
-        let by_name: BTreeMap<&str, u64> =
-            saif.nets.iter().map(|(n, r)| (n.as_str(), r.tc)).collect();
-        let toggles: Vec<u64> = (0..graph.n_signals())
-            .map(|s| {
-                by_name
-                    .get(graph.signal_name(SignalId(s as u32)))
-                    .copied()
-                    .unwrap_or(0)
-            })
-            .collect();
-        self.estimate(graph, &toggles, areas, saif.duration.max(1))
-    }
-
     /// Collects per-gate areas from the source netlist (gate order matches
     /// the graph's).
     pub fn areas_of(netlist: &gatspi_netlist::Netlist) -> Vec<f64> {
@@ -211,24 +184,5 @@ mod tests {
         };
         assert!((b.saving_vs(&a) - 10.0).abs() < 1e-9);
         assert_eq!(b.saving_vs(&PowerReport::default()), 0.0);
-    }
-
-    #[test]
-    fn saif_and_counts_agree() {
-        let (g, areas) = setup();
-        let m = PowerModel::default();
-        let mut saif = SaifDocument::new("p", 1_000_000);
-        for (s, tc) in [(0usize, 10u64), (1, 20), (2, 30)] {
-            saif.nets.insert(
-                g.signal_name(SignalId(s as u32)).to_string(),
-                gatspi_wave::saif::SaifRecord {
-                    tc,
-                    ..Default::default()
-                },
-            );
-        }
-        let r1 = m.estimate_from_saif(&g, &saif, &areas);
-        let r2 = m.estimate(&g, &[10, 20, 30], &areas, 1_000_000);
-        assert!((r1.total_w() - r2.total_w()).abs() < 1e-18);
     }
 }

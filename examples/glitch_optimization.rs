@@ -50,6 +50,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "  GATSPI turnaround:  {:.2} s for both re-simulations",
         report.gatspi_seconds
     );
+    println!(
+        "  host steps:         {:.3} s fix search, {:.3} s analysis",
+        report.fix_search_seconds, report.analysis_seconds
+    );
     if let (Some(b), Some(s)) = (report.baseline_seconds, report.turnaround_speedup()) {
         println!("  baseline turnaround: {b:.2} s  (GATSPI is {s:.1}X faster)");
     }
