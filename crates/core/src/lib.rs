@@ -41,7 +41,10 @@
 //! run methods are [`Session::run`], [`Session::run_with`],
 //! [`Session::run_streaming`], [`Session::run_incremental`],
 //! [`Session::run_incremental_streaming`], [`Session::run_to_vcd`] and
-//! [`Session::run_to_saif`]. A finished run's waveforms live in one place,
+//! [`Session::run_to_saif`]; each is one call to the session's one run
+//! path, so a full and an incremental run share every step but the
+//! plan (full, or the changed gates' cone), the windows, the spill and the
+//! SAIF assembly. A finished run's waveforms live in one place,
 //! its host spill ([`RunOptions::spill_waveforms`]): [`SimResult`] reads
 //! them from there and holds no device memory.
 //!

@@ -2,7 +2,7 @@ use std::sync::Arc;
 
 use gatspi_gpu::{AppPhaseProfile, KernelProfile};
 use gatspi_wave::saif::SaifDocument;
-use gatspi_wave::{SimTime, Waveform, EOW, INIT_ONE_MARKER};
+use gatspi_wave::{SimTime, Waveform, INIT_ONE_MARKER};
 
 use crate::schedule::ConeInfo;
 use crate::sink::SpillSink;
@@ -188,17 +188,9 @@ fn read_raw(spill: &SpillSink, signal: usize, window: usize) -> Result<Vec<i32>>
     if signal >= spill.n_signals || window >= spill.windows.len() {
         return Err(CoreError::NoSuchSignal { index: signal });
     }
-    let Some(base) = base(spill, window, signal) else {
-        return Ok(Vec::new());
-    };
-    let mut raw: Vec<i32> = spill
-        .slice_from(base)
-        .iter()
-        .copied()
-        .take_while(|&w| w != EOW)
-        .collect();
-    raw.push(EOW);
-    Ok(raw)
+    Ok(spill
+        .stored(window, signal)
+        .map_or_else(Vec::new, <[i32]>::to_vec))
 }
 
 /// The one window-join rule: feeds `f` a signal's toggles window by

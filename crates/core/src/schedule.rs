@@ -374,8 +374,9 @@ impl LevelSchedule {
     /// partitioning, baked descriptors and LUT offsets against the graph,
     /// and topological consistency. For cone sub-schedules, also checks the cone is closed under fanout and
     /// its boundary covers every out-of-cone pin. Returns one message per
-    /// defect (empty = sound). This is `xtask validate-plans`' engine (via
-    /// [`crate::audit`]) and the target of the mutation tests below.
+    /// defect (empty = sound). This is the engine of `xtask analyze`'s
+    /// `plan-invariants` pass (via [`crate::audit`]) and the target of the
+    /// mutation tests below.
     pub fn validate(&self, graph: &CircuitGraph, cone: Option<&ConeInfo>) -> Vec<String> {
         let mut defects = Vec::new();
         let n_slots = self.gates.len();
@@ -1098,8 +1099,8 @@ mod tests {
     //
     // `validate` must accept everything the builders produce and flag each
     // invariant class when a plan is deliberately corrupted. These are the
-    // firing proofs behind `xtask validate-plans` (pass 5): a checker that
-    // accepts everything is indistinguishable from no checker.
+    // firing proofs behind `xtask analyze`'s `plan-invariants` pass: a
+    // checker that accepts everything is indistinguishable from no checker.
 
     #[test]
     fn validate_accepts_built_plans() {

@@ -183,32 +183,6 @@ pub struct Session {
     spec_seed: AtomicU32,
 }
 
-/// The stimulus one window batch uploads before launching.
-///
-/// A full run uploads every primary input's restructured windows; an
-/// incremental run uploads only the cone's *boundary* — primary-input
-/// boundary signals from freshly restructured stimulus windows, gate-driven
-/// boundary signals verbatim from the previous run's host spill (their
-/// stored device words, so in-cone consumers read bit-identical inputs).
-pub(crate) enum BatchStimulus<'a> {
-    /// `win_stims[w][k]` is primary input `k`'s waveform in window `w`.
-    Full(&'a [Vec<Waveform>]),
-    /// Cone-boundary stimulus for an incremental batch.
-    Boundary {
-        /// The previous run's sealed spill (window table must cover this
-        /// batch's windows at `window_base`).
-        spill: &'a SpillSink,
-        /// Boundary signals, ascending (from [`ConeInfo::boundary`]).
-        boundary: &'a [u32],
-        /// Restructured waveforms of the boundary's primary-input subset,
-        /// per window, in boundary order: `pi_stims[w][j]` is the j-th
-        /// boundary PI's waveform in window `w`.
-        pi_stims: &'a [Vec<Waveform>],
-        /// Absolute index of this batch's first window in the spill tables.
-        window_base: usize,
-    },
-}
-
 /// Accumulated outcome of simulating one batch of windows on one device.
 pub(crate) struct WindowBatch {
     pub windows: Vec<(SimTime, SimTime)>,
@@ -231,26 +205,25 @@ pub(crate) struct WindowBatch {
 
 /// What one run feeds every segment it executes
 /// ([`Session::execute_segment`]): the plan every batch executes, the run's
-/// window partition, the restructured stimulus per window, and — for an
-/// incremental run — the cone that selects the stimulus source and the
-/// drain filter.
+/// window partition, the source signals every batch uploads and where
+/// their words come from, and the drain filter.
 pub(crate) struct SegmentInputs<'a> {
     /// The full plan, or an incremental run's cone sub-plan.
     pub plan: &'a LevelSchedule,
     pub windows: &'a [(SimTime, SimTime)],
-    /// Per window: every primary input's waveform (full run), or the cone
-    /// boundary's primary-input subset in boundary order (incremental run).
+    /// The signals every batch uploads before its first launch: the
+    /// primary inputs in graph order (full run), or the cone's boundary,
+    /// ascending (incremental run).
+    pub sources: &'a [u32],
+    /// Per window: the restructured waveform of every primary input among
+    /// `sources`, in source order.
     pub stims: &'a [Vec<Waveform>],
-    /// `Some` for an incremental run: segments upload
-    /// [`BatchStimulus::Boundary`] and drain in-cone signals only.
-    pub cone: Option<ConeInputs<'a>>,
-}
-
-/// The incremental half of [`SegmentInputs`].
-pub(crate) struct ConeInputs<'a> {
-    cone: &'a ConeInfo,
-    /// The previous run's sealed spill (gate-driven boundary stimulus).
-    spill: &'a SpillSink,
+    /// The previous run's sealed spill, which holds every other source's
+    /// words (incremental run).
+    pub prev: Option<&'a SpillSink>,
+    /// The signals the drain delivers: `None` for every signal, primary
+    /// inputs included (full run), else the recomputed cone.
+    pub only: Option<&'a [bool]>,
 }
 
 /// One run's totals, folded from every executed [`WindowBatch`]. Allocated
@@ -546,7 +519,7 @@ impl Session {
     /// * [`CoreError::DeviceFault`] when a kernel worker, the drain or a
     ///   streaming sink panicked; the error carries the panic text.
     pub fn run(&self, stimuli: &[Waveform], duration: SimTime) -> Result<SimResult> {
-        self.run_with(stimuli, duration, &RunOptions::default())
+        self.drive(stimuli, duration, &RunOptions::default(), None, None)
     }
 
     /// [`Session::run`] with explicit [`RunOptions`].
@@ -560,7 +533,7 @@ impl Session {
         duration: SimTime,
         opts: &RunOptions,
     ) -> Result<SimResult> {
-        self.run_inner(stimuli, duration, opts, None)
+        self.drive(stimuli, duration, opts, None, None)
     }
 
     /// Streaming run: every finished (signal, window) waveform is read back
@@ -579,7 +552,7 @@ impl Session {
         opts: &RunOptions,
         sink: &mut dyn WaveformSink,
     ) -> Result<SimResult> {
-        self.run_inner(stimuli, duration, opts, Some(sink))
+        self.drive(stimuli, duration, opts, None, Some(sink))
     }
 
     /// Cone-restricted incremental re-simulation: re-runs only the
@@ -622,7 +595,7 @@ impl Session {
         duration: SimTime,
         opts: &RunOptions,
     ) -> Result<SimResult> {
-        self.run_incremental_inner(prev, changed_gates, stimuli, duration, opts, None)
+        self.drive(stimuli, duration, opts, Some((prev, changed_gates)), None)
     }
 
     /// [`Session::run_incremental`] with a streaming sink: the recomputed
@@ -642,7 +615,8 @@ impl Session {
         opts: &RunOptions,
         sink: &mut dyn WaveformSink,
     ) -> Result<SimResult> {
-        self.run_incremental_inner(prev, changed_gates, stimuli, duration, opts, Some(sink))
+        let prev = Some((prev, changed_gates));
+        self.drive(stimuli, duration, opts, prev, Some(sink))
     }
 
     /// The checks every run path makes before any device work.
@@ -667,184 +641,145 @@ impl Session {
         Ok(())
     }
 
-    /// The incremental engine: cone extraction, delta plan resolution,
-    /// boundary-stimulus segments with a cone-filtered drain into a derived
-    /// spill, and the merge of recomputed activity over `prev`'s.
-    fn run_incremental_inner(
+    /// The checks an incremental run makes on `prev` before any other:
+    /// a spill, over this graph's signals and this run's duration. Returns
+    /// the spill.
+    fn check_prev<'a>(&self, prev: &'a SimResult, duration: SimTime) -> Result<&'a SpillSink> {
+        let n_signals = self.graph.n_signals();
+        let bad = |detail: String| Err(CoreError::BadIncremental { detail });
+        let Some(spill) = prev.spilled.as_ref() else {
+            return bad("previous result has no waveform spill \
+                        (run it with RunOptions::spill_waveforms)"
+                .into());
+        };
+        if spill.n_signals != n_signals {
+            return bad(format!(
+                "previous result covers {} signals, this graph has {n_signals}",
+                spill.n_signals
+            ));
+        }
+        if prev.duration != duration {
+            return bad(format!(
+                "previous run simulated {} ticks, this run asks for {duration}",
+                prev.duration
+            ));
+        }
+        Ok(spill)
+    }
+
+    /// The one run path: every public run method is one call to it. An
+    /// incremental run (`prev` given) differs from a full run only in its
+    /// plan (the changed gates' cone; it never looks up the full plan), its
+    /// windows and sources (`prev`'s, and the cone's boundary), its spill
+    /// (derived from `prev`'s) and its SAIF (merged over `prev`'s).
+    fn drive(
         &self,
-        prev: &SimResult,
-        changed_gates: &[usize],
         stimuli: &[Waveform],
         duration: SimTime,
         opts: &RunOptions,
-        user_sink: Option<&mut dyn WaveformSink>,
+        prev: Option<(&SimResult, &[usize])>,
+        sink: Option<&mut dyn WaveformSink>,
     ) -> Result<SimResult> {
         let t_app = Instant::now();
         let n_signals = self.graph.n_signals();
-        let n_gates = self.graph.n_gates();
-        let Some(prev_spill) = prev.spilled.as_ref() else {
-            return Err(CoreError::BadIncremental {
-                detail: "previous result has no waveform spill \
-                         (run it with RunOptions::spill_waveforms)"
-                    .into(),
-            });
-        };
-        if prev_spill.n_signals != n_signals {
-            return Err(CoreError::BadIncremental {
-                detail: format!(
-                    "previous result covers {} signals, this graph has {n_signals}",
-                    prev_spill.n_signals
-                ),
-            });
-        }
-        if prev.duration != duration {
-            return Err(CoreError::BadIncremental {
-                detail: format!(
-                    "previous run simulated {} ticks, this run asks for {duration}",
-                    prev.duration
-                ),
-            });
-        }
-        self.check_run_inputs(stimuli, duration)?;
-        let mut changed = vec![false; n_gates];
-        for &g in changed_gates {
-            if g >= n_gates {
-                return Err(CoreError::BadIncremental {
-                    detail: format!("changed gate {g} out of range ({n_gates} gates)"),
-                });
+        let (plan, inc) = match prev {
+            None => {
+                self.check_run_inputs(stimuli, duration)?;
+                (self.plan(), None)
             }
-            changed[g] = true;
-        }
-
-        let (cone, plan) = self.cone_plan(&changed);
-
-        // The previous run's window partition is the contract the spill
-        // pointers are indexed by — reuse it verbatim (same session config
-        // would regenerate it anyway).
-        let windows = prev_spill.windows.clone();
-
-        // Restructure only the boundary PIs' stimulus (the cone's other
-        // boundary signals upload straight from the spill, and out-of-cone
-        // PIs are never read).
-        let t0 = Instant::now();
-        let boundary_pi_stims: Vec<Waveform> = cone
-            .boundary
-            .iter()
-            .filter(|&&s| self.pi_of[s as usize] != u32::MAX)
-            .map(|&s| stimuli[self.pi_of[s as usize] as usize].clone())
-            .collect();
-        let pi_stims = self.restructure(&boundary_pi_stims, &windows);
-        let restructure_seconds = t0.elapsed().as_secs_f64();
-
-        let mut totals = RunTotals::new(n_signals, self.devices.len(), "resim_cone");
-        // The result's spill derives from prev: shared frozen chunks,
-        // every pointer carried over; only recomputed cone signals land in
-        // the new tail. Always on — it is what makes chained incremental
-        // runs (and out-of-cone waveform reads) work.
-        let mut spill = SpillSink::derived(prev_spill);
-        let inputs = SegmentInputs {
-            plan: &plan,
-            windows: &windows,
-            stims: &pi_stims,
-            cone: Some(ConeInputs {
-                cone: &cone,
-                spill: prev_spill,
-            }),
-        };
-        self.run_segments(&inputs, opts, &mut totals, Some(&mut spill), user_sink)?;
-        spill.seal();
-
-        // Merge: recomputed cone signals overwrite prev's activity;
-        // everything else — including every primary-input record — carries
-        // over untouched (same stimulus, same out-of-cone waveforms).
-        let mut saif = prev.saif.clone();
-        let mut toggle_counts = prev.toggle_counts.clone();
-        for (s, count) in toggle_counts.iter_mut().enumerate() {
-            if !cone.sigs[s] {
-                continue;
+            Some((prev, changed_gates)) => {
+                let spill = self.check_prev(prev, duration)?;
+                self.check_run_inputs(stimuli, duration)?;
+                let n_gates = self.graph.n_gates();
+                let mut changed = vec![false; n_gates];
+                for &g in changed_gates {
+                    if g >= n_gates {
+                        return Err(CoreError::BadIncremental {
+                            detail: format!("changed gate {g} out of range ({n_gates} gates)"),
+                        });
+                    }
+                    changed[g] = true;
+                }
+                let (cone, plan) = self.cone_plan(&changed);
+                (plan, Some((prev, spill, cone)))
             }
-            let record = gate_record(duration, totals.tc[s], totals.t0[s], totals.t1[s]);
-            *count = record.tc;
-            let sid = SignalId(s as u32);
-            saif.nets
-                .insert(self.graph.signal_name(sid).to_string(), record);
-        }
+        };
 
-        // The graph topology is already resident from the full run — the
-        // delta run's H2D is just the boundary stimulus.
-        let (h2d_bytes, d2h_bytes) = self.transfer_bytes();
-        let app_profile = totals.app_profile(
-            self.devices[0].spec(),
-            h2d_bytes,
-            d2h_bytes,
-            restructure_seconds,
-        );
-        Ok(SimResult {
-            saif,
-            kernel_profile: totals.profile,
-            app_profile,
-            wall_seconds: t_app.elapsed().as_secs_f64(),
-            toggle_counts,
-            duration,
-            segments: totals.segments.max(1),
-            spilled: Some(spill),
-            recomputed: Some(cone),
-        })
-    }
-
-    /// The full-run engine: restructure, execute every segment against the
-    /// cached plan with the configured sinks, assemble SAIF.
-    fn run_inner(
-        &self,
-        stimuli: &[Waveform],
-        duration: SimTime,
-        opts: &RunOptions,
-        user_sink: Option<&mut dyn WaveformSink>,
-    ) -> Result<SimResult> {
-        let t_app = Instant::now();
-        self.check_run_inputs(stimuli, duration)?;
-        // Cycle parallelism is per device: a fleet of n cuts n times as
-        // many windows.
-        let slots = self.config.cycle_parallelism * self.devices.len();
-        let windows = self.make_windows(duration, slots);
+        // The source signals and the window partition: the primary inputs
+        // over freshly cut windows (cycle parallelism is per device, so a
+        // fleet of n cuts n times as many), or the cone's boundary over the
+        // windows `prev`'s spill pointers are indexed by.
+        let (pis, fresh): (Vec<u32>, _);
+        let (sources, windows) = match &inc {
+            Some((_, spill, cone)) => (&cone.boundary[..], &spill.windows[..]),
+            None => {
+                pis = self.graph.primary_inputs().iter().map(|p| p.0).collect();
+                let slots = self.config.cycle_parallelism * self.devices.len();
+                fresh = self.make_windows(duration, slots);
+                (&pis[..], &fresh[..])
+            }
+        };
 
         // --- Input restructuring (the dominant init cost in Table 5).
         let t0 = Instant::now();
-        let win_stims = self.restructure(stimuli, &windows);
+        let stims = self.restructure(stimuli, sources, windows);
         let restructure_seconds = t0.elapsed().as_secs_f64();
 
-        // --- Adaptive segmentation over windows. (The spill is drained
-        // even for runs that fit in one segment: its contract is a durable
-        // host copy that outlives later runs on this session's devices.)
-        let n_signals = self.graph.n_signals();
-        let mut totals = RunTotals::new(n_signals, self.devices.len(), "resim");
-        let mut spill = opts.spill_waveforms.then(|| SpillSink::new(n_signals));
-        let plan = self.plan();
+        // --- The window loop. A spill is a durable host copy that outlives
+        // later runs on this session's devices. An incremental run's always
+        // derives from prev's (shared frozen chunks, every pointer carried
+        // over), which chained incremental runs and out-of-cone reads need.
+        let mut spill = match &inc {
+            Some((_, prev, _)) => Some(SpillSink::derived(prev)),
+            None => opts.spill_waveforms.then(|| SpillSink::new(n_signals)),
+        };
+        let kernel = if inc.is_some() { "resim_cone" } else { "resim" };
+        let mut totals = RunTotals::new(n_signals, self.devices.len(), kernel);
         let inputs = SegmentInputs {
             plan: &plan,
-            windows: &windows,
-            stims: &win_stims,
-            cone: None,
+            windows,
+            sources,
+            stims: &stims,
+            prev: inc.as_ref().map(|(_, spill, _)| *spill),
+            only: inc.as_ref().map(|(_, _, cone)| &cone.sigs[..]),
         };
-        self.run_segments(&inputs, opts, &mut totals, spill.as_mut(), user_sink)?;
+        self.run_segments(&inputs, opts, &mut totals, spill.as_mut(), sink)?;
+        if let Some(sp) = spill.as_mut() {
+            sp.seal();
+        }
 
-        // --- Assemble SAIF and result.
-        let (saif, toggle_counts) =
-            self.assemble_saif(stimuli, duration, &totals.tc, &totals.t0, &totals.t1);
+        // --- SAIF: assembled fresh, or prev's with every recomputed cone
+        // signal's record replaced — everything else, every primary input
+        // included, carries over untouched (same stimulus, same out-of-cone
+        // waveforms).
+        let (saif, toggle_counts) = match &inc {
+            None => self.assemble_saif(stimuli, duration, &totals),
+            Some((prev, _, cone)) => {
+                let (mut saif, mut toggle_counts) = (prev.saif.clone(), prev.toggle_counts.clone());
+                for s in (0..n_signals).filter(|&s| cone.sigs[s]) {
+                    let record = gate_record(duration, totals.tc[s], totals.t0[s], totals.t1[s]);
+                    toggle_counts[s] = record.tc;
+                    let name = self.graph.signal_name(SignalId(s as u32));
+                    saif.nets.insert(name.to_string(), record);
+                }
+                (saif, toggle_counts)
+            }
+        };
+
         // D2H traffic is exactly the sink/spill waveform readback (the
-        // storing threads' SAIF scans read device memory in place); every
-        // device uploaded the graph.
+        // storing threads' SAIF scans read device memory in place). A full
+        // run's every device uploaded the graph; an incremental run's H2D is
+        // its boundary stimulus alone, the topology being resident from the
+        // full run.
         let (h2d_bytes, d2h_bytes) = self.transfer_bytes();
         let graph_bytes = self.graph.device_bytes() * self.devices.len() as u64;
+        let graph_bytes = graph_bytes * u64::from(inc.is_none());
         let app_profile = totals.app_profile(
             self.devices[0].spec(),
             h2d_bytes + graph_bytes,
             d2h_bytes,
             restructure_seconds,
         );
-        if let Some(sp) = spill.as_mut() {
-            sp.seal();
-        }
         Ok(SimResult {
             saif,
             kernel_profile: totals.profile,
@@ -854,7 +789,7 @@ impl Session {
             duration,
             segments: totals.segments,
             spilled: spill,
-            recomputed: None,
+            recomputed: inc.map(|(_, _, cone)| cone),
         })
     }
 
@@ -896,9 +831,6 @@ impl Session {
         }
         let share = n.div_ceil(self.devices.len()).max(1);
         let mut chunk = opts.segment_windows.unwrap_or(share).clamp(1, n.max(1));
-        // A cone-filtered drain never covers primary inputs, so it needs no
-        // stimulus windows.
-        let only = inputs.cone.as_ref().map(|c| &c.cone.sigs[..]);
         let mut sinks: Vec<&mut dyn WaveformSink> = Vec::new();
         if let Some(sp) = spill {
             sinks.push(sp);
@@ -931,20 +863,14 @@ impl Session {
                 };
                 let (mut drained, mut drain_s) = (0, 0.0);
                 if !sinks.is_empty() {
-                    let stims = if only.is_some() {
-                        &[][..]
-                    } else {
-                        &inputs.stims[range.clone()]
-                    };
                     let t_drain = Instant::now();
                     drained = isolate(d, || {
                         Ok(self.drain_segment(
                             &self.devices[d],
                             &batch,
                             totals.segments,
+                            inputs,
                             range.start,
-                            stims,
-                            only,
                             &mut sinks,
                         ))
                     })?;
@@ -978,22 +904,11 @@ impl Session {
         history: &[u32],
         range: Range<usize>,
     ) -> (Result<WindowBatch>, Option<Vec<u32>>) {
-        let (nw, plan) = (range.len(), inputs.plan);
-        let windows = &inputs.windows[range.clone()];
-        let stims = &inputs.stims[range.clone()];
-        let scratch = self.acquire_scratch(nw, plan.widest_level() * nw);
+        let nw = range.len();
+        let scratch = self.acquire_scratch(nw, inputs.plan.widest_level() * nw);
         let batch = isolate(device, || {
-            let stim = match &inputs.cone {
-                Some(c) => BatchStimulus::Boundary {
-                    spill: c.spill,
-                    boundary: &c.cone.boundary,
-                    pi_stims: stims,
-                    window_base: range.start,
-                },
-                None => BatchStimulus::Full(stims),
-            };
             let device = &self.devices[device];
-            self.run_window_batch(device, plan, history, &scratch, windows, stim)
+            self.run_window_batch(device, inputs, range, history, &scratch)
         });
         let outcome = match batch {
             Ok((batch, extents)) => (Ok(batch), Some(extents)),
@@ -1025,7 +940,8 @@ impl Session {
         out
     }
 
-    /// Cuts every stimulus into per-window re-based waveforms. It runs on
+    /// Cuts the stimulus of every primary input among `sources` into
+    /// per-window re-based waveforms, in source order. It runs on
     /// the calling thread, which also frees the result: thousands of small
     /// waveforms allocated on worker threads and freed here would seed this
     /// thread's allocator cache with other arenas' chunks, and whatever
@@ -1035,11 +951,18 @@ impl Session {
     fn restructure(
         &self,
         stimuli: &[Waveform],
+        sources: &[u32],
         windows: &[(SimTime, SimTime)],
     ) -> Vec<Vec<Waveform>> {
+        let source_pis: Vec<&Waveform> = sources
+            .iter()
+            .map(|&s| self.pi_of[s as usize])
+            .filter(|&k| k != u32::MAX)
+            .map(|k| &stimuli[k as usize])
+            .collect();
         windows
             .iter()
-            .map(|&(s, e)| stimuli.iter().map(|w| w.window(s, e)).collect())
+            .map(|&(s, e)| source_pis.iter().map(|w| w.window(s, e)).collect())
             .collect()
     }
 
@@ -1049,11 +972,9 @@ impl Session {
         &self,
         stimuli: &[Waveform],
         duration: SimTime,
-        tc: &[u64],
-        t0: &[i64],
-        t1: &[i64],
+        totals: &RunTotals,
     ) -> (SaifDocument, Vec<u64>) {
-        let graph = &self.graph;
+        let (graph, tc, t0, t1) = (&self.graph, &totals.tc, &totals.t0, &totals.t1);
         let mut toggle_counts = vec![0u64; graph.n_signals()];
         let mut doc = SaifDocument::new(graph.name(), i64::from(duration));
         doc.nets = self
@@ -1088,16 +1009,16 @@ impl Session {
         (doc, toggle_counts)
     }
 
-    /// Simulates one batch of windows on `device` (one memory segment)
-    /// against a prebuilt `plan`, reserving from the extent `history`
-    /// snapshot: uploads stimulus, runs the levelized speculative-store
-    /// schedule one level at a time, and returns the accumulators and the
-    /// per-signal extents the batch stored ([`BatchScratch::lens_snapshot`]).
-    /// Its level loop runs in one [`Device::worker_set`]: every launch of
-    /// the batch, speculative and repair, runs its blocks on the calling
-    /// thread and the set's helpers, which the batch's first multi-block
-    /// launch spawns and every later one reuses; a one-block launch runs
-    /// inline.
+    /// Simulates windows `range` of the run on `device` (one memory
+    /// segment) against the run's plan, reserving from the extent `history`
+    /// snapshot: uploads the run's source signals, runs the levelized
+    /// speculative-store schedule one level at a time, and returns the
+    /// accumulators and the per-signal extents the batch stored
+    /// ([`BatchScratch::lens_snapshot`]). Its level loop runs in one
+    /// [`Device::worker_set`]: every launch of the batch, speculative and
+    /// repair, runs its blocks on the calling thread and the set's helpers,
+    /// which the batch's first multi-block launch spawns and every later
+    /// one reuses; a one-block launch runs inline.
     ///
     /// Structure (see the README's kernel pipeline):
     ///
@@ -1128,14 +1049,14 @@ impl Session {
     fn run_window_batch(
         &self,
         device: &Device,
-        schedule: &LevelSchedule,
+        inputs: &SegmentInputs<'_>,
+        range: Range<usize>,
         history: &[u32],
         scratch: &BatchScratch,
-        windows: &[(SimTime, SimTime)],
-        stim: BatchStimulus<'_>,
     ) -> Result<(WindowBatch, Vec<u32>)> {
         let graph = &*self.graph;
         let n_signals = graph.n_signals();
+        let (schedule, windows) = (inputs.plan, &inputs.windows[range.clone()]);
         let nw = windows.len();
         let mut host = HostState {
             bump: 0,
@@ -1166,51 +1087,24 @@ impl Session {
             host.bump = base + words;
             Ok(())
         };
-        match stim {
-            BatchStimulus::Full(win_stims) => {
-                for (w, stims) in win_stims.iter().enumerate() {
-                    for (k, &pi) in graph.primary_inputs().iter().enumerate() {
-                        upload(w, pi.index(), stims[k].raw())?;
-                    }
-                }
-            }
-            BatchStimulus::Boundary {
-                spill,
-                boundary,
-                pi_stims,
-                window_base,
-            } => {
-                for (w, w_pis) in pi_stims.iter().enumerate().take(nw) {
-                    let mut pi_j = 0usize;
-                    for &s in boundary {
-                        let s = s as usize;
-                        if self.pi_of[s] != u32::MAX {
-                            let raw = w_pis[pi_j].raw();
-                            pi_j += 1;
-                            upload(w, s, raw)?;
-                            continue;
-                        }
-                        let ptr = spill.ptrs[(window_base + w) * n_signals + s];
-                        if ptr == u64::MAX {
-                            // Floating in the previous run too: absent,
-                            // exactly as a full run would leave it.
-                            continue;
-                        }
-                        // The spilled words are the waveform's live device
-                        // words truncated at its EOW terminator; re-upload
-                        // them verbatim so in-cone consumers read the very
-                        // words their peers read in the full run.
-                        let from = spill.slice_from(ptr);
-                        let end = from
-                            .iter()
-                            .position(|&x| x == EOW)
-                            // panic-ok: spill-format invariant — the store
-                            // pass terminates every spilled waveform with
-                            // EOW before the segment is retired.
-                            .expect("spilled waveform terminates")
-                            + 1;
-                        upload(w, s, &from[..end])?;
-                    }
+        // Each source signal: a primary input from the restructured
+        // stimulus; any other from the previous run's spill, verbatim — the
+        // waveform's live device words up to its EOW terminator, so in-cone
+        // consumers read the very words their peers read in the full run.
+        for (w, pi_stims) in inputs.stims[range.clone()].iter().enumerate() {
+            let mut pis = pi_stims.iter();
+            for &s in inputs.sources {
+                let s = s as usize;
+                let raw = match self.pi_of[s] {
+                    // Absent when floating in the previous run too, exactly
+                    // as a full run would leave it.
+                    u32::MAX => inputs
+                        .prev
+                        .and_then(|spill| spill.stored(range.start + w, s)),
+                    _ => pis.next().map(Waveform::raw),
+                };
+                if let Some(raw) = raw {
+                    upload(w, s, raw)?;
                 }
             }
         }
@@ -1572,22 +1466,21 @@ impl Session {
     /// then fed in deterministic (window, ascending signal) order. Every
     /// buffer involved lives on the session and is reused.
     ///
-    /// `only` restricts the drain to flagged signals (an incremental run
-    /// delivers in-cone waveforms only; out-of-cone entries stay untouched
-    /// in the derived spill). When set, primary-input windows are skipped
-    /// entirely, so `win_stims` may be empty.
-    #[allow(clippy::too_many_arguments)]
+    /// `inputs.only` restricts the drain to flagged signals (an incremental
+    /// run delivers in-cone waveforms only; out-of-cone entries stay
+    /// untouched in the derived spill), and then covers no primary input.
+    /// Unset, a full run's sources are every primary input in graph order,
+    /// so `inputs.stims[w][k]` is primary input `k`'s window `w`.
     fn drain_segment(
         &self,
         device: &Device,
         batch: &WindowBatch,
         segment: usize,
+        inputs: &SegmentInputs<'_>,
         window_base: usize,
-        win_stims: &[Vec<Waveform>],
-        only: Option<&[bool]>,
         sinks: &mut [&mut dyn WaveformSink],
     ) -> u64 {
-        let n_signals = self.graph.n_signals();
+        let (n_signals, only) = (self.graph.n_signals(), inputs.only);
         let mem = device.memory();
         // A concurrent drain (there is none today) would find empty
         // buffers and allocate its own.
@@ -1663,7 +1556,7 @@ impl Session {
                 }
                 let raw: &[i32] = if k != u32::MAX {
                     debug_assert!(only.is_none(), "filtered drains never cover PIs");
-                    win_stims[w][k as usize].raw()
+                    inputs.stims[window_base + w][k as usize].raw()
                 } else {
                     debug_assert_ne!(offs[row + s], u32::MAX, "a gate drives it");
                     let off = offs[row + s] as usize;
@@ -2019,7 +1912,7 @@ impl Session {
     ) -> Result<(SimResult, W)> {
         let names = self.signal_names();
         let mut sink = VcdSink::new(out, self.graph.name(), &names)?;
-        let result = self.run_streaming(stimuli, duration, opts, &mut sink)?;
+        let result = self.drive(stimuli, duration, opts, None, Some(&mut sink))?;
         Ok((result, sink.finish()?))
     }
 
@@ -2041,7 +1934,7 @@ impl Session {
     ) -> Result<(SimResult, SaifDocument)> {
         let names: Vec<String> = self.signal_names().iter().map(|s| s.to_string()).collect();
         let mut sink = SaifSink::new(self.graph.name(), names);
-        let result = self.run_streaming(stimuli, duration, opts, &mut sink)?;
+        let result = self.drive(stimuli, duration, opts, None, Some(&mut sink))?;
         Ok((result, sink.finish(duration)))
     }
 }

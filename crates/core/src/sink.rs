@@ -150,6 +150,23 @@ impl SpillSink {
         }
     }
 
+    /// The words of `signal`'s waveform in `window`, up to and including
+    /// its EOW terminator; `None` when absent (a floating signal).
+    pub fn stored(&self, window: usize, signal: usize) -> Option<&[i32]> {
+        let ptr = self.ptrs[window * self.n_signals + signal];
+        if ptr == u64::MAX {
+            return None;
+        }
+        let from = self.slice_from(ptr);
+        let end = from
+            .iter()
+            .position(|&x| x == EOW)
+            // panic-ok: spill-format invariant — the store pass terminates
+            // every spilled waveform with EOW before the segment is retired.
+            .expect("spilled waveform terminates");
+        Some(&from[..=end])
+    }
+
     /// The stored words of the waveform at encoded pointer `ptr`, from its
     /// base to the end of its chunk (readers stop at the waveform's EOW).
     pub fn slice_from(&self, ptr: u64) -> &[i32] {
@@ -216,21 +233,7 @@ impl<W: io::Write> VcdSink<W> {
     ///
     /// Propagates writer errors.
     pub fn new(out: W, design: &str, names: &[&str]) -> io::Result<Self> {
-        Self::with_timescale(out, design, names, gatspi_wave::vcd::DEFAULT_TIMESCALE)
-    }
-
-    /// [`VcdSink::new`] with an explicit `$timescale` unit.
-    ///
-    /// # Errors
-    ///
-    /// Propagates writer errors.
-    pub fn with_timescale(
-        out: W,
-        design: &str,
-        names: &[&str],
-        timescale: &str,
-    ) -> io::Result<Self> {
-        let writer = StreamWriter::with_timescale(out, design, names, timescale)?;
+        let writer = StreamWriter::new(out, design, names)?;
         Ok(VcdSink {
             writer,
             map: (0..names.len() as u32).collect(),

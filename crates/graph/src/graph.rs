@@ -1,4 +1,4 @@
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 
 use gatspi_netlist::{CellType, GateId, Netlist};
@@ -266,9 +266,11 @@ impl CircuitGraph {
     /// so `netlist`, `options` and the rest of `sdf` must be the ones the
     /// graph was built from.
     ///
-    /// Indexes only the listed gates' SDF cells, in one pass over the file;
-    /// a caller that re-annotates many times against one cell list builds
-    /// an [`SdfIndex`] once and calls [`CircuitGraph::reannotate_indexed`].
+    /// `index` is an [`SdfIndex`] of `sdf`'s cells, so a call costs the
+    /// listed gates' own cells and no scan of the file. It may come from an
+    /// earlier version of `sdf`: it stays valid while the cell list
+    /// (instances, cell types, order) is unchanged, whatever the delay
+    /// triples.
     ///
     /// # Errors
     ///
@@ -277,37 +279,9 @@ impl CircuitGraph {
     ///
     /// # Panics
     ///
-    /// Panics if `netlist` has a different gate count or a gate index is out
-    /// of range.
+    /// Panics if `netlist` has a different gate count, a gate index is out
+    /// of range, or `index` names a cell that `sdf` does not have.
     pub fn reannotate(
-        &mut self,
-        netlist: &Netlist,
-        sdf: &SdfFile,
-        gates: &[usize],
-        options: &GraphOptions,
-    ) -> Result<()> {
-        let index = {
-            let names: HashSet<&str> = gates.iter().map(|&g| self.gate_name(g)).collect();
-            SdfIndex::filtered(sdf, |inst| names.contains(inst))
-        };
-        self.reannotate_indexed(netlist, sdf, &index, gates, options)
-    }
-
-    /// [`CircuitGraph::reannotate`] against a prebuilt `index` of `sdf`'s
-    /// cells, so a call costs the listed gates' own cells and no scan of
-    /// the file. `index` may come from an earlier version of `sdf`: it
-    /// stays valid while the cell list (instances, cell types, order) is
-    /// unchanged, whatever the delay triples.
-    ///
-    /// # Errors
-    ///
-    /// As [`CircuitGraph::reannotate`]; the graph is left unchanged.
-    ///
-    /// # Panics
-    ///
-    /// As [`CircuitGraph::reannotate`], and if `index` names a cell that
-    /// `sdf` does not have.
-    pub fn reannotate_indexed(
         &mut self,
         netlist: &Netlist,
         sdf: &SdfFile,
@@ -597,7 +571,7 @@ fn lut_len(n_inputs: usize) -> usize {
 /// Which `(CELL ...)` entries of an SDF file apply to which instance, as
 /// cell indices, so binding a gate costs its own entries and not a scan of
 /// the file. [`CircuitGraph::build`] makes one per call, and an ECO loop
-/// makes one per [`SdfFile`] for [`CircuitGraph::reannotate_indexed`].
+/// makes one per [`SdfFile`] for [`CircuitGraph::reannotate`].
 ///
 /// The index borrows the instance names of the file it was built from and
 /// holds no delays, so it stays valid for any file with the same cell list
@@ -615,14 +589,6 @@ pub struct SdfIndex<'a> {
 impl<'a> SdfIndex<'a> {
     /// Indexes every cell of `sdf`.
     pub fn new(sdf: &'a SdfFile) -> Self {
-        Self::filtered(sdf, |_| true)
-    }
-
-    /// Indexes only the instances passing `wanted` (and every wildcard):
-    /// one pass over the file with no allocation per skipped cell, which
-    /// is what keeps a one-gate [`CircuitGraph::reannotate`] far below a
-    /// build.
-    fn filtered(sdf: &'a SdfFile, wanted: impl Fn(&str) -> bool) -> Self {
         let mut index = SdfIndex {
             by_instance: HashMap::new(),
             wildcard: Vec::new(),
@@ -630,8 +596,7 @@ impl<'a> SdfIndex<'a> {
         for (i, cell) in sdf.cells.iter().enumerate() {
             match cell.instance.as_deref() {
                 None | Some("*") => index.wildcard.push(i),
-                Some(inst) if wanted(inst) => index.by_instance.entry(inst).or_default().push(i),
-                Some(_) => {}
+                Some(inst) => index.by_instance.entry(inst).or_default().push(i),
             }
         }
         index
@@ -670,7 +635,7 @@ impl<'a> SdfIndex<'a> {
 /// Annotates one gate from the IOPATHs bound to it: validates them, appends
 /// its pins' delay LUTs to `luts` back to back (pin order) and returns its
 /// fallback `(rise, fall)` delays. The single annotation body behind both
-/// [`CircuitGraph::build`] and [`CircuitGraph::reannotate_indexed`].
+/// [`CircuitGraph::build`] and [`CircuitGraph::reannotate`].
 fn annotate_gate(
     cell: &CellType,
     inst: &str,
@@ -942,7 +907,8 @@ mod tests {
         let mut g = CircuitGraph::build(&netlist, Some(&f), &opts).unwrap();
         f.cells[1].iopaths[0].rise = DelayTriple::single(44.0);
         f.cells.push(cell("XOR2", Some("u_x2"), &[("B", 6.0)]));
-        g.reannotate(&netlist, &f, &[1, 2], &opts).unwrap();
+        g.reannotate(&netlist, &f, &SdfIndex::new(&f), &[1, 2], &opts)
+            .unwrap();
         assert_eq!(g.fallback_delay(2), (44, 20));
         assert_eq!(g, CircuitGraph::build(&netlist, Some(&f), &opts).unwrap());
 
@@ -950,7 +916,7 @@ mod tests {
         let before = g.clone();
         f.cells[1].iopaths[0].rise = DelayTriple::single(45.0);
         f.cells.push(cell("XOR2", Some("u_x2"), &[("Q", 1.0)]));
-        let err = g.reannotate(&netlist, &f, &[2, 1], &opts);
+        let err = g.reannotate(&netlist, &f, &SdfIndex::new(&f), &[2, 1], &opts);
         assert!(matches!(err, Err(GraphError::SdfBinding { .. })));
         assert_eq!(g, before);
     }

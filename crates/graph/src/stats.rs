@@ -23,24 +23,9 @@ impl LevelStats {
         self.widths.len()
     }
 
-    /// Total gate count.
-    pub fn total_gates(&self) -> u64 {
-        self.widths.iter().map(|&w| u64::from(w)).sum()
-    }
-
     /// Widest level (0 for empty designs).
     pub fn max_width(&self) -> u32 {
         self.widths.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Index of the widest level (0 for empty designs).
-    pub fn widest_level(&self) -> usize {
-        self.widths
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &w)| w)
-            .map(|(i, _)| i)
-            .unwrap_or(0)
     }
 }
 
@@ -53,9 +38,7 @@ mod tests {
         let s = LevelStats::from_offsets(&[0, 2, 5, 6]);
         assert_eq!(s.widths, vec![2, 3, 1]);
         assert_eq!(s.n_levels(), 3);
-        assert_eq!(s.total_gates(), 6);
         assert_eq!(s.max_width(), 3);
-        assert_eq!(s.widest_level(), 1);
     }
 
     #[test]
@@ -63,6 +46,5 @@ mod tests {
         let s = LevelStats::from_offsets(&[0]);
         assert_eq!(s.n_levels(), 0);
         assert_eq!(s.max_width(), 0);
-        assert_eq!(s.widest_level(), 0);
     }
 }

@@ -3,7 +3,7 @@
 //! must leave the graph equal to a full [`CircuitGraph::build`] on the
 //! edited SDF — and a rejected edit must leave it untouched.
 
-use gatspi_graph::{CircuitGraph, GraphError, GraphOptions};
+use gatspi_graph::{CircuitGraph, GraphError, GraphOptions, SdfIndex};
 use gatspi_netlist::GateId;
 use gatspi_sdf::{DelayTriple, EdgeSpec, IoPath};
 use gatspi_workloads::circuits::{random_logic, RandomLogicConfig};
@@ -55,7 +55,7 @@ proptest! {
                 }
             }
         }
-        graph.reannotate(&netlist, &sdf, &changed, &opts).unwrap();
+        graph.reannotate(&netlist, &sdf, &SdfIndex::new(&sdf), &changed, &opts).unwrap();
         let rebuilt = CircuitGraph::build(&netlist, Some(&sdf), &opts).unwrap();
         prop_assert!(graph == rebuilt, "re-annotated graph differs from a rebuild");
 
@@ -80,7 +80,7 @@ proptest! {
         }
         let mut listed = changed.clone();
         listed.push(bad);
-        let err = graph.reannotate(&netlist, &sdf, &listed, &opts);
+        let err = graph.reannotate(&netlist, &sdf, &SdfIndex::new(&sdf), &listed, &opts);
         prop_assert!(matches!(err, Err(GraphError::SdfBinding { .. })), "{:?}", err);
         prop_assert!(graph == rebuilt, "failed reannotate modified the graph");
     }

@@ -119,17 +119,6 @@ impl TruthTable {
         &self.values
     }
 
-    /// The weight of input pin `pin` (i.e. `2^pin`), as used when forming a
-    /// lookup index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pin >= self.inputs()`.
-    pub fn pin_weight(&self, pin: usize) -> u32 {
-        assert!(pin < self.inputs, "pin {pin} out of range");
-        1u32 << pin
-    }
-
     /// Evaluates the function at a precomputed weight-sum index.
     ///
     /// # Panics
@@ -165,25 +154,6 @@ impl TruthTable {
         (0..self.values.len())
             .filter(|idx| idx & w == 0)
             .any(|idx| self.values[idx] != self.values[idx | w])
-    }
-
-    /// Returns the function with the given input pin inverted, useful for
-    /// deriving bubbled variants of library cells.
-    pub fn with_inverted_pin(&self, pin: usize) -> Self {
-        assert!(pin < self.inputs, "pin {pin} out of range");
-        let w = 1usize << pin;
-        let mut values = self.values.clone();
-        for (idx, v) in values.iter_mut().enumerate() {
-            *v = if idx & w == 0 {
-                self.values[idx | w]
-            } else {
-                self.values[idx & !w]
-            };
-        }
-        TruthTable {
-            inputs: self.inputs,
-            values,
-        }
     }
 
     /// Returns the complemented function.
@@ -257,16 +227,8 @@ mod tests {
     #[test]
     fn invert_pin_roundtrip() {
         let t = TruthTable::from_fn(2, |b| b[0] && b[1]);
-        let ti = t.with_inverted_pin(0).with_inverted_pin(0);
-        assert_eq!(t, ti);
+        assert_eq!(t.inverted().inverted(), t);
         let inv = t.inverted();
         assert_eq!(inv.values(), &[1, 1, 1, 0]);
-    }
-
-    #[test]
-    fn pin_weights_are_powers_of_two() {
-        let t = TruthTable::from_fn(4, |b| b.iter().any(|&x| x));
-        assert_eq!(t.pin_weight(0), 1);
-        assert_eq!(t.pin_weight(3), 8);
     }
 }

@@ -226,14 +226,6 @@ impl Netlist {
             .map(|(i, g)| (GateId(i as u32), g))
     }
 
-    /// Total cell area (sum of per-instance library areas).
-    pub fn total_area(&self) -> f64 {
-        self.gates
-            .iter()
-            .map(|g| self.library.cell(g.cell).area())
-            .sum()
-    }
-
     /// Validates structural sanity: every net is driven exactly once (by a
     /// gate or by being a primary input), every gate pin connects to an
     /// existing net. The builder enforces this incrementally; this method
@@ -811,11 +803,6 @@ mod tests {
         b.mark_output(w);
         let n = b.finish().unwrap();
         assert_eq!(n.primary_outputs(), &[w]);
-    }
-
-    #[test]
-    fn total_area_positive() {
-        assert!(full_adder().total_area() > 0.0);
     }
 
     #[test]

@@ -277,7 +277,7 @@ fn apply_slowdown_fixes(
         }
         fixes
             .graph
-            .reannotate_indexed(netlist, &fixes.sdf, &index, &[g], &opts)
+            .reannotate(netlist, &fixes.sdf, &index, &[g], &opts)
             .expect("patched SDF stays well-formed");
         fixes.candidates += 1;
         fixes.retimed += guard.retime(&fixes.graph, g);
@@ -292,7 +292,7 @@ fn apply_slowdown_fixes(
             }
             fixes
                 .graph
-                .reannotate_indexed(netlist, &fixes.sdf, &index, &[g], &opts)
+                .reannotate(netlist, &fixes.sdf, &index, &[g], &opts)
                 .expect("restored SDF is the one that annotated before");
             continue;
         }
@@ -540,7 +540,7 @@ mod tests {
                         scale_triple(&mut p.fall, factor);
                     }
                 }
-                graph.reannotate_indexed(&netlist, &trial, &index, &[g], &opts).unwrap();
+                graph.reannotate(&netlist, &trial, &index, &[g], &opts).unwrap();
                 guard.retime(&graph, g);
                 assert_guard_is_exact(&guard, &graph);
                 if accept {
@@ -550,7 +550,7 @@ mod tests {
                 for (&i, cell) in cells.iter().zip(before) {
                     trial.cells[i] = cell;
                 }
-                graph.reannotate_indexed(&netlist, &trial, &index, &[g], &opts).unwrap();
+                graph.reannotate(&netlist, &trial, &index, &[g], &opts).unwrap();
                 guard.rollback();
                 assert_guard_is_exact(&guard, &graph);
             }

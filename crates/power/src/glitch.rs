@@ -234,7 +234,7 @@ mod tests {
     use std::sync::Arc;
 
     use gatspi_core::{RunOptions, Session, SimConfig};
-    use gatspi_graph::{CircuitGraph, GraphOptions};
+    use gatspi_graph::{CircuitGraph, GraphOptions, SdfIndex};
     use gatspi_refsim::{EventSimulator, RefConfig};
     use gatspi_sdf::SdfFile;
     use gatspi_workloads::sdfgen::{attach_sdf, SdfGenConfig};
@@ -476,7 +476,9 @@ mod tests {
                 }
             }
             let mut slowed = graph.clone();
-            slowed.reannotate(&netlist, sdf, gates, &opts).unwrap();
+            slowed
+                .reannotate(&netlist, sdf, &SdfIndex::new(sdf), gates, &opts)
+                .unwrap();
             slowed
         };
         let n = graph0.n_gates();

@@ -111,32 +111,6 @@ impl DelayLut {
     pub fn max_delay(&self) -> Option<i32> {
         self.data.iter().copied().filter(|&d| d != NO_ARC).max()
     }
-
-    /// Collapses the table to `(rise, fall)` averages across all specified
-    /// arcs — the "partial SDF" 2-element-array mode of the paper's Table 7
-    /// ablation.
-    pub fn rise_fall_average(&self) -> (i32, i32) {
-        let ncols = self.ncols();
-        let mut avg = [NO_ARC, NO_ARC];
-        for (out_edge, slot) in avg.iter_mut().enumerate() {
-            let mut sum = 0i64;
-            let mut n = 0i64;
-            for in_edge in 0..2 {
-                let row = 2 * in_edge + out_edge;
-                for c in 0..ncols {
-                    let d = self.data[row * ncols + c];
-                    if d != NO_ARC {
-                        sum += i64::from(d);
-                        n += 1;
-                    }
-                }
-            }
-            if n > 0 {
-                *slot = (sum / n) as i32;
-            }
-        }
-        (avg[0], avg[1])
-    }
 }
 
 /// Builds the [`DelayLut`] for one (gate, input pin) pair from the IOPATHs
@@ -429,10 +403,6 @@ mod tests {
         let names = pins(&["A", "B"]);
         let lut = build_delay_lut(&names, 0, &f.cells[0].iopaths, TripleSelect::Typ, 1.0).unwrap();
         assert_eq!(lut.max_delay(), Some(6));
-        let (rise, fall) = lut.rise_fall_average();
-        // Rise entries: rows 0 and 2, cols {2,2} default then col1 -> {2,6,2,6} = 4.
-        assert_eq!(rise, 4);
-        assert_eq!(fall, 4);
     }
 
     #[test]
@@ -440,7 +410,6 @@ mod tests {
         let lut =
             build_delay_lut::<IoPath>(&pins(&["A", "B"]), 0, &[], TripleSelect::Typ, 1.0).unwrap();
         assert_eq!(lut.max_delay(), None);
-        assert_eq!(lut.rise_fall_average(), (NO_ARC, NO_ARC));
         assert_eq!(lut.data().len(), 8);
         assert!(lut.data().iter().all(|&d| d == NO_ARC));
     }

@@ -262,23 +262,6 @@ impl SaifAccumulator {
         self.add_delta(signal, scan_raw(raw, clip));
     }
 
-    /// Folds one window of net `signal` from a materialised [`Waveform`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `signal` is out of range.
-    pub fn add_window(&mut self, signal: usize, w: &Waveform, clip: SimTime) {
-        let (t0, t1) = w.durations(clip);
-        self.add_delta(
-            signal,
-            SaifDelta {
-                t0,
-                t1,
-                tc: w.toggle_count_clipped(clip) as u64,
-            },
-        );
-    }
-
     /// Folds an already-computed delta for net `signal`.
     ///
     /// # Panics
@@ -594,7 +577,7 @@ mod tests {
         assert_eq!(acc.n_nets(), 3);
         for (start, end) in [(0, 70), (70, 140), (140, 200)] {
             acc.add_raw(0, a.window(start, end).raw(), end - start);
-            acc.add_window(1, &b.window(start, end), end - start);
+            acc.add_raw(1, b.window(start, end).raw(), end - start);
         }
         let doc = acc.finish(duration);
         let whole = SaifDocument::from_waveforms("top", duration, [("a", &a), ("b", &b)]);

@@ -62,35 +62,6 @@ impl Waveform {
         b.finish()
     }
 
-    /// Builds a waveform from `(time, value)` change points. The first entry
-    /// must be at time 0 (the initial value); entries that repeat the current
-    /// value are ignored.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WaveError::NonMonotonic`] if times decrease, or
-    /// [`WaveError::BadEncoding`] if the first entry is not at time 0.
-    pub fn from_samples(samples: &[(SimTime, bool)]) -> Result<Self> {
-        let Some(&(t0, v0)) = samples.first() else {
-            return Err(WaveError::BadEncoding {
-                detail: "empty sample list".into(),
-            });
-        };
-        if t0 != 0 {
-            return Err(WaveError::BadEncoding {
-                detail: format!("first sample must be at time 0, got {t0}"),
-            });
-        }
-        let mut b = WaveformBuilder::new(v0);
-        for (i, &(t, v)) in samples.iter().enumerate().skip(1) {
-            if v != b.current_value() {
-                b.toggle(t)
-                    .map_err(|_| WaveError::NonMonotonic { index: i, time: t })?;
-            }
-        }
-        Ok(b.finish())
-    }
-
     /// Wraps a raw Fig.-3 array, validating the encoding.
     ///
     /// # Errors
@@ -140,17 +111,6 @@ impl Waveform {
     /// The raw Fig.-3 array, including any leading `-1` and the trailing EOW.
     pub fn raw(&self) -> &[SimTime] {
         &self.data
-    }
-
-    /// Consumes the waveform, returning the raw array.
-    pub fn into_raw(self) -> Vec<SimTime> {
-        self.data
-    }
-
-    /// Total array length in `i32` words (marker + toggles + EOW), i.e. the
-    /// arena footprint of this waveform.
-    pub fn len_words(&self) -> usize {
-        self.data.len()
     }
 
     /// Value at time 0 before any post-zero toggles.
@@ -485,18 +445,6 @@ mod tests {
     }
 
     #[test]
-    fn from_samples_dedups() {
-        let w = Waveform::from_samples(&[(0, false), (5, true), (7, true), (9, false)]).unwrap();
-        assert_eq!(w.raw(), &[0, 5, 9, EOW]);
-    }
-
-    #[test]
-    fn from_samples_requires_time_zero() {
-        assert!(Waveform::from_samples(&[(3, true)]).is_err());
-        assert!(Waveform::from_samples(&[]).is_err());
-    }
-
-    #[test]
     fn from_raw_validation() {
         assert!(Waveform::from_raw(vec![0, 5, EOW]).is_ok());
         assert!(Waveform::from_raw(vec![-1, 0, 5, EOW]).is_ok());
@@ -620,13 +568,6 @@ mod tests {
         b.set_value(6, false).unwrap();
         assert_eq!(b.toggle_count(), 1);
         assert!(!b.current_value());
-    }
-
-    #[test]
-    fn len_words_matches_arena_footprint() {
-        assert_eq!(Waveform::constant(false).len_words(), 2);
-        assert_eq!(Waveform::constant(true).len_words(), 3);
-        assert_eq!(Waveform::from_toggles(false, &[1, 2]).len_words(), 4);
     }
 
     #[test]

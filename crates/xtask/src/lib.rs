@@ -36,10 +36,11 @@
 //! printing each one's wall and stopping at the first failure (see
 //! [`mod@gate`]).
 //!
-//! # `loc [DIR…]`
+//! # `loc [PATH…]`
 //!
 //! Prints the non-test, non-comment, non-blank line count of each
-//! directory, by default of every `crates/*/src` (see [`mod@loc`]).
+//! directory or source file, by default of every `crates/*/src` (see
+//! [`mod@loc`]).
 
 pub mod analysis;
 pub mod bench;
@@ -58,22 +59,20 @@ pub fn workspace_root() -> PathBuf {
         .to_path_buf()
 }
 
-/// Recursively collects `.rs` files, skipping `target/` and dot-dirs.
-pub fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
+/// Collects `path` when it is a `.rs` file, else every `.rs` file under
+/// it, skipping `target/` and dot-entries.
+pub fn collect_rs_files(path: &Path, out: &mut Vec<PathBuf>) {
+    let Ok(entries) = std::fs::read_dir(path) else {
+        if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path.to_path_buf());
+        }
         return;
     };
     for entry in entries.flatten() {
-        let path = entry.path();
         let name = entry.file_name();
         let name = name.to_string_lossy();
-        if path.is_dir() {
-            if name == "target" || name.starts_with('.') {
-                continue;
-            }
-            collect_rs_files(&path, out);
-        } else if name.ends_with(".rs") {
-            out.push(path);
+        if name != "target" && !name.starts_with('.') {
+            collect_rs_files(&entry.path(), out);
         }
     }
 }

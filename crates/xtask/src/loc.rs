@@ -1,5 +1,6 @@
 //! `loc`: non-test, non-comment, non-blank line counts per source
-//! directory — the size measure simplification changes are judged by.
+//! directory or file — the size measure simplification changes are judged
+//! by.
 //!
 //! Lines are split by the analysis lexer ([`SourceFile::lex`]), so comments
 //! and doc comments never count, wherever they sit. A line counts when it
@@ -22,12 +23,12 @@ pub fn count_source(source: &str) -> usize {
         .count()
 }
 
-/// Counts every `.rs` file under `dir`.
-pub fn count_dir(dir: &Path) -> Result<usize, String> {
+/// Counts `path`: one `.rs` file, or every `.rs` file under a directory.
+pub fn count_path(path: &Path) -> Result<usize, String> {
     let mut files = Vec::new();
-    crate::collect_rs_files(dir, &mut files);
+    crate::collect_rs_files(path, &mut files);
     if files.is_empty() {
-        return Err(format!("no .rs files under {}", dir.display()));
+        return Err(format!("no .rs files under {}", path.display()));
     }
     files.iter().try_fold(0, |acc, path| {
         let source = std::fs::read_to_string(path)
@@ -50,19 +51,19 @@ fn default_dirs(root: &Path) -> Vec<PathBuf> {
     dirs
 }
 
-/// The `loc` entry point: prints one `count  dir` line per directory
-/// (`dirs`, or every `crates/*/src` when empty).
-pub fn run_loc(dirs: &[String]) -> ExitCode {
+/// The `loc` entry point: prints one `count  path` line per directory or
+/// file (`paths`, or every `crates/*/src` when empty).
+pub fn run_loc(paths: &[String]) -> ExitCode {
     let root = crate::workspace_root();
-    let dirs: Vec<PathBuf> = if dirs.is_empty() {
+    let paths: Vec<PathBuf> = if paths.is_empty() {
         default_dirs(&root)
     } else {
-        dirs.iter().map(PathBuf::from).collect()
+        paths.iter().map(PathBuf::from).collect()
     };
-    for dir in &dirs {
-        match count_dir(dir) {
+    for path in &paths {
+        match count_path(path) {
             Ok(n) => {
-                let shown = dir.strip_prefix(&root).unwrap_or(dir);
+                let shown = path.strip_prefix(&root).unwrap_or(path);
                 println!("{n:>7}  {}", shown.display());
             }
             Err(e) => {
@@ -103,5 +104,17 @@ mod model_tests {}
 ";
         // `pub fn f`, `let s`, both literal lines and `}`.
         assert_eq!(count_source(src), 5);
+    }
+
+    #[test]
+    fn a_file_counts_alone_and_a_directory_counts_its_files() {
+        let src = crate::workspace_root().join("crates/xtask/src");
+        let alone = count_source(&std::fs::read_to_string(src.join("loc.rs")).unwrap());
+        assert_eq!(count_path(&src.join("loc.rs")), Ok(alone));
+        assert!(count_path(&src).unwrap() > alone);
+        assert!(
+            count_path(&src.join("../Cargo.toml")).is_err(),
+            "no .rs file"
+        );
     }
 }

@@ -32,7 +32,7 @@ fn main() -> ExitCode {
 fn usage(why: &str) -> ExitCode {
     eprintln!("xtask: {why}");
     eprintln!(
-        "usage: cargo run -p xtask -- <analyze [--json <path>] | bench-check | gate | loc [DIR...]>"
+        "usage: cargo run -p xtask -- <analyze [--json <path>] | bench-check | gate | loc [PATH...]>"
     );
     ExitCode::from(2)
 }

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use gatspi_core::{RunOptions, Session, SimConfig};
-use gatspi_graph::{CircuitGraph, GraphOptions};
+use gatspi_graph::{CircuitGraph, GraphOptions, SdfIndex};
 use gatspi_netlist::GateId;
 use gatspi_workloads::circuits::mac_datapath;
 use gatspi_workloads::sdfgen::{attach_sdf, SdfGenConfig};
@@ -66,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     let mut graph1 = CircuitGraph::clone(&graph0);
-    graph1.reannotate(&netlist, &sdf, &changed, &opts)?;
+    graph1.reannotate(&netlist, &sdf, &SdfIndex::new(&sdf), &changed, &opts)?;
     let graph1 = Arc::new(graph1);
 
     // --- Delta run: only the changed gates' cones re-execute; everything

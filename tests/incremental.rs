@@ -165,6 +165,19 @@ fn incremental_matches_full_resim_exactly() {
     );
     assert_bit_identical(&graph1, &full, &inc2, "repeat");
 
+    // Every gate changed: the cone is the whole design and its boundary is
+    // exactly the primary inputs, so the incremental run uploads the same
+    // sources a full run does and recomputes every driven signal.
+    let every_gate: Vec<usize> = (0..graph1.n_gates()).collect();
+    let inc_all = sim1
+        .run_incremental(&r0, &every_gate, &stimuli, duration, &spill_opts())
+        .unwrap();
+    assert_bit_identical(&graph1, &full, &inc_all, "every gate");
+    let driven: Vec<bool> = (0..graph1.n_signals() as u32)
+        .map(|s| graph1.driver(SignalId(s)).is_some())
+        .collect();
+    assert_eq!(inc_all.recomputed_signals(), Some(&driven[..]));
+
     // Chained ECO: a second resize runs incrementally off the incremental
     // result (derived spills stay usable as the next iteration's baseline).
     let changed_b = vec![12usize, 130];
@@ -203,8 +216,8 @@ fn incremental_matches_under_segmentation() {
         &StimulusConfig::random(cycles, cycle, 0.7, 9),
     );
     // An arena too small for all windows at once: both the baseline and
-    // the delta run must segment (the delta run starts from the segment
-    // size `sim1`'s full run just recorded for this window count).
+    // the delta run must segment (every run starts from an even share of
+    // the windows and halves on its own; nothing carries over).
     let cfg = SimConfig {
         memory_words: 6_000,
         ..SimConfig::small()
