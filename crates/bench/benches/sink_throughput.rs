@@ -75,8 +75,8 @@ fn bench_sinks(c: &mut Criterion) {
             });
         });
 
-        // Streaming VCD into a discarding writer: sink decode + k-way
-        // merge + formatting, without filesystem noise.
+        // Streaming VCD into a discarding writer: sink decode + each
+        // window's counting pass + formatting, without filesystem noise.
         group.bench_with_input(BenchmarkId::new("vcd_stream", gates), &gates, |b, _| {
             b.iter(|| {
                 let mut sink = VcdSink::new(std::io::sink(), s.graph.name(), &name_refs).unwrap();

@@ -1412,8 +1412,8 @@ struct DrainBuffers {
     /// `offs[window × n_signals + signal]`: offset of that waveform's words
     /// in `data`, `u32::MAX` where the drain read nothing back.
     offs: Vec<u32>,
-    /// The segment's live gate-output words, level by level; slack words
-    /// never land here.
+    /// The segment's live gate-output words, window by window and each
+    /// window level by level; slack words never land here.
     data: Vec<i32>,
     /// The bounce buffer a level region is read back into, as large as the
     /// widest region met so far.
@@ -1421,23 +1421,10 @@ struct DrainBuffers {
 }
 
 impl Session {
-    /// `window × n_signals + signal` of every stored gate output of graph
-    /// level `level` that the drain delivers (`only`, when set, flags the
-    /// signals it covers).
-    fn stored_outputs<'a>(
-        &'a self,
-        batch: &'a WindowBatch,
-        only: Option<&'a [bool]>,
-        level: usize,
-    ) -> impl Iterator<Item = usize> + 'a {
-        let n_signals = self.graph.n_signals();
-        self.graph
-            .level_gates(level)
-            .iter()
-            .map(|&g| self.graph.gate_output(g as usize).index())
-            .filter(move |&s| only.is_none_or(|flags| flags[s]))
-            .flat_map(move |s| (0..batch.windows.len()).map(move |w| w * n_signals + s))
-            .filter(|&i| batch.ptrs[i] != u32::MAX)
+    /// The signals the gates of graph level `level` drive, in gate order.
+    fn level_outputs(&self, level: usize) -> impl Iterator<Item = usize> + '_ {
+        let gates = self.graph.level_gates(level).iter();
+        gates.map(|&g| self.graph.gate_output(g as usize).index())
     }
 
     /// Streams one finished segment's waveforms to the active sinks
@@ -1462,9 +1449,17 @@ impl Session {
     /// `d2h_bytes` therefore counts the slack inside the regions, the
     /// segment buffer does not hold it. The regions are read on the
     /// calling thread, one after another (a read-back forked across host
-    /// workers measured no faster at the workloads' sizes). The sinks are
-    /// then fed in deterministic (window, ascending signal) order. Every
-    /// buffer involved lives on the session and is reused.
+    /// workers measured no faster at the workloads' sizes).
+    ///
+    /// The sinks are fed in deterministic (window, ascending signal) order,
+    /// so the segment buffer is laid out window-major: each window's
+    /// waveforms are one block, level by level inside it. The sinks then
+    /// walk the buffer window after window, each block small enough to stay
+    /// cached while it is read, and the copy out of the bounce buffer
+    /// writes each window's share of a level in sequence (a buffer in exact
+    /// delivery order measured no faster on `vcd_stream` and slower on
+    /// `glitch_eco`: its copy scatters every level across each window's
+    /// block). Every buffer involved lives on the session and is reused.
     ///
     /// `inputs.only` restricts the drain to flagged signals (an incremental
     /// run delivers in-cone waveforms only; out-of-cone entries stay
@@ -1493,28 +1488,32 @@ impl Session {
             bounce,
         } = &mut bufs;
 
-        // Lay the segment buffer out level by level and find each level's
-        // device range.
-        regions.clear();
+        // Lay the segment buffer out window by window, each window level by
+        // level, and find each level's device range on the way.
+        let rows = || (0..batch.windows.len()).map(|w| w * n_signals);
         offs.clear();
         offs.resize(batch.windows.len() * n_signals, u32::MAX);
+        regions.clear();
+        regions.extend((0..self.graph.n_levels() as u32).map(|level| LevelRegion {
+            level,
+            lo: u32::MAX,
+            hi: 0,
+        }));
         let mut total = 0u32;
-        for level in 0..self.graph.n_levels() {
-            let (mut lo, mut hi) = (u32::MAX, 0);
-            for i in self.stored_outputs(batch, only, level) {
-                offs[i] = total;
-                total += batch.lens[i];
-                lo = lo.min(batch.ptrs[i]);
-                hi = hi.max(batch.ptrs[i] + batch.lens[i]);
-            }
-            if lo != u32::MAX {
-                regions.push(LevelRegion {
-                    level: level as u32,
-                    lo,
-                    hi,
-                });
+        for row in rows() {
+            for r in regions.iter_mut() {
+                for s in self.level_outputs(r.level as usize) {
+                    let i = row + s;
+                    if batch.ptrs[i] != u32::MAX && only.is_none_or(|flags| flags[s]) {
+                        offs[i] = total;
+                        total += batch.lens[i];
+                        r.lo = r.lo.min(batch.ptrs[i]);
+                        r.hi = r.hi.max(batch.ptrs[i] + batch.lens[i]);
+                    }
+                }
             }
         }
+        regions.retain(|r| r.lo != u32::MAX);
         if data.len() < total as usize {
             data.resize(total as usize, 0);
         }
@@ -1529,14 +1528,20 @@ impl Session {
         // place in the segment buffer.
         for r in regions.iter() {
             mem.d2h_into(r.lo as usize, &mut bounce[..(r.hi - r.lo) as usize]);
-            for i in self.stored_outputs(batch, only, r.level as usize) {
-                let (from, to) = ((batch.ptrs[i] - r.lo) as usize, offs[i] as usize);
-                let len = batch.lens[i] as usize;
-                data[to..to + len].copy_from_slice(&bounce[from..from + len]);
+            for row in rows() {
+                for s in self.level_outputs(r.level as usize) {
+                    let i = row + s;
+                    if offs[i] != u32::MAX {
+                        let (from, to) = ((batch.ptrs[i] - r.lo) as usize, offs[i] as usize);
+                        let len = batch.lens[i] as usize;
+                        data[to..to + len].copy_from_slice(&bounce[from..from + len]);
+                    }
+                }
             }
         }
 
-        // Feed the sinks in deterministic (window, ascending signal) order.
+        // Feed the sinks in deterministic (window, ascending signal) order,
+        // which reads `data` one window block at a time.
         for (w, &(start, end)) in batch.windows.iter().enumerate() {
             let info = WindowInfo {
                 window: window_base + w,

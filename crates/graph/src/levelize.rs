@@ -43,14 +43,12 @@ pub fn levelize(netlist: &Netlist) -> Result<Vec<u32>> {
     let mut indegree = vec![0u32; n];
 
     // indegree = number of *gate-driven* inputs.
-    for (_, gate) in netlist.gates() {
-        let mut d = 0;
-        for &net in gate.inputs() {
-            if netlist.net(net).driver().is_some() {
-                d += 1;
-            }
-        }
-        indegree[gate_index(netlist, gate.name())] = d;
+    for (id, gate) in netlist.gates() {
+        let driven = gate
+            .inputs()
+            .iter()
+            .filter(|&&net| netlist.net(net).driver().is_some());
+        indegree[id.index()] = driven.count() as u32;
     }
 
     let mut queue: Vec<usize> = indegree
@@ -95,10 +93,6 @@ pub fn levelize(netlist: &Netlist) -> Result<Vec<u32>> {
         });
     }
     Ok(level)
-}
-
-fn gate_index(netlist: &Netlist, name: &str) -> usize {
-    netlist.find_gate(name).expect("gate exists").index()
 }
 
 #[cfg(test)]

@@ -155,14 +155,6 @@ impl TruthTable {
             .filter(|idx| idx & w == 0)
             .any(|idx| self.values[idx] != self.values[idx | w])
     }
-
-    /// Returns the complemented function.
-    pub fn inverted(&self) -> Self {
-        TruthTable {
-            inputs: self.inputs,
-            values: self.values.iter().map(|&v| 1 - v).collect(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -222,13 +214,5 @@ mod tests {
         // Constant function: nothing observable.
         let tie = TruthTable::from_fn(1, |_| true);
         assert!(!tie.pin_observable(0));
-    }
-
-    #[test]
-    fn invert_pin_roundtrip() {
-        let t = TruthTable::from_fn(2, |b| b[0] && b[1]);
-        assert_eq!(t.inverted().inverted(), t);
-        let inv = t.inverted();
-        assert_eq!(inv.values(), &[1, 1, 1, 0]);
     }
 }

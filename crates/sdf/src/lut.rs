@@ -103,14 +103,6 @@ impl DelayLut {
         let row = 2 * usize::from(!input_rising) + usize::from(!output_rising);
         self.data[row * self.ncols() + col as usize]
     }
-
-    /// Largest specified delay in the table, or `None` if no arcs are
-    /// specified. Used as a conservative fallback for transitions that have
-    /// no arc (e.g. multi-input switching resolving to a direction SDF never
-    /// annotated).
-    pub fn max_delay(&self) -> Option<i32> {
-        self.data.iter().copied().filter(|&d| d != NO_ARC).max()
-    }
 }
 
 /// Builds the [`DelayLut`] for one (gate, input pin) pair from the IOPATHs
@@ -393,23 +385,9 @@ mod tests {
     }
 
     #[test]
-    fn max_delay_and_average() {
-        let src = r#"(DELAYFILE (CELL (CELLTYPE "NAND2") (INSTANCE u)
-  (DELAY (ABSOLUTE
-    (IOPATH A Y (2) (4))
-    (COND B===1'b1 (IOPATH A Y (6) ()))
-  ))))"#;
-        let f = SdfFile::parse(src).unwrap();
-        let names = pins(&["A", "B"]);
-        let lut = build_delay_lut(&names, 0, &f.cells[0].iopaths, TripleSelect::Typ, 1.0).unwrap();
-        assert_eq!(lut.max_delay(), Some(6));
-    }
-
-    #[test]
     fn empty_iopaths_all_no_arc() {
         let lut =
             build_delay_lut::<IoPath>(&pins(&["A", "B"]), 0, &[], TripleSelect::Typ, 1.0).unwrap();
-        assert_eq!(lut.max_delay(), None);
         assert_eq!(lut.data().len(), 8);
         assert!(lut.data().iter().all(|&d| d == NO_ARC));
     }

@@ -259,15 +259,7 @@ impl SaifAccumulator {
     ///
     /// Panics if `signal` is out of range.
     pub fn add_raw(&mut self, signal: usize, raw: &[i32], clip: SimTime) {
-        self.add_delta(signal, scan_raw(raw, clip));
-    }
-
-    /// Folds an already-computed delta for net `signal`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `signal` is out of range.
-    pub fn add_delta(&mut self, signal: usize, d: SaifDelta) {
+        let d = scan_raw(raw, clip);
         let r = &mut self.recs[signal];
         r.t0 += d.t0;
         r.t1 += d.t1;

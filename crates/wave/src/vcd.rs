@@ -139,6 +139,67 @@ struct ChangeFormatter {
     /// The `$dumpvars` block has been written (it wraps the first change
     /// block).
     wrote_dumpvars: bool,
+    /// The buffers that order a window's changes.
+    order: WindowOrder,
+}
+
+/// A window is ordered by the counting pass only while its time span is at
+/// most this many times its change count, so the histogram stays
+/// O(changes) however sparse the window.
+const SPAN_PER_CHANGE: u64 = 4;
+
+/// Orders a window's packed changes (see [`pack_change`]) ascending.
+///
+/// One stable counting pass over window-relative time puts them in time
+/// order; a timestamp's changes keep their arrival order, which is already
+/// ascending by signal when they arrived signal by signal — as the
+/// engine's drain and [`write()`]'s per-slice loop deliver them. One
+/// `is_sorted` check catches any other arrival order (a filtered sink
+/// over an unsorted signal list) and sorts it outright, as it does a
+/// window too sparse for the counting pass. Both buffers are reused, so
+/// memory stays O(one window's changes).
+#[derive(Debug, Default)]
+struct WindowOrder {
+    /// Per-time bucket starts of the counting pass, `span + 1` long.
+    starts: Vec<u32>,
+    /// The counting pass's output.
+    sorted: Vec<u64>,
+}
+
+impl WindowOrder {
+    /// `keys` in ascending order: sorted in place, or the counting pass's
+    /// output.
+    fn sort<'a>(&'a mut self, keys: &'a mut [u64]) -> &'a [u64] {
+        let (lo, hi) = keys
+            .iter()
+            .fold((u64::MAX, 0), |(lo, hi), &k| (lo.min(k), hi.max(k)));
+        let t0 = lo >> 33;
+        let n = keys.len() as u64;
+        if n < 2 || n > u64::from(u32::MAX) || (hi >> 33) - t0 >= SPAN_PER_CHANGE * n {
+            keys.sort_unstable();
+            return keys;
+        }
+        let bucket = |k: u64| ((k >> 33) - t0) as usize;
+        self.starts.clear();
+        self.starts.resize(bucket(hi) + 2, 0);
+        for &k in keys.iter() {
+            self.starts[bucket(k) + 1] += 1;
+        }
+        for i in 1..self.starts.len() {
+            self.starts[i] += self.starts[i - 1];
+        }
+        self.sorted.clear();
+        self.sorted.resize(keys.len(), 0);
+        for &k in keys.iter() {
+            let at = &mut self.starts[bucket(k)];
+            self.sorted[*at as usize] = k;
+            *at += 1;
+        }
+        if !self.sorted.is_sorted() {
+            self.sorted.sort_unstable();
+        }
+        &self.sorted
+    }
 }
 
 impl ChangeFormatter {
@@ -163,6 +224,7 @@ impl ChangeFormatter {
             lines,
             last_time: None,
             wrote_dumpvars: false,
+            order: WindowOrder::default(),
         }
     }
 
@@ -191,14 +253,15 @@ impl ChangeFormatter {
         let _ = writeln!(out, "$enddefinitions $end");
     }
 
-    /// Sorts `keys` (see [`pack_change`]) and appends their change blocks
-    /// to `out`. A stamp equal to the previous window's last one is not
-    /// repeated; the `$dumpvars` block opened by the first stamp ever
-    /// written closes at the next stamp or at the end of its window.
+    /// Orders `keys` (see [`pack_change`] and [`WindowOrder`]) and appends
+    /// their change blocks to `out`. A stamp equal to the previous window's
+    /// last one is not repeated; the `$dumpvars` block opened by the first
+    /// stamp ever written closes at the next stamp or at the end of its
+    /// window.
     fn format(&mut self, keys: &mut [u64], out: &mut Vec<u8>) {
-        keys.sort_unstable();
+        let keys = self.order.sort(keys);
         let mut dumpvars_open = false;
-        for &key in keys.iter() {
+        for &key in keys {
             let t = (key >> 33) as SimTime;
             if self.last_time != Some(t) {
                 if dumpvars_open {
@@ -235,10 +298,12 @@ impl ChangeFormatter {
 /// emits one time-ordered change block per window. Buffering is O(changes
 /// in the current window): every change is one packed `u64` key (time,
 /// signal, value) pushed onto one reused list; when a call reports a new
-/// window start, the previous window's keys are sorted once and formatted
-/// into a reused byte buffer that leaves in a single `write_all`. It is the
-/// formatter [`write()`] uses, so both produce the same bytes for the same
-/// changes.
+/// window start, the previous window's keys are ordered — by one stable
+/// counting pass over window-relative time, a full sort only when the
+/// changes of one stamp did not arrive signal-ascending or the window is
+/// too sparse — and formatted into a reused byte buffer that leaves in a
+/// single `write_all`. It is the formatter [`write()`] uses, so both
+/// produce the same bytes for the same changes.
 ///
 /// Windows must arrive in ascending start order (checked), each signal at
 /// most once per window, with window-local toggle times already clipped to
@@ -892,6 +957,105 @@ mod tests {
         let doc = parse(&text).unwrap();
         assert_eq!(doc.signals["a"], Waveform::from_toggles(false, &[4, 13]));
         assert_eq!(doc.signals["b"], Waveform::from_toggles(false, &[16]));
+    }
+
+    /// Streams one window `[0, end)` of `waves`, delivering signals in
+    /// `order`; returns the text, the peak buffered changes and the
+    /// counting pass's histogram capacity after the flush.
+    fn stream_one_window(
+        waves: &[Waveform],
+        end: SimTime,
+        order: &[usize],
+    ) -> (String, usize, usize) {
+        let names: Vec<String> = (0..waves.len()).map(|i| format!("s{i}")).collect();
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        let mut sw = StreamWriter::new(Vec::new(), "top", &names).unwrap();
+        for &s in order {
+            let win = waves[s].window(0, end);
+            sw.wave(
+                s,
+                0,
+                win.initial_value(),
+                win.iter().skip(1).map(|(t, _)| t),
+            )
+            .unwrap();
+        }
+        sw.flush_window().unwrap();
+        let (peak, histogram) = (
+            sw.peak_window_changes(),
+            sw.formatter.order.starts.capacity(),
+        );
+        (
+            String::from_utf8(sw.finish().unwrap()).unwrap(),
+            peak,
+            histogram,
+        )
+    }
+
+    #[test]
+    fn equal_time_changes_arriving_signal_descending_are_reordered() {
+        // Five signals flipping at the same three times, delivered last
+        // signal first: the counting pass leaves each stamp's changes
+        // descending, and the check behind it sorts them.
+        let waves: Vec<Waveform> = (0..5)
+            .map(|s| Waveform::from_toggles(s % 2 == 0, &[3, 7, 12]))
+            .collect();
+        let (text, peak, histogram) = stream_one_window(&waves, 20, &[4, 3, 2, 1, 0]);
+        let names: Vec<String> = (0..5).map(|i| format!("s{i}")).collect();
+        assert_eq!(
+            text,
+            write("top", names.iter().map(String::as_str).zip(&waves))
+        );
+        assert_eq!(peak, 5 * 4, "every signal's initial value and three flips");
+        assert!(histogram > 0, "a 12-tick span over 20 changes is counted");
+    }
+
+    #[test]
+    fn sparse_window_is_ordered_without_a_span_sized_histogram() {
+        // Three changes over 10^9 ticks: the window is sorted outright,
+        // and the counting pass's histogram is never sized to the span.
+        let waves = [
+            Waveform::from_toggles(false, &[1_000_000_000]),
+            Waveform::constant(true),
+        ];
+        let (text, peak, histogram) = stream_one_window(&waves, 1_000_000_001, &[1, 0]);
+        assert_eq!(text, write("top", [("s0", &waves[0]), ("s1", &waves[1])]));
+        assert_eq!(peak, 3);
+        assert_eq!(histogram, 0);
+    }
+
+    /// Seeded differential test of the window ordering on its own: dense
+    /// and sparse spans, any arrival order, repeated keys.
+    #[test]
+    fn window_order_matches_a_full_sort() {
+        let mut rng = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        let mut order = WindowOrder::default();
+        for case in 0..400 {
+            let n = next(300) as usize;
+            let (t0, span) = (
+                next(1 << 20),
+                1 + next(if case % 2 == 0 { 64 } else { 1 << 16 }),
+            );
+            let mut keys: Vec<u64> = (0..n)
+                .map(|_| {
+                    let t = (t0 + next(span)) as SimTime;
+                    pack_change(t, next(40) as u32, next(2) == 1)
+                })
+                .collect();
+            if case % 3 == 0 {
+                // Signal-ascending per stamp, as the drain delivers.
+                keys.sort_unstable_by_key(|&k| (k >> 1) as u32);
+            }
+            let mut expected = keys.clone();
+            expected.sort_unstable();
+            assert_eq!(order.sort(&mut keys), &expected[..], "case {case}");
+        }
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! within `D2H_BATCHES_CEILING` transfers, and `single_pass`'s kernel-level
 //! witnesses of the speculative store: a hit at least
 //! `SPEC_SPEEDUP_FLOOR`× cheaper than count + store, a miss at most
-//! `SPEC_REPAIR_CEILING`× count + store). CI runs this next to `analyze`
-//! so a PR cannot silently regress or rot the artifacts.
+//! `SPEC_REPAIR_CEILING`× count + store, and the streaming VCD output path
+//! at most `VCD_STREAM_OVERHEAD_CEILING`× the run alone). CI runs this next
+//! to `analyze` so a PR cannot silently regress or rot the artifacts.
 
 use std::process::ExitCode;
 
@@ -40,6 +41,15 @@ const TURNAROUND_SPEEDUP_FLOOR: f64 = 2.0;
 /// 1, then at 104 076 (one per stored waveform) for five PRs with no gate
 /// noticing; it may follow the design's depth, never its waveform count.
 const D2H_BATCHES_CEILING: f64 = 59.0;
+
+/// Upper bound on `sink_throughput/vcd_stream/N ÷ sink_throughput/run_only/N`
+/// for both bench sizes: what streaming every waveform through a `VcdSink`
+/// costs on top of the run alone. The committed artifact reads 1.49 (500
+/// gates) and 1.79 (4 000 gates); four runs of the bench on a shared
+/// 2-vCPU host spread the ratios over 1.27–1.72 and 1.50–1.88, so the
+/// ceiling sits one such spread (≈ 0.45) above the larger. The floor is 1:
+/// the output path cannot be cheaper than no output path.
+const VCD_STREAM_OVERHEAD_CEILING: f64 = 2.25;
 
 /// Artifacts every checkout must carry — the cross-PR trajectory set.
 const REQUIRED_ARTIFACTS: &[&str] = &[
@@ -108,6 +118,9 @@ fn check_artifact(name: &str, text: &str) -> Vec<String> {
     match doc.get("target") {
         Some(Json::Str(t)) if t == "glitch_flow" => check_glitch_flow(name, &doc, &mut errors),
         Some(Json::Str(t)) if t == "kernel_micro" => check_kernel_micro(name, &doc, &mut errors),
+        Some(Json::Str(t)) if t == "sink_throughput" => {
+            check_sink_throughput(name, &doc, &mut errors)
+        }
         _ => {}
     }
     errors
@@ -139,6 +152,42 @@ fn check_glitch_flow(name: &str, doc: &Json, errors: &mut Vec<String>) {
     band("predicted_waste_words", 0.0, f64::MAX);
     band("oom_retries", 0.0, f64::MAX);
     band("d2h_batches", 1.0, D2H_BATCHES_CEILING);
+}
+
+/// `mean_ns` of the criterion-style entry `id`, if present.
+fn entry_mean(doc: &Json, id: &str) -> Option<f64> {
+    let Some(Json::Arr(entries)) = doc.get("benchmarks") else {
+        return None;
+    };
+    entries
+        .iter()
+        .find_map(|e| match (e.get("id"), e.get("mean_ns")) {
+            (Some(Json::Str(i)), Some(Json::Num(ns))) if i == id => Some(*ns),
+            _ => None,
+        })
+}
+
+/// Tolerance checks of the criterion-style sink_throughput artifact: for
+/// both bench sizes, the streaming VCD output path costs between 1 and
+/// `VCD_STREAM_OVERHEAD_CEILING` times the run alone.
+fn check_sink_throughput(name: &str, doc: &Json, errors: &mut Vec<String>) {
+    for gates in [500, 4000] {
+        let stream = entry_mean(doc, &format!("sink_throughput/vcd_stream/{gates}"));
+        let run = entry_mean(doc, &format!("sink_throughput/run_only/{gates}"));
+        let (Some(stream), Some(run)) = (stream, run) else {
+            errors.push(format!(
+                "{name}: missing sink_throughput vcd_stream/run_only at {gates} gates"
+            ));
+            continue;
+        };
+        let overhead = stream / run;
+        if !(1.0..=VCD_STREAM_OVERHEAD_CEILING).contains(&overhead) {
+            errors.push(format!(
+                "{name}: vcd_stream/{gates} costs {overhead:.3}x run_only/{gates}, \
+                 outside [1, {VCD_STREAM_OVERHEAD_CEILING}]"
+            ));
+        }
+    }
 }
 
 /// Structural and tolerance checks of the criterion-style kernel_micro
@@ -229,6 +278,50 @@ mod tests {
             check_artifact("BENCH_kernel_micro.json", micro),
             Vec::<String>::new()
         );
+        let sink = r#"{
+            "target": "sink_throughput", "unit": "ns_per_iter", "benchmarks": [
+                {"id": "sink_throughput/run_only/500", "mean_ns": 6.4e5},
+                {"id": "sink_throughput/vcd_stream/500", "mean_ns": 8.2e5},
+                {"id": "sink_throughput/run_only/4000", "mean_ns": 3.4e6},
+                {"id": "sink_throughput/vcd_stream/4000", "mean_ns": 5.0e6}
+            ]
+        }"#;
+        assert_eq!(
+            check_artifact("BENCH_sink_throughput.json", sink),
+            Vec::<String>::new()
+        );
+    }
+
+    #[test]
+    fn bench_check_rejects_sink_overhead_out_of_band() {
+        // An output path costing three times the run, one cheaper than no
+        // output at all, and a size with its baseline missing.
+        let sink = r#"{
+            "target": "sink_throughput", "unit": "ns_per_iter", "benchmarks": [
+                {"id": "sink_throughput/run_only/500", "mean_ns": 6.4e5},
+                {"id": "sink_throughput/vcd_stream/500", "mean_ns": 1.92e6},
+                {"id": "sink_throughput/run_only/4000", "mean_ns": 3.4e6},
+                {"id": "sink_throughput/vcd_stream/4000", "mean_ns": 3.0e6}
+            ]
+        }"#;
+        let errs = check_artifact("s.json", sink);
+        assert_eq!(errs.len(), 2, "{errs:?}");
+        assert!(errs
+            .iter()
+            .any(|e| e.contains("vcd_stream/500 costs 3.000x")));
+        assert!(errs
+            .iter()
+            .any(|e| e.contains("vcd_stream/4000 costs 0.882x")));
+        let sink = r#"{
+            "target": "sink_throughput", "unit": "ns_per_iter", "benchmarks": [
+                {"id": "sink_throughput/run_only/500", "mean_ns": 6.4e5},
+                {"id": "sink_throughput/vcd_stream/500", "mean_ns": 8.2e5},
+                {"id": "sink_throughput/vcd_stream/4000", "mean_ns": 5.0e6}
+            ]
+        }"#;
+        let errs = check_artifact("s.json", sink);
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert!(errs[0].contains("missing sink_throughput vcd_stream/run_only at 4000"));
     }
 
     #[test]
